@@ -9,6 +9,7 @@ written regardless).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -53,19 +54,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve(cfg: RunConfig, args) -> RunConfig:
-    run = cfg.run
-    if getattr(args, "seed", None) is not None:
-        run = type(run)(run.samples, args.seed, run.out_dir, run.threads,
-                        run.jet_order)
-    if getattr(args, "threads", None) is not None:
-        run = type(run)(run.samples, run.master_seed, run.out_dir,
-                        args.threads, run.jet_order)
-    if args.out is not None:
-        run = type(run)(run.samples, run.master_seed, args.out, run.threads,
-                        run.jet_order)
-    if run is cfg.run:
+    flags = {"master_seed": getattr(args, "seed", None),
+             "threads": getattr(args, "threads", None),
+             "out_dir": args.out}
+    changes = {k: v for k, v in flags.items() if v is not None}
+    if not changes:
         return cfg
-    cfg = RunConfig(cfg.model, cfg.disorder, cfg.grids, run, cfg.checks)
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, **changes))
     cfg.validate()
     return cfg
 

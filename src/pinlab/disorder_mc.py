@@ -6,8 +6,9 @@ reduces in sample-index order.  Sample evaluation is chunked into
 fixed-size blocks of 64; worker threads only pick up whole blocks, so
 results are byte-identical for any thread count.
 
-The per-sample recursions here are the batched (sample-major) form of the
-quenched module's tables; rows are computed with row-local array ops, so a
+Per-sample log Z runs the quenched module's forward engine ``_forward``
+on a whole block of samples, one row each; the jet kernel is its batched
+Taylor-jet form.  Rows are computed with row-local array ops, so a
 sample's values do not depend on which block it lands in.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
-from .quenched import QuenchedSystem
+from .quenched import QuenchedSystem, _forward
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -50,6 +51,8 @@ class McConfig:
         for name in ("h_values", "n_values"):
             g = tuple(getattr(self, name))
             object.__setattr__(self, name, g)
+            if not all(map(math.isfinite, g)):
+                raise ValueError(f"{name} must be finite, got {g}")
             if not g or list(g) != sorted(g):
                 raise ValueError(f"{name} must be nonempty and sorted")
         if max(self.n_values) > self.law.n_max:
@@ -85,21 +88,6 @@ def _run_chunked(count: int, threads: int, job) -> None:
 
 # ---------------------------------------------------------------------------
 # batched kernels
-
-def _block_prefix_final(law, h, omega_block):
-    """(log Z, log Z^-) for each row of omega_block, by the forward
-    recursion vectorized over samples."""
-    b = h + omega_block
-    bsz, n = omega_block.shape
-    logp = law.log_p
-    pre = np.empty((bsz, n + 1))
-    pre[:, 0] = 0.0
-    for k in range(1, n + 1):
-        w = pre[:, 0:k] + logp[k:0:-1][None, :]
-        m = np.max(w, axis=1)
-        pre[:, k] = m + np.log(np.sum(np.exp(w - m[:, None]), axis=1)) + b[:, k - 1]
-    return pre[:, n], pre[:, n] - b[:, n - 1]
-
 
 def _block_jet(law, h, omega_block, order):
     """Batched jet propagation; returns (kappa, kappa1_path) where kappa
@@ -156,8 +144,9 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
 def sample_log_z(cfg: McConfig, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (log Z, log Z^-), in sample-index order."""
     def kernel(block):
-        z, zm = _block_prefix_final(cfg.law, h, block)
-        return np.stack([z, zm], axis=1)
+        b = h + block
+        z = _forward(cfg.law.log_p, b)[:, -1]
+        return np.stack([z, z - b[:, -1]], axis=1)
 
     res = _sampled(cfg, h, n, kernel, 2)
     return res[:, 0], res[:, 1]
@@ -266,13 +255,15 @@ class FResult:
 def estimate_f(cfg: McConfig, h: float, n: int) -> FResult:
     """Quenched free-energy estimate (1/n) log Z averaged over disorder,
     with the annealed value (1/n) log mean(Z); quenched <= annealed is an
-    exact per-run inequality and is asserted."""
+    exact per-run inequality, and a violation raises RuntimeError."""
     log_z, log_zm = sample_log_z(cfg, h, n)
     vals = log_z / n
     mean, stderr = _mean_stderr(vals)
     m = float(np.max(log_z))
     annealed = (m + math.log(float(np.mean(np.exp(log_z - m))))) / n
-    assert mean <= annealed + 1e-12, "Jensen inequality violated"
+    if not mean <= annealed + 1e-12:
+        raise RuntimeError(f"Jensen inequality violated: quenched {mean!r} "
+                           f"> annealed {annealed!r}")
     series = EstimateSeries("f", h, n, mean, stderr, cfg.samples)
     return FResult(series, annealed, vals, log_zm / n)
 

@@ -48,12 +48,6 @@ def log_mean_exp(values) -> float:
     return log_sum_exp(arr) - math.log(arr.size)
 
 
-def _check_log(x: float) -> float:
-    if math.isnan(x):
-        raise ValueError("NaN is not a valid log-magnitude")
-    return float(x)
-
-
 @dataclass(frozen=True)
 class ScaledJet:
     """Truncated Taylor jet with a separate log scale.
@@ -61,7 +55,7 @@ class ScaledJet:
     ``scale`` is the log of the zeroth-order value; ``coeffs[k]`` is the
     k-th Taylor coefficient divided by the zeroth-order value, so
     ``coeffs[0] == 1`` whenever the jet is nonzero.  The zero jet has
-    ``scale == -inf`` and is the identity for accumulation.
+    ``scale == -inf``.
     """
 
     scale: float
@@ -78,82 +72,6 @@ class ScaledJet:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def value(self) -> float:
-        """Log of the zeroth-order value."""
-        return self.scale
-
-    def derivative(self, k: int) -> float:
-        """k-th derivative of the carried quantity (linear scale)."""
-        return math.factorial(k) * self.coeffs[k] * math.exp(self.scale)
-
-
-def zero_jet(order: int = DEFAULT_JET_ORDER) -> ScaledJet:
-    c = np.zeros(order + 1)
-    return ScaledJet(LOG_ZERO, c)
-
-
-def constant_jet(log_value: float, order: int = DEFAULT_JET_ORDER) -> ScaledJet:
-    """Jet of a quantity that does not depend on the jet parameter."""
-    _check_log(log_value)
-    if log_value == LOG_ZERO:
-        return zero_jet(order)
-    c = np.zeros(order + 1)
-    c[0] = 1.0
-    return ScaledJet(log_value, c)
-
-
-def exp_linear_jet(log_const: float, slope: float = 1.0,
-                   order: int = DEFAULT_JET_ORDER) -> ScaledJet:
-    """Jet of exp(c + slope*x) at x = 0: scale c, coefficients slope^k / k!."""
-    _check_log(log_const)
-    k = np.arange(order + 1)
-    c = slope ** k / np.array([math.factorial(i) for i in k], dtype=float)
-    return ScaledJet(log_const, c)
-
-
-def _require_same_order(a: ScaledJet, b: ScaledJet):
-    if a.order != b.order:
-        raise ValueError(f"mismatched jet orders {a.order} != {b.order}")
-
-
-def jet_mul(a: ScaledJet, b: ScaledJet) -> ScaledJet:
-    """Product of two jets: truncated coefficient convolution."""
-    _require_same_order(a, b)
-    if a.scale == LOG_ZERO or b.scale == LOG_ZERO:
-        return zero_jet(a.order)
-    c = np.convolve(a.coeffs, b.coeffs)[: a.order + 1]
-    # a0*b0 == 1 exactly, no renormalization needed
-    return ScaledJet(a.scale + b.scale, c)
-
-
-def jet_mul_acc(acc: ScaledJet, factor: ScaledJet, weight) -> ScaledJet:
-    """Return acc + weight*factor.
-
-    ``weight`` is either a log-magnitude float (a constant in the jet
-    parameter, contributing only at order 0) or itself a :class:`ScaledJet`
-    (e.g. the jet of a Boltzmann factor), in which case the factor is
-    convolved with the weight's coefficients before accumulation.
-    """
-    if isinstance(weight, ScaledJet):
-        term = jet_mul(factor, weight)
-    else:
-        w = _check_log(weight)
-        if w == LOG_ZERO or factor.scale == LOG_ZERO:
-            term = zero_jet(factor.order)
-        else:
-            term = ScaledJet(factor.scale + w, factor.coeffs)
-    _require_same_order(acc, term)
-    if term.scale == LOG_ZERO:
-        return acc
-    if acc.scale == LOG_ZERO:
-        return term
-    m = max(acc.scale, term.scale)
-    c = np.exp(acc.scale - m) * acc.coeffs + np.exp(term.scale - m) * term.coeffs
-    c0 = c[0]
-    if not c0 > 0.0:
-        raise ValueError("jet accumulation lost positivity at order 0")
-    return ScaledJet(m + math.log(c0), c / c0)
 
 
 def log_of_jet(j: ScaledJet) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 All weights enter as e^{h+omega_a} per contact and p(t) per excursion, so
 every quantity here is a deterministic functional of the charge vector.
-The prefix table log Z_{0,k} is filled by the O(n^2) forward recursion
+Every partition table comes from one O(n^2) forward recursion,
 
     Z_{0,k} = sum_{t=1..k} Z_{0,k-t} p(t) e^{h+omega_k},
 
-in log domain with log-sum-exp accumulation.  Segment and suffix tables
-reuse the same recursion on shifted windows.  Derivatives of log Z in h
+run in log domain by ``_forward`` over a batch of weight rows: the prefix
+table is one row, the suffix table is the recursion on the reversed
+weights, the segment table runs one row per start site, and the
+restricted-excursion partition caps t at a band.  Disorder Monte Carlo
+runs the same engine on blocks of samples.  Derivatives of log Z in h
 (cumulants of the contact number) propagate ScaledJet coefficient arrays
 through the identical recursion.
 """
@@ -47,11 +50,27 @@ def _lse_rows(w: np.ndarray) -> np.ndarray:
         return m + np.log(np.sum(np.exp(w - safe[..., None]), axis=-1))
 
 
-def _lse(w: np.ndarray) -> float:
-    m = float(np.max(w))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + math.log(float(np.sum(np.exp(w - m))))
+def _forward(log_p: np.ndarray, b: np.ndarray,
+             band: int | None = None) -> np.ndarray:
+    """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
+
+    Row r is the chain whose site k carries log weight b[r, k-1]; with a
+    band, excursions are capped at that length.  No guard is needed:
+    log_p[t] is finite for t >= 1 (the law constructors enforce p(t) > 0)
+    and z[:, 0] = 0, so every step's max is finite when the weights are
+    finite.  Without a band, -inf weights are allowed too: z[:, 0] stays
+    in every step, and a -inf weight gives a -inf entry, never NaN."""
+    rows, n = b.shape
+    z = np.empty((rows, n + 1))
+    z[:, 0] = 0.0
+    for k in range(1, n + 1):
+        lo = 0 if band is None else max(0, k - band)
+        w = z[:, lo:k] + log_p[k - lo:0:-1]
+        m = w.max(1)
+        w -= m[:, None]
+        np.exp(w, out=w)
+        z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
+    return z
 
 
 @dataclass(frozen=True)
@@ -163,25 +182,22 @@ class QuenchedSystem:
             raise ValueError("n must be >= 0")
         if n > law.n_max:
             raise ValueError(f"n = {n} exceeds tabulation horizon {law.n_max}")
+        if not math.isfinite(h):
+            raise ValueError(f"h = {h} is not finite")
         self.law = law
         self.h = float(h)
         self.omega = omega
         self.n = int(n)
         self.jet_order = int(jet_order)
         self.charges = _charges(omega, n)
+        bad = np.flatnonzero(~np.isfinite(self.charges))
+        if bad.size:
+            a = int(bad[0])
+            raise ValueError(f"charge omega_{a} = {self.charges[a]} is not finite")
         self.site_weight = self.h + self.charges  # h + omega_a, entry 0 unused
-        self.prefix_logZ = self._prefix()
+        self.prefix_logZ = _forward(law.log_p, self.site_weight[None, 1:])[0]
         self._suffix = None
         self._segments = None
-
-    def _prefix(self) -> np.ndarray:
-        n, logp, b = self.n, self.law.log_p, self.site_weight
-        pre = np.empty(n + 1)
-        pre[0] = 0.0
-        for k in range(1, n + 1):
-            w = pre[0:k] + logp[k:0:-1]
-            pre[k] = _lse(w) + b[k]
-        return pre
 
     @property
     def log_z(self) -> float:
@@ -199,13 +215,10 @@ class QuenchedSystem:
     def suffix_logZ(self) -> np.ndarray:
         """suffix[a] = log Z_{[a, n]} for a = 0..n (suffix[0] = log Z)."""
         if self._suffix is None:
-            n, logp, b = self.n, self.law.log_p, self.site_weight
-            suf = np.empty(n + 1)
-            suf[n] = 0.0
-            for a in range(n - 1, -1, -1):
-                w = logp[1:n - a + 1] + b[a + 1:n + 1] + suf[a + 1:n + 1]
-                suf[a] = _lse(w)
-            self._suffix = suf
+            n, b = self.n, self.site_weight
+            # the reversed chain's prefix at n-a is log Z_{[a,n]} + b[a] - b[n]
+            rev = _forward(self.law.log_p, b[None, :n][:, ::-1])[0]
+            self._suffix = rev[::-1] - b + b[n]
         return self._suffix
 
     def segment_partitions(self, window: int | None = None) -> SegmentTable:
@@ -218,14 +231,11 @@ class QuenchedSystem:
         return self._segments
 
     def _build_segments(self, window: int) -> SegmentTable:
-        n, logp, b = self.n, self.law.log_p, self.site_weight
-        table = np.full((n + 1, window + 1), LOG_ZERO)
-        table[:, 0] = 0.0
-        for ell in range(1, window + 1):
-            rows = n - ell + 1
-            w = table[0:rows, 0:ell] + logp[ell:0:-1][None, :]
-            table[0:rows, ell] = _lse_rows(w) + b[ell:ell + rows]
-        return SegmentTable(n, window, table)
+        # row i runs on b[i+1..i+window]; -inf padding past n gives -inf
+        padded = np.concatenate((self.site_weight[1:],
+                                 np.full(window, LOG_ZERO)))
+        rows = np.lib.stride_tricks.sliding_window_view(padded, window)
+        return SegmentTable(self.n, window, _forward(self.law.log_p, rows))
 
     def _segment_log_z(self, i: int, j: int) -> float:
         """log Z_{[i, j]} for arbitrary width (table when it fits)."""
@@ -235,14 +245,8 @@ class QuenchedSystem:
             return self._segments.log_z(i, j)
         if i == 0:
             return float(self.prefix_logZ[j])
-        logp, b = self.law.log_p, self.site_weight
-        width = j - i
-        z = np.empty(width + 1)
-        z[0] = 0.0
-        for l in range(1, width + 1):
-            w = z[0:l] + logp[l:0:-1]
-            z[l] = _lse(w) + b[i + l]
-        return float(z[width])
+        z = _forward(self.law.log_p, self.site_weight[None, i + 1:j + 1])
+        return float(z[0, -1])
 
     # -- contact observables ----------------------------------------------
 
@@ -417,15 +421,15 @@ class QuenchedSystem:
         log2 = math.log(2.0)  # unordered pair of distinct interleavings
         for t in range(1, window + 1):
             # close window j = t: both replicas jump to t, or empty pair
-            terms = [2.0 * (logp[t] + bw[t])]
+            close = 2.0 * (logp[t] + bw[t])
             if t >= 2:
                 lpt = logp[t - np.arange(t)]
                 closed = state[0:t, 0:t] + lpt[:, None] + lpt[None, :]
                 m = closed.max()
                 if m > LOG_ZERO:
-                    terms.append(m + math.log(np.exp(closed - m).sum())
-                                 + 2.0 * bw[t])
-            out[t] = _lse(np.array(terms)) - 2.0 * seg.log_z(start, start + t)
+                    pairs = m + math.log(np.exp(closed - m).sum()) + 2.0 * bw[t]
+                    close = np.logaddexp(close, pairs)
+            out[t] = close - 2.0 * seg.log_z(start, start + t)
             if t == window:
                 break
             # open states (x, t) for the next windows
@@ -435,8 +439,8 @@ class QuenchedSystem:
                 grid = state[0:t, 0:t]
                 trail = _lse_rows((grid + lpt[:, None]).T)  # index v
                 lead = _lse_rows(grid + lpt[None, :])       # index u
-                col = _lse_rows(np.stack([trail, lead], axis=1))
-            col[0] = _lse(np.array([col[0], log2 + logp[t]]))
+                col = np.logaddexp(trail, lead)
+            col[0] = np.logaddexp(col[0], log2 + logp[t])
             state[0:t, t] = col + bw[t]
         return out
 
@@ -449,17 +453,5 @@ class QuenchedSystem:
         n = self.n
         if n == 0 or m >= n:
             return 1.0
-        logp, b = self.law.log_p, self.site_weight
-        zm = np.empty(n + 1)
-        zm[0] = 0.0
-        for k in range(1, n + 1):
-            t_hi = min(k, m)
-            w = zm[k - t_hi:k] + logp[t_hi:0:-1]
-            zm[k] = _lse(w) + b[k]
-        return min(1.0, math.exp(zm[n] - self.log_z))
-
-
-def log_partition(law, h: float, omega, n: int,
-                  jet_order: int = DEFAULT_JET_ORDER) -> QuenchedSystem:
-    """Build the quenched system and its prefix table."""
-    return QuenchedSystem(law, h, omega, n, jet_order=jet_order)
+        zm = _forward(self.law.log_p, self.site_weight[None, 1:], band=m)
+        return min(1.0, math.exp(zm[0, n] - self.log_z))

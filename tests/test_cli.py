@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 import pinlab.theorems as theorems
 from pinlab.cli import main
 from pinlab.theorems import CheckReport
+
+PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 TOY = {
     "model": {"kind": "table", "table": [0.5, 0.25], "n_max": 2},
@@ -184,6 +187,20 @@ def test_compute_requires_config():
     assert exc.value.code == 2
 
 
+def _console_script(name):
+    """Command for an installed console script; without an install, the
+    [project.scripts] target from pyproject.toml run by this interpreter."""
+    exe = shutil.which(name)
+    if exe is not None:
+        return [exe]
+    import tomllib
+    with open(PYPROJECT, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"][name]
+    module, func = target.split(":")
+    return [sys.executable, "-c",
+            f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = _write(tmp_path, "toy.json", TOY)
     out = str(tmp_path / "o")
@@ -193,7 +210,7 @@ def test_console_script_entry_point(tmp_path):
     # module is importable but argparse demands a command
     assert proc.returncode == 2
     proc = subprocess.run(
-        ["pinlab", "compute", "--config", cfg, "--out", out],
+        _console_script("pinlab") + ["compute", "--config", cfg, "--out", out],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "series.csv"))

@@ -106,6 +106,16 @@ def test_estimate_f_fields():
     assert float(res.per_sample.mean()) <= res.annealed + 1e-12
 
 
+def test_estimate_f_jensen_check_raises(monkeypatch):
+    # an explicit check, so it also holds under python -O
+    def broken(cfg, h, n):
+        return np.array([0.0, math.nan]), np.zeros(2)
+
+    monkeypatch.setattr("pinlab.disorder_mc.sample_log_z", broken)
+    with pytest.raises(RuntimeError, match="Jensen"):
+        estimate_f(_cfg(samples=2), 2.0, 64)
+
+
 def test_estimate_f_pure_collapses():
     cfg = _cfg(disorder=zero_disorder(), samples=2)
     res = estimate_f(cfg, 2.0, 64)
@@ -263,3 +273,6 @@ def test_mc_config_validation():
         _cfg(n_values=(32, 16))
     with pytest.raises(ValueError):
         _cfg(n_values=(64, 256))  # beyond the law horizon
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="h_values must be finite"):
+            _cfg(h_values=(1.0, bad))

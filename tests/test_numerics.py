@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pinlab.model import geometric_test_law
 from pinlab.numerics import (
     DEFAULT_JET_ORDER,
     LOG_ZERO,
     ScaledJet,
-    constant_jet,
-    exp_linear_jet,
-    jet_mul,
-    jet_mul_acc,
     log_mean_exp,
     log_of_jet,
     log_sum_exp,
-    zero_jet,
 )
+from pinlab.quenched import QuenchedSystem
 
 finite_logs = st.floats(min_value=-600.0, max_value=600.0,
                         allow_nan=False, allow_infinity=False)
@@ -70,11 +67,6 @@ def test_log_mean_exp():
 
 # -- jets ---------------------------------------------------------------------
 
-def _dense(jet):
-    """Linear-scale Taylor coefficients (safe only at moderate scale)."""
-    return math.exp(jet.scale) * jet.coeffs
-
-
 def test_jet_validation():
     with pytest.raises(ValueError):
         ScaledJet(math.nan, np.array([1.0, 0.0]))
@@ -85,85 +77,17 @@ def test_jet_validation():
 
 
 def test_zero_and_constant_jets():
-    z = zero_jet(4)
+    z = ScaledJet(LOG_ZERO, np.zeros(5))  # zero jet: coeffs[0] is free
     assert z.scale == LOG_ZERO and z.order == 4
-    c = constant_jet(2.5, order=4)
-    assert c.scale == 2.5
-    assert c.derivative(0) == pytest.approx(math.exp(2.5))
-    assert all(c.derivative(k) == 0.0 for k in range(1, 5))
-    assert constant_jet(LOG_ZERO, order=3).scale == LOG_ZERO
-
-
-def test_exp_linear_jet_derivatives():
-    # d^k/dx^k exp(c + s x) at 0 is s^k exp(c)
-    j = exp_linear_jet(0.7, slope=-1.3, order=6)
-    for k in range(7):
-        assert j.derivative(k) == pytest.approx((-1.3) ** k * math.exp(0.7),
-                                                rel=1e-12)
-
-
-def test_jet_mul_is_exponent_addition():
-    a = exp_linear_jet(0.2, slope=0.5, order=8)
-    b = exp_linear_jet(-1.0, slope=1.7, order=8)
-    prod = jet_mul(a, b)
-    want = exp_linear_jet(-0.8, slope=2.2, order=8)
-    assert prod.scale == pytest.approx(want.scale)
-    np.testing.assert_allclose(prod.coeffs, want.coeffs, rtol=1e-12, atol=1e-15)
-
-
-def test_jet_mul_matches_convolution():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        ca = np.concatenate(([1.0], rng.normal(0.0, 0.8, 5)))
-        cb = np.concatenate(([1.0], rng.normal(0.0, 0.8, 5)))
-        a = ScaledJet(float(rng.normal()), ca)
-        b = ScaledJet(float(rng.normal()), cb)
-        got = _dense(jet_mul(a, b))
-        want = np.convolve(_dense(a), _dense(b))[:6]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_jet_mul_zero_annihilates():
-    a = exp_linear_jet(0.0, order=3)
-    assert jet_mul(a, zero_jet(3)).scale == LOG_ZERO
-    assert jet_mul(zero_jet(3), a).scale == LOG_ZERO
-
-
-def test_jet_mul_order_mismatch():
-    with pytest.raises(ValueError):
-        jet_mul(zero_jet(3), zero_jet(4))
-
-
-def test_jet_mul_acc_linear_combination():
-    a = exp_linear_jet(0.3, slope=1.0, order=5)
-    b = exp_linear_jet(-0.2, slope=2.0, order=5)
-    acc = jet_mul_acc(a, b, math.log(0.5))  # a + 0.5 b
-    want = _dense(a) + 0.5 * _dense(b)
-    np.testing.assert_allclose(_dense(acc), want, rtol=1e-12)
-    # zero states are identities on both sides
-    assert jet_mul_acc(zero_jet(5), a, LOG_ZERO).scale == LOG_ZERO
-    same = jet_mul_acc(a, zero_jet(5), 0.0)
-    np.testing.assert_allclose(_dense(same), _dense(a), rtol=1e-15)
-
-
-def test_jet_mul_acc_jet_weight():
-    a = exp_linear_jet(0.1, slope=0.4, order=6)
-    w = exp_linear_jet(-0.5, slope=1.0, order=6)
-    acc = jet_mul_acc(zero_jet(6), a, w)
-    want = exp_linear_jet(-0.4, slope=1.4, order=6)
-    np.testing.assert_allclose(_dense(acc), _dense(want), rtol=1e-12)
-
-
-def test_jet_mul_acc_extreme_scale():
-    # accumulation at log-magnitude 2000 must not overflow
-    big = exp_linear_jet(2000.0, slope=1.0, order=4)
-    acc = jet_mul_acc(big, big, 0.0)
-    assert acc.scale == pytest.approx(2000.0 + math.log(2.0))
-    np.testing.assert_allclose(acc.coeffs, big.coeffs, rtol=1e-12)
+    c = ScaledJet(2.5, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(log_of_jet(c), [2.5, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_log_of_jet_inverts_exp():
-    g = log_of_jet(exp_linear_jet(1.2, slope=-0.7, order=6))
+    # exp(1.2 - 0.7 x): scale 1.2, coefficients (-0.7)^k / k!
+    k = np.arange(7)
+    coeffs = (-0.7) ** k / np.array([math.factorial(i) for i in k])
+    g = log_of_jet(ScaledJet(1.2, coeffs))
     want = np.zeros(7)
     want[0], want[1] = 1.2, -0.7
     np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
@@ -187,9 +111,10 @@ def test_log_of_jet_random_series():
 
 def test_log_of_zero_jet_raises():
     with pytest.raises(ValueError):
-        log_of_jet(zero_jet())
+        log_of_jet(ScaledJet(LOG_ZERO, np.zeros(DEFAULT_JET_ORDER + 1)))
 
 
 def test_default_order_is_shared():
-    assert zero_jet().order == DEFAULT_JET_ORDER
-    assert constant_jet(0.0).order == DEFAULT_JET_ORDER
+    sys_ = QuenchedSystem(geometric_test_law(4), 0.0, np.zeros(2), 2)
+    assert sys_.jet_order == DEFAULT_JET_ORDER
+    assert sys_.cumulants(DEFAULT_JET_ORDER).kappa.size == DEFAULT_JET_ORDER + 1

@@ -6,6 +6,7 @@ require agreement at near machine precision.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,27 +23,31 @@ from pinlab.oracle import (
     enumerate_moment,
     enumerate_partition,
 )
-from pinlab.quenched import QuenchedSystem, ks_to_standard_normal, log_partition
+from pinlab.quenched import QuenchedSystem, _forward, ks_to_standard_normal
 from support import random_instance
 
 GEOM = geometric_test_law(64)
 
 
-def _systems(seed, count, n_lo=1, n_hi=14):
+def _systems(seed, count, n_lo=1, n_hi=14, extreme=False):
+    """Random instances; extreme ones sit at the edge of the supported
+    range, h in [-40, 60] and charges up to |omega| = 800."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         law, h, omega, n = random_instance(rng, n_lo=n_lo, n_hi=n_hi)
+        if extreme:
+            h = float(rng.uniform(-40.0, 60.0))
+            omega = rng.uniform(-800.0, 800.0, n)
         yield law, h, omega, n, QuenchedSystem(law, h, omega, n)
 
 
 # -- partition functions ------------------------------------------------------
 
 def test_log_z_matches_enumeration():
-    for law, h, omega, n, sys_ in _systems(10, 60):
+    for law, h, omega, n, sys_ in chain(_systems(10, 60),
+                                        _systems(110, 30, extreme=True)):
         want = enumerate_partition(law, h, omega, n)
-        assert sys_.log_z == pytest.approx(want, abs=1e-11)
-        assert log_partition(law, h, omega, n).log_z == pytest.approx(
-            want, abs=1e-11)
+        assert sys_.log_z == pytest.approx(want, rel=1e-14, abs=1e-11)
 
 
 def test_log_z_minus_strips_last_charge():
@@ -52,7 +57,8 @@ def test_log_z_minus_strips_last_charge():
 
 
 def test_prefix_and_suffix_assemble():
-    for law, h, omega, n, sys_ in _systems(12, 10, n_lo=2):
+    for law, h, omega, n, sys_ in chain(_systems(12, 10, n_lo=2),
+                                        _systems(112, 10, n_lo=2, extreme=True)):
         assert sys_.prefix_logZ[0] == 0.0
         assert sys_.prefix_logZ[n] == pytest.approx(sys_.log_z, abs=1e-12)
         # prefix at k is the partition of the chain cut at k
@@ -61,16 +67,25 @@ def test_prefix_and_suffix_assemble():
             assert sys_.prefix_logZ[k] == pytest.approx(cut.log_z, abs=1e-11)
         suf = sys_.suffix_logZ()
         assert suf[n] == 0.0
-        assert suf[0] == pytest.approx(sys_.log_z, abs=1e-11)
+        assert suf[0] == pytest.approx(sys_.log_z, rel=1e-14, abs=1e-11)
+        # suffix at a is the partition of the chain started at a
+        for a in range(n):
+            want = enumerate_partition(law, h, omega[a:], n - a)
+            assert suf[a] == pytest.approx(want, rel=1e-14, abs=1e-11)
 
 
 def test_segment_table_matches_shifted_chains():
-    for law, h, omega, n, sys_ in _systems(13, 8, n_lo=3, n_hi=10):
+    for law, h, omega, n, sys_ in chain(_systems(13, 8, n_lo=3, n_hi=10),
+                                        _systems(113, 8, n_lo=3, n_hi=10,
+                                                 extreme=True)):
         seg = sys_.segment_partitions(window=n)
         for i in range(n):
             for j in range(i + 1, n + 1):
                 sub = QuenchedSystem(law, h, omega[i:j], j - i)
                 assert seg.log_z(i, j) == pytest.approx(sub.log_z, abs=1e-10)
+                want = enumerate_partition(law, h, omega[i:j], j - i)
+                assert seg.log_z(i, j) == pytest.approx(want, rel=1e-14,
+                                                        abs=1e-10)
 
 
 def test_degenerate_empty_chain():
@@ -87,10 +102,50 @@ def test_horizon_guard():
         QuenchedSystem(geometric_test_law(8), 0.0, np.zeros(9), 9)
 
 
+def test_non_finite_input_is_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="h = "):
+            QuenchedSystem(GEOM, bad, np.zeros(4), 4)
+        omega = np.zeros(6)
+        omega[2] = bad
+        with pytest.raises(ValueError, match="omega_3"):
+            QuenchedSystem(GEOM, 0.5, omega, 6)
+    # charges past n are never read, so they are not checked
+    QuenchedSystem(GEOM, 0.5, np.array([0.0, 0.0, math.nan]), 2)
+
+
+# -- the forward engine -------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=48),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=48)),
+       st.sampled_from(["C", "F", "window"]),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_forward_rows_match_single_row_runs(rows, n, band, layout, seed):
+    # a row's table is bit-identical whatever batch it is computed in
+    rng = np.random.default_rng(seed)
+    if layout == "window":
+        # overlapping rows as in the segment table, -inf past the end
+        flat = rng.normal(0.0, 3.0, rows + n - 1)
+        if band is None:
+            flat[n:] = -math.inf
+        b = np.lib.stride_tricks.sliding_window_view(flat, n)
+    else:
+        b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
+    batched = _forward(GEOM.log_p, b, band)
+    assert batched.shape == (rows, n + 1)
+    assert not np.isnan(batched).any()
+    for r in range(rows):
+        alone = _forward(GEOM.log_p, np.ascontiguousarray(b[r:r + 1]), band)
+        assert batched[r].tobytes() == alone[0].tobytes()
+
+
 # -- contact observables ------------------------------------------------------
 
 def test_contact_probabilities_match_oracle():
-    for law, h, omega, n, sys_ in _systems(20, 40, n_lo=2):
+    for law, h, omega, n, sys_ in chain(_systems(20, 40, n_lo=2),
+                                        _systems(120, 20, n_lo=2, extreme=True)):
         want = enumerate_contact_probabilities(law, h, omega, n)
         got = [sys_.contact_probability(a) for a in range(n + 1)]
         np.testing.assert_allclose(got, want, atol=1e-11)
@@ -204,7 +259,9 @@ def test_cumulant_order_guard():
 # -- maximal excursion --------------------------------------------------------
 
 def test_max_excursion_cdf_matches_oracle():
-    for law, h, omega, n, sys_ in _systems(50, 25, n_lo=2, n_hi=10):
+    for law, h, omega, n, sys_ in chain(_systems(50, 25, n_lo=2, n_hi=10),
+                                        _systems(150, 25, n_lo=2, n_hi=16,
+                                                 extreme=True)):
         want = enumerate_excursion_cdf(law, h, omega, n)
         got = [sys_.max_excursion_cdf(m) for m in range(1, n + 1)]
         np.testing.assert_allclose(got, want[1:], atol=1e-10)
