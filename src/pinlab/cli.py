@@ -80,14 +80,13 @@ def _emit_common(cfg: RunConfig, out: str):
 def _cmd_compute(cfg: RunConfig, out: str) -> int:
     law = cfg.law()
     disorder = cfg.disorder_law()
-    r_top = min(4, cfg.run.jet_order)
+    r_top = 4
     series = []
     for h in cfg.grids.h_values:
         for n in cfg.grids.n_values:
             omega = sample_disorder_block(disorder, int(n),
                                           cfg.run.master_seed, 0, 1)[0]
-            sys_ = QuenchedSystem(law, float(h), omega, int(n),
-                                  jet_order=cfg.run.jet_order)
+            sys_ = QuenchedSystem(law, float(h), omega, int(n))
             kappa = sys_.cumulants(r_top).kappa
             series.append(mc.EstimateSeries("log_z", float(h), int(n),
                                             sys_.log_z, 0.0, 1))

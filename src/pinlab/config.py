@@ -149,15 +149,12 @@ class RunBlock:
     master_seed: int = 1
     out_dir: str | None = None
     threads: int = 1
-    jet_order: int = 8
 
     def validate(self):
         _need(int(self.samples) >= 2, "run.samples", "must be >= 2")
         _need(0 <= int(self.master_seed) < 2 ** 64, "run.master_seed",
               "must fit in 64 bits")
         _need(int(self.threads) >= 1, "run.threads", "must be >= 1")
-        _need(2 <= int(self.jet_order) <= 12, "run.jet_order",
-              "must be in 2..12")
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,6 @@ class RunConfig:
                            tuple(int(n) for n in self.grids.n_values),
                            samples=int(self.run.samples),
                            master_seed=int(self.run.master_seed),
-                           jet_order=int(self.run.jet_order),
                            window=int(self.grids.window),
                            threads=int(threads if threads is not None
                                        else self.run.threads))

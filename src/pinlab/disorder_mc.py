@@ -7,14 +7,17 @@ fixed-size blocks of 64; worker threads only pick up whole blocks, so
 results are byte-identical for any thread count.
 
 Per-sample log Z runs the quenched module's forward engine ``_forward``
-on a whole block of samples, one row each; the jet kernel is its batched
-Taylor-jet form.  Rows are computed with row-local array ops, so a
-sample's values do not depend on which block it lands in.
+on a whole block of samples, one row each; per-sample cumulants and
+kappa_1 paths run its Taylor-jet form ``_jet_forward`` the same way,
+followed by the row-wise log-series recursion of ``numerics``.  Both
+engines are row-local, so a sample's values do not depend on which block
+it lands in.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,7 +25,8 @@ import numpy as np
 from scipy import special
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
-from .quenched import QuenchedSystem, _forward
+from .numerics import _log_series
+from .quenched import QuenchedSystem, _forward, _jet_forward
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -41,7 +45,6 @@ class McConfig:
     n_values: tuple
     samples: int
     master_seed: int
-    jet_order: int = 8
     window: int = 96
     threads: int = 1
 
@@ -55,6 +58,10 @@ class McConfig:
                 raise ValueError(f"{name} must be finite, got {g}")
             if not g or list(g) != sorted(g):
                 raise ValueError(f"{name} must be nonempty and sorted")
+        if not all(isinstance(n, numbers.Integral) and n >= 1
+                   for n in self.n_values):
+            raise ValueError(f"n_values must be positive integers, "
+                             f"got {self.n_values}")
         if max(self.n_values) > self.law.n_max:
             raise ValueError("n grid exceeds the law's tabulation horizon")
 
@@ -86,48 +93,6 @@ def _run_chunked(count: int, threads: int, job) -> None:
             list(pool.map(lambda b: job(*b), blocks))
 
 
-# ---------------------------------------------------------------------------
-# batched kernels
-
-def _block_jet(law, h, omega_block, order):
-    """Batched jet propagation; returns (kappa, kappa1_path) where kappa
-    has columns 0..order (kappa[:,k] = d^k log Z/dh^k, column 0 = log Z)
-    and kappa1_path[:, k] = kappa_1 for the size-k prefix system."""
-    b = h + omega_block
-    bsz, n = omega_block.shape
-    logp = law.log_p
-    boltz = 1.0 / np.array([math.factorial(i) for i in range(order + 1)])
-    sc = np.empty((bsz, n + 1))
-    coef = np.zeros((bsz, n + 1, order + 1))
-    sc[:, 0] = 0.0
-    coef[:, 0, 0] = 1.0
-    acc = np.empty((bsz, order + 1))
-    for k in range(1, n + 1):
-        w = sc[:, 0:k] + logp[k:0:-1][None, :]
-        m = np.max(w, axis=1)
-        u = np.exp(w - m[:, None])
-        for c in range(order + 1):
-            acc[:, c] = np.sum(u * coef[:, 0:k, c], axis=1)
-        conv = np.empty_like(acc)
-        for c in range(order + 1):
-            conv[:, c] = acc[:, 0:c + 1] @ boltz[c::-1]
-        sc[:, k] = m + np.log(conv[:, 0]) + b[:, k - 1]
-        coef[:, k] = conv / conv[:, 0:1]
-    # log-of-jet recursion, vectorized over samples
-    f = coef[:, n, :]
-    g = np.zeros((bsz, order + 1))
-    g[:, 0] = sc[:, n]
-    for k in range(1, order + 1):
-        s = np.zeros(bsz)
-        for i in range(1, k):
-            s += i * g[:, i] * f[:, k - i]
-        g[:, k] = f[:, k] - s / k
-    kappa = g * np.array([math.factorial(k) for k in range(order + 1)])
-    kappa[:, 0] = sc[:, n]
-    # first log-jet coefficient of each prefix is its kappa_1
-    return kappa, coef[:, :, 1] if order >= 1 else np.zeros((bsz, n + 1))
-
-
 def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
     """Run a per-block kernel over all samples; kernel(block) -> (bsz, width)
     rows; returns the (S, width) stacked result in index order."""
@@ -154,8 +119,12 @@ def sample_log_z(cfg: McConfig, h: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
     """Per-sample (log Z, kappa_1..kappa_r_max) as columns 0..r_max."""
+    fact = np.array([math.factorial(k) for k in range(r_max + 1)], dtype=float)
+
     def kernel(block):
-        kappa, _ = _block_jet(cfg.law, h, block, r_max)
+        sc, coef = _jet_forward(cfg.law.log_p, h + block, r_max)
+        kappa = _log_series(coef[:, -1]) * fact
+        kappa[:, 0] = sc[:, -1]
         return kappa
 
     return _sampled(cfg, h, n, kernel, r_max + 1)
@@ -164,8 +133,8 @@ def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
 def sample_kappa1_path(cfg: McConfig, h: float, n: int) -> np.ndarray:
     """Per-sample trajectory kappa_1(omega, k) for k = 0..n."""
     def kernel(block):
-        _, path = _block_jet(cfg.law, h, block, 1)
-        return path
+        # the first normalized jet coefficient of each prefix is its kappa_1
+        return _jet_forward(cfg.law.log_p, h + block, 1)[1][:, :, 1]
 
     return _sampled(cfg, h, n, kernel, n + 1)
 
@@ -362,11 +331,13 @@ def centering_statistics(cfg: McConfig, h: float, n: int) -> CenteringResult:
     kappa = sample_cumulants(cfg, h, n, 2)
     k1 = kappa[:, 1]
     mean, mean_stderr = _mean_stderr(k1)
-    var = float(np.var(k1, ddof=1))
+    # np.var of identical values need not be 0: their mean can round away
+    # from the common value, so degeneracy is tested on the values
+    degenerate = bool(np.all(k1 == k1[0]))
+    var = 0.0 if degenerate else float(np.var(k1, ddof=1))
     w_hat = var / n
     w_stderr = _variance_stderr(k1) / n
     v_hat, v_stderr = _mean_stderr(kappa[:, 2] / n)
-    degenerate = var == 0.0
     ks = None
     if not degenerate and cfg.samples >= 100:
         ks = ks_to_normal(k1)
@@ -457,7 +428,7 @@ def correlation_decay_scan(cfg: McConfig, h: float,
     def job(lo, hi):
         block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo, hi - lo)
         for i in range(hi - lo):
-            sys = QuenchedSystem(cfg.law, h, block[i], n, jet_order=cfg.jet_order)
+            sys = QuenchedSystem(cfg.law, h, block[i], n)
             for oi, o in enumerate(offsets):
                 log_prof[lo + i, oi] = sys.two_replica_avoidance_log(window, o)
             pre = sys.prefix_logZ

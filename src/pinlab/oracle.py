@@ -6,12 +6,15 @@ system of size n has 2^(n-1) configurations.  Everything here enumerates
 them directly; the cap n <= 16 keeps that at 32768 configurations.
 
 Also hosts the closed-form route to the pure-model free energy: the root
-z* of e^h * sum_t p(t) z^t = 1, with f(h) = -log z*.
+z* of e^h * sum_t p(t) z^t = 1, with f(h) = -log z*, and the subtractive
+two-replica recursion, a reference route for the log-domain pair DP of
+QuenchedSystem at window sizes past enumeration.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +208,51 @@ def enumerate_avoidance(law, h: float, omega, j: int) -> float:
     full = size - 1
     masks = np.arange(size)
     return float(np.sum(w * t[full ^ masks]))
+
+
+def two_replica_profiles(system, window: int, starts) -> np.ndarray:
+    """Subtractive reference route to the two-replica avoidance of a
+    QuenchedSystem: row s, column j is
+    E2_{[o_s, o_s+j]}[prod interior (1 - X X')] for o_s = starts[s].
+
+    Recursion over the first common interior contact i:
+    a_j = 1 - sum_{i<j} a_i exp(2(log Z_{0,i} + log Z_{[i,j]} - log Z_{0,j}))
+    (window-relative indices); every exponent is <= 0 by segment
+    super-multiplicativity, so all summands lie in [0, a_i].  The
+    subtraction loses relative precision once a_j nears machine epsilon,
+    which the log-domain pair DP (``two_replica_avoidance_log``) does not;
+    tests compare the two where both are accurate."""
+    seg = system.segment_partitions(window)
+    t = seg.table
+    starts = np.asarray(starts, dtype=np.intp)
+    if starts.size and (starts.min() < 0 or starts.max() + window > system.n):
+        raise ValueError("window falls outside the system")
+    prof = np.zeros((starts.size, window + 1))
+    prof[:, 0] = np.nan
+    if window >= 1:
+        prof[:, 1] = 1.0
+    undershoot = 0.0
+    for j in range(2, window + 1):
+        i = np.arange(1, j)
+        expo = 2.0 * (t[starts[:, None], i[None, :]]
+                      + t[starts[:, None] + i[None, :], (j - i)[None, :]]
+                      - t[starts, j][:, None])
+        vals = 1.0 - np.sum(prof[:, 1:j] * np.exp(expo), axis=1)
+        low = float(vals.min(initial=0.0))
+        undershoot = min(undershoot, low)
+        prof[:, j] = np.clip(vals, 0.0, 1.0)
+    if undershoot < -1e-9:
+        warnings.warn(f"two-replica recursion undershoot {undershoot:.3e}",
+                      RuntimeWarning)
+    return prof
+
+
+def two_replica_avoidance(system, window: int) -> np.ndarray:
+    """a_1..a_window of a QuenchedSystem for the base window [0, window]
+    by the subtractive route; entry 0 is nan."""
+    if window > system.n:
+        raise ValueError("window exceeds system size")
+    return two_replica_profiles(system, window, np.array([0]))[0]
 
 
 def pure_model_free_energy(law, h: float) -> float:

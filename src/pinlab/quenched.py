@@ -11,14 +11,15 @@ table is one row, the suffix table is the recursion on the reversed
 weights, the segment table runs one row per start site, and the
 restricted-excursion partition caps t at a band.  Disorder Monte Carlo
 runs the same engine on blocks of samples.  Derivatives of log Z in h
-(cumulants of the contact number) propagate ScaledJet coefficient arrays
-through the identical recursion.
+(cumulants of the contact number) come from ``_jet_forward``, the same
+recursion with each entry carried as a truncated Taylor jet; it is
+batched too, and serves both ``QuenchedSystem.cumulants`` (one row) and
+the per-sample cumulant kernels of disorder Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,41 @@ def _forward(log_p: np.ndarray, b: np.ndarray,
         np.exp(w, out=w)
         z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
     return z
+
+
+def _jet_forward(log_p: np.ndarray, b: np.ndarray,
+                 order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor jets in h of Z_{0,k}, k = 0..n, for every row of the (rows, n)
+    weights b: returns (sc, coef) with sc[r, k] = log Z_{0,k} and
+    coef[r, k, j] = (d^j Z_{0,k} / dh^j) / (j! Z_{0,k}) for j = 0..order.
+
+    The recursion is _forward's with each table entry carried as a jet:
+    a step takes the p-weighted sum of earlier jets (one vector-matrix
+    product per row) and multiplies it by the jet of the contact weight
+    e^{h+b}, whose coefficients are 1/j!.  That product is the upper
+    triangular Toeplitz matrix of 1/j!, applied as one dot product per
+    (row, column), so a row's jets are bit-identical whatever batch they
+    are computed in (a single 2-d product would not be)."""
+    rows, n = b.shape
+    j = np.arange(order + 1)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in j], dtype=float)
+    # cols[c, i, 0] = 1/(c-i)! for i <= c: column c of the Toeplitz matrix
+    # as an (order+1, 1) matrix, so that matmul takes one dot per column
+    cols = np.tril(inv_fact[np.abs(j[:, None] - j[None, :])])[:, :, None]
+    sc = np.empty((rows, n + 1))
+    coef = np.zeros((rows, n + 1, order + 1))
+    sc[:, 0] = 0.0
+    coef[:, 0, 0] = 1.0
+    for k in range(1, n + 1):
+        w = sc[:, :k] + log_p[k:0:-1]
+        m = w.max(1)
+        u = np.exp(w - m[:, None])
+        acc = np.matmul(u[:, None, :], coef[:, :k])
+        conv = np.matmul(acc[:, None], cols)[:, :, 0, 0]
+        c0 = conv[:, 0]
+        sc[:, k] = m + np.log(c0) + b[:, k - 1]
+        coef[:, k] = conv / c0[:, None]
+    return sc, coef
 
 
 @dataclass(frozen=True)
@@ -176,8 +212,7 @@ class QuenchedSystem:
     Suffix and segment tables are built lazily and cached; every public
     method is a pure read."""
 
-    def __init__(self, law, h: float, omega, n: int,
-                 jet_order: int = DEFAULT_JET_ORDER):
+    def __init__(self, law, h: float, omega, n: int):
         if n < 0:
             raise ValueError("n must be >= 0")
         if n > law.n_max:
@@ -188,7 +223,6 @@ class QuenchedSystem:
         self.h = float(h)
         self.omega = omega
         self.n = int(n)
-        self.jet_order = int(jet_order)
         self.charges = _charges(omega, n)
         bad = np.flatnonzero(~np.isfinite(self.charges))
         if bad.size:
@@ -324,34 +358,22 @@ class QuenchedSystem:
 
     # -- cumulants via jets -------------------------------------------------
 
-    def _jet_prefix(self, order: int) -> ScaledJet:
-        n, logp, b = self.n, self.law.log_p, self.site_weight
-        k_range = np.arange(order + 1)
-        boltz = 1.0 / np.array([math.factorial(i) for i in k_range], dtype=float)
-        sc = np.empty(n + 1)
-        coef = np.zeros((n + 1, order + 1))
-        sc[0] = 0.0
-        coef[0, 0] = 1.0
-        for k in range(1, n + 1):
-            w = sc[0:k] + logp[k:0:-1]
-            m = float(np.max(w))
-            u = np.exp(w - m)
-            acc = u @ coef[0:k]
-            conv = np.convolve(acc, boltz)[:order + 1]
-            c0 = conv[0]
-            sc[k] = m + math.log(c0) + b[k]
-            coef[k] = conv / c0
-        return ScaledJet(sc[n], coef[n])
+    def cumulants(self, r_max: int) -> CumulantVector:
+        """kappa_k = d^k/dh^k log Z for k = 1..r_max, r_max <= DEFAULT_JET_ORDER.
 
-    def cumulants(self, r_max: int, jet_order: int | None = None) -> CumulantVector:
-        """kappa_k = d^k/dh^k log Z for k = 1..r_max."""
-        order = self.jet_order if jet_order is None else jet_order
-        if r_max > order:
-            raise ValueError(f"r_max = {r_max} exceeds jet order {order}")
+        The jet always runs at order DEFAULT_JET_ORDER = 8, whatever r_max.
+        Cumulants come from the normalized moments by cancellation, so the
+        high ones carry large roundoff, and that roundoff depends on the
+        order: at (h = 3.5, n = 4096) kappa_4 is off by 1.3e-2 relative at
+        order 4 and by 6.9e-3 at order 8.  Choosing the order belongs with
+        replacing the jets by contour integrals (item 3 of ROADMAP.md)."""
+        if r_max > DEFAULT_JET_ORDER:
+            raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:
             return CumulantVector(r_max, np.zeros(r_max + 1))
-        jet = self._jet_prefix(order)
-        g = log_of_jet(jet)
+        sc, coef = _jet_forward(self.law.log_p, self.site_weight[None, 1:],
+                                DEFAULT_JET_ORDER)
+        g = log_of_jet(ScaledJet(sc[0, -1], coef[0, -1]))
         kappa = np.empty(r_max + 1)
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
@@ -360,48 +382,11 @@ class QuenchedSystem:
 
     # -- two-replica avoidance ----------------------------------------------
 
-    def two_replica_profiles(self, window: int, starts) -> np.ndarray:
-        """a_j over shifted windows: row s, column j is
-        E2_{[o_s, o_s+j]}[prod interior (1 - X X')] for o_s = starts[s].
-
-        Recursion over the first common interior contact i:
-        a_j = 1 - sum_{i<j} a_i exp(2(log Z_{0,i} + log Z_{[i,j]} - log Z_{0,j}))
-        (window-relative indices); every exponent is <= 0 by segment
-        super-multiplicativity, so all summands lie in [0, a_i]."""
-        seg = self.segment_partitions(window)
-        t = seg.table
-        starts = np.asarray(starts, dtype=np.intp)
-        if starts.size and (starts.min() < 0 or starts.max() + window > self.n):
-            raise ValueError("window falls outside the system")
-        prof = np.zeros((starts.size, window + 1))
-        prof[:, 0] = np.nan
-        if window >= 1:
-            prof[:, 1] = 1.0
-        undershoot = 0.0
-        for j in range(2, window + 1):
-            i = np.arange(1, j)
-            expo = 2.0 * (t[starts[:, None], i[None, :]]
-                          + t[starts[:, None] + i[None, :], (j - i)[None, :]]
-                          - t[starts, j][:, None])
-            vals = 1.0 - np.sum(prof[:, 1:j] * np.exp(expo), axis=1)
-            low = float(vals.min(initial=0.0))
-            undershoot = min(undershoot, low)
-            prof[:, j] = np.clip(vals, 0.0, 1.0)
-        if undershoot < -1e-9:
-            warnings.warn(f"two-replica recursion undershoot {undershoot:.3e}",
-                          RuntimeWarning)
-        return prof
-
-    def two_replica_avoidance(self, window: int) -> np.ndarray:
-        """a_1..a_window for the base window [0, window]; entry 0 is nan."""
-        if window > self.n:
-            raise ValueError("window exceeds system size")
-        return self.two_replica_profiles(window, np.array([0]))[0]
-
     def two_replica_avoidance_log(self, window: int, start: int = 0) -> np.ndarray:
         """log a_j for j = 1..window on [start, start+window]; entry 0 is nan.
 
-        Same functional as two_replica_profiles, evaluated by summing over
+        Same functional as the subtractive reference
+        ``oracle.two_replica_profiles``, evaluated by summing over
         pairs of paths with disjoint interior contact sets, ordered by
         their merged contact points.  State (u, v): the two replicas'
         latest points, u < v.  A new point t > v extends either the

@@ -142,8 +142,7 @@ def _per_sample_systems(ctx: CheckContext, h: float, n: int, count: int):
     block = sample_disorder_block(ctx.mc.disorder, n, ctx.mc.master_seed,
                                   0, count)
     for i in range(count):
-        yield i, QuenchedSystem(ctx.mc.law, h, block[i], n,
-                                jet_order=ctx.mc.jet_order)
+        yield i, QuenchedSystem(ctx.mc.law, h, block[i], n)
 
 
 # ---------------------------------------------------------------------------

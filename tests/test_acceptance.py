@@ -120,7 +120,7 @@ def test_03_pure_model_regression(capsys):
             for n in (256, 512, 1024, 2048, 4096)]
     shrinking = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     k1 = QuenchedSystem(glaw, h, np.zeros(4097), 4096) \
-        .cumulants(1, jet_order=2).kappa[1]
+        .cumulants(1).kappa[1]
     cfg = McConfig(glaw, zero_disorder(), (h,), (1024, 2048, 4096),
                    samples=2, master_seed=SEED)
     mu = estimate_mu(cfg, h)

@@ -80,7 +80,7 @@ def test_unknown_block_and_field_anchors():
     ({"grids": {"window": 4}}, "grids.window"),
     ({"grids": {"r_max": 1}}, "grids.r_max"),
     ({"run": {"samples": 1}}, "run.samples"),
-    ({"run": {"jet_order": 20}}, "run.jet_order"),
+    ({"run": {"jet_order": 8}}, "run.jet_order"),  # removed field
     ({"checks": {"ids": ["C1", "C99"]}}, "checks.ids"),
     ({"grids": {"n_values": [64, 999]}}, "grids.n_values"),  # beyond horizon
 ])

@@ -27,6 +27,7 @@ from pinlab.model import (
     uniform_disorder,
     zero_disorder,
 )
+from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.quenched import QuenchedSystem
 
 LAW = build_law(1.0, None, 128)
@@ -61,6 +62,12 @@ def test_batched_cumulants_match_per_sample_jets():
         assert kap[i, 0] == pytest.approx(sys_.log_z, abs=1e-10)
         want = sys_.cumulants(4).kappa
         np.testing.assert_allclose(kap[i, 1:], want[1:], rtol=1e-8, atol=1e-10)
+    # at the single-system jet order both run one engine: equal bits
+    kap = sample_cumulants(cfg, 1.5, 20, DEFAULT_JET_ORDER)
+    for i in range(8):
+        sys_ = QuenchedSystem(LAW, 1.5, block[i], 20)
+        want = sys_.cumulants(DEFAULT_JET_ORDER).kappa
+        assert kap[i].tobytes() == want.tobytes()
 
 
 def test_kappa1_path_is_prefix_cumulant():
@@ -276,3 +283,6 @@ def test_mc_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="h_values must be finite"):
             _cfg(h_values=(1.0, bad))
+    for bad in (0, 2.5, -3):
+        with pytest.raises(ValueError, match="n_values"):
+            _cfg(n_values=(bad, 8))

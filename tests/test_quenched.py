@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinlab.model import geometric_test_law, zero_disorder
+from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import (
     enumerate_avoidance,
     enumerate_contact_pmf,
@@ -22,8 +23,15 @@ from pinlab.oracle import (
     enumerate_joint_cumulant,
     enumerate_moment,
     enumerate_partition,
+    two_replica_avoidance,
+    two_replica_profiles,
 )
-from pinlab.quenched import QuenchedSystem, _forward, ks_to_standard_normal
+from pinlab.quenched import (
+    QuenchedSystem,
+    _forward,
+    _jet_forward,
+    ks_to_standard_normal,
+)
 from support import random_instance
 
 GEOM = geometric_test_law(64)
@@ -121,10 +129,15 @@ def test_non_finite_input_is_rejected():
        st.integers(min_value=0, max_value=48),
        st.one_of(st.none(), st.integers(min_value=1, max_value=48)),
        st.sampled_from(["C", "F", "window"]),
-       st.integers(min_value=0, max_value=2 ** 32))
-def test_forward_rows_match_single_row_runs(rows, n, band, layout, seed):
-    # a row's table is bit-identical whatever batch it is computed in
+       st.integers(min_value=0, max_value=2 ** 32),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+def test_forward_rows_match_single_row_runs(rows, n, band, layout, seed,
+                                            jet_order):
+    # a row's table is bit-identical whatever batch it is computed in; with
+    # a jet order the engine is _jet_forward (log scales and coefficients)
     rng = np.random.default_rng(seed)
+    if jet_order is not None:
+        band = None
     if layout == "window":
         # overlapping rows as in the segment table, -inf past the end
         flat = rng.normal(0.0, 3.0, rows + n - 1)
@@ -133,12 +146,20 @@ def test_forward_rows_match_single_row_runs(rows, n, band, layout, seed):
         b = np.lib.stride_tricks.sliding_window_view(flat, n)
     else:
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
-    batched = _forward(GEOM.log_p, b, band)
-    assert batched.shape == (rows, n + 1)
-    assert not np.isnan(batched).any()
+
+    def run(weights):
+        if jet_order is None:
+            return (_forward(GEOM.log_p, weights, band),)
+        return _jet_forward(GEOM.log_p, weights, jet_order)
+
+    batched = run(b)
+    assert batched[0].shape == (rows, n + 1)
+    for table in batched:
+        assert not np.isnan(table).any()
     for r in range(rows):
-        alone = _forward(GEOM.log_p, np.ascontiguousarray(b[r:r + 1]), band)
-        assert batched[r].tobytes() == alone[0].tobytes()
+        alone = run(np.ascontiguousarray(b[r:r + 1]))
+        for table, single in zip(batched, alone):
+            assert table[r].tobytes() == single[0].tobytes()
 
 
 # -- contact observables ------------------------------------------------------
@@ -248,12 +269,11 @@ def test_cumulants_match_finite_differences():
 
 
 def test_cumulant_order_guard():
-    sys_ = QuenchedSystem(GEOM, 0.5, np.zeros(8), 8, jet_order=4)
-    with pytest.raises(ValueError):
-        sys_.cumulants(6)
-    # explicit override recomputes with a deeper jet
-    kap = sys_.cumulants(6, jet_order=6).kappa
-    assert kap.size == 7 and np.all(np.isfinite(kap))
+    sys_ = QuenchedSystem(GEOM, 0.5, np.zeros(8), 8)
+    with pytest.raises(ValueError, match="exceeds jet order"):
+        sys_.cumulants(DEFAULT_JET_ORDER + 1)
+    kap = sys_.cumulants(DEFAULT_JET_ORDER).kappa
+    assert kap.size == DEFAULT_JET_ORDER + 1 and np.all(np.isfinite(kap))
 
 
 # -- maximal excursion --------------------------------------------------------
@@ -281,7 +301,7 @@ def test_max_excursion_trivial_cases():
 def test_avoidance_matches_pair_enumeration():
     for law, h, omega, n, sys_ in _systems(60, 25, n_lo=2, n_hi=12):
         j_top = min(n, 8)
-        lin = sys_.two_replica_avoidance(j_top)
+        lin = two_replica_avoidance(sys_, j_top)
         log = np.exp(sys_.two_replica_avoidance_log(j_top))
         assert math.isnan(lin[0]) and math.isnan(log[0])
         for j in range(1, j_top + 1):
@@ -295,7 +315,7 @@ def test_avoidance_routes_agree_far_below_linear_floor():
     # deep windows: the subtractive route loses eps-level mass, the pair
     # route keeps full relative precision; both exist down to ~1e-12
     sys_ = QuenchedSystem(geometric_test_law(128), 2.5, np.zeros(64), 64)
-    lin = sys_.two_replica_avoidance(24)
+    lin = two_replica_avoidance(sys_, 24)
     log = sys_.two_replica_avoidance_log(24)
     for j in range(1, 25):
         if lin[j] > 1e-10:
@@ -309,7 +329,7 @@ def test_shifted_avoidance_windows():
     sys_ = QuenchedSystem(law, h, omega, n)
     for start in (1, 3):
         j_top = min(n - start, 6)
-        prof = sys_.two_replica_profiles(j_top, np.array([start]))[0]
+        prof = two_replica_profiles(sys_, j_top, np.array([start]))[0]
         log = sys_.two_replica_avoidance_log(j_top, start=start)
         for j in range(1, j_top + 1):
             want = enumerate_avoidance(law, h, omega[start:], j)
@@ -320,7 +340,7 @@ def test_shifted_avoidance_windows():
 def test_avoidance_window_guard():
     sys_ = QuenchedSystem(GEOM, 0.0, np.zeros(4), 4)
     with pytest.raises(ValueError):
-        sys_.two_replica_avoidance(5)
+        two_replica_avoidance(sys_, 5)
     with pytest.raises(ValueError):
         sys_.two_replica_avoidance_log(3, start=2)
 
@@ -339,8 +359,8 @@ def test_shift_covariance(delta, seed):
     np.testing.assert_allclose(shifted.contact_law().pmf(),
                                base.contact_law().pmf(), atol=1e-10)
     j = min(n, 5)
-    np.testing.assert_allclose(shifted.two_replica_avoidance(j)[1:],
-                               base.two_replica_avoidance(j)[1:], atol=1e-10)
+    np.testing.assert_allclose(two_replica_avoidance(shifted, j)[1:],
+                               two_replica_avoidance(base, j)[1:], atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
