@@ -346,6 +346,12 @@ def centering_statistics(cfg: McConfig, h: float, n: int) -> CenteringResult:
     k3 = float(np.mean(d ** 3))
     k4 = float(np.mean(d ** 4)) - 3.0 * m2 ** 2
 
+    if degenerate:
+        # identical samples: the spread statistics of kappa_1 are exactly 0,
+        # not the roundoff of deviations from a mean that rounds off the
+        # common value
+        mean_stderr = w_stderr = k3 = k4 = 0.0
+
     def _k3(b):
         return float(np.mean((b - b.mean()) ** 3))
 
@@ -405,13 +411,33 @@ class DecayResult:
 _MIX_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
+def _mixing_ratio(system: QuenchedSystem, window: int,
+                  gaps: np.ndarray) -> np.ndarray:
+    """Mean over sites a = 1..n-g-1 of |cov[X_a, X_{a+g}]| /
+    min(E[X_a], E[X_{a+g}]), for each gap g <= window; nan where no site
+    fits.  One masked (gaps x sites) array, pairs past n-1 zeroed out."""
+    n = system.n
+    pre, suf = system.prefix_logZ, system.suffix_logZ()
+    seg = system.segment_partitions(window).table
+    probs = np.exp(np.minimum(pre + suf - pre[n], 0.0))
+    a = np.arange(1, n)
+    b = a + gaps[:, None]
+    inside = b < n
+    b = np.where(inside, b, n)
+    ex_ab = np.exp(pre[a] + seg[a, gaps[:, None]] + suf[b] - pre[n])
+    cov = ex_ab - probs[a] * probs[b]
+    ratio = np.where(inside, np.abs(cov) / np.minimum(probs[a], probs[b]), 0.0)
+    with np.errstate(invalid="ignore"):
+        return ratio.sum(1) / inside.sum(1)
+
+
 def correlation_decay_scan(cfg: McConfig, h: float,
                            fit_range: tuple = (8, 64),
                            n_offsets: int = 8) -> DecayResult:
     """Two-replica avoidance a_j averaged over samples and shifted window
-    offsets (log-domain pair DP, so deep decay keeps relative precision),
-    with a log-linear decay fit, plus the covariance mixing proxy
-    |cov[X_a, X_b]| / min(E[X_a], E[X_b]) by gap."""
+    offsets (the pair DP sums nonnegative terms only, so deep decay keeps
+    relative precision), with a log-linear decay fit, plus the covariance
+    mixing proxy |cov[X_a, X_b]| / min(E[X_a], E[X_b]) by gap."""
     window = cfg.window
     if window < 16:
         raise ValueError("decay scan needs window >= 16")
@@ -431,17 +457,8 @@ def correlation_decay_scan(cfg: McConfig, h: float,
             sys = QuenchedSystem(cfg.law, h, block[i], n)
             for oi, o in enumerate(offsets):
                 log_prof[lo + i, oi] = sys.two_replica_avoidance_log(window, o)
-            pre = sys.prefix_logZ
-            suf = sys.suffix_logZ()
-            seg = sys.segment_partitions(window).table
-            probs = np.exp(np.minimum(pre + suf - pre[n], 0.0))
-            log_z_abs[lo + i] = abs(pre[n])
-            for gi, g in enumerate(gaps):
-                a = np.arange(1, n - g)
-                ex_ab = np.exp(pre[a] + seg[a, g] + suf[a + g] - pre[n])
-                cov = ex_ab - probs[a] * probs[a + g]
-                ratio = np.abs(cov) / np.minimum(probs[a], probs[a + g])
-                mix_vals[lo + i, gi] = ratio.mean()
+            mix_vals[lo + i] = _mixing_ratio(sys, window, gaps)
+            log_z_abs[lo + i] = abs(sys.log_z)
 
     _run_chunked(cfg.samples, cfg.threads, job)
 

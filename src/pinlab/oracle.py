@@ -7,8 +7,9 @@ them directly; the cap n <= 16 keeps that at 32768 configurations.
 
 Also hosts the closed-form route to the pure-model free energy: the root
 z* of e^h * sum_t p(t) z^t = 1, with f(h) = -log z*, and the subtractive
-two-replica recursion, a reference route for the log-domain pair DP of
-QuenchedSystem at window sizes past enumeration.
+two-replica recursion and the log-domain pair recursion, two reference
+routes for the scaled pair DP of QuenchedSystem at window sizes past
+enumeration.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .numerics import log_sum_exp
 
@@ -220,7 +222,7 @@ def two_replica_profiles(system, window: int, starts) -> np.ndarray:
     (window-relative indices); every exponent is <= 0 by segment
     super-multiplicativity, so all summands lie in [0, a_i].  The
     subtraction loses relative precision once a_j nears machine epsilon,
-    which the log-domain pair DP (``two_replica_avoidance_log``) does not;
+    which the pair DP (``two_replica_avoidance_log``) does not;
     tests compare the two where both are accurate."""
     seg = system.segment_partitions(window)
     t = seg.table
@@ -253,6 +255,40 @@ def two_replica_avoidance(system, window: int) -> np.ndarray:
     if window > system.n:
         raise ValueError("window exceeds system size")
     return two_replica_profiles(system, window, np.array([0]))[0]
+
+
+def two_replica_avoidance_lse(system, window: int, start: int = 0) -> np.ndarray:
+    """log a_j for j = 0..window on [start, start+window] of a
+    QuenchedSystem (entry 0 is nan) by the pair recursion of
+    ``quenched._pair_forward`` run entirely in log domain: every sum is a
+    log-sum-exp over the (t, t) state, one exp per state entry and step.
+    A reference route for the scaled linear-domain engine."""
+    if not 1 <= window <= system.n or start < 0 or start + window > system.n:
+        raise ValueError("window falls outside the system")
+    seg = system.segment_partitions(window)
+    logp = system.law.log_p
+    bw = system.site_weight[start:start + window + 1]  # bw[x]: site start+x
+    state = np.full((window, window), -np.inf)          # state[u, v], u < v
+    out = np.empty(window + 1)
+    out[0] = np.nan
+    for t in range(1, window + 1):
+        # close window j = t: both replicas jump to t, from (0, 0) or (u, v)
+        close = 2.0 * (logp[t] + bw[t])
+        lpt = logp[t - np.arange(t)]
+        grid = state[0:t, 0:t]
+        if t >= 2:
+            pairs = logsumexp(grid + lpt[:, None] + lpt[None, :])
+            close = np.logaddexp(close, pairs + 2.0 * bw[t])
+        out[t] = close - 2.0 * seg.log_z(start, start + t)
+        if t == window:
+            break
+        # open states (x, t): the trailing replica (index v) or the leading
+        # one (index u) jumps to t, or one of the empty pair does
+        col = np.logaddexp(logsumexp(grid + lpt[:, None], axis=0),
+                           logsumexp(grid + lpt[None, :], axis=1))
+        col[0] = np.logaddexp(col[0], math.log(2.0) + logp[t])
+        state[0:t, t] = col + bw[t]
+    return out
 
 
 def pure_model_free_energy(law, h: float) -> float:

@@ -14,7 +14,11 @@ runs the same engine on blocks of samples.  Derivatives of log Z in h
 (cumulants of the contact number) come from ``_jet_forward``, the same
 recursion with each entry carried as a truncated Taylor jet; it is
 batched too, and serves both ``QuenchedSystem.cumulants`` (one row) and
-the per-sample cumulant kernels of disorder Monte Carlo.
+the per-sample cumulant kernels of disorder Monte Carlo.  The two-replica
+avoidance runs ``_pair_forward``, a recursion over the pair of the two
+replicas' latest contacts, batched over windows and kept in scaled linear
+domain (one log scale per column of the pair state), so a step costs two
+matrix-vector products and O(t) exp/log rather than one per state entry.
 """
 
 from __future__ import annotations
@@ -41,14 +45,6 @@ def _charges(omega, n: int) -> np.ndarray:
     if om.size < n:
         raise ValueError(f"omega has length {om.size} < n = {n}")
     return np.concatenate(([0.0], om[:n]))
-
-
-def _lse_rows(w: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-d array; all-(-inf) rows give -inf."""
-    m = np.max(w, axis=-1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return m + np.log(np.sum(np.exp(w - safe[..., None]), axis=-1))
 
 
 def _forward(log_p: np.ndarray, b: np.ndarray,
@@ -107,6 +103,74 @@ def _jet_forward(log_p: np.ndarray, b: np.ndarray,
         sc[:, k] = m + np.log(c0) + b[:, k - 1]
         coef[:, k] = conv / c0[:, None]
     return sc, coef
+
+
+def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
+                  zseg: np.ndarray) -> np.ndarray:
+    """log a_j for j = 0..W of every row of the (rows, W+1) window weights
+    bw: bw[r, x] is the log weight of the window's site x (column 0 is not
+    read) and zseg[r, j] is log Z of the window cut at j.  Entry 0 is nan.
+
+    a_j sums over pairs of paths on [0, j] with disjoint interior contact
+    sets, ordered by their merged contact points.  State (u, v): the two
+    replicas' latest points, u < v.  A new point t > v extends either the
+    trailing replica (gap t-u, to state (v, t)) or the leading one (gap
+    t-v, to state (u, t)); closing the window at t sends both to t.
+
+    The state is kept in scaled linear domain: column v is stored as
+    exp(log state(., v) - scale[:, v]), one log scale per row and column.
+    A step folds the column scales and p(t-v) into one vector q scaled by
+    its max k, and weights the rows by p(t-u) scaled by its max; the two
+    extensions are then stacked matrix-vector products, and a step costs
+    O(t) exp/log instead of one per state entry.  All terms are
+    nonnegative, so nothing cancels.  A term underflows only when its
+    state entry lies ~1e-308 below its column's max, or its p(t-u) below
+    the step's largest gap weight: far past any window and law in use."""
+    rows, width = bw.shape
+    w = width - 1
+    sites = np.arange(w + 1)
+    gap = sites[:, None] - sites[None, :]
+    # lpt[t, u] = log p(t-u), -inf for u >= t; pt is it scaled by its row
+    # max lps[t], so the largest gap weight of every step is exactly 1
+    lpt = np.where(gap >= 1, log_p[np.clip(gap, 1, None)], LOG_ZERO)
+    lps = lpt.max(1)
+    lps[0] = 0.0
+    pt = np.exp(lpt - lps[:, None])
+    base = 2.0 * (log_p[1:w + 1] + bw[:, 1:])  # close with no interior point
+    # leave (0, 0): one replica (either of the two) jumps to t
+    split = math.log(2.0) + log_p[1:w + 1]
+    g = np.zeros((rows, w, w))  # g[:, u, v], u < v, columns v >= 1
+    scale = np.empty((rows, w))
+    out = np.empty((rows, w + 1))
+    out[:, 0] = np.nan
+    with np.errstate(divide="ignore"):
+        for t in range(1, w + 1):
+            close = base[:, t - 1]
+            if t >= 2:
+                s = scale[:, 1:t] + lpt[t, 1:t]
+                k = s.max(1)
+                q = np.exp(s - k[:, None])
+                grid = g[:, :t - 1, 1:t]
+                p_t = pt[t, :t - 1]
+                lead = np.matmul(grid, q[:, :, None])[:, :, 0]  # u = 0..t-2
+                trail = np.matmul(p_t, grid)                     # v = 1..t-1
+                pairs = np.matmul(lead[:, None, :], p_t[:, None])[:, 0, 0]
+                close = np.logaddexp(
+                    close, k + lps[t] + np.log(pairs) + 2.0 * bw[:, t])
+            out[:, t] = close
+            if t == w:
+                break
+            col = np.full((rows, t), LOG_ZERO)
+            if t >= 2:
+                col[:, :-1] = k[:, None] + np.log(lead)
+                col[:, 1:] = np.logaddexp(
+                    col[:, 1:], scale[:, 1:t] + lps[t] + np.log(trail))
+            col[:, 0] = np.logaddexp(col[:, 0], split[t - 1])
+            m = col.max(1)
+            g[:, :t, t] = np.exp(col - m[:, None])
+            scale[:, t] = m + bw[:, t]
+    out[:, 1:] -= 2.0 * zseg[:, 1:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -386,48 +450,19 @@ class QuenchedSystem:
         """log a_j for j = 1..window on [start, start+window]; entry 0 is nan.
 
         Same functional as the subtractive reference
-        ``oracle.two_replica_profiles``, evaluated by summing over
-        pairs of paths with disjoint interior contact sets, ordered by
-        their merged contact points.  State (u, v): the two replicas'
-        latest points, u < v.  A new point t > v extends either the
-        trailing replica (gap t-u) or the leading one (gap t-v).  Every
-        accumulation is a log-sum-exp of positive terms, so values keep
-        full relative precision far below the subtractive recursion's
-        machine-epsilon floor.
+        ``oracle.two_replica_profiles``, evaluated by ``_pair_forward`` on
+        this one window: a sum over pairs of paths with disjoint interior
+        contact sets, kept in scaled linear domain.  Every term is
+        nonnegative, so values keep full relative precision far below the
+        subtractive recursion's machine-epsilon floor.
         """
         if not 1 <= window <= self.n or start < 0 or start + window > self.n:
             raise ValueError("window falls outside the system")
-        seg = self.segment_partitions(window)
-        logp = self.law.log_p
+        # row `start` of the segment table is _forward on the window's
+        # weights, bit for bit (the engine is row-local)
+        zseg = self.segment_partitions(window).table[start, :window + 1]
         bw = self.site_weight[start:start + window + 1]  # bw[x]: site start+x
-        state = np.full((window, window), LOG_ZERO)      # state[u, v], u < v
-        out = np.empty(window + 1)
-        out[0] = np.nan
-        log2 = math.log(2.0)  # unordered pair of distinct interleavings
-        for t in range(1, window + 1):
-            # close window j = t: both replicas jump to t, or empty pair
-            close = 2.0 * (logp[t] + bw[t])
-            if t >= 2:
-                lpt = logp[t - np.arange(t)]
-                closed = state[0:t, 0:t] + lpt[:, None] + lpt[None, :]
-                m = closed.max()
-                if m > LOG_ZERO:
-                    pairs = m + math.log(np.exp(closed - m).sum()) + 2.0 * bw[t]
-                    close = np.logaddexp(close, pairs)
-            out[t] = close - 2.0 * seg.log_z(start, start + t)
-            if t == window:
-                break
-            # open states (x, t) for the next windows
-            col = np.full(t, LOG_ZERO)
-            if t >= 2:
-                lpt = logp[t - np.arange(t)]
-                grid = state[0:t, 0:t]
-                trail = _lse_rows((grid + lpt[:, None]).T)  # index v
-                lead = _lse_rows(grid + lpt[None, :])       # index u
-                col = np.logaddexp(trail, lead)
-            col[0] = np.logaddexp(col[0], log2 + logp[t])
-            state[0:t, t] = col + bw[t]
-        return out
+        return _pair_forward(self.law.log_p, bw[None], zseg[None])[0]
 
     # -- maximal excursion ----------------------------------------------------
 

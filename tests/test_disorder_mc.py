@@ -165,6 +165,9 @@ def test_centering_statistics_pure_is_degenerate():
     res = centering_statistics(cfg, 2.0, 48)
     assert res.degenerate
     assert res.w_hat == 0.0
+    # exact zeros, not the roundoff of deviations from the mean
+    assert res.mean_stderr == 0.0 and res.w_stderr == 0.0
+    assert res.kappa3_per_n == 0.0 and res.kappa4_per_n == 0.0
     assert res.ks is None
     assert [s.quantity for s in res.series()] == ["centering_mean", "w", "v"]
 
@@ -221,6 +224,36 @@ def test_correlation_decay_scan_pure_power_law():
     # the two decay routes see the same rate
     assert res.mix_gamma == pytest.approx(res.gamma_hat, rel=0.15)
     assert [s.quantity for s in res.series()] == ["decay_gamma", "decay_G"]
+
+
+def test_mixing_ratio_matches_per_gap_loop():
+    # the scan's masked (gaps x sites) mixing ratio against a plain loop
+    # over gaps; at window = n the widest gaps have no site pair (nan)
+    for cfg in (_cfg(samples=5, window=16), _cfg(samples=3, window=32,
+                                                 n_values=(16, 32))):
+        n, window = max(cfg.n_values), cfg.window
+        res = correlation_decay_scan(cfg, 2.0, fit_range=(4, 12))
+        block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, 0,
+                                      cfg.samples)
+        want = np.zeros(window)
+        for omega in block:
+            sys_ = QuenchedSystem(cfg.law, 2.0, omega, n)
+            pre, suf = sys_.prefix_logZ, sys_.suffix_logZ()
+            seg = sys_.segment_partitions(window).table
+            probs = np.exp(np.minimum(pre + suf - pre[n], 0.0))
+            for g in range(1, window + 1):
+                a = np.arange(1, n - g)
+                if a.size == 0:
+                    want[g - 1] = math.nan
+                    continue
+                ex_ab = np.exp(pre[a] + seg[a, g] + suf[a + g] - pre[n])
+                cov = ex_ab - probs[a] * probs[a + g]
+                ratio = np.abs(cov) / np.minimum(probs[a], probs[a + g])
+                want[g - 1] += ratio.mean() / cfg.samples
+        assert np.array_equal(np.isnan(res.mix_mean), np.isnan(want))
+        fin = ~np.isnan(want)
+        np.testing.assert_allclose(res.mix_mean[fin], want[fin], rtol=1e-14,
+                                   atol=0.0)
 
 
 def test_memoryless_law_has_independent_contacts():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinlab.model import geometric_test_law, zero_disorder
+from pinlab.model import build_law, geometric_test_law, zero_disorder
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import (
     enumerate_avoidance,
@@ -24,12 +24,14 @@ from pinlab.oracle import (
     enumerate_moment,
     enumerate_partition,
     two_replica_avoidance,
+    two_replica_avoidance_lse,
     two_replica_profiles,
 )
 from pinlab.quenched import (
     QuenchedSystem,
     _forward,
     _jet_forward,
+    _pair_forward,
     ks_to_standard_normal,
 )
 from support import random_instance
@@ -337,12 +339,72 @@ def test_shifted_avoidance_windows():
             assert math.exp(log[j]) == pytest.approx(want, abs=1e-10)
 
 
+def _assert_log_avoidance_close(got, want):
+    # same finite pattern, then |delta log a_j| / max(1, |log a_j|) <= 1e-14
+    assert math.isnan(got[0]) and math.isnan(want[0])
+    fin = np.isfinite(want[1:])
+    assert np.array_equal(np.isfinite(got[1:]), fin)
+    assert np.array_equal(got[1:][~fin], want[1:][~fin])
+    g, w = got[1:][fin], want[1:][fin]
+    assert np.all(np.abs(g - w) <= 1e-14 * np.maximum(1.0, np.abs(w)))
+
+
+def test_avoidance_matches_log_domain_reference():
+    # the scaled linear-domain engine against the log-sum-exp recursion:
+    # small windows (1..3 included) at every start, ordinary and extreme
+    for law, h, omega, n, sys_ in chain(_systems(62, 30),
+                                        _systems(162, 30, extreme=True)):
+        for start in range(n):
+            for window in {*range(1, min(3, n - start) + 1), n - start}:
+                _assert_log_avoidance_close(
+                    sys_.two_replica_avoidance_log(window, start),
+                    two_replica_avoidance_lse(sys_, window, start))
+
+
+def test_avoidance_matches_log_domain_reference_extreme_wide():
+    # h at the ends of [-40, 60], |omega| up to 800, wide shifted windows:
+    # log a_j reaches -1e4, far below the subtractive route's floor
+    law = build_law(1.0, None, 512)
+    rng = np.random.default_rng(63)
+    for h, window, start in ((-40.0, 400, 37), (60.0, 160, 5), (3.0, 96, 0)):
+        omega = rng.uniform(-800.0, 800.0, 440)
+        sys_ = QuenchedSystem(law, h, omega, 440)
+        got = sys_.two_replica_avoidance_log(window, start)
+        _assert_log_avoidance_close(
+            got, two_replica_avoidance_lse(sys_, window, start))
+        assert got[window] < -1e3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=48),
+       st.floats(min_value=-40.0, max_value=60.0),
+       st.floats(min_value=0.0, max_value=800.0),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_pair_forward_rows_match_single_row_runs(rows, window, h, spread,
+                                                 seed):
+    # a row's log a_j are bit-identical whatever batch they are computed in
+    law = build_law(1.0, None, 64)
+    rng = np.random.default_rng(seed)
+    bw = h + rng.uniform(-spread, spread, (rows, window + 1))
+    zseg = _forward(law.log_p, bw[:, 1:])
+    batched = _pair_forward(law.log_p, bw, zseg)
+    assert batched.shape == (rows, window + 1)
+    assert np.isnan(batched[:, 0]).all()
+    assert not np.isnan(batched[:, 1:]).any()
+    for r in range(rows):
+        alone = _pair_forward(law.log_p, bw[r:r + 1], zseg[r:r + 1])
+        assert batched[r].tobytes() == alone[0].tobytes()
+
+
 def test_avoidance_window_guard():
     sys_ = QuenchedSystem(GEOM, 0.0, np.zeros(4), 4)
     with pytest.raises(ValueError):
         two_replica_avoidance(sys_, 5)
     with pytest.raises(ValueError):
         sys_.two_replica_avoidance_log(3, start=2)
+    with pytest.raises(ValueError):
+        two_replica_avoidance_lse(sys_, 3, start=2)
 
 
 # -- invariances --------------------------------------------------------------
