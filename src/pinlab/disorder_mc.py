@@ -496,6 +496,7 @@ def correlation_decay_scan(cfg: McConfig, h: float,
         g_hi = 0
     else:
         g_hi = int(gaps[clean[0] - 1])
+    g_hi = min(g_hi, n - 2)  # gaps past n-2 have no site pair (nan mean)
     mix_sel = (gaps >= 2) & (gaps <= g_hi)
     if mix_sel.sum() >= 3:
         mg = gaps[mix_sel]

@@ -9,16 +9,18 @@ Every partition table comes from one O(n^2) forward recursion,
 run in log domain by ``_forward`` over a batch of weight rows: the prefix
 table is one row, the suffix table is the recursion on the reversed
 weights, the segment table runs one row per start site, and the
-restricted-excursion partition caps t at a band.  Disorder Monte Carlo
-runs the same engine on blocks of samples.  Derivatives of log Z in h
-(cumulants of the contact number) come from ``_jet_forward``, the same
-recursion with each entry carried as a truncated Taylor jet; it is
-batched too, and serves both ``QuenchedSystem.cumulants`` (one row) and
-the per-sample cumulant kernels of disorder Monte Carlo.  The two-replica
-avoidance runs ``_pair_forward``, a recursion over the pair of the two
-replicas' latest contacts, batched over windows and kept in scaled linear
-domain (one log scale per column of the pair state), so a step costs two
-matrix-vector products and O(t) exp/log rather than one per state entry.
+restricted-excursion partition runs one row per band b = 1..M, each
+capping t at its own b, so all the caps of a system take one pass.
+Disorder Monte Carlo runs the same engine on blocks of samples.
+Derivatives of log Z in h (cumulants of the contact number) come from
+``_jet_forward``, the same recursion with each entry carried as a
+truncated Taylor jet; it is batched too, and serves both
+``QuenchedSystem.cumulants`` (one row) and the per-sample cumulant
+kernels of disorder Monte Carlo.  The two-replica avoidance runs
+``_pair_forward``, a recursion over the pair of the two replicas' latest
+contacts, batched over windows and kept in scaled linear domain (one log
+scale per column of the pair state), so a step costs two matrix-vector
+products and O(t) exp/log rather than one per state entry.
 """
 
 from __future__ import annotations
@@ -48,26 +50,48 @@ def _charges(omega, n: int) -> np.ndarray:
 
 
 def _forward(log_p: np.ndarray, b: np.ndarray,
-             band: int | None = None) -> np.ndarray:
+             band: np.ndarray | None = None) -> np.ndarray:
     """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
 
-    Row r is the chain whose site k carries log weight b[r, k-1]; with a
-    band, excursions are capped at that length.  No guard is needed:
-    log_p[t] is finite for t >= 1 (the law constructors enforce p(t) > 0)
-    and z[:, 0] = 0, so every step's max is finite when the weights are
-    finite.  Without a band, -inf weights are allowed too: z[:, 0] stays
-    in every step, and a -inf weight gives a -inf entry, never NaN."""
+    Row r is the chain whose site k carries log weight b[r, k-1].  With
+    band, an integer array of one band >= 1 per row, row r's excursions
+    are capped at band[r].  The step window is then the largest band, and
+    a row's log p(t) for t past its own band is -inf, so its term is an
+    exact 0.  The banded window is summed sequentially (add.accumulate),
+    so those leading zeros leave the sum bit-identical to the row run
+    alone with its band; numpy's pairwise sum regroups 8 or more terms,
+    and would not be.  No guard is needed: log_p[t] is finite for t >= 1
+    (the law constructors enforce p(t) > 0) and z[:, 0] = 0, so every
+    step's max is finite when the weights are finite.  Without a band,
+    -inf weights are allowed too: z[:, 0] stays in every step, and a -inf
+    weight gives a -inf entry, never NaN."""
     rows, n = b.shape
-    z = np.empty((rows, n + 1))
-    z[:, 0] = 0.0
+    if band is None:
+        z = np.empty((rows, n + 1))
+        z[:, 0] = 0.0
+        for k in range(1, n + 1):
+            w = z[:, :k] + log_p[k:0:-1]
+            m = w.max(1)
+            w -= m[:, None]
+            np.exp(w, out=w)
+            z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
+        return z
+    # the banded pass fills the transposed table, zt[k] holding site k of
+    # every row, so that a step's window is one contiguous block
+    top = int(band.max())
+    t = np.arange(top, 0, -1)
+    # lpb[s, r] = log p(top - s), -inf where top - s exceeds band[r]
+    lpb = np.where(t[:, None] <= band, log_p[t][:, None], LOG_ZERO)
+    zt = np.empty((n + 1, rows))
+    zt[0] = 0.0
     for k in range(1, n + 1):
-        lo = 0 if band is None else max(0, k - band)
-        w = z[:, lo:k] + log_p[k - lo:0:-1]
-        m = w.max(1)
-        w -= m[:, None]
+        width = min(k, top)
+        w = zt[k - width:k] + lpb[top - width:]
+        m = w.max(0)
+        w -= m
         np.exp(w, out=w)
-        z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
-    return z
+        zt[k] = np.log(np.add.accumulate(w)[-1]) + m + b[:, k - 1]
+    return zt.T
 
 
 def _jet_forward(log_p: np.ndarray, b: np.ndarray,
@@ -296,6 +320,7 @@ class QuenchedSystem:
         self.prefix_logZ = _forward(law.log_p, self.site_weight[None, 1:])[0]
         self._suffix = None
         self._segments = None
+        self._band_logz = np.empty(0)  # [b-1]: log Z_n, excursions <= b
 
     @property
     def log_z(self) -> float:
@@ -467,11 +492,24 @@ class QuenchedSystem:
     # -- maximal excursion ----------------------------------------------------
 
     def max_excursion_cdf(self, m: int) -> float:
-        """P[M_n <= m]: partition ratio with excursions restricted to <= m."""
+        """P[M_n <= m]: partition ratio with excursions restricted to <= m.
+
+        Reads log Z_n^{(b)} for b = 1..M from a vector cached per system.
+        An m past M (and below n) extends it by one banded ``_forward``
+        over copies of the weight row, one row per missing band, so a
+        caller that wants several caps should ask for the largest first:
+        they then all come from one pass.  Each entry is bit-identical
+        whatever pass computed it."""
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"m = {m!r} is not an integer")
         if m < 1:
             raise ValueError("m >= 1 required")
         n = self.n
         if n == 0 or m >= n:
             return 1.0
-        zm = _forward(self.law.log_p, self.site_weight[None, 1:], band=m)
-        return min(1.0, math.exp(zm[0, n] - self.log_z))
+        have = self._band_logz.size
+        if m > have:
+            rows = np.broadcast_to(self.site_weight[1:], (m - have, n))
+            z = _forward(self.law.log_p, rows, band=np.arange(have + 1, m + 1))
+            self._band_logz = np.concatenate((self._band_logz, z[:, n]))
+        return min(1.0, math.exp(self._band_logz[m - 1] - self.log_z))

@@ -388,7 +388,9 @@ def _excursion_band_mass(ctx: CheckContext, h: float, n: int,
     masses = np.empty(count)
     cdf = np.zeros(m_cap)
     for i, sys in _per_sample_systems(ctx, h, n, count):
-        row = np.array([sys.max_excursion_cdf(m) for m in range(1, m_cap + 1)])
+        # largest cap first: the system builds every band in one pass
+        row = np.array([sys.max_excursion_cdf(m)
+                        for m in range(m_cap, 0, -1)])[::-1]
         cdf += row
         top = row[m_hi - 1] if m_hi >= 1 else 0.0
         bot = row[m_lo - 1] if m_lo >= 1 else 0.0
@@ -407,18 +409,26 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
     mu = mc.estimate_mu(cfg, ctx.h)
     mu_hat = mu.slope
     mass, errs, detail = [], [], {}
+    localized = math.isfinite(mu_hat) and mu_hat > 0.0
     for n in ns:
-        m, e, d = _excursion_band_mass(ctx, ctx.h, n, mu_hat)
+        if localized:
+            m, e, d = _excursion_band_mass(ctx, ctx.h, n, mu_hat)
+        else:
+            m, e, d = math.nan, math.nan, {"band": None}
         mass.append(m)
         errs.append(e)
         detail[f"n{n}"] = d
-    increasing = all(
+    increasing = localized and all(
         mass[i + 1] >= mass[i] - max(_sigma_word(0.0, math.hypot(errs[i], errs[i + 1])), 1e-12)
         for i in range(len(mass) - 1))
     metrics = {"band_mass_final": mass[-1], "band_mass_increasing": increasing}
     for n, m in zip(ns, mass):
         metrics[f"band_mass_n{n}"] = m
         metrics[f"band_n{n}"] = detail[f"n{n}"]["band"]
+    if not localized:
+        # the scale (log n)/mu exists only for mu > 0
+        metrics["mu_note"] = (f"mu_hat = {mu_hat:.4g} is not a positive "
+                              "rate: no excursion band (delocalized?)")
     passed = increasing and mass[-1] > 0.9
     return CheckReport("C6", CHECK_DESCRIPTIONS["C6"],
                        {"h": ctx.h, "n_values": ns,

@@ -256,6 +256,17 @@ def test_mixing_ratio_matches_per_gap_loop():
                                    atol=0.0)
 
 
+def test_mixing_fit_skips_gaps_without_site_pair():
+    # at window = n the gaps n-1 and n have no site pair and a nan mean;
+    # the fit must stop at n-2 instead of taking them in
+    for h, n in ((0.5, 16), (0.5, 32), (1.5, 16)):
+        cfg = _cfg(samples=3, window=n, n_values=(n,), master_seed=9)
+        res = correlation_decay_scan(cfg, h, fit_range=(4, n))
+        assert np.isnan(res.mix_mean[n - 2:]).all()
+        assert 2 <= res.mix_fit_range[1] <= n - 2
+        assert math.isfinite(res.mix_gamma) and res.mix_gamma > 0.0
+
+
 def test_memoryless_law_has_independent_contacts():
     # geometric inter-arrivals make the contact field an i.i.d. product
     # measure, so every covariance must vanish at machine precision

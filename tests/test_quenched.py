@@ -129,39 +129,84 @@ def test_non_finite_input_is_rejected():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=48),
-       st.one_of(st.none(), st.integers(min_value=1, max_value=48)),
+       st.one_of(st.none(), st.lists(st.integers(min_value=1, max_value=48),
+                                     min_size=6, max_size=6)),
        st.sampled_from(["C", "F", "window"]),
        st.integers(min_value=0, max_value=2 ** 32),
        st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
-def test_forward_rows_match_single_row_runs(rows, n, band, layout, seed,
+def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
                                             jet_order):
-    # a row's table is bit-identical whatever batch it is computed in; with
-    # a jet order the engine is _jet_forward (log scales and coefficients)
+    # a row's table is bit-identical whatever batch it is computed in, and
+    # with bands whatever the other rows' bands are; with a jet order the
+    # engine is _jet_forward (log scales and coefficients)
     rng = np.random.default_rng(seed)
     if jet_order is not None:
-        band = None
+        bands = None
+    if bands is not None:
+        bands = np.array(bands[:rows])
     if layout == "window":
         # overlapping rows as in the segment table, -inf past the end
         flat = rng.normal(0.0, 3.0, rows + n - 1)
-        if band is None:
+        if bands is None:
             flat[n:] = -math.inf
         b = np.lib.stride_tricks.sliding_window_view(flat, n)
     else:
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
 
-    def run(weights):
+    def run(weights, band):
         if jet_order is None:
             return (_forward(GEOM.log_p, weights, band),)
         return _jet_forward(GEOM.log_p, weights, jet_order)
 
-    batched = run(b)
+    batched = run(b, bands)
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
     for r in range(rows):
-        alone = run(np.ascontiguousarray(b[r:r + 1]))
+        alone = run(np.ascontiguousarray(b[r:r + 1]),
+                    None if bands is None else bands[r:r + 1])
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
+
+
+def _single_band_forward(log_p, b, band):
+    """Reference: log Z with excursions capped at one scalar band, each
+    step's window cut to the band and summed by numpy's pairwise sum."""
+    rows, n = b.shape
+    z = np.empty((rows, n + 1))
+    z[:, 0] = 0.0
+    for k in range(1, n + 1):
+        lo = max(0, k - band)
+        w = z[:, lo:k] + log_p[k - lo:0:-1]
+        m = w.max(1)
+        w -= m[:, None]
+        np.exp(w, out=w)
+        z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
+    return z
+
+
+def test_banded_rows_match_single_band_loop():
+    # every band of a batch against the one-band loop: bit for bit while a
+    # band is under numpy's 8-wide pairwise blocks, 1e-15 relative beyond
+    law = build_law(1.0, None, 512)
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for trial in range(24):
+        n = int(rng.integers(1, 400))
+        if trial % 2:
+            w = float(rng.uniform(-40.0, 60.0)) + rng.uniform(-800.0, 800.0, n)
+        else:
+            w = float(rng.uniform(-2.0, 4.0)) + rng.normal(0.0, 1.0, n)
+        top = int(rng.integers(1, 40))
+        bands = np.arange(1, top + 1)
+        batched = _forward(law.log_p, np.broadcast_to(w, (top, n)), bands)
+        for r, band in enumerate(bands):
+            want = _single_band_forward(law.log_p, w[None], int(band))[0]
+            if band <= 7:
+                assert batched[r].tobytes() == want.tobytes()
+            d = np.abs(batched[r] - want) / np.maximum(1.0, np.abs(want))
+            worst = max(worst, float(d.max()))
+    assert worst <= 1e-15
 
 
 # -- contact observables ------------------------------------------------------
@@ -296,6 +341,37 @@ def test_max_excursion_trivial_cases():
     assert sys_.max_excursion_cdf(7) == 1.0
     with pytest.raises(ValueError):
         sys_.max_excursion_cdf(0)
+
+
+def test_max_excursion_cdf_rejects_non_integer_m():
+    sys_ = QuenchedSystem(GEOM, 0.0, np.zeros(6), 6)
+    for bad in (True, np.True_, 2.5, 3.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="m = "):
+            sys_.max_excursion_cdf(bad)
+    for good in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert sys_.max_excursion_cdf(good) == sys_.max_excursion_cdf(3)
+
+
+def test_max_excursion_cdf_is_independent_of_query_order():
+    # the cached band vector grows by one pass per larger m asked; every
+    # entry must come out with the same bytes whatever the order of asks
+    rng = np.random.default_rng(7)
+    wide = build_law(1.0, None, 300)
+    # at small h the wide caps stay below 1, so no clamp hides a last bit
+    wide_systems = [(wide, h, rng.normal(0.0, 1.0, 300), 300, None)
+                    for h in (0.5, -1.0)]
+    for law, h, omega, n, _ in chain(_systems(51, 20, n_lo=2, n_hi=16),
+                                     _systems(151, 40, n_lo=2, n_hi=16,
+                                              extreme=True),
+                                     wide_systems):
+        ms = np.arange(1, min(n, 40) + 1)
+        orders = (ms, ms[::-1], rng.permutation(ms))
+        got = []
+        for order in orders:
+            sys_ = QuenchedSystem(law, h, omega, n)
+            vals = {int(m): sys_.max_excursion_cdf(int(m)) for m in order}
+            got.append(np.array([vals[m] for m in ms]))
+        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
 
 
 # -- two-replica avoidance ----------------------------------------------------

@@ -4,10 +4,13 @@ The full battery at publication-grade sample counts lives in
 test_acceptance.py; here the contexts are trimmed for speed.
 """
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+from pinlab import disorder_mc
 from pinlab.disorder_mc import McConfig
 from pinlab.model import build_law, gaussian_disorder, zero_disorder
 from pinlab.theorems import (
@@ -100,3 +103,26 @@ def test_excursion_grid_guard():
     ctx = _small_ctx(excursion_n_values=(128, 256, 512))  # law caps at 256
     with pytest.raises(ValueError):
         run_check("C6", ctx)
+
+
+def test_excursion_check_reports_nonpositive_mu(monkeypatch):
+    # a delocalized fit (mu_hat < 0 here) has no scale (log n)/mu: C6
+    # fails with a note and nan band masses instead of raising
+    cfg = McConfig(LAW, gaussian_disorder(1.0), (-1.0,), (64, 128, 256),
+                   samples=8, master_seed=9, window=32)
+    ctx = CheckContext(mc=cfg, h=-1.0, excursion_n_values=(64, 128, 256),
+                       exact_samples=2)
+    reports = [run_check("C6", ctx)]
+    assert reports[0].fitted_constants["mu_hat"] < 0.0
+    real = disorder_mc.estimate_mu
+    for slope in (0.0, math.nan, math.inf):
+        monkeypatch.setattr(disorder_mc, "estimate_mu", lambda c, h, s=slope:
+                            dataclasses.replace(real(c, h), slope=s))
+        reports.append(run_check("C6", ctx))
+    for rep in reports:
+        assert rep.passed is False
+        assert "mu_note" in rep.metrics
+        assert rep.metrics["band_mass_increasing"] is False
+        assert all(math.isnan(m) for m in rep.extras["band_mass"])
+        assert math.isnan(rep.metrics["band_mass_n256"])
+        json.dumps(rep.to_dict())
