@@ -45,8 +45,8 @@ def _parser() -> argparse.ArgumentParser:
             q.add_argument("--seed", type=int,
                            help="override run.master_seed")
             q.add_argument("--threads", type=int,
-                           help="worker threads (speed only, results "
-                           "are thread-count independent)")
+                           help="accepted for old configs and ignored: "
+                           "samples run in index order on one thread")
         if name == "verify":
             q.add_argument("--checks",
                            help="comma-separated check ids, e.g. C1,C5,C7")
@@ -224,11 +224,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = _resolve(cfg, args)
         out = _out_dir(cfg)
-        if args.command == "compute":
-            return _cmd_compute(cfg, out)
-        if args.command == "scan":
-            return _cmd_scan(cfg, out)
-        return _cmd_verify(cfg, out, getattr(args, "checks", None))
+        # per-block kernel results live for this command only
+        with mc.run_memo():
+            if args.command == "compute":
+                return _cmd_compute(cfg, out)
+            if args.command == "scan":
+                return _cmd_scan(cfg, out)
+            return _cmd_verify(cfg, out, getattr(args, "checks", None))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -148,7 +148,7 @@ class RunBlock:
     samples: int = 200
     master_seed: int = 1
     out_dir: str | None = None
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: samples run on one thread
 
     def validate(self):
         _need(int(self.samples) >= 2, "run.samples", "must be >= 2")

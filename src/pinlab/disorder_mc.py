@@ -2,9 +2,9 @@
 
 Every estimator draws S independent charge vectors from counter-derived
 streams (master_seed, sample_index), runs the exact DP per sample, and
-reduces in sample-index order.  Sample evaluation is chunked into
-fixed-size blocks of 64; worker threads only pick up whole blocks, so
-results are byte-identical for any thread count.
+reduces in sample-index order.  Samples are drawn and evaluated in fixed
+blocks of 64, one after the other in index order on the calling thread
+(``threads`` is accepted and ignored: a worker pool measured no faster).
 
 Per-sample log Z runs the quenched module's forward engine ``_forward``
 on a whole block of samples, one row each; per-sample cumulants and
@@ -12,13 +12,26 @@ kappa_1 paths run its Taylor-jet form ``_jet_forward`` the same way,
 followed by the row-wise log-series recursion of ``numerics``.  Both
 engines are row-local, so a sample's values do not depend on which block
 it lands in.
+
+Inside ``run_memo()`` (the CLI opens one around each command) the result
+of every block is kept, keyed by what the kernel consumes: the kernel,
+the law, h, the output width (so cumulants of one jet order never serve
+another) and a digest of the block's charges.  Blocks are still drawn, so
+a later call on the same charges (estimate_mu after estimate_f, C8 and
+C12 after C4) reuses the rows whatever seed or index produced them, and
+every public call keeps its count.  The order-2 jets of
+``centering_statistics`` give columns 0..1 bit-identical to an order-1
+jet, so ``concentration_scan`` and C13 ask order 2 and read those
+columns, and share its rows.  Outside a scope every kernel computes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +45,7 @@ QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
               "log_z", "log_z_minus", "kappa1", "kappa2", "kappa3", "kappa4")
 
-_CHUNK = 64  # fixed block size; never derived from the thread count
+_CHUNK = 64  # fixed block size: a block's rows are its memo entry
 
 _NUMERIC_FLOOR = 1e-300
 
@@ -46,7 +59,7 @@ class McConfig:
     samples: int
     master_seed: int
     window: int = 96
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: blocks run in index order
 
     def __post_init__(self):
         if self.samples < 2:
@@ -82,27 +95,51 @@ class EstimateSeries:
             raise ValueError("stderr must be >= 0")
 
 
-def _run_chunked(count: int, threads: int, job) -> None:
+def _run_chunked(count: int, job) -> None:
     """job(lo, hi) fills a preallocated slice for samples [lo, hi)."""
-    blocks = [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
-    if threads <= 1:
-        for lo, hi in blocks:
-            job(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: job(*b), blocks))
+    for lo in range(0, count, _CHUNK):
+        job(lo, min(lo + _CHUNK, count))
+
+
+# block rows of the open run scope, or None outside one
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo",
+                                                       default=None)
+
+
+@contextlib.contextmanager
+def run_memo():
+    """Keep every per-block kernel result until the scope closes, and
+    serve a block whose key was seen again from it.  Entries hold rows,
+    not charges."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
     """Run a per-block kernel over all samples; kernel(block) -> (bsz, width)
     rows; returns the (S, width) stacked result in index order."""
     out = np.empty((cfg.samples, width))
+    memo = _MEMO.get()
 
     def job(lo, hi):
         block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo, hi - lo)
-        out[lo:hi] = kernel(block)
+        if memo is None:
+            out[lo:hi] = kernel(block)
+            return
+        # the entry holds the law, so its id is not reused while it lives
+        key = (kernel.__qualname__, id(cfg.law), float(h), width, block.shape,
+               hashlib.blake2b(block, digest_size=20).digest())
+        entry = memo.get(key)
+        if entry is None:
+            rows = np.array(kernel(block))  # a copy, never a view of the jets
+            rows.flags.writeable = False
+            entry = memo[key] = (cfg.law, rows)
+        out[lo:hi] = entry[1]
 
-    _run_chunked(cfg.samples, cfg.threads, job)
+    _run_chunked(cfg.samples, job)
     return out
 
 
@@ -460,7 +497,7 @@ def correlation_decay_scan(cfg: McConfig, h: float,
             mix_vals[lo + i] = _mixing_ratio(sys, window, gaps)
             log_z_abs[lo + i] = abs(sys.log_z)
 
-    _run_chunked(cfg.samples, cfg.threads, job)
+    _run_chunked(cfg.samples, job)
 
     # pooled mean over samples x offsets, entirely in the log domain
     pooled = log_prof.reshape(-1, window + 1)
@@ -548,11 +585,15 @@ def _kappa_fit(u: np.ndarray, counts: np.ndarray, total: int, n: int,
 
 def concentration_scan(cfg: McConfig, h: float, n: int, u_grid) -> ConcentrationResult:
     """Empirical two-sided tails of log Z and of the centering kappa_1
-    around their sample means, with the dominating-kappa fit per variable."""
+    around their sample means, with the dominating-kappa fit per variable.
+
+    log Z and kappa_1 are columns 0..1 of the order-2 cumulant rows, which
+    equal an order-1 jet's bit for bit; inside a run memo they are the
+    rows ``centering_statistics`` computed at the same (h, n)."""
     if cfg.samples < 500:
         raise ValueError("concentration scan needs samples >= 500")
     u = np.asarray(u_grid, dtype=float)
-    kappa = sample_cumulants(cfg, h, n, 1)
+    kappa = sample_cumulants(cfg, h, n, 2)
     log_z = kappa[:, 0]
     k1 = kappa[:, 1]
     dev_f = np.abs(log_z - log_z.mean())

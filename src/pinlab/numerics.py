@@ -44,14 +44,6 @@ def log_sum_exp(values) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
-def log_mean_exp(values) -> float:
-    """log of the arithmetic mean of exp(values); empty input is an error."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("log_mean_exp: empty input")
-    return log_sum_exp(arr) - math.log(arr.size)
-
-
 @dataclass(frozen=True)
 class ScaledJet:
     """Truncated Taylor jet with a separate log scale.

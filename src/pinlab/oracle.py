@@ -9,7 +9,9 @@ Also hosts the closed-form route to the pure-model free energy: the root
 z* of e^h * sum_t p(t) z^t = 1, with f(h) = -log z*, and the subtractive
 two-replica recursion and the log-domain pair recursion, two reference
 routes for the scaled pair DP of QuenchedSystem at window sizes past
-enumeration.
+enumeration.  Helpers that only tests use live here too: ``ursell``, the
+joint contact cumulants of a QuenchedSystem from its renewal-factorized
+moments, and ``log_mean_exp``.
 """
 
 from __future__ import annotations
@@ -184,6 +186,36 @@ def enumerate_joint_cumulant(law, h: float, omega, n: int, sites) -> float:
             prod *= enumerate_moment(law, h, omega, n, block)
         total += coef * prod
     return total
+
+
+def ursell(system, sites) -> float:
+    """Joint cumulant of (X_a)_{a in sites} of a QuenchedSystem, r <= 4, by
+    the set-partition formula with the block moments from
+    ``system.contact_moment`` (the renewal factorization)."""
+    sites = tuple(int(a) for a in sites)
+    if len(sites) > 4:
+        raise ValueError("ursell capped at r = 4")
+    if any(not 1 <= a <= system.n for a in sites):
+        raise ValueError("sites must lie in 1..n")
+    if list(sites) != sorted(sites):
+        raise ValueError("sites must be ordered")
+    total = 0.0
+    for part in _partitions(sites):
+        l = len(part)
+        coef = (-1.0) ** (l - 1) * math.factorial(l - 1)
+        prod = 1.0
+        for block in part:
+            prod *= system.contact_moment(block)
+        total += coef * prod
+    return total
+
+
+def log_mean_exp(values) -> float:
+    """log of the arithmetic mean of exp(values); empty input is an error."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("log_mean_exp: empty input")
+    return log_sum_exp(arr) - math.log(arr.size)
 
 
 def enumerate_avoidance(law, h: float, omega, j: int) -> float:

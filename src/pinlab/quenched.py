@@ -37,6 +37,10 @@ CONTACT_LAW_DEFAULT_CAP = 2048
 
 DEFAULT_SEGMENT_WINDOW = 128
 
+# bands per banded pass of max_excursion_cdf: a pass holds (n+1) x bands
+# floats, so a cap near n costs O(64 n) memory, not O(n^2)
+_BAND_PASS = 64
+
 
 def _charges(omega, n: int) -> np.ndarray:
     """Padded charge array c with c[a] = omega_a for a = 1..n, c[0] = 0."""
@@ -283,17 +287,6 @@ def ks_to_standard_normal(law: ContactLaw) -> tuple[float, float, float]:
     return float(max(d_hi.max(), d_lo.max())), mu, var
 
 
-def _set_partitions(items: tuple):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
-
-
 class QuenchedSystem:
     """Immutable quenched environment with its prefix DP table.
 
@@ -401,26 +394,6 @@ class QuenchedSystem:
         return self.contact_moment((a, b)) - \
             self.contact_probability(a) * self.contact_probability(b)
 
-    def ursell(self, sites) -> float:
-        """Joint cumulant of (X_a)_{a in sites}, r <= 4, via the
-        set-partition formula with moments from the renewal factorization."""
-        sites = tuple(int(a) for a in sites)
-        if len(sites) > 4:
-            raise ValueError("ursell capped at r = 4")
-        if any(not 1 <= a <= self.n for a in sites):
-            raise ValueError("sites must lie in 1..n")
-        if list(sites) != sorted(sites):
-            raise ValueError("sites must be ordered")
-        total = 0.0
-        for part in _set_partitions(sites):
-            l = len(part)
-            coef = (-1.0) ** (l - 1) * math.factorial(l - 1)
-            prod = 1.0
-            for block in part:
-                prod *= self.contact_moment(block)
-            total += coef * prod
-        return total
-
     # -- law of the contact number ----------------------------------------
 
     def contact_law(self, n_cap: int = CONTACT_LAW_DEFAULT_CAP) -> ContactLaw:
@@ -495,11 +468,12 @@ class QuenchedSystem:
         """P[M_n <= m]: partition ratio with excursions restricted to <= m.
 
         Reads log Z_n^{(b)} for b = 1..M from a vector cached per system.
-        An m past M (and below n) extends it by one banded ``_forward``
-        over copies of the weight row, one row per missing band, so a
-        caller that wants several caps should ask for the largest first:
-        they then all come from one pass.  Each entry is bit-identical
-        whatever pass computed it."""
+        An m past M (and below n) extends it by banded ``_forward`` passes
+        over copies of the weight row, one row per missing band and at
+        most _BAND_PASS bands per pass, so a caller that wants several caps
+        should ask for the largest first: they then all come from the
+        fewest passes.  Each entry is bit-identical whatever pass computed
+        it."""
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
             raise ValueError(f"m = {m!r} is not an integer")
         if m < 1:
@@ -509,7 +483,12 @@ class QuenchedSystem:
             return 1.0
         have = self._band_logz.size
         if m > have:
-            rows = np.broadcast_to(self.site_weight[1:], (m - have, n))
-            z = _forward(self.law.log_p, rows, band=np.arange(have + 1, m + 1))
-            self._band_logz = np.concatenate((self._band_logz, z[:, n]))
+            grown = np.empty(m)
+            grown[:have] = self._band_logz
+            for lo in range(have, m, _BAND_PASS):
+                hi = min(lo + _BAND_PASS, m)
+                rows = np.broadcast_to(self.site_weight[1:], (hi - lo, n))
+                grown[lo:hi] = _forward(self.law.log_p, rows,
+                                        band=np.arange(lo + 1, hi + 1))[:, n]
+            self._band_logz = grown
         return min(1.0, math.exp(self._band_logz[m - 1] - self.log_z))

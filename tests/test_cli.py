@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import pinlab.disorder_mc as mc
+import pinlab.outputs as outputs
 import pinlab.theorems as theorems
 from pinlab.cli import main
 from pinlab.theorems import CheckReport
@@ -79,6 +81,20 @@ def test_scan_outputs_and_determinism(tmp_path):
     quantities = {r[0] for r in _rows(outs[0])}
     assert {"f", "mu", "rho", "w", "v", "ks_quenched",
             "decay_gamma"} <= quantities
+
+
+def test_run_memo_lives_for_one_command(tmp_path, monkeypatch):
+    sizes = []
+    write = outputs.write_series_csv
+
+    def spy(path, series):
+        sizes.append(len(mc._MEMO.get()))
+        return write(path, series)
+    monkeypatch.setattr(outputs, "write_series_csv", spy)
+    cfg = _write(tmp_path, "scan.json", SMALL_SCAN)
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert sizes and sizes[0] > 0
+    assert mc._MEMO.get() is None
 
 
 def test_seed_flag_overrides_config(tmp_path):

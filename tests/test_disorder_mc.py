@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pinlab.disorder_mc as mc
 from pinlab.disorder_mc import (
     EstimateSeries,
     McConfig,
@@ -14,6 +16,7 @@ from pinlab.disorder_mc import (
     hc_bracket,
     ks_to_normal,
     linear_fit,
+    run_memo,
     sample_cumulants,
     sample_kappa1_path,
     sample_log_z,
@@ -91,6 +94,80 @@ def test_thread_count_is_invisible():
     c = sample_cumulants(_cfg(samples=70), 2.0, 24, 3)
     d = sample_cumulants(_cfg(samples=70, threads=4), 2.0, 24, 3)
     np.testing.assert_array_equal(c, d)
+
+
+# -- the run memo ---------------------------------------------------------------
+
+def _kernel_calls():
+    return [lambda c: sample_log_z(c, 2.0, 24),
+            lambda c: sample_cumulants(c, 2.0, 24, 1),
+            lambda c: sample_cumulants(c, 2.0, 24, 2),
+            lambda c: sample_cumulants(c, 2.0, 24, 6),
+            lambda c: sample_kappa1_path(c, 2.0, 24)]
+
+
+def _count_engine_rows(monkeypatch):
+    rows = []
+    for name in ("_forward", "_jet_forward"):
+        engine = getattr(mc, name)
+
+        def counted(log_p, b, *args, _engine=engine, **kw):
+            rows.append(b.shape[0])
+            return _engine(log_p, b, *args, **kw)
+        monkeypatch.setattr(mc, name, counted)
+    return rows
+
+
+def test_run_memo_serves_the_bytes_of_fresh_calls(monkeypatch):
+    # 70, 200, then 1000 samples: each count ends on a block of another
+    # size, and only the full blocks an earlier count drew are reused
+    counts = (70, 200, 1000)
+    fresh = {(s, i): call(_cfg(samples=s)) for s in counts
+             for i, call in enumerate(_kernel_calls())}
+    rows = _count_engine_rows(monkeypatch)
+    with run_memo():
+        for s in counts:
+            for i, call in enumerate(_kernel_calls()):
+                for _ in range(2):
+                    got = call(_cfg(samples=s))
+                    want = fresh[(s, i)]
+                    for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
+                        assert g.tobytes() == w.tobytes()
+    assert mc._MEMO.get() is None
+    # evaluated rows per kernel: 70, then 200 - 64, then 1000 - 192
+    assert sum(rows) == len(_kernel_calls()) * (70 + 136 + 808)
+
+
+def test_run_memo_keys_on_everything_the_kernel_reads():
+    cfg = _cfg(samples=64)
+    variants = [(sample_cumulants, cfg, 2.0, 24, 2),
+                (sample_cumulants, cfg, 2.5, 24, 2),
+                (sample_cumulants, cfg, 2.0, 24, 3),
+                (sample_cumulants, replace(cfg, law=GEOM), 2.0, 24, 2),
+                (sample_cumulants, cfg, 2.0, 32, 2),
+                # two columns, like the order-1 cumulants of these charges
+                (sample_cumulants, cfg, 2.0, 24, 1),
+                (lambda c, h, n, _: np.stack(sample_log_z(c, h, n), 1),
+                 cfg, 2.0, 24, None)]
+    fresh = [fn(*args) for fn, *args in variants]
+    with run_memo():
+        got = [fn(*args) for fn, *args in variants]
+        assert len(mc._MEMO.get()) == len(variants)
+    for g, w in zip(got, fresh):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_run_memo_hits_cannot_be_corrupted_by_callers():
+    cfg = _cfg(samples=70)
+    with run_memo():
+        first = sample_cumulants(cfg, 2.0, 24, 2)
+        keep = first.copy()
+        first[:] = np.nan
+        path = sample_kappa1_path(cfg, 2.0, 24)
+        path_keep = path.copy()
+        path[:] = 0.0
+        assert sample_cumulants(cfg, 2.0, 24, 2).tobytes() == keep.tobytes()
+        assert sample_kappa1_path(cfg, 2.0, 24).tobytes() == path_keep.tobytes()
 
 
 def test_reruns_are_bitwise_identical():

@@ -11,7 +11,6 @@ from pinlab.numerics import (
     LOG_ZERO,
     ScaledJet,
     _log_series,
-    log_mean_exp,
     log_of_jet,
     log_sum_exp,
 )
@@ -56,14 +55,6 @@ def test_log_sum_exp_shift_equivariance(vals, shift):
     shifted = [v + shift for v in vals]
     assert log_sum_exp(shifted) == pytest.approx(log_sum_exp(vals) + shift,
                                                  rel=1e-12, abs=1e-9)
-
-
-def test_log_mean_exp():
-    assert log_mean_exp([0.0, 0.0]) == pytest.approx(0.0)
-    vals = [0.0, math.log(3.0)]
-    assert log_mean_exp(vals) == pytest.approx(math.log(2.0))
-    with pytest.raises(ValueError):
-        log_mean_exp([])
 
 
 # -- jets ---------------------------------------------------------------------

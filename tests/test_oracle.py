@@ -1,7 +1,9 @@
 """Internal consistency of the brute-force enumeration layer.
 
-These tests only use hand-derivable toy values and cross-checks between
-the enumeration routines themselves; agreement with the dynamic programs
+These tests use hand-derivable toy values and cross-checks between the
+enumeration routines themselves, plus the test-only helpers that live in
+the oracle module (``ursell`` against the enumerated joint cumulant, and
+``log_mean_exp``); agreement of the dynamic programs with the enumeration
 lives in test_quenched.py.
 """
 
@@ -21,8 +23,11 @@ from pinlab.oracle import (
     enumerate_joint_cumulant,
     enumerate_moment,
     enumerate_partition,
+    log_mean_exp,
     pure_model_free_energy,
+    ursell,
 )
+from pinlab.quenched import QuenchedSystem
 from support import random_instance
 
 GEOM = geometric_test_law(64)
@@ -118,6 +123,33 @@ def test_joint_cumulant_low_orders():
             pytest.approx(pa, abs=1e-13)
         assert enumerate_joint_cumulant(law, h, omega, n, [a, b]) == \
             pytest.approx(pab - pa * pb, abs=1e-12)
+
+
+def test_ursell_high_orders_match_oracle():
+    rng = np.random.default_rng(23)
+    inst = np.random.default_rng(23)
+    for _ in range(12):
+        law, h, omega, n = random_instance(inst, n_lo=5, n_hi=9)
+        sys_ = QuenchedSystem(law, h, omega, n)
+        for r in (3, 4):
+            sites = sorted(rng.choice(np.arange(1, n), size=min(r, n - 1),
+                                      replace=False).tolist())
+            want = enumerate_joint_cumulant(law, h, omega, n, sites)
+            assert ursell(sys_, sites) == pytest.approx(want, abs=1e-10)
+
+
+def test_ursell_order_cap():
+    sys_ = QuenchedSystem(GEOM, 0.2, np.zeros(8), 8)
+    with pytest.raises(ValueError):
+        ursell(sys_, [1, 2, 3, 4, 5])
+
+
+def test_log_mean_exp():
+    assert log_mean_exp([0.0, 0.0]) == pytest.approx(0.0)
+    vals = [0.0, math.log(3.0)]
+    assert log_mean_exp(vals) == pytest.approx(math.log(2.0))
+    with pytest.raises(ValueError):
+        log_mean_exp([])
 
 
 def test_avoidance_window():

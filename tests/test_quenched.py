@@ -6,6 +6,7 @@ require agreement at near machine precision.
 """
 
 import math
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -26,6 +27,7 @@ from pinlab.oracle import (
     two_replica_avoidance,
     two_replica_avoidance_lse,
     two_replica_profiles,
+    ursell,
 )
 from pinlab.quenched import (
     QuenchedSystem,
@@ -235,25 +237,9 @@ def test_covariance_and_ursell_match_oracle():
         a, b = sorted(rng.choice(np.arange(1, n), size=2, replace=False).tolist())
         want = enumerate_joint_cumulant(law, h, omega, n, [a, b])
         assert sys_.contact_covariance(a, b) == pytest.approx(want, abs=1e-11)
-        assert sys_.ursell([a, b]) == pytest.approx(want, abs=1e-11)
-        assert sys_.ursell([a]) == pytest.approx(
+        assert ursell(sys_, [a, b]) == pytest.approx(want, abs=1e-11)
+        assert ursell(sys_, [a]) == pytest.approx(
             sys_.contact_probability(a), abs=1e-12)
-
-
-def test_ursell_high_orders_match_oracle():
-    rng = np.random.default_rng(23)
-    for law, h, omega, n, sys_ in _systems(23, 12, n_lo=5, n_hi=9):
-        for r in (3, 4):
-            sites = sorted(rng.choice(np.arange(1, n), size=min(r, n - 1),
-                                      replace=False).tolist())
-            want = enumerate_joint_cumulant(law, h, omega, n, sites)
-            assert sys_.ursell(sites) == pytest.approx(want, abs=1e-10)
-
-
-def test_ursell_order_cap():
-    sys_ = QuenchedSystem(GEOM, 0.2, np.zeros(8), 8)
-    with pytest.raises(ValueError):
-        sys_.ursell([1, 2, 3, 4, 5])
 
 
 # -- contact-number law -------------------------------------------------------
@@ -372,6 +358,29 @@ def test_max_excursion_cdf_is_independent_of_query_order():
             vals = {int(m): sys_.max_excursion_cdf(int(m)) for m in order}
             got.append(np.array([vals[m] for m in ms]))
         assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+
+
+def test_max_excursion_cdf_memory_is_one_band_pass():
+    # caps near n extend the band vector at most 64 bands at a time: every
+    # entry has the bytes of its one-row run, and the peak allocation stays
+    # O((n+1) * 64) floats, not the (n+1) x m of a single pass
+    n, m_top = 512, 400
+    law = build_law(1.0, None, n)
+    w = 0.2 + np.random.default_rng(8).normal(0.0, 1.0, n)
+    sys_ = QuenchedSystem(law, 0.0, w, n)
+    tracemalloc.start()
+    try:
+        sys_.max_excursion_cdf(m_top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + 1) * 64 * 8
+    for m in (1, 63, 64, 65, 128, 129, 257, 399, 400):
+        one = _forward(law.log_p, sys_.site_weight[None, 1:],
+                       band=np.array([m]))[0, n]
+        want = min(1.0, math.exp(one - sys_.log_z))
+        assert sys_.max_excursion_cdf(m) == want
+        assert sys_._band_logz[m - 1].tobytes() == one.tobytes()
 
 
 # -- two-replica avoidance ----------------------------------------------------
