@@ -104,8 +104,6 @@ def _cmd_compute(cfg: RunConfig, out: str) -> int:
 def _cmd_scan(cfg: RunConfig, out: str) -> int:
     run_cfg = cfg.mc_config()
     n_top = int(max(run_cfg.n_values))
-    window = int(cfg.grids.window)
-    fit_range = (max(4, window // 10), (3 * window) // 4)
     series = []
     decays = []
     for h in run_cfg.h_values:
@@ -119,21 +117,16 @@ def _cmd_scan(cfg: RunConfig, out: str) -> int:
                                         cent.mean_stderr / n_top,
                                         run_cfg.samples))
         ks_count = min(run_cfg.samples, 16)
-        block = sample_disorder_block(run_cfg.disorder, n_top,
-                                      run_cfg.master_seed, 0, ks_count)
-        ks_vals = []
-        for i in range(ks_count):
-            law_i = QuenchedSystem(run_cfg.law, h, block[i],
-                                   n_top).contact_law(n_cap=max(2048, n_top))
-            ks_vals.append(ks_to_standard_normal(law_i)[0])
+        ks_vals = [ks_to_standard_normal(sys_.contact_law())[0] for sys_ in
+                   mc._block_systems(run_cfg, h, n_top, ks_count)]
         ks_mean = sum(ks_vals) / ks_count
         ks_err = (sum((v - ks_mean) ** 2 for v in ks_vals)
                   / (ks_count - 1)) ** 0.5 / math.sqrt(ks_count) \
             if ks_count > 1 else 0.0
         series.append(mc.EstimateSeries("ks_quenched", h, n_top, ks_mean,
                                         ks_err, ks_count))
-        if n_top >= window:
-            decay = mc.correlation_decay_scan(run_cfg, h, fit_range=fit_range)
+        if n_top >= run_cfg.window:
+            decay = mc.correlation_decay_scan(run_cfg, h)
             series.extend(decay.series())
             decays.append(decay)
         if run_cfg.samples >= 500:
@@ -182,23 +175,7 @@ def _cmd_report(out: str) -> int:
         written += outputs.plot_series(out, outputs.read_series_csv(series_path))
     decay_path = os.path.join(out, "decay.csv")
     if os.path.exists(decay_path):
-        curves = {}
-        with open(decay_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        for line in lines[1:]:
-            h, j, log_a, _ = line.split(",")
-            curves.setdefault(float(h), ([], []))
-            curves[float(h)][0].append(int(j))
-            curves[float(h)][1].append(float(log_a))
-        plottable = [(f"h={h:g}", xs, ys) for h, (xs, ys) in
-                     sorted(curves.items())
-                     if any(math.isfinite(v) for v in ys)]
-        if plottable:
-            os.makedirs(os.path.join(out, "plots"), exist_ok=True)
-            p = os.path.join(out, "plots", "avoidance_vs_j.svg")
-            outputs.svg_line_plot(p, "two-replica avoidance", "j",
-                                  "log a_j", plottable)
-            written.append(p)
+        written += outputs.plot_decay(out, decay_path)
     report_path = os.path.join(out, "report.json")
     if os.path.exists(report_path):
         written += outputs.plot_report(out, report_path)

@@ -21,10 +21,7 @@ from .model import (
     geometric_test_law,
     law_from_table,
 )
-from .theorems import CHECK_IDS, CheckContext
-
-DEFAULT_U_GRID = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 18.0, 27.0, 40.0,
-                  60.0, 90.0)
+from .theorems import CHECK_IDS, DEFAULT_U_GRID, CheckContext
 
 
 class ConfigError(ValueError):
@@ -49,6 +46,14 @@ def _need(cond: bool, anchor: str, message: str):
         raise ConfigError(message, anchor=anchor)
 
 
+def _need_int(value, anchor: str, lo: int, hi: float, message: str):
+    """An integer field (a bool, a float or a numeric string is not one)
+    with lo <= value <= hi."""
+    _need(isinstance(value, int) and not isinstance(value, bool), anchor,
+          f"must be an integer (got {value!r})")
+    _need(lo <= value <= hi, anchor, message)
+
+
 @dataclass(frozen=True)
 class ModelBlock:
     """Inter-arrival law: power ell(t)/t^(1+alpha), the geometric control,
@@ -66,7 +71,8 @@ class ModelBlock:
     def validate(self):
         _need(self.kind in ("power", "geometric", "table"), "model.kind",
               f"must be one of power, geometric, table (got {self.kind!r})")
-        _need(int(self.n_max) >= 2, "model.n_max", "must be an integer >= 2")
+        _need_int(self.n_max, "model.n_max", 2, math.inf,
+                  "must be an integer >= 2")
         if self.kind == "power":
             _need(self.alpha >= 1.0, "model.alpha",
                   "alpha < 1 is not supported")
@@ -139,8 +145,8 @@ class GridsBlock:
         for v in self.u_grid:
             _need(isinstance(v, (int, float)) and v >= 0.0, "grids.u_grid",
                   f"entries must be nonnegative reals (got {v!r})")
-        _need(int(self.window) >= 16, "grids.window", "must be >= 16")
-        _need(2 <= int(self.r_max) <= 12, "grids.r_max", "must be in 2..12")
+        _need_int(self.window, "grids.window", 16, math.inf, "must be >= 16")
+        _need_int(self.r_max, "grids.r_max", 2, 12, "must be in 2..12")
 
 
 @dataclass(frozen=True)
@@ -151,10 +157,10 @@ class RunBlock:
     threads: int = 1  # accepted and ignored: samples run on one thread
 
     def validate(self):
-        _need(int(self.samples) >= 2, "run.samples", "must be >= 2")
-        _need(0 <= int(self.master_seed) < 2 ** 64, "run.master_seed",
-              "must fit in 64 bits")
-        _need(int(self.threads) >= 1, "run.threads", "must be >= 1")
+        _need_int(self.samples, "run.samples", 2, math.inf, "must be >= 2")
+        _need_int(self.master_seed, "run.master_seed", 0, 2 ** 64 - 1,
+                  "must fit in 64 bits")
+        _need_int(self.threads, "run.threads", 1, math.inf, "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -241,28 +247,24 @@ class RunConfig:
     def disorder_law(self) -> DisorderLaw:
         return self.disorder.build()
 
-    def mc_config(self, threads: int | None = None) -> mc.McConfig:
+    def mc_config(self) -> mc.McConfig:
         return mc.McConfig(self.law(), self.disorder_law(),
                            tuple(float(h) for h in self.grids.h_values),
                            tuple(int(n) for n in self.grids.n_values),
                            samples=int(self.run.samples),
                            master_seed=int(self.run.master_seed),
-                           window=int(self.grids.window),
-                           threads=int(threads if threads is not None
-                                       else self.run.threads))
+                           window=int(self.grids.window))
 
-    def check_context(self, threads: int | None = None) -> CheckContext:
-        cfg = self.mc_config(threads)
+    def check_context(self) -> CheckContext:
+        cfg = self.mc_config()
         h = float(self.checks.h) if self.checks.h is not None \
             else float(max(self.grids.h_values))
-        window = int(self.grids.window)
         n_max = int(self.model.n_max)
         top = min(4096, n_max)
         return CheckContext(
             mc=cfg, h=h,
             h_grid=tuple(float(v) for v in self.grids.h_values),
             u_values=tuple(float(v) for v in self.grids.u_grid),
-            fit_range=(max(4, window // 10), (3 * window) // 4),
             clt_n_values=tuple(n for n in (128, 256, 512, 1024)
                                if n <= n_max) or (n_max,),
             excursion_n_values=(top // 4, top // 2, top),

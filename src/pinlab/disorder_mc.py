@@ -3,8 +3,10 @@
 Every estimator draws S independent charge vectors from counter-derived
 streams (master_seed, sample_index), runs the exact DP per sample, and
 reduces in sample-index order.  Samples are drawn and evaluated in fixed
-blocks of 64, one after the other in index order on the calling thread
-(``threads`` is accepted and ignored: a worker pool measured no faster).
+blocks of 64, one after the other in index order on the calling thread (a
+worker pool measured no faster).  Checks that need a whole system per
+sample (its contact law or excursion CDF) build them with
+``_block_systems``, one ``QuenchedSystem`` per sample of one block.
 
 Per-sample log Z runs the quenched module's forward engine ``_forward``
 on a whole block of samples, one row each; per-sample cumulants and
@@ -47,6 +49,8 @@ QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
 
 _CHUNK = 64  # fixed block size: a block's rows are its memo entry
 
+_DECAY_OFFSETS = 8  # window offsets pooled by correlation_decay_scan
+
 _NUMERIC_FLOOR = 1e-300
 
 
@@ -59,7 +63,6 @@ class McConfig:
     samples: int
     master_seed: int
     window: int = 96
-    threads: int = 1  # accepted and ignored: blocks run in index order
 
     def __post_init__(self):
         if self.samples < 2:
@@ -93,6 +96,13 @@ class EstimateSeries:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if not (self.stderr >= 0.0 or math.isnan(self.stderr)):
             raise ValueError("stderr must be >= 0")
+
+
+def _block_systems(cfg: McConfig, h: float, n: int, count: int):
+    """QuenchedSystems of samples 0..count-1, drawn as one block."""
+    block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, 0, count)
+    for i in range(count):
+        yield QuenchedSystem(cfg.law, h, block[i], n)
 
 
 def _run_chunked(count: int, job) -> None:
@@ -469,20 +479,22 @@ def _mixing_ratio(system: QuenchedSystem, window: int,
 
 
 def correlation_decay_scan(cfg: McConfig, h: float,
-                           fit_range: tuple = (8, 64),
-                           n_offsets: int = 8) -> DecayResult:
+                           fit_range: tuple | None = None) -> DecayResult:
     """Two-replica avoidance a_j averaged over samples and shifted window
     offsets (the pair DP sums nonnegative terms only, so deep decay keeps
-    relative precision), with a log-linear decay fit, plus the covariance
-    mixing proxy |cov[X_a, X_b]| / min(E[X_a], E[X_b]) by gap."""
+    relative precision), with a log-linear decay fit over j in fit_range
+    (default: from window // 10, at least 4, to 3 window // 4), plus the
+    covariance mixing proxy |cov[X_a, X_b]| / min(E[X_a], E[X_b]) by gap."""
     window = cfg.window
     if window < 16:
         raise ValueError("decay scan needs window >= 16")
     n = int(max(cfg.n_values))
     if n < window:
         raise ValueError("n grid too small for the window")
-    offsets = tuple(int(o) for o in
-                    np.unique(np.linspace(0, n - window, n_offsets).round()))
+    if fit_range is None:
+        fit_range = (max(4, window // 10), (3 * window) // 4)
+    offsets = tuple(int(o) for o in np.unique(
+        np.linspace(0, n - window, _DECAY_OFFSETS).round()))
     gaps = np.arange(1, window + 1)
     log_prof = np.empty((cfg.samples, len(offsets), window + 1))
     mix_vals = np.empty((cfg.samples, gaps.size))
@@ -569,18 +581,25 @@ class ConcentrationResult:
                                self.kappa_f, float("nan"), self.samples)]
 
 
+def _tail_kappa(u_values, tails, n: int, exponent: float) -> float:
+    """Largest kappa with 2 exp(-kappa u^2/(n+u^e)) >= tail at every
+    u > 0 with a positive tail; a zero tail is consistent with any kappa."""
+    best = math.inf
+    for u, tail in zip(u_values, tails):
+        if u <= 0.0 or tail <= 0.0:
+            continue
+        best = min(best, (n + u ** exponent) / u ** 2 * math.log(2.0 / tail))
+    return best
+
+
 def _kappa_fit(u: np.ndarray, counts: np.ndarray, total: int, n: int,
                exponent: float) -> tuple[float, np.ndarray]:
-    """Largest kappa with 2 exp(-kappa u^2/(n+u^e)) >= Wilson-upper(freq)
-    at every u > 0 with a nonzero count; zero-count points are consistent
-    with any kappa."""
+    """_tail_kappa against the Wilson upper bounds of the exceedance
+    frequencies; a zero-count point bounds nothing, so it counts as a
+    zero tail."""
     uppers = np.array([wilson_upper(int(c), total) for c in counts])
-    best = math.inf
-    for ui, ci, pi in zip(u, counts, uppers):
-        if ui <= 0.0 or ci == 0:
-            continue
-        best = min(best, (n + ui ** exponent) / ui ** 2 * math.log(2.0 / pi))
-    return best, uppers
+    return _tail_kappa(u, np.where(counts > 0, uppers, 0.0), n,
+                       exponent), uppers
 
 
 def concentration_scan(cfg: McConfig, h: float, n: int, u_grid) -> ConcentrationResult:

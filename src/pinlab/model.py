@@ -155,10 +155,7 @@ def law_from_table(p_values, normalized: bool = False) -> InterArrivalLaw:
         raise ValueError("table entries must be positive and finite")
     if normalized and p.sum() > 1.0 + 1e-12:
         raise ValueError("normalized table must have mass <= 1")
-    n_max = p.size
-    log_p = np.concatenate(([LOG_ZERO], np.log(p)))
-    xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(None, None, n_max, log_p, normalized, xi, 0.0)
+    return law_from_log_table(np.log(p), normalized)
 
 
 def law_from_log_table(log_p_values, normalized: bool = False) -> InterArrivalLaw:

@@ -16,6 +16,7 @@ from .disorder_mc import DecayResult, EstimateSeries
 from .theorems import CheckReport
 
 SERIES_HEADER = "quantity,h,n,mean,stderr,samples"
+DECAY_HEADER = "h,j,log_mean_a,rel_stderr"
 SEED_SCHEME = "philox: key = (master_seed, sample_index), counter from 0"
 
 
@@ -82,7 +83,7 @@ def write_seeds_json(path: str, master_seed: int, samples: int):
 
 def write_decay_csv(path: str, decays: list[DecayResult]):
     """Companion table for the two-replica profile: one row per (h, j)."""
-    lines = ["h,j,log_mean_a,rel_stderr"]
+    lines = [DECAY_HEADER]
     for d in decays:
         for j in range(1, d.window + 1):
             lines.append(f"{_real(d.h)},{j},{_real(d.log_mean_a[j])},"
@@ -242,13 +243,27 @@ def plot_series(out_dir: str, series: list[EstimateSeries]) -> list[str]:
     return written
 
 
-def plot_decay(out_dir: str, decays: list[DecayResult]) -> list[str]:
-    curves = [(f"h={d.h:g}", list(range(1, d.window + 1)),
-               [d.log_mean_a[j] for j in range(1, d.window + 1)])
-              for d in decays]
+def plot_decay(out_dir: str, decay_path: str) -> list[str]:
+    """Avoidance-vs-j plot from a written decay table, one curve per h;
+    curves with no finite point are left out, and no plot is drawn when
+    none is left."""
+    with open(decay_path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != DECAY_HEADER:
+        raise ValueError(f"{decay_path}: not a decay file (bad header)")
+    curves = {}
+    for line in lines[1:]:
+        h, j, log_a, _ = line.split(",")
+        xs, ys = curves.setdefault(float(h), ([], []))
+        xs.append(int(j))
+        ys.append(float(log_a))
+    plottable = [(f"h={h:g}", xs, ys) for h, (xs, ys) in sorted(curves.items())
+                 if any(math.isfinite(v) for v in ys)]
+    if not plottable:
+        return []
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     p = os.path.join(out_dir, "plots", "avoidance_vs_j.svg")
-    svg_line_plot(p, "two-replica avoidance", "j", "log a_j", curves)
+    svg_line_plot(p, "two-replica avoidance", "j", "log a_j", plottable)
     return [p]
 
 

@@ -33,10 +33,6 @@ from scipy import special
 
 from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, ScaledJet, log_of_jet
 
-CONTACT_LAW_DEFAULT_CAP = 2048
-
-DEFAULT_SEGMENT_WINDOW = 128
-
 # bands per banded pass of max_excursion_cdf: a pass holds (n+1) x bands
 # floats, so a cap near n costs O(64 n) memory, not O(n^2)
 _BAND_PASS = 64
@@ -337,9 +333,7 @@ class QuenchedSystem:
             self._suffix = rev[::-1] - b + b[n]
         return self._suffix
 
-    def segment_partitions(self, window: int | None = None) -> SegmentTable:
-        if window is None:
-            window = min(self.n, DEFAULT_SEGMENT_WINDOW)
+    def segment_partitions(self, window: int) -> SegmentTable:
         if window > self.n:
             raise ValueError("window exceeds system size")
         if self._segments is None or self._segments.window < window:
@@ -396,16 +390,13 @@ class QuenchedSystem:
 
     # -- law of the contact number ----------------------------------------
 
-    def contact_law(self, n_cap: int = CONTACT_LAW_DEFAULT_CAP) -> ContactLaw:
+    def contact_law(self) -> ContactLaw:
         """Exact pmf of L_n by the count-indexed DP.
 
         Internally runs on per-level renewal probabilities (each level's
         first-excursion weights sum to 1), so everything stays in [0, 1]
-        with nonnegative terms only.  O(n^3); raise n_cap to override the
-        default guard."""
+        with nonnegative terms only.  O(n^3) time, O(n^2) memory."""
         n = self.n
-        if n > n_cap:
-            raise ValueError(f"contact_law guarded at n <= {n_cap}; pass n_cap to override")
         if n == 0:
             return ContactLaw(0, np.zeros(1))
         pre, logp, b = self.prefix_logZ, self.law.log_p, self.site_weight

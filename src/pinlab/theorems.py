@@ -21,6 +21,14 @@ from .quenched import QuenchedSystem, ks_to_standard_normal
 
 CHECK_IDS = tuple(f"C{i}" for i in range(1, 14))
 
+DEFAULT_U_GRID = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 18.0, 27.0, 40.0,
+                  60.0, 90.0)
+
+_BAND_EPS = 0.25                # C6: half-width of the band around 1/mu
+_CENTERING_KS_THRESHOLD = 0.05  # C4: KS bound on the standardized centering
+_R2_THRESHOLD = 0.98            # C7: least r^2 of the avoidance decay fit
+_DELTA_FRAC = 0.5               # C13: thinning level delta / rho_hat
+
 CHECK_DESCRIPTIONS = {
     "C1": "free-energy regularity: cumulant densities converge across n; "
           "factorial-cubed growth constant fitted for r <= 6",
@@ -101,22 +109,16 @@ class CheckContext:
     mc: mc.McConfig
     h: float
     h_grid: tuple = (1.5, 2.0, 2.5, 3.0, 3.5)
-    u_values: tuple = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 18.0, 27.0, 40.0,
-                       60.0, 90.0)
-    fit_range: tuple = (8, 64)
+    u_values: tuple = DEFAULT_U_GRID
     clt_seeds: int = 5
     clt_n_values: tuple = (128, 256, 512, 1024)
     excursion_n_values: tuple = (1024, 2048, 4096)
     hl_seeds: int = 10
     hl_n_max: int = 1024
-    delta_frac: float = 0.5
-    band_eps: float = 0.25
     exact_samples: int = 8
     centering_samples: int = 1000
     oracle_instances: int = 200
     ks_threshold: float = 0.06
-    centering_ks_threshold: float = 0.05
-    r2_threshold: float = 0.98
     r_max: int = 6
 
     @property
@@ -124,25 +126,17 @@ class CheckContext:
         return self.mc.disorder.is_pure
 
 
-def default_context(master_seed: int = 20260815, threads: int = 1) -> CheckContext:
+def default_context(master_seed: int = 20260815) -> CheckContext:
     from .model import build_law, gaussian_disorder
     law = build_law(1.0, None, 4096)
     cfg = mc.McConfig(law, gaussian_disorder(1.0), (3.0,), (64, 128, 256),
-                      samples=200, master_seed=master_seed, window=64,
-                      threads=threads)
-    return CheckContext(mc=cfg, h=3.0, fit_range=(6, 48))
+                      samples=200, master_seed=master_seed, window=64)
+    return CheckContext(mc=cfg, h=3.0)
 
 
 def _sigma_word(value: float, err: float, mult: float = 2.0) -> float:
     """Tolerance band: mult * err, inf-safe."""
     return mult * err if math.isfinite(err) else math.inf
-
-
-def _per_sample_systems(ctx: CheckContext, h: float, n: int, count: int):
-    block = sample_disorder_block(ctx.mc.disorder, n, ctx.mc.master_seed,
-                                  0, count)
-    for i in range(count):
-        yield i, QuenchedSystem(ctx.mc.law, h, block[i], n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +195,9 @@ def _check_c2(ctx: CheckContext) -> CheckReport:
     ns = ctx.clt_n_values
     ks = np.empty((ctx.clt_seeds, len(ns)))
     for k, n in enumerate(ns):
-        block = sample_disorder_block(cfg.disorder, n, cfg.master_seed,
-                                      0, ctx.clt_seeds)
-        for s in range(ctx.clt_seeds):
-            sys = QuenchedSystem(cfg.law, ctx.h, block[s], n)
-            law = sys.contact_law(n_cap=max(2048, n))
-            ks[s, k], _, _ = ks_to_standard_normal(law)
+        for s, sys in enumerate(mc._block_systems(cfg, ctx.h, n,
+                                                  ctx.clt_seeds)):
+            ks[s, k], _, _ = ks_to_standard_normal(sys.contact_law())
     spread = ks.std(axis=0, ddof=1) / math.sqrt(ctx.clt_seeds) \
         if ctx.clt_seeds > 1 else np.zeros(len(ns))
     non_increasing = True
@@ -231,28 +222,17 @@ def _check_c2(ctx: CheckContext) -> CheckReport:
 # ---------------------------------------------------------------------------
 # C3: quenched concentration of L_n (exact per-sample tails)
 
-def _tail_kappa(law, u_values, n, exponent) -> float:
-    best = math.inf
-    for u in u_values:
-        if u <= 0.0:
-            continue
-        tail = law.tail_two_sided(u)
-        if tail <= 0.0:
-            continue
-        best = min(best, (n + u ** exponent) / u ** 2 * math.log(2.0 / tail))
-    return best
-
-
 def _check_c3(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
     n = int(max(cfg.n_values))
     count = min(cfg.samples, 200)
     k53 = np.empty(count)
     k1 = np.empty(count)
-    for i, sys in _per_sample_systems(ctx, ctx.h, n, count):
-        law = sys.contact_law(n_cap=max(2048, n))
-        k53[i] = _tail_kappa(law, ctx.u_values, n, 5.0 / 3.0)
-        k1[i] = _tail_kappa(law, ctx.u_values, n, 1.0)
+    for i, sys in enumerate(mc._block_systems(cfg, ctx.h, n, count)):
+        law = sys.contact_law()
+        tails = [law.tail_two_sided(u) for u in ctx.u_values]
+        k53[i] = mc._tail_kappa(ctx.u_values, tails, n, 5.0 / 3.0)
+        k1[i] = mc._tail_kappa(ctx.u_values, tails, n, 1.0)
     fitted = {
         "kappa_hat": float(np.min(k53)),
         "kappa_hat_stderr": float(k53.std(ddof=1) / math.sqrt(count)),
@@ -311,13 +291,13 @@ def _check_c4(ctx: CheckContext) -> CheckReport:
     clauses.append(bool(w_pos))
     if top.ks is not None:
         metrics["ks_centering"] = top.ks
-        clauses.append(top.ks <= ctx.centering_ks_threshold)
+        clauses.append(top.ks <= _CENTERING_KS_THRESHOLD)
     return CheckReport("C4", CHECK_DESCRIPTIONS["C4"],
                        {"h": ctx.h, "n_values": cfg.n_values,
                         "samples": cfg.samples},
                        metrics, fitted,
                        {"w_sigma": 3.0,
-                        "ks_threshold": ctx.centering_ks_threshold,
+                        "ks_threshold": _CENTERING_KS_THRESHOLD,
                         "linearity_sigma": 2.0},
                        all(clauses))
 
@@ -382,12 +362,12 @@ def _excursion_band(n: int, mu_hat: float, eps: float) -> tuple[int, int]:
 
 def _excursion_band_mass(ctx: CheckContext, h: float, n: int,
                          mu_hat: float) -> tuple[float, float, dict]:
-    m_lo, m_hi = _excursion_band(n, mu_hat, ctx.band_eps)
+    m_lo, m_hi = _excursion_band(n, mu_hat, _BAND_EPS)
     m_cap = min(m_hi + 3, n)
     count = 1 if ctx.is_pure else ctx.exact_samples
     masses = np.empty(count)
     cdf = np.zeros(m_cap)
-    for i, sys in _per_sample_systems(ctx, h, n, count):
+    for i, sys in enumerate(mc._block_systems(ctx.mc, h, n, count)):
         # largest cap first: the system builds every band in one pass
         row = np.array([sys.max_excursion_cdf(m)
                         for m in range(m_cap, 0, -1)])[::-1]
@@ -432,7 +412,7 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
     passed = increasing and mass[-1] > 0.9
     return CheckReport("C6", CHECK_DESCRIPTIONS["C6"],
                        {"h": ctx.h, "n_values": ns,
-                        "band_eps": ctx.band_eps,
+                        "band_eps": _BAND_EPS,
                         "samples": 1 if ctx.is_pure else ctx.exact_samples},
                        metrics, {"mu_hat": mu_hat,
                                  "mu_hat_stderr": mu.slope_stderr},
@@ -445,7 +425,7 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
 # C7: exponential decay of the two-replica and mixing series
 
 def _check_c7(ctx: CheckContext) -> CheckReport:
-    scan = mc.correlation_decay_scan(ctx.mc, ctx.h, fit_range=ctx.fit_range)
+    scan = mc.correlation_decay_scan(ctx.mc, ctx.h)
     metrics = {
         "gamma_hat": scan.gamma_hat, "gamma_stderr": scan.gamma_stderr,
         "fit_r2": scan.fit_r2, "floor_flag": scan.floor_flag,
@@ -457,7 +437,7 @@ def _check_c7(ctx: CheckContext) -> CheckReport:
               "mix_gamma_hat": scan.mix_gamma,
               "mix_gamma_hat_stderr": scan.mix_gamma_stderr}
     clauses = [scan.gamma_hat > 3.0 * scan.gamma_stderr,
-               scan.fit_r2 >= ctx.r2_threshold]
+               scan.fit_r2 >= _R2_THRESHOLD]
     if math.isfinite(scan.mix_gamma):
         clauses.append(scan.mix_gamma > 0.0)
     else:
@@ -466,9 +446,9 @@ def _check_c7(ctx: CheckContext) -> CheckReport:
     return CheckReport("C7", CHECK_DESCRIPTIONS["C7"],
                        {"h": ctx.h, "window": ctx.mc.window,
                         "samples": ctx.mc.samples,
-                        "fit_range": list(ctx.fit_range)},
+                        "fit_range": list(scan.fit_range)},
                        metrics, fitted,
-                       {"gamma_sigma": 3.0, "r2_threshold": ctx.r2_threshold},
+                       {"gamma_sigma": 3.0, "r2_threshold": _R2_THRESHOLD},
                        passed,
                        extras={"log_mean_a": scan.log_mean_a.tolist(),
                                "mix_mean": scan.mix_mean.tolist()})
@@ -662,12 +642,12 @@ def _check_c13(ctx: CheckContext) -> CheckReport:
         ns = sorted(set(list(ns) + [64, 128, 256]))
     rho_probe = mc.sample_cumulants(cfg, ctx.h, max(ns), 2)
     rho_hat = float(np.mean(rho_probe[:, 1] / max(ns)))
-    delta = ctx.delta_frac * rho_hat
+    delta = _DELTA_FRAC * rho_hat
     log_mean = []
     for n in ns:
         vals = np.full(count, -np.inf)  # per-sample log P[L_n < delta n]
-        for i, sys in _per_sample_systems(ctx, ctx.h, n, count):
-            law = sys.contact_law(n_cap=max(2048, n))
+        for i, sys in enumerate(mc._block_systems(cfg, ctx.h, n, count)):
+            law = sys.contact_law()
             cut = min(int(math.ceil(delta * n)), law.log_pmf.size)
             head = law.log_pmf[:cut]
             m = float(np.max(head, initial=-np.inf))
@@ -693,7 +673,7 @@ def _check_c13(ctx: CheckContext) -> CheckReport:
         metrics[f"log_mean_prob_n{n}"] = v
     return CheckReport("C13", CHECK_DESCRIPTIONS["C13"],
                        {"h": ctx.h, "n_values": ns, "samples": count,
-                        "delta_frac": ctx.delta_frac},
+                        "delta_frac": _DELTA_FRAC},
                        metrics,
                        {"rate_hat": rate, "rate_hat_stderr": rate_err},
                        {"rate_sigma": 2.0}, passed)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -90,6 +91,32 @@ def test_validation_anchors(patch, anchor):
     assert err.value.anchor == anchor
 
 
+@pytest.mark.parametrize("block,field,value", [
+    ("run", "samples", 200.7),
+    ("run", "samples", "200"),
+    ("run", "samples", 200.0),
+    ("run", "master_seed", 1.5),
+    ("run", "master_seed", 2 ** 64),
+    ("run", "threads", True),
+    ("run", "threads", 0),
+    ("grids", "window", 16.9),
+    ("grids", "r_max", 6.5),
+    ("grids", "r_max", False),
+    ("model", "n_max", 512.5),
+    ("model", "n_max", None),
+])
+def test_integer_fields_reject_non_integers(tmp_path, block, field, value):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({block: {field: value}})
+    assert err.value.anchor == f"{block}.{field}"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({block: {field: value}}, indent=2))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(p))
+    # path:line: block.field: why, the line being the field's own
+    assert str(err.value).startswith(f"{p}:3: {block}.{field}: must ")
+
+
 def test_load_errors_carry_path_and_line(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError) as err:
@@ -123,8 +150,10 @@ def test_mc_config_mapping():
     assert mc_cfg.h_values == (1.0, 2.0)
     assert mc_cfg.n_values == (16, 32)
     assert mc_cfg.samples == 10 and mc_cfg.master_seed == 7
-    assert mc_cfg.threads == 2 and mc_cfg.window == 16
-    assert cfg.mc_config(threads=8).threads == 8  # CLI override wins
+    assert mc_cfg.window == 16
+    # threads is accepted and kept in the config, and reaches no estimator
+    assert cfg.to_dict()["run"]["threads"] == 2
+    assert "threads" not in {f.name for f in dataclasses.fields(mc_cfg)}
 
 
 def test_check_context_mapping():
@@ -137,7 +166,7 @@ def test_check_context_mapping():
     assert ctx.h == 2.5  # defaults to the largest grid point
     assert ctx.clt_n_values == (128, 256)  # clipped at the horizon
     assert ctx.excursion_n_values == (64, 128, 256)
-    assert ctx.fit_range == (4, 24)
+    assert ctx.mc.window == 32  # the C7 fit range follows from the window
     explicit = RunConfig.from_dict({"checks": {"h": 1.25}})
     assert explicit.check_context().h == 1.25
 

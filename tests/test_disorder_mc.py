@@ -85,17 +85,6 @@ def test_kappa1_path_is_prefix_cumulant():
                                                rel=1e-9, abs=1e-10)
 
 
-def test_thread_count_is_invisible():
-    for threads in (2, 4, 8):
-        a = sample_log_z(_cfg(samples=100), 2.0, 32)
-        b = sample_log_z(_cfg(samples=100, threads=threads), 2.0, 32)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-    c = sample_cumulants(_cfg(samples=70), 2.0, 24, 3)
-    d = sample_cumulants(_cfg(samples=70, threads=4), 2.0, 24, 3)
-    np.testing.assert_array_equal(c, d)
-
-
 # -- the run memo ---------------------------------------------------------------
 
 def _kernel_calls():

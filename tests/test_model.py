@@ -82,6 +82,10 @@ def test_table_law_roundtrip_and_validation():
     law = law_from_table([0.5, 0.25, 0.125])
     assert law.alpha is None
     assert [law.p(t) for t in (1, 2, 3)] == pytest.approx([0.5, 0.25, 0.125])
+    # the linear table is its log table, bit for bit
+    log_law = law_from_log_table(np.log([0.5, 0.25, 0.125]))
+    assert law.log_p.tobytes() == log_law.log_p.tobytes()
+    assert law.xi == log_law.xi
     with pytest.raises(ValueError):
         law_from_table([0.5])
     with pytest.raises(ValueError):

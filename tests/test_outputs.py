@@ -2,7 +2,9 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pinlab.disorder_mc import EstimateSeries, McConfig, correlation_decay_scan
@@ -154,9 +156,26 @@ def test_plot_series_needs_multiple_points(tmp_path):
 
 
 def test_plot_decay(tmp_path):
-    written = plot_decay(str(tmp_path), [_decay()])
+    p = tmp_path / "decay.csv"
+    d = _decay()
+    write_decay_csv(str(p), [d])
+    written = plot_decay(str(tmp_path), str(p))
     assert [os.path.basename(w) for w in written] == ["avoidance_vs_j.svg"]
     ET.parse(written[0])
+    # a curve with no finite point is left out; none left, no plot
+    dead = replace(d, log_mean_a=np.full_like(d.log_mean_a, -np.inf))
+    write_decay_csv(str(p), [dead])
+    os.remove(written[0])
+    assert plot_decay(str(tmp_path), str(p)) == []
+    assert not os.path.exists(written[0])
+    write_decay_csv(str(p), [dead, replace(d, h=2.0)])
+    assert plot_decay(str(tmp_path), str(p)) == written
+    ET.parse(written[0])
+    assert "h=2" in open(written[0]).read()
+    assert "h=1" not in open(written[0]).read()
+    p.write_text("quantity,h\n")
+    with pytest.raises(ValueError):
+        plot_decay(str(tmp_path), str(p))
 
 
 def test_plot_report_reads_clt_metrics(tmp_path):

@@ -28,7 +28,7 @@ LAW = build_law(1.0, None, 256)
 def _small_ctx(disorder=None, **kw):
     cfg = McConfig(LAW, disorder or gaussian_disorder(1.0), (2.0, 3.0),
                    (32, 64, 128), samples=24, master_seed=9, window=32)
-    base = dict(mc=cfg, h=3.0, h_grid=(2.0, 2.5, 3.0), fit_range=(4, 24),
+    base = dict(mc=cfg, h=3.0, h_grid=(2.0, 2.5, 3.0),
                 clt_n_values=(32, 64), clt_seeds=2,
                 excursion_n_values=(32, 64, 128), hl_seeds=2, hl_n_max=128,
                 oracle_instances=20, exact_samples=2, centering_samples=100)
