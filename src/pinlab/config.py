@@ -85,9 +85,15 @@ class ModelBlock:
         if self.kind == "table":
             _need(len(self.table) >= 2, "model.table",
                   "needs at least p(1), p(2)")
-            _need(all(isinstance(v, (int, float)) and v > 0
-                      for v in self.table),
-                  "model.table", "entries must be positive reals")
+            for v in self.table:
+                _need(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and v > 0, "model.table",
+                      f"must hold positive reals only (got {v!r})")
+
+    @property
+    def horizon(self) -> int:
+        """n_max of the law build() returns: a table law's is its length."""
+        return len(self.table) if self.kind == "table" else int(self.n_max)
 
     def build(self) -> InterArrivalLaw:
         if self.kind == "geometric":
@@ -113,14 +119,13 @@ class DisorderBlock:
         return DISORDER_FAMILIES[self.family](self.param)
 
 
-def _sorted_positive(values, anchor: str, integral: bool):
+def _sorted_positive(values, anchor: str):
+    """A nonempty, strictly ascending list of integers >= 1 (a bool or a
+    float is not one, as in _need_int)."""
     _need(len(values) > 0, anchor, "must be nonempty")
     for v in values:
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-        _need(ok, anchor, f"entries must be numbers (got {v!r})")
-        if integral:
-            _need(float(v).is_integer() and v >= 1, anchor,
-                  f"entries must be positive integers (got {v!r})")
+        _need(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+              anchor, f"must hold integers >= 1 only (got {v!r})")
     _need(list(values) == sorted(values), anchor, "must be sorted ascending")
     _need(len(set(values)) == len(values), anchor, "must not repeat entries")
 
@@ -140,7 +145,7 @@ class GridsBlock:
         _need(len(self.h_values) > 0, "grids.h_values", "must be nonempty")
         _need(list(self.h_values) == sorted(self.h_values), "grids.h_values",
               "must be sorted ascending")
-        _sorted_positive(self.n_values, "grids.n_values", integral=True)
+        _sorted_positive(self.n_values, "grids.n_values")
         _need(len(self.u_grid) > 0, "grids.u_grid", "must be nonempty")
         for v in self.u_grid:
             _need(isinstance(v, (int, float)) and v >= 0.0, "grids.u_grid",
@@ -199,10 +204,11 @@ class RunConfig:
         for block in (self.model, self.disorder, self.grids, self.run,
                       self.checks):
             block.validate()
-        _need(max(self.grids.n_values) <= int(self.model.n_max),
+        _need(max(self.grids.n_values) <= self.model.horizon,
               "grids.n_values",
               f"horizon exceeded: max n {max(self.grids.n_values)} > "
-              f"model.n_max {self.model.n_max}")
+              f"{self.model.horizon}, the law's horizon (model.n_max, or "
+              f"the length of model.table)")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -259,7 +265,7 @@ class RunConfig:
         cfg = self.mc_config()
         h = float(self.checks.h) if self.checks.h is not None \
             else float(max(self.grids.h_values))
-        n_max = int(self.model.n_max)
+        n_max = self.model.horizon
         top = min(4096, n_max)
         return CheckContext(
             mc=cfg, h=h,

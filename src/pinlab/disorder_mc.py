@@ -4,9 +4,10 @@ Every estimator draws S independent charge vectors from counter-derived
 streams (master_seed, sample_index), runs the exact DP per sample, and
 reduces in sample-index order.  Samples are drawn and evaluated in fixed
 blocks of 64, one after the other in index order on the calling thread (a
-worker pool measured no faster).  Checks that need a whole system per
-sample (its contact law or excursion CDF) build them with
-``_block_systems``, one ``QuenchedSystem`` per sample of one block.
+worker pool measured no faster).  Callers that need a whole system per
+sample (its contact law, excursion CDF or two-replica avoidance) build
+them with ``_block_systems``, one ``QuenchedSystem`` per sample, drawn a
+block at a time.
 
 Per-sample log Z runs the quenched module's forward engine ``_forward``
 on a whole block of samples, one row each; per-sample cumulants and
@@ -99,16 +100,13 @@ class EstimateSeries:
 
 
 def _block_systems(cfg: McConfig, h: float, n: int, count: int):
-    """QuenchedSystems of samples 0..count-1, drawn as one block."""
-    block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, 0, count)
-    for i in range(count):
-        yield QuenchedSystem(cfg.law, h, block[i], n)
-
-
-def _run_chunked(count: int, job) -> None:
-    """job(lo, hi) fills a preallocated slice for samples [lo, hi)."""
+    """QuenchedSystems of samples 0..count-1, in index order.  Charges are
+    drawn _CHUNK rows at a time, so at most one block of them is held."""
     for lo in range(0, count, _CHUNK):
-        job(lo, min(lo + _CHUNK, count))
+        block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo,
+                                      min(_CHUNK, count - lo))
+        for row in block:
+            yield QuenchedSystem(cfg.law, h, row, n)
 
 
 # block rows of the open run scope, or None outside one
@@ -133,12 +131,12 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
     rows; returns the (S, width) stacked result in index order."""
     out = np.empty((cfg.samples, width))
     memo = _MEMO.get()
-
-    def job(lo, hi):
+    for lo in range(0, cfg.samples, _CHUNK):
+        hi = min(lo + _CHUNK, cfg.samples)
         block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo, hi - lo)
         if memo is None:
             out[lo:hi] = kernel(block)
-            return
+            continue
         # the entry holds the law, so its id is not reused while it lives
         key = (kernel.__qualname__, id(cfg.law), float(h), width, block.shape,
                hashlib.blake2b(block, digest_size=20).digest())
@@ -148,8 +146,6 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
             rows.flags.writeable = False
             entry = memo[key] = (cfg.law, rows)
         out[lo:hi] = entry[1]
-
-    _run_chunked(cfg.samples, job)
     return out
 
 
@@ -261,18 +257,13 @@ class FResult:
     series: EstimateSeries
     annealed: float
     per_sample: np.ndarray = field(repr=False)
-    per_sample_minus: np.ndarray = field(repr=False)
-
-    @property
-    def f_minus_mean(self) -> float:
-        return float(np.mean(self.per_sample_minus))
 
 
 def estimate_f(cfg: McConfig, h: float, n: int) -> FResult:
     """Quenched free-energy estimate (1/n) log Z averaged over disorder,
     with the annealed value (1/n) log mean(Z); quenched <= annealed is an
     exact per-run inequality, and a violation raises RuntimeError."""
-    log_z, log_zm = sample_log_z(cfg, h, n)
+    log_z, _ = sample_log_z(cfg, h, n)
     vals = log_z / n
     mean, stderr = _mean_stderr(vals)
     m = float(np.max(log_z))
@@ -281,7 +272,7 @@ def estimate_f(cfg: McConfig, h: float, n: int) -> FResult:
         raise RuntimeError(f"Jensen inequality violated: quenched {mean!r} "
                            f"> annealed {annealed!r}")
     series = EstimateSeries("f", h, n, mean, stderr, cfg.samples)
-    return FResult(series, annealed, vals, log_zm / n)
+    return FResult(series, annealed, vals)
 
 
 @dataclass(frozen=True)
@@ -388,16 +379,6 @@ def centering_statistics(cfg: McConfig, h: float, n: int) -> CenteringResult:
     ks = None
     if not degenerate and cfg.samples >= 100:
         ks = ks_to_normal(k1)
-    d = k1 - k1.mean()
-    m2 = float(np.mean(d ** 2))
-    k3 = float(np.mean(d ** 3))
-    k4 = float(np.mean(d ** 4)) - 3.0 * m2 ** 2
-
-    if degenerate:
-        # identical samples: the spread statistics of kappa_1 are exactly 0,
-        # not the roundoff of deviations from a mean that rounds off the
-        # common value
-        mean_stderr = w_stderr = k3 = k4 = 0.0
 
     def _k3(b):
         return float(np.mean((b - b.mean()) ** 3))
@@ -405,6 +386,13 @@ def centering_statistics(cfg: McConfig, h: float, n: int) -> CenteringResult:
     def _k4(b):
         bb = b - b.mean()
         return float(np.mean(bb ** 4) - 3.0 * np.mean(bb ** 2) ** 2)
+
+    k3, k4 = _k3(k1), _k4(k1)
+    if degenerate:
+        # identical samples: the spread statistics of kappa_1 are exactly 0,
+        # not the roundoff of deviations from a mean that rounds off the
+        # common value
+        mean_stderr = w_stderr = k3 = k4 = 0.0
 
     return CenteringResult(
         h, n, cfg.samples, mean, mean_stderr, w_hat, w_stderr,
@@ -422,7 +410,6 @@ class DecayResult:
     window: int
     samples: int
     offsets: tuple
-    j_values: np.ndarray
     log_mean_a: np.ndarray
     rel_stderr_a: np.ndarray
     fit_range: tuple
@@ -431,17 +418,11 @@ class DecayResult:
     log_G_hat: float
     fit_r2: float
     floor_flag: bool
-    mix_gaps: np.ndarray
-    mix_mean: np.ndarray
+    mix_mean: np.ndarray        # entry g-1 is the mean ratio at gap g
     mix_fit_range: tuple
     mix_gamma: float
     mix_gamma_stderr: float
     mix_r2: float
-
-    @property
-    def mean_a(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_mean_a)
 
     def series(self) -> list[EstimateSeries]:
         return [
@@ -465,7 +446,7 @@ def _mixing_ratio(system: QuenchedSystem, window: int,
     fits.  One masked (gaps x sites) array, pairs past n-1 zeroed out."""
     n = system.n
     pre, suf = system.prefix_logZ, system.suffix_logZ()
-    seg = system.segment_partitions(window).table
+    seg = system.segment_partitions(window)
     probs = np.exp(np.minimum(pre + suf - pre[n], 0.0))
     a = np.arange(1, n)
     b = a + gaps[:, None]
@@ -499,17 +480,11 @@ def correlation_decay_scan(cfg: McConfig, h: float,
     log_prof = np.empty((cfg.samples, len(offsets), window + 1))
     mix_vals = np.empty((cfg.samples, gaps.size))
     log_z_abs = np.empty(cfg.samples)
-
-    def job(lo, hi):
-        block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo, hi - lo)
-        for i in range(hi - lo):
-            sys = QuenchedSystem(cfg.law, h, block[i], n)
-            for oi, o in enumerate(offsets):
-                log_prof[lo + i, oi] = sys.two_replica_avoidance_log(window, o)
-            mix_vals[lo + i] = _mixing_ratio(sys, window, gaps)
-            log_z_abs[lo + i] = abs(sys.log_z)
-
-    _run_chunked(cfg.samples, job)
+    for i, sys in enumerate(_block_systems(cfg, h, n, cfg.samples)):
+        for oi, o in enumerate(offsets):
+            log_prof[i, oi] = sys.two_replica_avoidance_log(window, o)
+        mix_vals[i] = _mixing_ratio(sys, window, gaps)
+        log_z_abs[i] = abs(sys.log_z)
 
     # pooled mean over samples x offsets, entirely in the log domain
     pooled = log_prof.reshape(-1, window + 1)
@@ -556,10 +531,9 @@ def correlation_decay_scan(cfg: McConfig, h: float,
         mix_range = (0, 0)
         mix_gamma = mix_err = mix_r2 = float("nan")
 
-    return DecayResult(h, n, window, cfg.samples, offsets,
-                       np.arange(window + 1), log_mean, rel_err,
+    return DecayResult(h, n, window, cfg.samples, offsets, log_mean, rel_err,
                        (j_lo, j_hi), gamma_hat, gamma_err, log_g, r2,
-                       floor_flag, gaps, mix_mean, mix_range,
+                       floor_flag, mix_mean, mix_range,
                        mix_gamma, mix_err, mix_r2)
 
 

@@ -1,9 +1,10 @@
 """Log-domain scalars and truncated Taylor jets.
 
 A nonnegative quantity is carried as its natural logarithm (a plain float),
-with ``-inf`` as the distinguished encoding of exact zero.  Sums of such
-quantities always go through :func:`log_sum_exp`, so no intermediate
-``exp`` can overflow or underflow.
+with ``-inf`` as the distinguished encoding of exact zero.
+:func:`log_sum_exp` sums such quantities without an intermediate ``exp``
+overflowing or underflowing.  Only ``oracle`` calls it: the DP engines
+and the estimators shift by the max inline, over whole arrays.
 
 A :class:`ScaledJet` carries a quantity together with its first ``order``
 derivatives in a scalar parameter: the zeroth-order value lives in ``scale``

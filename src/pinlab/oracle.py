@@ -9,9 +9,10 @@ Also hosts the closed-form route to the pure-model free energy: the root
 z* of e^h * sum_t p(t) z^t = 1, with f(h) = -log z*, and the subtractive
 two-replica recursion and the log-domain pair recursion, two reference
 routes for the scaled pair DP of QuenchedSystem at window sizes past
-enumeration.  Helpers that only tests use live here too: ``ursell``, the
-joint contact cumulants of a QuenchedSystem from its renewal-factorized
-moments, and ``log_mean_exp``.
+enumeration.  Helpers that only tests use live here too: the joint
+contact moments and covariances of a QuenchedSystem by the renewal
+factorization (``contact_moment``, ``contact_covariance``), ``ursell``,
+its joint contact cumulants from those moments, and ``log_mean_exp``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .numerics import log_sum_exp
+from .quenched import _forward
 
 ORACLE_MAX_N = 16
 
@@ -188,10 +190,41 @@ def enumerate_joint_cumulant(law, h: float, omega, n: int, sites) -> float:
     return total
 
 
+def contact_moment(system, sites) -> float:
+    """E[prod X_a] over the given sites of a QuenchedSystem by the ordered
+    renewal factorization: the prefix up to the first site, log Z of every
+    segment between consecutive sites, the suffix from the last.  A
+    segment is read from the system's cached segment table when one is
+    wide enough, else ``_forward`` runs on its sub-range."""
+    uniq = sorted(set(int(a) for a in sites))
+    if not uniq:
+        return 1.0
+    if uniq[0] < 0 or uniq[-1] > system.n:
+        raise ValueError("sites out of range")
+    seg = system._segments  # never built here, only read
+    log_m = (system.prefix_logZ[uniq[0]] - system.log_z
+             + system.suffix_logZ()[uniq[-1]])
+    for x, y in zip(uniq, uniq[1:]):
+        if seg is not None and y - x < seg.shape[1]:
+            log_m += seg[x, y - x]
+        else:
+            weights = system.site_weight[None, x + 1:y + 1]
+            log_m += _forward(system.law.log_p, weights)[0, -1]
+    return min(1.0, math.exp(log_m))
+
+
+def contact_covariance(system, a: int, b: int) -> float:
+    """cov[X_a, X_b] of a QuenchedSystem, a <= b."""
+    if a > b:
+        raise ValueError("need a <= b")
+    return contact_moment(system, (a, b)) - \
+        system.contact_probability(a) * system.contact_probability(b)
+
+
 def ursell(system, sites) -> float:
     """Joint cumulant of (X_a)_{a in sites} of a QuenchedSystem, r <= 4, by
     the set-partition formula with the block moments from
-    ``system.contact_moment`` (the renewal factorization)."""
+    ``contact_moment`` (the renewal factorization)."""
     sites = tuple(int(a) for a in sites)
     if len(sites) > 4:
         raise ValueError("ursell capped at r = 4")
@@ -205,7 +238,7 @@ def ursell(system, sites) -> float:
         coef = (-1.0) ** (l - 1) * math.factorial(l - 1)
         prod = 1.0
         for block in part:
-            prod *= system.contact_moment(block)
+            prod *= contact_moment(system, block)
         total += coef * prod
     return total
 
@@ -256,8 +289,7 @@ def two_replica_profiles(system, window: int, starts) -> np.ndarray:
     subtraction loses relative precision once a_j nears machine epsilon,
     which the pair DP (``two_replica_avoidance_log``) does not;
     tests compare the two where both are accurate."""
-    seg = system.segment_partitions(window)
-    t = seg.table
+    t = system.segment_partitions(window)
     starts = np.asarray(starts, dtype=np.intp)
     if starts.size and (starts.min() < 0 or starts.max() + window > system.n):
         raise ValueError("window falls outside the system")
@@ -311,7 +343,7 @@ def two_replica_avoidance_lse(system, window: int, start: int = 0) -> np.ndarray
         if t >= 2:
             pairs = logsumexp(grid + lpt[:, None] + lpt[None, :])
             close = np.logaddexp(close, pairs + 2.0 * bw[t])
-        out[t] = close - 2.0 * seg.log_z(start, start + t)
+        out[t] = close - 2.0 * seg[start, t]
         if t == window:
             break
         # open states (x, t): the trailing replica (index v) or the leading

@@ -198,26 +198,6 @@ def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
 
 
 @dataclass(frozen=True)
-class SegmentTable:
-    """Windowed log Z over segments: entry (i, l) is log Z_{[i, i+l]}.
-
-    The segment system on [i, j] uses charges omega_{i+1}..omega_j, so row
-    0 coincides with the prefix table.  Entries beyond the window or past
-    n are -inf."""
-
-    n: int
-    window: int
-    table: np.ndarray = field(repr=False)
-
-    def log_z(self, i: int, j: int) -> float:
-        if not 0 <= i <= j <= self.n:
-            raise ValueError(f"bad segment [{i}, {j}]")
-        if j - i > self.window:
-            raise ValueError(f"segment [{i}, {j}] wider than window {self.window}")
-        return float(self.table[i, j - i])
-
-
-@dataclass(frozen=True)
 class ContactLaw:
     """Exact law of the contact number L_n; log_pmf[l] = log P[L_n = l],
     entry 0 is -inf (the pinned endpoint forces L_n >= 1)."""
@@ -228,36 +208,12 @@ class ContactLaw:
     def pmf(self) -> np.ndarray:
         return np.exp(self.log_pmf)
 
-    def mean(self) -> float:
-        p = self.pmf()
-        return float(np.arange(self.n + 1) @ p)
-
-    def variance(self) -> float:
-        p = self.pmf()
-        l = np.arange(self.n + 1, dtype=float)
-        mu = float(l @ p)
-        return float(((l - mu) ** 2) @ p)
-
     def tail_two_sided(self, u: float) -> float:
         """P[|L_n - E L_n| > u]."""
         p = self.pmf()
         l = np.arange(self.n + 1, dtype=float)
         mu = float(l @ p)
         return float(p[np.abs(l - mu) > u].sum())
-
-    def cdf_below(self, threshold: float) -> float:
-        """P[L_n < threshold]."""
-        p = self.pmf()
-        l = np.arange(self.n + 1, dtype=float)
-        return float(p[l < threshold].sum())
-
-
-@dataclass(frozen=True)
-class CumulantVector:
-    """kappa[k] is the k-th derivative of log Z in h (entry 0 unused)."""
-
-    r_max: int
-    kappa: np.ndarray = field(repr=False)
 
 
 def ks_to_standard_normal(law: ContactLaw) -> tuple[float, float, float]:
@@ -333,30 +289,22 @@ class QuenchedSystem:
             self._suffix = rev[::-1] - b + b[n]
         return self._suffix
 
-    def segment_partitions(self, window: int) -> SegmentTable:
+    def segment_partitions(self, window: int) -> np.ndarray:
+        """seg[i, l] = log Z_{[i, i+l]} for l = 0..width, cached.
+
+        The segment system on [i, j] uses charges omega_{i+1}..omega_j, so
+        row 0 coincides with the prefix table.  Entries past n are -inf.
+        The cached width is shape[1] - 1: at least window, more when a
+        wider table was asked for earlier."""
         if window > self.n:
             raise ValueError("window exceeds system size")
-        if self._segments is None or self._segments.window < window:
-            self._segments = self._build_segments(window)
+        if self._segments is None or self._segments.shape[1] - 1 < window:
+            # row i runs on b[i+1..i+window]; -inf padding past n gives -inf
+            padded = np.concatenate((self.site_weight[1:],
+                                     np.full(window, LOG_ZERO)))
+            rows = np.lib.stride_tricks.sliding_window_view(padded, window)
+            self._segments = _forward(self.law.log_p, rows)
         return self._segments
-
-    def _build_segments(self, window: int) -> SegmentTable:
-        # row i runs on b[i+1..i+window]; -inf padding past n gives -inf
-        padded = np.concatenate((self.site_weight[1:],
-                                 np.full(window, LOG_ZERO)))
-        rows = np.lib.stride_tricks.sliding_window_view(padded, window)
-        return SegmentTable(self.n, window, _forward(self.law.log_p, rows))
-
-    def _segment_log_z(self, i: int, j: int) -> float:
-        """log Z_{[i, j]} for arbitrary width (table when it fits)."""
-        if i == j:
-            return 0.0
-        if self._segments is not None and j - i <= self._segments.window:
-            return self._segments.log_z(i, j)
-        if i == 0:
-            return float(self.prefix_logZ[j])
-        z = _forward(self.law.log_p, self.site_weight[None, i + 1:j + 1])
-        return float(z[0, -1])
 
     # -- contact observables ----------------------------------------------
 
@@ -368,25 +316,6 @@ class QuenchedSystem:
             return 1.0
         suf = self.suffix_logZ()
         return min(1.0, math.exp(self.prefix_logZ[a] + suf[a] - self.log_z))
-
-    def contact_moment(self, sites) -> float:
-        """E[prod X_a] by the ordered renewal factorization."""
-        uniq = sorted(set(int(a) for a in sites))
-        if not uniq:
-            return 1.0
-        if uniq[0] < 0 or uniq[-1] > self.n:
-            raise ValueError("sites out of range")
-        suf = self.suffix_logZ()
-        log_m = self.prefix_logZ[uniq[0]] - self.log_z + suf[uniq[-1]]
-        for x, y in zip(uniq, uniq[1:]):
-            log_m += self._segment_log_z(x, y)
-        return min(1.0, math.exp(log_m))
-
-    def contact_covariance(self, a: int, b: int) -> float:
-        if a > b:
-            raise ValueError("need a <= b")
-        return self.contact_moment((a, b)) - \
-            self.contact_probability(a) * self.contact_probability(b)
 
     # -- law of the contact number ----------------------------------------
 
@@ -411,8 +340,9 @@ class QuenchedSystem:
 
     # -- cumulants via jets -------------------------------------------------
 
-    def cumulants(self, r_max: int) -> CumulantVector:
-        """kappa_k = d^k/dh^k log Z for k = 1..r_max, r_max <= DEFAULT_JET_ORDER.
+    def cumulants(self, r_max: int) -> np.ndarray:
+        """kappa[k] = d^k/dh^k log Z for k = 1..r_max, r_max <=
+        DEFAULT_JET_ORDER; kappa[0] = log Z.
 
         The jet always runs at order DEFAULT_JET_ORDER = 8, whatever r_max.
         Cumulants come from the normalized moments by cancellation, so the
@@ -423,7 +353,7 @@ class QuenchedSystem:
         if r_max > DEFAULT_JET_ORDER:
             raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:
-            return CumulantVector(r_max, np.zeros(r_max + 1))
+            return np.zeros(r_max + 1)
         sc, coef = _jet_forward(self.law.log_p, self.site_weight[None, 1:],
                                 DEFAULT_JET_ORDER)
         g = log_of_jet(ScaledJet(sc[0, -1], coef[0, -1]))
@@ -431,7 +361,7 @@ class QuenchedSystem:
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
             kappa[k] = math.factorial(k) * g[k]
-        return CumulantVector(r_max, kappa)
+        return kappa
 
     # -- two-replica avoidance ----------------------------------------------
 
@@ -449,7 +379,7 @@ class QuenchedSystem:
             raise ValueError("window falls outside the system")
         # row `start` of the segment table is _forward on the window's
         # weights, bit for bit (the engine is row-local)
-        zseg = self.segment_partitions(window).table[start, :window + 1]
+        zseg = self.segment_partitions(window)[start, :window + 1]
         bw = self.site_weight[start:start + window + 1]  # bw[x]: site start+x
         return _pair_forward(self.law.log_p, bw[None], zseg[None])[0]
 

@@ -134,9 +134,9 @@ def default_context(master_seed: int = 20260815) -> CheckContext:
     return CheckContext(mc=cfg, h=3.0)
 
 
-def _sigma_word(value: float, err: float, mult: float = 2.0) -> float:
-    """Tolerance band: mult * err, inf-safe."""
-    return mult * err if math.isfinite(err) else math.inf
+def _two_sigma(err: float) -> float:
+    """Tolerance band: 2 err, inf-safe."""
+    return 2.0 * err if math.isfinite(err) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def _check_c1(ctx: CheckContext) -> CheckReport:
         metrics[f"kappa{r}_per_n_stderr"] = er[-1]
         metrics[f"kappa{r}_last_step"] = diffs[-1]
         if len(diffs) >= 2:
-            tol = _sigma_word(0.0, math.hypot(*er[-3:]))
+            tol = _two_sigma(math.hypot(*er[-3:]))
             clauses.append(diffs[-1] <= diffs[-2] + tol)
             metrics[f"kappa{r}_step_shrinks"] = clauses[-1]
     # Gevrey-style growth constant at the largest n, r <= r_max
@@ -202,7 +202,7 @@ def _check_c2(ctx: CheckContext) -> CheckReport:
         if ctx.clt_seeds > 1 else np.zeros(len(ns))
     non_increasing = True
     for k in range(1, len(ns)):
-        tol = _sigma_word(0.0, float(math.hypot(spread[k], spread[k - 1])))
+        tol = _two_sigma(float(math.hypot(spread[k], spread[k - 1])))
         if np.any(ks[:, k] > ks[:, k - 1] + max(tol, 1e-12)):
             non_increasing = False
     final_ok = bool(np.all(ks[:, -1] <= ctx.ks_threshold))
@@ -235,9 +235,9 @@ def _check_c3(ctx: CheckContext) -> CheckReport:
         k1[i] = mc._tail_kappa(ctx.u_values, tails, n, 1.0)
     fitted = {
         "kappa_hat": float(np.min(k53)),
-        "kappa_hat_stderr": float(k53.std(ddof=1) / math.sqrt(count)),
+        "kappa_hat_stderr": mc._mean_stderr(k53)[1],
         "kappa_hat_linear_form": float(np.min(k1)),
-        "kappa_hat_linear_form_stderr": float(k1.std(ddof=1) / math.sqrt(count)),
+        "kappa_hat_linear_form_stderr": mc._mean_stderr(k1)[1],
     }
     passed = fitted["kappa_hat"] > 0.0
     return CheckReport("C3", CHECK_DESCRIPTIONS["C3"],
@@ -272,7 +272,7 @@ def _check_c4(ctx: CheckContext) -> CheckReport:
     fit = mc.linear_fit(ns, mean_n)
     resid = mean_n - (fit["slope"] * ns + fit["intercept"])
     atol = 1e-8 * max(1.0, float(np.max(np.abs(mean_n))))
-    resid_tol = _sigma_word(0.0, float(np.sqrt((err_n ** 2).sum())))
+    resid_tol = _two_sigma(float(np.sqrt((err_n ** 2).sum())))
     linear_ok = bool(np.max(np.abs(resid)) <= max(resid_tol, atol))
     top = results[max(cfg.n_values)]
     metrics = {
@@ -375,10 +375,10 @@ def _excursion_band_mass(ctx: CheckContext, h: float, n: int,
         top = row[m_hi - 1] if m_hi >= 1 else 0.0
         bot = row[m_lo - 1] if m_lo >= 1 else 0.0
         masses[i] = top - bot
-    err = 0.0 if count < 2 else float(masses.std(ddof=1) / math.sqrt(count))
+    mean, err = mc._mean_stderr(masses)
     detail = {"band": (m_lo + 1, m_hi), "cdf_m": list(range(1, m_cap + 1)),
               "cdf_mean": (cdf / count).tolist()}
-    return float(masses.mean()), err, detail
+    return mean, err, detail
 
 
 def _check_c6(ctx: CheckContext) -> CheckReport:
@@ -399,7 +399,7 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
         errs.append(e)
         detail[f"n{n}"] = d
     increasing = localized and all(
-        mass[i + 1] >= mass[i] - max(_sigma_word(0.0, math.hypot(errs[i], errs[i + 1])), 1e-12)
+        mass[i + 1] >= mass[i] - max(_two_sigma(math.hypot(errs[i], errs[i + 1])), 1e-12)
         for i in range(len(mass) - 1))
     metrics = {"band_mass_final": mass[-1], "band_mass_increasing": increasing}
     for n, m in zip(ns, mass):
@@ -560,9 +560,7 @@ def _check_c11(ctx: CheckContext) -> CheckReport:
     n = ctx.hl_n_max
     if n > cfg.law.n_max:
         raise ValueError("hl_n_max exceeds the law horizon")
-    sub = replace(cfg, samples=max(ctx.hl_seeds, 2),
-                  n_values=cfg.n_values if max(cfg.n_values) >= n
-                  else tuple(sorted(set(cfg.n_values) | {n})))
+    sub = replace(cfg, samples=max(ctx.hl_seeds, 2))
     path = mc.sample_kappa1_path(sub, ctx.h, n)[:ctx.hl_seeds]
     rho_hat = float(np.mean(path[:, n] / n))
     horizons = []
@@ -581,7 +579,7 @@ def _check_c11(ctx: CheckContext) -> CheckReport:
     pooled_x = np.repeat(x, path.shape[0])
     pooled_y = ratios.T.reshape(-1)
     fit = mc.linear_fit(pooled_x, pooled_y)
-    passed = fit["slope"] <= _sigma_word(0.0, fit["stderr"])
+    passed = fit["slope"] <= _two_sigma(fit["stderr"])
     metrics = {"slope": fit["slope"], "slope_stderr": fit["stderr"],
                "ratio_final_mean": float(ratios[:, -1].mean()),
                "ratio_final_max": float(ratios[:, -1].max())}
@@ -614,7 +612,7 @@ def _check_c12(ctx: CheckContext) -> CheckReport:
         errs = np.array([getattr(rows[n], f"kappa{r}_stderr")
                          for n in cfg.n_values])
         spread = float(vals.max() - vals.min())
-        tol = _sigma_word(0.0, float(np.sqrt((errs ** 2).sum())))
+        tol = _two_sigma(float(np.sqrt((errs ** 2).sum())))
         ok = spread <= tol
         clauses.append(ok)
         metrics[f"kappa{r}_per_n_values"] = vals.tolist()
@@ -665,7 +663,7 @@ def _check_c13(ctx: CheckContext) -> CheckReport:
         rate, rate_err = -fit["slope"], fit["stderr"]
     else:
         rate, rate_err = math.nan, math.nan
-    passed = bool(rate > _sigma_word(0.0, rate_err)) if math.isfinite(rate) \
+    passed = bool(rate > _two_sigma(rate_err)) if math.isfinite(rate) \
         else False
     metrics = {"rate": rate, "rate_stderr": rate_err, "delta": delta,
                "rho_hat": rho_hat}

@@ -84,6 +84,8 @@ def test_unknown_block_and_field_anchors():
     ({"run": {"jet_order": 8}}, "run.jet_order"),  # removed field
     ({"checks": {"ids": ["C1", "C99"]}}, "checks.ids"),
     ({"grids": {"n_values": [64, 999]}}, "grids.n_values"),  # beyond horizon
+    # a table law's horizon is its length, not model.n_max
+    ({"model": {"kind": "table", "table": [0.5, 0.25]}}, "grids.n_values"),
 ])
 def test_validation_anchors(patch, anchor):
     with pytest.raises(ConfigError) as err:
@@ -104,13 +106,18 @@ def test_validation_anchors(patch, anchor):
     ("grids", "r_max", False),
     ("model", "n_max", 512.5),
     ("model", "n_max", None),
+    ("grids", "n_values", [64.0, 128]),
+    ("model", "table", [0.5, True, 0.125]),
 ])
 def test_integer_fields_reject_non_integers(tmp_path, block, field, value):
+    raw = {block: {field: value}}
+    if field == "table":
+        raw["model"]["kind"] = "table"  # after "table", so its line is 3
     with pytest.raises(ConfigError) as err:
-        RunConfig.from_dict({block: {field: value}})
+        RunConfig.from_dict(raw)
     assert err.value.anchor == f"{block}.{field}"
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({block: {field: value}}, indent=2))
+    p.write_text(json.dumps(raw, indent=2))
     with pytest.raises(ConfigError) as err:
         load_config(str(p))
     # path:line: block.field: why, the line being the field's own

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from pinlab.model import build_law, geometric_test_law, zero_disorder
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import (
+    contact_covariance,
+    contact_moment,
     enumerate_avoidance,
     enumerate_contact_pmf,
     enumerate_contact_probabilities,
@@ -94,10 +96,10 @@ def test_segment_table_matches_shifted_chains():
         for i in range(n):
             for j in range(i + 1, n + 1):
                 sub = QuenchedSystem(law, h, omega[i:j], j - i)
-                assert seg.log_z(i, j) == pytest.approx(sub.log_z, abs=1e-10)
+                assert seg[i, j - i] == pytest.approx(sub.log_z, abs=1e-10)
                 want = enumerate_partition(law, h, omega[i:j], j - i)
-                assert seg.log_z(i, j) == pytest.approx(want, rel=1e-14,
-                                                        abs=1e-10)
+                assert seg[i, j - i] == pytest.approx(want, rel=1e-14,
+                                                      abs=1e-10)
 
 
 def test_degenerate_empty_chain():
@@ -106,7 +108,7 @@ def test_degenerate_empty_chain():
     assert sys_.log_z_minus == 0.0
     np.testing.assert_allclose(sys_.contact_law().pmf(), [1.0])
     assert sys_.max_excursion_cdf(1) == 1.0
-    assert np.all(sys_.cumulants(3).kappa[1:] == 0.0)
+    assert np.all(sys_.cumulants(3)[1:] == 0.0)
 
 
 def test_horizon_guard():
@@ -228,7 +230,10 @@ def test_contact_moments_match_oracle():
         sites = sorted(rng.choice(np.arange(1, n), size=min(k, n - 1),
                                   replace=False).tolist())
         want = enumerate_moment(law, h, omega, n, sites)
-        assert sys_.contact_moment(sites) == pytest.approx(want, abs=1e-11)
+        # segments by a fresh forward pass, then from a cached table
+        assert contact_moment(sys_, sites) == pytest.approx(want, abs=1e-11)
+        sys_.segment_partitions(n)
+        assert contact_moment(sys_, sites) == pytest.approx(want, abs=1e-11)
 
 
 def test_covariance_and_ursell_match_oracle():
@@ -236,7 +241,7 @@ def test_covariance_and_ursell_match_oracle():
     for law, h, omega, n, sys_ in _systems(22, 20, n_lo=4, n_hi=10):
         a, b = sorted(rng.choice(np.arange(1, n), size=2, replace=False).tolist())
         want = enumerate_joint_cumulant(law, h, omega, n, [a, b])
-        assert sys_.contact_covariance(a, b) == pytest.approx(want, abs=1e-11)
+        assert contact_covariance(sys_, a, b) == pytest.approx(want, abs=1e-11)
         assert ursell(sys_, [a, b]) == pytest.approx(want, abs=1e-11)
         assert ursell(sys_, [a]) == pytest.approx(
             sys_.contact_probability(a), abs=1e-12)
@@ -258,22 +263,17 @@ def test_contact_law_summaries():
         pmf = cl.pmf()
         l = np.arange(pmf.size)
         mean = float(l @ pmf)
-        assert cl.mean() == pytest.approx(mean, abs=1e-12)
-        assert cl.variance() == pytest.approx(float((l - mean) ** 2 @ pmf),
-                                              abs=1e-12)
         # two-sided tails against direct mass counts
-        u = 0.8 * math.sqrt(max(cl.variance(), 1e-12))
+        u = 0.8 * math.sqrt(max(float((l - mean) ** 2 @ pmf), 1e-12))
         direct = float(pmf[np.abs(l - mean) >= u].sum())
         assert cl.tail_two_sided(u) == pytest.approx(direct, abs=1e-12)
-        assert cl.cdf_below(mean) == pytest.approx(float(pmf[l < mean].sum()),
-                                                   abs=1e-12)
 
 
 # -- derivatives in h ---------------------------------------------------------
 
 def test_cumulants_match_contact_law_moments():
     for law, h, omega, n, sys_ in _systems(40, 20, n_lo=2, n_hi=12):
-        kap = sys_.cumulants(4).kappa
+        kap = sys_.cumulants(4)
         cl = sys_.contact_law()
         pmf = cl.pmf()
         l = np.arange(pmf.size, dtype=float)
@@ -290,7 +290,7 @@ def test_cumulants_match_contact_law_moments():
 def test_cumulants_match_finite_differences():
     step = 1e-3
     for law, h, omega, n, sys_ in _systems(41, 10, n_lo=2, n_hi=12):
-        kap = sys_.cumulants(3).kappa
+        kap = sys_.cumulants(3)
         z = [QuenchedSystem(law, h + k * step, omega, n).log_z
              for k in (-2, -1, 0, 1, 2)]
         d1 = (z[3] - z[1]) / (2 * step)
@@ -305,7 +305,7 @@ def test_cumulant_order_guard():
     sys_ = QuenchedSystem(GEOM, 0.5, np.zeros(8), 8)
     with pytest.raises(ValueError, match="exceeds jet order"):
         sys_.cumulants(DEFAULT_JET_ORDER + 1)
-    kap = sys_.cumulants(DEFAULT_JET_ORDER).kappa
+    kap = sys_.cumulants(DEFAULT_JET_ORDER)
     assert kap.size == DEFAULT_JET_ORDER + 1 and np.all(np.isfinite(kap))
 
 
@@ -528,7 +528,7 @@ def test_thermal_variance_nonnegative(seed):
     rng = np.random.default_rng(seed)
     law, h, omega, n = random_instance(rng, n_lo=1, n_hi=10)
     sys_ = QuenchedSystem(law, h, omega, n)
-    assert sys_.cumulants(2).kappa[2] >= -1e-10
+    assert sys_.cumulants(2)[2] >= -1e-10
 
 
 # -- standardization helper ---------------------------------------------------
@@ -540,8 +540,10 @@ def test_ks_to_standard_normal_units():
     cl = sys_.contact_law()
     ks, mean, var = ks_to_standard_normal(cl)
     assert 0.0 < ks < 0.05
-    assert mean == pytest.approx(cl.mean())
-    assert var == pytest.approx(cl.variance())
+    pmf = cl.pmf()
+    l = np.arange(pmf.size)
+    assert mean == pytest.approx(float(l @ pmf))
+    assert var == pytest.approx(float((l - mean) ** 2 @ pmf))
     # degenerate law: KS distance saturates
     point = QuenchedSystem(GEOM, 0.0, np.zeros(1), 1).contact_law()
     assert ks_to_standard_normal(point)[0] == 1.0
