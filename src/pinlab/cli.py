@@ -87,7 +87,7 @@ def _cmd_compute(cfg: RunConfig, out: str) -> int:
             omega = sample_disorder_block(disorder, int(n),
                                           cfg.run.master_seed, 0, 1)[0]
             sys_ = QuenchedSystem(law, float(h), omega, int(n))
-            kappa = sys_.cumulants(r_top)
+            kappa = sys_.cumulants(r_top).kappa
             series.append(mc.EstimateSeries("log_z", float(h), int(n),
                                             sys_.log_z, 0.0, 1))
             series.append(mc.EstimateSeries("log_z_minus", float(h), int(n),

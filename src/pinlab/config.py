@@ -90,11 +90,6 @@ class ModelBlock:
                       and v > 0, "model.table",
                       f"must hold positive reals only (got {v!r})")
 
-    @property
-    def horizon(self) -> int:
-        """n_max of the law build() returns: a table law's is its length."""
-        return len(self.table) if self.kind == "table" else int(self.n_max)
-
     def build(self) -> InterArrivalLaw:
         if self.kind == "geometric":
             return geometric_test_law(int(self.n_max))
@@ -204,11 +199,14 @@ class RunConfig:
         for block in (self.model, self.disorder, self.grids, self.run,
                       self.checks):
             block.validate()
-        _need(max(self.grids.n_values) <= self.model.horizon,
-              "grids.n_values",
+        # the built law's n_max, without building it: a table law's
+        # horizon is its length
+        horizon = len(self.model.table) if self.model.kind == "table" \
+            else int(self.model.n_max)
+        _need(max(self.grids.n_values) <= horizon, "grids.n_values",
               f"horizon exceeded: max n {max(self.grids.n_values)} > "
-              f"{self.model.horizon}, the law's horizon (model.n_max, or "
-              f"the length of model.table)")
+              f"{horizon}, the law's horizon (model.n_max, or the length "
+              f"of model.table)")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -265,7 +263,7 @@ class RunConfig:
         cfg = self.mc_config()
         h = float(self.checks.h) if self.checks.h is not None \
             else float(max(self.grids.h_values))
-        n_max = self.model.horizon
+        n_max = cfg.law.n_max
         top = min(4096, n_max)
         return CheckContext(
             mc=cfg, h=h,

@@ -193,23 +193,18 @@ def enumerate_joint_cumulant(law, h: float, omega, n: int, sites) -> float:
 def contact_moment(system, sites) -> float:
     """E[prod X_a] over the given sites of a QuenchedSystem by the ordered
     renewal factorization: the prefix up to the first site, log Z of every
-    segment between consecutive sites, the suffix from the last.  A
-    segment is read from the system's cached segment table when one is
-    wide enough, else ``_forward`` runs on its sub-range."""
+    segment between consecutive sites, the suffix from the last.  Each
+    segment's log Z is a fresh ``_forward`` on its charges."""
     uniq = sorted(set(int(a) for a in sites))
     if not uniq:
         return 1.0
     if uniq[0] < 0 or uniq[-1] > system.n:
         raise ValueError("sites out of range")
-    seg = system._segments  # never built here, only read
     log_m = (system.prefix_logZ[uniq[0]] - system.log_z
              + system.suffix_logZ()[uniq[-1]])
     for x, y in zip(uniq, uniq[1:]):
-        if seg is not None and y - x < seg.shape[1]:
-            log_m += seg[x, y - x]
-        else:
-            weights = system.site_weight[None, x + 1:y + 1]
-            log_m += _forward(system.law.log_p, weights)[0, -1]
+        weights = system.site_weight[None, x + 1:y + 1]
+        log_m += _forward(system.law.log_p, weights)[0, -1]
     return min(1.0, math.exp(log_m))
 
 

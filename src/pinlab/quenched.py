@@ -216,6 +216,14 @@ class ContactLaw:
         return float(p[np.abs(l - mu) > u].sum())
 
 
+@dataclass(frozen=True)
+class CumulantVector:
+    """kappa[k] is the k-th derivative of log Z in h; kappa[0] is log Z."""
+
+    r_max: int
+    kappa: np.ndarray = field(repr=False)
+
+
 def ks_to_standard_normal(law: ContactLaw) -> tuple[float, float, float]:
     """Exact Kolmogorov distance between the standardized contact law and
     the standard normal; returns (ks, mean, variance).
@@ -340,9 +348,8 @@ class QuenchedSystem:
 
     # -- cumulants via jets -------------------------------------------------
 
-    def cumulants(self, r_max: int) -> np.ndarray:
-        """kappa[k] = d^k/dh^k log Z for k = 1..r_max, r_max <=
-        DEFAULT_JET_ORDER; kappa[0] = log Z.
+    def cumulants(self, r_max: int) -> CumulantVector:
+        """kappa_k = d^k/dh^k log Z for k = 1..r_max, r_max <= DEFAULT_JET_ORDER.
 
         The jet always runs at order DEFAULT_JET_ORDER = 8, whatever r_max.
         Cumulants come from the normalized moments by cancellation, so the
@@ -353,7 +360,7 @@ class QuenchedSystem:
         if r_max > DEFAULT_JET_ORDER:
             raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:
-            return np.zeros(r_max + 1)
+            return CumulantVector(r_max, np.zeros(r_max + 1))
         sc, coef = _jet_forward(self.law.log_p, self.site_weight[None, 1:],
                                 DEFAULT_JET_ORDER)
         g = log_of_jet(ScaledJet(sc[0, -1], coef[0, -1]))
@@ -361,7 +368,7 @@ class QuenchedSystem:
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
             kappa[k] = math.factorial(k) * g[k]
-        return kappa
+        return CumulantVector(r_max, kappa)
 
     # -- two-replica avoidance ----------------------------------------------
 

@@ -88,7 +88,7 @@ def test_02_cumulant_consistency(capsys):
     step = 1e-3
     for _ in range(50):
         law, h, omega, n = random_instance(rng, n_lo=16, n_hi=64)
-        kap = QuenchedSystem(law, h, omega, n).cumulants(4)
+        kap = QuenchedSystem(law, h, omega, n).cumulants(4).kappa
         pmf = QuenchedSystem(law, h, omega, n).contact_law().pmf()
         l = np.arange(n + 1, dtype=float)
         m1 = float(l @ pmf)
@@ -120,7 +120,7 @@ def test_03_pure_model_regression(capsys):
             for n in (256, 512, 1024, 2048, 4096)]
     shrinking = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     k1 = QuenchedSystem(glaw, h, np.zeros(4097), 4096) \
-        .cumulants(1)[1]
+        .cumulants(1).kappa[1]
     cfg = McConfig(glaw, zero_disorder(), (h,), (1024, 2048, 4096),
                    samples=2, master_seed=SEED)
     mu = estimate_mu(cfg, h)

@@ -120,6 +120,6 @@ def test_first_cumulant_monotone_in_h():
     rng = np.random.default_rng(94)
     for _ in range(20):
         law, h, omega, n = random_instance(rng, n_lo=1, n_hi=10)
-        lo = QuenchedSystem(law, h, omega, n).cumulants(1)[1]
-        hi = QuenchedSystem(law, h + 0.5, omega, n).cumulants(1)[1]
+        lo = QuenchedSystem(law, h, omega, n).cumulants(1).kappa[1]
+        hi = QuenchedSystem(law, h + 0.5, omega, n).cumulants(1).kappa[1]
         assert hi >= lo - 1e-10

@@ -114,4 +114,4 @@ def test_log_of_zero_jet_raises():
 
 def test_default_order_is_shared():
     sys_ = QuenchedSystem(geometric_test_law(4), 0.0, np.zeros(2), 2)
-    assert sys_.cumulants(DEFAULT_JET_ORDER).size == DEFAULT_JET_ORDER + 1
+    assert sys_.cumulants(DEFAULT_JET_ORDER).kappa.size == DEFAULT_JET_ORDER + 1

@@ -108,7 +108,7 @@ def test_degenerate_empty_chain():
     assert sys_.log_z_minus == 0.0
     np.testing.assert_allclose(sys_.contact_law().pmf(), [1.0])
     assert sys_.max_excursion_cdf(1) == 1.0
-    assert np.all(sys_.cumulants(3)[1:] == 0.0)
+    assert np.all(sys_.cumulants(3).kappa[1:] == 0.0)
 
 
 def test_horizon_guard():
@@ -230,9 +230,6 @@ def test_contact_moments_match_oracle():
         sites = sorted(rng.choice(np.arange(1, n), size=min(k, n - 1),
                                   replace=False).tolist())
         want = enumerate_moment(law, h, omega, n, sites)
-        # segments by a fresh forward pass, then from a cached table
-        assert contact_moment(sys_, sites) == pytest.approx(want, abs=1e-11)
-        sys_.segment_partitions(n)
         assert contact_moment(sys_, sites) == pytest.approx(want, abs=1e-11)
 
 
@@ -273,7 +270,7 @@ def test_contact_law_summaries():
 
 def test_cumulants_match_contact_law_moments():
     for law, h, omega, n, sys_ in _systems(40, 20, n_lo=2, n_hi=12):
-        kap = sys_.cumulants(4)
+        kap = sys_.cumulants(4).kappa
         cl = sys_.contact_law()
         pmf = cl.pmf()
         l = np.arange(pmf.size, dtype=float)
@@ -290,7 +287,7 @@ def test_cumulants_match_contact_law_moments():
 def test_cumulants_match_finite_differences():
     step = 1e-3
     for law, h, omega, n, sys_ in _systems(41, 10, n_lo=2, n_hi=12):
-        kap = sys_.cumulants(3)
+        kap = sys_.cumulants(3).kappa
         z = [QuenchedSystem(law, h + k * step, omega, n).log_z
              for k in (-2, -1, 0, 1, 2)]
         d1 = (z[3] - z[1]) / (2 * step)
@@ -305,7 +302,7 @@ def test_cumulant_order_guard():
     sys_ = QuenchedSystem(GEOM, 0.5, np.zeros(8), 8)
     with pytest.raises(ValueError, match="exceeds jet order"):
         sys_.cumulants(DEFAULT_JET_ORDER + 1)
-    kap = sys_.cumulants(DEFAULT_JET_ORDER)
+    kap = sys_.cumulants(DEFAULT_JET_ORDER).kappa
     assert kap.size == DEFAULT_JET_ORDER + 1 and np.all(np.isfinite(kap))
 
 
@@ -528,7 +525,7 @@ def test_thermal_variance_nonnegative(seed):
     rng = np.random.default_rng(seed)
     law, h, omega, n = random_instance(rng, n_lo=1, n_hi=10)
     sys_ = QuenchedSystem(law, h, omega, n)
-    assert sys_.cumulants(2)[2] >= -1e-10
+    assert sys_.cumulants(2).kappa[2] >= -1e-10
 
 
 # -- standardization helper ---------------------------------------------------
