@@ -5,9 +5,10 @@ streams (master_seed, sample_index), runs the exact DP per sample, and
 reduces in sample-index order.  Samples are drawn and evaluated in fixed
 blocks of 64, one after the other in index order on the calling thread (a
 worker pool measured no faster).  Callers that need a whole system per
-sample (its contact law, excursion CDF or two-replica avoidance) build
-them with ``_block_systems``, one ``QuenchedSystem`` per sample, drawn a
-block at a time.
+sample (its contact law, excursion CDF or two-replica avoidance) take
+them from ``_block_systems``: one ``QuenchedBlock`` per block of samples,
+whose row views (one ``QuenchedSystem`` per sample) share the block's
+prefix, suffix and pair-DP tables.
 
 Per-sample log Z runs the quenched module's forward engine ``_forward``
 on a whole block of samples, one row each; per-sample cumulants and
@@ -42,7 +43,7 @@ from scipy import special
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series
-from .quenched import QuenchedSystem, _forward, _jet_forward
+from .quenched import QuenchedBlock, QuenchedSystem, _forward, _jet_forward
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -100,13 +101,13 @@ class EstimateSeries:
 
 
 def _block_systems(cfg: McConfig, h: float, n: int, count: int):
-    """QuenchedSystems of samples 0..count-1, in index order.  Charges are
-    drawn _CHUNK rows at a time, so at most one block of them is held."""
+    """QuenchedSystems of samples 0..count-1, in index order: the row views
+    of one QuenchedBlock per _CHUNK samples, so the rows of a block share
+    its prefix, suffix and avoidance tables."""
     for lo in range(0, count, _CHUNK):
-        block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo,
-                                      min(_CHUNK, count - lo))
-        for row in block:
-            yield QuenchedSystem(cfg.law, h, row, n)
+        charges = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo,
+                                        min(_CHUNK, count - lo))
+        yield from QuenchedBlock(cfg.law, h, charges, n).systems()
 
 
 # block rows of the open run scope, or None outside one

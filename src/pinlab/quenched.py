@@ -12,6 +12,7 @@ weights, the segment table runs one row per start site, and the
 restricted-excursion partition runs one row per band b = 1..M, each
 capping t at its own b, so all the caps of a system take one pass.
 Disorder Monte Carlo runs the same engine on blocks of samples.
+
 Derivatives of log Z in h (cumulants of the contact number) come from
 ``_jet_forward``, the same recursion with each entry carried as a
 truncated Taylor jet; it is batched too, and serves both
@@ -21,6 +22,18 @@ kernels of disorder Monte Carlo.  The two-replica avoidance runs
 contacts, batched over windows and kept in scaled linear domain (one log
 scale per column of the pair state), so a step costs two matrix-vector
 products and O(t) exp/log rather than one per state entry.
+
+A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
+row each, and runs the row-local engines once for all rows: the prefix
+table when it is built, the suffix table and each (window, start) pair DP
+the first time any row asks.  A ``QuenchedSystem`` is the view of one
+row; a standalone one is the one row of its own block, so there is one
+code path, and every row reads the bytes a one-row block would compute.
+Segment tables, excursion band vectors and the contact law stay per
+system: they are arithmetic-bound, and blocked they would cost memory (a
+(rows, n+1, window+1) block of segment tables is 8.5 MB at 64 x 256 x
+64; the band passes are held to _BAND_PASS bands; the count DP of the
+O(n^3) contact law would take O(rows n^2)).
 """
 
 from __future__ import annotations
@@ -38,15 +51,20 @@ from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, ScaledJet, log_of_jet
 _BAND_PASS = 64
 
 
-def _charges(omega, n: int) -> np.ndarray:
-    """Padded charge array c with c[a] = omega_a for a = 1..n, c[0] = 0."""
-    if omega is None:
-        return np.zeros(n + 1)
-    om = getattr(omega, "omega", omega)
-    om = np.asarray(om, dtype=float)
-    if om.size < n:
-        raise ValueError(f"omega has length {om.size} < n = {n}")
-    return np.concatenate(([0.0], om[:n]))
+def _index(name: str, value, lo: int, hi) -> int:
+    """value as an int, or a ValueError naming the argument when it is not
+    an integer (bools included) in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} = {value} is outside {lo}..{hi}")
+    return int(value)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only: block tables are shared by every row view."""
+    a.flags.writeable = False
+    return a
 
 
 def _forward(log_p: np.ndarray, b: np.ndarray,
@@ -247,31 +265,115 @@ def ks_to_standard_normal(law: ContactLaw) -> tuple[float, float, float]:
     return float(max(d_hi.max(), d_lo.max())), mu, var
 
 
-class QuenchedSystem:
-    """Immutable quenched environment with its prefix DP table.
+class QuenchedBlock:
+    """Quenched environments at one (law, h, n), one charge row each, whose
+    row-local tables are computed for all rows at once.
 
-    Suffix and segment tables are built lazily and cached; every public
-    method is a pure read."""
+    charges is a (rows, >= n) array, row r holding omega_1..omega_n of
+    environment r (columns past n are not read), or None for one row
+    without disorder.  The prefix table is built with the block.  The
+    suffix table, and the avoidance profiles of a (window, start), are
+    built for every row the first time any row asks, and cached.  The
+    engines are row-local, so each row's tables are bit-identical to a
+    one-row block's.  Tables are read-only: every row view shares them.
+    ``systems()`` yields the rows as QuenchedSystem views."""
 
-    def __init__(self, law, h: float, omega, n: int):
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n > law.n_max:
-            raise ValueError(f"n = {n} exceeds tabulation horizon {law.n_max}")
+    def __init__(self, law, h: float, charges, n: int):
+        n = _index("n", n, 0, law.n_max)
         if not math.isfinite(h):
             raise ValueError(f"h = {h} is not finite")
+        om = np.asarray(np.zeros((1, n)) if charges is None else charges,
+                        dtype=float)
+        if om.ndim != 2:
+            raise ValueError(f"charges must be a (rows, n) array, "
+                             f"got shape {om.shape}")
+        if om.shape[1] < n:
+            raise ValueError(f"omega has length {om.shape[1]} < n = {n}")
         self.law = law
         self.h = float(h)
-        self.omega = omega
-        self.n = int(n)
-        self.charges = _charges(omega, n)
-        bad = np.flatnonzero(~np.isfinite(self.charges))
+        self.n = n
+        self.rows = om.shape[0]
+        # padded charges: c[r, a] = omega_a of row r for a = 1..n, c[r, 0] = 0
+        c = np.zeros((self.rows, n + 1))
+        c[:, 1:] = om[:, :n]
+        bad = np.argwhere(~np.isfinite(c))
         if bad.size:
-            a = int(bad[0])
-            raise ValueError(f"charge omega_{a} = {self.charges[a]} is not finite")
-        self.site_weight = self.h + self.charges  # h + omega_a, entry 0 unused
-        self.prefix_logZ = _forward(law.log_p, self.site_weight[None, 1:])[0]
+            r, a = (int(i) for i in bad[0])
+            raise ValueError(f"charge omega_{a} of row {r} = {c[r, a]} "
+                             f"is not finite")
+        self.charges = _frozen(c)
+        # h + omega_a, column 0 unused
+        self.site_weight = _frozen(self.h + c)
+        self.prefix_logZ = _frozen(_forward(law.log_p, self.site_weight[:, 1:]))
         self._suffix = None
+        self._avoidance = {}  # (window, start) -> (rows, window + 1)
+
+    def systems(self):
+        """The rows as QuenchedSystem views, in row order."""
+        for r in range(self.rows):
+            yield QuenchedSystem(self.law, self.h,
+                                 _Row(self, r, self.charges[r, 1:]), self.n)
+
+    def suffix_logZ(self) -> np.ndarray:
+        """suffix[r, a] = log Z_{[a, n]} of row r for a = 0..n."""
+        if self._suffix is None:
+            n, b = self.n, self.site_weight
+            # the reversed chain's prefix at n-a is log Z_{[a,n]} + b[a] - b[n]
+            rev = _forward(self.law.log_p, b[:, :n][:, ::-1])
+            self._suffix = _frozen(rev[:, ::-1] - b + b[:, n:])
+        return self._suffix
+
+    def two_replica_avoidance_log(self, window: int, start: int = 0) -> np.ndarray:
+        """log a_j of every row for j = 1..window on [start, start+window],
+        one row each; column 0 is nan.  See
+        ``QuenchedSystem.two_replica_avoidance_log``."""
+        window = _index("window", window, 1, self.n)
+        start = _index("start", start, 0, self.n - window)
+        prof = self._avoidance.get((window, start))
+        if prof is None:
+            bw = self.site_weight[:, start:start + window + 1]  # site start+x
+            # log Z of the window cut at j: _forward on the window's weights,
+            # bit for bit row `start` of the segment table
+            zseg = _forward(self.law.log_p, bw[:, 1:])
+            prof = _frozen(_pair_forward(self.law.log_p, bw, zseg))
+            self._avoidance[window, start] = prof
+        return prof
+
+
+@dataclass(frozen=True)
+class _Row:
+    """Row `index` of a QuenchedBlock.  ``QuenchedBlock.systems()`` passes
+    it as the omega of QuenchedSystem(law, h, omega, n), so a view is built
+    by the same constructor as a standalone system; like a disorder
+    realization, it carries its charges omega_1..omega_n as `omega`."""
+
+    block: QuenchedBlock
+    index: int
+    omega: np.ndarray
+
+
+class QuenchedSystem:
+    """Immutable quenched environment: one row of a QuenchedBlock.
+
+    QuenchedSystem(law, h, omega, n) is the one row of its own block;
+    ``QuenchedBlock.systems()`` builds the views of a larger block, which
+    share its prefix, suffix and avoidance tables.  Segment tables and the
+    band vector of max_excursion_cdf are per system, built lazily and
+    cached; every public method is a pure read."""
+
+    def __init__(self, law, h: float, omega, n: int):
+        if isinstance(omega, _Row):  # built by QuenchedBlock.systems()
+            block, row = omega.block, omega.index
+        else:
+            om = getattr(omega, "omega", omega)
+            if om is not None:
+                om = np.asarray(om, dtype=float)[None]
+            block, row = QuenchedBlock(law, h, om, n), 0
+        self._block, self._row = block, row
+        self.law, self.h, self.n = block.law, block.h, block.n
+        self.charges = block.charges[row]
+        self.site_weight = block.site_weight[row]
+        self.prefix_logZ = block.prefix_logZ[row]
         self._segments = None
         self._band_logz = np.empty(0)  # [b-1]: log Z_n, excursions <= b
 
@@ -290,12 +392,7 @@ class QuenchedSystem:
 
     def suffix_logZ(self) -> np.ndarray:
         """suffix[a] = log Z_{[a, n]} for a = 0..n (suffix[0] = log Z)."""
-        if self._suffix is None:
-            n, b = self.n, self.site_weight
-            # the reversed chain's prefix at n-a is log Z_{[a,n]} + b[a] - b[n]
-            rev = _forward(self.law.log_p, b[None, :n][:, ::-1])[0]
-            self._suffix = rev[::-1] - b + b[n]
-        return self._suffix
+        return self._block.suffix_logZ()[self._row]
 
     def segment_partitions(self, window: int) -> np.ndarray:
         """seg[i, l] = log Z_{[i, i+l]} for l = 0..width, cached.
@@ -304,8 +401,7 @@ class QuenchedSystem:
         row 0 coincides with the prefix table.  Entries past n are -inf.
         The cached width is shape[1] - 1: at least window, more when a
         wider table was asked for earlier."""
-        if window > self.n:
-            raise ValueError("window exceeds system size")
+        window = _index("window", window, 0, self.n)
         if self._segments is None or self._segments.shape[1] - 1 < window:
             # row i runs on b[i+1..i+window]; -inf padding past n gives -inf
             padded = np.concatenate((self.site_weight[1:],
@@ -318,8 +414,7 @@ class QuenchedSystem:
 
     def contact_probability(self, a: int) -> float:
         """E_{n,h,omega}[X_a]."""
-        if not 0 <= a <= self.n:
-            raise ValueError(f"site {a} out of range 0..{self.n}")
+        a = _index("a", a, 0, self.n)
         if a == 0 or a == self.n:
             return 1.0
         suf = self.suffix_logZ()
@@ -376,19 +471,15 @@ class QuenchedSystem:
         """log a_j for j = 1..window on [start, start+window]; entry 0 is nan.
 
         Same functional as the subtractive reference
-        ``oracle.two_replica_profiles``, evaluated by ``_pair_forward`` on
-        this one window: a sum over pairs of paths with disjoint interior
-        contact sets, kept in scaled linear domain.  Every term is
-        nonnegative, so values keep full relative precision far below the
-        subtractive recursion's machine-epsilon floor.
+        ``oracle.two_replica_profiles``, evaluated by ``_pair_forward``: a
+        sum over pairs of paths with disjoint interior contact sets, kept
+        in scaled linear domain.  Every term is nonnegative, so values keep
+        full relative precision far below the subtractive recursion's
+        machine-epsilon floor.  The first row of a block to ask for a
+        (window, start) runs the pair DP for every row of the block; the
+        others read its cached rows.
         """
-        if not 1 <= window <= self.n or start < 0 or start + window > self.n:
-            raise ValueError("window falls outside the system")
-        # row `start` of the segment table is _forward on the window's
-        # weights, bit for bit (the engine is row-local)
-        zseg = self.segment_partitions(window)[start, :window + 1]
-        bw = self.site_weight[start:start + window + 1]  # bw[x]: site start+x
-        return _pair_forward(self.law.log_p, bw[None], zseg[None])[0]
+        return self._block.two_replica_avoidance_log(window, start)[self._row]
 
     # -- maximal excursion ----------------------------------------------------
 
@@ -402,10 +493,7 @@ class QuenchedSystem:
         should ask for the largest first: they then all come from the
         fewest passes.  Each entry is bit-identical whatever pass computed
         it."""
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ValueError(f"m = {m!r} is not an integer")
-        if m < 1:
-            raise ValueError("m >= 1 required")
+        m = _index("m", m, 1, math.inf)
         n = self.n
         if n == 0 or m >= n:
             return 1.0

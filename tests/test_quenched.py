@@ -32,6 +32,7 @@ from pinlab.oracle import (
     ursell,
 )
 from pinlab.quenched import (
+    QuenchedBlock,
     QuenchedSystem,
     _forward,
     _jet_forward,
@@ -487,6 +488,118 @@ def test_avoidance_window_guard():
         sys_.two_replica_avoidance_log(3, start=2)
     with pytest.raises(ValueError):
         two_replica_avoidance_lse(sys_, 3, start=2)
+
+
+# -- blocks of rows -----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=24),
+       st.floats(min_value=-40.0, max_value=60.0),
+       st.floats(min_value=0.0, max_value=800.0),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_block_rows_match_standalone_systems(rows, n, h, spread, seed):
+    # every row view of a block reads the bytes of a standalone system of
+    # its charges: the prefix, the suffix, and log a_j at random (window,
+    # start), whichever row asks first and in whatever order the starts
+    # come; the standalone profile is the pair DP on the window's weights
+    # against row `start` of the system's own segment table
+    law = build_law(1.0, None, 64)
+    rng = np.random.default_rng(seed)
+    charges = rng.uniform(-spread, spread, (rows, n))
+    asks = []
+    for window in rng.integers(1, n + 1, 4):
+        asks.append((int(window), int(rng.integers(0, n - window + 1))))
+    want = []
+    for r in range(rows):
+        alone = QuenchedSystem(law, h, charges[r], n)
+        b = alone.site_weight
+        pair = {}
+        for window, start in asks:
+            zseg = alone.segment_partitions(window)[start, :window + 1]
+            pair[window, start] = _pair_forward(
+                law.log_p, b[None, start:start + window + 1], zseg[None])[0]
+        want.append((alone.prefix_logZ, alone.suffix_logZ(), pair))
+    for row_order in (rng.permutation(rows), np.arange(rows)[::-1]):
+        views = list(QuenchedBlock(law, h, charges, n).systems())
+        assert [v.n for v in views] == [n] * rows
+        for r in row_order:
+            prefix, suffix, pair = want[r]
+            for i in rng.permutation(len(asks)):
+                window, start = asks[i]
+                got = views[r].two_replica_avoidance_log(window, start)
+                assert got.tobytes() == pair[window, start].tobytes()
+            assert views[r].suffix_logZ().tobytes() == suffix.tobytes()
+            assert views[r].prefix_logZ.tobytes() == prefix.tobytes()
+            assert views[r].log_z == QuenchedSystem(law, h, charges[r],
+                                                    n).log_z
+
+
+def test_block_memory_stays_far_below_a_segment_block():
+    # C7's shape: one 64-row block at n = 256 with its suffix and 8 pair
+    # profiles of window 64 holds (rows, n+1) tables and one pair DP state
+    # of (rows, window, window) floats, 3.4 MB at its peak, far below the
+    # (rows, n+1, window+1) of a block of segment tables, 8.6 MB
+    rows, n, window = 64, 256, 64
+    law = build_law(1.0, None, n)
+    charges = np.random.default_rng(9).normal(0.0, 1.0, (rows, n))
+    offsets = np.unique(np.linspace(0, n - window, 8).round()).astype(int)
+    tracemalloc.start()
+    try:
+        for sys_ in QuenchedBlock(law, 3.0, charges, n).systems():
+            sys_.suffix_logZ()
+            for start in offsets:
+                sys_.two_replica_avoidance_log(window, int(start))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    segment_block = 8 * rows * (n + 1) * (window + 1)
+    assert peak < segment_block / 2
+
+
+def test_block_rejects_bad_charges():
+    law = geometric_test_law(8)
+    with pytest.raises(ValueError, match="rows, n"):
+        QuenchedBlock(law, 0.0, np.zeros(4), 4)
+    with pytest.raises(ValueError, match="length 3 < n = 4"):
+        QuenchedBlock(law, 0.0, np.zeros((2, 3)), 4)
+    bad = np.zeros((3, 5))
+    bad[2, 1] = math.inf
+    with pytest.raises(ValueError, match="omega_2 of row 2"):
+        QuenchedBlock(law, 0.0, bad, 5)
+
+
+def test_integer_arguments_are_checked_where_they_enter():
+    # bools, floats (even integral ones) and other types are refused with
+    # the argument's name, and so are out-of-range integers; numpy
+    # integers are accepted
+    non_integers = (True, np.True_, 2.0, 2.5, np.float64(3.0), "2", None)
+    for bad in non_integers + (-1, 65):
+        with pytest.raises(ValueError, match="^n = "):
+            QuenchedSystem(GEOM, 0.0, np.zeros(70), bad)
+    sys_ = QuenchedSystem(GEOM, 0.5, np.zeros(8), 8)
+    calls = {
+        "window": ((lambda v: sys_.two_replica_avoidance_log(v, 0)),
+                   (0, 9)),
+        "start": ((lambda v: sys_.two_replica_avoidance_log(4, v)),
+                  (-1, 5)),
+        "a": (sys_.contact_probability, (-1, 9)),
+        "m": (sys_.max_excursion_cdf, (0, -3)),
+    }
+    for name, (call, out_of_range) in calls.items():
+        for bad in non_integers + out_of_range:
+            with pytest.raises(ValueError, match=f"^{name} = "):
+                call(bad)
+    for bad in non_integers + (-1, 9):
+        with pytest.raises(ValueError, match="^window = "):
+            sys_.segment_partitions(bad)
+    for good in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert (sys_.two_replica_avoidance_log(good, good).tobytes()
+                == sys_.two_replica_avoidance_log(3, 3).tobytes())
+        assert sys_.contact_probability(good) == sys_.contact_probability(3)
+        assert (sys_.segment_partitions(good).tobytes()
+                == sys_.segment_partitions(3).tobytes())
+        assert QuenchedSystem(GEOM, 0.5, np.zeros(8), good).n == 3
 
 
 # -- invariances --------------------------------------------------------------
