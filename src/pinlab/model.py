@@ -82,6 +82,18 @@ class InterArrivalLaw:
         return float(np.exp(self.log_p[t]))
 
 
+def _xi_worst(log_p: np.ndarray, n_max: int) -> np.ndarray:
+    """worst[t] = max over tau = t..n_max-t of log p(t+tau) - log p(t) -
+    log p(tau), for t = 1..n_max // 2 (entry 0 is -inf): the worst ratio
+    for each value of min(t, tau)."""
+    half = n_max // 2
+    worst = np.full(half + 1, -np.inf)
+    for t in range(1, half + 1):
+        vals = log_p[2 * t:n_max + 1] - log_p[t] - log_p[t:n_max - t + 1]
+        worst[t] = float(vals.max())
+    return worst
+
+
 def compute_xi(log_p: np.ndarray, n_max: int) -> float:
     """Smallest xi on a 1e-3 bisection grid with
     log p(t+tau) <= log xi + xi*log min(t,tau) + log p(t) + log p(tau)
@@ -90,12 +102,7 @@ def compute_xi(log_p: np.ndarray, n_max: int) -> float:
     half = n_max // 2
     if half < 1:
         raise ValueError("need n_max >= 2 to constrain xi")
-    # worst ratio for each value of min(t, tau)
-    worst = np.full(half + 1, -np.inf)
-    for t in range(1, half + 1):
-        taus = np.arange(t, n_max - t + 1)
-        vals = log_p[t + taus] - log_p[t] - log_p[taus]
-        worst[t] = float(np.max(vals))
+    worst = _xi_worst(log_p, n_max)
     m = np.arange(1, half + 1)
     log_m = np.log(m)
     w = worst[1:]

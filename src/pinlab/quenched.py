@@ -17,11 +17,15 @@ Derivatives of log Z in h (cumulants of the contact number) come from
 ``_jet_forward``, the same recursion with each entry carried as a
 truncated Taylor jet; it is batched too, and serves both
 ``QuenchedSystem.cumulants`` (one row) and the per-sample cumulant
-kernels of disorder Monte Carlo.  The two-replica avoidance runs
-``_pair_forward``, a recursion over the pair of the two replicas' latest
-contacts, batched over windows and kept in scaled linear domain (one log
-scale per column of the pair state), so a step costs two matrix-vector
-products and O(t) exp/log rather than one per state entry.
+kernels of disorder Monte Carlo.  The unbanded ``_forward`` and
+``_jet_forward`` share their step, ``_window_steps``: in the localized
+phase the terms of distant sites underflow to exact zeros, and a step
+skips the exp of those it can certify, so every table keeps its bits.
+The two-replica avoidance runs ``_pair_forward``, a recursion over the
+pair of the two replicas' latest contacts, batched over windows and kept
+in scaled linear domain (one log scale per column of the pair state), so
+a step costs two matrix-vector products and O(t) exp/log rather than one
+per state entry.
 
 A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
 row each, and runs the row-local engines once for all rows: the prefix
@@ -67,6 +71,77 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# a step leaves out the terms j < s only when every one of them, in every
+# row, has an exp argument below this: far below log of the smallest
+# subnormal (about -744.4), so np.exp returns an exact +0.0 for each of them
+_EXP_ZERO = -800.0
+# steps between attempts to move the window start
+_ADVANCE = 16
+
+
+def _window_steps(log_p: np.ndarray, z: np.ndarray):
+    """Drive the unbanded forward step over the (rows, n+1) table z, whose
+    column 0 is 0: for k = 1..n, yield (k, u, m) with m[r] the max over
+    j < k of z[r, j] + log p(k-j), and u[r, j] = exp of that term minus
+    m[r].  The caller stores z[:, k] before it asks for step k+1.
+
+    u and m are, bit for bit, what the full window gives.  In the
+    localized phase a term decays like e^{-f (k-j)}, so on a long chain
+    most of them are exact zeros, and computing them is the cost of a
+    step: np.exp is an order of magnitude slower on arguments below its
+    range than inside it.  So a step exponentiates only j >= s and writes
+    zeros below s, when a bound certifies that each term below s is an
+    exact 0.0: the max of z over j < s and all rows (head), plus the max
+    of log p over the skipped distances (lpsuf, so a law whose p(t) is
+    not monotone is covered), minus the smallest window max over rows, is
+    below _EXP_ZERO.  The bound holds in float arithmetic, since rounding
+    is monotone; it also puts every skipped term below each row's window
+    max, so m is the full max.  A step whose bound fails (an m = -inf
+    gives +inf) runs the full window, and yields it as a fresh array.  A
+    windowed step yields the first k columns of a (rows, n) buffer whose
+    columns below s hold zeros; numpy reduces each row of either in the
+    same order, so the caller's sums and products keep their bits.
+
+    s moves after a step is stored, every _ADVANCE steps, to the largest
+    start that the next step's bound passes with its window max in row r
+    replaced by its lower bound z[r, k] + log p(1)."""
+    rows, width = z.shape
+    n = width - 1
+    # lpsuf[t] = max log p(t') over t <= t' <= n
+    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
+    buf = np.zeros((rows, n))
+    s = 0
+    head = LOG_ZERO  # max of z[:, :s] over all rows
+    for k in range(1, n + 1):
+        w = z[:, s:k] + log_p[k - s:0:-1]
+        m = w.max(1)
+        windowed = s and head + lpsuf[k - s + 1] - m.min() < _EXP_ZERO
+        if s and not windowed:
+            w = z[:, :k] + log_p[k:0:-1]
+            m = w.max(1)
+        w -= m[:, None]
+        np.exp(w, out=w)
+        if windowed:
+            buf[:, s:k] = w
+            w = buf[:, :k]
+        yield k, w, m
+        if k % _ADVANCE or k == n:
+            continue
+        low = z[:, k].min() + log_p[1]
+        # z[:, 0] = 0, so no start past s passes unless this does
+        if not max(head, 0.0) + lpsuf[k + 1 - s] - low < _EXP_ZERO:
+            continue
+        # candidate start j+1 for j = s..k-1 skips columns up to j, whose
+        # nearest distance at step k+1 is k+1-j; the bound grows with j
+        top = np.maximum(np.maximum.accumulate(z[:, s:k].max(0)), head)
+        ok = top + lpsuf[k + 1 - s:1:-1] - low < _EXP_ZERO
+        step = int(ok.sum())
+        if step:
+            head = top[step - 1]
+            buf[:, s:s + step] = 0.0
+            s += step
+
+
 def _forward(log_p: np.ndarray, b: np.ndarray,
              band: np.ndarray | None = None) -> np.ndarray:
     """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
@@ -80,19 +155,21 @@ def _forward(log_p: np.ndarray, b: np.ndarray,
     alone with its band; numpy's pairwise sum regroups 8 or more terms,
     and would not be.  No guard is needed: log_p[t] is finite for t >= 1
     (the law constructors enforce p(t) > 0) and z[:, 0] = 0, so every
-    step's max is finite when the weights are finite.  Without a band,
-    -inf weights are allowed too: z[:, 0] stays in every step, and a -inf
-    weight gives a -inf entry, never NaN."""
+    step's max is finite when the weights are finite.
+
+    Without a band, the steps run through _window_steps, which leaves out
+    only terms that are exact zeros, so the table is the full window's
+    bit for bit.  -inf weights are allowed too, and give -inf entries,
+    never NaN: every step's max stays finite, either because z[:, 0] is
+    in the window or because the window's bound passed, which needs a
+    finite max in every row; a step whose max is -inf in some row fails
+    the bound and runs the full window, with z[:, 0] in it."""
     rows, n = b.shape
     if band is None:
         z = np.empty((rows, n + 1))
         z[:, 0] = 0.0
-        for k in range(1, n + 1):
-            w = z[:, :k] + log_p[k:0:-1]
-            m = w.max(1)
-            w -= m[:, None]
-            np.exp(w, out=w)
-            z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
+        for k, u, m in _window_steps(log_p, z):
+            z[:, k] = np.log(u.sum(1)) + m + b[:, k - 1]
         return z
     # the banded pass fills the transposed table, zt[k] holding site k of
     # every row, so that a step's window is one contiguous block
@@ -118,10 +195,12 @@ def _jet_forward(log_p: np.ndarray, b: np.ndarray,
     weights b: returns (sc, coef) with sc[r, k] = log Z_{0,k} and
     coef[r, k, j] = (d^j Z_{0,k} / dh^j) / (j! Z_{0,k}) for j = 0..order.
 
-    The recursion is _forward's with each table entry carried as a jet:
-    a step takes the p-weighted sum of earlier jets (one vector-matrix
-    product per row) and multiplies it by the jet of the contact weight
-    e^{h+b}, whose coefficients are 1/j!.  That product is the upper
+    The recursion is _forward's, stepped by the same _window_steps, with
+    each table entry carried as a jet: a step takes the p-weighted sum of
+    earlier jets (one vector-matrix product per row) and multiplies it by
+    the jet of the contact weight e^{h+b}, whose coefficients are 1/j!.
+    The p-weighted sum runs over the full window, skipped zeros
+    included, so its BLAS order is unchanged.  That product is the upper
     triangular Toeplitz matrix of 1/j!, applied as one dot product per
     (row, column), so a row's jets are bit-identical whatever batch they
     are computed in (a single 2-d product would not be)."""
@@ -135,10 +214,7 @@ def _jet_forward(log_p: np.ndarray, b: np.ndarray,
     coef = np.zeros((rows, n + 1, order + 1))
     sc[:, 0] = 0.0
     coef[:, 0, 0] = 1.0
-    for k in range(1, n + 1):
-        w = sc[:, :k] + log_p[k:0:-1]
-        m = w.max(1)
-        u = np.exp(w - m[:, None])
+    for k, u, m in _window_steps(log_p, sc):
         acc = np.matmul(u[:, None, :], coef[:, :k])
         conv = np.matmul(acc[:, None], cols)[:, :, 0, 0]
         c0 = conv[:, 0]

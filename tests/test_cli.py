@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import pinlab
 import pinlab.disorder_mc as mc
 import pinlab.outputs as outputs
 import pinlab.theorems as theorems
@@ -217,16 +218,28 @@ def _console_script(name):
             f"import sys; from {module} import {func}; sys.exit({func}())"]
 
 
+def _subprocess_env():
+    """The environment with PYTHONPATH led by the directory the tested
+    pinlab was imported from: pytest's pythonpath setting does not reach
+    child processes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pinlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = _write(tmp_path, "toy.json", TOY)
     out = str(tmp_path / "o")
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "pinlab.cli"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     # module is importable but argparse demands a command
     assert proc.returncode == 2
     proc = subprocess.run(
         _console_script("pinlab") + ["compute", "--config", cfg, "--out", out],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "series.csv"))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pinlab.model import (
     DISORDER_FAMILIES,
     EllSpec,
+    _xi_worst,
     build_law,
     classify_hc,
     gaussian_disorder,
@@ -63,6 +64,31 @@ def test_log_power_ell_shape():
     t = 7
     want = 2.0 * (1.0 + math.log(t)) ** 0.5 / t ** 2.0
     assert law.p(t) == pytest.approx(want, rel=1e-12)
+
+
+def _xi_worst_loop(log_p, n_max):
+    """Reference: the worst-ratio scan with tau as a gathered index array."""
+    worst = np.full(n_max // 2 + 1, -np.inf)
+    for t in range(1, n_max // 2 + 1):
+        taus = np.arange(t, n_max - t + 1)
+        worst[t] = float(np.max(log_p[t + taus] - log_p[t] - log_p[taus]))
+    return worst
+
+
+def test_xi_scan_matches_gathered_loop():
+    # the slices do the loop's arithmetic on the same operands, so every
+    # worst ratio, and hence xi, keeps its bits
+    rng = np.random.default_rng(23)
+    laws = [build_law(1.0, None, 513), build_law(2.5, None, 8192),
+            build_law(1.0, EllSpec("log_power", 2.0, 0.5), 1000),
+            build_law(1.5, EllSpec("log_power", 0.5, -0.5), 777,
+                      normalize=False),
+            law_from_table(rng.uniform(0.01, 1.0, 600)),
+            law_from_log_table(rng.normal(-8.0, 3.0, 1025))]
+    for law in laws:
+        for n_max in (2, 3, law.n_max - 1, law.n_max):
+            got = _xi_worst(law.log_p, n_max)
+            assert got.tobytes() == _xi_worst_loop(law.log_p, n_max).tobytes()
 
 
 def test_law_validation():

@@ -11,10 +11,15 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinlab.model import build_law, geometric_test_law, zero_disorder
+from pinlab.model import (
+    build_law,
+    gaussian_disorder,
+    geometric_test_law,
+    zero_disorder,
+)
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import (
     contact_covariance,
@@ -32,6 +37,7 @@ from pinlab.oracle import (
     ursell,
 )
 from pinlab.quenched import (
+    _EXP_ZERO,
     QuenchedBlock,
     QuenchedSystem,
     _forward,
@@ -212,6 +218,111 @@ def test_banded_rows_match_single_band_loop():
             d = np.abs(batched[r] - want) / np.maximum(1.0, np.abs(want))
             worst = max(worst, float(d.max()))
     assert worst <= 1e-15
+
+
+def _full_window_forward(log_p, b):
+    """Reference: the unbanded recursion with every step over its full
+    window, j = 0..k-1 (a band of n caps nothing)."""
+    return _single_band_forward(log_p, b, b.shape[1])
+
+
+def _full_window_jet_forward(log_p, b, order):
+    """Reference: the jet recursion with every step over its full window."""
+    rows, n = b.shape
+    j = np.arange(order + 1)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in j], dtype=float)
+    cols = np.tril(inv_fact[np.abs(j[:, None] - j[None, :])])[:, :, None]
+    sc = np.empty((rows, n + 1))
+    coef = np.zeros((rows, n + 1, order + 1))
+    sc[:, 0] = 0.0
+    coef[:, 0, 0] = 1.0
+    for k in range(1, n + 1):
+        w = sc[:, :k] + log_p[k:0:-1]
+        m = w.max(1)
+        u = np.exp(w - m[:, None])
+        acc = np.matmul(u[:, None, :], coef[:, :k])
+        conv = np.matmul(acc[:, None], cols)[:, :, 0, 0]
+        c0 = conv[:, 0]
+        sc[:, k] = m + np.log(c0) + b[:, k - 1]
+        coef[:, k] = conv / c0[:, None]
+    return sc, coef
+
+
+def _bumpy_log_p(rng, size):
+    """log p(t), t = 0..size, of a table law that decays at a random slope
+    but jumps up by hundreds at random t, so p is far from monotone."""
+    t = np.arange(1, size + 1)
+    lp = -float(rng.uniform(0.5, 4.0)) * t
+    bumps = rng.random(size) < 0.1
+    lp[bumps] += rng.uniform(100.0, 1500.0, int(bumps.sum()))
+    return np.concatenate(([-math.inf], lp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=200, max_value=700),
+       st.sampled_from(["geometric", "bumpy"]),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2 ** 32))
+# inputs on which a head taken from row 0 alone, and log p in place of
+# its suffix max, each give wrong tables
+@example(4, 400, "geometric", 2, 0)
+@example(1, 400, "bumpy", 2, 1)
+def test_window_tables_match_full_window_loop(rows, n, law_kind, order, seed):
+    # long chains, where the skipped exps are most of the work: each row
+    # has its own h in [-40, 60], charges up to |omega| = 800, and may
+    # carry an early burst of +800 charges, a run of -800 charges (late
+    # steps then fall back to the full window, or a row's early terms
+    # dominate its late ones) or -inf weights
+    rng = np.random.default_rng(seed)
+    if law_kind == "geometric":
+        log_p = geometric_test_law(n).log_p
+    else:
+        log_p = _bumpy_log_p(rng, n)
+    b = np.empty((rows, n))
+    for r in range(rows):
+        spread = float(rng.choice([0.0, 1.0, 30.0, 800.0]))
+        b[r] = float(rng.uniform(-40.0, 60.0)) + rng.uniform(-spread, spread, n)
+        if rng.random() < 0.5:
+            lo = int(rng.integers(0, n // 4))
+            b[r, lo:lo + int(rng.integers(1, 10))] += 800.0
+        if rng.random() < 0.5:
+            lo = int(rng.integers(0, n))
+            b[r, lo:lo + int(rng.integers(1, n))] -= 800.0
+        if rng.random() < 0.2:
+            b[r, rng.random(n) < 0.1] = -math.inf
+        if rng.random() < 0.1:
+            b[r, int(rng.integers(0, n)):] = -math.inf
+    z = _forward(log_p, b)
+    assert z.tobytes() == _full_window_forward(log_p, b).tobytes()
+    finite = np.where(np.isinf(b), -40.0, b)  # the jets take finite weights
+    for got, want in zip(_jet_forward(log_p, finite, order),
+                         _full_window_jet_forward(log_p, finite, order)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_window_skips_most_exps_on_a_long_localized_chain(monkeypatch):
+    # a skipped term must be an exact zero of np.exp, with room to spare
+    assert np.exp(_EXP_ZERO) == 0.0
+    assert _EXP_ZERO < math.log(np.finfo(float).smallest_subnormal) - 50.0
+    n = 2048
+    law = build_law(1.0, None, n)
+    omega = gaussian_disorder(1.0).draw(np.random.default_rng(3), n)
+    b = 3.0 + omega[None]
+    want = _full_window_forward(law.log_p, b)
+    terms = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        terms.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    z = _forward(law.log_p, b)
+    monkeypatch.undo()
+    assert z.tobytes() == want.tobytes()
+    assert len(terms) == n
+    assert sum(terms) < 0.4 * n * (n + 1) / 2
 
 
 # -- contact observables ------------------------------------------------------
