@@ -108,13 +108,19 @@ def compute_xi(log_p: np.ndarray, n_max: int) -> float:
     w = worst[1:]
 
     def feasible(xi: float) -> bool:
-        return bool(np.all(math.log(xi) + xi * log_m >= w))
+        # xi * log m may overflow to +inf, which meets its bound
+        with np.errstate(over="ignore"):
+            return bool(np.all(math.log(xi) + xi * log_m >= w))
 
     lo, hi = 1e-6, 1.0
     if feasible(lo):
         return lo
     while not feasible(hi):
         hi *= 2.0
+        if math.isinf(hi):
+            raise ValueError(
+                f"xi is beyond float range: the law's worst ratio "
+                f"p(t+tau)/(p(t) p(tau)) is e^{float(w.max()):.6g}")
     while hi - lo > XI_GRID_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

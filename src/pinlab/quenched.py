@@ -6,20 +6,20 @@ Every partition table comes from one O(n^2) forward recursion,
 
     Z_{0,k} = sum_{t=1..k} Z_{0,k-t} p(t) e^{h+omega_k},
 
-run in log domain by ``_forward`` over a batch of weight rows: the prefix
-table is one row, the suffix table is the recursion on the reversed
-weights, the segment table runs one row per start site, and the
-restricted-excursion partition runs one row per band b = 1..M, each
-capping t at its own b, so all the caps of a system take one pass.
-Disorder Monte Carlo runs the same engine on blocks of samples.
+run in log domain by ``_forward`` over a batch of weight rows, each under
+the law p or a law of its own: the prefix table is one row, the suffix
+table is the recursion on the reversed weights, the segment table runs
+one row per start site, and the restricted-excursion partition with cap
+b is a row under p truncated at b.  Disorder Monte Carlo runs the same
+engine on blocks of samples.
 
 Derivatives of log Z in h (cumulants of the contact number) come from
 ``_jet_forward``, the same recursion with each entry carried as a
 truncated Taylor jet; it is batched too, and serves both
 ``QuenchedSystem.cumulants`` (one row) and the per-sample cumulant
-kernels of disorder Monte Carlo.  The unbanded ``_forward`` and
-``_jet_forward`` share their step, ``_window_steps``: in the localized
-phase the terms of distant sites underflow to exact zeros, and a step
+kernels of disorder Monte Carlo.  ``_forward`` and ``_jet_forward``
+share their step, ``_window_steps``: terms past a band, and in the
+localized phase those of distant sites, are exact zeros, and a step
 skips the exp of those it can certify, so every table keeps its bits.
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
@@ -29,15 +29,15 @@ per state entry.
 
 A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
 row each, and runs the row-local engines once for all rows: the prefix
-table when it is built, the suffix table and each (window, start) pair DP
-the first time any row asks.  A ``QuenchedSystem`` is the view of one
-row; a standalone one is the one row of its own block, so there is one
-code path, and every row reads the bytes a one-row block would compute.
-Segment tables, excursion band vectors and the contact law stay per
-system: they are arithmetic-bound, and blocked they would cost memory (a
-(rows, n+1, window+1) block of segment tables is 8.5 MB at 64 x 256 x
-64; the band passes are held to _BAND_PASS bands; the count DP of the
-O(n^3) contact law would take O(rows n^2)).
+table when it is built, the suffix table, each (window, start) pair DP
+and the excursion caps up to m the first time any row asks.  A
+``QuenchedSystem`` is the view of one row; a standalone one is the one
+row of its own block, so there is one code path, and every row reads the
+bytes a one-row block would compute.  Segment tables and the contact law
+stay per system: they are arithmetic-bound, and blocked they would cost
+memory (a (rows, n+1, window+1) block of segment tables is 8.5 MB at
+64 x 256 x 64; the count DP of the O(n^3) contact law would take
+O(rows n^2)).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from scipy import special
 
 from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, ScaledJet, log_of_jet
 
-# bands per banded pass of max_excursion_cdf: a pass holds (n+1) x bands
-# floats, so a cap near n costs O(64 n) memory, not O(n^2)
+# (row, band) pairs per _forward pass of QuenchedBlock.excursion_logZ, so
+# that caps near n cost O(64 n) memory, not O(n^2)
 _BAND_PASS = 64
 
 
@@ -80,10 +80,12 @@ _ADVANCE = 16
 
 
 def _window_steps(log_p: np.ndarray, z: np.ndarray):
-    """Drive the unbanded forward step over the (rows, n+1) table z, whose
-    column 0 is 0: for k = 1..n, yield (k, u, m) with m[r] the max over
-    j < k of z[r, j] + log p(k-j), and u[r, j] = exp of that term minus
-    m[r].  The caller stores z[:, k] before it asks for step k+1.
+    """Drive the forward step over the (rows, n+1) table z, whose column 0
+    is 0: for k = 1..n, yield (k, u, m) with m[r] the max over j < k of
+    z[r, j] + log p_r(k-j), and u[r, j] = exp of that term minus m[r].
+    The caller stores z[:, k] before it asks for step k+1.  log_p is one
+    law for every row, log p(t) at index t, or a (rows, >= n+1) array of
+    one law per row (an excursion band is a law truncated at the band).
 
     u and m are, bit for bit, what the full window gives.  In the
     localized phase a term decays like e^{-f (k-j)}, so on a long chain
@@ -92,32 +94,34 @@ def _window_steps(log_p: np.ndarray, z: np.ndarray):
     range than inside it.  So a step exponentiates only j >= s and writes
     zeros below s, when a bound certifies that each term below s is an
     exact 0.0: the max of z over j < s and all rows (head), plus the max
-    of log p over the skipped distances (lpsuf, so a law whose p(t) is
-    not monotone is covered), minus the smallest window max over rows, is
-    below _EXP_ZERO.  The bound holds in float arithmetic, since rounding
-    is monotone; it also puts every skipped term below each row's window
-    max, so m is the full max.  A step whose bound fails (an m = -inf
-    gives +inf) runs the full window, and yields it as a fresh array.  A
-    windowed step yields the first k columns of a (rows, n) buffer whose
-    columns below s hold zeros; numpy reduces each row of either in the
-    same order, so the caller's sums and products keep their bits.
+    of log p over the skipped distances and all rows (lpsuf, so a law
+    whose p(t) is not monotone is covered, and -inf past the largest
+    band), minus the smallest window max over rows, is below _EXP_ZERO.
+    The bound holds in float arithmetic, since rounding is monotone; it
+    also puts every skipped term below each row's window max, so m is the
+    full max.  A step whose bound fails (an m = -inf gives +inf) runs the
+    full window, and yields it as a fresh array.  A windowed step yields
+    the first k columns of a (rows, n) buffer whose columns below s hold
+    zeros; numpy reduces each row of either in the same order, so the
+    caller's sums and products keep their bits.
 
     s moves after a step is stored, every _ADVANCE steps, to the largest
     start that the next step's bound passes with its window max in row r
-    replaced by its lower bound z[r, k] + log p(1)."""
+    replaced by its lower bound z[r, k] + log p_r(1)."""
     rows, width = z.shape
     n = width - 1
-    # lpsuf[t] = max log p(t') over t <= t' <= n
-    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
+    lp = np.atleast_2d(log_p)
+    # lpsuf[t] = max log p_r(t') over all rows r and t <= t' <= n
+    lpsuf = np.maximum.accumulate(lp[:, n::-1].max(0))[::-1]
     buf = np.zeros((rows, n))
     s = 0
     head = LOG_ZERO  # max of z[:, :s] over all rows
     for k in range(1, n + 1):
-        w = z[:, s:k] + log_p[k - s:0:-1]
+        w = z[:, s:k] + lp[:, k - s:0:-1]
         m = w.max(1)
         windowed = s and head + lpsuf[k - s + 1] - m.min() < _EXP_ZERO
         if s and not windowed:
-            w = z[:, :k] + log_p[k:0:-1]
+            w = z[:, :k] + lp[:, k:0:-1]
             m = w.max(1)
         w -= m[:, None]
         np.exp(w, out=w)
@@ -127,7 +131,7 @@ def _window_steps(log_p: np.ndarray, z: np.ndarray):
         yield k, w, m
         if k % _ADVANCE or k == n:
             continue
-        low = z[:, k].min() + log_p[1]
+        low = (z[:, k] + lp[:, 1]).min()
         # z[:, 0] = 0, so no start past s passes unless this does
         if not max(head, 0.0) + lpsuf[k + 1 - s] - low < _EXP_ZERO:
             continue
@@ -142,51 +146,30 @@ def _window_steps(log_p: np.ndarray, z: np.ndarray):
             s += step
 
 
-def _forward(log_p: np.ndarray, b: np.ndarray,
-             band: np.ndarray | None = None) -> np.ndarray:
+def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
 
-    Row r is the chain whose site k carries log weight b[r, k-1].  With
-    band, an integer array of one band >= 1 per row, row r's excursions
-    are capped at band[r].  The step window is then the largest band, and
-    a row's log p(t) for t past its own band is -inf, so its term is an
-    exact 0.  The banded window is summed sequentially (add.accumulate),
-    so those leading zeros leave the sum bit-identical to the row run
-    alone with its band; numpy's pairwise sum regroups 8 or more terms,
-    and would not be.  No guard is needed: log_p[t] is finite for t >= 1
-    (the law constructors enforce p(t) > 0) and z[:, 0] = 0, so every
-    step's max is finite when the weights are finite.
+    Row r is the chain whose site k carries log weight b[r, k-1], and
+    whose excursions follow log_p, one law for all rows or one each (see
+    _window_steps).  A row whose law is truncated at a band B (log p(t) =
+    -inf for t > B) caps its excursions at B; _window_steps skips the
+    exps of its terms past the band, so they cost O(n B), not O(n^2).
+    The table is the full window's bit for bit.
 
-    Without a band, the steps run through _window_steps, which leaves out
-    only terms that are exact zeros, so the table is the full window's
-    bit for bit.  -inf weights are allowed too, and give -inf entries,
-    never NaN: every step's max stays finite, either because z[:, 0] is
-    in the window or because the window's bound passed, which needs a
-    finite max in every row; a step whose max is -inf in some row fails
-    the bound and runs the full window, with z[:, 0] in it."""
+    Under an untruncated law (the law constructors enforce p(t) > 0),
+    -inf weights give -inf entries, never NaN: every step's max stays
+    finite, either because z[:, 0] is in the window or because the
+    window's bound passed, which needs a finite max in every row; a step
+    whose max is -inf in some row fails the bound and runs the full
+    window, with z[:, 0] in it.  A truncated row needs finite weights,
+    as the banded loop did: past the band z[:, 0] is out of reach, so B
+    consecutive -inf weights leave a step with a -inf max, and NaN."""
     rows, n = b.shape
-    if band is None:
-        z = np.empty((rows, n + 1))
-        z[:, 0] = 0.0
-        for k, u, m in _window_steps(log_p, z):
-            z[:, k] = np.log(u.sum(1)) + m + b[:, k - 1]
-        return z
-    # the banded pass fills the transposed table, zt[k] holding site k of
-    # every row, so that a step's window is one contiguous block
-    top = int(band.max())
-    t = np.arange(top, 0, -1)
-    # lpb[s, r] = log p(top - s), -inf where top - s exceeds band[r]
-    lpb = np.where(t[:, None] <= band, log_p[t][:, None], LOG_ZERO)
-    zt = np.empty((n + 1, rows))
-    zt[0] = 0.0
-    for k in range(1, n + 1):
-        width = min(k, top)
-        w = zt[k - width:k] + lpb[top - width:]
-        m = w.max(0)
-        w -= m
-        np.exp(w, out=w)
-        zt[k] = np.log(np.add.accumulate(w)[-1]) + m + b[:, k - 1]
-    return zt.T
+    z = np.empty((rows, n + 1))
+    z[:, 0] = 0.0
+    for k, u, m in _window_steps(log_p, z):
+        z[:, k] = np.log(u.sum(1)) + m + b[:, k - 1]
+    return z
 
 
 def _jet_forward(log_p: np.ndarray, b: np.ndarray,
@@ -348,11 +331,12 @@ class QuenchedBlock:
     charges is a (rows, >= n) array, row r holding omega_1..omega_n of
     environment r (columns past n are not read), or None for one row
     without disorder.  The prefix table is built with the block.  The
-    suffix table, and the avoidance profiles of a (window, start), are
-    built for every row the first time any row asks, and cached.  The
-    engines are row-local, so each row's tables are bit-identical to a
-    one-row block's.  Tables are read-only: every row view shares them.
-    ``systems()`` yields the rows as QuenchedSystem views."""
+    suffix table, the avoidance profiles of a (window, start) and the
+    excursion-capped log Z_n up to a cap are built for every row the
+    first time any row asks, and cached.  The engines are row-local, so
+    each row's tables are bit-identical to a one-row block's.  Tables are
+    read-only: every row view shares them.  ``systems()`` yields the rows
+    as QuenchedSystem views."""
 
     def __init__(self, law, h: float, charges, n: int):
         n = _index("n", n, 0, law.n_max)
@@ -383,6 +367,7 @@ class QuenchedBlock:
         self.prefix_logZ = _frozen(_forward(law.log_p, self.site_weight[:, 1:]))
         self._suffix = None
         self._avoidance = {}  # (window, start) -> (rows, window + 1)
+        self._excursion = np.empty((self.rows, 0))
 
     def systems(self):
         """The rows as QuenchedSystem views, in row order."""
@@ -398,6 +383,28 @@ class QuenchedBlock:
             rev = _forward(self.law.log_p, b[:, :n][:, ::-1])
             self._suffix = _frozen(rev[:, ::-1] - b + b[:, n:])
         return self._suffix
+
+    def excursion_logZ(self, m: int) -> np.ndarray:
+        """ex[r, b-1] = log Z_n of row r with every excursion capped at b,
+        for b = 1..M with M >= m, 1 <= m < n.
+
+        The caps past the cached M run as rows of _forward, one per
+        missing (row, band) pair, band by band and at most _BAND_PASS per
+        pass: the row's weights under the law truncated at the band."""
+        m = _index("m", m, 1, self.n - 1)
+        n, rows, have = self.n, self.rows, self._excursion.shape[1]
+        if m > have:
+            grown = np.empty((rows, m))
+            grown[:, :have] = self._excursion
+            # the missing (row, band) pairs, at column band - 1 of the table
+            col, row = np.divmod(np.arange(have * rows, m * rows), rows)
+            for lo in range(0, col.size, _BAND_PASS):
+                c, r = col[lo:lo + _BAND_PASS], row[lo:lo + _BAND_PASS]
+                lp = np.where(np.arange(n + 1) <= c[:, None] + 1,
+                              self.law.log_p[:n + 1], LOG_ZERO)
+                grown[r, c] = _forward(lp, self.site_weight[r, 1:])[:, n]
+            self._excursion = _frozen(grown)
+        return self._excursion
 
     def two_replica_avoidance_log(self, window: int, start: int = 0) -> np.ndarray:
         """log a_j of every row for j = 1..window on [start, start+window],
@@ -433,9 +440,9 @@ class QuenchedSystem:
 
     QuenchedSystem(law, h, omega, n) is the one row of its own block;
     ``QuenchedBlock.systems()`` builds the views of a larger block, which
-    share its prefix, suffix and avoidance tables.  Segment tables and the
-    band vector of max_excursion_cdf are per system, built lazily and
-    cached; every public method is a pure read."""
+    share its prefix, suffix, avoidance and excursion tables.  The segment
+    table is per system, built lazily and cached; every public method is
+    a pure read."""
 
     def __init__(self, law, h: float, omega, n: int):
         if isinstance(omega, _Row):  # built by QuenchedBlock.systems()
@@ -451,7 +458,6 @@ class QuenchedSystem:
         self.site_weight = block.site_weight[row]
         self.prefix_logZ = block.prefix_logZ[row]
         self._segments = None
-        self._band_logz = np.empty(0)  # [b-1]: log Z_n, excursions <= b
 
     @property
     def log_z(self) -> float:
@@ -527,7 +533,7 @@ class QuenchedSystem:
         high ones carry large roundoff, and that roundoff depends on the
         order: at (h = 3.5, n = 4096) kappa_4 is off by 1.3e-2 relative at
         order 4 and by 6.9e-3 at order 8.  Choosing the order belongs with
-        replacing the jets by contour integrals (item 3 of ROADMAP.md)."""
+        replacing the jets by contour integrals (item 4 of ROADMAP.md)."""
         if r_max > DEFAULT_JET_ORDER:
             raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:
@@ -562,25 +568,14 @@ class QuenchedSystem:
     def max_excursion_cdf(self, m: int) -> float:
         """P[M_n <= m]: partition ratio with excursions restricted to <= m.
 
-        Reads log Z_n^{(b)} for b = 1..M from a vector cached per system.
-        An m past M (and below n) extends it by banded ``_forward`` passes
-        over copies of the weight row, one row per missing band and at
-        most _BAND_PASS bands per pass, so a caller that wants several caps
-        should ask for the largest first: they then all come from the
-        fewest passes.  Each entry is bit-identical whatever pass computed
-        it."""
+        Reads log Z_n^{(b)} from the block's excursion table: the first
+        row of a block to ask for a cap past the table's runs the missing
+        bands of every row (``QuenchedBlock.excursion_logZ``), so a caller
+        that wants several caps should ask for the largest first: they
+        then all come from the fewest passes.  Each entry is bit-identical
+        whatever pass computed it."""
         m = _index("m", m, 1, math.inf)
-        n = self.n
-        if n == 0 or m >= n:
+        if self.n == 0 or m >= self.n:
             return 1.0
-        have = self._band_logz.size
-        if m > have:
-            grown = np.empty(m)
-            grown[:have] = self._band_logz
-            for lo in range(have, m, _BAND_PASS):
-                hi = min(lo + _BAND_PASS, m)
-                rows = np.broadcast_to(self.site_weight[1:], (hi - lo, n))
-                grown[lo:hi] = _forward(self.law.log_p, rows,
-                                        band=np.arange(lo + 1, hi + 1))[:, n]
-            self._band_logz = grown
-        return min(1.0, math.exp(self._band_logz[m - 1] - self.log_z))
+        logz = self._block.excursion_logZ(m)[self._row, m - 1]
+        return min(1.0, math.exp(logz - self.log_z))

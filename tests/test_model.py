@@ -128,6 +128,15 @@ def test_log_table_reaches_depths_linear_tables_cannot():
         law_from_log_table([0.0, -math.inf])
 
 
+def test_xi_beyond_float_range_is_rejected():
+    # a +900 jump at p(2) makes p(2)/p(1)^2 about e^900: no float xi
+    # bounds it, and the search must say so rather than double forever
+    lp = -np.arange(1, 65, dtype=float) * math.log(2.0)
+    lp[1] += 900.0
+    with pytest.raises(ValueError, match=r"worst ratio .* is e\^900\b"):
+        law_from_log_table(lp)
+
+
 def test_geometric_test_law():
     law = geometric_test_law(64)
     assert law.normalized

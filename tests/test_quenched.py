@@ -148,13 +148,15 @@ def test_non_finite_input_is_rejected():
 def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
                                             jet_order):
     # a row's table is bit-identical whatever batch it is computed in, and
-    # with bands whatever the other rows' bands are; with a jet order the
-    # engine is _jet_forward (log scales and coefficients)
+    # with bands (one law per row, truncated at the row's band) whatever
+    # the other rows' bands are; with a jet order the engine is
+    # _jet_forward (log scales and coefficients)
     rng = np.random.default_rng(seed)
     if jet_order is not None:
         bands = None
+    log_p = GEOM.log_p
     if bands is not None:
-        bands = np.array(bands[:rows])
+        log_p = _truncated_laws(log_p, n, np.array(bands[:rows]))
     if layout == "window":
         # overlapping rows as in the segment table, -inf past the end
         flat = rng.normal(0.0, 3.0, rows + n - 1)
@@ -164,20 +166,26 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     else:
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
 
-    def run(weights, band):
+    def run(weights, lp):
         if jet_order is None:
-            return (_forward(GEOM.log_p, weights, band),)
-        return _jet_forward(GEOM.log_p, weights, jet_order)
+            return (_forward(lp, weights),)
+        return _jet_forward(lp, weights, jet_order)
 
-    batched = run(b, bands)
+    batched = run(b, log_p)
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
     for r in range(rows):
         alone = run(np.ascontiguousarray(b[r:r + 1]),
-                    None if bands is None else bands[r:r + 1])
+                    log_p if bands is None else log_p[r:r + 1])
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
+
+
+def _truncated_laws(log_p, n, bands):
+    """One law per band: log p(t) for t = 0..n, -inf past the band."""
+    t = np.arange(n + 1)
+    return np.where(t <= bands[:, None], log_p[:n + 1], -math.inf)
 
 
 def _single_band_forward(log_p, b, band):
@@ -197,8 +205,9 @@ def _single_band_forward(log_p, b, band):
 
 
 def test_banded_rows_match_single_band_loop():
-    # every band of a batch against the one-band loop: bit for bit while a
-    # band is under numpy's 8-wide pairwise blocks, 1e-15 relative beyond
+    # every band of a batch, a row under its truncated law, against the
+    # one-band loop: the batch sums each step over the whole row, the
+    # loop over the band alone, so the two agree to roundoff
     law = build_law(1.0, None, 512)
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -210,11 +219,10 @@ def test_banded_rows_match_single_band_loop():
             w = float(rng.uniform(-2.0, 4.0)) + rng.normal(0.0, 1.0, n)
         top = int(rng.integers(1, 40))
         bands = np.arange(1, top + 1)
-        batched = _forward(law.log_p, np.broadcast_to(w, (top, n)), bands)
+        batched = _forward(_truncated_laws(law.log_p, n, bands),
+                           np.broadcast_to(w, (top, n)))
         for r, band in enumerate(bands):
             want = _single_band_forward(law.log_p, w[None], int(band))[0]
-            if band <= 7:
-                assert batched[r].tobytes() == want.tobytes()
             d = np.abs(batched[r] - want) / np.maximum(1.0, np.abs(want))
             worst = max(worst, float(d.max()))
     assert worst <= 1e-15
@@ -470,9 +478,10 @@ def test_max_excursion_cdf_is_independent_of_query_order():
 
 
 def test_max_excursion_cdf_memory_is_one_band_pass():
-    # caps near n extend the band vector at most 64 bands at a time: every
-    # entry has the bytes of its one-row run, and the peak allocation stays
-    # O((n+1) * 64) floats, not the (n+1) x m of a single pass
+    # caps near n extend the excursion table at most 64 bands at a time:
+    # every entry has the bytes of its one-row run under the truncated
+    # law, and the peak allocation stays O((n+1) * 64) floats, not the
+    # (n+1) x m of a single pass
     n, m_top = 512, 400
     law = build_law(1.0, None, n)
     w = 0.2 + np.random.default_rng(8).normal(0.0, 1.0, n)
@@ -484,12 +493,14 @@ def test_max_excursion_cdf_memory_is_one_band_pass():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (n + 1) * 64 * 8
+    table = sys_._block.excursion_logZ(m_top)
+    assert table.shape == (1, m_top)
     for m in (1, 63, 64, 65, 128, 129, 257, 399, 400):
-        one = _forward(law.log_p, sys_.site_weight[None, 1:],
-                       band=np.array([m]))[0, n]
+        one = _forward(_truncated_laws(law.log_p, n, np.array([m])),
+                       sys_.site_weight[None, 1:])[0, n]
         want = min(1.0, math.exp(one - sys_.log_z))
         assert sys_.max_excursion_cdf(m) == want
-        assert sys_._band_logz[m - 1].tobytes() == one.tobytes()
+        assert table[0, m - 1].tobytes() == one.tobytes()
 
 
 # -- two-replica avoidance ----------------------------------------------------
@@ -611,16 +622,18 @@ def test_avoidance_window_guard():
        st.integers(min_value=0, max_value=2 ** 32))
 def test_block_rows_match_standalone_systems(rows, n, h, spread, seed):
     # every row view of a block reads the bytes of a standalone system of
-    # its charges: the prefix, the suffix, and log a_j at random (window,
-    # start), whichever row asks first and in whatever order the starts
-    # come; the standalone profile is the pair DP on the window's weights
-    # against row `start` of the system's own segment table
+    # its charges: the prefix, the suffix, log a_j at random (window,
+    # start) and P[M_n <= m] at random caps m, whichever row asks first
+    # and in whatever order the starts and caps come; the standalone
+    # profile is the pair DP on the window's weights against row `start`
+    # of the system's own segment table
     law = build_law(1.0, None, 64)
     rng = np.random.default_rng(seed)
     charges = rng.uniform(-spread, spread, (rows, n))
     asks = []
     for window in rng.integers(1, n + 1, 4):
         asks.append((int(window), int(rng.integers(0, n - window + 1))))
+    caps = [int(m) for m in rng.integers(1, n + 1, 5)]
     want = []
     for r in range(rows):
         alone = QuenchedSystem(law, h, charges[r], n)
@@ -630,16 +643,21 @@ def test_block_rows_match_standalone_systems(rows, n, h, spread, seed):
             zseg = alone.segment_partitions(window)[start, :window + 1]
             pair[window, start] = _pair_forward(
                 law.log_p, b[None, start:start + window + 1], zseg[None])[0]
-        want.append((alone.prefix_logZ, alone.suffix_logZ(), pair))
+        cdf = {m: alone.max_excursion_cdf(m) for m in caps}
+        want.append((alone.prefix_logZ, alone.suffix_logZ(), pair, cdf))
     for row_order in (rng.permutation(rows), np.arange(rows)[::-1]):
         views = list(QuenchedBlock(law, h, charges, n).systems())
         assert [v.n for v in views] == [n] * rows
         for r in row_order:
-            prefix, suffix, pair = want[r]
+            prefix, suffix, pair, cdf = want[r]
             for i in rng.permutation(len(asks)):
                 window, start = asks[i]
                 got = views[r].two_replica_avoidance_log(window, start)
                 assert got.tobytes() == pair[window, start].tobytes()
+            for i in rng.permutation(len(caps)):
+                got = views[r].max_excursion_cdf(caps[i])
+                assert (np.float64(got).tobytes()
+                        == np.float64(cdf[caps[i]]).tobytes())
             assert views[r].suffix_logZ().tobytes() == suffix.tobytes()
             assert views[r].prefix_logZ.tobytes() == prefix.tobytes()
 
