@@ -66,9 +66,9 @@ def _resolve(cfg: RunConfig, args) -> RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> str:
-    out = cfg.run.out_dir or os.environ.get("PINLAB_OUT") or "pinlab_out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory; a command creates it once its law is built,
+    so a config that fails there leaves no directory behind."""
+    return cfg.run.out_dir or os.environ.get("PINLAB_OUT") or "pinlab_out"
 
 
 def _emit_common(cfg: RunConfig, out: str):
@@ -80,6 +80,7 @@ def _emit_common(cfg: RunConfig, out: str):
 def _cmd_compute(cfg: RunConfig, out: str) -> int:
     law = cfg.law()
     disorder = cfg.disorder_law()
+    os.makedirs(out, exist_ok=True)
     r_top = 4
     series = []
     for h in cfg.grids.h_values:
@@ -103,6 +104,7 @@ def _cmd_compute(cfg: RunConfig, out: str) -> int:
 
 def _cmd_scan(cfg: RunConfig, out: str) -> int:
     run_cfg = cfg.mc_config()
+    os.makedirs(out, exist_ok=True)
     n_top = int(max(run_cfg.n_values))
     series = []
     decays = []
@@ -150,6 +152,7 @@ def _cmd_verify(cfg: RunConfig, out: str, checks_flag: str | None) -> int:
             raise ConfigError(f"unknown check id {bad[0]!r}; known ids are "
                               "C1..C13", anchor="checks.ids")
     ctx = cfg.check_context()
+    os.makedirs(out, exist_ok=True)
     reports = full_report(ctx, checks=ids)
     outputs.write_report_json(os.path.join(out, "report.json"), reports)
     _emit_common(cfg, out)

@@ -6,21 +6,30 @@ Every partition table comes from one O(n^2) forward recursion,
 
     Z_{0,k} = sum_{t=1..k} Z_{0,k-t} p(t) e^{h+omega_k},
 
-run in log domain by ``_forward`` over a batch of weight rows, each under
-the law p or a law of its own: the prefix table is one row, the suffix
-table is the recursion on the reversed weights, the segment table runs
-one row per start site, and the restricted-excursion partition with cap
-b is a row under p truncated at b.  Disorder Monte Carlo runs the same
-engine on blocks of samples.
+run by ``_forward`` over a batch of weight rows, each under the law p or
+a law of its own: the prefix table is one row, the suffix table is the
+recursion on the reversed weights, the segment table runs one row per
+start site, and the restricted-excursion partition with cap b is a row
+under p truncated at b.  Disorder Monte Carlo runs the same engine on
+blocks of samples.  ``_forward`` steps in linear domain: each row is
+stored as Z_{0,j} e^{-C_r} under one log scale C_r, and a step is one dot
+product of the row with p(k-j)/p(1), then one log and one exp per row, so
+no term pays an exp.  A new entry above e^300 of the scale becomes the
+scale; a truncated row whose window keeps no entry within e^-200 of it is
+recomputed from the log table; entries below 1e-290 of the scale are
+exact zeros, and the dot skips the columns that are zero in every row.
+A flush certificate computed from the law decides, per call and per
+law, whether that is exact to double precision; a law whose log p spans
+too many nats on [1, n] runs the log-domain step instead.
 
 Derivatives of log Z in h (cumulants of the contact number) come from
 ``_jet_forward``, the same recursion with each entry carried as a
 truncated Taylor jet; it is batched too, and serves both
 ``QuenchedSystem.cumulants`` (one row) and the per-sample cumulant
-kernels of disorder Monte Carlo.  ``_forward`` and ``_jet_forward``
-share their step, ``_window_steps``: terms past a band, and in the
-localized phase those of distant sites, are exact zeros, and a step
-skips the exp of those it can certify, so every table keeps its bits.
+kernels of disorder Monte Carlo.  It steps in log domain, by
+``_window_steps``: in the localized phase the terms of distant sites are
+exact zeros, and a step skips the exp of those it can certify, so the
+jets keep their bits.
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
 in scaled linear domain (one log scale per column of the pair state), so
@@ -80,12 +89,11 @@ _ADVANCE = 16
 
 
 def _window_steps(log_p: np.ndarray, z: np.ndarray):
-    """Drive the forward step over the (rows, n+1) table z, whose column 0
-    is 0: for k = 1..n, yield (k, u, m) with m[r] the max over j < k of
-    z[r, j] + log p_r(k-j), and u[r, j] = exp of that term minus m[r].
-    The caller stores z[:, k] before it asks for step k+1.  log_p is one
-    law for every row, log p(t) at index t, or a (rows, >= n+1) array of
-    one law per row (an excursion band is a law truncated at the band).
+    """Drive the log-domain forward step over the (rows, n+1) table z,
+    whose column 0 is 0, under the one law log_p (log p(t) at index t):
+    for k = 1..n, yield (k, u, m) with m[r] the max over j < k of
+    z[r, j] + log p(k-j), and u[r, j] = exp of that term minus m[r].  The
+    caller stores z[:, k] before it asks for step k+1.
 
     u and m are, bit for bit, what the full window gives.  In the
     localized phase a term decays like e^{-f (k-j)}, so on a long chain
@@ -94,34 +102,33 @@ def _window_steps(log_p: np.ndarray, z: np.ndarray):
     range than inside it.  So a step exponentiates only j >= s and writes
     zeros below s, when a bound certifies that each term below s is an
     exact 0.0: the max of z over j < s and all rows (head), plus the max
-    of log p over the skipped distances and all rows (lpsuf, so a law
-    whose p(t) is not monotone is covered, and -inf past the largest
-    band), minus the smallest window max over rows, is below _EXP_ZERO.
-    The bound holds in float arithmetic, since rounding is monotone; it
-    also puts every skipped term below each row's window max, so m is the
-    full max.  A step whose bound fails (an m = -inf gives +inf) runs the
-    full window, and yields it as a fresh array.  A windowed step yields
-    the first k columns of a (rows, n) buffer whose columns below s hold
-    zeros; numpy reduces each row of either in the same order, so the
-    caller's sums and products keep their bits.
+    of log p over the skipped distances (lpsuf, so a law whose p(t) is
+    not monotone is covered, and -inf past a truncation), minus the
+    smallest window max over rows, is below _EXP_ZERO.  The bound holds
+    in float arithmetic, since rounding is monotone; it also puts every
+    skipped term below each row's window max, so m is the full max.  A
+    step whose bound fails (an m = -inf gives +inf) runs the full window,
+    and yields it as a fresh array.  A windowed step yields the first k
+    columns of a (rows, n) buffer whose columns below s hold zeros; numpy
+    reduces each row of either in the same order, so the caller's sums
+    and products keep their bits.
 
     s moves after a step is stored, every _ADVANCE steps, to the largest
     start that the next step's bound passes with its window max in row r
-    replaced by its lower bound z[r, k] + log p_r(1)."""
+    replaced by its lower bound z[r, k] + log p(1)."""
     rows, width = z.shape
     n = width - 1
-    lp = np.atleast_2d(log_p)
-    # lpsuf[t] = max log p_r(t') over all rows r and t <= t' <= n
-    lpsuf = np.maximum.accumulate(lp[:, n::-1].max(0))[::-1]
+    # lpsuf[t] = max log p(t') over t <= t' <= n
+    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
     buf = np.zeros((rows, n))
     s = 0
     head = LOG_ZERO  # max of z[:, :s] over all rows
     for k in range(1, n + 1):
-        w = z[:, s:k] + lp[:, k - s:0:-1]
+        w = z[:, s:k] + log_p[k - s:0:-1]
         m = w.max(1)
         windowed = s and head + lpsuf[k - s + 1] - m.min() < _EXP_ZERO
         if s and not windowed:
-            w = z[:, :k] + lp[:, k:0:-1]
+            w = z[:, :k] + log_p[k:0:-1]
             m = w.max(1)
         w -= m[:, None]
         np.exp(w, out=w)
@@ -131,7 +138,7 @@ def _window_steps(log_p: np.ndarray, z: np.ndarray):
         yield k, w, m
         if k % _ADVANCE or k == n:
             continue
-        low = (z[:, k] + lp[:, 1]).min()
+        low = (z[:, k] + log_p[1]).min()
         # z[:, 0] = 0, so no start past s passes unless this does
         if not max(head, 0.0) + lpsuf[k + 1 - s] - low < _EXP_ZERO:
             continue
@@ -146,29 +153,186 @@ def _window_steps(log_p: np.ndarray, z: np.ndarray):
             s += step
 
 
+# The linear step of _forward stores row r as y[r, j] = Z_{0,j} e^{-C_r}.
+# An entry below _FLUSH is stored as an exact 0; a new entry above
+# e^_RESCALE becomes the row's scale (y = 1); a truncated row whose window
+# keeps no entry of at least e^-_KEEP is rebuilt from the log table.
+_FLUSH = 1e-290
+_LOG_FLUSH = math.log(_FLUSH)
+_RESCALE = 300.0
+_KEEP = 200.0
+# a step's dot runs over the columns k-L..k-1, L a multiple of _LANE: the
+# BLAS dot then puts column j in the same accumulator lane, whatever L is
+_LANE = 32
+# the certificate's margins, in nats: partial sums stay below e^_OVERFLOW,
+# and the flushed share of a step's sum below e^_DROPPED (2^-60)
+_OVERFLOW = 700.0
+_DROPPED = -60.0 * math.log(2.0)
+# the reductions of a step, without the array methods' wrappers
+_max, _min = np.maximum.reduce, np.minimum.reduce
+
+
+def _linear_laws(lp: np.ndarray, n: int):
+    """(band, ok) for each row of the (laws, >= n+1) log p table lp: the
+    law's support in [1, n] is [1, band[r]], and ok[r] says whether the
+    linear step's certificate holds for it (see _forward)."""
+    lp = lp[:, 1:n + 1]
+    fin = np.isfinite(lp)
+    band = np.where(fin.all(1), n, fin.argmin(1))
+    lp1 = lp[:, 0]
+    # the extremes of log q = log p - log p(1) on the support
+    top = np.max(lp, axis=1, where=fin, initial=-np.inf) - lp1
+    low = np.min(lp, axis=1, where=fin, initial=np.inf) - lp1
+    with np.errstate(invalid="ignore"):  # a law with p(1) = 0
+        ok = ((band >= 1) & (fin.sum(1) == band)
+              & (math.log(n) + _RESCALE + top <= _OVERFLOW)
+              & (math.log(n) + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
+    return band, ok
+
+
+def _linear_rows(lp: np.ndarray, band: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """The linear step of _forward, for rows whose laws it certifies: lp
+    is one law or one per row, band as from _linear_laws; returns the
+    (rows, n+1) table."""
+    rows, n = b.shape
+    band = np.broadcast_to(band, (rows,))
+    reach = int(band.max())
+    banded = int(band.min()) < n
+    lp1 = lp[:, 1]
+    pad = _LANE
+    # qrev[:, pad + reach - t] = p(t) / p(1) for t = 1..reach, 0 beyond,
+    # so the weights of an L-column window ending at k are
+    # qrev[:, pad+reach-L:pad+reach].  np.exp and np.log only ever see
+    # contiguous arrays: on other layouts numpy may take a loop whose last
+    # bit differs, and a row's bits would then depend on its batch's shape
+    qrev = np.full((lp.shape[0], pad + reach), LOG_ZERO)
+    np.subtract(lp[:, reach:0:-1], lp1[:, None], out=qrev[:, pad:])
+    np.exp(qrev, out=qrev)
+    qrev = qrev[0, :, None] if lp.shape[0] == 1 else qrev[:, :, None]
+    z = np.empty((rows, n + 1))
+    z[:, 0] = 0.0
+    y = np.zeros((rows, pad + n + 1))  # y[:, pad + j] holds entry j
+    y[:, pad] = 1.0
+    scale = np.zeros(rows)
+    # row r is 0 below first[r] in its window; lo is the min over rows
+    first = np.zeros(rows, dtype=np.intp)
+    lo = 0
+    # the step after which a truncated row's latest entry of at least
+    # e^-_KEEP leaves its window [k+1-band, k]
+    expire = band.copy()
+    for k in range(1, n + 1):
+        cols = -(-(k - max(lo, k - reach)) // _LANE) * _LANE
+        s = np.matmul(y[:, None, pad + k - cols:pad + k],
+                      qrev[..., pad + reach - cols:pad + reach, :])
+        t = np.log(s[:, 0, 0])
+        t += lp1
+        t += b[:, k - 1]
+        np.add(scale, t, out=z[:, k])
+        if banded:
+            np.copyto(expire, band + k, where=t >= -_KEEP)
+        if _max(t) > _RESCALE:
+            # the new entry is the rows' scale: their stored entries are
+            # multiplied by one factor each, and those below _FLUSH flushed
+            r = np.flatnonzero(t > _RESCALE)
+            zk = z[r, k]
+            seg = y[r, pad + lo:pad + k] * np.exp(scale[r] - zk)[:, None]
+            seg[seg < _FLUSH] = 0.0
+            y[r, pad + lo:pad + k] = seg
+            nz = seg != 0.0
+            first[r] = lo + np.where(nz.any(1), nz.argmax(1), k - lo)
+            lo = int(first.min())
+            scale[r] = zk
+            t[r] = 0.0
+        col = np.exp(t)
+        if _min(t) < _LOG_FLUSH:
+            col[col < _FLUSH] = 0.0
+        y[:, pad + k] = col
+        if banded and _min(expire) <= k:
+            # rebuild each expired row's window from its log table, under
+            # the window max as the new scale, and zero the columns before
+            r = np.flatnonzero(expire <= k)
+            start = np.maximum(k + 1 - band[r], 0)
+            j0 = int(start.min())
+            seg = np.where(np.arange(j0, k + 1) >= start[:, None],
+                           z[r, j0:k + 1], LOG_ZERO)
+            top = seg.max(1)
+            seg -= top[:, None]
+            last = k - (seg[:, ::-1] >= -_KEEP).argmax(1)
+            np.exp(seg, out=seg)
+            seg[seg < _FLUSH] = 0.0
+            y[r, pad + j0:pad + k + 1] = seg
+            scale[r] = top
+            expire[r] = last + band[r]
+            first[r] = j0 + (seg != 0.0).argmax(1)
+            lo = int(first.min())
+    return z
+
+
 def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
 
     Row r is the chain whose site k carries log weight b[r, k-1], and
-    whose excursions follow log_p, one law for all rows or one each (see
-    _window_steps).  A row whose law is truncated at a band B (log p(t) =
-    -inf for t > B) caps its excursions at B; _window_steps skips the
-    exps of its terms past the band, so they cost O(n B), not O(n^2).
-    The table is the full window's bit for bit.
+    whose excursions follow log_p: one law for all rows, log p(t) at
+    index t, or a (rows, >= n+1) array of one law per row.  A row whose
+    law is truncated at a band B (log p(t) = -inf for t > B) caps its
+    excursions at B, and its steps cost O(B), not O(k).
 
-    Under an untruncated law (the law constructors enforce p(t) > 0),
-    -inf weights give -inf entries, never NaN: every step's max stays
-    finite, either because z[:, 0] is in the window or because the
-    window's bound passed, which needs a finite max in every row; a step
-    whose max is -inf in some row fails the bound and runs the full
-    window, with z[:, 0] in it.  A truncated row needs finite weights,
-    as the banded loop did: past the band z[:, 0] is out of reach, so B
-    consecutive -inf weights leave a step with a -inf max, and NaN."""
+    The step runs in linear domain.  Row r holds y[r, j] = Z_{0,j}
+    e^{-C_r} under one log scale C_r, and step k is one dot product of
+    the row with q(k-j) = p(k-j)/p(1), then one log and one exp per row:
+
+        log Z_{0,k} = C_r + log(sum_j y[r, j] q(k-j)) + log p(1) + b[r, k-1].
+
+    p is divided by p(1), so step 1 gives exactly log p(1) + b[r, 0].
+    Rescale rule: the scale starts at C = 0 (y[r, 0] = 1), and a new entry
+    above e^_RESCALE becomes the scale, y = 1: the row's entries are
+    multiplied by one factor.  An untruncated row's window (every j < k)
+    thus always holds an entry of at least 1.  A truncated row's window
+    [k-B, k-1] loses old entries; when it keeps none of at least e^-_KEEP,
+    it is recomputed from the log table under the window max.  Entries
+    below _FLUSH are stored as exact zeros, and the dot starts at the
+    first column that is nonzero in some row (or at k - B for the largest
+    band B), ends at k and spans a multiple of _LANE columns, so that a
+    row's bits do not depend on its block-mates.
+
+    Flush certificate: a step's sum is at least e^-_KEEP min q, and the
+    flushed entries add at most n _FLUSH max q, so with q ranging over
+    the law's support in [1, n], the flushed share is below 2^-60 when
+    log n + log _FLUSH + _KEEP + log(max q / min q) <= -60 log 2; max q
+    is taken over the whole support, so a law whose p(t) is not monotone
+    is covered.  No partial sum overflows when
+    log n + _RESCALE + log max q <= _OVERFLOW.  A row whose law fails
+    either bound (log p spans more than about 420 nats: the geometric
+    law past n of about 600), or has a zero p(t) inside its support,
+    runs the log-domain step of _window_steps instead, one call for a
+    shared law and one row at a time for per-row laws.  So every row's
+    table depends only on its weights, its law and n.
+
+    Under an untruncated law, -inf weights give -inf entries, never NaN.
+    A truncated row needs finite weights: past the band z[:, 0] is out
+    of reach, so B consecutive -inf weights leave a window without a
+    finite entry, and NaN."""
     rows, n = b.shape
+    lp = np.atleast_2d(log_p)
+    if not (n and rows):
+        return np.zeros((rows, n + 1))
+    band, ok = _linear_laws(lp, n)
+    if ok.all():
+        return _linear_rows(lp, band, b)
     z = np.empty((rows, n + 1))
     z[:, 0] = 0.0
-    for k, u, m in _window_steps(log_p, z):
-        z[:, k] = np.log(u.sum(1)) + m + b[:, k - 1]
+    lin = np.flatnonzero(ok)
+    if lin.size:
+        z[lin] = _linear_rows(lp[lin], band[lin], b[lin])
+    # the rows left run the log-domain step: all of them under a shared
+    # law, one at a time under laws of their own
+    fall = [(slice(None), lp[0])] if lp.shape[0] == 1 else \
+        [(slice(r, r + 1), lp[r]) for r in np.flatnonzero(~ok)]
+    for rs, law in fall:
+        zr, br = z[rs], b[rs]
+        for k, u, m in _window_steps(law, zr):
+            zr[:, k] = np.log(u.sum(1)) + m + br[:, k - 1]
     return z
 
 
@@ -178,8 +342,9 @@ def _jet_forward(log_p: np.ndarray, b: np.ndarray,
     weights b: returns (sc, coef) with sc[r, k] = log Z_{0,k} and
     coef[r, k, j] = (d^j Z_{0,k} / dh^j) / (j! Z_{0,k}) for j = 0..order.
 
-    The recursion is _forward's, stepped by the same _window_steps, with
-    each table entry carried as a jet: a step takes the p-weighted sum of
+    The recursion is _forward's, stepped in log domain by _window_steps
+    (the step _forward falls back to), with each table entry carried as
+    a jet: a step takes the p-weighted sum of
     earlier jets (one vector-matrix product per row) and multiplies it by
     the jet of the contact weight e^{h+b}, whose coefficients are 1/j!.
     The p-weighted sum runs over the full window, skipped zeros

@@ -1,5 +1,7 @@
-"""Shared generators: small random instances with enumerable horizons."""
+"""Shared generators: small random instances with enumerable horizons,
+and the 40-digit reference DP."""
 
+import mpmath as mp
 import numpy as np
 
 from pinlab.model import (
@@ -42,3 +44,23 @@ def random_instance(rng, n_lo=1, n_hi=14):
     h = float(rng.uniform(-2.0, 4.0))
     omega = random_disorder(rng).draw(rng, n)
     return law, h, omega, n
+
+
+def mp_prefix(log_p, b, band=None):
+    """Z_{0,k}, k = 0..n, in mpmath at the working precision for the site
+    log weights b, with every excursion capped at band when one is given."""
+    n = len(b)
+    p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x))) for x in log_p[1:n + 1]]
+    z = [mp.mpf(1)]
+    for k in range(1, n + 1):
+        lo = 0 if band is None else max(0, k - band)
+        z.append(mp.fdot(z[lo:k], p[k - lo:0:-1])
+                 * mp.exp(mp.mpf(float(b[k - 1]))))
+    return z
+
+
+def mp_log_prefix(log_p, b, band=None, digits=40):
+    """log Z_{0,k}, k = 0..n, of mp_prefix carried to `digits` digits."""
+    with mp.workdps(digits):
+        return np.array([float(mp.log(z))
+                         for z in mp_prefix(log_p, b, band)])

@@ -14,21 +14,9 @@ import numpy as np
 
 from pinlab.model import build_law, gaussian_disorder, geometric_test_law
 from pinlab.quenched import QuenchedSystem
+from support import mp_prefix
 
 DIGITS = 40
-
-
-def _mp_prefix(log_p, b, band=None):
-    """Z_{0,k}, k = 0..n, in mpmath for the site log weights b, with every
-    excursion capped at band when one is given."""
-    n = len(b)
-    p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x))) for x in log_p[1:n + 1]]
-    z = [mp.mpf(1)]
-    for k in range(1, n + 1):
-        lo = 0 if band is None else max(0, k - band)
-        z.append(mp.fdot(z[lo:k], p[k - lo:0:-1])
-                 * mp.exp(mp.mpf(float(b[k - 1]))))
-    return z
 
 
 def _gaussian_system(h, n, seed):
@@ -38,18 +26,19 @@ def _gaussian_system(h, n, seed):
 
 
 def test_prefix_log_z_against_mpmath():
-    # bound 1e-14 relative (to max(1, |log Z|)) over k = 0..512; 2.1e-15
+    # bound 1e-14 relative (to max(1, |log Z|)) over k = 0..512; 4.7e-16
     law, sys_ = _gaussian_system(3.0, 512, 5)
     with mp.workdps(DIGITS):
         ref = np.array([float(mp.log(z))
-                        for z in _mp_prefix(law.log_p, sys_.site_weight[1:])])
+                        for z in mp_prefix(law.log_p, sys_.site_weight[1:])])
     rel = np.abs(sys_.prefix_logZ - ref) / np.maximum(1.0, np.abs(ref))
     assert rel.max() <= 1e-14
 
 
 def test_geometric_log_z_matches_closed_form():
     # p(t) = 2^-t at h = log 3 without disorder: Z_n = (3/4) 2^n for
-    # n >= 1; bound 3e-13 relative up to n = 4096; 1.05e-13
+    # n >= 1; bound 3e-13 relative up to n = 4096; 1.05e-13 (log p spans
+    # 2838 nats, so this law runs the log-domain step)
     n = 4096
     sys_ = QuenchedSystem(geometric_test_law(n), math.log(3.0), None, n)
     with mp.workdps(DIGITS):
@@ -60,17 +49,61 @@ def test_geometric_log_z_matches_closed_form():
 
 
 def test_max_excursion_cdf_against_mpmath():
-    # P[M_n <= m] for m = 1..7, bound 5e-12 relative; 1.8e-12, at
-    # (h = 3, n = 512, m = 7), where log Z is about 1500 and its roundoff
+    # P[M_n <= m] for m = 1..7, bound 5e-12 relative; 7.0e-13, at
+    # (h = 3, n = 512, m = 5), where log Z is about 1300 and its roundoff
     # sets the error of the ratio
     worst = 0.0
     for h, n, seed in ((1.0, 64, 6), (1.0, 512, 7), (3.0, 512, 8)):
         law, sys_ = _gaussian_system(h, n, seed)
         b = sys_.site_weight[1:]
         with mp.workdps(DIGITS):
-            z_n = _mp_prefix(law.log_p, b)[n]
+            z_n = mp_prefix(law.log_p, b)[n]
             for m in range(1, 8):
-                want = _mp_prefix(law.log_p, b, m)[n] / z_n
+                want = mp_prefix(law.log_p, b, m)[n] / z_n
                 got = sys_.max_excursion_cdf(m)
                 worst = max(worst, float(abs(got - want) / want))
     assert worst <= 5e-12
+
+
+def test_suffix_log_z_against_mpmath():
+    # bound 1e-14 relative (to max(1, |log Z|)) over a = 0..512; 1.1e-15
+    law, sys_ = _gaussian_system(3.0, 512, 9)
+    n, w = sys_.n, sys_.site_weight
+    with mp.workdps(DIGITS):
+        p = [mp.exp(mp.mpf(float(x))) for x in law.log_p[1:n + 1]]
+        # u[x] = e^{w_x} Z_{[x, n]}: Z_{[a, n]} sums p(x - a) u[x], x > a
+        u = [mp.mpf(0)] * (n + 1)
+        z = [mp.mpf(0)] * (n + 1)
+        z[n] = mp.mpf(1)
+        for a in range(n - 1, -1, -1):
+            u[a + 1] = mp.exp(mp.mpf(float(w[a + 1]))) * z[a + 1]
+            z[a] = mp.fdot(p[:n - a], u[a + 1:])
+        ref = np.array([float(mp.log(v)) for v in z])
+    got = sys_.suffix_logZ()
+    rel = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert rel.max() <= 1e-14
+
+
+def test_segment_table_against_mpmath():
+    # the width-64 segment table at n = 512 (C7's): bound 1e-14 relative
+    # (to max(1, |log Z|)) over every segment [i, i+l] inside [0, n];
+    # 9.5e-16.  Entries past n are -inf
+    window = 64
+    law, sys_ = _gaussian_system(3.0, 512, 10)
+    n, w = sys_.n, sys_.site_weight
+    seg = sys_.segment_partitions(window)
+    with mp.workdps(DIGITS):
+        p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x)))
+                           for x in law.log_p[1:window + 1]]
+        e = [mp.exp(mp.mpf(float(x))) for x in w]
+        worst = 0.0
+        for i in range(n):
+            z = [mp.mpf(1)]
+            for k in range(1, min(window, n - i) + 1):
+                z.append(mp.fdot(z, p[k:0:-1]) * e[i + k])
+            ref = np.array([float(mp.log(v)) for v in z])
+            got = seg[i, :ref.size]
+            worst = max(worst, float((np.abs(got - ref)
+                                      / np.maximum(1.0, np.abs(ref))).max()))
+            assert np.all(seg[i, ref.size:] == -math.inf)
+    assert worst <= 1e-14

@@ -183,13 +183,15 @@ def test_config_errors_are_anchored(tmp_path, capsys):
 
 def test_table_law_without_float_xi_exits_with_its_ratio(tmp_path, capsys):
     # p(2)/p(1)^2 = e^1381.6 passes config validation, but no float xi
-    # bounds it: the command exits 1 and names the ratio
+    # bounds it: the command exits 1, names the ratio and leaves no output
+    # directory behind
     cfg = _write(tmp_path, "table.json", {
         "model": {"kind": "table", "table": [1e-300, 1.0, 1e-300, 1e-300]},
         "grids": {"h_values": [1.0], "n_values": [4]}})
     assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "worst ratio p(t+tau)/(p(t) p(tau)) is e^1381.55" in \
         capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_report_renders_plots(tmp_path, capsys):

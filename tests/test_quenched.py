@@ -9,6 +9,7 @@ import math
 import tracemalloc
 from itertools import chain
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +38,7 @@ from pinlab.oracle import (
     ursell,
 )
 from pinlab.quenched import (
-    _EXP_ZERO,
+    _LANE,
     QuenchedBlock,
     QuenchedSystem,
     _forward,
@@ -45,7 +46,7 @@ from pinlab.quenched import (
     _pair_forward,
     ks_to_standard_normal,
 )
-from support import random_instance
+from support import mp_log_prefix, random_instance
 
 GEOM = geometric_test_law(64)
 
@@ -188,50 +189,79 @@ def _truncated_laws(log_p, n, bands):
     return np.where(t <= bands[:, None], log_p[:n + 1], -math.inf)
 
 
-def _single_band_forward(log_p, b, band):
-    """Reference: log Z with excursions capped at one scalar band, each
-    step's window cut to the band and summed by numpy's pairwise sum."""
-    rows, n = b.shape
-    z = np.empty((rows, n + 1))
-    z[:, 0] = 0.0
-    for k in range(1, n + 1):
-        lo = max(0, k - band)
-        w = z[:, lo:k] + log_p[k - lo:0:-1]
-        m = w.max(1)
-        w -= m[:, None]
-        np.exp(w, out=w)
-        z[:, k] = np.log(w.sum(1)) + m + b[:, k - 1]
-    return z
-
-
-def test_banded_rows_match_single_band_loop():
-    # every band of a batch, a row under its truncated law, against the
-    # one-band loop: the batch sums each step over the whole row, the
-    # loop over the band alone, so the two agree to roundoff
+def test_banded_rows_match_mpmath():
+    # some bands of a batch, each a row under its truncated law, against
+    # the 40-digit banded DP: within 1e-14 relative to max(1, |log Z|)
     law = build_law(1.0, None, 512)
     rng = np.random.default_rng(41)
     worst = 0.0
-    for trial in range(24):
+    for trial in range(8):
         n = int(rng.integers(1, 400))
-        if trial % 2:
-            w = float(rng.uniform(-40.0, 60.0)) + rng.uniform(-800.0, 800.0, n)
-        else:
-            w = float(rng.uniform(-2.0, 4.0)) + rng.normal(0.0, 1.0, n)
+        w = float(rng.uniform(-2.0, 4.0)) + rng.normal(0.0, 1.0, n)
         top = int(rng.integers(1, 40))
         bands = np.arange(1, top + 1)
         batched = _forward(_truncated_laws(law.log_p, n, bands),
                            np.broadcast_to(w, (top, n)))
-        for r, band in enumerate(bands):
-            want = _single_band_forward(law.log_p, w[None], int(band))[0]
-            d = np.abs(batched[r] - want) / np.maximum(1.0, np.abs(want))
+        for band in {1, min(2, top), top // 2 + 1, top}:
+            want = mp_log_prefix(law.log_p, w, band)
+            d = np.abs(batched[band - 1] - want) / np.maximum(1.0, np.abs(want))
             worst = max(worst, float(d.max()))
-    assert worst <= 1e-15
+    assert worst <= 1e-14
 
 
-def _full_window_forward(log_p, b):
-    """Reference: the unbanded recursion with every step over its full
-    window, j = 0..k-1 (a band of n caps nothing)."""
-    return _single_band_forward(log_p, b, b.shape[1])
+def test_banded_rows_keep_their_entries_under_extreme_charges():
+    # charges up to |omega| = 800: a truncated row's window falls hundreds
+    # of nats below the entry that set its scale, and must be rebuilt, not
+    # flushed.  Every entry stays finite, as in the 40-digit DP, within
+    # 1e-14 of the row's largest |log Z| (an entry can be a small sum of
+    # +-800 charges, so its own relative error is not bounded)
+    law = build_law(1.0, None, 512)
+    rng = np.random.default_rng(42)
+    for trial in range(6):
+        n = int(rng.integers(100, 400))
+        w = float(rng.uniform(-40.0, 60.0)) + rng.uniform(-800.0, 800.0, n)
+        top = int(rng.integers(8, 40))
+        bands = np.arange(1, top + 1)
+        batched = _forward(_truncated_laws(law.log_p, n, bands),
+                           np.broadcast_to(w, (top, n)))
+        for band in (1, 2, top // 2, top):
+            want = mp_log_prefix(law.log_p, w, band)
+            got = batched[band - 1]
+            assert np.isfinite(want).all() and np.isfinite(got).all()
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+def test_steep_law_with_a_falling_partition_function():
+    # p(t) = 2^-t at h = -5 without disorder: Z_k = 2^-k e^h (1 + e^h)^(k-1)
+    # falls as fast as p, so the term of j = 0 stays as large as the latest
+    # ones.  log p spans 1386 nats on [1, 2000], past the linear step's
+    # certificate: the rows run the log-domain step, and no entry is lost
+    n, h = 2000, -5.0
+    z = _forward(geometric_test_law(4096).log_p, np.full((1, n), h))[0]
+    with mp.workdps(40):
+        want = np.array([float(-k * mp.log(2) + h + (k - 1) * mp.log1p(mp.exp(h)))
+                         for k in range(1, n + 1)])
+    assert np.isfinite(z).all()
+    assert (np.abs(z[1:] - want) / np.abs(want)).max() <= 1e-14
+
+
+def test_first_step_is_exact():
+    # step 1 is log p(1) + b[:, 0] bit for bit, under a shared law and under
+    # per-row truncated laws; so the pair DP's log a_1 = 2 (log p(1) + b_1)
+    # - 2 log Z_1 is exactly 0
+    rng = np.random.default_rng(44)
+    power = build_law(1.0, None, 64).log_p
+    b = rng.normal(0.0, 3.0, (6, 40))
+    for log_p in (GEOM.log_p, power,
+                  _truncated_laws(power, 40, np.array([1, 2, 5, 9, 40, 64]))):
+        lp = np.atleast_2d(log_p)[:, 1]
+        assert _forward(log_p, b)[:, 1].tobytes() == (lp + b[:, 0]).tobytes()
+    for h in (-1.0, 1.0, 3.0):
+        sys_ = QuenchedSystem(build_law(1.0, None, 64), h,
+                              rng.normal(0.0, 1.0, 64), 64)
+        for start in (0, 7):
+            assert sys_.two_replica_avoidance_log(32, start)[1] == 0.0
 
 
 def _full_window_jet_forward(log_p, b, order):
@@ -266,27 +296,11 @@ def _bumpy_log_p(rng, size):
     return np.concatenate(([-math.inf], lp))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=8),
-       st.integers(min_value=200, max_value=700),
-       st.sampled_from(["geometric", "bumpy"]),
-       st.integers(min_value=1, max_value=8),
-       st.integers(min_value=0, max_value=2 ** 32))
-# inputs on which a head taken from row 0 alone, and log p in place of
-# its suffix max, each give wrong tables
-@example(4, 400, "geometric", 2, 0)
-@example(1, 400, "bumpy", 2, 1)
-def test_window_tables_match_full_window_loop(rows, n, law_kind, order, seed):
-    # long chains, where the skipped exps are most of the work: each row
-    # has its own h in [-40, 60], charges up to |omega| = 800, and may
-    # carry an early burst of +800 charges, a run of -800 charges (late
-    # steps then fall back to the full window, or a row's early terms
-    # dominate its late ones) or -inf weights
-    rng = np.random.default_rng(seed)
-    if law_kind == "geometric":
-        log_p = geometric_test_law(n).log_p
-    else:
-        log_p = _bumpy_log_p(rng, n)
+def _long_chain_weights(rng, rows, n):
+    """Weights of long chains: each row has its own h in [-40, 60], charges
+    up to |omega| = 800, and may carry an early burst of +800 charges, a
+    run of -800 charges (a row's early terms then dominate its late ones)
+    or -inf weights."""
     b = np.empty((rows, n))
     for r in range(rows):
         spread = float(rng.choice([0.0, 1.0, 30.0, 800.0]))
@@ -301,36 +315,76 @@ def test_window_tables_match_full_window_loop(rows, n, law_kind, order, seed):
             b[r, rng.random(n) < 0.1] = -math.inf
         if rng.random() < 0.1:
             b[r, int(rng.integers(0, n)):] = -math.inf
-    z = _forward(log_p, b)
-    assert z.tobytes() == _full_window_forward(log_p, b).tobytes()
+    return b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=200, max_value=700),
+       st.sampled_from(["geometric", "bumpy"]),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2 ** 32))
+# inputs on which a head taken from row 0 alone, and log p in place of
+# its suffix max, each give wrong tables
+@example(4, 400, "geometric", 2, 0)
+@example(1, 400, "bumpy", 2, 1)
+def test_window_tables_match_full_window_loop(rows, n, law_kind, order, seed):
+    # the jets on long chains, where the skipped exps are most of the
+    # work: late steps fall back to the full window after a run of -800
+    # charges, and a bumpy law needs the suffix max of log p
+    rng = np.random.default_rng(seed)
+    if law_kind == "geometric":
+        log_p = geometric_test_law(n).log_p
+    else:
+        log_p = _bumpy_log_p(rng, n)
+    b = _long_chain_weights(rng, rows, n)
     finite = np.where(np.isinf(b), -40.0, b)  # the jets take finite weights
     for got, want in zip(_jet_forward(log_p, finite, order),
                          _full_window_jet_forward(log_p, finite, order)):
         assert got.tobytes() == want.tobytes()
 
 
-def test_window_skips_most_exps_on_a_long_localized_chain(monkeypatch):
-    # a skipped term must be an exact zero of np.exp, with room to spare
-    assert np.exp(_EXP_ZERO) == 0.0
-    assert _EXP_ZERO < math.log(np.finfo(float).smallest_subnormal) - 50.0
-    n = 2048
+def test_long_chains_match_mpmath():
+    # the long chains of the window test against the 40-digit DP, within
+    # 1e-14 relative to max(1, |log Z|), and -inf exactly where it is:
+    # the geometric law at n = 512 runs the linear step, the bumpy law
+    # (log p spans thousands of nats) the log-domain one
+    rng = np.random.default_rng(45)
+    for log_p in (geometric_test_law(512).log_p, _bumpy_log_p(rng, 512),
+                  geometric_test_law(512).log_p, _bumpy_log_p(rng, 512)):
+        b = _long_chain_weights(rng, 2, 512)
+        z = _forward(log_p, b)
+        for got, w in zip(z, b):
+            want = mp_log_prefix(log_p, w)
+            fin = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), fin)
+            assert np.array_equal(got[~fin], want[~fin])
+            d = np.abs(got[fin] - want[fin]) / np.maximum(1.0, np.abs(want[fin]))
+            assert d.max() <= 1e-14
+
+
+def test_forward_takes_one_exp_and_log_per_row_and_step(monkeypatch):
+    # the linear step: one log and one exp per row and step, besides one
+    # exp per entry of p when the law is set up and one per row rescaled;
+    # on a long localized chain a rescale is rare (Z grows ~2 nats a step)
+    n, rows = 512, 3
     law = build_law(1.0, None, n)
-    omega = gaussian_disorder(1.0).draw(np.random.default_rng(3), n)
-    b = 3.0 + omega[None]
-    want = _full_window_forward(law.log_p, b)
-    terms = []
-    exp = np.exp
-
-    def counting_exp(x, *args, **kwargs):
-        terms.append(np.size(x))
-        return exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", counting_exp)
+    b = 3.0 + np.random.default_rng(3).normal(0.0, 1.0, (rows, n))
+    terms = {"exp": [], "log": []}
+    for name in terms:
+        def counting(x, *args, _f=getattr(np, name), _to=terms[name], **kw):
+            _to.append(np.size(x))
+            return _f(x, *args, **kw)
+        monkeypatch.setattr(np, name, counting)
     z = _forward(law.log_p, b)
     monkeypatch.undo()
-    assert z.tobytes() == want.tobytes()
-    assert len(terms) == n
-    assert sum(terms) < 0.4 * n * (n + 1) / 2
+    assert terms["log"] == [rows] * n
+    setup, steps = terms["exp"][0], terms["exp"][1:]
+    assert setup == n + _LANE
+    assert steps.count(rows) == n and sum(steps) <= rows * n + rows * n // 64
+    for got, w in zip(z, b):
+        want = mp_log_prefix(law.log_p, w)
+        assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= 1e-14
 
 
 # -- contact observables ------------------------------------------------------
