@@ -193,17 +193,13 @@ def _cmd_report(out: str) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "report":
-            if args.config:
-                cfg = load_config(args.config)
-                cfg = _resolve(cfg, args)
-                out = _out_dir(cfg)
-            else:
-                out = args.out or os.environ.get("PINLAB_OUT") or "pinlab_out"
-            return _cmd_report(out)
-        cfg = load_config(args.config)
+        # report may run without a config: the default one then gives its
+        # output directory by the same precedence
+        cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _resolve(cfg, args)
         out = _out_dir(cfg)
+        if args.command == "report":
+            return _cmd_report(out)
         # per-block kernel results live for this command only
         with mc.run_memo():
             if args.command == "compute":

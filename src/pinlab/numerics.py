@@ -1,12 +1,9 @@
-"""Log-domain scalars and truncated Taylor jets.
+"""Log-domain encoding and truncated Taylor jets.
 
 A nonnegative quantity is carried as its natural logarithm (a plain float),
-with ``-inf`` as the distinguished encoding of exact zero.
-:func:`log_sum_exp` sums such quantities without an intermediate ``exp``
-overflowing or underflowing.  Only ``oracle`` calls it: the DP engines
-and the estimators shift by the max inline, over whole arrays.
+with ``-inf`` (``LOG_ZERO``) as the distinguished encoding of exact zero.
 
-A :class:`ScaledJet` carries a quantity together with its first ``order``
+A :class:`ScaledJet` carries a quantity together with its first R
 derivatives in a scalar parameter: the zeroth-order value lives in ``scale``
 (as a log), and ``coeffs`` holds the Taylor coefficients normalized so that
 ``coeffs[0] == 1``.  Jets of positive quantities therefore never overflow
@@ -29,22 +26,6 @@ LOG_ZERO = -math.inf
 DEFAULT_JET_ORDER = 8
 
 
-def log_sum_exp(values) -> float:
-    """Return log(sum(exp(v) for v in values)) without over/underflow.
-
-    The empty sum is the zero state ``-inf``.  NaN entries are rejected.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return LOG_ZERO
-    if np.isnan(arr).any():
-        raise ValueError("log_sum_exp: NaN is not a valid log-magnitude")
-    m = float(np.max(arr))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + math.log(float(np.sum(np.exp(arr - m))))
-
-
 @dataclass(frozen=True)
 class ScaledJet:
     """Truncated Taylor jet with a separate log scale.
@@ -65,10 +46,6 @@ class ScaledJet:
             raise ValueError("ScaledJet: NaN coefficient")
         if self.scale != LOG_ZERO and c[0] != 1.0:
             raise ValueError("ScaledJet: coeffs[0] must be 1 for a nonzero jet")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _log_series(f: np.ndarray) -> np.ndarray:

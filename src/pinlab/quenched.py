@@ -6,30 +6,30 @@ Every partition table comes from one O(n^2) forward recursion,
 
     Z_{0,k} = sum_{t=1..k} Z_{0,k-t} p(t) e^{h+omega_k},
 
-run by ``_forward`` over a batch of weight rows, each under the law p or
-a law of its own: the prefix table is one row, the suffix table is the
-recursion on the reversed weights, the segment table runs one row per
-start site, and the restricted-excursion partition with cap b is a row
-under p truncated at b.  Disorder Monte Carlo runs the same engine on
+run by ``_forward`` over a batch of weight rows under one law p, each
+row with an optional band: the prefix table is one row, the suffix
+table is the recursion on the reversed weights, the segment table runs
+one row per start site, and the restricted-excursion partition with cap
+b is a row with band b.  Disorder Monte Carlo runs the same engine on
 blocks of samples.  ``_forward`` steps in linear domain: each row is
 stored as Z_{0,j} e^{-C_r} under one log scale C_r, and a step is one dot
-product of the row with p(k-j)/p(1), then one log and one exp per row, so
-no term pays an exp.  A new entry above e^300 of the scale becomes the
-scale; a truncated row whose window keeps no entry within e^-200 of it is
-recomputed from the log table; entries below 1e-290 of the scale are
-exact zeros, and the dot skips the columns that are zero in every row.
-A flush certificate computed from the law decides, per call and per
-law, whether that is exact to double precision; a law whose log p spans
-too many nats on [1, n] runs the log-domain step instead.
+product of the row with p(k-j)/p(1), 0 past the row's band, then one log
+and one exp per row, so no term pays an exp.  A new entry above e^300 of
+the scale becomes the scale; a banded row whose window keeps no entry
+within e^-200 of it is recomputed from the log table; entries below
+1e-290 of the scale are exact zeros, and the dot skips the columns that
+are zero in every row.  A flush certificate computed from the law
+decides, per band, whether that is exact to double precision; the rows
+whose band spans too many nats of log p on [1, n] run the log-domain
+step instead, the order-0 jets below.
 
 Derivatives of log Z in h (cumulants of the contact number) come from
 ``_jet_forward``, the same recursion with each entry carried as a
 truncated Taylor jet; it is batched too, and serves both
 ``QuenchedSystem.cumulants`` (one row) and the per-sample cumulant
-kernels of disorder Monte Carlo.  It steps in log domain, by
-``_window_steps``: in the localized phase the terms of distant sites are
-exact zeros, and a step skips the exp of those it can certify, so the
-jets keep their bits.
+kernels of disorder Monte Carlo.  It steps in log domain: in the
+localized phase the terms of distant sites are exact zeros, and a step
+skips the exp of those it can certify, so the jets keep their bits.
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
 in scaled linear domain (one log scale per column of the pair state), so
@@ -80,79 +80,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# a step leaves out the terms j < s only when every one of them, in every
-# row, has an exp argument below this: far below log of the smallest
-# subnormal (about -744.4), so np.exp returns an exact +0.0 for each of them
-_EXP_ZERO = -800.0
-# steps between attempts to move the window start
-_ADVANCE = 16
-
-
-def _window_steps(log_p: np.ndarray, z: np.ndarray):
-    """Drive the log-domain forward step over the (rows, n+1) table z,
-    whose column 0 is 0, under the one law log_p (log p(t) at index t):
-    for k = 1..n, yield (k, u, m) with m[r] the max over j < k of
-    z[r, j] + log p(k-j), and u[r, j] = exp of that term minus m[r].  The
-    caller stores z[:, k] before it asks for step k+1.
-
-    u and m are, bit for bit, what the full window gives.  In the
-    localized phase a term decays like e^{-f (k-j)}, so on a long chain
-    most of them are exact zeros, and computing them is the cost of a
-    step: np.exp is an order of magnitude slower on arguments below its
-    range than inside it.  So a step exponentiates only j >= s and writes
-    zeros below s, when a bound certifies that each term below s is an
-    exact 0.0: the max of z over j < s and all rows (head), plus the max
-    of log p over the skipped distances (lpsuf, so a law whose p(t) is
-    not monotone is covered, and -inf past a truncation), minus the
-    smallest window max over rows, is below _EXP_ZERO.  The bound holds
-    in float arithmetic, since rounding is monotone; it also puts every
-    skipped term below each row's window max, so m is the full max.  A
-    step whose bound fails (an m = -inf gives +inf) runs the full window,
-    and yields it as a fresh array.  A windowed step yields the first k
-    columns of a (rows, n) buffer whose columns below s hold zeros; numpy
-    reduces each row of either in the same order, so the caller's sums
-    and products keep their bits.
-
-    s moves after a step is stored, every _ADVANCE steps, to the largest
-    start that the next step's bound passes with its window max in row r
-    replaced by its lower bound z[r, k] + log p(1)."""
-    rows, width = z.shape
-    n = width - 1
-    # lpsuf[t] = max log p(t') over t <= t' <= n
-    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
-    buf = np.zeros((rows, n))
-    s = 0
-    head = LOG_ZERO  # max of z[:, :s] over all rows
-    for k in range(1, n + 1):
-        w = z[:, s:k] + log_p[k - s:0:-1]
-        m = w.max(1)
-        windowed = s and head + lpsuf[k - s + 1] - m.min() < _EXP_ZERO
-        if s and not windowed:
-            w = z[:, :k] + log_p[k:0:-1]
-            m = w.max(1)
-        w -= m[:, None]
-        np.exp(w, out=w)
-        if windowed:
-            buf[:, s:k] = w
-            w = buf[:, :k]
-        yield k, w, m
-        if k % _ADVANCE or k == n:
-            continue
-        low = (z[:, k] + log_p[1]).min()
-        # z[:, 0] = 0, so no start past s passes unless this does
-        if not max(head, 0.0) + lpsuf[k + 1 - s] - low < _EXP_ZERO:
-            continue
-        # candidate start j+1 for j = s..k-1 skips columns up to j, whose
-        # nearest distance at step k+1 is k+1-j; the bound grows with j
-        top = np.maximum(np.maximum.accumulate(z[:, s:k].max(0)), head)
-        ok = top + lpsuf[k + 1 - s:1:-1] - low < _EXP_ZERO
-        step = int(ok.sum())
-        if step:
-            head = top[step - 1]
-            buf[:, s:s + step] = 0.0
-            s += step
-
-
 # The linear step of _forward stores row r as y[r, j] = Z_{0,j} e^{-C_r}.
 # An entry below _FLUSH is stored as an exact 0; a new entry above
 # e^_RESCALE becomes the row's scale (y = 1); a truncated row whose window
@@ -172,44 +99,31 @@ _DROPPED = -60.0 * math.log(2.0)
 _max, _min = np.maximum.reduce, np.minimum.reduce
 
 
-def _linear_laws(lp: np.ndarray, n: int):
-    """(band, ok) for each row of the (laws, >= n+1) log p table lp: the
-    law's support in [1, n] is [1, band[r]], and ok[r] says whether the
-    linear step's certificate holds for it (see _forward)."""
-    lp = lp[:, 1:n + 1]
-    fin = np.isfinite(lp)
-    band = np.where(fin.all(1), n, fin.argmin(1))
-    lp1 = lp[:, 0]
-    # the extremes of log q = log p - log p(1) on the support
-    top = np.max(lp, axis=1, where=fin, initial=-np.inf) - lp1
-    low = np.min(lp, axis=1, where=fin, initial=np.inf) - lp1
-    with np.errstate(invalid="ignore"):  # a law with p(1) = 0
-        ok = ((band >= 1) & (fin.sum(1) == band)
-              & (math.log(n) + _RESCALE + top <= _OVERFLOW)
-              & (math.log(n) + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
-    return band, ok
-
-
-def _linear_rows(lp: np.ndarray, band: np.ndarray,
+def _linear_rows(log_p: np.ndarray, band: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
-    """The linear step of _forward, for rows whose laws it certifies: lp
-    is one law or one per row, band as from _linear_laws; returns the
-    (rows, n+1) table."""
+    """The linear step of _forward, for rows whose bands it certifies:
+    row r runs under log_p cut at band[r] <= n; returns the (rows, n+1)
+    table."""
     rows, n = b.shape
-    band = np.broadcast_to(band, (rows,))
     reach = int(band.max())
     banded = int(band.min()) < n
-    lp1 = lp[:, 1]
+    lp1 = log_p[1]
     pad = _LANE
-    # qrev[:, pad + reach - t] = p(t) / p(1) for t = 1..reach, 0 beyond,
-    # so the weights of an L-column window ending at k are
-    # qrev[:, pad+reach-L:pad+reach].  np.exp and np.log only ever see
-    # contiguous arrays: on other layouts numpy may take a loop whose last
-    # bit differs, and a row's bits would then depend on its batch's shape
-    qrev = np.full((lp.shape[0], pad + reach), LOG_ZERO)
-    np.subtract(lp[:, reach:0:-1], lp1[:, None], out=qrev[:, pad:])
+    # qrev[pad + reach - t] = p(t) / p(1) for t = 1..reach, so the weights
+    # of an L-column window ending at k are qrev[pad+reach-L:pad+reach].
+    # np.exp and np.log only ever see contiguous arrays: on other layouts
+    # numpy may take a loop whose last bit differs, and a row's bits would
+    # then depend on its batch's shape
+    qrev = np.full(pad + reach, LOG_ZERO)
+    np.subtract(log_p[reach:0:-1], lp1, out=qrev[pad:])
     np.exp(qrev, out=qrev)
-    qrev = qrev[0, :, None] if lp.shape[0] == 1 else qrev[:, :, None]
+    if int(band.min()) < reach:
+        # one weight row per row, 0 past its band: the masked entries add
+        # exact zeros in the BLAS lanes the unmasked ones would use
+        qrev = np.where(np.arange(pad + reach) >= pad + reach - band[:, None],
+                        qrev, 0.0)[:, :, None]
+    else:
+        qrev = qrev[:, None]
     z = np.empty((rows, n + 1))
     z[:, 0] = 0.0
     y = np.zeros((rows, pad + n + 1))  # y[:, pad + j] holds entry j
@@ -269,14 +183,14 @@ def _linear_rows(lp: np.ndarray, band: np.ndarray,
     return z
 
 
-def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
 
     Row r is the chain whose site k carries log weight b[r, k-1], and
-    whose excursions follow log_p: one law for all rows, log p(t) at
-    index t, or a (rows, >= n+1) array of one law per row.  A row whose
-    law is truncated at a band B (log p(t) = -inf for t > B) caps its
-    excursions at B, and its steps cost O(B), not O(k).
+    whose excursions follow the one law log_p (log p(t) at index t), cut
+    at band[r] >= 1 when band, one int per row, is given: the row's
+    excursions are capped at its band B, and its steps cost O(B), not
+    O(k).  A law whose p(t) is 0 past some T < B has the band T.
 
     The step runs in linear domain.  Row r holds y[r, j] = Z_{0,j}
     e^{-C_r} under one log scale C_r, and step k is one dot product of
@@ -285,6 +199,8 @@ def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
         log Z_{0,k} = C_r + log(sum_j y[r, j] q(k-j)) + log p(1) + b[r, k-1].
 
     p is divided by p(1), so step 1 gives exactly log p(1) + b[r, 0].
+    q is built once; when the bands differ, it is masked into one weight
+    row per row, 0 past that row's band.
     Rescale rule: the scale starts at C = 0 (y[r, 0] = 1), and a new entry
     above e^_RESCALE becomes the scale, y = 1: the row's entries are
     multiplied by one factor.  An untruncated row's window (every j < k)
@@ -298,42 +214,58 @@ def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Flush certificate: a step's sum is at least e^-_KEEP min q, and the
     flushed entries add at most n _FLUSH max q, so with q ranging over
-    the law's support in [1, n], the flushed share is below 2^-60 when
+    [1, B], the flushed share is below 2^-60 when
     log n + log _FLUSH + _KEEP + log(max q / min q) <= -60 log 2; max q
-    is taken over the whole support, so a law whose p(t) is not monotone
-    is covered.  No partial sum overflows when
-    log n + _RESCALE + log max q <= _OVERFLOW.  A row whose law fails
-    either bound (log p spans more than about 420 nats: the geometric
-    law past n of about 600), or has a zero p(t) inside its support,
-    runs the log-domain step of _window_steps instead, one call for a
-    shared law and one row at a time for per-row laws.  So every row's
-    table depends only on its weights, its law and n.
+    is taken over all of [1, B], so a law whose p(t) is not monotone is
+    covered.  No partial sum overflows when
+    log n + _RESCALE + log max q <= _OVERFLOW.  Both are decided per band
+    from the prefix max and min of log p on [1, n].  A row whose band
+    fails either bound (log p spans more than about 420 nats on it: the
+    geometric law past B of about 600), or has a zero p(t) inside its
+    support, runs the log-domain step instead: the order-0 jets of
+    _jet_forward, one call per distinct band, under the law cut there.
+    So every row's table depends only on its weights, its law, its band
+    and n.
 
     Under an untruncated law, -inf weights give -inf entries, never NaN.
     A truncated row needs finite weights: past the band z[:, 0] is out
     of reach, so B consecutive -inf weights leave a window without a
     finite entry, and NaN."""
     rows, n = b.shape
-    lp = np.atleast_2d(log_p)
     if not (n and rows):
         return np.zeros((rows, n + 1))
-    band, ok = _linear_laws(lp, n)
+    cut = np.full(rows, n) if band is None else np.minimum(band, n)
+    lp = log_p[1:n + 1]
+    fin = np.isfinite(lp)
+    # the support of row r in [1, n] is [1, reach[r]] when its check passes
+    reach = np.minimum(cut, n if fin.all() else int(fin.argmin()))
+    at = np.maximum(reach - 1, 0)
+    # the extremes of log q = log p - log p(1) on the support
+    top = np.maximum.accumulate(lp)[at] - lp[0]
+    low = np.minimum.accumulate(lp)[at] - lp[0]
+    with np.errstate(invalid="ignore"):  # a law with p(1) = 0
+        ok = ((reach >= 1) & (np.cumsum(fin)[cut - 1] == reach)
+              & (math.log(n) + _RESCALE + top <= _OVERFLOW)
+              & (math.log(n) + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
     if ok.all():
-        return _linear_rows(lp, band, b)
+        return _linear_rows(log_p, reach, b)
     z = np.empty((rows, n + 1))
-    z[:, 0] = 0.0
     lin = np.flatnonzero(ok)
     if lin.size:
-        z[lin] = _linear_rows(lp[lin], band[lin], b[lin])
-    # the rows left run the log-domain step: all of them under a shared
-    # law, one at a time under laws of their own
-    fall = [(slice(None), lp[0])] if lp.shape[0] == 1 else \
-        [(slice(r, r + 1), lp[r]) for r in np.flatnonzero(~ok)]
-    for rs, law in fall:
-        zr, br = z[rs], b[rs]
-        for k, u, m in _window_steps(law, zr):
-            zr[:, k] = np.log(u.sum(1)) + m + br[:, k - 1]
+        z[lin] = _linear_rows(log_p, reach[lin], b[lin])
+    for c in np.unique(cut[~ok]):
+        r = np.flatnonzero(~ok & (cut == c))
+        law = np.where(np.arange(n + 1) <= c, log_p[:n + 1], LOG_ZERO)
+        z[r] = _jet_forward(law, b[r], 0)[0]
     return z
+
+
+# a step leaves out the terms j < s only when every one of them, in every
+# row, has an exp argument below this: far below log of the smallest
+# subnormal (about -744.4), so np.exp returns an exact +0.0 for each of them
+_EXP_ZERO = -800.0
+# steps between attempts to move the window start
+_ADVANCE = 16
 
 
 def _jet_forward(log_p: np.ndarray, b: np.ndarray,
@@ -341,17 +273,39 @@ def _jet_forward(log_p: np.ndarray, b: np.ndarray,
     """Taylor jets in h of Z_{0,k}, k = 0..n, for every row of the (rows, n)
     weights b: returns (sc, coef) with sc[r, k] = log Z_{0,k} and
     coef[r, k, j] = (d^j Z_{0,k} / dh^j) / (j! Z_{0,k}) for j = 0..order.
+    At order 0 it is the log-domain step that _forward falls back to.
 
-    The recursion is _forward's, stepped in log domain by _window_steps
-    (the step _forward falls back to), with each table entry carried as
-    a jet: a step takes the p-weighted sum of
-    earlier jets (one vector-matrix product per row) and multiplies it by
-    the jet of the contact weight e^{h+b}, whose coefficients are 1/j!.
-    The p-weighted sum runs over the full window, skipped zeros
-    included, so its BLAS order is unchanged.  That product is the upper
-    triangular Toeplitz matrix of 1/j!, applied as one dot product per
-    (row, column), so a row's jets are bit-identical whatever batch they
-    are computed in (a single 2-d product would not be)."""
+    The recursion is _forward's, stepped in log domain, with each table
+    entry carried as a jet.  Step k takes m[r], the max over j < k of
+    sc[r, j] + log p(k-j), and u[r, j] = exp of that term minus m[r]; the
+    p-weighted sum of earlier jets is then one vector-matrix product of u
+    with them per row, and it is multiplied by the jet of the contact
+    weight e^{h+b}, whose coefficients are 1/j!.  That product is the
+    upper triangular Toeplitz matrix of 1/j!, applied as one dot product
+    per (row, column), so a row's jets are bit-identical whatever batch
+    they are computed in (a single 2-d product would not be).
+
+    Exact-zero window: u and m are, bit for bit, what the full window
+    gives.  In the localized phase a term decays like e^{-f (k-j)}, so on
+    a long chain most of them are exact zeros, and computing them is the
+    cost of a step: np.exp is an order of magnitude slower on arguments
+    below its range than inside it.  So a step exponentiates only j >= s
+    and writes zeros below s, when a bound certifies that each term below
+    s is an exact 0.0: the max of sc over j < s and all rows (head), plus
+    the max of log p over the skipped distances (lpsuf, so a law whose
+    p(t) is not monotone is covered, and -inf past a truncation), minus
+    the smallest window max over rows, is below _EXP_ZERO.  The bound
+    holds in float arithmetic, since rounding is monotone; it also puts
+    every skipped term below each row's window max, so m is the full max.
+    A step whose bound fails (an m = -inf gives +inf) runs the full
+    window.  A windowed step reads the first k columns of a (rows, n)
+    buffer whose columns below s hold zeros; the p-weighted sum thus runs
+    over the full window, skipped zeros included, so its BLAS order is
+    unchanged and the jets keep their bits.
+
+    s moves after a step is stored, every _ADVANCE steps, to the largest
+    start that the next step's bound passes with its window max in row r
+    replaced by its lower bound sc[r, k] + log p(1)."""
     rows, n = b.shape
     j = np.arange(order + 1)
     inv_fact = 1.0 / np.array([math.factorial(i) for i in j], dtype=float)
@@ -362,12 +316,43 @@ def _jet_forward(log_p: np.ndarray, b: np.ndarray,
     coef = np.zeros((rows, n + 1, order + 1))
     sc[:, 0] = 0.0
     coef[:, 0, 0] = 1.0
-    for k, u, m in _window_steps(log_p, sc):
-        acc = np.matmul(u[:, None, :], coef[:, :k])
+    # lpsuf[t] = max log p(t') over t <= t' <= n
+    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
+    buf = np.zeros((rows, n))
+    s = 0
+    head = LOG_ZERO  # max of sc[:, :s] over all rows
+    for k in range(1, n + 1):
+        w = sc[:, s:k] + log_p[k - s:0:-1]
+        m = w.max(1)
+        windowed = s and head + lpsuf[k - s + 1] - m.min() < _EXP_ZERO
+        if s and not windowed:
+            w = sc[:, :k] + log_p[k:0:-1]
+            m = w.max(1)
+        w -= m[:, None]
+        np.exp(w, out=w)
+        if windowed:
+            buf[:, s:k] = w
+            w = buf[:, :k]
+        acc = np.matmul(w[:, None, :], coef[:, :k])
         conv = np.matmul(acc[:, None], cols)[:, :, 0, 0]
         c0 = conv[:, 0]
         sc[:, k] = m + np.log(c0) + b[:, k - 1]
         coef[:, k] = conv / c0[:, None]
+        if k % _ADVANCE or k == n:
+            continue
+        low = (sc[:, k] + log_p[1]).min()
+        # sc[:, 0] = 0, so no start past s passes unless this does
+        if not max(head, 0.0) + lpsuf[k + 1 - s] - low < _EXP_ZERO:
+            continue
+        # candidate start j+1 for j = s..k-1 skips columns up to j, whose
+        # nearest distance at step k+1 is k+1-j; the bound grows with j
+        top = np.maximum(np.maximum.accumulate(sc[:, s:k].max(0)), head)
+        ok = top + lpsuf[k + 1 - s:1:-1] - low < _EXP_ZERO
+        step = int(ok.sum())
+        if step:
+            head = top[step - 1]
+            buf[:, s:s + step] = 0.0
+            s += step
     return sc, coef
 
 
@@ -555,7 +540,7 @@ class QuenchedBlock:
 
         The caps past the cached M run as rows of _forward, one per
         missing (row, band) pair, band by band and at most _BAND_PASS per
-        pass: the row's weights under the law truncated at the band."""
+        pass: the row's weights with the cap as its band."""
         m = _index("m", m, 1, self.n - 1)
         n, rows, have = self.n, self.rows, self._excursion.shape[1]
         if m > have:
@@ -565,9 +550,8 @@ class QuenchedBlock:
             col, row = np.divmod(np.arange(have * rows, m * rows), rows)
             for lo in range(0, col.size, _BAND_PASS):
                 c, r = col[lo:lo + _BAND_PASS], row[lo:lo + _BAND_PASS]
-                lp = np.where(np.arange(n + 1) <= c[:, None] + 1,
-                              self.law.log_p[:n + 1], LOG_ZERO)
-                grown[r, c] = _forward(lp, self.site_weight[r, 1:])[:, n]
+                grown[r, c] = _forward(self.law.log_p, self.site_weight[r, 1:],
+                                       c + 1)[:, n]
             self._excursion = _frozen(grown)
         return self._excursion
 

@@ -12,9 +12,10 @@ import math
 import mpmath as mp
 import numpy as np
 
+from pinlab import quenched
 from pinlab.model import build_law, gaussian_disorder, geometric_test_law
-from pinlab.quenched import QuenchedSystem
-from support import mp_prefix
+from pinlab.quenched import QuenchedSystem, _forward
+from support import mp_log_prefix, mp_prefix
 
 DIGITS = 40
 
@@ -107,3 +108,30 @@ def test_segment_table_against_mpmath():
                                       / np.maximum(1.0, np.abs(ref))).max()))
             assert np.all(seg[i, ref.size:] == -math.inf)
     assert worst <= 1e-14
+
+
+def test_banded_fallback_rows_against_mpmath(monkeypatch):
+    # bound 1e-14 relative (to max(1, |log Z|)) over k = 0..700; 2.8e-15.
+    # The geometric law spans (B-1) log 2 nats on [1, B]: at n = 700 the
+    # linear step certifies bands up to 606, and the wider ones run the
+    # order-0 jets, one call per band, beside the linear rows of the same
+    # call.  Each row also has the bytes of its one-row run
+    n, bands = 700, np.array([5, 600, 606, 607, 650, 700])
+    log_p = geometric_test_law(n).log_p
+    b = 1.0 + np.random.default_rng(46).normal(0.0, 1.0, (bands.size, n))
+    fell = []
+
+    def jets(law, weights, order, _run=quenched._jet_forward):
+        fell.append((int(np.isfinite(law).sum()), weights.shape[0], order))
+        return _run(law, weights, order)
+
+    monkeypatch.setattr(quenched, "_jet_forward", jets)
+    z = _forward(log_p, b, bands)
+    assert fell == [(607, 1, 0), (650, 1, 0), (700, 1, 0)]
+    monkeypatch.undo()
+    for r, band in enumerate(bands):
+        one = _forward(log_p, b[r:r + 1], bands[r:r + 1])[0]
+        assert z[r].tobytes() == one.tobytes()
+        want = mp_log_prefix(log_p, b[r], int(band))
+        assert (np.abs(z[r] - want) / np.maximum(1.0, np.abs(want))).max() \
+            <= 1e-14

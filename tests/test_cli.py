@@ -211,6 +211,33 @@ def test_report_with_empty_dir(tmp_path, capsys):
     assert "nothing to plot" in capsys.readouterr().out
 
 
+def test_report_reads_the_config_out_dir(tmp_path, monkeypatch, capsys):
+    # with --config, report plots the config's run.out_dir, which beats
+    # the environment as it does for the other subcommands
+    monkeypatch.setenv("PINLAB_OUT", str(tmp_path / "from_env"))
+    out = str(tmp_path / "from_cfg")
+    cfg = _write(tmp_path, "scan.json",
+                 dict(SMALL_SCAN, run=dict(SMALL_SCAN["run"], out_dir=out)))
+    assert main(["scan", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 0
+    assert os.path.join(out, "plots", "avoidance_vs_j.svg") in \
+        capsys.readouterr().out
+    assert not os.path.exists(tmp_path / "from_env")
+
+
+def test_report_reads_pinlab_out(tmp_path, monkeypatch, capsys):
+    # without --config or --out, report plots $PINLAB_OUT
+    out = str(tmp_path / "from_env")
+    monkeypatch.setenv("PINLAB_OUT", out)
+    cfg = _write(tmp_path, "scan.json", SMALL_SCAN)
+    assert main(["scan", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["report"]) == 0
+    assert os.path.join(out, "plots", "avoidance_vs_j.svg") in \
+        capsys.readouterr().out
+
+
 def test_compute_requires_config():
     with pytest.raises(SystemExit) as exc:
         main(["compute"])

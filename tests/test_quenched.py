@@ -149,15 +149,13 @@ def test_non_finite_input_is_rejected():
 def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
                                             jet_order):
     # a row's table is bit-identical whatever batch it is computed in, and
-    # with bands (one law per row, truncated at the row's band) whatever
-    # the other rows' bands are; with a jet order the engine is
-    # _jet_forward (log scales and coefficients)
+    # with bands (one per row) whatever the other rows' bands are; with a
+    # jet order the engine is _jet_forward (log scales and coefficients)
     rng = np.random.default_rng(seed)
     if jet_order is not None:
         bands = None
-    log_p = GEOM.log_p
     if bands is not None:
-        log_p = _truncated_laws(log_p, n, np.array(bands[:rows]))
+        bands = np.array(bands[:rows])
     if layout == "window":
         # overlapping rows as in the segment table, -inf past the end
         flat = rng.normal(0.0, 3.0, rows + n - 1)
@@ -167,31 +165,25 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     else:
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
 
-    def run(weights, lp):
+    def run(weights, band):
         if jet_order is None:
-            return (_forward(lp, weights),)
-        return _jet_forward(lp, weights, jet_order)
+            return (_forward(GEOM.log_p, weights, band),)
+        return _jet_forward(GEOM.log_p, weights, jet_order)
 
-    batched = run(b, log_p)
+    batched = run(b, bands)
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
     for r in range(rows):
         alone = run(np.ascontiguousarray(b[r:r + 1]),
-                    log_p if bands is None else log_p[r:r + 1])
+                    None if bands is None else bands[r:r + 1])
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
 
 
-def _truncated_laws(log_p, n, bands):
-    """One law per band: log p(t) for t = 0..n, -inf past the band."""
-    t = np.arange(n + 1)
-    return np.where(t <= bands[:, None], log_p[:n + 1], -math.inf)
-
-
 def test_banded_rows_match_mpmath():
-    # some bands of a batch, each a row under its truncated law, against
-    # the 40-digit banded DP: within 1e-14 relative to max(1, |log Z|)
+    # some bands of a batch, one row each, against the 40-digit banded
+    # DP: within 1e-14 relative to max(1, |log Z|)
     law = build_law(1.0, None, 512)
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -200,8 +192,7 @@ def test_banded_rows_match_mpmath():
         w = float(rng.uniform(-2.0, 4.0)) + rng.normal(0.0, 1.0, n)
         top = int(rng.integers(1, 40))
         bands = np.arange(1, top + 1)
-        batched = _forward(_truncated_laws(law.log_p, n, bands),
-                           np.broadcast_to(w, (top, n)))
+        batched = _forward(law.log_p, np.broadcast_to(w, (top, n)), bands)
         for band in {1, min(2, top), top // 2 + 1, top}:
             want = mp_log_prefix(law.log_p, w, band)
             d = np.abs(batched[band - 1] - want) / np.maximum(1.0, np.abs(want))
@@ -222,8 +213,7 @@ def test_banded_rows_keep_their_entries_under_extreme_charges():
         w = float(rng.uniform(-40.0, 60.0)) + rng.uniform(-800.0, 800.0, n)
         top = int(rng.integers(8, 40))
         bands = np.arange(1, top + 1)
-        batched = _forward(_truncated_laws(law.log_p, n, bands),
-                           np.broadcast_to(w, (top, n)))
+        batched = _forward(law.log_p, np.broadcast_to(w, (top, n)), bands)
         for band in (1, 2, top // 2, top):
             want = mp_log_prefix(law.log_p, w, band)
             got = batched[band - 1]
@@ -247,16 +237,16 @@ def test_steep_law_with_a_falling_partition_function():
 
 
 def test_first_step_is_exact():
-    # step 1 is log p(1) + b[:, 0] bit for bit, under a shared law and under
-    # per-row truncated laws; so the pair DP's log a_1 = 2 (log p(1) + b_1)
-    # - 2 log Z_1 is exactly 0
+    # step 1 is log p(1) + b[:, 0] bit for bit, without bands and with one
+    # per row; so the pair DP's log a_1 = 2 (log p(1) + b_1) - 2 log Z_1
+    # is exactly 0
     rng = np.random.default_rng(44)
     power = build_law(1.0, None, 64).log_p
     b = rng.normal(0.0, 3.0, (6, 40))
-    for log_p in (GEOM.log_p, power,
-                  _truncated_laws(power, 40, np.array([1, 2, 5, 9, 40, 64]))):
-        lp = np.atleast_2d(log_p)[:, 1]
-        assert _forward(log_p, b)[:, 1].tobytes() == (lp + b[:, 0]).tobytes()
+    for log_p, band in ((GEOM.log_p, None), (power, None),
+                        (power, np.array([1, 2, 5, 9, 40, 64]))):
+        got = _forward(log_p, b, band)[:, 1]
+        assert got.tobytes() == (log_p[1] + b[:, 0]).tobytes()
     for h in (-1.0, 1.0, 3.0):
         sys_ = QuenchedSystem(build_law(1.0, None, 64), h,
                               rng.normal(0.0, 1.0, 64), 64)
@@ -533,8 +523,8 @@ def test_max_excursion_cdf_is_independent_of_query_order():
 
 def test_max_excursion_cdf_memory_is_one_band_pass():
     # caps near n extend the excursion table at most 64 bands at a time:
-    # every entry has the bytes of its one-row run under the truncated
-    # law, and the peak allocation stays O((n+1) * 64) floats, not the
+    # every entry has the bytes of its one-row run with the cap as its
+    # band, and the peak allocation stays O((n+1) * 64) floats, not the
     # (n+1) x m of a single pass
     n, m_top = 512, 400
     law = build_law(1.0, None, n)
@@ -550,8 +540,7 @@ def test_max_excursion_cdf_memory_is_one_band_pass():
     table = sys_._block.excursion_logZ(m_top)
     assert table.shape == (1, m_top)
     for m in (1, 63, 64, 65, 128, 129, 257, 399, 400):
-        one = _forward(_truncated_laws(law.log_p, n, np.array([m])),
-                       sys_.site_weight[None, 1:])[0, n]
+        one = _forward(law.log_p, sys_.site_weight[None, 1:], [m])[0, n]
         want = min(1.0, math.exp(one - sys_.log_z))
         assert sys_.max_excursion_cdf(m) == want
         assert table[0, m - 1].tobytes() == one.tobytes()

@@ -1,10 +1,11 @@
-"""Every function of the hot module is reached by the CLI.
+"""Every function of the hot modules is reached by the CLI.
 
 Runs ``verify``, ``scan`` and ``compute`` in process under cProfile on
 small configs and requires that each function and method defined in
-``quenched.py`` ran at least once.  Functions are matched by the line
-they start on, so a method cannot hide behind a same-named one.  A
-function that only tests call belongs in ``oracle.py`` or ``tests/``.
+``quenched.py`` and in ``numerics.py`` ran at least once.  Functions are
+matched by the line they start on, so a method cannot hide behind a
+same-named one.  A function that only tests call belongs in
+``oracle.py`` or ``tests/``.
 """
 
 import ast
@@ -13,6 +14,9 @@ import json
 import os
 import pstats
 
+import pytest
+
+import pinlab.numerics as numerics
 import pinlab.quenched as quenched
 from pinlab.cli import main
 
@@ -51,7 +55,10 @@ def _defined_functions(path: str) -> dict[int, str]:
     return found
 
 
-def test_cli_reaches_every_quenched_function(tmp_path):
+@pytest.fixture(scope="module")
+def cli_profile(tmp_path_factory):
+    """pstats of the three commands run on CONFIGS."""
+    tmp_path = tmp_path_factory.mktemp("reach")
     prof = cProfile.Profile()
     for name, cfg in CONFIGS.items():
         path = tmp_path / f"{name}.json"
@@ -63,11 +70,26 @@ def test_cli_reaches_every_quenched_function(tmp_path):
         finally:
             prof.disable()
         assert code in (0, 2), name  # 2: a statistical check failed
-    target = os.path.realpath(quenched.__file__)
+    return pstats.Stats(prof)
+
+
+def _missing(stats, module) -> list[str]:
+    """The functions defined in module's file that never ran."""
+    target = os.path.realpath(module.__file__)
     ran = {line for (fname, line, _), (_, calls, *_rest)
-           in pstats.Stats(prof).stats.items()
+           in stats.stats.items()
            if calls and os.path.realpath(fname) == target}
     defined = _defined_functions(target)
-    missing = sorted(f"{name} (line {line})"
-                     for line, name in defined.items() if line not in ran)
-    assert defined and not missing, missing
+    assert defined, target
+    return sorted(f"{name} (line {line})"
+                  for line, name in defined.items() if line not in ran)
+
+
+def test_cli_reaches_every_quenched_function(cli_profile):
+    missing = _missing(cli_profile, quenched)
+    assert not missing, missing
+
+
+def test_cli_reaches_every_numerics_function(cli_profile):
+    missing = _missing(cli_profile, numerics)
+    assert not missing, missing
