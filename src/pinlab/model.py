@@ -308,19 +308,6 @@ DISORDER_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class DisorderSample:
-    """Charges omega_1..omega_n; entry i of ``omega`` is omega_{i+1}."""
-
-    master_seed: int
-    sample_index: int
-    omega: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.omega.size
-
-
 def _stream(master_seed: int, sample_index: int) -> np.random.Generator:
     # counter-mode derivation: the (seed, index) pair is the Philox key,
     # so streams for distinct indices never share counters
@@ -332,20 +319,16 @@ def _stream(master_seed: int, sample_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_disorder(law: DisorderLaw, n: int, master_seed: int,
-                    sample_index: int) -> DisorderSample:
-    """Draw omega_1..omega_n from the per-index counter-derived stream."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    rng = _stream(master_seed, sample_index)
-    return DisorderSample(master_seed, sample_index, law.draw(rng, n))
-
-
 def sample_disorder_block(law: DisorderLaw, n: int, master_seed: int,
                           first_index: int, count: int) -> np.ndarray:
-    """Charges for sample_index = first_index..first_index+count-1, one row
-    per sample.  Row i is bit-identical to sample_disorder(law, n, seed,
-    first_index + i).omega regardless of blocking."""
+    """Charges omega_1..omega_n (entry i is omega_{i+1}) for sample_index =
+    first_index..first_index+count-1, one row per sample.  Row i comes from
+    the stream keyed by (master_seed, first_index + i), so its bits do not
+    depend on the blocking."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    if count < 1:
+        raise ValueError("count >= 1 required")
     out = np.empty((count, n))
     for i in range(count):
         out[i] = law.draw(_stream(master_seed, first_index + i), n)

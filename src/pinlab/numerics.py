@@ -3,11 +3,12 @@
 A nonnegative quantity is carried as its natural logarithm (a plain float),
 with ``-inf`` (``LOG_ZERO``) as the distinguished encoding of exact zero.
 
-A :class:`ScaledJet` carries a quantity together with its first R
-derivatives in a scalar parameter: the zeroth-order value lives in ``scale``
-(as a log), and ``coeffs`` holds the Taylor coefficients normalized so that
-``coeffs[0] == 1``.  Jets of positive quantities therefore never overflow
-even when the underlying value has log-magnitude in the thousands.
+A jet carries a quantity together with its first R derivatives in a
+scalar parameter as two plain values: the zeroth-order value lives in
+``scale`` (as a log), and ``coeffs`` holds the Taylor coefficients
+normalized so that ``coeffs[0] == 1``.  Jets of positive quantities
+therefore never overflow even when the underlying value has log-magnitude
+in the thousands.  The zero jet has ``scale == -inf``.
 The coefficients of log(jet) come from one power-series recursion,
 ``_log_series``, which works on many jets at once (one per row): the
 batched cumulant kernels call it directly, and :func:`log_of_jet` is its
@@ -17,35 +18,12 @@ checked single-jet form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 LOG_ZERO = -math.inf
 
 DEFAULT_JET_ORDER = 8
-
-
-@dataclass(frozen=True)
-class ScaledJet:
-    """Truncated Taylor jet with a separate log scale.
-
-    ``scale`` is the log of the zeroth-order value; ``coeffs[k]`` is the
-    k-th Taylor coefficient divided by the zeroth-order value, so
-    ``coeffs[0] == 1`` whenever the jet is nonzero.  The zero jet has
-    ``scale == -inf``.
-    """
-
-    scale: float
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if math.isnan(self.scale) or np.isnan(c).any():
-            raise ValueError("ScaledJet: NaN coefficient")
-        if self.scale != LOG_ZERO and c[0] != 1.0:
-            raise ValueError("ScaledJet: coeffs[0] must be 1 for a nonzero jet")
 
 
 def _log_series(f: np.ndarray) -> np.ndarray:
@@ -65,14 +43,17 @@ def _log_series(f: np.ndarray) -> np.ndarray:
     return g
 
 
-def log_of_jet(j: ScaledJet) -> np.ndarray:
+def log_of_jet(scale: float, coeffs) -> np.ndarray:
     """Taylor coefficients of log(jet), zeroth term included.
 
     Returns g with g[0] = scale and, for k >= 1, the k-th coefficient of
     log(1 + c1 x + ... + cR x^R) (see :func:`_log_series`).
     """
-    if j.scale == LOG_ZERO:
+    c = np.asarray(coeffs, dtype=float)
+    if math.isnan(scale) or np.isnan(c).any():
+        raise ValueError("log_of_jet: NaN coefficient")
+    if scale == LOG_ZERO:
         raise ValueError("log of the zero jet")
-    g = _log_series(j.coeffs[None, :])[0]
-    g[0] = j.scale
+    g = _log_series(c[None, :])[0]
+    g[0] = scale
     return g

@@ -48,8 +48,7 @@ def log_sum_exp(values) -> float:
 
 
 def _omega_array(omega, n: int) -> np.ndarray:
-    om = getattr(omega, "omega", omega)
-    om = np.asarray(om, dtype=float)
+    om = np.asarray(omega, dtype=float)
     if om.size < n:
         raise ValueError(f"omega has length {om.size} < n = {n}")
     return om[:n]

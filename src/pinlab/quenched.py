@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, ScaledJet, log_of_jet
+from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, log_of_jet
 
 # (row, band) pairs per _forward pass of QuenchedBlock.excursion_logZ, so
 # that caps near n cost O(64 n) memory, not O(n^2)
@@ -447,7 +447,6 @@ class ContactLaw:
 class CumulantVector:
     """kappa[k] is the k-th derivative of log Z in h; kappa[0] is log Z."""
 
-    r_max: int
     kappa: np.ndarray = field(repr=False)
 
 
@@ -576,8 +575,8 @@ class QuenchedBlock:
 class _Row:
     """Row `index` of a QuenchedBlock.  ``QuenchedBlock.systems()`` passes
     it as the omega of QuenchedSystem(law, h, omega, n), so a view is built
-    by the same constructor as a standalone system; like a disorder
-    realization, it carries its charges omega_1..omega_n as `omega`."""
+    by the same constructor as a standalone system; it also carries its
+    charges omega_1..omega_n as `omega`."""
 
     block: QuenchedBlock
     index: int
@@ -597,9 +596,7 @@ class QuenchedSystem:
         if isinstance(omega, _Row):  # built by QuenchedBlock.systems()
             block, row = omega.block, omega.index
         else:
-            om = getattr(omega, "omega", omega)
-            if om is not None:
-                om = np.asarray(om, dtype=float)[None]
+            om = None if omega is None else np.asarray(omega, dtype=float)[None]
             block, row = QuenchedBlock(law, h, om, n), 0
         self._block, self._row = block, row
         self.law, self.h, self.n = block.law, block.h, block.n
@@ -686,15 +683,15 @@ class QuenchedSystem:
         if r_max > DEFAULT_JET_ORDER:
             raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:
-            return CumulantVector(r_max, np.zeros(r_max + 1))
+            return CumulantVector(np.zeros(r_max + 1))
         sc, coef = _jet_forward(self.law.log_p, self.site_weight[None, 1:],
                                 DEFAULT_JET_ORDER)
-        g = log_of_jet(ScaledJet(sc[0, -1], coef[0, -1]))
+        g = log_of_jet(sc[0, -1], coef[0, -1])
         kappa = np.empty(r_max + 1)
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
             kappa[k] = math.factorial(k) * g[k]
-        return CumulantVector(r_max, kappa)
+        return CumulantVector(kappa)
 
     # -- two-replica avoidance ----------------------------------------------
 

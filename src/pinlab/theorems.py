@@ -25,9 +25,17 @@ DEFAULT_U_GRID = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 18.0, 27.0, 40.0,
                   60.0, 90.0)
 
 _BAND_EPS = 0.25                # C6: half-width of the band around 1/mu
+_CLT_KS_THRESHOLD = 0.06        # C2: KS bound of every seed at the largest n
 _CENTERING_KS_THRESHOLD = 0.05  # C4: KS bound on the standardized centering
 _R2_THRESHOLD = 0.98            # C7: least r^2 of the avoidance decay fit
 _DELTA_FRAC = 0.5               # C13: thinning level delta / rho_hat
+
+_CLT_SEEDS = 5                  # C2: samples per n
+_CENTERING_SAMPLES = 1000       # C4, C8, C12: least sample count
+_EXACT_SAMPLES = 8              # C6: samples per n
+_C9_INSTANCES = 150             # C9: random systems checked site by site
+_C10_INSTANCES = 200            # C10: random path sets the oracle enumerates
+_HL_SEEDS = 10                  # C11: sample paths
 
 CHECK_DESCRIPTIONS = {
     "C1": "free-energy regularity: cumulant densities converge across n; "
@@ -105,20 +113,16 @@ def _plain(obj):
 
 @dataclass(frozen=True)
 class CheckContext:
-    """Everything a check may need; checks read only what applies to them."""
+    """The values a run config sets (RunConfig.check_context()); checks
+    read only what applies to them.  Fixed sample counts and tolerances
+    are the module constants above."""
     mc: mc.McConfig
     h: float
     h_grid: tuple = (1.5, 2.0, 2.5, 3.0, 3.5)
     u_values: tuple = DEFAULT_U_GRID
-    clt_seeds: int = 5
     clt_n_values: tuple = (128, 256, 512, 1024)
     excursion_n_values: tuple = (1024, 2048, 4096)
-    hl_seeds: int = 10
     hl_n_max: int = 1024
-    exact_samples: int = 8
-    centering_samples: int = 1000
-    oracle_instances: int = 200
-    ks_threshold: float = 0.06
     r_max: int = 6
 
     @property
@@ -193,28 +197,26 @@ def _check_c1(ctx: CheckContext) -> CheckReport:
 def _check_c2(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
     ns = ctx.clt_n_values
-    ks = np.empty((ctx.clt_seeds, len(ns)))
+    ks = np.empty((_CLT_SEEDS, len(ns)))
     for k, n in enumerate(ns):
-        for s, sys in enumerate(mc._block_systems(cfg, ctx.h, n,
-                                                  ctx.clt_seeds)):
+        for s, sys in enumerate(mc._block_systems(cfg, ctx.h, n, _CLT_SEEDS)):
             ks[s, k], _, _ = ks_to_standard_normal(sys.contact_law())
-    spread = ks.std(axis=0, ddof=1) / math.sqrt(ctx.clt_seeds) \
-        if ctx.clt_seeds > 1 else np.zeros(len(ns))
+    spread = ks.std(axis=0, ddof=1) / math.sqrt(_CLT_SEEDS)
     non_increasing = True
     for k in range(1, len(ns)):
         tol = _two_sigma(float(math.hypot(spread[k], spread[k - 1])))
         if np.any(ks[:, k] > ks[:, k - 1] + max(tol, 1e-12)):
             non_increasing = False
-    final_ok = bool(np.all(ks[:, -1] <= ctx.ks_threshold))
+    final_ok = bool(np.all(ks[:, -1] <= _CLT_KS_THRESHOLD))
     metrics = {"ks_max_final": float(ks[:, -1].max()),
                "ks_mean_final": float(ks[:, -1].mean()),
                "non_increasing": non_increasing}
     for k, n in enumerate(ns):
         metrics[f"ks_mean_n{n}"] = float(ks[:, k].mean())
     return CheckReport("C2", CHECK_DESCRIPTIONS["C2"],
-                       {"h": ctx.h, "n_values": ns, "seeds": ctx.clt_seeds},
+                       {"h": ctx.h, "n_values": ns, "seeds": _CLT_SEEDS},
                        metrics, {},
-                       {"ks_threshold": ctx.ks_threshold, "trend_sigma": 2.0},
+                       {"ks_threshold": _CLT_KS_THRESHOLD, "trend_sigma": 2.0},
                        non_increasing and final_ok,
                        extras={"ks": ks.tolist()})
 
@@ -252,7 +254,7 @@ def _check_c3(ctx: CheckContext) -> CheckReport:
 # C4: the centering suite
 
 def _check_c4(ctx: CheckContext) -> CheckReport:
-    cfg = replace(ctx.mc, samples=max(ctx.mc.samples, ctx.centering_samples))
+    cfg = replace(ctx.mc, samples=max(ctx.mc.samples, _CENTERING_SAMPLES))
     if ctx.is_pure:
         top = mc.centering_statistics(replace(cfg, samples=2), ctx.h,
                                       int(max(cfg.n_values)))
@@ -364,7 +366,7 @@ def _excursion_band_mass(ctx: CheckContext, h: float, n: int,
                          mu_hat: float) -> tuple[float, float, dict]:
     m_lo, m_hi = _excursion_band(n, mu_hat, _BAND_EPS)
     m_cap = min(m_hi + 3, n)
-    count = 1 if ctx.is_pure else ctx.exact_samples
+    count = 1 if ctx.is_pure else _EXACT_SAMPLES
     masses = np.empty(count)
     cdf = np.zeros(m_cap)
     for i, sys in enumerate(mc._block_systems(ctx.mc, h, n, count)):
@@ -413,7 +415,7 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
     return CheckReport("C6", CHECK_DESCRIPTIONS["C6"],
                        {"h": ctx.h, "n_values": ns,
                         "band_eps": _BAND_EPS,
-                        "samples": 1 if ctx.is_pure else ctx.exact_samples},
+                        "samples": 1 if ctx.is_pure else _EXACT_SAMPLES},
                        metrics, {"mu_hat": mu_hat,
                                  "mu_hat_stderr": mu.slope_stderr},
                        {"mass_threshold": 0.9, "trend_sigma": 2.0}, passed,
@@ -458,7 +460,7 @@ def _check_c7(ctx: CheckContext) -> CheckReport:
 # C8: strict positivity of the thermal variance density
 
 def _check_c8(ctx: CheckContext) -> CheckReport:
-    cfg = replace(ctx.mc, samples=max(ctx.mc.samples, ctx.centering_samples))
+    cfg = replace(ctx.mc, samples=max(ctx.mc.samples, _CENTERING_SAMPLES))
     n = int(max(cfg.n_values))
     stats = mc.centering_statistics(cfg, ctx.h, n)
     passed = stats.v_hat > 3.0 * stats.v_stderr
@@ -479,8 +481,7 @@ def _check_c9(ctx: CheckContext) -> CheckReport:
     worst = math.inf
     violations = 0
     sites = 0
-    instances = min(ctx.oracle_instances, 150)
-    for k in range(instances):
+    for k in range(_C9_INSTANCES):
         n = int(rng.integers(4, 33))
         h = float(rng.uniform(-1.0, 3.5))
         block = sample_disorder_block(cfg.disorder, n, cfg.master_seed,
@@ -497,7 +498,7 @@ def _check_c9(ctx: CheckContext) -> CheckReport:
                 violations += 1
     passed = violations == 0
     return CheckReport("C9", CHECK_DESCRIPTIONS["C9"],
-                       {"instances": instances, "sites": sites, "xi": xi},
+                       {"instances": _C9_INSTANCES, "sites": sites, "xi": xi},
                        {"violations": violations, "worst_gap": worst},
                        {}, {"slack": 1e-12}, passed)
 
@@ -509,8 +510,7 @@ def _check_c10(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
     rng = np.random.default_rng(cfg.master_seed + 1)
     worst = 0.0
-    instances = ctx.oracle_instances
-    for k in range(instances):
+    for k in range(_C10_INSTANCES):
         n = int(rng.integers(4, 9))
         h = float(rng.uniform(-1.0, 2.0))
         omega = rng.normal(0.0, 1.0, n)
@@ -547,7 +547,7 @@ def _check_c10(ctx: CheckContext) -> CheckReport:
             worst = max(worst, abs(lhs - rhs) / pa ** 2)
     passed = worst <= 1e-12
     return CheckReport("C10", CHECK_DESCRIPTIONS["C10"],
-                       {"instances": instances, "n_max": 8},
+                       {"instances": _C10_INSTANCES, "n_max": 8},
                        {"max_residual": worst}, {},
                        {"residual": 1e-12}, passed)
 
@@ -560,8 +560,7 @@ def _check_c11(ctx: CheckContext) -> CheckReport:
     n = ctx.hl_n_max
     if n > cfg.law.n_max:
         raise ValueError("hl_n_max exceeds the law horizon")
-    sub = replace(cfg, samples=max(ctx.hl_seeds, 2))
-    path = mc.sample_kappa1_path(sub, ctx.h, n)[:ctx.hl_seeds]
+    path = mc.sample_kappa1_path(replace(cfg, samples=_HL_SEEDS), ctx.h, n)
     rho_hat = float(np.mean(path[:, n] / n))
     horizons = []
     m = n
@@ -584,7 +583,7 @@ def _check_c11(ctx: CheckContext) -> CheckReport:
                "ratio_final_mean": float(ratios[:, -1].mean()),
                "ratio_final_max": float(ratios[:, -1].max())}
     return CheckReport("C11", CHECK_DESCRIPTIONS["C11"],
-                       {"h": ctx.h, "n_max": n, "seeds": ctx.hl_seeds,
+                       {"h": ctx.h, "n_max": n, "seeds": _HL_SEEDS,
                         "horizons": horizons},
                        metrics,
                        {"rho_hat": rho_hat, "rho_hat_stderr":
@@ -602,7 +601,7 @@ def _check_c12(ctx: CheckContext) -> CheckReport:
         return CheckReport("C12", CHECK_DESCRIPTIONS["C12"],
                            {"h": ctx.h}, {}, {}, {}, None,
                            skip_reason="pure model")
-    cfg = replace(ctx.mc, samples=max(ctx.mc.samples, ctx.centering_samples))
+    cfg = replace(ctx.mc, samples=max(ctx.mc.samples, _CENTERING_SAMPLES))
     rows = {n: mc.centering_statistics(cfg, ctx.h, n) for n in cfg.n_values}
     metrics = {}
     clauses = []

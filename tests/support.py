@@ -64,3 +64,19 @@ def mp_log_prefix(log_p, b, band=None, digits=40):
     with mp.workdps(digits):
         return np.array([float(mp.log(z))
                          for z in mp_prefix(log_p, b, band)])
+
+
+def mp_suffix(log_p, w):
+    """Z_{[a, n]}, a = 0..n, in mpmath at the working precision for the site
+    log weights w[0..n] (w[a] is site a's; site a's own weight is not in
+    Z_{[a, n]})."""
+    n = len(w) - 1
+    p = [mp.exp(mp.mpf(float(x))) for x in log_p[1:n + 1]]
+    # u[x] = e^{w_x} Z_{[x, n]}: Z_{[a, n]} sums p(x - a) u[x], x > a
+    u = [mp.mpf(0)] * (n + 1)
+    z = [mp.mpf(0)] * (n + 1)
+    z[n] = mp.mpf(1)
+    for a in range(n - 1, -1, -1):
+        u[a + 1] = mp.exp(mp.mpf(float(w[a + 1]))) * z[a + 1]
+        z[a] = mp.fdot(p[:n - a], u[a + 1:])
+    return z

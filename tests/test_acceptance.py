@@ -216,8 +216,7 @@ def test_06_quenched_clt(capsys):
     law = build_law(1.0, None, 1024)
     cfg = McConfig(law, gaussian_disorder(1.0), (3.0,), (64, 128, 256),
                    samples=8, master_seed=SEED)
-    ctx = CheckContext(mc=cfg, h=3.0, clt_seeds=5,
-                       clt_n_values=(128, 256, 512, 1024), ks_threshold=0.06)
+    ctx = CheckContext(mc=cfg, h=3.0, clt_n_values=(128, 256, 512, 1024))
     rep = run_check("C2", ctx)
     ok = (rep.passed is True and rep.metrics["ks_max_final"] <= 0.06
           and rep.metrics["non_increasing"])
@@ -310,8 +309,7 @@ def test_10_maximal_excursion(capsys):
         cfg = McConfig(law, dis, (3.0,), (64, 128, 256),
                        samples=200, master_seed=SEED)
         ctx = CheckContext(mc=cfg, h=3.0,
-                           excursion_n_values=(1024, 2048, 4096),
-                           exact_samples=8)
+                           excursion_n_values=(1024, 2048, 4096))
         reports[name] = run_check("C6", ctx)
     ok = all(r.passed is True and r.metrics["band_mass_final"] > 0.9
              and r.metrics["band_mass_increasing"]
@@ -325,7 +323,7 @@ def test_11_centering_fluctuation_scale(capsys):
     law = build_law(1.0, None, 4096)
     cfg = McConfig(law, gaussian_disorder(1.0), (3.0,), (64, 128, 256),
                    samples=10, master_seed=SEED)
-    ctx = CheckContext(mc=cfg, h=3.0, hl_seeds=10, hl_n_max=4096)
+    ctx = CheckContext(mc=cfg, h=3.0, hl_n_max=4096)
     rep = run_check("C11", ctx)
     slope, err = rep.metrics["slope"], rep.metrics["slope_stderr"]
     ok = rep.passed is True and slope <= 2.0 * err

@@ -15,7 +15,7 @@ import numpy as np
 from pinlab import quenched
 from pinlab.model import build_law, gaussian_disorder, geometric_test_law
 from pinlab.quenched import QuenchedSystem, _forward
-from support import mp_log_prefix, mp_prefix
+from support import mp_log_prefix, mp_prefix, mp_suffix
 
 DIGITS = 40
 
@@ -69,20 +69,30 @@ def test_max_excursion_cdf_against_mpmath():
 def test_suffix_log_z_against_mpmath():
     # bound 1e-14 relative (to max(1, |log Z|)) over a = 0..512; 1.1e-15
     law, sys_ = _gaussian_system(3.0, 512, 9)
-    n, w = sys_.n, sys_.site_weight
     with mp.workdps(DIGITS):
-        p = [mp.exp(mp.mpf(float(x))) for x in law.log_p[1:n + 1]]
-        # u[x] = e^{w_x} Z_{[x, n]}: Z_{[a, n]} sums p(x - a) u[x], x > a
-        u = [mp.mpf(0)] * (n + 1)
-        z = [mp.mpf(0)] * (n + 1)
-        z[n] = mp.mpf(1)
-        for a in range(n - 1, -1, -1):
-            u[a + 1] = mp.exp(mp.mpf(float(w[a + 1]))) * z[a + 1]
-            z[a] = mp.fdot(p[:n - a], u[a + 1:])
-        ref = np.array([float(mp.log(v)) for v in z])
+        ref = np.array([float(mp.log(v))
+                        for v in mp_suffix(law.log_p, sys_.site_weight)])
     got = sys_.suffix_logZ()
     rel = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
     assert rel.max() <= 1e-14
+
+
+def test_contact_probability_against_mpmath():
+    # E[X_a] = Z_{0,a} Z_{[a,n]} / Z_{0,n} at every interior site, bound
+    # 5e-12 relative; 5.1e-13 at (h = 3, n = 512).  The float route is
+    # exp(log Z_{0,a} + log Z_{[a,n]} - log Z), so the roundoff of log Z
+    # (about 1300 there) sets the error
+    worst = 0.0
+    for h, n, seed in ((3.0, 512, 11), (1.0, 512, 12), (3.0, 256, 13)):
+        law, sys_ = _gaussian_system(h, n, seed)
+        with mp.workdps(DIGITS):
+            pre = mp_prefix(law.log_p, sys_.site_weight[1:])
+            suf = mp_suffix(law.log_p, sys_.site_weight)
+            for a in range(1, n):
+                want = pre[a] * suf[a] / pre[n]
+                got = sys_.contact_probability(a)
+                worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 5e-12
 
 
 def test_segment_table_against_mpmath():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinlab import config
 from pinlab.config import (
     ConfigError,
     ModelBlock,
@@ -12,7 +13,7 @@ from pinlab.config import (
     load_config,
     save_config,
 )
-from pinlab.theorems import CHECK_IDS
+from pinlab.theorems import CHECK_IDS, CheckContext
 
 
 def test_defaults_validate_and_build():
@@ -163,7 +164,7 @@ def test_mc_config_mapping():
     assert "threads" not in {f.name for f in dataclasses.fields(mc_cfg)}
 
 
-def test_check_context_mapping():
+def test_check_context_mapping(monkeypatch):
     cfg = RunConfig.from_dict({
         "model": {"n_max": 256},
         "grids": {"h_values": [1.5, 2.5], "n_values": [32, 64], "window": 32},
@@ -176,6 +177,19 @@ def test_check_context_mapping():
     assert ctx.mc.window == 32  # the C7 fit range follows from the window
     explicit = RunConfig.from_dict({"checks": {"h": 1.25}})
     assert explicit.check_context().h == 1.25
+    # every CheckContext field is one a config sets: no test-only knob
+    fields = {f.name for f in dataclasses.fields(CheckContext)}
+    assert fields == {"mc", "h", "h_grid", "u_values", "clt_n_values",
+                      "excursion_n_values", "hl_n_max", "r_max"}
+    set_by_config = {}
+
+    def recording(**kw):
+        set_by_config.update(kw)
+        return CheckContext(**kw)
+
+    monkeypatch.setattr(config, "CheckContext", recording)
+    cfg.check_context()
+    assert set(set_by_config) == fields
 
 
 def test_checks_block_defaults_to_all():

@@ -16,7 +16,6 @@ from pinlab.model import (
     law_from_log_table,
     law_from_table,
     rademacher_disorder,
-    sample_disorder,
     sample_disorder_block,
     shifted_exponential_disorder,
     uniform_disorder,
@@ -217,9 +216,8 @@ def test_block_matches_single_draws():
     block = sample_disorder_block(law, 17, 99, 0, 8)
     assert block.shape == (8, 17)
     for i in range(8):
-        single = sample_disorder(law, 17, 99, i)
-        np.testing.assert_array_equal(block[i], single.omega)
-        assert single.sample_index == i
+        single = sample_disorder_block(law, 17, 99, i, 1)
+        np.testing.assert_array_equal(block[i], single[0])
 
 
 def test_block_boundaries_are_invisible():
@@ -233,17 +231,25 @@ def test_block_boundaries_are_invisible():
 
 def test_streams_are_keyed_not_sequential():
     law = gaussian_disorder(1.0)
-    a = sample_disorder(law, 50, 1, 0).omega
-    b = sample_disorder(law, 50, 1, 1).omega
-    c = sample_disorder(law, 50, 2, 0).omega
+    a = sample_disorder_block(law, 50, 1, 0, 1)[0]
+    b = sample_disorder_block(law, 50, 1, 1, 1)[0]
+    c = sample_disorder_block(law, 50, 2, 0, 1)[0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    np.testing.assert_array_equal(a, sample_disorder(law, 50, 1, 0).omega)
+    np.testing.assert_array_equal(a, sample_disorder_block(law, 50, 1, 0, 1)[0])
 
 
 def test_seed_range_validation():
     law = gaussian_disorder(1.0)
     with pytest.raises(ValueError):
-        sample_disorder(law, 4, 2 ** 64, 0)
+        sample_disorder_block(law, 4, 2 ** 64, 0, 1)
     with pytest.raises(ValueError):
-        sample_disorder(law, 4, 0, -1)
+        sample_disorder_block(law, 4, 0, -1, 1)
+
+
+def test_block_sizes_validation():
+    law = gaussian_disorder(1.0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        sample_disorder_block(law, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="count >= 1"):
+        sample_disorder_block(law, 4, 0, 0, 0)

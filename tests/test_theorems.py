@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from pinlab import disorder_mc
+from pinlab import disorder_mc, theorems
 from pinlab.disorder_mc import McConfig
 from pinlab.model import build_law, gaussian_disorder, zero_disorder
 from pinlab.theorems import (
@@ -24,14 +24,24 @@ from pinlab.theorems import (
 
 LAW = build_law(1.0, None, 256)
 
+# sample counts small enough for the suite; the acceptance tests run the
+# checks at the module's own counts
+SMALL_COUNTS = {"_CLT_SEEDS": 2, "_EXACT_SAMPLES": 2, "_CENTERING_SAMPLES": 100,
+                "_HL_SEEDS": 2, "_C9_INSTANCES": 20, "_C10_INSTANCES": 20}
+
+
+@pytest.fixture(autouse=True)
+def _small_counts(monkeypatch):
+    for name, value in SMALL_COUNTS.items():
+        monkeypatch.setattr(theorems, name, value)
+
 
 def _small_ctx(disorder=None, **kw):
     cfg = McConfig(LAW, disorder or gaussian_disorder(1.0), (2.0, 3.0),
                    (32, 64, 128), samples=24, master_seed=9, window=32)
     base = dict(mc=cfg, h=3.0, h_grid=(2.0, 2.5, 3.0),
-                clt_n_values=(32, 64), clt_seeds=2,
-                excursion_n_values=(32, 64, 128), hl_seeds=2, hl_n_max=128,
-                oracle_instances=20, exact_samples=2, centering_samples=100)
+                clt_n_values=(32, 64),
+                excursion_n_values=(32, 64, 128), hl_n_max=128)
     base.update(kw)
     return CheckContext(**base)
 
@@ -110,8 +120,7 @@ def test_excursion_check_reports_nonpositive_mu(monkeypatch):
     # fails with a note and nan band masses instead of raising
     cfg = McConfig(LAW, gaussian_disorder(1.0), (-1.0,), (64, 128, 256),
                    samples=8, master_seed=9, window=32)
-    ctx = CheckContext(mc=cfg, h=-1.0, excursion_n_values=(64, 128, 256),
-                       exact_samples=2)
+    ctx = CheckContext(mc=cfg, h=-1.0, excursion_n_values=(64, 128, 256))
     reports = [run_check("C6", ctx)]
     assert reports[0].fitted_constants["mu_hat"] < 0.0
     real = disorder_mc.estimate_mu
