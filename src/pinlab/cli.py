@@ -18,7 +18,7 @@ from . import disorder_mc as mc
 from . import outputs
 from .config import ConfigError, RunConfig, load_config, save_config
 from .model import sample_disorder_block
-from .quenched import QuenchedSystem, ks_to_standard_normal
+from .quenched import KS_L1_BUDGET, QuenchedSystem, ks_to_standard_normal
 from .theorems import CHECK_IDS, full_report
 
 
@@ -119,8 +119,8 @@ def _cmd_scan(cfg: RunConfig, out: str) -> int:
                                         cent.mean_stderr / n_top,
                                         run_cfg.samples))
         ks_count = min(run_cfg.samples, 16)
-        ks_vals = [ks_to_standard_normal(sys_.contact_law())[0] for sys_ in
-                   mc._block_systems(run_cfg, h, n_top, ks_count)]
+        ks_vals = [ks_to_standard_normal(sys_.contact_law(KS_L1_BUDGET))[0]
+                   for sys_ in mc._block_systems(run_cfg, h, n_top, ks_count)]
         ks_mean = sum(ks_vals) / ks_count
         ks_err = (sum((v - ks_mean) ** 2 for v in ks_vals)
                   / (ks_count - 1)) ** 0.5 / math.sqrt(ks_count) \

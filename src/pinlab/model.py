@@ -308,15 +308,14 @@ DISORDER_FAMILIES = {
 }
 
 
-def _stream(master_seed: int, sample_index: int) -> np.random.Generator:
+def _key(master_seed: int, sample_index: int) -> np.ndarray:
     # counter-mode derivation: the (seed, index) pair is the Philox key,
     # so streams for distinct indices never share counters
     if not 0 <= master_seed < 2 ** 64:
         raise ValueError("master_seed must fit in 64 bits")
     if not 0 <= sample_index < 2 ** 64:
         raise ValueError("sample_index must fit in 64 bits")
-    key = np.array([master_seed, sample_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([master_seed, sample_index], dtype=np.uint64)
 
 
 def sample_disorder_block(law: DisorderLaw, n: int, master_seed: int,
@@ -324,12 +323,22 @@ def sample_disorder_block(law: DisorderLaw, n: int, master_seed: int,
     """Charges omega_1..omega_n (entry i is omega_{i+1}) for sample_index =
     first_index..first_index+count-1, one row per sample.  Row i comes from
     the stream keyed by (master_seed, first_index + i), so its bits do not
-    depend on the blocking."""
+    depend on the blocking.
+
+    One Philox serves the block: each row sets its state to that of a
+    fresh Philox(key=...) (counter, buffer and cached uint32 cleared, the
+    row's key), so a row draws the bits a new generator would, without
+    the OS entropy a new one gathers for a seed it never uses."""
     if n < 1:
         raise ValueError("n >= 1 required")
     if count < 1:
         raise ValueError("count >= 1 required")
+    bits = np.random.Philox(key=_key(master_seed, first_index))
+    rng = np.random.Generator(bits)
+    fresh = bits.state
     out = np.empty((count, n))
     for i in range(count):
-        out[i] = law.draw(_stream(master_seed, first_index + i), n)
+        fresh["state"]["key"] = _key(master_seed, first_index + i)
+        bits.state = fresh
+        out[i] = law.draw(rng, n)
     return out

@@ -45,8 +45,15 @@ row of its own block, so there is one code path, and every row reads the
 bytes a one-row block would compute.  Segment tables and the contact law
 stay per system: they are arithmetic-bound, and blocked they would cost
 memory (a (rows, n+1, window+1) block of segment tables is 8.5 MB at
-64 x 256 x 64; the count DP of the O(n^3) contact law would take
-O(rows n^2)).
+64 x 256 x 64; the count DP of the contact law would take O(rows n^2)).
+
+The contact law's count DP, O(n^3) in full, takes an L1 budget.  At
+budget 0 it is exact.  At a budget > 0 (KS_L1_BUDGET for the callers that
+read only the law's CDF, the KS distances) ``_banded_count`` leaves out
+the old rows and the low columns whose mass a bound computed at run time
+keeps within the budget, so a step costs O(T C), not O(k^2); the law
+carries the sum of those bounds as ``l1_bound``, a certificate on its L1
+distance to the exact law.  The tail readers (C3, C13) stay at budget 0.
 """
 
 from __future__ import annotations
@@ -424,13 +431,94 @@ def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
     return out
 
 
+# L1 budget of the count DP for the callers that read the contact law only
+# through its CDF: the KS distances of C2 and of scan's ks_quenched
+KS_L1_BUDGET = 1e-14
+# up to this n the exact count DP runs the dense loop: the band saves
+# nothing there (each step's overhead dominates), and the laws keep the
+# bits the tail consumers (C3, C13) have always read
+_DENSE_MAX_N = 256
+
+
+def _banded_count(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
+                  budget: float) -> tuple[np.ndarray, float]:
+    """Row n of the count DP of QuenchedSystem.contact_law with terms left
+    out: returns (r, l1), the pmf of L_n as computed and a bound l1 <=
+    budget on its L1 distance to the pmf of the full DP.
+
+    Step k is r_k[l] = sum_j g_k(j) r_j[l-1] over the last contact j < k,
+    with g_k(j) = exp(pre[j] + log p(k-j) + b_k - pre[k]) summing to 1.
+    It leaves out the rows j < s_k, and the columns below c_k of the rows
+    it reads.  Each step is substochastic, so the L1 error of r_k is at
+    most the mass left out at step k plus the largest error of a row it
+    reads (with that row's columns left out), and the errors add up along
+    the steps to at most
+      * the band: sum_{j<s} g_k(j) <= s exp(max pre[:s] + max_{t>k-s}
+        log p(t) + b_k - pre[k]), checked at every step in log domain (so
+        nothing overflows) against a share budget / 2n per step;
+      * the columns: every _ADVANCE steps the new rows get lo[j], the
+        largest column whose prefix mass is at most budget / 2n, and that
+        prefix mass is added; c_k is the min of lo over the rows read.
+    l1 sums both.  At budget 0 a step leaves out only terms whose bound is
+    below _EXP_ZERO (exact zeros of exp) and columns of exact zeros, and
+    l1 is 0.  Every _ADVANCE steps s moves to the largest start whose
+    bound, with b_k - pre[k] of the step just done, holds with a nat to
+    spare; a step whose own bound fails moves s back to the largest start
+    that holds.  Memory is the dense loop's (n+1)^2 table."""
+    n = pre.size - 1
+    a = (b - pre).tolist()  # a[k] = b_k - pre[k]
+    log_share = math.log(budget / (2 * n)) if budget else _EXP_ZERO
+    row_share = budget / (2 * n)
+    # head[s] = log s + max pre[:s]; lpsuf[t] = max of log p over [t, n]
+    head = np.full(n + 1, LOG_ZERO)
+    head[1:] = np.log(np.arange(1, n + 1)) + np.maximum.accumulate(pre[:n])
+    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
+    head_l, lpsuf_l = head.tolist(), lpsuf.tolist()
+    r = np.zeros((n + 1, n + 1))
+    r[0, 0] = 1.0
+    lo = np.zeros(n + 1, dtype=np.intp)  # set for the rows below `done`
+    s = c = 0
+    done = 1
+    l1 = 0.0
+    for k in range(1, n + 1):
+        if s:
+            bound = head_l[s] + lpsuf_l[k - s + 1] + a[k]
+            if bound > log_share:
+                # the bound grows with s: keep the starts below s that hold
+                cand = head[1:s + 1] + lpsuf[k:k - s:-1] + a[k]
+                s = int((cand <= log_share).sum())
+                bound = float(cand[s - 1]) if s else LOG_ZERO
+                # rows from `done` on start at c or later
+                c = min(c, int(lo[s:done].min()))
+            l1 += math.exp(bound)
+        g = pre[s:k] + log_p[k - s:0:-1]
+        g += a[k]
+        np.exp(g, out=g)
+        np.matmul(g, r[s:k, c:k], out=r[k, c + 1:k + 1])
+        if k % _ADVANCE or k == n:
+            continue
+        cs = np.cumsum(r[done:k + 1, c:k + 1], axis=1)
+        cut = (cs <= row_share).sum(1)
+        l1 += float(np.where(cut > 0, cs[np.arange(cut.size), cut - 1],
+                             0.0).sum())
+        lo[done:k + 1] = c + cut
+        done = k + 1
+        cand = head[s + 1:k + 1] + lpsuf[k + 1 - s:1:-1] + a[k]
+        s += int((cand <= log_share - 1.0).sum())
+        c = int(lo[s:k + 1].min())
+    return r[n], l1
+
+
 @dataclass(frozen=True)
 class ContactLaw:
-    """Exact law of the contact number L_n; log_pmf[l] = log P[L_n = l],
-    entry 0 is -inf (the pinned endpoint forces L_n >= 1)."""
+    """Law of the contact number L_n; log_pmf[l] = log P[L_n = l], entry 0
+    is -inf (the pinned endpoint forces L_n >= 1).  l1_bound bounds the L1
+    distance of pmf() to the exact pmf from the terms the count DP left
+    out (0 for the exact route); it does not cover roundoff."""
 
     n: int
     log_pmf: np.ndarray = field(repr=False)
+    l1_bound: float = 0.0
 
     def pmf(self) -> np.ndarray:
         return np.exp(self.log_pmf)
@@ -650,24 +738,39 @@ class QuenchedSystem:
 
     # -- law of the contact number ----------------------------------------
 
-    def contact_law(self) -> ContactLaw:
-        """Exact pmf of L_n by the count-indexed DP.
+    def contact_law(self, budget: float = 0.0) -> ContactLaw:
+        """Pmf of L_n by the count-indexed DP, within L1 budget of the exact
+        one.
 
         Internally runs on per-level renewal probabilities (each level's
         first-excursion weights sum to 1), so everything stays in [0, 1]
-        with nonnegative terms only.  O(n^3) time, O(n^2) memory."""
+        with nonnegative terms only; O(n^2) memory.  At budget 0 the law
+        is exact: up to n = _DENSE_MAX_N by the dense O(n^3) loop, past it
+        by ``_banded_count`` leaving out only exact zeros.  A budget > 0
+        runs ``_banded_count``, whose band and column window make a step
+        cost O(T C), T the band and C the columns that carry mass, and the
+        law carries the certificate l1_bound <= budget on the terms left
+        out.  That suits a caller that reads only the CDF to absolute
+        accuracy (KS_L1_BUDGET, for the KS distances); a caller of the
+        tails (relative accuracy far below the bulk) needs budget 0."""
+        if not 0.0 <= budget < 1.0:
+            raise ValueError(f"budget = {budget} is outside [0, 1)")
         n = self.n
         if n == 0:
             return ContactLaw(0, np.zeros(1))
         pre, logp, b = self.prefix_logZ, self.law.log_p, self.site_weight
-        r = np.zeros((n + 1, n + 1))
-        r[0, 0] = 1.0
-        for k in range(1, n + 1):
-            g = np.exp(pre[0:k] + logp[k:0:-1] + b[k] - pre[k])
-            r[k, 1:k + 1] = g @ r[0:k, 0:k]
+        if budget or n > _DENSE_MAX_N:
+            row, l1 = _banded_count(pre, logp, b, budget)
+        else:
+            r = np.zeros((n + 1, n + 1))
+            r[0, 0] = 1.0
+            for k in range(1, n + 1):
+                g = np.exp(pre[0:k] + logp[k:0:-1] + b[k] - pre[k])
+                r[k, 1:k + 1] = g @ r[0:k, 0:k]
+            row, l1 = r[n], 0.0
         with np.errstate(divide="ignore"):
-            log_pmf = np.log(r[n])
-        return ContactLaw(n, log_pmf)
+            log_pmf = np.log(row)
+        return ContactLaw(n, log_pmf, l1)
 
     # -- cumulants via jets -------------------------------------------------
 

@@ -3,8 +3,10 @@
 Each test is one row of the README accuracy table: it computes the
 observable with pinlab and with an mpmath recursion (or a closed form)
 carried to 40 digits from the same float inputs, and asserts the bound
-stated there.  The sizes are those the checks use, kept few so that the
-references take a few seconds.
+stated there.  The contact law's row is against the dense O(n^3) count DP
+in double precision instead: 40 digits at n = 1024 would take minutes.
+The sizes are those the checks use, kept few so that the references take
+a few seconds.
 """
 
 import math
@@ -14,14 +16,17 @@ import numpy as np
 
 from pinlab import quenched
 from pinlab.model import build_law, gaussian_disorder, geometric_test_law
-from pinlab.quenched import QuenchedSystem, _forward
+from pinlab.oracle import dense_contact_pmf
+from pinlab.quenched import (KS_L1_BUDGET, ContactLaw, QuenchedSystem,
+                             _forward, ks_to_standard_normal)
+from pinlab.theorems import _ks_error_bound
 from support import mp_log_prefix, mp_prefix, mp_suffix
 
 DIGITS = 40
 
 
 def _gaussian_system(h, n, seed):
-    law = build_law(1.0, None, 512)
+    law = build_law(1.0, None, max(512, n))
     omega = gaussian_disorder(1.0).draw(np.random.default_rng(seed), n)
     return law, QuenchedSystem(law, h, omega, n)
 
@@ -145,3 +150,32 @@ def test_banded_fallback_rows_against_mpmath(monkeypatch):
         want = mp_log_prefix(log_p, b[r], int(band))
         assert (np.abs(z[r] - want) / np.maximum(1.0, np.abs(want))).max() \
             <= 1e-14
+
+
+def test_contact_law_routes_against_dense_loop():
+    # The KS consumers' law at budget KS_L1_BUDGET, and the exact law, at
+    # (h, n) = (1.5, 512), (3, 1024) against oracle.dense_contact_pmf: the
+    # pmf within l1_bound + 1e-12 in L1, the 1e-12 for the roundoff of
+    # routes that sum in another order (6.4e-13 apart on another n = 1024
+    # sample), and the KS distance within
+    # _ks_error_bound at that L1 distance.  Measured: l1_bound 2.8e-15
+    # and 2.5e-15, L1 1.5e-14 and 1.5e-13, |dKS| 3.5e-13 and 1.1e-11
+    # against bounds of 1.1e-9 and 8.2e-9.  At n = 256, budget 0 is the
+    # dense loop, bit for bit
+    for h, n, seed in ((1.5, 512, 14), (3.0, 1024, 15)):
+        law, sys_ = _gaussian_system(h, n, seed)
+        want = dense_contact_pmf(sys_)
+        exact, banded = sys_.contact_law(), sys_.contact_law(KS_L1_BUDGET)
+        assert exact.l1_bound == 0.0
+        assert np.abs(exact.pmf() - want).sum() <= 1e-12
+        assert 0.0 < banded.l1_bound <= KS_L1_BUDGET
+        l1 = banded.l1_bound + 1e-12
+        assert np.abs(banded.pmf() - want).sum() <= l1
+        with np.errstate(divide="ignore"):
+            ks_want = ks_to_standard_normal(ContactLaw(n, np.log(want)))[0]
+        ks, _, var = ks_to_standard_normal(banded)
+        assert abs(ks - ks_want) <= _ks_error_bound(l1, n, var)
+    law, sys_ = _gaussian_system(3.0, 256, 16)
+    with np.errstate(divide="ignore"):
+        want = np.log(dense_contact_pmf(sys_))
+    assert sys_.contact_law().log_pmf.tobytes() == want.tobytes()

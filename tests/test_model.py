@@ -253,3 +253,17 @@ def test_block_sizes_validation():
         sample_disorder_block(law, 0, 0, 0, 1)
     with pytest.raises(ValueError, match="count >= 1"):
         sample_disorder_block(law, 4, 0, 0, 0)
+
+
+@pytest.mark.parametrize("family", sorted(DISORDER_FAMILIES))
+def test_block_rows_equal_fresh_generator_rows(family):
+    # the block re-keys one Philox per row; each row must be the draw of a
+    # new generator keyed (seed, index), for every family's draw path
+    # (rademacher's integers reads the cached uint32 half), here from a
+    # block that starts at a nonzero index
+    law = DISORDER_FAMILIES[family](0.7)
+    block = sample_disorder_block(law, 33, 2024, 5, 6)
+    for i in range(6):
+        key = np.array([2024, 5 + i], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        np.testing.assert_array_equal(block[i], law.draw(rng, 33))

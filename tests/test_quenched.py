@@ -25,6 +25,7 @@ from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import (
     contact_covariance,
     contact_moment,
+    dense_contact_pmf,
     enumerate_avoidance,
     enumerate_contact_pmf,
     enumerate_contact_probabilities,
@@ -37,8 +38,10 @@ from pinlab.oracle import (
     two_replica_profiles,
     ursell,
 )
+from pinlab import quenched
 from pinlab.quenched import (
     _LANE,
+    KS_L1_BUDGET,
     QuenchedBlock,
     QuenchedSystem,
     _forward,
@@ -410,12 +413,63 @@ def test_covariance_and_ursell_match_oracle():
 
 # -- contact-number law -------------------------------------------------------
 
-def test_contact_law_matches_oracle():
-    for law, h, omega, n, sys_ in _systems(30, 30):
-        want = enumerate_contact_pmf(law, h, omega, n)
-        cl = sys_.contact_law()
-        np.testing.assert_allclose(cl.pmf(), want, atol=1e-11)
-        assert cl.pmf().sum() == pytest.approx(1.0, abs=1e-10)
+def test_contact_law_matches_oracle(monkeypatch):
+    # routes: the dense loop, the banded loop leaving out only exact zeros
+    # (budget 0 past _DENSE_MAX_N, here 0), the KS consumers' budget, and
+    # a budget that leaves out real mass.  The band moves every _ADVANCE
+    # steps: every 2nd here, so that it engages at these n <= 14
+    monkeypatch.setattr(quenched, "_ADVANCE", 2)
+    dense = quenched._DENSE_MAX_N
+    for budget, dense_max_n in ((0.0, dense), (0.0, 0), (KS_L1_BUDGET, dense),
+                                (0.1, dense)):
+        monkeypatch.setattr(quenched, "_DENSE_MAX_N", dense_max_n)
+        for law, h, omega, n, sys_ in chain(_systems(30, 30),
+                                            _systems(130, 20, extreme=True)):
+            want = enumerate_contact_pmf(law, h, omega, n)
+            cl = sys_.contact_law(budget)
+            assert 0.0 <= cl.l1_bound <= budget
+            np.testing.assert_allclose(cl.pmf(), want,
+                                       atol=1e-11 + cl.l1_bound)
+            assert np.abs(cl.pmf() - want).sum() <= cl.l1_bound + 1e-11
+            assert cl.pmf().sum() == pytest.approx(1.0,
+                                                   abs=1e-10 + cl.l1_bound)
+
+
+def test_contact_law_rejects_a_bad_budget():
+    sys_ = QuenchedSystem(GEOM, 1.0, np.zeros(8), 8)
+    for budget in (-1e-14, 1.0, math.nan):
+        with pytest.raises(ValueError, match="budget"):
+            sys_.contact_law(budget)
+
+
+@pytest.mark.parametrize("budget", [0.1, 1e-3])
+def test_band_moves_back_where_old_contacts_return(budget):
+    # sites 33..80 carry -800: past site 32 the last contact before k is
+    # ever older, so the mass of the rows the band left out at step 32
+    # grows past its share within the next steps, and the band must move
+    # back for the certificate to stay within budget
+    n = 80
+    omega = np.zeros(n)
+    omega[32:] = -800.0
+    sys_ = QuenchedSystem(build_law(1.0, None, n), 1.0, omega, n)
+    cl = sys_.contact_law(budget)
+    assert 0.0 < cl.l1_bound <= budget
+    assert np.abs(cl.pmf() - dense_contact_pmf(sys_)).sum() \
+        <= cl.l1_bound + 1e-12
+
+
+@pytest.mark.parametrize("h", [-40.0, 60.0])
+def test_budgeted_contact_law_under_extreme_charges(h):
+    # charges of +-800 at n = 400: the band's bound is checked in log
+    # domain, so no exp overflows (a RuntimeWarning fails the test) and the
+    # certificate is finite
+    n = 400
+    omega = np.random.default_rng(47).uniform(-800.0, 800.0, n)
+    sys_ = QuenchedSystem(build_law(1.0, None, n), h, omega, n)
+    exact, cl = sys_.contact_law(), sys_.contact_law(KS_L1_BUDGET)
+    assert exact.l1_bound == 0.0
+    assert math.isfinite(cl.l1_bound) and cl.l1_bound <= KS_L1_BUDGET
+    assert np.abs(cl.pmf() - exact.pmf()).sum() <= cl.l1_bound + 1e-12
 
 
 def test_contact_law_summaries():

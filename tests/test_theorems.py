@@ -135,3 +135,17 @@ def test_excursion_check_reports_nonpositive_mu(monkeypatch):
         assert all(math.isnan(m) for m in rep.extras["band_mass"])
         assert math.isnan(rep.metrics["band_mass_n256"])
         json.dumps(rep.to_dict())
+
+
+def test_c2_bounds_its_ks_values_and_c13_lists_dropped_sizes():
+    # C2's laws run the count DP at KS_L1_BUDGET: ks_error_bound is the
+    # largest bound on the KS shift of the terms left out.  C13 keeps the
+    # n <= 512 of the grid and lists the others
+    rep = run_check("C2", _small_ctx())
+    assert 0.0 <= rep.metrics["ks_error_bound"] <= 1e-9
+    cfg = McConfig(build_law(1.0, None, 1024), gaussian_disorder(1.0),
+                   (3.0,), (32, 64, 128, 768, 1024), samples=4,
+                   master_seed=9, window=32)
+    rep = run_check("C13", CheckContext(mc=cfg, h=3.0))
+    assert rep.parameters["n_values"] == [32, 64, 128]
+    assert rep.parameters["n_values_dropped"] == [768, 1024]
