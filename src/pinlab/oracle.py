@@ -13,9 +13,7 @@ enumeration.  Helpers that only tests use live here too: the joint
 contact moments and covariances of a QuenchedSystem by the renewal
 factorization (``contact_moment``, ``contact_covariance``), ``ursell``,
 its joint contact cumulants from those moments, ``log_mean_exp``, and
-``log_sum_exp``, the sum of log-domain scalars the enumerations use.  And
-``dense_contact_pmf``, the plain O(n^3) count DP that the contact law's
-exact and banded routes are checked against.
+``log_sum_exp``, the sum of log-domain scalars the enumerations use.
 """
 
 from __future__ import annotations
@@ -224,21 +222,6 @@ def contact_moment(system, sites) -> float:
         weights = system.site_weight[None, x + 1:y + 1]
         log_m += _forward(system.law.log_p, weights)[0, -1]
     return min(1.0, math.exp(log_m))
-
-
-def dense_contact_pmf(system) -> np.ndarray:
-    """P[L_n = l], l = 0..n, of a QuenchedSystem by the dense O(n^3) count
-    DP over every (step, last contact, count): the reference for
-    ``QuenchedSystem.contact_law``, which runs this loop at budget 0 up to
-    n = 256 and a banded one past it or at a budget > 0."""
-    n = system.n
-    pre, logp, b = system.prefix_logZ, system.law.log_p, system.site_weight
-    r = np.zeros((n + 1, n + 1))
-    r[0, 0] = 1.0
-    for k in range(1, n + 1):
-        g = np.exp(pre[0:k] + logp[k:0:-1] + b[k] - pre[k])
-        r[k, 1:k + 1] = g @ r[0:k, 0:k]
-    return r[n]
 
 
 def contact_covariance(system, a: int, b: int) -> float:

@@ -53,7 +53,7 @@ read only the law's CDF, the KS distances) ``_banded_count`` leaves out
 the old rows and the low columns whose mass a bound computed at run time
 keeps within the budget, so a step costs O(T C), not O(k^2); the law
 carries the sum of those bounds as ``l1_bound``, a certificate on its L1
-distance to the exact law.  The tail readers (C3, C13) stay at budget 0.
+distance to the full DP (roundoff not included).  The tail readers (C3, C13) stay at budget 0.
 """
 
 from __future__ import annotations
@@ -434,10 +434,6 @@ def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
 # L1 budget of the count DP for the callers that read the contact law only
 # through its CDF: the KS distances of C2 and of scan's ks_quenched
 KS_L1_BUDGET = 1e-14
-# up to this n the exact count DP runs the dense loop: the band saves
-# nothing there (each step's overhead dominates), and the laws keep the
-# bits the tail consumers (C3, C13) have always read
-_DENSE_MAX_N = 256
 
 
 def _banded_count(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
@@ -459,15 +455,14 @@ def _banded_count(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
       * the columns: every _ADVANCE steps the new rows get lo[j], the
         largest column whose prefix mass is at most budget / 2n, and that
         prefix mass is added; c_k is the min of lo over the rows read.
-    l1 sums both.  At budget 0 a step leaves out only terms whose bound is
-    below _EXP_ZERO (exact zeros of exp) and columns of exact zeros, and
-    l1 is 0.  Every _ADVANCE steps s moves to the largest start whose
+    l1 sums both.  Every _ADVANCE steps s moves to the largest start whose
     bound, with b_k - pre[k] of the step just done, holds with a nat to
     spare; a step whose own bound fails moves s back to the largest start
     that holds.  Memory is the dense loop's (n+1)^2 table."""
     n = pre.size - 1
     a = (b - pre).tolist()  # a[k] = b_k - pre[k]
-    log_share = math.log(budget / (2 * n)) if budget else _EXP_ZERO
+    # two logs: budget / 2n underflows to 0 for a subnormal budget
+    log_share = math.log(budget) - math.log(2 * n)
     row_share = budget / (2 * n)
     # head[s] = log s + max pre[:s]; lpsuf[t] = max of log p over [t, n]
     head = np.full(n + 1, LOG_ZERO)
@@ -745,9 +740,8 @@ class QuenchedSystem:
         Internally runs on per-level renewal probabilities (each level's
         first-excursion weights sum to 1), so everything stays in [0, 1]
         with nonnegative terms only; O(n^2) memory.  At budget 0 the law
-        is exact: up to n = _DENSE_MAX_N by the dense O(n^3) loop, past it
-        by ``_banded_count`` leaving out only exact zeros.  A budget > 0
-        runs ``_banded_count``, whose band and column window make a step
+        is exact, by the dense O(n^3) loop.  A budget > 0 runs
+        ``_banded_count``, whose band and column window make a step
         cost O(T C), T the band and C the columns that carry mass, and the
         law carries the certificate l1_bound <= budget on the terms left
         out.  That suits a caller that reads only the CDF to absolute
@@ -759,7 +753,7 @@ class QuenchedSystem:
         if n == 0:
             return ContactLaw(0, np.zeros(1))
         pre, logp, b = self.prefix_logZ, self.law.log_p, self.site_weight
-        if budget or n > _DENSE_MAX_N:
+        if budget:
             row, l1 = _banded_count(pre, logp, b, budget)
         else:
             r = np.zeros((n + 1, n + 1))

@@ -41,8 +41,8 @@ CHECK_DESCRIPTIONS = {
     "C1": "free-energy regularity: cumulant densities converge across n; "
           "factorial-cubed growth constant fitted for r <= 6",
     "C2": "quenched CLT: KS distance of the standardized contact law "
-          "(within a certified L1 distance of the exact one) to the normal "
-          "shrinks across n",
+          "(within a certified L1 distance of the full count DP, roundoff "
+          "not included) to the normal shrinks across n",
     "C3": "quenched concentration: exact contact-law tails dominated by "
           "2 exp(-kappa u^2/(n+u^(5/3))), kappa fitted per sample",
     "C4": "centering suite: variance density w > 0 under disorder, CLT of "

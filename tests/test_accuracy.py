@@ -16,9 +16,8 @@ import numpy as np
 
 from pinlab import quenched
 from pinlab.model import build_law, gaussian_disorder, geometric_test_law
-from pinlab.oracle import dense_contact_pmf
-from pinlab.quenched import (KS_L1_BUDGET, ContactLaw, QuenchedSystem,
-                             _forward, ks_to_standard_normal)
+from pinlab.quenched import (KS_L1_BUDGET, QuenchedSystem, _forward,
+                             ks_to_standard_normal)
 from pinlab.theorems import _ks_error_bound
 from support import mp_log_prefix, mp_prefix, mp_suffix
 
@@ -152,30 +151,22 @@ def test_banded_fallback_rows_against_mpmath(monkeypatch):
             <= 1e-14
 
 
-def test_contact_law_routes_against_dense_loop():
-    # The KS consumers' law at budget KS_L1_BUDGET, and the exact law, at
-    # (h, n) = (1.5, 512), (3, 1024) against oracle.dense_contact_pmf: the
-    # pmf within l1_bound + 1e-12 in L1, the 1e-12 for the roundoff of
-    # routes that sum in another order (6.4e-13 apart on another n = 1024
-    # sample), and the KS distance within
-    # _ks_error_bound at that L1 distance.  Measured: l1_bound 2.8e-15
-    # and 2.5e-15, L1 1.5e-14 and 1.5e-13, |dKS| 3.5e-13 and 1.1e-11
-    # against bounds of 1.1e-9 and 8.2e-9.  At n = 256, budget 0 is the
-    # dense loop, bit for bit
+def test_banded_contact_law_against_dense_loop():
+    # The KS consumers' law at budget KS_L1_BUDGET at (h, n) = (1.5, 512),
+    # (3, 1024) against the exact law, the dense O(n^3) loop: the pmf
+    # within l1_bound + 1e-12 in L1, the 1e-12 for the roundoff of a loop
+    # that sums in another order (6.4e-13 apart on another n = 1024
+    # sample), and the KS distance within _ks_error_bound at that L1
+    # distance.  Measured: l1_bound 2.8e-15 and 2.5e-15, L1 1.5e-14 and
+    # 1.5e-13, |dKS| 3.5e-13 and 1.1e-11 against bounds of 1.1e-9 and
+    # 8.2e-9
     for h, n, seed in ((1.5, 512, 14), (3.0, 1024, 15)):
         law, sys_ = _gaussian_system(h, n, seed)
-        want = dense_contact_pmf(sys_)
         exact, banded = sys_.contact_law(), sys_.contact_law(KS_L1_BUDGET)
         assert exact.l1_bound == 0.0
-        assert np.abs(exact.pmf() - want).sum() <= 1e-12
         assert 0.0 < banded.l1_bound <= KS_L1_BUDGET
         l1 = banded.l1_bound + 1e-12
-        assert np.abs(banded.pmf() - want).sum() <= l1
-        with np.errstate(divide="ignore"):
-            ks_want = ks_to_standard_normal(ContactLaw(n, np.log(want)))[0]
+        assert np.abs(banded.pmf() - exact.pmf()).sum() <= l1
         ks, _, var = ks_to_standard_normal(banded)
-        assert abs(ks - ks_want) <= _ks_error_bound(l1, n, var)
-    law, sys_ = _gaussian_system(3.0, 256, 16)
-    with np.errstate(divide="ignore"):
-        want = np.log(dense_contact_pmf(sys_))
-    assert sys_.contact_law().log_pmf.tobytes() == want.tobytes()
+        assert abs(ks - ks_to_standard_normal(exact)[0]) \
+            <= _ks_error_bound(l1, n, var)
