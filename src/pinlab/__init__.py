@@ -11,7 +11,6 @@ from .model import (
     EllSpec,
     InterArrivalLaw,
     build_law,
-    classify_hc,
     gaussian_disorder,
     geometric_test_law,
     law_from_log_table,
@@ -24,7 +23,7 @@ from .model import (
 )
 from .quenched import (ContactLaw, QuenchedBlock, QuenchedSystem,
                        ks_to_standard_normal)
-from .oracle import PathSet, build_path_set
+from .oracle import PathSet, build_path_set, classify_hc, hc_bracket
 from .disorder_mc import (
     QUANTITIES,
     CenteringResult,
@@ -39,7 +38,6 @@ from .disorder_mc import (
     correlation_decay_scan,
     estimate_f,
     estimate_mu,
-    hc_bracket,
     sample_cumulants,
     sample_kappa1_path,
     sample_log_z,

@@ -43,7 +43,8 @@ from scipy import special
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series
-from .quenched import QuenchedBlock, QuenchedSystem, _forward, _jet_forward
+from .quenched import (QuenchedBlock, QuenchedSystem, _checked, _forward,
+                       _jet_forward)
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -129,7 +130,9 @@ def run_memo():
 
 def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
     """Run a per-block kernel over all samples; kernel(block) -> (bsz, width)
-    rows; returns the (S, width) stacked result in index order."""
+    rows; returns the (S, width) stacked result in index order.  h and n
+    are checked as a QuenchedBlock checks them."""
+    n = _checked(cfg.law, h, n)
     out = np.empty((cfg.samples, width))
     memo = _MEMO.get()
     for lo in range(0, cfg.samples, _CHUNK):
@@ -282,43 +285,34 @@ class MuResult:
     n_values: tuple
     mu_n: np.ndarray            # -(1/n) log mean(1/Z^-)
     f_minus_n: np.ndarray       # mean (1/n) log Z^-
-    f_minus_stderr: np.ndarray
     slope: float
     slope_stderr: float
-    variant_slope: float        # first-excursion route (same limit object)
-    variant_stderr: float
 
 
 def estimate_mu(cfg: McConfig, h: float) -> MuResult:
     """mu estimator: slope of -log mean(1/Z^-) across the n grid.
 
     The per-n value -(1/n) log mean(1/Z^-) is Jensen-dominated by the
-    sample mean of (1/n) log Z^- exactly, per run.  The variant estimator
-    fits log mean(p(n)/Z^-) (the probability that the first return is n),
-    whose slope targets the same constant."""
+    sample mean of (1/n) log Z^- exactly, per run."""
     if len(cfg.n_values) < 3:
         raise ValueError("mu estimation needs at least 3 n values")
     ns = np.array(cfg.n_values, dtype=float)
     y = np.empty(ns.size)
-    y2 = np.empty(ns.size)
     mu_n = np.empty(ns.size)
     f_minus = np.empty(ns.size)
-    f_err = np.empty(ns.size)
     for i, n in enumerate(cfg.n_values):
         _, log_zm = sample_log_z(cfg, h, n)
         neg = -log_zm
         m = float(np.max(neg))
         log_mean_inv = m + math.log(float(np.mean(np.exp(neg - m))))
         y[i] = -log_mean_inv
-        y2[i] = float(cfg.law.log_p[n]) + log_mean_inv
         mu_n[i] = y[i] / n
-        f_minus[i], f_err[i] = _mean_stderr(log_zm / n)
+        f_minus[i] = np.mean(log_zm / n)
     fit = linear_fit(ns, y)
-    fit2 = linear_fit(ns, -y2)
     series = EstimateSeries("mu", h, int(max(cfg.n_values)), fit["slope"],
                             fit["stderr"], cfg.samples)
-    return MuResult(series, cfg.n_values, mu_n, f_minus, f_err,
-                    fit["slope"], fit["stderr"], fit2["slope"], fit2["stderr"])
+    return MuResult(series, cfg.n_values, mu_n, f_minus, fit["slope"],
+                    fit["stderr"])
 
 
 @dataclass(frozen=True)
@@ -410,7 +404,6 @@ class DecayResult:
     n: int
     window: int
     samples: int
-    offsets: tuple
     log_mean_a: np.ndarray
     rel_stderr_a: np.ndarray
     fit_range: tuple
@@ -490,13 +483,14 @@ def correlation_decay_scan(cfg: McConfig, h: float,
     # pooled mean over samples x offsets, entirely in the log domain
     pooled = log_prof.reshape(-1, window + 1)
     m = np.max(pooled[:, 1:], axis=0)
-    log_mean = np.full(window + 1, np.nan)
-    log_mean[1:] = m + np.log(np.mean(np.exp(pooled[:, 1:] - m), axis=0))
     scaled = np.exp(pooled[:, 1:] - m)
+    scaled_mean = scaled.mean(axis=0)
+    log_mean = np.full(window + 1, np.nan)
+    log_mean[1:] = m + np.log(scaled_mean)
     rel_err = np.full(window + 1, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel_err[1:] = (scaled.std(axis=0, ddof=1)
-                       / np.maximum(scaled.mean(axis=0), 1e-300)
+                       / np.maximum(scaled_mean, 1e-300)
                        / math.sqrt(pooled.shape[0]))
 
     j_lo, j_hi = fit_range
@@ -532,7 +526,7 @@ def correlation_decay_scan(cfg: McConfig, h: float,
         mix_range = (0, 0)
         mix_gamma = mix_err = mix_r2 = float("nan")
 
-    return DecayResult(h, n, window, cfg.samples, offsets, log_mean, rel_err,
+    return DecayResult(h, n, window, cfg.samples, log_mean, rel_err,
                        (j_lo, j_hi), gamma_hat, gamma_err, log_g, r2,
                        floor_flag, mix_mean, mix_range,
                        mix_gamma, mix_err, mix_r2)
@@ -600,29 +594,3 @@ def concentration_scan(cfg: McConfig, h: float, n: int, u_grid) -> Concentration
                                counts_f / cfg.samples, counts_c / cfg.samples,
                                wf, wc, kf, kc)
 
-
-def hc_bracket(cfg: McConfig, tol: float = 0.02) -> tuple[float, float]:
-    """Bisection bracket for the empirical localization transition: the
-    test is f-hat(h) > 3 stderr at the largest n."""
-    n = int(max(cfg.n_values))
-
-    def test(h: float) -> bool:
-        r = estimate_f(cfg, h, n)
-        return r.series.mean > 3.0 * r.series.stderr
-
-    grid = list(cfg.h_values)
-    flags = [test(h) for h in grid]
-    lo = hi = None
-    for (h0, t0), (h1, t1) in zip(zip(grid, flags), zip(grid[1:], flags[1:])):
-        if not t0 and t1:
-            lo, hi = h0, h1
-            break
-    if lo is None:
-        raise ValueError("no sign change of the significance test on the h grid")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if test(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

@@ -61,25 +61,16 @@ class InterArrivalLaw:
     """Tabulated inter-arrival law.
 
     ``log_p`` has length n_max + 1; entry t is log p(t) for t = 1..n_max
-    and entry 0 is -inf (there is no zero-length excursion).  ``alpha`` and
-    ``ell`` are None for raw-table laws, which only promise positivity.
+    and entry 0 is -inf (there is no zero-length excursion).  ``alpha`` is
+    None for raw-table laws, which only promise positivity.
     """
 
     alpha: float | None
-    ell: EllSpec | None
     n_max: int
     log_p: np.ndarray = field(repr=False)
     normalized: bool
     xi: float
     tail_mass: float = 0.0
-
-    @property
-    def tabulated_mass(self) -> float:
-        m = float(np.max(self.log_p[1:]))
-        return float(np.exp(m) * np.sum(np.exp(self.log_p[1:] - m)))
-
-    def p(self, t: int) -> float:
-        return float(np.exp(self.log_p[t]))
 
 
 def _xi_worst(log_p: np.ndarray, n_max: int) -> np.ndarray:
@@ -156,7 +147,7 @@ def build_law(alpha: float, ell: EllSpec | None, n_max: int,
         tail = tail / total
     log_p = np.concatenate(([LOG_ZERO], raw))
     xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(alpha, ell, n_max, log_p, normalize, xi, tail)
+    return InterArrivalLaw(alpha, n_max, log_p, normalize, xi, tail)
 
 
 def law_from_table(p_values, normalized: bool = False) -> InterArrivalLaw:
@@ -182,29 +173,13 @@ def law_from_log_table(log_p_values, normalized: bool = False) -> InterArrivalLa
     n_max = lp.size
     log_p = np.concatenate(([LOG_ZERO], lp))
     xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(None, None, n_max, log_p, normalized, xi, 0.0)
+    return InterArrivalLaw(None, n_max, log_p, normalized, xi, 0.0)
 
 
 def geometric_test_law(n_max: int = 64) -> InterArrivalLaw:
     """p(t) = 2^-t, the closed-form test law (xi = 1, pure h_c = 0)."""
     t = np.arange(1, n_max + 1, dtype=float)
     return law_from_log_table(-t * math.log(2.0), normalized=True)
-
-
-def classify_hc(alpha: float, varrho: float) -> str:
-    """Classification of the critical point: 'finite', 'minus_infinity' or
-    'undecided'.  Finite iff (alpha+1)*varrho > 1; the boundary case is out
-    of reach and reported as undecided."""
-    if not alpha >= 1.0:
-        raise ValueError("alpha < 1 is not supported")
-    if not varrho > 0.0:
-        raise ValueError("varrho must be positive")
-    product = (alpha + 1.0) * varrho
-    if product > 1.0:
-        return "finite"
-    if product < 1.0:
-        return "minus_infinity"
-    return "undecided"
 
 
 @dataclass(frozen=True)
@@ -234,27 +209,6 @@ class DisorderLaw:
     @property
     def is_pure(self) -> bool:
         return self.variance == 0.0
-
-    def exp_abs_moment(self, eta: float | None = None) -> float:
-        """Closed-form E[exp(eta*|omega0|)] per family."""
-        if eta is None:
-            eta = self.eta
-        s = self.param
-        if self.family == "zero":
-            return 1.0
-        if self.family == "gaussian":
-            return 2.0 * math.exp(eta * eta * s * s / 2.0) * float(special.ndtr(eta * s))
-        if self.family == "uniform_centered":
-            return math.expm1(eta * s) / (eta * s)
-        if self.family == "rademacher":
-            return math.exp(eta * s)
-        if self.family == "shifted_exponential":
-            if eta * s >= 1.0:
-                return math.inf
-            left = math.exp(eta * s) * (-math.expm1(-(1.0 + eta * s))) / (1.0 + eta * s)
-            right = math.exp(-1.0) / (1.0 - eta * s)
-            return left + right
-        raise ValueError(f"unknown family {self.family!r}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == "zero":

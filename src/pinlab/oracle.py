@@ -12,8 +12,11 @@ routes for the scaled pair DP of QuenchedSystem at window sizes past
 enumeration.  Helpers that only tests use live here too: the joint
 contact moments and covariances of a QuenchedSystem by the renewal
 factorization (``contact_moment``, ``contact_covariance``), ``ursell``,
-its joint contact cumulants from those moments, ``log_mean_exp``, and
-``log_sum_exp``, the sum of log-domain scalars the enumerations use.
+its joint contact cumulants from those moments, ``log_mean_exp``,
+``log_sum_exp``, the sum of log-domain scalars the enumerations use, the
+closed forms of a disorder law (``exp_abs_moment``) and of the critical
+point's classification (``classify_hc``), and ``hc_bracket``, the Monte
+Carlo bisection bracket of the localization transition.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
+from .disorder_mc import McConfig, estimate_f
 from .numerics import LOG_ZERO
 from .quenched import _forward
 
@@ -404,3 +408,66 @@ def pure_model_free_energy(law, h: float) -> float:
     else:
         raise RuntimeError("pure-model bisection did not converge")
     return max(0.0, -math.log(hi))
+
+
+def classify_hc(alpha: float, varrho: float) -> str:
+    """Classification of the critical point: 'finite', 'minus_infinity' or
+    'undecided'.  Finite iff (alpha+1)*varrho > 1; the boundary case is out
+    of reach and reported as undecided."""
+    if not alpha >= 1.0:
+        raise ValueError("alpha < 1 is not supported")
+    if not varrho > 0.0:
+        raise ValueError("varrho must be positive")
+    product = (alpha + 1.0) * varrho
+    if product > 1.0:
+        return "finite"
+    if product < 1.0:
+        return "minus_infinity"
+    return "undecided"
+
+
+def exp_abs_moment(law, eta: float) -> float:
+    """Closed-form E[exp(eta*|omega0|)] of a DisorderLaw, per family."""
+    s = law.param
+    if law.family == "zero":
+        return 1.0
+    if law.family == "gaussian":
+        return 2.0 * math.exp(eta * eta * s * s / 2.0) * float(ndtr(eta * s))
+    if law.family == "uniform_centered":
+        return math.expm1(eta * s) / (eta * s)
+    if law.family == "rademacher":
+        return math.exp(eta * s)
+    if law.family == "shifted_exponential":
+        if eta * s >= 1.0:
+            return math.inf
+        left = math.exp(eta * s) * (-math.expm1(-(1.0 + eta * s))) / (1.0 + eta * s)
+        right = math.exp(-1.0) / (1.0 - eta * s)
+        return left + right
+    raise ValueError(f"unknown family {law.family!r}")
+
+
+def hc_bracket(cfg: McConfig, tol: float = 0.02) -> tuple[float, float]:
+    """Bisection bracket for the empirical localization transition: the
+    test is f-hat(h) > 3 stderr at the largest n."""
+    n = int(max(cfg.n_values))
+
+    def test(h: float) -> bool:
+        r = estimate_f(cfg, h, n)
+        return r.series.mean > 3.0 * r.series.stderr
+
+    grid = list(cfg.h_values)
+    flags = [test(h) for h in grid]
+    lo = hi = None
+    for (h0, t0), (h1, t1) in zip(zip(grid, flags), zip(grid[1:], flags[1:])):
+        if not t0 and t1:
+            lo, hi = h0, h1
+            break
+    if lo is None:
+        raise ValueError("no sign change of the significance test on the h grid")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

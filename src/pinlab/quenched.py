@@ -81,6 +81,16 @@ def _index(name: str, value, lo: int, hi) -> int:
     return int(value)
 
 
+def _checked(law, h: float, n) -> int:
+    """The inputs of an environment at (law, h, n): n as an int, or a
+    ValueError naming the bad argument unless n is an integer in
+    0..law.n_max and h is finite."""
+    n = _index("n", n, 0, law.n_max)
+    if not math.isfinite(h):
+        raise ValueError(f"h = {h} is not finite")
+    return n
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """a made read-only: block tables are shared by every row view."""
     a.flags.writeable = False
@@ -518,12 +528,12 @@ class ContactLaw:
     def pmf(self) -> np.ndarray:
         return np.exp(self.log_pmf)
 
-    def tail_two_sided(self, u: float) -> float:
-        """P[|L_n - E L_n| > u]."""
+    def tail_two_sided(self, u_values) -> np.ndarray:
+        """P[|L_n - E L_n| > u] for each u of u_values."""
         p = self.pmf()
         l = np.arange(self.n + 1, dtype=float)
-        mu = float(l @ p)
-        return float(p[np.abs(l - mu) > u].sum())
+        dev = np.abs(l - float(l @ p))
+        return np.array([p[dev > u].sum() for u in u_values])
 
 
 @dataclass(frozen=True)
@@ -571,9 +581,7 @@ class QuenchedBlock:
     as QuenchedSystem views."""
 
     def __init__(self, law, h: float, charges, n: int):
-        n = _index("n", n, 0, law.n_max)
-        if not math.isfinite(h):
-            raise ValueError(f"h = {h} is not finite")
+        n = _checked(law, h, n)
         om = np.asarray(np.zeros((1, n)) if charges is None else charges,
                         dtype=float)
         if om.ndim != 2:
@@ -659,7 +667,8 @@ class _Row:
     """Row `index` of a QuenchedBlock.  ``QuenchedBlock.systems()`` passes
     it as the omega of QuenchedSystem(law, h, omega, n), so a view is built
     by the same constructor as a standalone system; it also carries its
-    charges omega_1..omega_n as `omega`."""
+    charges omega_1..omega_n as `omega`, by which perfbench's tracer keys
+    repeated builds."""
 
     block: QuenchedBlock
     index: int
@@ -683,7 +692,6 @@ class QuenchedSystem:
             block, row = QuenchedBlock(law, h, om, n), 0
         self._block, self._row = block, row
         self.law, self.h, self.n = block.law, block.h, block.n
-        self.charges = block.charges[row]
         self.site_weight = block.site_weight[row]
         self.prefix_logZ = block.prefix_logZ[row]
         self._segments = None

@@ -257,7 +257,7 @@ def _check_c3(ctx: CheckContext) -> CheckReport:
     k1 = np.empty(count)
     for i, sys in enumerate(mc._block_systems(cfg, ctx.h, n, count)):
         law = sys.contact_law()
-        tails = [law.tail_two_sided(u) for u in ctx.u_values]
+        tails = law.tail_two_sided(ctx.u_values)
         k53[i] = mc._tail_kappa(ctx.u_values, tails, n, 5.0 / 3.0)
         k1[i] = mc._tail_kappa(ctx.u_values, tails, n, 1.0)
     fitted = {
@@ -663,7 +663,14 @@ def _check_c13(ctx: CheckContext) -> CheckReport:
     # past n = 512 the count DP's head underflows to exact zeros
     dropped = [n for n in cfg.n_values if n > 512]
     if len(ns) < 3:
-        ns = sorted(set(list(ns) + [64, 128, 256]))
+        ns = sorted(set(ns) | {m for m in (64, 128, 256)
+                               if m <= cfg.law.n_max})
+    if len(ns) < 3:
+        return CheckReport("C13", CHECK_DESCRIPTIONS["C13"],
+                           {"h": ctx.h, "n_values": ns,
+                            "n_values_dropped": dropped}, {}, {}, {}, None,
+                           skip_reason=f"fewer than 3 sizes up to the law's "
+                                       f"horizon {cfg.law.n_max}")
     rho_probe = mc.sample_cumulants(cfg, ctx.h, max(ns), 2)
     rho_hat = float(np.mean(rho_probe[:, 1] / max(ns)))
     delta = _DELTA_FRAC * rho_hat

@@ -149,6 +149,23 @@ def test_verify_pure_config_skips_centering(tmp_path, capsys):
     assert payload["passed"] is True
 
 
+def test_verify_c13_skips_when_sizes_exceed_the_horizon(tmp_path, capsys):
+    # only 32 and 64 fit under n_max 64; the padding sizes 128 and 256 do not
+    short = dict(SMALL_SCAN, model={"n_max": 64},
+                 grids=dict(SMALL_SCAN["grids"], n_values=[32, 64]))
+    cfg = _write(tmp_path, "short.json", short)
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out,
+                 "--checks", "C13"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "skip (fewer than 3 sizes up to the law's horizon 64)" \
+        in captured.out
+    (c13,) = json.loads(open(os.path.join(out, "report.json")).read())["checks"]
+    assert c13["passed"] is None
+    assert c13["parameters"]["n_values"] == [32, 64]
+
+
 def test_verify_failure_exits_2_but_writes_report(tmp_path, monkeypatch, capsys):
     def failing(ctx):
         return CheckReport("C9", "forced", {}, {"violations": 1}, {}, {}, False)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -54,11 +55,11 @@ def test_model_kinds():
     geom = RunConfig.from_dict(
         {"model": {"kind": "geometric", "n_max": 64},
          "grids": {"n_values": [16, 32, 64]}}).law()
-    assert geom.p(3) == pytest.approx(0.125)
+    assert math.exp(geom.log_p[3]) == pytest.approx(0.125)
     table = RunConfig.from_dict(
         {"model": {"kind": "table", "table": [0.5, 0.25], "n_max": 2},
          "grids": {"n_values": [2], "window": 16}}).law()
-    assert table.p(1) == 0.5 and table.n_max == 2
+    assert math.exp(table.log_p[1]) == 0.5 and table.n_max == 2
 
 
 def test_unknown_block_and_field_anchors():

@@ -13,7 +13,6 @@ from pinlab.disorder_mc import (
     correlation_decay_scan,
     estimate_f,
     estimate_mu,
-    hc_bracket,
     ks_to_normal,
     linear_fit,
     run_memo,
@@ -31,7 +30,7 @@ from pinlab.model import (
     zero_disorder,
 )
 from pinlab.numerics import DEFAULT_JET_ORDER
-from pinlab.oracle import contact_covariance
+from pinlab.oracle import contact_covariance, hc_bracket
 from pinlab.quenched import QuenchedSystem
 
 LAW = build_law(1.0, None, 128)
@@ -84,6 +83,33 @@ def test_kappa1_path_is_prefix_cumulant():
             sub = QuenchedSystem(LAW, 1.0, block[i][:k], k)
             assert path[i, k] == pytest.approx(sub.cumulants(1).kappa[1],
                                                rel=1e-9, abs=1e-10)
+
+
+# the messages QuenchedBlock gives for the same inputs; LAW ends at 128
+BAD_INPUTS = [(2.0, 129, r"n = 129 is outside 0\.\.128"),
+              (math.nan, 16, "h = nan is not finite"),
+              (math.inf, 16, "h = inf is not finite")]
+
+
+@pytest.mark.parametrize("h, n, msg", BAD_INPUTS)
+def test_sample_log_z_rejects_bad_inputs(h, n, msg):
+    with pytest.raises(ValueError, match=msg):
+        sample_log_z(_cfg(samples=2), h, n)
+    # estimate_f reports the input, not a Jensen violation of nan values
+    with pytest.raises(ValueError, match=msg):
+        estimate_f(_cfg(samples=2), h, n)
+
+
+@pytest.mark.parametrize("h, n, msg", BAD_INPUTS)
+def test_sample_cumulants_rejects_bad_inputs(h, n, msg):
+    with pytest.raises(ValueError, match=msg):
+        sample_cumulants(_cfg(samples=2), h, n, 2)
+
+
+@pytest.mark.parametrize("h, n, msg", BAD_INPUTS)
+def test_sample_kappa1_path_rejects_bad_inputs(h, n, msg):
+    with pytest.raises(ValueError, match=msg):
+        sample_kappa1_path(_cfg(samples=2), h, n)
 
 
 # -- the run memo ---------------------------------------------------------------
@@ -203,9 +229,12 @@ def test_estimate_mu_pure_equals_f_minus_exactly():
     res = estimate_mu(cfg, 2.0)
     # log mean over identical samples is exact, so mu_n == f_minus_n bitwise
     np.testing.assert_array_equal(res.mu_n, res.f_minus_n)
-    # the first-return variant targets the same limit; at this small grid
-    # its log p(n) correction still shifts the slope at the 0.1 level
-    assert res.slope == pytest.approx(res.variant_slope, abs=0.15)
+    # the first-return variant, the slope of log mean(p(n)/Z^-) negated,
+    # targets the same limit; at this small grid its log p(n) correction
+    # still shifts the slope at the 0.1 level
+    ns = np.array(cfg.n_values)
+    variant = linear_fit(ns, res.mu_n * ns - cfg.law.log_p[ns])["slope"]
+    assert res.slope == pytest.approx(variant, abs=0.15)
 
 
 def test_estimate_mu_needs_three_points():

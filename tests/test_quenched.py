@@ -477,10 +477,11 @@ def test_contact_law_summaries():
         pmf = cl.pmf()
         l = np.arange(pmf.size)
         mean = float(l @ pmf)
-        # two-sided tails against direct mass counts
-        u = 0.8 * math.sqrt(max(float((l - mean) ** 2 @ pmf), 1e-12))
-        direct = float(pmf[np.abs(l - mean) >= u].sum())
-        assert cl.tail_two_sided(u) == pytest.approx(direct, abs=1e-12)
+        # two-sided tails on a u grid against direct mass counts
+        sd = math.sqrt(max(float((l - mean) ** 2 @ pmf), 1e-12))
+        us = (0.0, 0.8 * sd, 2.0 * sd)
+        direct = [float(pmf[np.abs(l - mean) > u].sum()) for u in us]
+        assert cl.tail_two_sided(us) == pytest.approx(direct, abs=1e-12)
 
 
 # -- derivatives in h ---------------------------------------------------------
