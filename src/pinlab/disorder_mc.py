@@ -12,21 +12,22 @@ prefix, suffix and pair-DP tables.
 
 Per-sample log Z runs the quenched module's forward engine ``_forward``
 on a whole block of samples, one row each; per-sample cumulants and
-kappa_1 paths run its Taylor-jet form ``_jet_forward`` the same way,
-followed by the row-wise log-series recursion of ``numerics``.  Both
-engines are row-local, so a sample's values do not depend on which block
-it lands in.
+kappa_1 paths run its centred moment rows ``_moments`` the same way,
+centred at the law's ``contact_density(h)``, followed for cumulants by
+the row-wise log-series recursion of ``numerics``.  Both engines are
+row-local, so a sample's values do not depend on which block it lands
+in.
 
 Inside ``run_memo()`` (the CLI opens one around each command) the result
 of every block is kept, keyed by what the kernel consumes: the kernel,
-the law, h, the output width (so cumulants of one jet order never serve
+the law, h, the output width (so cumulants of one order never serve
 another) and a digest of the block's charges.  Blocks are still drawn, so
 a later call on the same charges (estimate_mu after estimate_f, C8 and
 C12 after C4) reuses the rows whatever seed or index produced them, and
-every public call keeps its count.  The order-2 jets of
-``centering_statistics`` give columns 0..1 bit-identical to an order-1
-jet, so ``concentration_scan`` and C13 ask order 2 and read those
-columns, and share its rows.  Outside a scope every kernel computes.
+every public call keeps its count.  ``concentration_scan`` and C13 need
+only log Z and kappa_1, but ask order 2, as ``centering_statistics``
+does, and read columns 0..1, so they share its rows.  Outside a scope
+every kernel computes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from scipy import special
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series
 from .quenched import (QuenchedBlock, QuenchedSystem, _checked, _forward,
-                       _jet_forward)
+                       _moments)
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -146,7 +147,7 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
                hashlib.blake2b(block, digest_size=20).digest())
         entry = memo.get(key)
         if entry is None:
-            rows = np.array(kernel(block))  # a copy, never a view of the jets
+            rows = np.array(kernel(block))  # a copy, never a view of a table
             rows.flags.writeable = False
             entry = memo[key] = (cfg.law, rows)
         out[lo:hi] = entry[1]
@@ -169,9 +170,12 @@ def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
     fact = np.array([math.factorial(k) for k in range(r_max + 1)], dtype=float)
 
     def kernel(block):
-        sc, coef = _jet_forward(cfg.law.log_p, h + block, r_max)
-        kappa = _log_series(coef[:, -1]) * fact
+        sc, coef, c = _moments(cfg.law.log_p, h + block, max(r_max, 1),
+                               cfg.law.contact_density(h))
+        kappa = _log_series(coef[:, -1])[:, :r_max + 1] * fact
         kappa[:, 0] = sc[:, -1]
+        if r_max:
+            kappa[:, 1] += c * n
         return kappa
 
     return _sampled(cfg, h, n, kernel, r_max + 1)
@@ -180,8 +184,10 @@ def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
 def sample_kappa1_path(cfg: McConfig, h: float, n: int) -> np.ndarray:
     """Per-sample trajectory kappa_1(omega, k) for k = 0..n."""
     def kernel(block):
-        # the first normalized jet coefficient of each prefix is its kappa_1
-        return _jet_forward(cfg.law.log_p, h + block, 1)[1][:, :, 1]
+        # the first centred moment of each prefix, plus the centre c k
+        _, coef, c = _moments(cfg.law.log_p, h + block, 1,
+                              cfg.law.contact_density(h))
+        return coef[:, :, 1] + c * np.arange(n + 1)
 
     return _sampled(cfg, h, n, kernel, n + 1)
 
@@ -575,9 +581,9 @@ def concentration_scan(cfg: McConfig, h: float, n: int, u_grid) -> Concentration
     """Empirical two-sided tails of log Z and of the centering kappa_1
     around their sample means, with the dominating-kappa fit per variable.
 
-    log Z and kappa_1 are columns 0..1 of the order-2 cumulant rows, which
-    equal an order-1 jet's bit for bit; inside a run memo they are the
-    rows ``centering_statistics`` computed at the same (h, n)."""
+    log Z and kappa_1 are columns 0..1 of the order-2 cumulant rows:
+    inside a run memo they are the rows ``centering_statistics`` computed
+    at the same (h, n)."""
     if cfg.samples < 500:
         raise ValueError("concentration scan needs samples >= 500")
     u = np.asarray(u_grid, dtype=float)

@@ -6,9 +6,7 @@ tail estimate <= 1).  Every law carries the constant xi of the splitting
 inequality  p(t+tau) <= xi * min(t, tau)^xi * p(t) * p(tau),  computed on
 the tabulated range.
 
-Disorder charges are i.i.d. mean-zero with a finite exponential moment;
-each family stores an eta witnessing that moment and its moment-generating
-boundary varrho (sup of z with E[exp(z*omega)] finite).
+Disorder charges are i.i.d. mean-zero with a finite exponential moment.
 """
 
 from __future__ import annotations
@@ -61,16 +59,42 @@ class InterArrivalLaw:
     """Tabulated inter-arrival law.
 
     ``log_p`` has length n_max + 1; entry t is log p(t) for t = 1..n_max
-    and entry 0 is -inf (there is no zero-length excursion).  ``alpha`` is
-    None for raw-table laws, which only promise positivity.
+    and entry 0 is -inf (there is no zero-length excursion).
     """
 
-    alpha: float | None
     n_max: int
     log_p: np.ndarray = field(repr=False)
-    normalized: bool
     xi: float
     tail_mass: float = 0.0
+    _density: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def contact_density(self, h: float) -> float:
+        """The contact density of the homogeneous chain at h under the
+        tabulated law: 1 / sum_t t p(t) e^{h - F t}, F the root of
+        sum_t p(t) e^{h - F t} = 1 (its free energy), so 0 < c <= 1.
+        Memoised per h on the law.
+
+        phi(F) = log sum_t p(t) e^{h - F t} is convex and decreasing, and
+        phi >= 0 at F = h + log p(1), where the term t = 1 alone is 1, so
+        Newton's steps from there rise monotonically to the root."""
+        h = float(h)
+        c = self._density.get(h)
+        if c is None:
+            lp = self.log_p[1:]
+            t = np.arange(1, lp.size + 1, dtype=float)
+            f = h + lp[0]
+            for _ in range(200):
+                a = lp + (h - f * t)
+                top = float(a.max())
+                w = np.exp(a - top)
+                mass, moment = float(w.sum()), float(t @ w)
+                step = (top + math.log(mass)) * mass / moment
+                f += step
+                if not step > 1e-15 * max(1.0, abs(f)):
+                    break
+            c = self._density[h] = mass / moment
+        return c
 
 
 def _xi_worst(log_p: np.ndarray, n_max: int) -> np.ndarray:
@@ -147,11 +171,12 @@ def build_law(alpha: float, ell: EllSpec | None, n_max: int,
         tail = tail / total
     log_p = np.concatenate(([LOG_ZERO], raw))
     xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(alpha, n_max, log_p, normalize, xi, tail)
+    return InterArrivalLaw(n_max, log_p, xi, tail)
 
 
 def law_from_table(p_values, normalized: bool = False) -> InterArrivalLaw:
-    """Raw-table law from positive probabilities p(1), p(2), ... (test laws)."""
+    """Raw-table law from positive probabilities p(1), p(2), ... (test
+    laws); with normalized, the table must have mass <= 1."""
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("need at least p(1), p(2)")
@@ -159,10 +184,10 @@ def law_from_table(p_values, normalized: bool = False) -> InterArrivalLaw:
         raise ValueError("table entries must be positive and finite")
     if normalized and p.sum() > 1.0 + 1e-12:
         raise ValueError("normalized table must have mass <= 1")
-    return law_from_log_table(np.log(p), normalized)
+    return law_from_log_table(np.log(p))
 
 
-def law_from_log_table(log_p_values, normalized: bool = False) -> InterArrivalLaw:
+def law_from_log_table(log_p_values) -> InterArrivalLaw:
     """Raw-table law given directly as log p(t); avoids linear-domain
     underflow for deep tails (e.g. geometric tables at large horizons)."""
     lp = np.asarray(log_p_values, dtype=float)
@@ -173,28 +198,22 @@ def law_from_log_table(log_p_values, normalized: bool = False) -> InterArrivalLa
     n_max = lp.size
     log_p = np.concatenate(([LOG_ZERO], lp))
     xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(None, n_max, log_p, normalized, xi, 0.0)
+    return InterArrivalLaw(n_max, log_p, xi, 0.0)
 
 
 def geometric_test_law(n_max: int = 64) -> InterArrivalLaw:
     """p(t) = 2^-t, the closed-form test law (xi = 1, pure h_c = 0)."""
     t = np.arange(1, n_max + 1, dtype=float)
-    return law_from_log_table(-t * math.log(2.0), normalized=True)
+    return law_from_log_table(-t * math.log(2.0))
 
 
 @dataclass(frozen=True)
 class DisorderLaw:
-    """Mean-zero i.i.d. charge family.
-
-    eta witnesses the finite exponential moment E[exp(eta*|omega|)] < inf;
-    varrho is the boundary sup{z : E[exp(z*omega)] < inf} (inf for bounded
-    and gaussian families).
-    """
+    """Mean-zero i.i.d. charge family: omega is param times a standard
+    draw of the family (zero for the family "zero")."""
 
     family: str
     param: float
-    eta: float
-    varrho: float
 
     @property
     def variance(self) -> float:
@@ -225,32 +244,32 @@ class DisorderLaw:
 
 
 def zero_disorder() -> DisorderLaw:
-    return DisorderLaw("zero", 0.0, 1.0, math.inf)
+    return DisorderLaw("zero", 0.0)
 
 
 def gaussian_disorder(sigma: float) -> DisorderLaw:
     if not sigma > 0.0:
         raise ValueError("sigma > 0 required")
-    return DisorderLaw("gaussian", sigma, 1.0, math.inf)
+    return DisorderLaw("gaussian", sigma)
 
 
 def uniform_disorder(half_width: float) -> DisorderLaw:
     if not half_width > 0.0:
         raise ValueError("half_width > 0 required")
-    return DisorderLaw("uniform_centered", half_width, 1.0, math.inf)
+    return DisorderLaw("uniform_centered", half_width)
 
 
 def rademacher_disorder(scale: float) -> DisorderLaw:
     if not scale > 0.0:
         raise ValueError("scale > 0 required")
-    return DisorderLaw("rademacher", scale, 1.0, math.inf)
+    return DisorderLaw("rademacher", scale)
 
 
 def shifted_exponential_disorder(lam: float) -> DisorderLaw:
-    """omega = lam*(Exp(1) - 1): one-sided heavy tail, varrho = 1/lam."""
+    """omega = lam*(Exp(1) - 1): one-sided heavy tail."""
     if not lam > 0.0:
         raise ValueError("lam > 0 required")
-    return DisorderLaw("shifted_exponential", lam, 0.5 / lam, 1.0 / lam)
+    return DisorderLaw("shifted_exponential", lam)
 
 
 DISORDER_FAMILIES = {

@@ -1,18 +1,17 @@
-"""Log-domain encoding and truncated Taylor jets.
+"""Log-domain encoding and the log-series recursion.
 
 A nonnegative quantity is carried as its natural logarithm (a plain float),
 with ``-inf`` (``LOG_ZERO``) as the distinguished encoding of exact zero.
 
-A jet carries a quantity together with its first R derivatives in a
-scalar parameter as two plain values: the zeroth-order value lives in
-``scale`` (as a log), and ``coeffs`` holds the Taylor coefficients
-normalized so that ``coeffs[0] == 1``.  Jets of positive quantities
-therefore never overflow even when the underlying value has log-magnitude
-in the thousands.  The zero jet has ``scale == -inf``.
-The coefficients of log(jet) come from one power-series recursion,
-``_log_series``, which works on many jets at once (one per row): the
-batched cumulant kernels call it directly, and :func:`log_of_jet` is its
-checked single-jet form.
+Cumulants come from Taylor coefficients normalized so that
+``coeffs[0] == 1``: those in s of E[e^{s X}], X the contact number L_k
+centred at c k, of the centred moment rows (E[X^m] / m!), or those of a
+Taylor jet in h (c = 0).  The coefficients of their log come from one
+power-series recursion, ``_log_series``, which works on many rows at
+once: the batched cumulant kernels call it directly, and
+:func:`log_of_jet` is its checked single-row form, which carries the log
+scale (log Z) along.  ``DEFAULT_JET_ORDER`` is the largest order a
+``QuenchedSystem`` gives cumulants at.
 """
 
 from __future__ import annotations

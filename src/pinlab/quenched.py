@@ -23,13 +23,22 @@ decides, per band, whether that is exact to double precision; the rows
 whose band spans too many nats of log p on [1, n] run the log-domain
 step instead, the order-0 jets below.
 
-Derivatives of log Z in h (cumulants of the contact number) come from
-``_jet_forward``, the same recursion with each entry carried as a
-truncated Taylor jet; it is batched too, and serves both
-``QuenchedSystem.cumulants`` (one row) and the per-sample cumulant
-kernels of disorder Monte Carlo.  It steps in log domain: in the
-localized phase the terms of distant sites are exact zeros, and a step
-skips the exp of those it can certify, so the jets keep their bits.
+Derivatives of log Z in h (cumulants of the contact number L) come from
+``_moments``: the same linear step carries, besides Z, the rows Y_m[k],
+the sums over paths pinned at k of (L_k - c k)^m times their weight for
+m <= R, under Y_0's scale, one stacked matmul per step.  The centre c
+is the homogeneous chain's contact density at h
+(``InterArrivalLaw.contact_density``), a function of the law and h
+only, so a row's cumulants depend on nothing but its weights.  It is
+batched, and serves both ``QuenchedSystem.cumulants`` (one row) and the
+per-sample cumulant and kappa_1 kernels of disorder Monte Carlo.
+``_jet_forward`` is the recursion in log domain with each entry carried
+as a truncated Taylor jet in h: the fallback of the rows the linear
+step cannot certify, at order 0 for ``_forward`` and at order R for
+``_moments``.  In the localized phase the terms of distant sites are
+exact zeros, and a step skips the exp of those it can certify, so the
+jets keep their bits.
+
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
 in scaled linear domain (one log scale per column of the pair state), so
@@ -116,16 +125,19 @@ _DROPPED = -60.0 * math.log(2.0)
 _max, _min = np.maximum.reduce, np.minimum.reduce
 
 
-def _linear_rows(log_p: np.ndarray, band: np.ndarray,
-                 b: np.ndarray) -> np.ndarray:
-    """The linear step of _forward, for rows whose bands it certifies:
-    row r runs under log_p cut at band[r] <= n; returns the (rows, n+1)
-    table."""
+def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
+                 order: int = 0, centre: float = 0.0):
+    """The linear step of _forward and _moments, for rows whose bands it
+    certifies: row r runs under log_p cut at band[r] <= n.  Returns the
+    (rows, n+1) table of log Z_{0,k}; with order R >= 1 (untruncated rows
+    only) also the (rows, n+1, R+1) table of coefficients E[(L_k - c k)^m]
+    / m!, c = centre (see _moments)."""
     rows, n = b.shape
     reach = int(band.max())
     banded = int(band.min()) < n
     lp1 = log_p[1]
     pad = _LANE
+    width = order + 1
     # qrev[pad + reach - t] = p(t) / p(1) for t = 1..reach, so the weights
     # of an L-column window ending at k are qrev[pad+reach-L:pad+reach].
     # np.exp and np.log only ever see contiguous arrays: on other layouts
@@ -134,7 +146,21 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray,
     qrev = np.full(pad + reach, LOG_ZERO)
     np.subtract(log_p[reach:0:-1], lp1, out=qrev[pad:])
     np.exp(qrev, out=qrev)
-    if int(band.min()) < reach:
+    if order:
+        # qrev[pad + reach - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the
+        # gap t moves L - c k by d(t).  With y[:, i] = Y_i / i!, the
+        # step's products are s[:, i, e] = S[i, e] / (i! e!), and the
+        # coefficient of m is the sum of its antidiagonal i + e = m
+        d = np.zeros(pad + reach)
+        d[pad:] = 1.0 - centre * np.arange(reach, 0, -1)
+        e = np.arange(width)
+        inv_fact = 1.0 / np.array([math.factorial(i) for i in e], dtype=float)
+        qrev = qrev[:, None] * (d[:, None] ** e) * inv_fact
+        antidiag = (e[:, None, None] + e[None, :, None]
+                    == e[None, None, :]).astype(float).reshape(-1, width)
+        coef = np.zeros((rows, n + 1, width))
+        coef[:, 0, 0] = 1.0
+    elif int(band.min()) < reach:
         # one weight row per row, 0 past its band: the masked entries add
         # exact zeros in the BLAS lanes the unmasked ones would use
         qrev = np.where(np.arange(pad + reach) >= pad + reach - band[:, None],
@@ -143,8 +169,9 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray,
         qrev = qrev[:, None]
     z = np.empty((rows, n + 1))
     z[:, 0] = 0.0
-    y = np.zeros((rows, pad + n + 1))  # y[:, pad + j] holds entry j
-    y[:, pad] = 1.0
+    # y[:, m, pad + j] holds Y_m[j] / m! under the row's scale
+    y = np.zeros((rows, width, pad + n + 1))
+    y[:, 0, pad] = 1.0
     scale = np.zeros(rows)
     # row r is 0 below first[r] in its window; lo is the min over rows
     first = np.zeros(rows, dtype=np.intp)
@@ -154,23 +181,32 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray,
     expire = band.copy()
     for k in range(1, n + 1):
         cols = -(-(k - max(lo, k - reach)) // _LANE) * _LANE
-        s = np.matmul(y[:, None, pad + k - cols:pad + k],
+        s = np.matmul(y[:, :, pad + k - cols:pad + k],
                       qrev[..., pad + reach - cols:pad + reach, :])
-        t = np.log(s[:, 0, 0])
+        s0 = s[:, 0, 0]
+        t = np.log(s0)
         t += lp1
         t += b[:, k - 1]
         np.add(scale, t, out=z[:, k])
+        if order:
+            # one product per row over the fixed antidiagonal map, so a
+            # row's coefficients do not depend on its block-mates
+            ck = np.matmul(s.reshape(rows, 1, width * width), antidiag)[:, 0]
+            ck /= s0[:, None]
+            coef[:, k] = ck
         if banded:
             np.copyto(expire, band + k, where=t >= -_KEEP)
         if _max(t) > _RESCALE:
             # the new entry is the rows' scale: their stored entries are
-            # multiplied by one factor each, and those below _FLUSH flushed
+            # multiplied by one factor each, and those whose Y_0 falls
+            # below _FLUSH flushed, every m of the column together
             r = np.flatnonzero(t > _RESCALE)
             zk = z[r, k]
-            seg = y[r, pad + lo:pad + k] * np.exp(scale[r] - zk)[:, None]
-            seg[seg < _FLUSH] = 0.0
-            y[r, pad + lo:pad + k] = seg
-            nz = seg != 0.0
+            seg = y[r, :, pad + lo:pad + k]
+            seg = seg * np.exp(scale[r] - zk)[:, None, None]
+            np.copyto(seg, 0.0, where=seg[:, :1] < _FLUSH)
+            y[r, :, pad + lo:pad + k] = seg
+            nz = seg[:, 0] != 0.0
             first[r] = lo + np.where(nz.any(1), nz.argmax(1), k - lo)
             lo = int(first.min())
             scale[r] = zk
@@ -178,7 +214,9 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray,
         col = np.exp(t)
         if _min(t) < _LOG_FLUSH:
             col[col < _FLUSH] = 0.0
-        y[:, pad + k] = col
+        y[:, 0, pad + k] = col
+        if order:
+            np.multiply(ck[:, 1:], col[:, None], out=y[:, 1:, pad + k])
         if banded and _min(expire) <= k:
             # rebuild each expired row's window from its log table, under
             # the window max as the new scale, and zero the columns before
@@ -192,12 +230,33 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray,
             last = k - (seg[:, ::-1] >= -_KEEP).argmax(1)
             np.exp(seg, out=seg)
             seg[seg < _FLUSH] = 0.0
-            y[r, pad + j0:pad + k + 1] = seg
+            y[r, 0, pad + j0:pad + k + 1] = seg
             scale[r] = top
             expire[r] = last + band[r]
             first[r] = j0 + (seg != 0.0).argmax(1)
             lo = int(first.min())
-    return z
+    return (z, coef) if order else z
+
+
+def _certified(log_p: np.ndarray, cut: np.ndarray, n: int,
+               margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, ok) for rows cut at the bands cut <= n: row r's support in
+    [1, n] is [1, reach[r]] when ok[r], the linear step's certificate with
+    margin nats added to both of its bounds (see _forward)."""
+    lp = log_p[1:n + 1]
+    fin = np.isfinite(lp)
+    # the support of row r in [1, n] is [1, reach[r]] when its check passes
+    reach = np.minimum(cut, n if fin.all() else int(fin.argmin()))
+    at = np.maximum(reach - 1, 0)
+    # the extremes of log q = log p - log p(1) on the support
+    top = np.maximum.accumulate(lp)[at] - lp[0]
+    low = np.minimum.accumulate(lp)[at] - lp[0]
+    log_n = math.log(n) + margin
+    with np.errstate(invalid="ignore"):  # a law with p(1) = 0
+        ok = ((reach >= 1) & (np.cumsum(fin)[cut - 1] == reach)
+              & (log_n + _RESCALE + top <= _OVERFLOW)
+              & (log_n + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
+    return reach, ok
 
 
 def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
@@ -252,18 +311,7 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     if not (n and rows):
         return np.zeros((rows, n + 1))
     cut = np.full(rows, n) if band is None else np.minimum(band, n)
-    lp = log_p[1:n + 1]
-    fin = np.isfinite(lp)
-    # the support of row r in [1, n] is [1, reach[r]] when its check passes
-    reach = np.minimum(cut, n if fin.all() else int(fin.argmin()))
-    at = np.maximum(reach - 1, 0)
-    # the extremes of log q = log p - log p(1) on the support
-    top = np.maximum.accumulate(lp)[at] - lp[0]
-    low = np.minimum.accumulate(lp)[at] - lp[0]
-    with np.errstate(invalid="ignore"):  # a law with p(1) = 0
-        ok = ((reach >= 1) & (np.cumsum(fin)[cut - 1] == reach)
-              & (math.log(n) + _RESCALE + top <= _OVERFLOW)
-              & (math.log(n) + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
+    reach, ok = _certified(log_p, cut, n)
     if ok.all():
         return _linear_rows(log_p, reach, b)
     z = np.empty((rows, n + 1))
@@ -275,6 +323,48 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
         law = np.where(np.arange(n + 1) <= c, log_p[:n + 1], LOG_ZERO)
         z[r] = _jet_forward(law, b[r], 0)[0]
     return z
+
+
+def _moments(log_p: np.ndarray, b: np.ndarray, order: int,
+             centre: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Centred moments of the contact number of every row of the (rows, n)
+    weights b, n >= 1, under the one law log_p: returns (sc, coef, c) with
+    sc[r, k] = log Z_{0,k} and coef[r, k, m] = E[(L_k - c k)^m] / m! for
+    m = 0..order, order >= 1, the Taylor coefficients in s of
+    E[e^{s (L_k - c k)}] (L_k the contacts of the chain pinned at k).  So
+    kappa_1 of row r at k is coef[r, k, 1] + c k, and the higher
+    cumulants come from coef[r, k] by the log-series recursion.
+
+    c is centre, 0 <= c <= 1, for the rows the linear step certifies.
+    With Y_m[k] the sum over paths pinned at k of (L_k - c k)^m times
+    their weight, a contact at k after a gap t moves L - c k by
+    d(t) = 1 - c t, so
+
+        Y_m[k] = p(1) e^{b[r, k-1]} sum_{i <= m} C(m, i) S[i, m-i],
+        S[i, e] = sum_j Y_i[j] q(k-j) d(k-j)^e,  q = p / p(1).
+
+    Y_0 is _forward's recursion.  _linear_rows stores Y_m / m! under
+    Y_0's one log scale per row, so a step is one stacked matmul
+    (rows, R+1, L) @ (L, R+1) against q d^e / e!, whose antidiagonal
+    sums, one fixed product per row, are the new column's coefficients;
+    every m of a column is flushed together when its Y_0 is.
+
+    Certificate: for 0 <= c <= 1, |L_j - c j| <= j <= n and |d| <= n, so
+    |Y_i[j]| <= Y_0[j] n^i, and a term of S[i, e], i, e <= R, is at most
+    n^(2R) times its Y_0 term.  The linear step's two bounds (see
+    _forward) are therefore required with 2 R log(2n) nats added: then no
+    partial sum overflows, and the flushed entries move each S[i, e] by
+    at most 2^-60 S[0, 0], so each coefficient m of a new column by at
+    most 2^-60 2^m / m!.  Rows whose law fails that, or has a zero p(t)
+    inside [1, n], run the Taylor jets of _jet_forward at this order
+    instead, whose coefficients are the moments about 0: c is then 0."""
+    n = b.shape[1]
+    _, ok = _certified(log_p, np.array([n]), n,
+                       2 * order * math.log(2.0 * n))
+    if ok[0]:
+        return (*_linear_rows(log_p, np.full(b.shape[0], n), b, order,
+                              centre), centre)
+    return (*_jet_forward(log_p, b, order), 0.0)
 
 
 # a step leaves out the terms j < s only when every one of them, in every
@@ -774,28 +864,36 @@ class QuenchedSystem:
             log_pmf = np.log(row)
         return ContactLaw(n, log_pmf, l1)
 
-    # -- cumulants via jets -------------------------------------------------
+    # -- cumulants ----------------------------------------------------------
 
     def cumulants(self, r_max: int) -> CumulantVector:
-        """kappa_k = d^k/dh^k log Z for k = 1..r_max, r_max <= DEFAULT_JET_ORDER.
+        """kappa_k = d^k/dh^k log Z for k = 1..r_max, r_max <=
+        DEFAULT_JET_ORDER, and kappa_0 = log Z.
 
-        The jet always runs at order DEFAULT_JET_ORDER = 8, whatever r_max.
-        Cumulants come from the normalized moments by cancellation, so the
-        high ones carry large roundoff, and that roundoff depends on the
-        order: at (h = 3.5, n = 4096) kappa_4 is off by 1.3e-2 relative at
-        order 4 and by 6.9e-3 at order 8.  Choosing the order belongs with
-        replacing the jets by contour integrals (item 4 of ROADMAP.md)."""
+        The centred moment rows of _moments run at order r_max, centred at
+        the homogeneous chain's contact density c at h
+        (``InterArrivalLaw.contact_density``), which depends on the law
+        and h only.  The cumulants of L_n - c n come from its moments by
+        the log-series recursion, and kappa_1 adds c n.  Near the mean,
+        the centred moments are far below the raw moments' n^m, so far
+        less cancels; the further c sits from the mean, the more:
+        tests/test_accuracy.py states the error of kappa_1..kappa_6 against
+        a 40-digit moment DP.  A law the linear step cannot certify at n
+        runs the Taylor jets at order r_max (moments about 0), whose high
+        cumulants lose about n^(k-1) to cancellation."""
         if r_max > DEFAULT_JET_ORDER:
             raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:
             return CumulantVector(np.zeros(r_max + 1))
-        sc, coef = _jet_forward(self.law.log_p, self.site_weight[None, 1:],
-                                DEFAULT_JET_ORDER)
+        sc, coef, c = _moments(self.law.log_p, self.site_weight[None, 1:],
+                               max(r_max, 1), self.law.contact_density(self.h))
         g = log_of_jet(sc[0, -1], coef[0, -1])
         kappa = np.empty(r_max + 1)
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
             kappa[k] = math.factorial(k) * g[k]
+        if r_max:
+            kappa[1] += c * self.n
         return CumulantVector(kappa)
 
     # -- two-replica avoidance ----------------------------------------------

@@ -654,9 +654,9 @@ def _check_c12(ctx: CheckContext) -> CheckReport:
 # C13: decay of the thinned-contact probability
 
 def _check_c13(ctx: CheckContext) -> CheckReport:
-    """rho_hat comes from kappa_1, column 1 of order-2 cumulant rows (an
-    order-1 jet's bit for bit), so that inside a run memo the blocks C4's
-    centering statistics computed at the same (h, n) are reused."""
+    """rho_hat comes from kappa_1, column 1 of order-2 cumulant rows, so
+    that inside a run memo the blocks C4's centering statistics computed
+    at the same (h, n) are reused."""
     cfg = ctx.mc
     count = min(cfg.samples, 64)
     ns = [n for n in cfg.n_values if n <= 512]

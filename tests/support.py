@@ -1,6 +1,8 @@
 """Shared generators: small random instances with enumerable horizons,
 and the 40-digit reference DP."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -80,3 +82,45 @@ def mp_suffix(log_p, w):
         u[a + 1] = mp.exp(mp.mpf(float(w[a + 1]))) * z[a + 1]
         z[a] = mp.fdot(p[:n - a], u[a + 1:])
     return z
+
+
+def mp_cumulants(log_p, b, r_max, digits=40, keep=115.0):
+    """[log Z_{0,n}, kappa_1, .., kappa_r_max] of the contact number L_n
+    for the site log weights b, from the raw moment DP carried to `digits`
+    digits:
+
+        Y_m[k] = e^{b_k} sum_j p(k-j) sum_{i<=m} C(m, i) Y_i[j],
+
+    Y_m[k] the sum over paths pinned at k of L_k^m times their weight.
+    Step k leaves out the oldest sites j whose terms p(k-j) Y_0[j], times
+    n^r_max, add up to at most e^-keep of its largest term (decided in
+    floats from log Y_0).  Since |Y_m[j]| <= j^m Y_0[j] and L_k >= 1, that
+    moves each raw moment of a step by at most e^-keep relative, so the
+    cumulants, whose cancellation is below 1e20 at the sizes tested here,
+    by far less than 1e-20."""
+    n = len(b)
+    lz = np.empty(n + 1)
+    lz[0] = 0.0
+    with mp.workdps(digits):
+        p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x))) for x in log_p[1:n + 1]]
+        binom = [[mp.mpf(math.comb(m, i)) for i in range(m + 1)]
+                 for m in range(r_max + 1)]
+        rows = [[mp.mpf(1)]] + [[mp.mpf(0)] for _ in range(r_max)]
+        slack = keep + r_max * math.log(n)
+        for k in range(1, n + 1):
+            terms = lz[:k] + log_p[k:0:-1]
+            cum = np.logaddexp.accumulate(terms)
+            j0 = int((cum <= terms.max() - slack).sum())
+            w = p[k - j0:0:-1]
+            t = [mp.fdot(row[j0:k], w) for row in rows]
+            e = mp.exp(mp.mpf(float(b[k - 1])))
+            for m, row in enumerate(rows):
+                row.append(e * mp.fdot(binom[m], t[:m + 1]))
+            lz[k] = float(mp.log(rows[0][k]))
+        z = rows[0][n]
+        raw = [row[n] / z for row in rows]
+        kappa = [mp.log(z)]
+        for m in range(1, r_max + 1):
+            kappa.append(raw[m] - mp.fsum(math.comb(m - 1, i - 1) * kappa[i]
+                                          * raw[m - i] for i in range(1, m)))
+        return np.array([float(x) for x in kappa])

@@ -19,7 +19,7 @@ from pinlab.model import build_law, gaussian_disorder, geometric_test_law
 from pinlab.quenched import (KS_L1_BUDGET, QuenchedSystem, _forward,
                              ks_to_standard_normal)
 from pinlab.theorems import _ks_error_bound
-from support import mp_log_prefix, mp_prefix, mp_suffix
+from support import mp_cumulants, mp_log_prefix, mp_prefix, mp_suffix
 
 DIGITS = 40
 
@@ -170,3 +170,27 @@ def test_banded_contact_law_against_dense_loop():
         ks, _, var = ks_to_standard_normal(banded)
         assert abs(ks - ks_to_standard_normal(exact)[0]) \
             <= _ks_error_bound(l1, n, var)
+
+
+def test_cumulants_against_mpmath():
+    # log Z and kappa_1..kappa_6 of QuenchedSystem.cumulants (the centred
+    # moment rows, which sample_cumulants runs too) against the 40-digit
+    # raw moment DP at (h, n) in {1.5, 3} x {256, 1024}, relative to
+    # |kappa_r|.  Bounds and the worst of these four rows: log Z 1e-14
+    # (4.5e-15), kappa_1 1e-14 (9.0e-16), kappa_2 1e-13 (4.0e-14), kappa_3
+    # 2e-11 (8.1e-13), kappa_4 2e-9 (1.9e-10), kappa_5 2e-7 (3.8e-8) and
+    # kappa_6 2e-5 (3.7e-6).  The worst row is (1.5, 1024), where the
+    # centre c = 0.903 (the homogeneous chain's density) sits 46 contacts
+    # from the mean: kappa_6 then comes from centred moments of about
+    # 46^6, 1e8 times its size.  At (3, 256), C1's size, kappa_6 is within
+    # 3.8e-11.  The order-8 Taylor jets miss kappa_4 on these rows by up
+    # to 2.8e-4 and kappa_6 by 0.043 to 620
+    bounds = np.array([1e-14, 1e-14, 1e-13, 2e-11, 2e-9, 2e-7, 2e-5])
+    worst = np.zeros(bounds.size)
+    for h, n, seed in ((1.5, 256, 16), (3.0, 256, 17), (1.5, 1024, 18),
+                       (3.0, 1024, 19)):
+        law, sys_ = _gaussian_system(h, n, seed)
+        want = mp_cumulants(law.log_p, sys_.site_weight[1:], 6, DIGITS)
+        got = sys_.cumulants(6).kappa
+        worst = np.maximum(worst, np.abs(got - want) / np.abs(want))
+    assert np.all(worst <= bounds), worst

@@ -21,7 +21,9 @@ def test_defaults_validate_and_build():
     cfg = RunConfig()
     cfg.validate()
     law = cfg.law()
-    assert law.n_max == 512 and law.alpha == 1.0
+    assert law.n_max == 512
+    # alpha = 1: p(2t) / p(t) = 2^-(alpha+1)
+    assert law.log_p[2] - law.log_p[1] == pytest.approx(-2.0 * math.log(2.0))
     assert cfg.disorder_law().family == "gaussian"
 
 

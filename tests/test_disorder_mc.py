@@ -123,8 +123,10 @@ def _kernel_calls():
 
 
 def _count_engine_rows(monkeypatch):
+    # rows evaluated by the two engines the kernels call: _forward (log Z)
+    # and _moments (cumulants and kappa_1 paths)
     rows = []
-    for name in ("_forward", "_jet_forward"):
+    for name in ("_forward", "_moments"):
         engine = getattr(mc, name)
 
         def counted(log_p, b, *args, _engine=engine, **kw):

@@ -45,6 +45,7 @@ from pinlab.quenched import (
     QuenchedSystem,
     _forward,
     _jet_forward,
+    _moments,
     _pair_forward,
     ks_to_standard_normal,
 )
@@ -147,15 +148,20 @@ def test_non_finite_input_is_rejected():
                                      min_size=6, max_size=6)),
        st.sampled_from(["C", "F", "window"]),
        st.integers(min_value=0, max_value=2 ** 32),
-       st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+       st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+       st.sampled_from(["moments", "jets"]))
 def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
-                                            jet_order):
+                                            order, engine):
     # a row's table is bit-identical whatever batch it is computed in, and
-    # with bands (one per row) whatever the other rows' bands are; with a
-    # jet order the engine is _jet_forward (log scales and coefficients)
+    # with bands (one per row) whatever the other rows' bands are; with an
+    # order R the engine is _moments (log Z and the centred moment rows,
+    # at a random centre) or _jet_forward (log scales and coefficients)
     rng = np.random.default_rng(seed)
-    if jet_order is not None:
+    centre = float(rng.uniform(0.0, 1.0))
+    if order is not None:
         bands = None
+        if engine == "moments":
+            n = max(n, 1)
     if bands is not None:
         bands = np.array(bands[:rows])
     if layout == "window":
@@ -168,9 +174,13 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
 
     def run(weights, band):
-        if jet_order is None:
+        if order is None:
             return (_forward(GEOM.log_p, weights, band),)
-        return _jet_forward(GEOM.log_p, weights, jet_order)
+        if engine == "jets":
+            return _jet_forward(GEOM.log_p, weights, order)
+        sc, coef, c = _moments(GEOM.log_p, weights, order, centre)
+        assert c == centre  # GEOM passes the certificate at n <= 48
+        return sc, coef
 
     batched = run(b, bands)
     assert batched[0].shape == (rows, n + 1)
@@ -334,6 +344,67 @@ def test_window_tables_match_full_window_loop(rows, n, law_kind, order, seed):
     for got, want in zip(_jet_forward(log_p, finite, order),
                          _full_window_jet_forward(log_p, finite, order)):
         assert got.tobytes() == want.tobytes()
+
+
+def _centred_jets(coef, centre):
+    """The coefficients E[(L_k - c k)^m] / m! from the jets' E[L_k^m] / m!:
+    the Cauchy product of each jet with the series of e^{-s c k}."""
+    rows, size, width = coef.shape
+    m = np.arange(width)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in m], dtype=float)
+    shift = (-centre * np.arange(size))[:, None] ** m * inv_fact
+    out = np.zeros_like(coef)
+    for top in m:
+        for i in range(top + 1):
+            out[:, :, top] += coef[:, :, i] * shift[:, top - i]
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=200, max_value=700),
+       st.sampled_from(["geometric", "power", "bumpy"]),
+       st.integers(min_value=1, max_value=8),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_moment_rows_under_extreme_charges(rows, n, law_kind, order, centre,
+                                           seed):
+    # the long chains of the window test: the moment rows stay finite (a
+    # RuntimeWarning fails the test), keep the -inf entries of _forward,
+    # and, on finite weights, sit within roundoff of the full-window jets:
+    # log Z within 1e-13 of max(1, |log Z|), and each coefficient m of
+    # column k within 1e-13 (2k)^m / m!, the scale of E[(L_k - c k)^m]
+    # / m!.  The flush bound of _moments, 2^-60 2^m / m! per step, is far
+    # below that.  Laws past the certificate (the bumpy ones, and the
+    # geometric law past n of about 500) run the jets: c = 0 and the
+    # jets' bytes
+    rng = np.random.default_rng(seed)
+    if law_kind == "geometric":
+        log_p = geometric_test_law(n).log_p
+    elif law_kind == "power":
+        log_p = build_law(1.0, None, n).log_p
+    else:
+        log_p = _bumpy_log_p(rng, n)
+    b = _long_chain_weights(rng, rows, n)
+    sc, coef, c = _moments(log_p, b, order, centre)
+    assert np.isfinite(coef).all()
+    z = _forward(log_p, b)
+    assert np.array_equal(np.isfinite(sc), np.isfinite(z))
+    finite = np.where(np.isinf(b), -40.0, b)  # the jets take finite weights
+    sc, coef, c = _moments(log_p, finite, order, centre)
+    if c != centre:
+        assert c == 0.0 and law_kind != "power"
+        for got, want in zip((sc, coef), _jet_forward(log_p, finite, order)):
+            assert got.tobytes() == want.tobytes()
+        return
+    want_sc, want_coef = _full_window_jet_forward(log_p, finite, order)
+    assert (np.abs(sc - want_sc) / np.maximum(1.0, np.abs(want_sc))).max() \
+        <= 1e-13
+    m = np.arange(order + 1)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in m], dtype=float)
+    scale = (2.0 * np.maximum(np.arange(n + 1), 1))[:, None] ** m * inv_fact
+    assert np.all(np.abs(coef - _centred_jets(want_coef, centre))
+                  <= 1e-13 * scale)
 
 
 def test_long_chains_match_mpmath():

@@ -7,14 +7,23 @@ four modules every run goes through, ``quenched.py``, ``numerics.py``,
 matched by the line they start on, so a method cannot hide behind a
 same-named one.  A function that only tests call belongs in
 ``oracle.py`` or ``tests/``.
+
+The same runs count the calls of the Taylor-jet engine ``_jet_forward``:
+it is the fallback of the rows the linear step cannot certify, which no
+power-law row reaches, and the geometric ``compute`` at n = 700 runs it
+for both its prefix table and its cumulants.
 """
 
 import ast
 import cProfile
+import csv
 import json
+import math
 import os
 import pstats
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import pinlab.disorder_mc as disorder_mc
@@ -22,6 +31,9 @@ import pinlab.model as model
 import pinlab.numerics as numerics
 import pinlab.quenched as quenched
 from pinlab.cli import main
+from pinlab.config import load_config
+from pinlab.model import sample_disorder_block
+from pinlab.quenched import QuenchedSystem
 
 # (command, config): tiny runs that between them reach every model kind,
 # both ell forms, every disorder family and a scan of >= 500 samples
@@ -57,7 +69,14 @@ RUNS = [
         "model": {"n_max": 16},
         "disorder": {"family": "shifted_exponential", "param": 0.5},
         "grids": {"h_values": [2.0], "n_values": [16]}}),
+    # log p spans 699 log 2 nats on [1, 700]: past the linear step's
+    # certificate, so the prefix table and the cumulants run the jets
+    ("compute", {
+        "model": {"kind": "geometric", "n_max": 700},
+        "disorder": {"family": "gaussian", "param": 1.0},
+        "grids": {"h_values": [1.0], "n_values": [700]}}),
 ]
+GEOMETRIC_RUN = len(RUNS) - 1
 
 
 def _defined_functions(path: str) -> dict[int, str]:
@@ -76,20 +95,38 @@ def _defined_functions(path: str) -> dict[int, str]:
 
 @pytest.fixture(scope="module")
 def cli_profile(tmp_path_factory):
-    """pstats of the commands of RUNS."""
+    """pstats of the commands of RUNS (stats), the orders of the
+    _jet_forward calls of each run (jet_orders), and the configs and
+    output directories of the runs (paths, outs)."""
     tmp_path = tmp_path_factory.mktemp("reach")
     prof = cProfile.Profile()
-    for i, (command, cfg) in enumerate(RUNS):
-        path = tmp_path / f"run{i}.json"
-        path.write_text(json.dumps(cfg))
-        out = str(tmp_path / f"run{i}")
-        prof.enable()
-        try:
-            code = main([command, "--config", str(path), "--out", out])
-        finally:
-            prof.disable()
-        assert code in (0, 2), (i, command)  # 2: a statistical check failed
-    return pstats.Stats(prof)
+    jet_orders = [[] for _ in RUNS]
+    paths, outs = [], []
+    engine = quenched._jet_forward
+    i = 0  # the run in progress
+
+    def counted(log_p, b, order):
+        jet_orders[i].append(order)
+        return engine(log_p, b, order)
+
+    quenched._jet_forward = counted
+    try:
+        for i, (command, cfg) in enumerate(RUNS):
+            path = tmp_path / f"run{i}.json"
+            path.write_text(json.dumps(cfg))
+            out = str(tmp_path / f"run{i}")
+            paths.append(path)
+            outs.append(out)
+            prof.enable()
+            try:
+                code = main([command, "--config", str(path), "--out", out])
+            finally:
+                prof.disable()
+            assert code in (0, 2), (i, command)  # 2: a statistical check failed
+    finally:
+        quenched._jet_forward = engine
+    return SimpleNamespace(stats=pstats.Stats(prof), jet_orders=jet_orders,
+                           paths=paths, outs=outs)
 
 
 def _missing(stats, module) -> list[str]:
@@ -105,20 +142,54 @@ def _missing(stats, module) -> list[str]:
 
 
 def test_cli_reaches_every_quenched_function(cli_profile):
-    missing = _missing(cli_profile, quenched)
+    missing = _missing(cli_profile.stats, quenched)
     assert not missing, missing
 
 
 def test_cli_reaches_every_numerics_function(cli_profile):
-    missing = _missing(cli_profile, numerics)
+    missing = _missing(cli_profile.stats, numerics)
     assert not missing, missing
 
 
 def test_cli_reaches_every_model_function(cli_profile):
-    missing = _missing(cli_profile, model)
+    missing = _missing(cli_profile.stats, model)
     assert not missing, missing
 
 
 def test_cli_reaches_every_disorder_mc_function(cli_profile):
-    missing = _missing(cli_profile, disorder_mc)
+    missing = _missing(cli_profile.stats, disorder_mc)
     assert not missing, missing
+
+
+def test_only_the_uncertified_law_reaches_the_jets(cli_profile):
+    # no power-law (or short table) row calls _jet_forward; the geometric
+    # compute calls it once for its prefix table (order 0) and once for
+    # its cumulants (order 4)
+    want = [[] for _ in RUNS]
+    want[GEOMETRIC_RUN] = [0, 4]
+    assert cli_profile.jet_orders == want
+
+
+def test_jet_cumulants_match_finite_differences(cli_profile):
+    # the printed kappa_1..kappa_4 of the geometric compute, from the jets,
+    # against 7-point central differences of log Z (the prefix table) at
+    # step 0.04.  Measured: 3.3e-12, 2.5e-12, 2.2e-7 and 1.6e-5 relative;
+    # the stencil's error (the kappa_3 gap moves with the step) and the
+    # jets' cancellation in kappa_4 (its gap does not) set them
+    cfg = load_config(str(cli_profile.paths[GEOMETRIC_RUN]))
+    law, h, n = cfg.law(), cfg.grids.h_values[0], cfg.grids.n_values[0]
+    omega = sample_disorder_block(cfg.disorder_law(), n, cfg.run.master_seed,
+                                  0, 1)[0]
+    with open(os.path.join(cli_profile.outs[GEOMETRIC_RUN],
+                           "series.csv")) as fh:
+        printed = {row["quantity"]: float(row["mean"])
+                   for row in csv.DictReader(fh)}
+    step, points = 0.04, np.arange(-3, 4)
+    log_z = np.array([QuenchedSystem(law, h + k * step, omega, n).log_z
+                      for k in points])
+    vander = np.vander(points, increasing=True).T.astype(float)
+    for r, rtol in ((1, 1e-9), (2, 1e-9), (3, 2e-6), (4, 1e-4)):
+        rhs = np.zeros(points.size)
+        rhs[r] = math.factorial(r)
+        fd = float(np.linalg.solve(vander, rhs) @ log_z) / step ** r
+        assert printed[f"kappa{r}"] == pytest.approx(fd, rel=rtol), r
