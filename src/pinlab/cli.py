@@ -88,11 +88,15 @@ def _cmd_compute(cfg: RunConfig, out: str) -> int:
             omega = sample_disorder_block(disorder, int(n),
                                           cfg.run.master_seed, 0, 1)[0]
             sys_ = QuenchedSystem(law, float(h), omega, int(n))
+            # log Z is kappa_0 of the one moment pass: no prefix DP runs
             kappa = sys_.cumulants(r_top).kappa
+            log_z = float(kappa[0])
             series.append(mc.EstimateSeries("log_z", float(h), int(n),
-                                            sys_.log_z, 0.0, 1))
+                                            log_z, 0.0, 1))
+            # log Z with the final contact weight e^{h + omega_n} stripped
+            log_z_minus = log_z - float(sys_.site_weight[int(n)])
             series.append(mc.EstimateSeries("log_z_minus", float(h), int(n),
-                                            sys_.log_z_minus, 0.0, 1))
+                                            log_z_minus, 0.0, 1))
             for r in range(1, r_top + 1):
                 series.append(mc.EstimateSeries(f"kappa{r}", float(h), int(n),
                                                 float(kappa[r]), 0.0, 1))

@@ -40,10 +40,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
-from .numerics import _log_series
+from .numerics import _log_series, normal_cdf
 from .quenched import (QuenchedBlock, QuenchedSystem, _checked, _forward,
                        _moments)
 
@@ -252,7 +251,7 @@ def ks_to_normal(x: np.ndarray) -> float:
     if sd == 0.0:
         raise ValueError("degenerate sample (zero variance)")
     z = (s - s.mean()) / sd
-    cdf = special.ndtr(z)
+    cdf = normal_cdf(z)
     i = np.arange(1, s.size + 1)
     d_plus = np.max(i / s.size - cdf)
     d_minus = np.max(cdf - (i - 1) / s.size)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .numerics import LOG_ZERO
 
@@ -48,7 +47,10 @@ def _analytic_tail(ell: EllSpec, alpha: float, n_max: int) -> float:
     """Integral upper bound on sum_{t > n_max} ell(t) t^{-(alpha+1)}."""
     if ell.form == "constant":
         return ell.c / (alpha * n_max ** alpha)
-    # substitute u = ln t: integral becomes an upper incomplete gamma
+    # substitute u = ln t: integral becomes an upper incomplete gamma.
+    # scipy is imported here only: no other run path needs it
+    from scipy import special
+
     a = ell.beta + 1.0
     x = alpha * (1.0 + math.log(n_max))
     return ell.c * math.exp(alpha) * alpha ** (-a) * special.gammaincc(a, x) * special.gamma(a)

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .disorder_mc import McConfig, estimate_f
 from .numerics import LOG_ZERO
@@ -342,6 +341,8 @@ def two_replica_avoidance_lse(system, window: int, start: int = 0) -> np.ndarray
     ``quenched._pair_forward`` run entirely in log domain: every sum is a
     log-sum-exp over the (t, t) state, one exp per state entry and step.
     A reference route for the scaled linear-domain engine."""
+    from scipy.special import logsumexp  # only this test route needs scipy
+
     if not 1 <= window <= system.n or start < 0 or start + window > system.n:
         raise ValueError("window falls outside the system")
     seg = system.segment_partitions(window)
@@ -432,7 +433,9 @@ def exp_abs_moment(law, eta: float) -> float:
     if law.family == "zero":
         return 1.0
     if law.family == "gaussian":
-        return 2.0 * math.exp(eta * eta * s * s / 2.0) * float(ndtr(eta * s))
+        # 2 Phi(eta s) = erfc(-eta s / sqrt 2)
+        return (math.exp(eta * eta * s * s / 2.0)
+                * math.erfc(-eta * s / math.sqrt(2.0)))
     if law.family == "uniform_centered":
         return math.expm1(eta * s) / (eta * s)
     if law.family == "rademacher":

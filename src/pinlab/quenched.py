@@ -46,12 +46,14 @@ a step costs two matrix-vector products and O(t) exp/log rather than one
 per state entry.
 
 A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
-row each, and runs the row-local engines once for all rows: the prefix
-table when it is built, the suffix table, each (window, start) pair DP
-and the excursion caps up to m the first time any row asks.  A
-``QuenchedSystem`` is the view of one row; a standalone one is the one
-row of its own block, so there is one code path, and every row reads the
-bytes a one-row block would compute.  Segment tables and the contact law
+row each, and runs the row-local engines once for all rows, each the
+first time any row asks: the prefix table, the suffix table, each
+(window, start) pair DP and the excursion caps up to m.  A reader of
+log Z and the cumulants alone, such as ``pinlab compute``, takes log Z
+as kappa_0 of ``QuenchedSystem.cumulants``, whose moment rows carry Z as
+Y_0, and so runs no prefix DP.  A ``QuenchedSystem`` is the view of one
+row; a standalone one is the one row of its own block, so there is one
+code path, and every row reads the bytes a one-row block would compute.  Segment tables and the contact law
 stay per system: they are arithmetic-bound, and blocked they would cost
 memory (a (rows, n+1, window+1) block of segment tables is 8.5 MB at
 64 x 256 x 64; the count DP of the contact law would take O(rows n^2)).
@@ -71,9 +73,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, log_of_jet
+from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, log_of_jet, normal_cdf
 
 # (row, band) pairs per _forward pass of QuenchedBlock.excursion_logZ, so
 # that caps near n cost O(64 n) memory, not O(n^2)
@@ -650,7 +651,7 @@ def ks_to_standard_normal(law: ContactLaw) -> tuple[float, float, float]:
         return 1.0, mu, var
     z = (l - mu) / math.sqrt(var)
     cdf = np.cumsum(probs)
-    phi = special.ndtr(z)
+    phi = normal_cdf(z)
     d_hi = np.abs(cdf - phi)
     d_lo = np.abs(np.concatenate(([0.0], cdf[:-1])) - phi)
     return float(max(d_hi.max(), d_lo.max())), mu, var
@@ -662,13 +663,13 @@ class QuenchedBlock:
 
     charges is a (rows, >= n) array, row r holding omega_1..omega_n of
     environment r (columns past n are not read), or None for one row
-    without disorder.  The prefix table is built with the block.  The
-    suffix table, the avoidance profiles of a (window, start) and the
-    excursion-capped log Z_n up to a cap are built for every row the
-    first time any row asks, and cached.  The engines are row-local, so
-    each row's tables are bit-identical to a one-row block's.  Tables are
-    read-only: every row view shares them.  ``systems()`` yields the rows
-    as QuenchedSystem views."""
+    without disorder.  The prefix table, the suffix table, the avoidance
+    profiles of a (window, start) and the excursion-capped log Z_n up to
+    a cap are built for every row the first time any row asks, and
+    cached.  The engines are row-local, so each row's tables are
+    bit-identical to a one-row block's.  Tables are read-only: every row
+    view shares them.  ``systems()`` yields the rows as QuenchedSystem
+    views."""
 
     def __init__(self, law, h: float, charges, n: int):
         n = _checked(law, h, n)
@@ -694,7 +695,7 @@ class QuenchedBlock:
         self.charges = _frozen(c)
         # h + omega_a, column 0 unused
         self.site_weight = _frozen(self.h + c)
-        self.prefix_logZ = _frozen(_forward(law.log_p, self.site_weight[:, 1:]))
+        self._prefix = None
         self._suffix = None
         self._avoidance = {}  # (window, start) -> (rows, window + 1)
         self._excursion = np.empty((self.rows, 0))
@@ -704,6 +705,14 @@ class QuenchedBlock:
         for r in range(self.rows):
             yield QuenchedSystem(self.law, self.h,
                                  _Row(self, r, self.charges[r, 1:]), self.n)
+
+    @property
+    def prefix_logZ(self) -> np.ndarray:
+        """prefix[r, k] = log Z_{0,k} of row r for k = 0..n."""
+        if self._prefix is None:
+            self._prefix = _frozen(_forward(self.law.log_p,
+                                            self.site_weight[:, 1:]))
+        return self._prefix
 
     def suffix_logZ(self) -> np.ndarray:
         """suffix[r, a] = log Z_{[a, n]} of row r for a = 0..n."""
@@ -783,19 +792,17 @@ class QuenchedSystem:
         self._block, self._row = block, row
         self.law, self.h, self.n = block.law, block.h, block.n
         self.site_weight = block.site_weight[row]
-        self.prefix_logZ = block.prefix_logZ[row]
         self._segments = None
+
+    @property
+    def prefix_logZ(self) -> np.ndarray:
+        """prefix[k] = log Z_{0,k} for k = 0..n: the system's row of the
+        block's prefix table, which the first read builds."""
+        return self._block.prefix_logZ[self._row]
 
     @property
     def log_z(self) -> float:
         return float(self.prefix_logZ[self.n])
-
-    @property
-    def log_z_minus(self) -> float:
-        """log Z with the final contact weight stripped."""
-        if self.n == 0:
-            return 0.0
-        return self.log_z - self.site_weight[self.n]
 
     # -- suffix and segment tables ----------------------------------------
 
@@ -880,7 +887,9 @@ class QuenchedSystem:
         tests/test_accuracy.py states the error of kappa_1..kappa_6 against
         a 40-digit moment DP.  A law the linear step cannot certify at n
         runs the Taylor jets at order r_max (moments about 0), whose high
-        cumulants lose about n^(k-1) to cancellation."""
+        cumulants lose about n^(k-1) to cancellation.  kappa_0 is log Z of
+        the Y_0 row: ``log_z`` to roundoff (its step sums in another
+        order), without the prefix DP."""
         if r_max > DEFAULT_JET_ORDER:
             raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
         if self.n == 0:

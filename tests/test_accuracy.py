@@ -16,6 +16,7 @@ import numpy as np
 
 from pinlab import quenched
 from pinlab.model import build_law, gaussian_disorder, geometric_test_law
+from pinlab.numerics import normal_cdf
 from pinlab.quenched import (KS_L1_BUDGET, QuenchedSystem, _forward,
                              ks_to_standard_normal)
 from pinlab.theorems import _ks_error_bound
@@ -194,3 +195,33 @@ def test_cumulants_against_mpmath():
         got = sys_.cumulants(6).kappa
         worst = np.maximum(worst, np.abs(got - want) / np.abs(want))
     assert np.all(worst <= bounds), worst
+
+
+def test_compute_log_z_against_mpmath():
+    # the log Z that pinlab compute prints, kappa_0 of cumulants(4) (the
+    # Y_0 row of its one moment pass), against the 40-digit prefix DP at
+    # (h, n) in {1.5, 3} x {256, 1024}: bound 1e-14 relative; 4.1e-15, at
+    # (1.5, 256), the prefix table's own error there
+    worst = 0.0
+    for h, n, seed in ((1.5, 256, 20), (3.0, 256, 21), (1.5, 1024, 22),
+                       (3.0, 1024, 23)):
+        law, sys_ = _gaussian_system(h, n, seed)
+        want = mp_log_prefix(law.log_p, sys_.site_weight[1:], digits=DIGITS)[n]
+        got = sys_.cumulants(4).kappa[0]
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-14, worst
+
+
+def test_normal_cdf_against_mpmath():
+    # numerics.normal_cdf, the Phi of both KS distances, against mpmath's
+    # ncdf at 40 digits on z in [-38, 9] (a grid of step 0.01 and 2000
+    # uniform points): bound 2.2e-16 absolute; 1.05e-16 (scipy's ndtr:
+    # 1.15e-16)
+    rng = np.random.default_rng(24)
+    z = np.concatenate((np.linspace(-38.0, 9.0, 4701),
+                        rng.uniform(-38.0, 9.0, 2000)))
+    got = normal_cdf(z)
+    with mp.workdps(DIGITS):
+        err = max(abs(mp.mpf(float(g)) - mp.ncdf(mp.mpf(float(x))))
+                  for g, x in zip(got, z))
+    assert float(err) <= 2.2e-16, float(err)

@@ -12,6 +12,7 @@ import pinlab.disorder_mc as mc
 import pinlab.outputs as outputs
 import pinlab.theorems as theorems
 from pinlab.cli import main
+from pinlab.model import gaussian_disorder, sample_disorder_block
 from pinlab.theorems import CheckReport
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -55,6 +56,25 @@ def test_compute_toy_value_is_exact(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "resolved_config.json"))
     assert os.path.exists(os.path.join(out, "seeds.json"))
     assert "compute: wrote" in capsys.readouterr().out
+
+
+def test_compute_log_z_minus_strips_last_charge(tmp_path):
+    # log_z_minus is log Z with the final contact weight e^{h + omega_n}
+    # stripped, omega the compute run's sample 0
+    cfg = {"model": {"n_max": 64},
+           "disorder": {"family": "gaussian", "param": 1.0},
+           "grids": {"h_values": [0.5, 2.0], "n_values": [1, 17, 64]},
+           "run": {"master_seed": 7}}
+    out = str(tmp_path / "out")
+    assert main(["compute", "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", out]) == 0
+    rows = {(r[0], float(r[1]), int(r[2])): float(r[3]) for r in _rows(out)}
+    disorder = gaussian_disorder(1.0)
+    for h in cfg["grids"]["h_values"]:
+        for n in cfg["grids"]["n_values"]:
+            omega = sample_disorder_block(disorder, n, 7, 0, 1)[0]
+            assert rows["log_z_minus", h, n] == pytest.approx(
+                rows["log_z", h, n] - h - omega[n - 1], abs=1e-12)
 
 
 def test_resolved_config_expands_defaults(tmp_path):
@@ -284,6 +304,26 @@ def _subprocess_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def test_startup_imports_no_scipy(tmp_path):
+    # import pinlab, its CLI and a compute run stay clear of scipy, whose
+    # import would be the largest fixed cost of a run; a log_power law's
+    # tail bound still imports scipy.special where it is needed
+    cfg = _write(tmp_path, "toy.json", TOY)
+    script = "\n".join([
+        "import sys",
+        "import pinlab, pinlab.cli",
+        f"assert pinlab.cli.main(['compute', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'scipy imported'",
+        "pinlab.build_law(1.0, pinlab.EllSpec('log_power', 1.0, 0.5), 64)",
+        "assert 'scipy.special' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

@@ -75,12 +75,6 @@ def test_log_z_matches_enumeration():
         assert sys_.log_z == pytest.approx(want, rel=1e-14, abs=1e-11)
 
 
-def test_log_z_minus_strips_last_charge():
-    for law, h, omega, n, sys_ in _systems(11, 20):
-        assert sys_.log_z_minus == pytest.approx(
-            sys_.log_z - h - omega[n - 1], abs=1e-12)
-
-
 def test_prefix_and_suffix_assemble():
     for law, h, omega, n, sys_ in chain(_systems(12, 10, n_lo=2),
                                         _systems(112, 10, n_lo=2, extreme=True)):
@@ -116,7 +110,6 @@ def test_segment_table_matches_shifted_chains():
 def test_degenerate_empty_chain():
     sys_ = QuenchedSystem(GEOM, 0.3, np.zeros(0), 0)
     assert sys_.log_z == 0.0
-    assert sys_.log_z_minus == 0.0
     np.testing.assert_allclose(sys_.contact_law().pmf(), [1.0])
     assert sys_.max_excursion_cdf(1) == 1.0
     assert np.all(sys_.cumulants(3).kappa[1:] == 0.0)

@@ -11,7 +11,7 @@ same-named one.  A function that only tests call belongs in
 The same runs count the calls of the Taylor-jet engine ``_jet_forward``:
 it is the fallback of the rows the linear step cannot certify, which no
 power-law row reaches, and the geometric ``compute`` at n = 700 runs it
-for both its prefix table and its cumulants.
+for its cumulants, whose kappa_0 is the log Z it prints.
 """
 
 import ast
@@ -70,7 +70,7 @@ RUNS = [
         "disorder": {"family": "shifted_exponential", "param": 0.5},
         "grids": {"h_values": [2.0], "n_values": [16]}}),
     # log p spans 699 log 2 nats on [1, 700]: past the linear step's
-    # certificate, so the prefix table and the cumulants run the jets
+    # certificate, so the cumulants run the jets
     ("compute", {
         "model": {"kind": "geometric", "n_max": 700},
         "disorder": {"family": "gaussian", "param": 1.0},
@@ -163,10 +163,10 @@ def test_cli_reaches_every_disorder_mc_function(cli_profile):
 
 def test_only_the_uncertified_law_reaches_the_jets(cli_profile):
     # no power-law (or short table) row calls _jet_forward; the geometric
-    # compute calls it once for its prefix table (order 0) and once for
-    # its cumulants (order 4)
+    # compute calls it once, for its cumulants (order 4), which give its
+    # log Z too, so it builds no prefix table
     want = [[] for _ in RUNS]
-    want[GEOMETRIC_RUN] = [0, 4]
+    want[GEOMETRIC_RUN] = [4]
     assert cli_profile.jet_orders == want
 
 
