@@ -169,8 +169,8 @@ def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
     fact = np.array([math.factorial(k) for k in range(r_max + 1)], dtype=float)
 
     def kernel(block):
-        sc, coef, c = _moments(cfg.law.log_p, h + block, max(r_max, 1),
-                               cfg.law.contact_density(h))
+        c = cfg.law.contact_density(h)
+        sc, coef = _moments(cfg.law.log_p, h + block, max(r_max, 1), c)
         kappa = _log_series(coef[:, -1])[:, :r_max + 1] * fact
         kappa[:, 0] = sc[:, -1]
         if r_max:
@@ -184,8 +184,8 @@ def sample_kappa1_path(cfg: McConfig, h: float, n: int) -> np.ndarray:
     """Per-sample trajectory kappa_1(omega, k) for k = 0..n."""
     def kernel(block):
         # the first centred moment of each prefix, plus the centre c k
-        _, coef, c = _moments(cfg.law.log_p, h + block, 1,
-                              cfg.law.contact_density(h))
+        c = cfg.law.contact_density(h)
+        _, coef = _moments(cfg.law.log_p, h + block, 1, c)
         return coef[:, :, 1] + c * np.arange(n + 1)
 
     return _sampled(cfg, h, n, kernel, n + 1)

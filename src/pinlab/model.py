@@ -140,6 +140,8 @@ def compute_xi(log_p: np.ndarray, n_max: int) -> float:
                 f"p(t+tau)/(p(t) p(tau)) is e^{float(w.max()):.6g}")
     while hi - lo > XI_GRID_RESOLUTION:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # a huge xi: floats are coarser than the grid
+            break
         if feasible(mid):
             hi = mid
         else:

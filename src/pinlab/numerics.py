@@ -5,12 +5,14 @@ with ``-inf`` (``LOG_ZERO``) as the distinguished encoding of exact zero.
 
 Cumulants come from Taylor coefficients normalized so that
 ``coeffs[0] == 1``: those in s of E[e^{s X}], X the contact number L_k
-centred at c k, of the centred moment rows (E[X^m] / m!), or those of a
-Taylor jet in h (c = 0).  The coefficients of their log come from one
-power-series recursion, ``_log_series``, which works on many rows at
-once: the batched cumulant kernels call it directly, and
-:func:`log_of_jet` is its checked single-row form, which carries the log
-scale (log Z) along.  ``DEFAULT_JET_ORDER`` is the largest order a
+centred at c k, of the centred moment rows (E[X^m] / m!).  The
+coefficients of their log come from one power-series recursion,
+``_log_series``, which works on many rows at once: the batched cumulant
+kernels call it directly, and :func:`log_of_jet` is its checked
+single-row form, which carries the log scale (log Z) along.  It keeps
+the name of the Taylor jets it once served, since a truncated series
+with its log scale is still a jet, and the benchmark traces it under
+that name.  ``DEFAULT_JET_ORDER`` is the largest order a
 ``QuenchedSystem`` gives cumulants at.
 
 ``normal_cdf`` is the standard normal CDF of the KS distances, by

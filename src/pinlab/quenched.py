@@ -19,9 +19,12 @@ the scale becomes the scale; a banded row whose window keeps no entry
 within e^-200 of it is recomputed from the log table; entries below
 1e-290 of the scale are exact zeros, and the dot skips the columns that
 are zero in every row.  A flush certificate computed from the law
-decides, per band, whether that is exact to double precision; the rows
-whose band spans too many nats of log p on [1, n] run the log-domain
-step instead, the order-0 jets below.
+decides, per band, whether that is exact to double precision.  A band
+on which log p spans too many nats runs the same step under the tilted
+law p(t) e^{lam t}: the gaps of a path pinned at k sum to k, so the tilt
+multiplies Z_{0,k} by e^{lam k}, and lam k is subtracted from its log.
+The tilt flattens the geometric law exactly; a law it cannot bring under
+the certificate, one far from log-linear, is refused with a ValueError.
 
 Derivatives of log Z in h (cumulants of the contact number L) come from
 ``_moments``: the same linear step carries, besides Z, the rows Y_m[k],
@@ -31,13 +34,9 @@ is the homogeneous chain's contact density at h
 (``InterArrivalLaw.contact_density``), a function of the law and h
 only, so a row's cumulants depend on nothing but its weights.  It is
 batched, and serves both ``QuenchedSystem.cumulants`` (one row) and the
-per-sample cumulant and kappa_1 kernels of disorder Monte Carlo.
-``_jet_forward`` is the recursion in log domain with each entry carried
-as a truncated Taylor jet in h: the fallback of the rows the linear
-step cannot certify, at order 0 for ``_forward`` and at order R for
-``_moments``.  In the localized phase the terms of distant sites are
-exact zeros, and a step skips the exp of those it can certify, so the
-jets keep their bits.
+per-sample cumulant and kappa_1 kernels of disorder Monte Carlo.  The
+tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
+moments unchanged.
 
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
@@ -53,10 +52,11 @@ log Z and the cumulants alone, such as ``pinlab compute``, takes log Z
 as kappa_0 of ``QuenchedSystem.cumulants``, whose moment rows carry Z as
 Y_0, and so runs no prefix DP.  A ``QuenchedSystem`` is the view of one
 row; a standalone one is the one row of its own block, so there is one
-code path, and every row reads the bytes a one-row block would compute.  Segment tables and the contact law
-stay per system: they are arithmetic-bound, and blocked they would cost
-memory (a (rows, n+1, window+1) block of segment tables is 8.5 MB at
-64 x 256 x 64; the count DP of the contact law would take O(rows n^2)).
+code path, and every row reads the bytes a one-row block would compute.
+Segment tables and the contact law stay per system: they are
+arithmetic-bound, and blocked they would cost memory (a (rows, n+1,
+window+1) block of segment tables is 8.5 MB at 64 x 256 x 64; the count
+DP of the contact law would take O(rows n^2)).
 
 The contact law's count DP, O(n^3) in full, takes an L1 budget.  At
 budget 0 it is exact.  At a budget > 0 (KS_L1_BUDGET for the callers that
@@ -64,7 +64,8 @@ read only the law's CDF, the KS distances) ``_banded_count`` leaves out
 the old rows and the low columns whose mass a bound computed at run time
 keeps within the budget, so a step costs O(T C), not O(k^2); the law
 carries the sum of those bounds as ``l1_bound``, a certificate on its L1
-distance to the full DP (roundoff not included).  The tail readers (C3, C13) stay at budget 0.
+distance to the full DP (roundoff not included).  The tail readers (C3,
+C13) stay at budget 0.
 """
 
 from __future__ import annotations
@@ -296,13 +297,16 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     is taken over all of [1, B], so a law whose p(t) is not monotone is
     covered.  No partial sum overflows when
     log n + _RESCALE + log max q <= _OVERFLOW.  Both are decided per band
-    from the prefix max and min of log p on [1, n].  A row whose band
-    fails either bound (log p spans more than about 420 nats on it: the
-    geometric law past B of about 600), or has a zero p(t) inside its
-    support, runs the log-domain step instead: the order-0 jets of
-    _jet_forward, one call per distinct band, under the law cut there.
-    So every row's table depends only on its weights, its law, its band
-    and n.
+    from the prefix max and min of log p on [1, n].
+
+    Tilt: a row whose band fails either bound (log p spans more than
+    about 420 nats on it: the geometric law past B of about 600) runs the
+    same step under the tilted law p(t) e^{lam t}, one call per distinct
+    band (see _tilted).  The gaps of a path pinned at k sum to k, so the
+    tilt multiplies Z_{0,k} by e^{lam k}, which is subtracted again from
+    its log.  A row whose tilted law fails too, or has a zero p(t)
+    inside its support, raises a ValueError.  So every row's table
+    depends only on its weights, its law, its band and n.
 
     Under an untruncated law, -inf weights give -inf entries, never NaN.
     A truncated row needs finite weights: past the band z[:, 0] is out
@@ -321,22 +325,46 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
         z[lin] = _linear_rows(log_p, reach[lin], b[lin])
     for c in np.unique(cut[~ok]):
         r = np.flatnonzero(~ok & (cut == c))
-        law = np.where(np.arange(n + 1) <= c, log_p[:n + 1], LOG_ZERO)
-        z[r] = _jet_forward(law, b[r], 0)[0]
+        tilted, lam = _tilted(log_p, int(c), int(reach[r[0]]), n)
+        z[r] = _linear_rows(tilted, reach[r], b[r]) - lam * np.arange(n + 1)
     return z
 
 
-def _moments(log_p: np.ndarray, b: np.ndarray, order: int,
-             centre: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Centred moments of the contact number of every row of the (rows, n)
-    weights b, n >= 1, under the one law log_p: returns (sc, coef, c) with
-    sc[r, k] = log Z_{0,k} and coef[r, k, m] = E[(L_k - c k)^m] / m! for
-    m = 0..order, order >= 1, the Taylor coefficients in s of
-    E[e^{s (L_k - c k)}] (L_k the contacts of the chain pinned at k).  So
-    kappa_1 of row r at k is coef[r, k, 1] + c k, and the higher
-    cumulants come from coef[r, k] by the log-series recursion.
+def _tilted(log_p: np.ndarray, cut: int, reach: int, n: int,
+            margin: float = 0.0) -> tuple[np.ndarray, float]:
+    """The law of the rows cut at cut whose support is [1, reach], tilted
+    for the linear step: (log p(t) + lam t for t = 0..cut, lam), lam the
+    chord slope (log p(1) - log p(T)) / (T - 1) of log p on [1, T],
+    T = reach.  That tilt gives p(1) and p(T) the same weight, so it
+    flattens the geometric law exactly, and for a log-convex law (a power
+    law) it is the tilt of least span.  A ValueError names the span when
+    the tilted law still fails the certificate with margin at n (see
+    _forward)."""
+    lam = (log_p[1] - log_p[reach]) / (reach - 1) if reach > 1 else 0.0
+    tilted = log_p[:cut + 1] + lam * np.arange(cut + 1)
+    if not _certified(tilted, np.array([cut]), n, margin)[1][0]:
+        # both bounds hold when the span is at most the overflow bound's
+        # room, the smaller of the two
+        span = tilted[1:].max() - tilted[1:].min()
+        room = _OVERFLOW - _RESCALE - math.log(n) - margin
+        raise ValueError(
+            f"log p spans {span:.1f} nats on [1, {cut}] after the tilt by "
+            f"{lam:.6g} per step, past the {room:.1f} nats that the linear "
+            f"step certifies at n = {n}")
+    return tilted, lam
 
-    c is centre, 0 <= c <= 1, for the rows the linear step certifies.
+
+def _moments(log_p: np.ndarray, b: np.ndarray, order: int,
+             centre: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centred moments of the contact number of every row of the (rows, n)
+    weights b, n >= 1, under the one law log_p: returns (sc, coef) with
+    sc[r, k] = log Z_{0,k} and coef[r, k, m] = E[(L_k - c k)^m] / m! for
+    m = 0..order, order >= 1, c = centre, 0 <= c <= 1: the Taylor
+    coefficients in s of E[e^{s (L_k - c k)}] (L_k the contacts of the
+    chain pinned at k).  So kappa_1 of row r at k is coef[r, k, 1] + c k,
+    and the higher cumulants come from coef[r, k] by the log-series
+    recursion.
+
     With Y_m[k] the sum over paths pinned at k of (L_k - c k)^m times
     their weight, a contact at k after a gap t moves L - c k by
     d(t) = 1 - c t, so
@@ -356,112 +384,18 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int,
     _forward) are therefore required with 2 R log(2n) nats added: then no
     partial sum overflows, and the flushed entries move each S[i, e] by
     at most 2^-60 S[0, 0], so each coefficient m of a new column by at
-    most 2^-60 2^m / m!.  Rows whose law fails that, or has a zero p(t)
-    inside [1, n], run the Taylor jets of _jet_forward at this order
-    instead, whose coefficients are the moments about 0: c is then 0."""
+    most 2^-60 2^m / m!.  A law that fails them is tilted as in _forward:
+    the tilt multiplies every Y_m[k] by the same e^{lam k}, so the
+    coefficients keep their values and lam k leaves log Z_{0,k} only."""
     n = b.shape[1]
-    _, ok = _certified(log_p, np.array([n]), n,
-                       2 * order * math.log(2.0 * n))
+    margin = 2 * order * math.log(2.0 * n)
+    reach, ok = _certified(log_p, np.array([n]), n, margin)
+    band = np.full(b.shape[0], n)
     if ok[0]:
-        return (*_linear_rows(log_p, np.full(b.shape[0], n), b, order,
-                              centre), centre)
-    return (*_jet_forward(log_p, b, order), 0.0)
-
-
-# a step leaves out the terms j < s only when every one of them, in every
-# row, has an exp argument below this: far below log of the smallest
-# subnormal (about -744.4), so np.exp returns an exact +0.0 for each of them
-_EXP_ZERO = -800.0
-# steps between attempts to move the window start
-_ADVANCE = 16
-
-
-def _jet_forward(log_p: np.ndarray, b: np.ndarray,
-                 order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor jets in h of Z_{0,k}, k = 0..n, for every row of the (rows, n)
-    weights b: returns (sc, coef) with sc[r, k] = log Z_{0,k} and
-    coef[r, k, j] = (d^j Z_{0,k} / dh^j) / (j! Z_{0,k}) for j = 0..order.
-    At order 0 it is the log-domain step that _forward falls back to.
-
-    The recursion is _forward's, stepped in log domain, with each table
-    entry carried as a jet.  Step k takes m[r], the max over j < k of
-    sc[r, j] + log p(k-j), and u[r, j] = exp of that term minus m[r]; the
-    p-weighted sum of earlier jets is then one vector-matrix product of u
-    with them per row, and it is multiplied by the jet of the contact
-    weight e^{h+b}, whose coefficients are 1/j!.  That product is the
-    upper triangular Toeplitz matrix of 1/j!, applied as one dot product
-    per (row, column), so a row's jets are bit-identical whatever batch
-    they are computed in (a single 2-d product would not be).
-
-    Exact-zero window: u and m are, bit for bit, what the full window
-    gives.  In the localized phase a term decays like e^{-f (k-j)}, so on
-    a long chain most of them are exact zeros, and computing them is the
-    cost of a step: np.exp is an order of magnitude slower on arguments
-    below its range than inside it.  So a step exponentiates only j >= s
-    and writes zeros below s, when a bound certifies that each term below
-    s is an exact 0.0: the max of sc over j < s and all rows (head), plus
-    the max of log p over the skipped distances (lpsuf, so a law whose
-    p(t) is not monotone is covered, and -inf past a truncation), minus
-    the smallest window max over rows, is below _EXP_ZERO.  The bound
-    holds in float arithmetic, since rounding is monotone; it also puts
-    every skipped term below each row's window max, so m is the full max.
-    A step whose bound fails (an m = -inf gives +inf) runs the full
-    window.  A windowed step reads the first k columns of a (rows, n)
-    buffer whose columns below s hold zeros; the p-weighted sum thus runs
-    over the full window, skipped zeros included, so its BLAS order is
-    unchanged and the jets keep their bits.
-
-    s moves after a step is stored, every _ADVANCE steps, to the largest
-    start that the next step's bound passes with its window max in row r
-    replaced by its lower bound sc[r, k] + log p(1)."""
-    rows, n = b.shape
-    j = np.arange(order + 1)
-    inv_fact = 1.0 / np.array([math.factorial(i) for i in j], dtype=float)
-    # cols[c, i, 0] = 1/(c-i)! for i <= c: column c of the Toeplitz matrix
-    # as an (order+1, 1) matrix, so that matmul takes one dot per column
-    cols = np.tril(inv_fact[np.abs(j[:, None] - j[None, :])])[:, :, None]
-    sc = np.empty((rows, n + 1))
-    coef = np.zeros((rows, n + 1, order + 1))
-    sc[:, 0] = 0.0
-    coef[:, 0, 0] = 1.0
-    # lpsuf[t] = max log p(t') over t <= t' <= n
-    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
-    buf = np.zeros((rows, n))
-    s = 0
-    head = LOG_ZERO  # max of sc[:, :s] over all rows
-    for k in range(1, n + 1):
-        w = sc[:, s:k] + log_p[k - s:0:-1]
-        m = w.max(1)
-        windowed = s and head + lpsuf[k - s + 1] - m.min() < _EXP_ZERO
-        if s and not windowed:
-            w = sc[:, :k] + log_p[k:0:-1]
-            m = w.max(1)
-        w -= m[:, None]
-        np.exp(w, out=w)
-        if windowed:
-            buf[:, s:k] = w
-            w = buf[:, :k]
-        acc = np.matmul(w[:, None, :], coef[:, :k])
-        conv = np.matmul(acc[:, None], cols)[:, :, 0, 0]
-        c0 = conv[:, 0]
-        sc[:, k] = m + np.log(c0) + b[:, k - 1]
-        coef[:, k] = conv / c0[:, None]
-        if k % _ADVANCE or k == n:
-            continue
-        low = (sc[:, k] + log_p[1]).min()
-        # sc[:, 0] = 0, so no start past s passes unless this does
-        if not max(head, 0.0) + lpsuf[k + 1 - s] - low < _EXP_ZERO:
-            continue
-        # candidate start j+1 for j = s..k-1 skips columns up to j, whose
-        # nearest distance at step k+1 is k+1-j; the bound grows with j
-        top = np.maximum(np.maximum.accumulate(sc[:, s:k].max(0)), head)
-        ok = top + lpsuf[k + 1 - s:1:-1] - low < _EXP_ZERO
-        step = int(ok.sum())
-        if step:
-            head = top[step - 1]
-            buf[:, s:s + step] = 0.0
-            s += step
-    return sc, coef
+        return _linear_rows(log_p, band, b, order, centre)
+    tilted, lam = _tilted(log_p, n, int(reach[0]), n, margin)
+    sc, coef = _linear_rows(tilted, band, b, order, centre)
+    return sc - lam * np.arange(n + 1), coef
 
 
 def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
@@ -535,6 +469,8 @@ def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
 # L1 budget of the count DP for the callers that read the contact law only
 # through its CDF: the KS distances of C2 and of scan's ks_quenched
 KS_L1_BUDGET = 1e-14
+# steps between attempts to move the count DP's band and column window
+_ADVANCE = 16
 
 
 def _banded_count(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
@@ -885,17 +821,15 @@ class QuenchedSystem:
         the centred moments are far below the raw moments' n^m, so far
         less cancels; the further c sits from the mean, the more:
         tests/test_accuracy.py states the error of kappa_1..kappa_6 against
-        a 40-digit moment DP.  A law the linear step cannot certify at n
-        runs the Taylor jets at order r_max (moments about 0), whose high
-        cumulants lose about n^(k-1) to cancellation.  kappa_0 is log Z of
-        the Y_0 row: ``log_z`` to roundoff (its step sums in another
-        order), without the prefix DP."""
-        if r_max > DEFAULT_JET_ORDER:
-            raise ValueError(f"r_max = {r_max} exceeds jet order {DEFAULT_JET_ORDER}")
+        a 40-digit moment DP.  kappa_0 is log Z of the Y_0 row: ``log_z``
+        to roundoff (its step sums in another order), without the prefix
+        DP."""
+        r_max = _index("r_max", r_max, 0, DEFAULT_JET_ORDER)
         if self.n == 0:
             return CumulantVector(np.zeros(r_max + 1))
-        sc, coef, c = _moments(self.law.log_p, self.site_weight[None, 1:],
-                               max(r_max, 1), self.law.contact_density(self.h))
+        c = self.law.contact_density(self.h)
+        sc, coef = _moments(self.law.log_p, self.site_weight[None, 1:],
+                            max(r_max, 1), c)
         g = log_of_jet(sc[0, -1], coef[0, -1])
         kappa = np.empty(r_max + 1)
         kappa[0] = g[0]

@@ -231,6 +231,19 @@ def test_table_law_without_float_xi_exits_with_its_ratio(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_table_law_past_the_tilt_exits_with_its_span(tmp_path, capsys):
+    # log p of [0.5, 1e-300, 0.25] spans 690 nats, and no tilt flattens
+    # the dip at p(2): the linear step cannot certify it, so the command
+    # exits 1 and names the span and the bound
+    cfg = _write(tmp_path, "table.json", {
+        "model": {"kind": "table", "table": [0.5, 1e-300, 0.25]},
+        "grids": {"h_values": [1.0], "n_values": [3]}})
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log p spans 689.7 nats on [1, 3]")
+    assert "past the 384.6 nats that the linear step certifies" in err
+
+
 def test_report_renders_plots(tmp_path, capsys):
     cfg = _write(tmp_path, "scan.json", SMALL_SCAN)
     out = str(tmp_path / "o")

@@ -137,6 +137,13 @@ def test_xi_beyond_float_range_is_rejected():
         law_from_log_table(lp)
 
 
+def test_xi_past_the_float_grid_ends():
+    # p(3)/(p(1) p(2)) = 5e299 puts xi near 5e299, where adjacent floats
+    # are far more than the 1e-3 grid apart: the bisection stops there
+    law = law_from_table([0.5, 1e-300, 0.25])
+    assert math.log(law.xi) == pytest.approx(690.08, abs=0.01)
+
+
 def test_geometric_test_law():
     law = geometric_test_law(64)
     # a sub-probability: the tabulated mass is 1 - 2^-64
