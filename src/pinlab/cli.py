@@ -18,7 +18,8 @@ from . import disorder_mc as mc
 from . import outputs
 from .config import ConfigError, RunConfig, load_config, save_config
 from .model import sample_disorder_block
-from .quenched import KS_L1_BUDGET, QuenchedSystem, ks_to_standard_normal
+from .quenched import (KS_L1_BUDGET, QuenchedSystem, cumulant_grid,
+                       ks_to_standard_normal)
 from .theorems import CHECK_IDS, full_report
 
 
@@ -80,26 +81,36 @@ def _emit_common(cfg: RunConfig, out: str):
 def _cmd_compute(cfg: RunConfig, out: str) -> int:
     law = cfg.law()
     disorder = cfg.disorder_law()
-    os.makedirs(out, exist_ok=True)
     r_top = 4
+    h_values = [float(h) for h in cfg.grids.h_values]
+    n_values = [int(n) for n in cfg.grids.n_values]
+    cells = {}
+    # one moment pass at the largest n serves every cell: asked first, it
+    # runs with one row per h, and the smaller n read its columns
+    with cumulant_grid(h_values, n_values):
+        for h in h_values:
+            for n in sorted(n_values, reverse=True):
+                omega = sample_disorder_block(disorder, n,
+                                              cfg.run.master_seed, 0, 1)[0]
+                sys_ = QuenchedSystem(law, h, omega, n)
+                # log Z is kappa_0 of the moment pass: no prefix DP runs
+                cells[h, n] = (sys_.cumulants(r_top).kappa,
+                               float(sys_.site_weight[n]))
     series = []
-    for h in cfg.grids.h_values:
-        for n in cfg.grids.n_values:
-            omega = sample_disorder_block(disorder, int(n),
-                                          cfg.run.master_seed, 0, 1)[0]
-            sys_ = QuenchedSystem(law, float(h), omega, int(n))
-            # log Z is kappa_0 of the one moment pass: no prefix DP runs
-            kappa = sys_.cumulants(r_top).kappa
+    for h in h_values:
+        for n in n_values:
+            kappa, last = cells[h, n]
             log_z = float(kappa[0])
-            series.append(mc.EstimateSeries("log_z", float(h), int(n),
-                                            log_z, 0.0, 1))
+            series.append(mc.EstimateSeries("log_z", h, n, log_z, 0.0, 1))
             # log Z with the final contact weight e^{h + omega_n} stripped
-            log_z_minus = log_z - float(sys_.site_weight[int(n)])
-            series.append(mc.EstimateSeries("log_z_minus", float(h), int(n),
-                                            log_z_minus, 0.0, 1))
+            series.append(mc.EstimateSeries("log_z_minus", h, n,
+                                            log_z - last, 0.0, 1))
             for r in range(1, r_top + 1):
-                series.append(mc.EstimateSeries(f"kappa{r}", float(h), int(n),
+                series.append(mc.EstimateSeries(f"kappa{r}", h, n,
                                                 float(kappa[r]), 0.0, 1))
+    # made once every cell has run, so a law the DP refuses leaves no
+    # directory behind
+    os.makedirs(out, exist_ok=True)
     outputs.write_series_csv(os.path.join(out, "series.csv"), series)
     _emit_common(cfg, out)
     print(f"compute: wrote {len(series)} rows to {out}/series.csv")

@@ -170,9 +170,9 @@ def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
 
     def kernel(block):
         c = cfg.law.contact_density(h)
-        sc, coef = _moments(cfg.law.log_p, h + block, max(r_max, 1), c)
-        kappa = _log_series(coef[:, -1])[:, :r_max + 1] * fact
-        kappa[:, 0] = sc[:, -1]
+        sc, coef = _moments(cfg.law.log_p, h + block, max(r_max, 1), c, [n])
+        kappa = _log_series(coef[:, 0])[:, :r_max + 1] * fact
+        kappa[:, 0] = sc[:, 0]
         if r_max:
             kappa[:, 1] += c * n
         return kappa

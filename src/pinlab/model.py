@@ -19,6 +19,9 @@ import numpy as np
 from .numerics import LOG_ZERO
 
 XI_GRID_RESOLUTION = 1e-3
+# the largest log a factor of _analytic_tail may take in float (e^709.78
+# overflows)
+_LOG_FLOAT_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -44,16 +47,32 @@ class EllSpec:
 
 
 def _analytic_tail(ell: EllSpec, alpha: float, n_max: int) -> float:
-    """Integral upper bound on sum_{t > n_max} ell(t) t^{-(alpha+1)}."""
+    """Integral upper bound on sum_{t > n_max} ell(t) t^{-(alpha+1)}.
+
+    Where a factor would overflow a float (n_max^alpha or e^alpha past
+    e^700), the bound is taken in log domain: a bound below the float
+    range is 0, and one above it a ValueError."""
     if ell.form == "constant":
-        return ell.c / (alpha * n_max ** alpha)
+        if alpha * math.log(n_max) <= _LOG_FLOAT_MAX:
+            return ell.c / (alpha * n_max ** alpha)
+        return math.exp(math.log(ell.c / alpha) - alpha * math.log(n_max))
     # substitute u = ln t: integral becomes an upper incomplete gamma.
     # scipy is imported here only: no other run path needs it
     from scipy import special
 
     a = ell.beta + 1.0
     x = alpha * (1.0 + math.log(n_max))
-    return ell.c * math.exp(alpha) * alpha ** (-a) * special.gammaincc(a, x) * special.gamma(a)
+    q = special.gammaincc(a, x)
+    if alpha <= _LOG_FLOAT_MAX:
+        return ell.c * math.exp(alpha) * alpha ** (-a) * q * special.gamma(a)
+    if q == 0.0:
+        return 0.0
+    log_tail = (math.log(ell.c) + alpha - a * math.log(alpha) + math.log(q)
+                + special.gammaln(a))
+    if log_tail > _LOG_FLOAT_MAX:
+        raise ValueError(f"the tail bound of the law, e^{log_tail:.6g}, is "
+                         f"past float range")
+    return math.exp(log_tail)
 
 
 @dataclass(frozen=True)

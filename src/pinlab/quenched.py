@@ -32,9 +32,13 @@ the sums over paths pinned at k of (L_k - c k)^m times their weight for
 m <= R, under Y_0's scale, one stacked matmul per step.  The centre c
 is the homogeneous chain's contact density at h
 (``InterArrivalLaw.contact_density``), a function of the law and h
-only, so a row's cumulants depend on nothing but its weights.  It is
-batched, and serves both ``QuenchedSystem.cumulants`` (one row) and the
-per-sample cumulant and kappa_1 kernels of disorder Monte Carlo.  The
+only, so a row's cumulants depend on nothing but its weights.  Each row
+may have its own centre: rows that share one share one weight table,
+and rows with distinct centres each get their own.  It is batched, and
+serves ``QuenchedSystem.cumulants`` (one row), the per-sample cumulant
+and kappa_1 kernels of disorder Monte Carlo (a block of samples at one
+h), and the grid of ``pinlab compute`` (one row per h, see
+``cumulant_grid``); ``at`` keeps only the columns k a caller reads.  The
 tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
 moments unchanged.
 
@@ -50,9 +54,11 @@ first time any row asks: the prefix table, the suffix table, each
 (window, start) pair DP and the excursion caps up to m.  A reader of
 log Z and the cumulants alone, such as ``pinlab compute``, takes log Z
 as kappa_0 of ``QuenchedSystem.cumulants``, whose moment rows carry Z as
-Y_0, and so runs no prefix DP.  A ``QuenchedSystem`` is the view of one
-row; a standalone one is the one row of its own block, so there is one
-code path, and every row reads the bytes a one-row block would compute.
+Y_0, and so runs no prefix DP; inside a ``cumulant_grid`` scope the
+cumulants of a whole (h, n) grid of one environment come from one pass.
+A ``QuenchedSystem`` is the view of one row; a standalone one is the one
+row of its own block, so there is one code path, and every row reads
+the bytes a one-row block would compute.
 Segment tables and the contact law stay per system: they are
 arithmetic-bound, and blocked they would cost memory (a (rows, n+1,
 window+1) block of segment tables is 8.5 MB at 64 x 256 x 64; the count
@@ -70,6 +76,8 @@ C13) stay at budget 0.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -127,13 +135,22 @@ _DROPPED = -60.0 * math.log(2.0)
 _max, _min = np.maximum.reduce, np.minimum.reduce
 
 
+def _gap_weights(q: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
+    """q(t) d(t)^e / e! for e < width, one row per gap t: the weights of
+    _moments' step for the gaps whose q and d entries are given."""
+    e = np.arange(width)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in e], dtype=float)
+    return q[:, None] * (d[:, None] ** e) * inv_fact
+
+
 def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
-                 order: int = 0, centre: float = 0.0):
+                 order: int = 0, centre=0.0, at=None):
     """The linear step of _forward and _moments, for rows whose bands it
     certifies: row r runs under log_p cut at band[r] <= n.  Returns the
     (rows, n+1) table of log Z_{0,k}; with order R >= 1 (untruncated rows
-    only) also the (rows, n+1, R+1) table of coefficients E[(L_k - c k)^m]
-    / m!, c = centre (see _moments)."""
+    only) also the (rows, len(at), R+1) table of coefficients E[(L_k -
+    c k)^m] / m! at the columns k of at (every k = 0..n when None), c =
+    centre, one float for all rows or one per row (see _moments)."""
     rows, n = b.shape
     reach = int(band.max())
     banded = int(band.min()) < n
@@ -148,27 +165,43 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     qrev = np.full(pad + reach, LOG_ZERO)
     np.subtract(log_p[reach:0:-1], lp1, out=qrev[pad:])
     np.exp(qrev, out=qrev)
+    # the step's weights are the last `depth` entries of w, those of the
+    # gaps depth - pad .. 1 (a zero weight where that is below 1)
+    depth = pad + reach
     if order:
-        # qrev[pad + reach - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the
-        # gap t moves L - c k by d(t).  With y[:, i] = Y_i / i!, the
-        # step's products are s[:, i, e] = S[i, e] / (i! e!), and the
-        # coefficient of m is the sum of its antidiagonal i + e = m
-        d = np.zeros(pad + reach)
-        d[pad:] = 1.0 - centre * np.arange(reach, 0, -1)
+        # w[..., depth - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the gap
+        # t moves L - c k by d(t).  With y[:, i] = Y_i / i!, the step's
+        # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient
+        # of m is the sum of its antidiagonal i + e = m
+        centre = np.asarray(centre, dtype=float)
+        gaps = np.zeros(pad + reach)
+        gaps[pad:] = np.arange(reach, 0, -1)
+        if centre.ndim and (centre != centre[0]).any():
+            # one table per row, grown as the windows widen: the windows
+            # rarely span all of [1, n], and a row's entries are the
+            # shared table's (_gap_weights, entry by entry)
+            w, depth = np.empty((rows, 0, width)), 0
+        else:
+            w = _gap_weights(qrev, 1.0 - float(centre.flat[0]) * gaps, width)
         e = np.arange(width)
-        inv_fact = 1.0 / np.array([math.factorial(i) for i in e], dtype=float)
-        qrev = qrev[:, None] * (d[:, None] ** e) * inv_fact
         antidiag = (e[:, None, None] + e[None, :, None]
                     == e[None, None, :]).astype(float).reshape(-1, width)
-        coef = np.zeros((rows, n + 1, width))
-        coef[:, 0, 0] = 1.0
+        # slot[k]: the column of coef that keeps k, or -1
+        slot = range(n + 1)
+        if at is not None:
+            slot = [-1] * (n + 1)
+            for j, k in enumerate(at):
+                slot[k] = j
+        coef = np.zeros((rows, n + 1 if at is None else len(at), width))
+        if slot[0] >= 0:
+            coef[:, slot[0], 0] = 1.0
     elif int(band.min()) < reach:
         # one weight row per row, 0 past its band: the masked entries add
         # exact zeros in the BLAS lanes the unmasked ones would use
-        qrev = np.where(np.arange(pad + reach) >= pad + reach - band[:, None],
-                        qrev, 0.0)[:, :, None]
+        w = np.where(np.arange(pad + reach) >= pad + reach - band[:, None],
+                     qrev, 0.0)[:, :, None]
     else:
-        qrev = qrev[:, None]
+        w = qrev[:, None]
     z = np.empty((rows, n + 1))
     z[:, 0] = 0.0
     # y[:, m, pad + j] holds Y_m[j] / m! under the row's scale
@@ -183,8 +216,18 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     expire = band.copy()
     for k in range(1, n + 1):
         cols = -(-(k - max(lo, k - reach)) // _LANE) * _LANE
+        if cols > depth:
+            # at least double the per-row tables, new gaps in front
+            grow = min(pad + reach, max(cols, 2 * depth)) - depth
+            part = np.empty((rows, grow, width))
+            at_gaps = slice(pad + reach - depth - grow, pad + reach - depth)
+            for r in range(rows):
+                part[r] = _gap_weights(qrev[at_gaps],
+                                       1.0 - centre[r] * gaps[at_gaps], width)
+            w = np.concatenate((part, w), axis=1)
+            depth += grow
         s = np.matmul(y[:, :, pad + k - cols:pad + k],
-                      qrev[..., pad + reach - cols:pad + reach, :])
+                      w[..., depth - cols:, :])
         s0 = s[:, 0, 0]
         t = np.log(s0)
         t += lp1
@@ -195,7 +238,8 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
             # row's coefficients do not depend on its block-mates
             ck = np.matmul(s.reshape(rows, 1, width * width), antidiag)[:, 0]
             ck /= s0[:, None]
-            coef[:, k] = ck
+            if slot[k] >= 0:
+                coef[:, slot[k]] = ck
         if banded:
             np.copyto(expire, band + k, where=t >= -_KEEP)
         if _max(t) > _RESCALE:
@@ -354,16 +398,30 @@ def _tilted(log_p: np.ndarray, cut: int, reach: int, n: int,
     return tilted, lam
 
 
-def _moments(log_p: np.ndarray, b: np.ndarray, order: int,
-             centre: float) -> tuple[np.ndarray, np.ndarray]:
+def _moment_certificate(log_p: np.ndarray, n: int,
+                        order: int) -> tuple[int, bool, float]:
+    """(reach, ok, margin) of the linear step's certificate for _moments at
+    n and order R: _certified over [1, n] with margin = 2 R log(2n) nats.
+    The margin, log n and the span of log p on [1, n] all grow with n, so
+    a law that passes at n passes at every smaller n."""
+    margin = 2 * order * math.log(2.0 * n)
+    reach, ok = _certified(log_p, np.array([n]), n, margin)
+    return int(reach[0]), bool(ok[0]), margin
+
+
+def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
+             at=None) -> tuple[np.ndarray, np.ndarray]:
     """Centred moments of the contact number of every row of the (rows, n)
     weights b, n >= 1, under the one law log_p: returns (sc, coef) with
-    sc[r, k] = log Z_{0,k} and coef[r, k, m] = E[(L_k - c k)^m] / m! for
-    m = 0..order, order >= 1, c = centre, 0 <= c <= 1: the Taylor
-    coefficients in s of E[e^{s (L_k - c k)}] (L_k the contacts of the
-    chain pinned at k).  So kappa_1 of row r at k is coef[r, k, 1] + c k,
-    and the higher cumulants come from coef[r, k] by the log-series
-    recursion.
+    sc[r, k] = log Z_{0,k} and coef[r, k, m] = E[(L_k - c_r k)^m] / m! for
+    m = 0..order, order >= 1: the Taylor coefficients in s of
+    E[e^{s (L_k - c_r k)}] (L_k the contacts of the chain pinned at k).
+    centre is c_r, 0 <= c_r <= 1: one float for every row, or one per
+    row.  So kappa_1 of row r at k is coef[r, k, 1] + c_r k, and the
+    higher cumulants come from coef[r, k] by the log-series recursion.
+    With at, a list of columns, sc and coef keep only the columns k of
+    at, in its order: the pass is the same, and those columns keep their
+    bits.
 
     With Y_m[k] the sum over paths pinned at k of (L_k - c k)^m times
     their weight, a contact at k after a gap t moves L - c k by
@@ -376,26 +434,33 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int,
     Y_0's one log scale per row, so a step is one stacked matmul
     (rows, R+1, L) @ (L, R+1) against q d^e / e!, whose antidiagonal
     sums, one fixed product per row, are the new column's coefficients;
-    every m of a column is flushed together when its Y_0 is.
+    every m of a column is flushed together when its Y_0 is.  Rows that
+    share one centre share one weight table; rows with distinct centres
+    each get their own, built entry by entry as the shared one would be,
+    so a row's bits do not depend on its block-mates' centres.
 
     Certificate: for 0 <= c <= 1, |L_j - c j| <= j <= n and |d| <= n, so
     |Y_i[j]| <= Y_0[j] n^i, and a term of S[i, e], i, e <= R, is at most
     n^(2R) times its Y_0 term.  The linear step's two bounds (see
-    _forward) are therefore required with 2 R log(2n) nats added: then no
-    partial sum overflows, and the flushed entries move each S[i, e] by
-    at most 2^-60 S[0, 0], so each coefficient m of a new column by at
-    most 2^-60 2^m / m!.  A law that fails them is tilted as in _forward:
+    _forward) are therefore required with 2 R log(2n) nats added
+    (_moment_certificate): then no partial sum overflows, and the
+    flushed entries move each S[i, e] by at most 2^-60 S[0, 0], so each
+    coefficient m of a new column by at most 2^-60 2^m / m!.  A law that
+    fails them is tilted as in _forward, lam the chord slope over [1, n]:
     the tilt multiplies every Y_m[k] by the same e^{lam k}, so the
     coefficients keep their values and lam k leaves log Z_{0,k} only."""
     n = b.shape[1]
-    margin = 2 * order * math.log(2.0 * n)
-    reach, ok = _certified(log_p, np.array([n]), n, margin)
-    band = np.full(b.shape[0], n)
-    if ok[0]:
-        return _linear_rows(log_p, band, b, order, centre)
-    tilted, lam = _tilted(log_p, n, int(reach[0]), n, margin)
-    sc, coef = _linear_rows(tilted, band, b, order, centre)
-    return sc - lam * np.arange(n + 1), coef
+    reach, ok, margin = _moment_certificate(log_p, n, order)
+    lam = 0.0
+    if not ok:
+        log_p, lam = _tilted(log_p, n, reach, n, margin)
+    sc, coef = _linear_rows(log_p, np.full(b.shape[0], n), b, order, centre,
+                            at)
+    if at is not None:
+        sc = sc[:, at]
+    if lam:
+        sc -= lam * (np.arange(n + 1) if at is None else np.asarray(at))
+    return sc, coef
 
 
 def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
@@ -823,14 +888,20 @@ class QuenchedSystem:
         tests/test_accuracy.py states the error of kappa_1..kappa_6 against
         a 40-digit moment DP.  kappa_0 is log Z of the Y_0 row: ``log_z``
         to roundoff (its step sums in another order), without the prefix
-        DP."""
+        DP.  Inside a ``cumulant_grid`` scope the call may read its
+        column of the scope's one pass, which holds the bits of its own."""
         r_max = _index("r_max", r_max, 0, DEFAULT_JET_ORDER)
         if self.n == 0:
             return CumulantVector(np.zeros(r_max + 1))
         c = self.law.contact_density(self.h)
-        sc, coef = _moments(self.law.log_p, self.site_weight[None, 1:],
-                            max(r_max, 1), c)
-        g = log_of_jet(sc[0, -1], coef[0, -1])
+        order = max(r_max, 1)
+        grid = _GRID.get()
+        column = None if grid is None else grid.column(self, order)
+        if column is None:
+            sc, coef = _moments(self.law.log_p, self.site_weight[None, 1:],
+                                order, c, [self.n])
+            column = sc[0, 0], coef[0, 0]
+        g = log_of_jet(*column)
         kappa = np.empty(r_max + 1)
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
@@ -871,3 +942,76 @@ class QuenchedSystem:
             return 1.0
         logz = self._block.excursion_logZ(m)[self._row, m - 1]
         return min(1.0, math.exp(logz - self.log_z))
+
+
+class _Grid:
+    """The state of a cumulant_grid scope: the grid's h (row i of the
+    pass) and n (column j), and once run, the pass's law, order, site
+    weights b (one row per h, on [1, max n]) and columns (sc, coef)."""
+
+    def __init__(self, h_values, n_values):
+        hs = dict.fromkeys(float(h) for h in h_values)
+        ns = sorted({int(n) for n in n_values})
+        self.rows = {h: i for i, h in enumerate(hs)}
+        self.cols = {n: j for j, n in enumerate(ns)}
+        self.top = max(self.cols)
+        self.law = None
+
+    def column(self, system: QuenchedSystem, order: int):
+        """(log Z_n, coefficients at n) of system from the pass, which the
+        first call at the top n runs; None when system is not served."""
+        i, j = self.rows.get(system.h), self.cols.get(system.n)
+        if i is None or j is None:
+            return None
+        n = system.n
+        if self.law is None:
+            if n != self.top:
+                return None
+            self._run(system, order)
+        elif not (system.law is self.law and order == self.order
+                  and (n == self.top or self.untilted)):
+            return None
+        if system.site_weight[1:].tobytes() != self.b[i, :n].tobytes():
+            return None
+        return self.sc[i, j], self.coef[i, j]
+
+    def _run(self, system: QuenchedSystem, order: int):
+        law = system.law
+        charges = system._block.charges[system._row, 1:]
+        self.b = np.array(list(self.rows))[:, None] + charges
+        centres = np.array([law.contact_density(h) for h in self.rows])
+        self.sc, self.coef = _moments(law.log_p, self.b, order, centres,
+                                      list(self.cols))
+        # the smaller n share the pass's route only when it is untilted
+        self.untilted = _moment_certificate(law.log_p, self.top, order)[1]
+        self.law, self.order = law, order
+
+
+# the state of the open cumulant_grid scope, or None outside one
+_GRID: contextvars.ContextVar = contextvars.ContextVar("cumulant_grid",
+                                                       default=None)
+
+
+@contextlib.contextmanager
+def cumulant_grid(h_values, n_values):
+    """Serve ``QuenchedSystem.cumulants`` on the grid h_values x n_values
+    of one environment from one moment pass, until the scope closes.
+
+    The first cumulants(r) at n = max(n_values) and an h of h_values runs
+    _moments once at that n, one row per h of the grid (its site weights
+    h + omega, centred at its own contact density), and keeps the columns
+    of the grid's n.  A later call reads its column when it has the
+    pass's law and order, an h and an n of the grid, and on [1, n] the
+    site weights the pass gave that h: its chain is then the first n
+    sites of the pass's row.  A call at a smaller n is served only when
+    the pass ran the untilted law, which then passes the certificate at
+    n too (see _moment_certificate), so both take one route.  Every other
+    call runs its own pass.  A served column holds the bits of the call's
+    own pass: rows are row-local, and a column does not depend on how far
+    the pass runs past it.  ``pinlab compute`` opens one scope around its
+    cells and asks the largest n first."""
+    token = _GRID.set(_Grid(h_values, n_values))
+    try:
+        yield
+    finally:
+        _GRID.reset(token)

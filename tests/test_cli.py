@@ -10,9 +10,12 @@ import pytest
 import pinlab
 import pinlab.disorder_mc as mc
 import pinlab.outputs as outputs
+import pinlab.quenched as quenched
 import pinlab.theorems as theorems
 from pinlab.cli import main
+from pinlab.config import load_config
 from pinlab.model import gaussian_disorder, sample_disorder_block
+from pinlab.quenched import QuenchedSystem
 from pinlab.theorems import CheckReport
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -242,6 +245,50 @@ def test_table_law_past_the_tilt_exits_with_its_span(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: log p spans 689.7 nats on [1, 3]")
     assert "past the 384.6 nats that the linear step certifies" in err
+    # the refusal comes before any row is written: no output directory,
+    # and the cumulant grid's scope is closed
+    assert not os.path.exists(tmp_path / "o")
+    assert quenched._GRID.get() is None
+
+
+def test_steep_power_law_computes(tmp_path, capsys):
+    # n_max^alpha = 8192^100 is past float range: the tail bound of the
+    # normalization is taken in log domain (it underflows to 0), so the
+    # law builds and the command runs
+    cfg = _write(tmp_path, "steep.json", {
+        "model": {"kind": "power", "alpha": 100, "n_max": 8192},
+        "grids": {"h_values": [1.5], "n_values": [16]}})
+    out = str(tmp_path / "o")
+    assert main(["compute", "--config", cfg, "--out", out]) == 0
+    rows = {r[0]: float(r[3]) for r in _rows(out)}
+    assert all(math.isfinite(v) for v in rows.values())
+    # p(1) carries all but 2^-101 of the mass: every site is a contact
+    assert rows["kappa1"] == 16.0
+
+
+def test_compute_grid_prints_the_bytes_of_each_cell(tmp_path):
+    # one moment pass serves the whole (h, n) grid; each printed value is
+    # the one its own system gives outside the command
+    cfg = _write(tmp_path, "grid.json", {
+        "model": {"n_max": 256},
+        "disorder": {"family": "gaussian", "param": 1.0},
+        "grids": {"h_values": [1.0, 2.5], "n_values": [32, 100, 256]},
+        "run": {"master_seed": 3}})
+    out = str(tmp_path / "o")
+    assert main(["compute", "--config", cfg, "--out", out]) == 0
+    law = load_config(cfg).law()
+    printed = [(r[0], float(r[1]), int(r[2]), r[3]) for r in _rows(out)]
+    want = []
+    for h in (1.0, 2.5):
+        for n in (32, 100, 256):
+            omega = sample_disorder_block(gaussian_disorder(1.0), n, 3, 0, 1)[0]
+            sys_ = QuenchedSystem(law, h, omega, n)
+            kappa = sys_.cumulants(4).kappa
+            values = [kappa[0], kappa[0] - sys_.site_weight[n], *kappa[1:]]
+            names = ["log_z", "log_z_minus", "kappa1", "kappa2", "kappa3",
+                     "kappa4"]
+            want += [(q, h, n, repr(float(v))) for q, v in zip(names, values)]
+    assert printed == want
 
 
 def test_report_renders_plots(tmp_path, capsys):

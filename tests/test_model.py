@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from pinlab.model import (
     DISORDER_FAMILIES,
     EllSpec,
+    _analytic_tail,
     _xi_worst,
     build_law,
     gaussian_disorder,
@@ -57,6 +59,25 @@ def test_normalized_mass_accounting():
     tabulated = float(np.sum(np.exp(law.log_p[1:])))
     assert tabulated + law.tail_mass == pytest.approx(1.0, abs=1e-12)
     assert tabulated < 1.0
+
+
+def test_tail_bound_past_float_range():
+    # n_max^alpha and e^alpha past e^700 are taken in log domain: against
+    # 40-digit values, and 0 where the bound is below the float range
+    mp.mp.dps = 40
+    assert _analytic_tail(EllSpec("constant", 1.0), 100.0, 8192) == 0.0
+    want = 1 / (78 * mp.mpf(8192) ** 78)
+    got = _analytic_tail(EllSpec("constant", 1.0), 78.0, 8192)
+    assert got == pytest.approx(float(want), rel=1e-12)
+    a, alpha = mp.mpf(1100), mp.mpf(701)
+    want = (mp.e ** alpha * alpha ** -a * mp.gamma(a)
+            * mp.gammainc(a, alpha * (1 + mp.log(2)), mp.inf,
+                          regularized=True))
+    got = _analytic_tail(EllSpec("log_power", 1.0, 1099.0), 701.0, 2)
+    assert 1e30 < got == pytest.approx(float(want), rel=1e-11)
+    assert _analytic_tail(EllSpec("log_power", 1.0, 0.5), 800.0, 8192) == 0.0
+    with pytest.raises(ValueError, match="past float range"):
+        _analytic_tail(EllSpec("log_power", 1.0, 1999.0), 720.0, 2)
 
 
 def test_log_power_ell_shape():
@@ -276,3 +297,15 @@ def test_block_rows_equal_fresh_generator_rows(family):
         key = np.array([2024, 5 + i], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         np.testing.assert_array_equal(block[i], law.draw(rng, 33))
+
+
+@pytest.mark.parametrize("family", sorted(DISORDER_FAMILIES))
+def test_shorter_draws_are_prefixes_of_longer_ones(family):
+    # the draw at n is the first n charges of the draw at 8192, row by
+    # row: pinlab compute runs one moment pass at its largest n and reads
+    # the smaller n's chains as that pass's first columns
+    law = DISORDER_FAMILIES[family](0.7)
+    long = sample_disorder_block(law, 8192, 31, 4, 3)
+    for n in (1, 17, 2048):
+        short = sample_disorder_block(law, n, 31, 4, 3)
+        assert short.tobytes() == np.ascontiguousarray(long[:, :n]).tobytes()

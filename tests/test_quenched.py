@@ -19,6 +19,7 @@ from pinlab.model import (
     build_law,
     gaussian_disorder,
     geometric_test_law,
+    law_from_table,
     zero_disorder,
 )
 from pinlab.numerics import DEFAULT_JET_ORDER
@@ -147,12 +148,16 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     # a row's table is bit-identical whatever batch it is computed in, and
     # with bands (one per row) whatever the other rows' bands are; with an
     # order R the engine is _moments (log Z and the centred moment rows,
-    # at a random centre).  A long chain (n and bands past 600) puts the
-    # geometric law past its certificate: bands above 606, and every
-    # moment row, run the tilted law, beside the untilted rows of the
-    # same call
+    # at a random centre, shared or one per row: rows with distinct
+    # centres get a weight table each), and the columns it keeps with
+    # `at` are those of the full table.  A long chain (n and bands past
+    # 600) puts the geometric law past its certificate: bands above 606,
+    # and every moment row, run the tilted law, beside the untilted rows
+    # of the same call
     rng = np.random.default_rng(seed)
-    centre = float(rng.uniform(0.0, 1.0))
+    centres = rng.uniform(0.0, 1.0, rows)
+    if rng.random() < 0.5:
+        centres[:] = centres[0]
     law = GEOM
     if long:
         law = geometric_test_law(700)
@@ -172,20 +177,27 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     else:
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
 
-    def run(weights, band):
+    def run(weights, band, centre):
         if order is None:
             return (_forward(law.log_p, weights, band),)
         return _moments(law.log_p, weights, order, centre)
 
-    batched = run(b, bands)
+    batched = run(b, bands, centres)
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
     for r in range(rows):
         alone = run(np.ascontiguousarray(b[r:r + 1]),
-                    None if bands is None else bands[r:r + 1])
+                    None if bands is None else bands[r:r + 1],
+                    float(centres[r]))
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
+    if order is not None:
+        at = sorted(rng.choice(n + 1, int(rng.integers(1, n + 2)),
+                               replace=False).tolist(), reverse=True)
+        for table, kept in zip(batched, _moments(law.log_p, b, order,
+                                                 centres, at)):
+            assert kept.tobytes() == np.ascontiguousarray(table[:, at]).tobytes()
 
 
 def test_banded_rows_match_mpmath():
@@ -575,6 +587,75 @@ def test_cumulant_order_guard():
         sys_.cumulants(DEFAULT_JET_ORDER + 1)
     kap = sys_.cumulants(DEFAULT_JET_ORDER).kappa
     assert kap.size == DEFAULT_JET_ORDER + 1 and np.all(np.isfinite(kap))
+
+
+# -- the cumulant grid of pinlab compute -------------------------------------
+
+def _counted_passes(monkeypatch):
+    """The shapes of the weights of every _moments call from now on."""
+    shapes = []
+    moments = quenched._moments
+
+    def counted(log_p, b, *args, **kwargs):
+        shapes.append(b.shape)
+        return moments(log_p, b, *args, **kwargs)
+    monkeypatch.setattr(quenched, "_moments", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", ["power", "geometric"])
+def test_cumulant_grid_serves_the_bytes_of_fresh_calls(kind, monkeypatch):
+    # every cell of the grid, largest n first as pinlab compute asks them,
+    # gives the bytes of its own pass.  The power law is untilted at every
+    # n, so one pass with a row per h serves all; the geometric law is
+    # tilted at 700, so its smaller n run their own passes
+    if kind == "power":
+        law, ns = build_law(1.0, None, 512), (64, 200, 512)
+    else:
+        law, ns = geometric_test_law(700), (300, 650, 700)
+    hs = (0.5, 1.5, 3.0)
+    omega = np.random.default_rng(3).normal(0.0, 1.0, max(ns))
+    fresh = {(h, n): QuenchedSystem(law, h, omega[:n], n).cumulants(4)
+             .kappa.tobytes() for h in hs for n in ns}
+    passes = _counted_passes(monkeypatch)
+    with quenched.cumulant_grid(hs, ns):
+        for h in hs:
+            for n in sorted(ns, reverse=True):
+                kappa = QuenchedSystem(law, h, omega[:n], n).cumulants(4).kappa
+                assert kappa.tobytes() == fresh[h, n], (h, n)
+    assert passes[0] == (len(hs), max(ns))
+    smaller = 0 if kind == "power" else len(hs) * (len(ns) - 1)
+    assert passes[1:] == [(1, n) for h in hs for n in ns[-2::-1]][:smaller]
+
+
+def test_cumulant_grid_falls_back_to_fresh_passes(monkeypatch):
+    # a call the pass cannot serve runs its own pass, with the bytes of a
+    # call outside the scope: a smaller n asked before the pass has run,
+    # other charges, another order, an h or an n off the grid
+    law = build_law(1.0, None, 256)
+    rng = np.random.default_rng(5)
+    omega, other = rng.normal(0.0, 1.0, (2, 128))
+    calls = [(1.0, omega, 64, 4), (1.0, omega, 128, 4), (2.0, other, 64, 4),
+             (2.0, omega, 64, 2), (1.5, omega, 128, 4), (2.0, omega, 100, 4),
+             (2.0, omega, 64, 4)]
+    fresh = [QuenchedSystem(law, h, om[:n], n).cumulants(r).kappa.tobytes()
+             for h, om, n, r in calls]
+    passes = _counted_passes(monkeypatch)
+    with quenched.cumulant_grid((1.0, 2.0), (64, 128)):
+        for (h, om, n, r), want in zip(calls, fresh):
+            kappa = QuenchedSystem(law, h, om[:n], n).cumulants(r).kappa
+            assert kappa.tobytes() == want, (h, n, r)
+    # the last call is the only one the pass (the second call) serves
+    assert passes == [(1, 64), (2, 128), (1, 64), (1, 64), (1, 128), (1, 100)]
+    assert quenched._GRID.get() is None
+
+
+def test_cumulant_grid_scope_closes_when_a_cell_raises():
+    law = law_from_table([0.5, 1e-300, 0.25])
+    with pytest.raises(ValueError, match="log p spans"):
+        with quenched.cumulant_grid((1.0,), (3,)):
+            QuenchedSystem(law, 1.0, None, 3).cumulants(4)
+    assert quenched._GRID.get() is None
 
 
 # -- maximal excursion --------------------------------------------------------
