@@ -160,8 +160,11 @@ def _cmd_scan(cfg: RunConfig, out: str) -> int:
 
 def _cmd_verify(cfg: RunConfig, out: str, checks_flag: str | None) -> int:
     ids = list(cfg.checks.ids)
-    if checks_flag:
+    if checks_flag is not None:
         ids = [c.strip() for c in checks_flag.split(",") if c.strip()]
+        if not ids:
+            raise ConfigError(f"--checks {checks_flag!r} selects no check",
+                              anchor="checks.ids")
         bad = [c for c in ids if c not in CHECK_IDS]
         if bad:
             raise ConfigError(f"unknown check id {bad[0]!r}; known ids are "

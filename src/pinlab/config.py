@@ -140,6 +140,8 @@ class GridsBlock:
         _need(len(self.h_values) > 0, "grids.h_values", "must be nonempty")
         _need(list(self.h_values) == sorted(self.h_values), "grids.h_values",
               "must be sorted ascending")
+        _need(len(set(self.h_values)) == len(self.h_values), "grids.h_values",
+              "must not repeat entries")
         _sorted_positive(self.n_values, "grids.n_values")
         _need(len(self.u_grid) > 0, "grids.u_grid", "must be nonempty")
         for v in self.u_grid:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
-from .numerics import _log_series, normal_cdf
+from .numerics import _log_series, log_mean_exp, normal_cdf
 from .quenched import (QuenchedBlock, QuenchedSystem, _checked, _forward,
                        _moments)
 
@@ -275,8 +275,7 @@ def estimate_f(cfg: McConfig, h: float, n: int) -> FResult:
     log_z, _ = sample_log_z(cfg, h, n)
     vals = log_z / n
     mean, stderr = _mean_stderr(vals)
-    m = float(np.max(log_z))
-    annealed = (m + math.log(float(np.mean(np.exp(log_z - m))))) / n
+    annealed = log_mean_exp(log_z) / n
     if not mean <= annealed + 1e-12:
         raise RuntimeError(f"Jensen inequality violated: quenched {mean!r} "
                            f"> annealed {annealed!r}")
@@ -307,10 +306,7 @@ def estimate_mu(cfg: McConfig, h: float) -> MuResult:
     f_minus = np.empty(ns.size)
     for i, n in enumerate(cfg.n_values):
         _, log_zm = sample_log_z(cfg, h, n)
-        neg = -log_zm
-        m = float(np.max(neg))
-        log_mean_inv = m + math.log(float(np.mean(np.exp(neg - m))))
-        y[i] = -log_mean_inv
+        y[i] = -log_mean_exp(-log_zm)
         mu_n[i] = y[i] / n
         f_minus[i] = np.mean(log_zm / n)
     fit = linear_fit(ns, y)

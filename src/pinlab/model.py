@@ -80,7 +80,8 @@ class InterArrivalLaw:
     """Tabulated inter-arrival law.
 
     ``log_p`` has length n_max + 1; entry t is log p(t) for t = 1..n_max
-    and entry 0 is -inf (there is no zero-length excursion).
+    and entry 0 is -inf (there is no zero-length excursion).  A log p(t)
+    not finite on [1, n_max] is refused with a ValueError naming t.
     """
 
     n_max: int
@@ -89,6 +90,13 @@ class InterArrivalLaw:
     tail_mass: float = 0.0
     _density: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~np.isfinite(self.log_p[1:self.n_max + 1]))
+        if bad.size:
+            t = int(bad[0]) + 1
+            raise ValueError(f"log p({t}) = {self.log_p[t]} is not finite: "
+                             f"p(t) must be positive on [1, {self.n_max}]")
 
     def contact_density(self, h: float) -> float:
         """The contact density of the homogeneous chain at h under the

@@ -16,7 +16,8 @@ that name.  ``DEFAULT_JET_ORDER`` is the largest order a
 ``QuenchedSystem`` gives cumulants at.
 
 ``normal_cdf`` is the standard normal CDF of the KS distances, by
-``math.erfc``, so that no run imports scipy for it.
+``math.erfc``, so that no run imports scipy for it; ``log_mean_exp`` is
+the estimators' log of a mean of log-domain samples.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ def log_of_jet(scale: float, coeffs) -> np.ndarray:
     g = _log_series(c[None, :])[0]
     g[0] = scale
     return g
+
+
+def log_mean_exp(x) -> float:
+    """log mean exp(x) = m + log mean exp(x - m), m = max x, of the
+    nonempty array x (a ValueError when empty): -inf when every entry is
+    -inf."""
+    x = np.asarray(x, dtype=float)
+    m = float(np.max(x))
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    return m + math.log(float(np.mean(np.exp(x - m))))
 
 
 def normal_cdf(z) -> np.ndarray:

@@ -12,11 +12,12 @@ routes for the scaled pair DP of QuenchedSystem at window sizes past
 enumeration.  Helpers that only tests use live here too: the joint
 contact moments and covariances of a QuenchedSystem by the renewal
 factorization (``contact_moment``, ``contact_covariance``), ``ursell``,
-its joint contact cumulants from those moments, ``log_mean_exp``,
-``log_sum_exp``, the sum of log-domain scalars the enumerations use, the
-closed forms of a disorder law (``exp_abs_moment``) and of the critical
-point's classification (``classify_hc``), and ``hc_bracket``, the Monte
-Carlo bisection bracket of the localization transition.
+its joint contact cumulants from those moments, ``log_sum_exp``, the
+sum of log-domain scalars the enumerations use (``log_mean_exp`` is
+numerics'), the closed forms of a disorder law (``exp_abs_moment``) and
+of the critical point's classification (``classify_hc``), and
+``hc_bracket``, the Monte Carlo bisection bracket of the localization
+transition.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder_mc import McConfig, estimate_f
-from .numerics import LOG_ZERO
+from .numerics import LOG_ZERO, log_mean_exp
 from .quenched import _forward
 
 ORACLE_MAX_N = 16
@@ -255,14 +256,6 @@ def ursell(system, sites) -> float:
             prod *= contact_moment(system, block)
         total += coef * prod
     return total
-
-
-def log_mean_exp(values) -> float:
-    """log of the arithmetic mean of exp(values); empty input is an error."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("log_mean_exp: empty input")
-    return log_sum_exp(arr) - math.log(arr.size)
 
 
 def enumerate_avoidance(law, h: float, omega, j: int) -> float:

@@ -64,10 +64,10 @@ arithmetic-bound, and blocked they would cost memory (a (rows, n+1,
 window+1) block of segment tables is 8.5 MB at 64 x 256 x 64; the count
 DP of the contact law would take O(rows n^2)).
 
-The contact law's count DP, O(n^3) in full, takes an L1 budget.  At
-budget 0 it is exact.  At a budget > 0 (KS_L1_BUDGET for the callers that
-read only the law's CDF, the KS distances) ``_banded_count`` leaves out
-the old rows and the low columns whose mass a bound computed at run time
+The contact law's count DP, ``_count_dp``, O(n^3) in full, takes an L1
+budget.  At budget 0 it is exact.  At a budget > 0 (KS_L1_BUDGET for the
+callers that read only the law's CDF, the KS distances) it leaves out the
+old rows and the low columns whose mass a bound computed at run time
 keeps within the budget, so a step costs O(T C), not O(k^2); the law
 carries the sum of those bounds as ``l1_bound``, a certificate on its L1
 distance to the full DP (roundoff not included).  The tail readers (C3,
@@ -152,30 +152,30 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     c k)^m] / m! at the columns k of at (every k = 0..n when None), c =
     centre, one float for all rows or one per row (see _moments)."""
     rows, n = b.shape
-    reach = int(band.max())
+    widest = int(band.max())
     banded = int(band.min()) < n
     lp1 = log_p[1]
     pad = _LANE
     width = order + 1
-    # qrev[pad + reach - t] = p(t) / p(1) for t = 1..reach, so the weights
-    # of an L-column window ending at k are qrev[pad+reach-L:pad+reach].
+    # qrev[pad + widest - t] = p(t) / p(1) for t = 1..widest, so the weights
+    # of an L-column window ending at k are qrev[pad+widest-L:pad+widest].
     # np.exp and np.log only ever see contiguous arrays: on other layouts
     # numpy may take a loop whose last bit differs, and a row's bits would
     # then depend on its batch's shape
-    qrev = np.full(pad + reach, LOG_ZERO)
-    np.subtract(log_p[reach:0:-1], lp1, out=qrev[pad:])
+    qrev = np.full(pad + widest, LOG_ZERO)
+    np.subtract(log_p[widest:0:-1], lp1, out=qrev[pad:])
     np.exp(qrev, out=qrev)
     # the step's weights are the last `depth` entries of w, those of the
     # gaps depth - pad .. 1 (a zero weight where that is below 1)
-    depth = pad + reach
+    depth = pad + widest
     if order:
         # w[..., depth - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the gap
         # t moves L - c k by d(t).  With y[:, i] = Y_i / i!, the step's
         # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient
         # of m is the sum of its antidiagonal i + e = m
         centre = np.asarray(centre, dtype=float)
-        gaps = np.zeros(pad + reach)
-        gaps[pad:] = np.arange(reach, 0, -1)
+        gaps = np.zeros(pad + widest)
+        gaps[pad:] = np.arange(widest, 0, -1)
         if centre.ndim and (centre != centre[0]).any():
             # one table per row, grown as the windows widen: the windows
             # rarely span all of [1, n], and a row's entries are the
@@ -195,10 +195,10 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
         coef = np.zeros((rows, n + 1 if at is None else len(at), width))
         if slot[0] >= 0:
             coef[:, slot[0], 0] = 1.0
-    elif int(band.min()) < reach:
+    elif int(band.min()) < widest:
         # one weight row per row, 0 past its band: the masked entries add
         # exact zeros in the BLAS lanes the unmasked ones would use
-        w = np.where(np.arange(pad + reach) >= pad + reach - band[:, None],
+        w = np.where(np.arange(pad + widest) >= pad + widest - band[:, None],
                      qrev, 0.0)[:, :, None]
     else:
         w = qrev[:, None]
@@ -215,12 +215,12 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     # e^-_KEEP leaves its window [k+1-band, k]
     expire = band.copy()
     for k in range(1, n + 1):
-        cols = -(-(k - max(lo, k - reach)) // _LANE) * _LANE
+        cols = -(-(k - max(lo, k - widest)) // _LANE) * _LANE
         if cols > depth:
             # at least double the per-row tables, new gaps in front
-            grow = min(pad + reach, max(cols, 2 * depth)) - depth
+            grow = min(pad + widest, max(cols, 2 * depth)) - depth
             part = np.empty((rows, grow, width))
-            at_gaps = slice(pad + reach - depth - grow, pad + reach - depth)
+            at_gaps = slice(pad + widest - depth - grow, pad + widest - depth)
             for r in range(rows):
                 part[r] = _gap_weights(qrev[at_gaps],
                                        1.0 - centre[r] * gaps[at_gaps], width)
@@ -285,24 +285,17 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
 
 
 def _certified(log_p: np.ndarray, cut: np.ndarray, n: int,
-               margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(reach, ok) for rows cut at the bands cut <= n: row r's support in
-    [1, n] is [1, reach[r]] when ok[r], the linear step's certificate with
-    margin nats added to both of its bounds (see _forward)."""
+               margin: float = 0.0) -> np.ndarray:
+    """ok[r]: whether rows cut at the bands cut, 1 <= cut <= n, pass the
+    linear step's certificate with margin nats added to both of its bounds
+    (see _forward)."""
     lp = log_p[1:n + 1]
-    fin = np.isfinite(lp)
-    # the support of row r in [1, n] is [1, reach[r]] when its check passes
-    reach = np.minimum(cut, n if fin.all() else int(fin.argmin()))
-    at = np.maximum(reach - 1, 0)
-    # the extremes of log q = log p - log p(1) on the support
-    top = np.maximum.accumulate(lp)[at] - lp[0]
-    low = np.minimum.accumulate(lp)[at] - lp[0]
+    # the extremes of log q = log p - log p(1) on [1, cut]
+    top = np.maximum.accumulate(lp)[cut - 1] - lp[0]
+    low = np.minimum.accumulate(lp)[cut - 1] - lp[0]
     log_n = math.log(n) + margin
-    with np.errstate(invalid="ignore"):  # a law with p(1) = 0
-        ok = ((reach >= 1) & (np.cumsum(fin)[cut - 1] == reach)
-              & (log_n + _RESCALE + top <= _OVERFLOW)
-              & (log_n + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
-    return reach, ok
+    return ((log_n + _RESCALE + top <= _OVERFLOW)
+            & (log_n + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
 
 
 def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
@@ -312,7 +305,7 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     whose excursions follow the one law log_p (log p(t) at index t), cut
     at band[r] >= 1 when band, one int per row, is given: the row's
     excursions are capped at its band B, and its steps cost O(B), not
-    O(k).  A law whose p(t) is 0 past some T < B has the band T.
+    O(k).  log p is finite on [1, n] (see InterArrivalLaw).
 
     The step runs in linear domain.  Row r holds y[r, j] = Z_{0,j}
     e^{-C_r} under one log scale C_r, and step k is one dot product of
@@ -348,45 +341,44 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     same step under the tilted law p(t) e^{lam t}, one call per distinct
     band (see _tilted).  The gaps of a path pinned at k sum to k, so the
     tilt multiplies Z_{0,k} by e^{lam k}, which is subtracted again from
-    its log.  A row whose tilted law fails too, or has a zero p(t)
-    inside its support, raises a ValueError.  So every row's table
-    depends only on its weights, its law, its band and n.
+    its log.  A row whose tilted law fails too raises a ValueError.  So
+    every row's table depends only on its weights, its law, its band and
+    n.
 
     Under an untruncated law, -inf weights give -inf entries, never NaN.
-    A truncated row needs finite weights: past the band z[:, 0] is out
-    of reach, so B consecutive -inf weights leave a window without a
+    A truncated row needs finite weights: z[:, 0] leaves its window after
+    B steps, so B consecutive -inf weights leave a window without a
     finite entry, and NaN."""
     rows, n = b.shape
     if not (n and rows):
         return np.zeros((rows, n + 1))
     cut = np.full(rows, n) if band is None else np.minimum(band, n)
-    reach, ok = _certified(log_p, cut, n)
+    ok = _certified(log_p, cut, n)
     if ok.all():
-        return _linear_rows(log_p, reach, b)
+        return _linear_rows(log_p, cut, b)
     z = np.empty((rows, n + 1))
     lin = np.flatnonzero(ok)
     if lin.size:
-        z[lin] = _linear_rows(log_p, reach[lin], b[lin])
+        z[lin] = _linear_rows(log_p, cut[lin], b[lin])
     for c in np.unique(cut[~ok]):
         r = np.flatnonzero(~ok & (cut == c))
-        tilted, lam = _tilted(log_p, int(c), int(reach[r[0]]), n)
-        z[r] = _linear_rows(tilted, reach[r], b[r]) - lam * np.arange(n + 1)
+        tilted, lam = _tilted(log_p, int(c), n)
+        z[r] = _linear_rows(tilted, cut[r], b[r]) - lam * np.arange(n + 1)
     return z
 
 
-def _tilted(log_p: np.ndarray, cut: int, reach: int, n: int,
+def _tilted(log_p: np.ndarray, cut: int, n: int,
             margin: float = 0.0) -> tuple[np.ndarray, float]:
-    """The law of the rows cut at cut whose support is [1, reach], tilted
-    for the linear step: (log p(t) + lam t for t = 0..cut, lam), lam the
-    chord slope (log p(1) - log p(T)) / (T - 1) of log p on [1, T],
-    T = reach.  That tilt gives p(1) and p(T) the same weight, so it
-    flattens the geometric law exactly, and for a log-convex law (a power
-    law) it is the tilt of least span.  A ValueError names the span when
-    the tilted law still fails the certificate with margin at n (see
-    _forward)."""
-    lam = (log_p[1] - log_p[reach]) / (reach - 1) if reach > 1 else 0.0
+    """The law of the rows cut at cut, tilted for the linear step:
+    (log p(t) + lam t for t = 0..cut, lam), lam the chord slope
+    (log p(1) - log p(cut)) / (cut - 1) of log p on [1, cut].  That tilt
+    gives p(1) and p(cut) the same weight, so it flattens the geometric
+    law exactly, and for a log-convex law (a power law) it is the tilt of
+    least span.  A ValueError names the span when the tilted law still
+    fails the certificate with margin at n (see _forward)."""
+    lam = (log_p[1] - log_p[cut]) / (cut - 1) if cut > 1 else 0.0
     tilted = log_p[:cut + 1] + lam * np.arange(cut + 1)
-    if not _certified(tilted, np.array([cut]), n, margin)[1][0]:
+    if not _certified(tilted, np.array([cut]), n, margin)[0]:
         # both bounds hold when the span is at most the overflow bound's
         # room, the smaller of the two
         span = tilted[1:].max() - tilted[1:].min()
@@ -399,14 +391,13 @@ def _tilted(log_p: np.ndarray, cut: int, reach: int, n: int,
 
 
 def _moment_certificate(log_p: np.ndarray, n: int,
-                        order: int) -> tuple[int, bool, float]:
-    """(reach, ok, margin) of the linear step's certificate for _moments at
-    n and order R: _certified over [1, n] with margin = 2 R log(2n) nats.
-    The margin, log n and the span of log p on [1, n] all grow with n, so
-    a law that passes at n passes at every smaller n."""
+                        order: int) -> tuple[bool, float]:
+    """(ok, margin) of the linear step's certificate for _moments at n and
+    order R: _certified over [1, n] with margin = 2 R log(2n) nats.  The
+    margin, log n and the span of log p on [1, n] all grow with n, so a
+    law that passes at n passes at every smaller n."""
     margin = 2 * order * math.log(2.0 * n)
-    reach, ok = _certified(log_p, np.array([n]), n, margin)
-    return int(reach[0]), bool(ok[0]), margin
+    return bool(_certified(log_p, np.array([n]), n, margin)[0]), margin
 
 
 def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
@@ -450,10 +441,10 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
     the tilt multiplies every Y_m[k] by the same e^{lam k}, so the
     coefficients keep their values and lam k leaves log Z_{0,k} only."""
     n = b.shape[1]
-    reach, ok, margin = _moment_certificate(log_p, n, order)
+    ok, margin = _moment_certificate(log_p, n, order)
     lam = 0.0
     if not ok:
-        log_p, lam = _tilted(log_p, n, reach, n, margin)
+        log_p, lam = _tilted(log_p, n, n, margin)
     sc, coef = _linear_rows(log_p, np.full(b.shape[0], n), b, order, centre,
                             at)
     if at is not None:
@@ -538,11 +529,12 @@ KS_L1_BUDGET = 1e-14
 _ADVANCE = 16
 
 
-def _banded_count(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
-                  budget: float) -> tuple[np.ndarray, float]:
-    """Row n of the count DP of QuenchedSystem.contact_law with terms left
-    out: returns (r, l1), the pmf of L_n as computed and a bound l1 <=
-    budget on its L1 distance to the pmf of the full DP.
+def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
+              budget: float) -> tuple[np.ndarray, float]:
+    """Row n of the count DP of QuenchedSystem.contact_law with at most
+    budget of L1 mass left out: returns (r, l1), the pmf of L_n as
+    computed and a bound l1 <= budget on its L1 distance to the pmf of the
+    full DP.
 
     Step k is r_k[l] = sum_j g_k(j) r_j[l-1] over the last contact j < k,
     with g_k(j) = exp(pre[j] + log p(k-j) + b_k - pre[k]) summing to 1.
@@ -560,11 +552,12 @@ def _banded_count(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
     l1 sums both.  Every _ADVANCE steps s moves to the largest start whose
     bound, with b_k - pre[k] of the step just done, holds with a nat to
     spare; a step whose own bound fails moves s back to the largest start
-    that holds.  Memory is the dense loop's (n+1)^2 table."""
+    that holds.  At budget 0 the share is 0: the band and the window stay
+    at 0, and l1 is exactly 0.  Memory is the (n+1)^2 table of all r_k."""
     n = pre.size - 1
     a = (b - pre).tolist()  # a[k] = b_k - pre[k]
     # two logs: budget / 2n underflows to 0 for a subnormal budget
-    log_share = math.log(budget) - math.log(2 * n)
+    log_share = math.log(budget) - math.log(2 * n) if budget else LOG_ZERO
     row_share = budget / (2 * n)
     # head[s] = log s + max pre[:s]; lpsuf[t] = max of log p over [t, n]
     head = np.full(n + 1, LOG_ZERO)
@@ -840,37 +833,28 @@ class QuenchedSystem:
     # -- law of the contact number ----------------------------------------
 
     def contact_law(self, budget: float = 0.0) -> ContactLaw:
-        """Pmf of L_n by the count-indexed DP, within L1 budget of the exact
-        one.
+        """Pmf of L_n by the count-indexed DP ``_count_dp``, within L1
+        budget of the exact one.
 
-        Internally runs on per-level renewal probabilities (each level's
+        It runs on per-level renewal probabilities (each level's
         first-excursion weights sum to 1), so everything stays in [0, 1]
         with nonnegative terms only; O(n^2) memory.  At budget 0 the law
-        is exact, by the dense O(n^3) loop.  A budget > 0 runs
-        ``_banded_count``, whose band and column window make a step
-        cost O(T C), T the band and C the columns that carry mass, and the
-        law carries the certificate l1_bound <= budget on the terms left
-        out.  That suits a caller that reads only the CDF to absolute
-        accuracy (KS_L1_BUDGET, for the KS distances); a caller of the
-        tails (relative accuracy far below the bulk) needs budget 0."""
+        is exact (l1_bound 0) and a step costs O(k^2).  A budget > 0 lets
+        the band and column window move, so that a step costs O(T C), T
+        the band and C the columns that carry mass, and the law carries
+        the certificate l1_bound <= budget on the terms left out.  That
+        suits a caller that reads only the CDF to absolute accuracy
+        (KS_L1_BUDGET, for the KS distances); a caller of the tails
+        (relative accuracy far below the bulk) needs budget 0."""
         if not 0.0 <= budget < 1.0:
             raise ValueError(f"budget = {budget} is outside [0, 1)")
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             return ContactLaw(0, np.zeros(1))
-        pre, logp, b = self.prefix_logZ, self.law.log_p, self.site_weight
-        if budget:
-            row, l1 = _banded_count(pre, logp, b, budget)
-        else:
-            r = np.zeros((n + 1, n + 1))
-            r[0, 0] = 1.0
-            for k in range(1, n + 1):
-                g = np.exp(pre[0:k] + logp[k:0:-1] + b[k] - pre[k])
-                r[k, 1:k + 1] = g @ r[0:k, 0:k]
-            row, l1 = r[n], 0.0
+        row, l1 = _count_dp(self.prefix_logZ, self.law.log_p,
+                            self.site_weight, budget)
         with np.errstate(divide="ignore"):
             log_pmf = np.log(row)
-        return ContactLaw(n, log_pmf, l1)
+        return ContactLaw(self.n, log_pmf, l1)
 
     # -- cumulants ----------------------------------------------------------
 
@@ -983,7 +967,7 @@ class _Grid:
         self.sc, self.coef = _moments(law.log_p, self.b, order, centres,
                                       list(self.cols))
         # the smaller n share the pass's route only when it is untilted
-        self.untilted = _moment_certificate(law.log_p, self.top, order)[1]
+        self.untilted = _moment_certificate(law.log_p, self.top, order)[0]
         self.law, self.order = law, order
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import disorder_mc as mc
 from .model import sample_disorder_block
+from .numerics import log_mean_exp
 from .oracle import build_path_set
 from .quenched import KS_L1_BUDGET, QuenchedSystem, ks_to_standard_normal
 
@@ -684,11 +685,7 @@ def _check_c13(ctx: CheckContext) -> CheckReport:
             m = float(np.max(head, initial=-np.inf))
             if m > -np.inf:
                 vals[i] = m + math.log(float(np.sum(np.exp(head - m))))
-        top = float(np.max(vals))
-        if math.isfinite(top):
-            log_mean.append(top + math.log(float(np.mean(np.exp(vals - top)))))
-        else:
-            log_mean.append(-math.inf)
+        log_mean.append(log_mean_exp(vals))
     usable = [i for i, v in enumerate(log_mean) if math.isfinite(v)]
     if len(usable) >= 3:
         fit = mc.linear_fit(np.array(ns)[usable],

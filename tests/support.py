@@ -124,3 +124,31 @@ def mp_cumulants(log_p, b, r_max, digits=40, keep=115.0):
             kappa.append(raw[m] - mp.fsum(math.comb(m - 1, i - 1) * kappa[i]
                                           * raw[m - i] for i in range(1, m)))
         return np.array([float(x) for x in kappa])
+
+
+def mp_contact_pmf(log_p, b, digits=40):
+    """log P[L_n = l], l = 0..n, of the contact number of the chain with
+    site log weights b (b[k-1] is site k's), from the count DP carried to
+    `digits` digits:
+
+        W_l[k] = e^{b_k} sum_j p(k-j) W_{l-1}[j],  W_0 = (1, 0, .., 0),
+
+    W_l[k] the weight of the paths pinned at k with l contacts, so that
+    P[L_n = l] = W_l[n] / sum_l W_l[n].  Entry l is -inf where W_l[n] is
+    0 (l = 0 for n >= 1)."""
+    n = len(b)
+    with mp.workdps(digits):
+        p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x))) for x in log_p[1:n + 1]]
+        e = [mp.exp(mp.mpf(float(x))) for x in b]
+        w = [mp.mpf(1)] + [mp.mpf(0)] * n
+        at_n = [w[n]]
+        for l in range(1, n + 1):
+            # W_l[k] is 0 for k < l: l contacts need l sites
+            new = [mp.mpf(0)] * (n + 1)
+            for k in range(l, n + 1):
+                new[k] = e[k - 1] * mp.fdot(w[l - 1:k], p[k - l + 1:0:-1])
+            w = new
+            at_n.append(w[n])
+        z = mp.fsum(at_n)
+        return np.array([float(mp.log(v / z)) if v else -math.inf
+                          for v in at_n])

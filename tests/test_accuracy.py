@@ -3,10 +3,12 @@
 Each test is one row of the README accuracy table: it computes the
 observable with pinlab and with an mpmath recursion (or a closed form)
 carried to 40 digits from the same float inputs, and asserts the bound
-stated there.  The contact law's row is against the dense O(n^3) count DP
-in double precision instead: 40 digits at n = 1024 would take minutes.
-The sizes are those the checks use, kept few so that the references take
-a few seconds.
+stated there.  The exact contact law is against the 40-digit count DP at
+n = 128 (at n = 256 that reference takes 7.6 s); the budgeted law of the
+KS distances is against the exact law in double precision at the sizes
+it runs at, as 40 digits at n = 1024 would take minutes.  The sizes are
+those the checks use, kept few so that the references take a few
+seconds.
 """
 
 import math
@@ -19,7 +21,8 @@ from pinlab.numerics import normal_cdf
 from pinlab.quenched import (KS_L1_BUDGET, QuenchedSystem, _forward,
                              ks_to_standard_normal)
 from pinlab.theorems import _ks_error_bound
-from support import mp_cumulants, mp_log_prefix, mp_prefix, mp_suffix
+from support import (mp_contact_pmf, mp_cumulants, mp_log_prefix, mp_prefix,
+                     mp_suffix)
 
 DIGITS = 40
 
@@ -144,15 +147,34 @@ def test_banded_fallback_rows_against_mpmath():
     assert worst <= 1e-14, worst
 
 
+def test_contact_law_against_mpmath():
+    # the exact contact law (budget 0, the tail readers' C3 and C13) at
+    # (h, n) = (1.5, 128), (3, 128) against the 40-digit count DP: bound
+    # 1e-12 on the largest |d log P[L_n = l]| over l >= 1, all finite
+    # in both (the smallest is about 1e-150; l = 0 is -inf), and on
+    # |1 - sum_l P[L_n = l]|.  Measured: 3.4e-13 and 4.9e-14 at (1.5, 128),
+    # 6.3e-13 and 2.3e-14 at (3, 128)
+    for h, n, seed in ((1.5, 128, 25), (3.0, 128, 26)):
+        law, sys_ = _gaussian_system(h, n, seed)
+        got = sys_.contact_law()
+        want = mp_contact_pmf(law.log_p, sys_.site_weight[1:], DIGITS)
+        assert got.l1_bound == 0.0
+        fin = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got.log_pmf), fin)
+        assert np.abs(got.log_pmf[fin] - want[fin]).max() <= 1e-12
+        assert abs(1.0 - got.pmf().sum()) <= 1e-12
+
+
 def test_banded_contact_law_against_dense_loop():
     # The KS consumers' law at budget KS_L1_BUDGET at (h, n) = (1.5, 512),
-    # (3, 1024) against the exact law, the dense O(n^3) loop: the pmf
-    # within l1_bound + 1e-12 in L1, the 1e-12 for the roundoff of a loop
-    # that sums in another order (6.4e-13 apart on another n = 1024
-    # sample), and the KS distance within _ks_error_bound at that L1
-    # distance.  Measured: l1_bound 2.8e-15 and 2.5e-15, L1 1.5e-14 and
-    # 1.5e-13, |dKS| 3.5e-13 and 1.1e-11 against bounds of 1.1e-9 and
-    # 8.2e-9
+    # (3, 1024) against the exact law, the same count DP at budget 0 (its
+    # own accuracy is test_contact_law_against_mpmath's): the pmf within
+    # l1_bound + 1e-12 in L1, the 1e-12 for the roundoff of the full sum
+    # (a dense loop that summed each step in another order was 6.4e-13
+    # apart on another n = 1024 sample), and the KS distance within
+    # _ks_error_bound at that L1 distance.  Measured: l1_bound 2.8e-15
+    # and 2.5e-15, L1 1.7e-16 and 3.2e-16, |dKS| 0 and 8.1e-15 against
+    # bounds of 1.1e-9 and 8.2e-9
     for h, n, seed in ((1.5, 512, 14), (3.0, 1024, 15)):
         law, sys_ = _gaussian_system(h, n, seed)
         exact, banded = sys_.contact_law(), sys_.contact_law(KS_L1_BUDGET)

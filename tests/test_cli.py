@@ -210,6 +210,18 @@ def test_verify_unknown_check_is_config_error(tmp_path, capsys):
     assert "unknown check id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [",", " ", ""])
+def test_verify_empty_check_selection_is_config_error(tmp_path, capsys, flag):
+    # a --checks that names no check is refused as checks.ids: [] is, and
+    # no report is written
+    cfg = _write(tmp_path, "scan.json", SMALL_SCAN)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--checks", flag]) == 1
+    assert "selects no check" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_errors_are_anchored(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json",
                  {"model": {"kind": "power", "alpha": 0.5}})

@@ -90,6 +90,8 @@ def test_unknown_block_and_field_anchors():
     ({"grids": {"n_values": [64, 999]}}, "grids.n_values"),  # beyond horizon
     # a table law's horizon is its length, not model.n_max
     ({"model": {"kind": "table", "table": [0.5, 0.25]}}, "grids.n_values"),
+    # a repeated h would run (and write) each of its cells twice
+    ({"grids": {"h_values": [2.0, 2.0]}}, "grids.h_values"),
 ])
 def test_validation_anchors(patch, anchor):
     with pytest.raises(ConfigError) as err:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinlab.config import RunConfig
 from pinlab.model import (
     DISORDER_FAMILIES,
     EllSpec,
+    InterArrivalLaw,
     _analytic_tail,
     _xi_worst,
     build_law,
@@ -147,6 +149,37 @@ def test_log_table_reaches_depths_linear_tables_cannot():
     assert law.log_p[2000] == pytest.approx(-2000 * math.log(2.0))
     with pytest.raises(ValueError):
         law_from_log_table([0.0, -math.inf])
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+def test_law_with_a_non_finite_log_p_is_refused(bad):
+    # the engines take p(t) > 0 on [1, n_max]: a law that breaks it is
+    # refused where it is built, with the first bad t named; entry 0 (no
+    # zero-length excursion) stays -inf
+    lp = np.concatenate(([LOG_ZERO], -np.arange(1, 9, dtype=float)))
+    lp[5] = bad
+    with pytest.raises(ValueError, match=r"log p\(5\) = .* not finite"):
+        InterArrivalLaw(8, lp, 1.0)
+
+
+def test_every_law_factory_makes_a_finite_law():
+    # every law a factory (or a config kind) makes passes the check,
+    # geometric laws deep into underflow of p(t) in linear domain included
+    laws = [build_law(1.0, None, 4096), build_law(1.5, None, 8192),
+            build_law(3.0, EllSpec("log_power", 2.0, 0.5), 512, False),
+            law_from_table([0.5, 0.25, 0.125]),
+            law_from_log_table(-np.arange(1, 2001) * 0.7),
+            geometric_test_law(4096)]
+    models = ({"kind": "power", "alpha": 2.0, "n_max": 256},
+              {"kind": "power", "ell_form": "log_power", "ell_beta": -0.5},
+              {"kind": "geometric", "n_max": 1024},
+              {"kind": "table", "table": [0.5, 0.25, 0.125]})
+    laws += [RunConfig.from_dict({"model": model,
+                                  "grids": {"n_values": [2]}}).law()
+             for model in models]
+    for law in laws:
+        assert law.log_p[0] == LOG_ZERO
+        assert np.isfinite(law.log_p[1:]).all()
 
 
 def test_xi_beyond_float_range_is_rejected():

@@ -10,6 +10,7 @@ from pinlab.numerics import (
     DEFAULT_JET_ORDER,
     LOG_ZERO,
     _log_series,
+    log_mean_exp,
     log_of_jet,
 )
 from pinlab.oracle import log_sum_exp
@@ -54,6 +55,25 @@ def test_log_sum_exp_shift_equivariance(vals, shift):
     shifted = [v + shift for v in vals]
     assert log_sum_exp(shifted) == pytest.approx(log_sum_exp(vals) + shift,
                                                  rel=1e-12, abs=1e-9)
+
+
+@given(st.lists(st.one_of(finite_logs, st.just(LOG_ZERO)), min_size=1,
+                max_size=12))
+def test_log_mean_exp_is_the_estimators_expression(vals):
+    # the bits of m + log mean exp(x - m), which estimate_f, estimate_mu
+    # and C13 print, and within roundoff of log_sum_exp - log size; -inf
+    # when every entry is -inf
+    x = np.asarray(vals)
+    m = float(np.max(x))
+    if m == LOG_ZERO:
+        assert log_mean_exp(x) == LOG_ZERO
+    else:
+        want = m + math.log(float(np.mean(np.exp(x - m))))
+        assert log_mean_exp(x) == want
+        assert log_mean_exp(x) == pytest.approx(
+            log_sum_exp(vals) - math.log(x.size), rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError):
+        log_mean_exp([])
 
 
 # -- jets ---------------------------------------------------------------------

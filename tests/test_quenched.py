@@ -478,10 +478,11 @@ def test_covariance_and_ursell_match_oracle():
 # -- contact-number law -------------------------------------------------------
 
 def test_contact_law_matches_oracle(monkeypatch):
-    # routes: the exact dense loop, the KS consumers' budget, a budget
-    # that leaves out real mass, and a subnormal budget (budget / 2n
-    # underflows to 0).  The band moves every _ADVANCE steps: every 2nd
-    # here, so that it engages at these n <= 14
+    # budgets of the one count DP: 0 (exact, the band never moves), the
+    # KS consumers' budget, a budget that leaves out real mass, and a
+    # subnormal budget (budget / 2n underflows to 0).  The band moves
+    # every _ADVANCE steps: every 2nd here, so that it engages at these
+    # n <= 14
     monkeypatch.setattr(quenched, "_ADVANCE", 2)
     for budget in (0.0, KS_L1_BUDGET, 0.1, 5e-324):
         for law, h, omega, n, sys_ in chain(_systems(30, 30),
