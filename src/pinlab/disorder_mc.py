@@ -10,24 +10,32 @@ them from ``_block_systems``: one ``QuenchedBlock`` per block of samples,
 whose row views (one ``QuenchedSystem`` per sample) share the block's
 prefix, suffix and pair-DP tables.
 
-Per-sample log Z runs the quenched module's forward engine ``_forward``
-on a whole block of samples, one row each; per-sample cumulants and
-kappa_1 paths run its centred moment rows ``_moments`` the same way,
-centred at the law's ``contact_density(h)``, followed for cumulants by
-the row-wise log-series recursion of ``numerics``.  Both engines are
-row-local, so a sample's values do not depend on which block it lands
-in.
+Per-sample log Z and cumulants read the quenched module's centred moment
+rows ``_moments``, run on a whole block of samples, one row each, and
+centred at the law's ``contact_density(h)``: log Z is kappa_0 of the rows
+(their Y_0), log Z^- sheds the last contact's weight from it, and the
+cumulants follow by the row-wise log-series recursion of ``numerics``.
+log Z and the cumulants of order r <= 2 read one order-2 pass; higher
+orders run their own.  kappa_1 paths run the same engine at order 1 with
+every column kept.  The engine is row-local, so a sample's values do not
+depend on which block it lands in.
 
 Inside ``run_memo()`` (the CLI opens one around each command) the result
 of every block is kept, keyed by what the kernel consumes: the kernel,
-the law, h, the output width (so cumulants of one order never serve
-another) and a digest of the block's charges.  Blocks are still drawn, so
-a later call on the same charges (estimate_mu after estimate_f, C8 and
-C12 after C4) reuses the rows whatever seed or index produced them, and
+the law, h, the output width (so moments of one order never serve
+another), the columns kept and a digest of the block's charges.  A
+moment kernel called at an n of ``cfg.n_values`` draws its block at the
+grid's largest n and runs one pass that keeps every grid column, so the
+one entry of a (h, block) serves every n of the grid: a shorter draw is
+a prefix of a longer one, and a column does not depend on how far the
+pass runs past it.  A pass at the top that needs the law tilt, a call
+off the grid and a call outside a memo run at their own n.  Blocks are
+still drawn, so a later call on the same charges (estimate_mu after
+estimate_f, the centering statistics of ``scan`` after both, C8 and C12
+after C4) reuses the rows whatever seed or index produced them, and
 every public call keeps its count.  ``concentration_scan`` and C13 need
-only log Z and kappa_1, but ask order 2, as ``centering_statistics``
-does, and read columns 0..1, so they share its rows.  Outside a scope
-every kernel computes.
+only log Z and kappa_1, and read them from the same order-2 rows.
+Outside a scope every kernel computes.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ import numpy as np
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series, log_mean_exp, normal_cdf
-from .quenched import (QuenchedBlock, QuenchedSystem, _checked, _forward,
-                       _moments)
+from .quenched import (QuenchedBlock, QuenchedSystem, _checked,
+                       _moment_certificate, _moments)
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -128,65 +136,93 @@ def run_memo():
         _MEMO.reset(token)
 
 
-def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int):
-    """Run a per-block kernel over all samples; kernel(block) -> (bsz, width)
-    rows; returns the (S, width) stacked result in index order.  h and n
-    are checked as a QuenchedBlock checks them."""
+def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
+             order: int = 0):
+    """Run a per-block kernel over all samples and return the (S, width)
+    rows at n, in index order: kernel(block, at) -> (bsz, len(at), width)
+    gives the rows of the block's chains at the lengths in at.  h and n
+    are checked as a QuenchedBlock checks them.
+
+    A kernel of order R >= 1 is one _moments pass at that order.  Inside
+    a run memo, a call at an n of cfg.n_values draws its block at the
+    grid's top n and passes at = the grid, so the entry keeps every grid
+    column and later calls at any grid n read theirs.  A column holds the
+    bits of a pass at its own n: the pass is row-local, it does not
+    depend on how far it runs past a column, and a shorter draw is a
+    prefix of a longer one.  When the pass at the top needs the law tilt
+    (_moment_certificate), a smaller n would take another route, so then
+    every call runs at its own n, as calls off the grid and outside a
+    memo do."""
     n = _checked(cfg.law, h, n)
-    out = np.empty((cfg.samples, width))
     memo = _MEMO.get()
+    at = [n]
+    if memo is not None and order and n in cfg.n_values:
+        grid = sorted(set(cfg.n_values))
+        if _moment_certificate(cfg.law.log_p, grid[-1], order)[0]:
+            at = grid
+    top, j = at[-1], at.index(n)
+    out = np.empty((cfg.samples, width))
     for lo in range(0, cfg.samples, _CHUNK):
         hi = min(lo + _CHUNK, cfg.samples)
-        block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo, hi - lo)
+        block = sample_disorder_block(cfg.disorder, top, cfg.master_seed, lo,
+                                      hi - lo)
         if memo is None:
-            out[lo:hi] = kernel(block)
+            out[lo:hi] = kernel(block, at)[:, j]
             continue
         # the entry holds the law, so its id is not reused while it lives
-        key = (kernel.__qualname__, id(cfg.law), float(h), width, block.shape,
-               hashlib.blake2b(block, digest_size=20).digest())
+        key = (kernel.__qualname__, id(cfg.law), float(h), width, tuple(at),
+               block.shape, hashlib.blake2b(block, digest_size=20).digest())
         entry = memo.get(key)
         if entry is None:
-            rows = np.array(kernel(block))  # a copy, never a view of a table
+            rows = np.array(kernel(block, at))  # a copy, never a view
             rows.flags.writeable = False
             entry = memo[key] = (cfg.law, rows)
-        out[lo:hi] = entry[1]
+        out[lo:hi] = entry[1][:, j]
     return out
 
 
-def sample_log_z(cfg: McConfig, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (log Z, log Z^-), in sample-index order."""
-    def kernel(block):
+def _moment_rows(cfg: McConfig, h: float, n: int, order: int) -> np.ndarray:
+    """Per-sample (log Z, log Z^-, E[(L_n - c n)^m] / m! for m = 0..order)
+    as columns 0..order+2, from the order-`order` moment pass centred at c
+    = the law's ``contact_density(h)``: log Z is its kappa_0, and log Z^-
+    strips the last contact's weight h + omega_n from it."""
+    def kernel(block, at):
         b = h + block
-        z = _forward(cfg.law.log_p, b)[:, -1]
-        return np.stack([z, z - b[:, -1]], axis=1)
+        sc, coef = _moments(cfg.law.log_p, b, order,
+                            cfg.law.contact_density(h), at)
+        last = sc - b[:, np.asarray(at) - 1]
+        return np.concatenate((sc[:, :, None], last[:, :, None], coef), axis=2)
 
-    res = _sampled(cfg, h, n, kernel, 2)
-    return res[:, 0], res[:, 1]
+    return _sampled(cfg, h, n, kernel, order + 3, order)
+
+
+def sample_log_z(cfg: McConfig, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (log Z, log Z^-), in sample-index order: columns 0..1 of
+    the order-2 moment rows, so inside a run memo they are the rows of
+    ``sample_cumulants`` at r_max <= 2 on the same charges."""
+    rows = _moment_rows(cfg, h, n, 2)
+    return rows[:, 0], rows[:, 1]
 
 
 def sample_cumulants(cfg: McConfig, h: float, n: int, r_max: int) -> np.ndarray:
-    """Per-sample (log Z, kappa_1..kappa_r_max) as columns 0..r_max."""
+    """Per-sample (log Z, kappa_1..kappa_r_max) as columns 0..r_max, from
+    the moment pass at order max(r_max, 2) by the log-series recursion."""
     fact = np.array([math.factorial(k) for k in range(r_max + 1)], dtype=float)
-
-    def kernel(block):
-        c = cfg.law.contact_density(h)
-        sc, coef = _moments(cfg.law.log_p, h + block, max(r_max, 1), c, [n])
-        kappa = _log_series(coef[:, 0])[:, :r_max + 1] * fact
-        kappa[:, 0] = sc[:, 0]
-        if r_max:
-            kappa[:, 1] += c * n
-        return kappa
-
-    return _sampled(cfg, h, n, kernel, r_max + 1)
+    rows = _moment_rows(cfg, h, n, max(r_max, 2))
+    kappa = _log_series(rows[:, 2:])[:, :r_max + 1] * fact
+    kappa[:, 0] = rows[:, 0]
+    if r_max:
+        kappa[:, 1] += cfg.law.contact_density(h) * n
+    return kappa
 
 
 def sample_kappa1_path(cfg: McConfig, h: float, n: int) -> np.ndarray:
     """Per-sample trajectory kappa_1(omega, k) for k = 0..n."""
-    def kernel(block):
+    def kernel(block, at):
         # the first centred moment of each prefix, plus the centre c k
         c = cfg.law.contact_density(h)
         _, coef = _moments(cfg.law.log_p, h + block, 1, c)
-        return coef[:, :, 1] + c * np.arange(n + 1)
+        return (coef[:, :, 1] + c * np.arange(n + 1))[:, None]
 
     return _sampled(cfg, h, n, kernel, n + 1)
 

@@ -75,6 +75,16 @@ def _analytic_tail(ell: EllSpec, alpha: float, n_max: int) -> float:
     return math.exp(log_tail)
 
 
+def _require_finite(log_p: np.ndarray, n_max: int):
+    """A ValueError naming the first t in [1, n_max] whose log p(t) is not
+    finite."""
+    bad = np.flatnonzero(~np.isfinite(log_p[1:n_max + 1]))
+    if bad.size:
+        t = int(bad[0]) + 1
+        raise ValueError(f"log p({t}) = {log_p[t]} is not finite: "
+                         f"p(t) must be positive on [1, {n_max}]")
+
+
 @dataclass(frozen=True)
 class InterArrivalLaw:
     """Tabulated inter-arrival law.
@@ -92,11 +102,7 @@ class InterArrivalLaw:
                            compare=False)
 
     def __post_init__(self):
-        bad = np.flatnonzero(~np.isfinite(self.log_p[1:self.n_max + 1]))
-        if bad.size:
-            t = int(bad[0]) + 1
-            raise ValueError(f"log p({t}) = {self.log_p[t]} is not finite: "
-                             f"p(t) must be positive on [1, {self.n_max}]")
+        _require_finite(self.log_p, self.n_max)
 
     def contact_density(self, h: float) -> float:
         """The contact density of the homogeneous chain at h under the
@@ -192,7 +198,10 @@ def build_law(alpha: float, ell: EllSpec | None, n_max: int,
     if n_max < 2:
         raise ValueError("n_max >= 2 required")
     t = np.arange(1, n_max + 1, dtype=float)
-    raw = ell.log_ell(t) - (alpha + 1.0) * np.log(t)
+    # a huge alpha overflows (alpha + 1) log t: log p(t) = -inf there,
+    # which is refused below, before compute_xi reads it
+    with np.errstate(over="ignore"):
+        raw = ell.log_ell(t) - (alpha + 1.0) * np.log(t)
     tail = _analytic_tail(ell, alpha, n_max)
     if normalize:
         m = float(np.max(raw))
@@ -201,6 +210,7 @@ def build_law(alpha: float, ell: EllSpec | None, n_max: int,
         raw = raw - shift
         tail = tail / total
     log_p = np.concatenate(([LOG_ZERO], raw))
+    _require_finite(log_p, n_max)
     xi = compute_xi(log_p, n_max)
     return InterArrivalLaw(n_max, log_p, xi, tail)
 

@@ -10,8 +10,7 @@ run by ``_forward`` over a batch of weight rows under one law p, each
 row with an optional band: the prefix table is one row, the suffix
 table is the recursion on the reversed weights, the segment table runs
 one row per start site, and the restricted-excursion partition with cap
-b is a row with band b.  Disorder Monte Carlo runs the same engine on
-blocks of samples.  ``_forward`` steps in linear domain: each row is
+b is a row with band b.  ``_forward`` steps in linear domain: each row is
 stored as Z_{0,j} e^{-C_r} under one log scale C_r, and a step is one dot
 product of the row with p(k-j)/p(1), 0 past the row's band, then one log
 and one exp per row, so no term pays an exp.  A new entry above e^300 of
@@ -35,9 +34,10 @@ is the homogeneous chain's contact density at h
 only, so a row's cumulants depend on nothing but its weights.  Each row
 may have its own centre: rows that share one share one weight table,
 and rows with distinct centres each get their own.  It is batched, and
-serves ``QuenchedSystem.cumulants`` (one row), the per-sample cumulant
-and kappa_1 kernels of disorder Monte Carlo (a block of samples at one
-h), and the grid of ``pinlab compute`` (one row per h, see
+serves ``QuenchedSystem.cumulants`` (one row), the per-sample log Z,
+cumulant and kappa_1 kernels of disorder Monte Carlo (a block of samples
+at one h, one pass for the whole n grid inside a run memo), and the grid
+of ``pinlab compute`` (one row per h, see
 ``cumulant_grid``); ``at`` keeps only the columns k a caller reads.  The
 tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
 moments unchanged.

@@ -16,7 +16,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from pinlab.model import build_law, gaussian_disorder, geometric_test_law
+from pinlab.disorder_mc import McConfig, run_memo, sample_log_z
+from pinlab.model import (build_law, gaussian_disorder, geometric_test_law,
+                          sample_disorder_block)
 from pinlab.numerics import normal_cdf
 from pinlab.quenched import (KS_L1_BUDGET, QuenchedSystem, _forward,
                              ks_to_standard_normal)
@@ -223,6 +225,29 @@ def test_compute_log_z_against_mpmath():
         want = mp_log_prefix(law.log_p, sys_.site_weight[1:], digits=DIGITS)[n]
         got = sys_.cumulants(4).kappa[0]
         worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-14, worst
+
+
+def test_disorder_mc_log_z_against_mpmath():
+    # the per-sample log Z of disorder_mc.sample_log_z (kappa_0 of the
+    # order-2 moment rows), read inside a run memo from the grid columns
+    # of one pass at n = 512, against the 40-digit prefix DP at (h, n) in
+    # {1.5, 3.5} x {128, 512}, 6 samples each: bound 1e-14 relative (to
+    # max(1, |log Z|)); 3.9e-15, at (1.5, 512)
+    law = build_law(1.0, None, 512)
+    cfg = McConfig(law, gaussian_disorder(1.0), (1.5, 3.5), (128, 512), 6,
+                   25)
+    block = sample_disorder_block(cfg.disorder, 512, cfg.master_seed, 0, 6)
+    worst = 0.0
+    with run_memo():
+        for h in cfg.h_values:
+            got = {n: sample_log_z(cfg, h, n)[0] for n in cfg.n_values}
+            for i, omega in enumerate(block):
+                # a shorter draw is a prefix of the longer one
+                ref = mp_log_prefix(law.log_p, h + omega, digits=DIGITS)
+                for n in cfg.n_values:
+                    worst = max(worst, abs(got[n][i] - ref[n])
+                                / max(1.0, abs(ref[n])))
     assert worst <= 1e-14, worst
 
 

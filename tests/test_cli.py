@@ -278,6 +278,20 @@ def test_steep_power_law_computes(tmp_path, capsys):
     assert rows["kappa1"] == 16.0
 
 
+def test_power_law_past_float_range_exits_with_its_first_zero_p(tmp_path,
+                                                                capsys):
+    # model.alpha has no upper bound; at 1e308 p(t) is 0 from t = 7 on, and
+    # the command exits with that t named, not with an overflow or xi
+    cfg = _write(tmp_path, "huge.json", {
+        "model": {"kind": "power", "alpha": 1e308, "n_max": 4096},
+        "grids": {"h_values": [1.5], "n_values": [16]}})
+    out = str(tmp_path / "o")
+    assert main(["compute", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log p(7) = -inf is not finite")
+    assert not os.path.exists(out)
+
+
 def test_compute_grid_prints_the_bytes_of_each_cell(tmp_path):
     # one moment pass serves the whole (h, n) grid; each printed value is
     # the one its own system gives outside the command

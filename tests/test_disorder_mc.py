@@ -1,10 +1,14 @@
+import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pinlab.disorder_mc as mc
+import pinlab.quenched as quenched
+from pinlab.cli import main
 from pinlab.disorder_mc import (
     EstimateSeries,
     McConfig,
@@ -31,7 +35,7 @@ from pinlab.model import (
 )
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import contact_covariance, hc_bracket
-from pinlab.quenched import QuenchedSystem
+from pinlab.quenched import QuenchedSystem, _moment_certificate
 
 LAW = build_law(1.0, None, 128)
 GEOM = geometric_test_law(128)
@@ -52,10 +56,14 @@ def test_batched_log_z_matches_per_sample_dp():
     block = sample_disorder_block(cfg.disorder, 24, cfg.master_seed, 0, 12)
     for i in range(12):
         sys_ = QuenchedSystem(LAW, 2.0, block[i], 24)
-        assert log_z[i] == pytest.approx(sys_.log_z, abs=1e-10)
+        # kappa_0 of the moment rows against the prefix DP: two summation
+        # orders of one recursion, within 1e-14 relative to max(1, |log Z|)
+        # (the accuracy table's bound)
+        want = sys_.log_z
+        assert abs(log_z[i] - want) <= 1e-14 * max(1.0, abs(want))
         # log Z with the final contact weight e^{h + omega_n} stripped
-        assert log_zm[i] == pytest.approx(sys_.log_z - sys_.site_weight[24],
-                                          abs=1e-10)
+        want = sys_.log_z - sys_.site_weight[24]
+        assert abs(log_zm[i] - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_batched_cumulants_match_per_sample_jets():
@@ -124,18 +132,17 @@ def _kernel_calls():
             lambda c: sample_kappa1_path(c, 2.0, 24)]
 
 
-def _count_engine_rows(monkeypatch):
-    # rows evaluated by the two engines the kernels call: _forward (log Z)
-    # and _moments (cumulants and kappa_1 paths)
-    rows = []
-    for name in ("_forward", "_moments"):
-        engine = getattr(mc, name)
+def _count_moment_passes(monkeypatch):
+    # (rows, n, order, at) of every _moments pass the kernels run
+    passes = []
+    engine = mc._moments
 
-        def counted(log_p, b, *args, _engine=engine, **kw):
-            rows.append(b.shape[0])
-            return _engine(log_p, b, *args, **kw)
-        monkeypatch.setattr(mc, name, counted)
-    return rows
+    def counted(log_p, b, order, centre, at=None):
+        passes.append((b.shape[0], b.shape[1], order,
+                       None if at is None else tuple(at)))
+        return engine(log_p, b, order, centre, at)
+    monkeypatch.setattr(mc, "_moments", counted)
+    return passes
 
 
 def test_run_memo_serves_the_bytes_of_fresh_calls(monkeypatch):
@@ -144,7 +151,7 @@ def test_run_memo_serves_the_bytes_of_fresh_calls(monkeypatch):
     counts = (70, 200, 1000)
     fresh = {(s, i): call(_cfg(samples=s)) for s in counts
              for i, call in enumerate(_kernel_calls())}
-    rows = _count_engine_rows(monkeypatch)
+    passes = _count_moment_passes(monkeypatch)
     with run_memo():
         for s in counts:
             for i, call in enumerate(_kernel_calls()):
@@ -154,8 +161,10 @@ def test_run_memo_serves_the_bytes_of_fresh_calls(monkeypatch):
                     for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
                         assert g.tobytes() == w.tobytes()
     assert mc._MEMO.get() is None
-    # evaluated rows per kernel: 70, then 200 - 64, then 1000 - 192
-    assert sum(rows) == len(_kernel_calls()) * (70 + 136 + 808)
+    # evaluated rows per entry: 70, then 200 - 64, then 1000 - 192.  log Z
+    # and the cumulants of order 1 and 2 read one order-2 entry, so the
+    # five kernels run three: order 2, order 6 and the kappa_1 paths
+    assert sum(p[0] for p in passes) == 3 * (70 + 136 + 808)
 
 
 def test_run_memo_keys_on_everything_the_kernel_reads():
@@ -165,16 +174,76 @@ def test_run_memo_keys_on_everything_the_kernel_reads():
                 (sample_cumulants, cfg, 2.0, 24, 3),
                 (sample_cumulants, replace(cfg, law=GEOM), 2.0, 24, 2),
                 (sample_cumulants, cfg, 2.0, 32, 2),
-                # two columns, like the order-1 cumulants of these charges
+                # the next two read the first variant's order-2 entry
                 (sample_cumulants, cfg, 2.0, 24, 1),
                 (lambda c, h, n, _: np.stack(sample_log_z(c, h, n), 1),
                  cfg, 2.0, 24, None)]
     fresh = [fn(*args) for fn, *args in variants]
     with run_memo():
         got = [fn(*args) for fn, *args in variants]
-        assert len(mc._MEMO.get()) == len(variants)
+        assert len(mc._MEMO.get()) == len(variants) - 2
     for g, w in zip(got, fresh):
         assert g.tobytes() == w.tobytes()
+
+
+def test_scan_runs_one_moment_pass_per_h_and_block(tmp_path, monkeypatch):
+    # estimate_f at each n, estimate_mu, the centering statistics and the
+    # concentration scan of a scan read one order-2 pass per (h, 64-row
+    # block), run at the grid's top n with the grid's columns; no
+    # disorder kernel runs the forward engine
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "power", "alpha": 1.0, "n_max": 64},
+        "grids": {"h_values": [2.0, 3.0], "n_values": [16, 32, 64],
+                  "window": 256},
+        "run": {"samples": 500, "master_seed": 11}}))
+    passes = _count_moment_passes(monkeypatch)
+    callers = []
+    forward = quenched._forward
+
+    def watched(*args, **kw):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return forward(*args, **kw)
+    monkeypatch.setattr(quenched, "_forward", watched)
+    assert main(["scan", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert passes == [(min(64, 500 - lo), 64, 2, (16, 32, 64))
+                      for h in (2.0, 3.0) for lo in range(0, 500, 64)]
+    assert not hasattr(mc, "_forward")
+    assert callers and "pinlab.disorder_mc" not in callers
+
+
+@pytest.mark.parametrize("law, grid, off, tilted", [
+    (LAW, (16, 32, 64), 24, False),
+    # log p spans 699 log 2 nats at n = 700: the pass there is tilted
+    (geometric_test_law(700), (100, 200, 700), 150, True)])
+def test_grid_columns_are_the_bytes_of_fresh_per_n_calls(law, grid, off,
+                                                          tilted, monkeypatch):
+    # 70 samples end on a partial block of 6.  Outside a memo every call
+    # runs at its own n; inside one a call at a grid n reads a column of
+    # the pass at the top, unless that pass is tilted, and a call off the
+    # grid runs at its n.  Every value keeps the bytes of its fresh call
+    assert _moment_certificate(law.log_p, grid[-1], 2)[0] is not tilted
+    cfg = _cfg(law=law, n_values=grid, samples=70)
+    calls = [lambda n: np.stack(sample_log_z(cfg, 2.0, n), 1),
+             lambda n: sample_cumulants(cfg, 2.0, n, 2),
+             lambda n: sample_cumulants(cfg, 2.0, n, 6)]
+    ns = (*grid, off)
+    passes = _count_moment_passes(monkeypatch)
+    fresh = {(i, n): call(n) for i, call in enumerate(calls) for n in ns}
+    assert passes == [(rows, n, order, (n,)) for order in (2, 2, 6)
+                      for n in ns for rows in (64, 6)]
+    passes.clear()
+    with run_memo():
+        for n in ns:
+            for i, call in enumerate(calls):
+                assert call(n).tobytes() == fresh[i, n].tobytes()
+    own = [(rows, n, order, (n,)) for n in (grid if tilted else ())
+           for order in (2, 6) for rows in (64, 6)]
+    top = [] if tilted else [(rows, grid[-1], order, grid)
+                             for order in (2, 6) for rows in (64, 6)]
+    assert passes == own + top + [(rows, off, order, (off,))
+                                  for order in (2, 6) for rows in (64, 6)]
 
 
 def test_run_memo_hits_cannot_be_corrupted_by_callers():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +161,17 @@ def test_law_with_a_non_finite_log_p_is_refused(bad):
     lp[5] = bad
     with pytest.raises(ValueError, match=r"log p\(5\) = .* not finite"):
         InterArrivalLaw(8, lp, 1.0)
+
+
+def test_power_law_past_float_range_names_its_first_zero_p():
+    # at alpha = 1e308, (alpha + 1) log t overflows from t = 7 on, so p(t)
+    # is 0 there: the law is refused naming that t before xi is computed,
+    # and without a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^log p\(7\) = -inf is not "
+                           r"finite: p\(t\) must be positive on \[1, 4096\]$"):
+            build_law(1e308, None, 4096)
 
 
 def test_every_law_factory_makes_a_finite_law():
