@@ -28,19 +28,26 @@ the certificate, one far from log-linear, is refused with a ValueError.
 Derivatives of log Z in h (cumulants of the contact number L) come from
 ``_moments``: the same linear step carries, besides Z, the rows Y_m[k],
 the sums over paths pinned at k of (L_k - c k)^m times their weight for
-m <= R, under Y_0's scale, one stacked matmul per step.  The centre c
-is the homogeneous chain's contact density at h
+m <= R, under Y_0's scale, with the R+1 entries of a column side by
+side.  The centre c is the homogeneous chain's contact density at h
 (``InterArrivalLaw.contact_density``), a function of the law and h
 only, so a row's cumulants depend on nothing but its weights.  Each row
-may have its own centre: rows that share one share one weight table,
-and rows with distinct centres each get their own.  It is batched, and
-serves ``QuenchedSystem.cumulants`` (one row), the per-sample log Z,
-cumulant and kappa_1 kernels of disorder Monte Carlo (a block of samples
-at one h, one pass for the whole n grid inside a run memo), and the grid
-of ``pinlab compute`` (one row per h, see
+may have its own centre.  Two or more rows that share one (a block of
+disorder samples at one h) run fused: one 2-D product per step for the
+whole block, with the rows padded to the BLAS kernel's row tile, so
+that a row's bits do not depend on its block-mates.  One row alone, and
+rows with distinct centres, run one product per row.
+Moment rows flush entries below a level theta certified from the law
+(about e^-85 on scan's law), far above 1e-290, so the windows start
+late and the stored state keeps only the columns they read.  It is
+batched, and serves ``QuenchedSystem.cumulants`` (one row), the
+per-sample log Z, cumulant and kappa_1 kernels of disorder Monte Carlo
+(a block of samples at one h, one pass for the whole n grid inside a
+run memo), and the grid of ``pinlab compute`` (one row per h, see
 ``cumulant_grid``); ``at`` keeps only the columns k a caller reads.  The
 tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
-moments unchanged.
+moments unchanged.  ``_linear_rows`` states the routes, the locality
+contract they keep and the flush certificate.
 
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
@@ -120,6 +127,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # An entry below _FLUSH is stored as an exact 0; a new entry above
 # e^_RESCALE becomes the row's scale (y = 1); a truncated row whose window
 # keeps no entry of at least e^-_KEEP is rebuilt from the log table.
+# Untruncated moment rows flush at a higher, certified level (_moment_flush)
 _FLUSH = 1e-290
 _LOG_FLUSH = math.log(_FLUSH)
 _RESCALE = 300.0
@@ -127,6 +135,14 @@ _KEEP = 200.0
 # a step's dot runs over the columns k-L..k-1, L a multiple of _LANE: the
 # BLAS dot then puts column j in the same accumulator lane, whatever L is
 _LANE = 32
+# a fused moment pass runs its rows as one 2-D product per step, padded to
+# a multiple of _TILE rows and of at most _SMALL_GEMM multiply-adds: the
+# size of OpenBLAS's small-matrix dgemm, in which a row's bits do not
+# depend on the other rows (see _linear_rows; tests/test_blas_contract.py)
+_TILE = 4
+_SMALL_GEMM = 100 ** 3
+# the columns an untruncated pass stores at first; see _linear_rows
+_COLUMNS = 512
 # the certificate's margins, in nats: partial sums stay below e^_OVERFLOW,
 # and the flushed share of a step's sum below e^_DROPPED (2^-60)
 _OVERFLOW = 700.0
@@ -143,14 +159,86 @@ def _gap_weights(q: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
     return q[:, None] * (d[:, None] ** e) * inv_fact
 
 
+def _moment_flush(log_p: np.ndarray, order: int) -> float:
+    """theta, the level below which untruncated moment rows of order R >= 1
+    store an entry as an exact 0 (see _linear_rows):
+
+        theta = max(_FLUSH, e^{-60 log 2 - (2R+1) log N - span}),
+
+    span = max log q - min log q on [1, N], q = p / p(1), over the whole
+    table log_p[0..N].  A pass runs at n <= N, and theta only falls as N
+    grows, so it is certified at every n; and a law gets one theta at
+    every n, so a column does not depend on how far its pass runs past
+    it."""
+    lp = log_p[1:]
+    return max(_FLUSH, math.exp(_DROPPED - (2 * order + 1) * math.log(lp.size)
+                                - (_max(lp) - _min(lp))))
+
+
 def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
                  order: int = 0, centre=0.0, at=None):
     """The linear step of _forward and _moments, for rows whose bands it
     certifies: row r runs under log_p cut at band[r] <= n.  Returns the
     (rows, n+1) table of log Z_{0,k}; with order R >= 1 (untruncated rows
-    only) also the (rows, len(at), R+1) table of coefficients E[(L_k -
-    c k)^m] / m! at the columns k of at (every k = 0..n when None), c =
-    centre, one float for all rows or one per row (see _moments)."""
+    only) the (rows, len(at)) table of log Z_{0,k} and the (rows,
+    len(at), R+1) table of coefficients E[(L_k - c k)^m] / m! at the
+    columns k of at (every k = 0..n when None), c = centre, one float for
+    all rows or one per row (see _moments).
+
+    State: y[r, j, m] = Y_m[j] / m! under row r's scale (m = 0 alone at
+    order 0), so column j's R+1 entries are adjacent.  An untruncated
+    pass stores the columns from lo on only, lo the first column nonzero
+    in some row (every row is 0 below it): it starts with _COLUMNS, and
+    when column k finds no room, it drops the columns below lo if they
+    are at least half the buffer, and else doubles it.  A banded pass
+    keeps every column, which its rebuilds read.
+
+    Route of a step, over the window of columns k-L..k-1 (L a multiple of
+    _LANE, from lo or the widest band on):
+      * fused: a moment pass of two rows or more that share one centre
+        (every pass of disorder_mc).  The antidiagonal map of _moments is
+        folded into one (depth, R+1, R+1) table wf[j, i, m] = w[j, m-i],
+        so that one 2-D product y[:, window].reshape(rows, (R+1) L) @
+        wf[window].reshape((R+1) L, R+1) gives every row's new column.
+        The rows are padded with copies of the last row to a multiple of
+        _TILE, and the product runs in groups of a multiple of _TILE rows
+        of at most _SMALL_GEMM multiply-adds each (one group for scan's
+        64 x 512 passes).
+      * per row: a moment pass of one row, or of rows with distinct
+        centres (QuenchedSystem.cumulants, the grid of pinlab compute):
+        one stacked product per row, (R+1, L) @ (L, R+1) against the
+        row's table q d^e / e!, whose antidiagonal sums are a second,
+        fixed product per row; and at order 0 (_forward) one dot per row.
+
+    Locality contract.  A row's bits depend on its weights, law, band and
+    centre, and on its route, and on nothing else: not on the other rows'
+    values or positions, the number of rows, the leading zeros of its
+    window (lo, the min over rows, sets them), or how far the pass runs
+    past a column.  The window ends at k and spans a multiple of _LANE
+    columns, so the BLAS accumulators see each column in the same lane
+    whatever L is, and a per-row product is its row's alone.  The fused
+    product rests on what was measured of OpenBLAS 0.3.31 (numpy 2.4):
+    a dgemm of a multiple of _TILE rows and at most _SMALL_GEMM
+    multiply-adds runs the small-matrix kernel, which accumulates each
+    output along the window in order, four rows at a time; rows of a
+    1-3 row tail, and products past that size (the blocked kernel splits
+    the window), do not keep their bits.  So a row of a fused pass keeps
+    its bits in any block of two rows or more, and sits within roundoff
+    of the same row run alone (per row).  The groups keep that while
+    _TILE (R+1)^2 L <= _SMALL_GEMM: windows up to 27,000 columns at order
+    2, 3,000 at order 8.  tests/test_blas_contract.py checks both BLAS
+    assumptions at the pass's shapes.
+
+    Flush.  An entry below _FLUSH of its row's scale is stored as an
+    exact 0 (its Y_m too), except in moment rows, which flush at theta =
+    _moment_flush, about e^-85 for scan's law against e^-667.  theta is
+    certified for untruncated rows: the scale entry (y = 1) never leaves
+    their window, so every step's sum S[0, 0] is at least min q; a
+    flushed column is below theta, |Y_i| <= n^i Y_0 and |d| <= n, so the
+    flushed columns, at most n, add at most theta n^(2R+1) max q to any
+    S[i, e], i + e <= 2R: at most 2^-60 of S[0, 0], the share the
+    certificate of _moments allows.  The flush at a rescale is what moves
+    lo, and with it the window's start."""
     rows, n = b.shape
     widest = int(band.max())
     banded = int(band.min()) < n
@@ -168,33 +256,43 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     # the step's weights are the last `depth` entries of w, those of the
     # gaps depth - pad .. 1 (a zero weight where that is below 1)
     depth = pad + widest
+    flush, fused, real = _FLUSH, False, rows
     if order:
         # w[..., depth - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the gap
-        # t moves L - c k by d(t).  With y[:, i] = Y_i / i!, the step's
+        # t moves L - c k by d(t).  With y[:, j, i] = Y_i / i!, the step's
         # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient
         # of m is the sum of its antidiagonal i + e = m
         centre = np.asarray(centre, dtype=float)
         gaps = np.zeros(pad + widest)
         gaps[pad:] = np.arange(widest, 0, -1)
-        if centre.ndim and (centre != centre[0]).any():
+        shared = not (centre.ndim and (centre != centre[0]).any())
+        fused = shared and rows > 1
+        if not shared:
             # one table per row, grown as the windows widen: the windows
             # rarely span all of [1, n], and a row's entries are the
             # shared table's (_gap_weights, entry by entry)
             w, depth = np.empty((rows, 0, width)), 0
         else:
             w = _gap_weights(qrev, 1.0 - float(centre.flat[0]) * gaps, width)
-        e = np.arange(width)
-        antidiag = (e[:, None, None] + e[None, :, None]
-                    == e[None, None, :]).astype(float).reshape(-1, width)
-        # slot[k]: the column of coef that keeps k, or -1
-        slot = range(n + 1)
-        if at is not None:
-            slot = [-1] * (n + 1)
-            for j, k in enumerate(at):
-                slot[k] = j
-        coef = np.zeros((rows, n + 1 if at is None else len(at), width))
-        if slot[0] >= 0:
-            coef[:, slot[0], 0] = 1.0
+        if fused:
+            # as a (depth (R+1), R+1) matrix, whose window is a slice
+            wf = np.zeros((depth, width, width))
+            for i in range(width):
+                wf[:, i, i:] = w[:, :width - i]
+            wf = wf.reshape(depth * width, width)
+            tiled = -(-rows // _TILE) * _TILE
+            b = np.concatenate((b, np.repeat(b[-1:], tiled - rows, axis=0)))
+            rows = tiled
+            s = np.empty((rows, width))
+            s0 = s[:, 0]
+        else:
+            e = np.arange(width)
+            antidiag = (e[:, None, None] + e[None, :, None]
+                        == e[None, None, :]).astype(float).reshape(-1, width)
+        # log p(1) + b, one row per step
+        bb = np.ascontiguousarray((b + lp1).T)
+        flush = _moment_flush(log_p, order)
+        ratio = np.empty(rows)
     elif int(band.min()) < widest:
         # one weight row per row, 0 past its band: the masked entries add
         # exact zeros in the BLAS lanes the unmasked ones would use
@@ -202,12 +300,34 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
                      qrev, 0.0)[:, :, None]
     else:
         w = qrev[:, None]
-    z = np.empty((rows, n + 1))
-    z[:, 0] = 0.0
-    # y[:, m, pad + j] holds Y_m[j] / m! under the row's scale
-    y = np.zeros((rows, width, pad + n + 1))
-    y[:, 0, pad] = 1.0
+    log_flush = math.log(flush)
+    # a new entry is at least min q e^{log p(1) + b} of the scale in an
+    # untruncated row (its window keeps the scale entry): unless that can
+    # fall below the flush level, no new column is ever flushed
+    flushable = banded or (_min(log_p[1:widest + 1]) + _min(b, axis=None)
+                           < log_flush + 1.0)
+    # slot[k]: the column of z and coef that keeps k, or -1
+    slot = range(n + 1)
+    if at is not None:
+        slot = [-1] * (n + 1)
+        for j, k in enumerate(at):
+            slot[k] = j
+    z = np.empty((rows, n + 1 if at is None else len(at)))
+    if slot[0] >= 0:
+        z[:, slot[0]] = 0.0
+    if order:
+        coef = np.zeros(z.shape + (width,))
+        if slot[0] >= 0:
+            coef[:, slot[0], 0] = 1.0
+    # y[:, pad + j - base] holds column j; the pad columns stay 0
+    cap = n + 1 if banded else min(n + 1, _COLUMNS)
+    base = 0
+    y = np.zeros((rows, pad + cap, width))
+    y[:, pad, 0] = 1.0
+    flat = y.reshape(rows, -1)
     scale = np.zeros(rows)
+    t = np.empty(rows)
+    col = np.empty(rows)
     # row r is 0 below first[r] in its window; lo is the min over rows
     first = np.zeros(rows, dtype=np.intp)
     lo = 0
@@ -215,54 +335,88 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     # e^-_KEEP leaves its window [k+1-band, k]
     expire = band.copy()
     for k in range(1, n + 1):
+        if k - base == cap:
+            # no room for column k: keep the columns lo..k-1
+            live = y[:, pad + lo - base:pad + k - base]
+            if 2 * (lo - base) < cap:
+                cap = min(2 * cap, n + 1 - lo)
+                grown = np.zeros((rows, pad + cap, width))
+                grown[:, pad:pad + k - lo] = live
+                y = grown
+                flat = y.reshape(rows, -1)
+            else:
+                y[:, pad:pad + k - lo] = live
+            base = lo
+        j = pad + k - base
         cols = -(-(k - max(lo, k - widest)) // _LANE) * _LANE
-        if cols > depth:
-            # at least double the per-row tables, new gaps in front
-            grow = min(pad + widest, max(cols, 2 * depth)) - depth
-            part = np.empty((rows, grow, width))
-            at_gaps = slice(pad + widest - depth - grow, pad + widest - depth)
-            for r in range(rows):
-                part[r] = _gap_weights(qrev[at_gaps],
-                                       1.0 - centre[r] * gaps[at_gaps], width)
-            w = np.concatenate((part, w), axis=1)
-            depth += grow
-        s = np.matmul(y[:, :, pad + k - cols:pad + k],
-                      w[..., depth - cols:, :])
-        s0 = s[:, 0, 0]
-        t = np.log(s0)
-        t += lp1
-        t += b[:, k - 1]
-        np.add(scale, t, out=z[:, k])
+        if fused:
+            # in row groups of a multiple of _TILE, each within _SMALL_GEMM
+            group = max(_TILE, _SMALL_GEMM // (width * width * cols)
+                        // _TILE * _TILE)
+            win = flat[:, (j - cols) * width:j * width]
+            wwin = wf[(depth - cols) * width:]
+            if group >= rows:
+                np.matmul(win, wwin, out=s)
+            else:
+                for a in range(0, rows, group):
+                    np.matmul(win[a:a + group], wwin, out=s[a:a + group])
+        else:
+            if cols > depth:
+                # at least double the per-row tables, new gaps in front
+                grow = min(pad + widest, max(cols, 2 * depth)) - depth
+                part = np.empty((rows, grow, width))
+                at_gaps = slice(pad + widest - depth - grow,
+                                pad + widest - depth)
+                for r in range(rows):
+                    part[r] = _gap_weights(qrev[at_gaps],
+                                           1.0 - centre[r] * gaps[at_gaps],
+                                           width)
+                w = np.concatenate((part, w), axis=1)
+                depth += grow
+            s = np.matmul(y[:, j - cols:j].transpose(0, 2, 1),
+                          w[..., depth - cols:, :])
+            if order:
+                # one product per row over the fixed antidiagonal map
+                s = np.matmul(s.reshape(rows, 1, width * width), antidiag)
+            s = s[:, 0]
+            s0 = s[:, 0]
+        np.log(s0, out=t)
         if order:
-            # one product per row over the fixed antidiagonal map, so a
-            # row's coefficients do not depend on its block-mates
-            ck = np.matmul(s.reshape(rows, 1, width * width), antidiag)[:, 0]
-            ck /= s0[:, None]
-            if slot[k] >= 0:
-                coef[:, slot[k]] = ck
+            t += bb[k - 1]
+        else:
+            # two adds, as _forward's tables have always been rounded
+            t += lp1
+            t += b[:, k - 1]
+        if slot[k] >= 0:
+            np.add(scale, t, out=z[:, slot[k]])
+            if order:
+                np.divide(s, s0[:, None], out=coef[:, slot[k]])
         if banded:
             np.copyto(expire, band + k, where=t >= -_KEEP)
         if _max(t) > _RESCALE:
             # the new entry is the rows' scale: their stored entries are
             # multiplied by one factor each, and those whose Y_0 falls
-            # below _FLUSH flushed, every m of the column together
+            # below the flush level flushed, every m of the column together
             r = np.flatnonzero(t > _RESCALE)
-            zk = z[r, k]
-            seg = y[r, :, pad + lo:pad + k]
+            zk = scale[r] + t[r]
+            seg = y[r, pad + lo - base:j]
             seg = seg * np.exp(scale[r] - zk)[:, None, None]
-            np.copyto(seg, 0.0, where=seg[:, :1] < _FLUSH)
-            y[r, :, pad + lo:pad + k] = seg
-            nz = seg[:, 0] != 0.0
+            np.copyto(seg, 0.0, where=seg[:, :, :1] < flush)
+            y[r, pad + lo - base:j] = seg
+            nz = seg[:, :, 0] != 0.0
             first[r] = lo + np.where(nz.any(1), nz.argmax(1), k - lo)
             lo = int(first.min())
             scale[r] = zk
             t[r] = 0.0
-        col = np.exp(t)
-        if _min(t) < _LOG_FLUSH:
-            col[col < _FLUSH] = 0.0
-        y[:, 0, pad + k] = col
+        np.exp(t, out=col)
+        if flushable and _min(t) < log_flush:
+            col[col < flush] = 0.0
         if order:
-            np.multiply(ck[:, 1:], col[:, None], out=y[:, 1:, pad + k])
+            # Y_m[k] / m! = (S_m / S_0) e^t, every m of a row by one factor
+            np.divide(col, s0, out=ratio)
+            np.multiply(s, ratio[:, None], out=y[:, j])
+        else:
+            y[:, j, 0] = col
         if banded and _min(expire) <= k:
             # rebuild each expired row's window from its log table, under
             # the window max as the new scale, and zero the columns before
@@ -276,12 +430,12 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
             last = k - (seg[:, ::-1] >= -_KEEP).argmax(1)
             np.exp(seg, out=seg)
             seg[seg < _FLUSH] = 0.0
-            y[r, 0, pad + j0:pad + k + 1] = seg
+            y[r, pad + j0:pad + k + 1, 0] = seg
             scale[r] = top
             expire[r] = last + band[r]
             first[r] = j0 + (seg != 0.0).argmax(1)
             lo = int(first.min())
-    return (z, coef) if order else z
+    return (z[:real], coef[:real]) if order else z
 
 
 def _certified(log_p: np.ndarray, cut: np.ndarray, n: int,
@@ -422,24 +576,29 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
         S[i, e] = sum_j Y_i[j] q(k-j) d(k-j)^e,  q = p / p(1).
 
     Y_0 is _forward's recursion.  _linear_rows stores Y_m / m! under
-    Y_0's one log scale per row, so a step is one stacked matmul
-    (rows, R+1, L) @ (L, R+1) against q d^e / e!, whose antidiagonal
-    sums, one fixed product per row, are the new column's coefficients;
-    every m of a column is flushed together when its Y_0 is.  Rows that
-    share one centre share one weight table; rows with distinct centres
-    each get their own, built entry by entry as the shared one would be,
-    so a row's bits do not depend on its block-mates' centres.
+    Y_0's one log scale per row, column by column, and a step's new
+    column is a product of the window against q d^e / e! and the
+    antidiagonal sums i + e = m.  Two or more rows that share one centre
+    run fused, one 2-D product per step over a table with the sums
+    folded in, padded to whole row tiles; one row, or rows with distinct
+    centres (each with its own table, built entry by entry as the shared
+    one would be), run one product per row.  Either way a row's bits do
+    not depend on its block-mates, but a row run fused differs at
+    roundoff from the same row run alone (see _linear_rows for the
+    contract and the BLAS facts it rests on).  Every m of a column is
+    flushed together when its Y_0 falls below theta (_moment_flush).
 
     Certificate: for 0 <= c <= 1, |L_j - c j| <= j <= n and |d| <= n, so
     |Y_i[j]| <= Y_0[j] n^i, and a term of S[i, e], i, e <= R, is at most
     n^(2R) times its Y_0 term.  The linear step's two bounds (see
     _forward) are therefore required with 2 R log(2n) nats added
-    (_moment_certificate): then no partial sum overflows, and the
-    flushed entries move each S[i, e] by at most 2^-60 S[0, 0], so each
-    coefficient m of a new column by at most 2^-60 2^m / m!.  A law that
-    fails them is tilted as in _forward, lam the chord slope over [1, n]:
-    the tilt multiplies every Y_m[k] by the same e^{lam k}, so the
-    coefficients keep their values and lam k leaves log Z_{0,k} only."""
+    (_moment_certificate), so that no partial sum overflows.  theta is
+    set so that the flushed entries move each S[i, e] by at most 2^-60
+    S[0, 0], so each coefficient m of a new column by at most 2^-60 2^m
+    / m!.  A law that fails the certificate is tilted as in _forward,
+    lam the chord slope over [1, n]: the tilt multiplies every Y_m[k] by
+    the same e^{lam k}, so the coefficients keep their values and lam k
+    leaves log Z_{0,k} only."""
     n = b.shape[1]
     ok, margin = _moment_certificate(log_p, n, order)
     lam = 0.0
@@ -447,8 +606,6 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
         log_p, lam = _tilted(log_p, n, n, margin)
     sc, coef = _linear_rows(log_p, np.full(b.shape[0], n), b, order, centre,
                             at)
-    if at is not None:
-        sc = sc[:, at]
     if lam:
         sc -= lam * (np.arange(n + 1) if at is None else np.asarray(at))
     return sc, coef

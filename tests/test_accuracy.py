@@ -16,12 +16,13 @@ import math
 import mpmath as mp
 import numpy as np
 
-from pinlab.disorder_mc import McConfig, run_memo, sample_log_z
+from pinlab.disorder_mc import (McConfig, run_memo, sample_cumulants,
+                                sample_log_z)
 from pinlab.model import (build_law, gaussian_disorder, geometric_test_law,
                           sample_disorder_block)
 from pinlab.numerics import normal_cdf
-from pinlab.quenched import (KS_L1_BUDGET, QuenchedSystem, _forward,
-                             ks_to_standard_normal)
+from pinlab.quenched import (_FLUSH, _RESCALE, KS_L1_BUDGET, QuenchedSystem,
+                             _forward, _moment_flush, ks_to_standard_normal)
 from pinlab.theorems import _ks_error_bound
 from support import (mp_contact_pmf, mp_cumulants, mp_log_prefix, mp_prefix,
                      mp_suffix)
@@ -194,13 +195,13 @@ def test_cumulants_against_mpmath():
     # moment rows, which sample_cumulants runs too) against the 40-digit
     # raw moment DP at (h, n) in {1.5, 3} x {256, 1024}, relative to
     # |kappa_r|.  Bounds and the worst of these four rows: log Z 1e-14
-    # (4.5e-15), kappa_1 1e-14 (9.0e-16), kappa_2 1e-13 (4.0e-14), kappa_3
-    # 2e-11 (8.1e-13), kappa_4 2e-9 (1.9e-10), kappa_5 2e-7 (3.8e-8) and
-    # kappa_6 2e-5 (3.7e-6).  The worst row is (1.5, 1024), where the
+    # (1.1e-15), kappa_1 1e-14 (2.6e-16), kappa_2 1e-13 (2.3e-14), kappa_3
+    # 2e-11 (3.3e-12), kappa_4 2e-9 (3.3e-10), kappa_5 2e-7 (2.5e-8) and
+    # kappa_6 2e-5 (1.3e-6).  The worst row is (1.5, 1024), where the
     # centre c = 0.903 (the homogeneous chain's density) sits 46 contacts
     # from the mean: kappa_6 then comes from centred moments of about
     # 46^6, 1e8 times its size.  At (3, 256), C1's size, kappa_6 is within
-    # 3.8e-11.  The order-8 Taylor jets miss kappa_4 on these rows by up
+    # 3.5e-11.  The order-8 Taylor jets miss kappa_4 on these rows by up
     # to 2.8e-4 and kappa_6 by 0.043 to 620
     bounds = np.array([1e-14, 1e-14, 1e-13, 2e-11, 2e-9, 2e-7, 2e-5])
     worst = np.zeros(bounds.size)
@@ -216,8 +217,8 @@ def test_cumulants_against_mpmath():
 def test_compute_log_z_against_mpmath():
     # the log Z that pinlab compute prints, kappa_0 of cumulants(4) (the
     # Y_0 row of its one moment pass), against the 40-digit prefix DP at
-    # (h, n) in {1.5, 3} x {256, 1024}: bound 1e-14 relative; 4.1e-15, at
-    # (1.5, 256), the prefix table's own error there
+    # (h, n) in {1.5, 3} x {256, 1024}: bound 1e-14 relative; 4.4e-16, at
+    # (1.5, 256)
     worst = 0.0
     for h, n, seed in ((1.5, 256, 20), (3.0, 256, 21), (1.5, 1024, 22),
                        (3.0, 1024, 23)):
@@ -233,7 +234,7 @@ def test_disorder_mc_log_z_against_mpmath():
     # order-2 moment rows), read inside a run memo from the grid columns
     # of one pass at n = 512, against the 40-digit prefix DP at (h, n) in
     # {1.5, 3.5} x {128, 512}, 6 samples each: bound 1e-14 relative (to
-    # max(1, |log Z|)); 3.9e-15, at (1.5, 512)
+    # max(1, |log Z|)); 9.7e-16
     law = build_law(1.0, None, 512)
     cfg = McConfig(law, gaussian_disorder(1.0), (1.5, 3.5), (128, 512), 6,
                    25)
@@ -249,6 +250,33 @@ def test_disorder_mc_log_z_against_mpmath():
                     worst = max(worst, abs(got[n][i] - ref[n])
                                 / max(1.0, abs(ref[n])))
     assert worst <= 1e-14, worst
+
+
+def test_disorder_mc_cumulants_against_mpmath():
+    # the per-sample kappa_1 and kappa_2 of disorder_mc.sample_cumulants
+    # (the fused order-2 moment pass, grid columns of one pass at n = 512
+    # inside a run memo), against the 40-digit raw moment DP at (h, n) in
+    # {1.5, 3.5} x {128, 512}, 8 samples each, relative to |kappa_r|.  The
+    # rows rescale (log Z passes e^_RESCALE), so the certified flush at
+    # theta, far above _FLUSH, fires.  Bounds: kappa_1 1e-14 (2.6e-16),
+    # kappa_2 1e-13 (2.6e-14; the per-sample passes before the fused
+    # product and theta: 9.0e-16 and 4.4e-14)
+    law = build_law(1.0, None, 512)
+    assert _moment_flush(law.log_p, 2) > 1e200 * _FLUSH
+    cfg = McConfig(law, gaussian_disorder(1.0), (1.5, 3.5), (128, 512), 8,
+                   26)
+    block = sample_disorder_block(cfg.disorder, 512, cfg.master_seed, 0, 8)
+    worst = np.zeros(2)
+    with run_memo():
+        for h in cfg.h_values:
+            got = {n: sample_cumulants(cfg, h, n, 2) for n in cfg.n_values}
+            assert got[512][:, 0].min() > _RESCALE
+            for i, omega in enumerate(block):
+                for n in cfg.n_values:
+                    want = mp_cumulants(law.log_p, h + omega[:n], 2, DIGITS)
+                    worst = np.maximum(worst, np.abs(got[n][i, 1:] - want[1:])
+                                       / np.abs(want[1:]))
+    assert np.all(worst <= [1e-14, 1e-13]), worst
 
 
 def test_normal_cdf_against_mpmath():

@@ -1,0 +1,110 @@
+"""The two BLAS assumptions of the linear step, checked on random data at
+the shapes of its passes.
+
+``quenched._linear_rows`` promises that a row's bits depend on its own
+inputs and route only.  Two properties of numpy's BLAS carry that
+promise, and an upgrade of numpy or OpenBLAS could break either one;
+these tests then fail with a message that names the assumption, before
+any end-to-end output drifts:
+
+* the lanes: a product over a window that ends at column k and spans a
+  multiple of ``_LANE`` columns gives the same bits whatever the window's
+  leading zeros (the dot of ``_forward``'s step, and the stacked
+  per-row product of a moment pass);
+* the row tile: a 2-D product (rows, (R+1) L) @ ((R+1) L, R+1) whose row
+  count is a multiple of ``_TILE`` and whose multiply-adds are at most
+  ``_SMALL_GEMM`` gives each row the same bits whatever the other rows
+  hold, where it sits, how many rows there are, and how many leading
+  zeros its window has (the fused moment pass).
+"""
+
+import numpy as np
+import pytest
+
+from pinlab.quenched import _LANE, _SMALL_GEMM, _TILE
+
+LANES = f"BLAS assumption broken: _LANE = {_LANE} accumulator lanes"
+TILE = (f"BLAS assumption broken: a {_TILE}-row dgemm tile within "
+        f"{_SMALL_GEMM} multiply-adds")
+
+# window lengths of the passes, multiples of _LANE (scan's reach 544 =
+# 512 + _LANE), and the extra leading columns of a window that starts at
+# another row's lo
+LENGTHS = tuple(_LANE * m for m in (1, 3, 7, 17))
+LEADS = tuple(_LANE * m for m in (1, 3, 8))
+
+
+def _scaled(rng, shape):
+    """Positive entries spread over many binades, as the state's are."""
+    return rng.random(shape) * np.exp(rng.normal(0.0, 20.0, shape[:-1] + (1,)))
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_dot_lanes_ignore_leading_zeros(length):
+    # _forward's step: (rows, 1, L) @ (L, 1), one dot per row; the leading
+    # columns hold zeros in the state and random weights (of gaps the row
+    # never reaches) in the table
+    rng = np.random.default_rng(length)
+    a = _scaled(rng, (3, 1, length))
+    w = rng.random((length, 1))
+    want = np.matmul(a, w)
+    for lead in LEADS:
+        la = np.concatenate((np.zeros((3, 1, lead)), a), axis=2)
+        lw = np.concatenate((rng.random((lead, 1)), w))
+        assert np.matmul(la, lw).tobytes() == want.tobytes(), (LANES, lead)
+        assert np.matmul(la[1:2], lw)[0].tobytes() == want[1].tobytes(), \
+            (LANES, "one row", lead)
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 9])
+@pytest.mark.parametrize("length", LENGTHS)
+def test_per_row_products_ignore_leading_zeros(width, length):
+    # the per-row moment step: (R+1, L) @ (L, R+1) per row, read from the
+    # (rows, L, R+1) state through a transposed view
+    rng = np.random.default_rng(100 * width + length)
+    state = _scaled(rng, (3, length + max(LEADS), width))
+    state[:, :max(LEADS)] = 0.0
+    w = rng.random((length + max(LEADS), width))
+    want = np.matmul(state[:, -length:].transpose(0, 2, 1), w[-length:])
+    for lead in LEADS:
+        cols = length + lead
+        got = np.matmul(state[:, -cols:].transpose(0, 2, 1), w[-cols:])
+        assert got.tobytes() == want.tobytes(), (LANES, lead)
+        alone = np.matmul(state[1:2, -cols:].transpose(0, 2, 1), w[-cols:])
+        assert alone[0].tobytes() == want[1].tobytes(), (LANES, "one row")
+
+
+def _fused(state, table):
+    """The fused step: one 2-D product over the rows of a state window."""
+    rows, cols, width = state.shape
+    return state.reshape(rows, cols * width) @ table.reshape(cols * width,
+                                                             width)
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 9])
+def test_fused_rows_keep_their_bits_in_any_tile(width):
+    rng = np.random.default_rng(width)
+    for length in LENGTHS:
+        # the largest multiple of _TILE rows that stays within the bound
+        top = min(64, _SMALL_GEMM // (width * width * (length + max(LEADS))))
+        top -= top % _TILE
+        if top < _TILE:
+            continue
+        state = _scaled(rng, (top, length, width))
+        table = rng.random((length, width, width))
+        want = _fused(state, table)
+        for rows in range(_TILE, top + 1, _TILE):
+            # other rows, another position, another row count
+            other = _scaled(rng, (rows, length, width))
+            at = int(rng.integers(rows))
+            other[at] = state[0]
+            got = _fused(other, table)[at]
+            assert got.tobytes() == want[0].tobytes(), (TILE, length, rows, at)
+        perm = rng.permutation(top)
+        assert _fused(state[perm], table).tobytes() == want[perm].tobytes(), \
+            (TILE, length, "permuted")
+        for lead in LEADS:
+            led = np.concatenate((np.zeros((top, lead, width)), state), axis=1)
+            front = rng.random((lead, width, width))
+            got = _fused(led, np.concatenate((front, table)))
+            assert got.tobytes() == want.tobytes(), (TILE, length, lead)

@@ -22,7 +22,7 @@ from pinlab.model import (
     law_from_table,
     zero_disorder,
 )
-from pinlab.numerics import DEFAULT_JET_ORDER
+from pinlab.numerics import DEFAULT_JET_ORDER, _log_series
 from pinlab.oracle import (
     contact_covariance,
     contact_moment,
@@ -45,6 +45,7 @@ from pinlab.quenched import (
     QuenchedBlock,
     QuenchedSystem,
     _forward,
+    _moment_flush,
     _moments,
     _pair_forward,
     ks_to_standard_normal,
@@ -134,6 +135,26 @@ def test_non_finite_input_is_rejected():
 
 # -- the forward engine -------------------------------------------------------
 
+def _assert_moment_rows_close(sc, coef, want, order):
+    """(sc, coef) of _moments within roundoff of want, the same rows by
+    another route: the same -inf entries of log Z, each finite log Z_k
+    within 1e-13 of max(1, max_{j <= k} |log Z_j|), and each coefficient m
+    of column k within 1e-13 (2k)^m / m!, the scale of E[(L_k - c k)^m] /
+    m! (the bounds of test_moment_rows_under_extreme_charges)."""
+    want_sc, want_coef = want
+    fin = np.isfinite(want_sc)
+    assert np.array_equal(np.isfinite(sc), fin)
+    assert np.array_equal(sc[~fin], want_sc[~fin])
+    size = np.maximum.accumulate(np.where(fin, np.abs(want_sc), 0.0), axis=1)
+    gap = np.zeros(sc.shape)
+    gap[fin] = np.abs(sc[fin] - want_sc[fin])
+    assert np.all(gap <= 1e-13 * np.maximum(1.0, size))
+    m = np.arange(order + 1)
+    inv_fact = 1.0 / np.array([math.factorial(i) for i in m], dtype=float)
+    scale = (2.0 * np.maximum(np.arange(sc.shape[1]), 1))[:, None] ** m
+    assert np.all(np.abs(coef - want_coef) <= 1e-13 * scale * inv_fact)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=48),
@@ -186,18 +207,107 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
+    # moment rows that share a centre, two or more, run fused: a row keeps
+    # its bits in any such batch (here paired with itself, and in the
+    # batch reversed), and sits within roundoff of its one-row run, which
+    # runs per row
+    fused = order is not None and rows > 1 and (centres == centres[0]).all()
     for r in range(rows):
-        alone = run(np.ascontiguousarray(b[r:r + 1]),
-                    None if bands is None else bands[r:r + 1],
+        one = np.ascontiguousarray(b[r:r + 1])
+        alone = run(one, None if bands is None else bands[r:r + 1],
                     float(centres[r]))
+        if fused:
+            _assert_moment_rows_close(batched[0][r:r + 1],
+                                      batched[1][r:r + 1], alone, order)
+            alone = run(np.concatenate((one, one)), None, centres[:2])
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
+    if fused:
+        for table, back in zip(batched, run(b[::-1], None, centres)):
+            back = np.ascontiguousarray(back[::-1])
+            assert table.tobytes() == back.tobytes()
     if order is not None:
         at = sorted(rng.choice(n + 1, int(rng.integers(1, n + 2)),
                                replace=False).tolist(), reverse=True)
         for table, kept in zip(batched, _moments(law.log_p, b, order,
                                                  centres, at)):
             assert kept.tobytes() == np.ascontiguousarray(table[:, at]).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([1, 2, 4, 8]),
+       st.integers(min_value=16, max_value=512))
+@example(7, 8, 512)
+def test_fused_moment_rows_are_row_local(seed, order, n):
+    # the locality contract of _linear_rows' fused route, as disorder_mc
+    # runs it (rows of one law, h and centre): a row's log Z and
+    # coefficients keep their bits in a pass of 4, 6 (padded to 8), 8 or
+    # 64 rows, at any position, with its block-mates permuted, and with
+    # block-mates that rescale and flush at other columns (h +- 2 and
+    # charges of 4 sigma); the same row alone (the per-row route) agrees
+    # with it within the README bounds of log Z, kappa_1 and kappa_2.  At
+    # order 8, 64 rows and windows past 192 columns a step's product runs
+    # in row groups, to stay within _SMALL_GEMM
+    rng = np.random.default_rng(seed)
+    law = build_law(1.0, None, 512)
+    h = float(rng.uniform(1.0, 3.5))
+    c = law.contact_density(h)
+    at = sorted({int(k) for k in rng.integers(1, n, 2)} | {n})
+    row = h + rng.normal(0.0, 1.0, n)
+
+    def mates(count, wild):
+        if wild:
+            shift = rng.choice([-2.0, 2.0], (count, 1))
+            return h + shift + rng.normal(0.0, 4.0, (count, n))
+        return h + rng.normal(0.0, 1.0, (count, n))
+
+    def passed(size, wild):
+        """The row's (log Z, coefficients) in a pass of size rows."""
+        b = mates(size, wild)
+        i = int(rng.integers(size))
+        b[i] = row
+        sc, coef = _moments(law.log_p, b, order, c, at)
+        perm = rng.permutation(size)
+        back = _moments(law.log_p, b[perm], order, c, at)
+        j = int(np.flatnonzero(perm == i)[0])
+        assert back[0][j].tobytes() == sc[i].tobytes()
+        assert back[1][j].tobytes() == coef[i].tobytes()
+        return sc[i], coef[i]
+
+    want_sc, want_coef = passed(4, False)
+    for size in (4, 6, 8, 64):
+        for wild in (False, True):
+            sc, coef = passed(size, wild)
+            assert sc.tobytes() == want_sc.tobytes(), (size, wild)
+            assert coef.tobytes() == want_coef.tobytes(), (size, wild)
+    sc, coef = _moments(law.log_p, row[None], order, c, at)
+    assert np.all(np.abs(sc[0] - want_sc)
+                  <= 1e-14 * np.maximum(1.0, np.abs(sc[0])))
+    fact = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
+    got, want = (_log_series(x)[:, 1:3] * fact[1:3]
+                 for x in (coef[0], want_coef))
+    got[:, 0] += c * np.asarray(at)
+    want[:, 0] += c * np.asarray(at)
+    bounds = np.array([1e-14, 1e-13])[:order]
+    assert np.all(np.abs(got - want) <= bounds * np.abs(want))
+
+
+def test_moment_columns_do_not_depend_on_how_far_the_pass_runs():
+    # a column keeps its bits whether the pass ends there or runs on (the
+    # rule the grid passes of disorder_mc and pinlab compute rely on), on
+    # both routes, with the rows rescaled and flushed at theta before it:
+    # theta is the law's, not the pass's
+    law = build_law(1.0, None, 512)
+    rng = np.random.default_rng(31)
+    b = 3.5 + rng.normal(0.0, 1.0, (6, 512))
+    for centre in (law.contact_density(3.5), rng.uniform(0.8, 1.0, 6)):
+        sc, coef = _moments(law.log_p, b, 2, centre, [128, 256, 512])
+        assert sc[:, 0].min() > quenched._RESCALE
+        for j, n in enumerate((128, 256)):
+            short = _moments(law.log_p, b[:, :n], 2, centre, [n])
+            assert short[0][:, 0].tobytes() == sc[:, j].tobytes()
+            assert short[1][:, 0].tobytes() == coef[:, j].tobytes()
 
 
 def test_banded_rows_match_mpmath():
@@ -394,6 +504,32 @@ def test_moment_rows_under_extreme_charges(rows, n, law_kind, order, centre,
     scale = (2.0 * np.maximum(np.arange(n + 1), 1))[:, None] ** m * inv_fact
     assert np.all(np.abs(coef - _centred_jets(want_coef, centre))
                   <= 1e-13 * scale)
+
+
+def test_moment_flush_keeps_the_floor():
+    # theta = max(_FLUSH, e^{-60 log 2 - (2R+1) log n - span}), span the
+    # nats log p spans on [1, n].  Scan's law (power, alpha 1) at n = 512
+    # and order 2 gets about e^-85.  The geometric law at n = 700 spans 699
+    # log 2 nats, so _moments runs it tilted; its own theta falls below
+    # _FLUSH from order 11 on, and keeps _FLUSH there, while the tilted law
+    # it runs, flat, gets e^{-60 log 2 - (2R+1) log 700}
+    power = build_law(1.0, None, 512)
+    assert abs(math.log(_moment_flush(power.log_p, 2)) + 85.0) < 1.0
+    law = geometric_test_law(700)
+    tilted, _ = quenched._tilted(law.log_p, 700, 700)
+    below = []
+    for order in (2, 10, 11, 12):
+        top = quenched._DROPPED - (2 * order + 1) * math.log(700.0)
+        raw = top - 699 * math.log(2.0)
+        below.append(raw < math.log(quenched._FLUSH))
+        theta = _moment_flush(law.log_p, order)
+        if below[-1]:
+            assert theta == quenched._FLUSH
+        else:
+            assert theta == pytest.approx(math.exp(raw), rel=1e-9)
+        assert _moment_flush(tilted, order) == pytest.approx(
+            math.exp(top), rel=1e-9)
+    assert below == [False, False, True, True]
 
 
 def test_long_chains_match_mpmath():
@@ -627,6 +763,31 @@ def test_cumulant_grid_serves_the_bytes_of_fresh_calls(kind, monkeypatch):
     assert passes[0] == (len(hs), max(ns))
     smaller = 0 if kind == "power" else len(hs) * (len(ns) - 1)
     assert passes[1:] == [(1, n) for h in hs for n in ns[-2::-1]][:smaller]
+
+
+def test_moment_pass_keeps_only_live_columns(monkeypatch):
+    # pinlab compute's pass (one row and centre per h in {1.5, 2.5, 3.5},
+    # order 4, n = 8192) stores the moment state from lo on, lo the first
+    # column nonzero in some row, which the flush at theta moves: its
+    # tracemalloc peak is below 0.8 MB (0.74 MB; 1.72 MB with every column
+    # kept and flushed at _FLUSH), and it keeps the bits of a pass whose
+    # buffer never has to move
+    n = 8192
+    law = build_law(1.0, None, n)
+    hs = np.array([1.5, 2.5, 3.5])
+    b = hs[:, None] + np.random.default_rng(7).normal(0.0, 1.0, n)
+    centres = [law.contact_density(h) for h in hs]
+    tracemalloc.start()
+    try:
+        sc, coef = _moments(law.log_p, b, 4, centres, [2048, 4096, n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8e6, peak
+    monkeypatch.setattr(quenched, "_COLUMNS", n + 1)
+    whole = _moments(law.log_p, b, 4, centres, [2048, 4096, n])
+    assert whole[0].tobytes() == sc.tobytes()
+    assert whole[1].tobytes() == coef.tobytes()
 
 
 def test_cumulant_grid_falls_back_to_fresh_passes(monkeypatch):
