@@ -8,7 +8,7 @@ worker pool measured no faster).  Callers that need a whole system per
 sample (its contact law, excursion CDF or two-replica avoidance) take
 them from ``_block_systems``: one ``QuenchedBlock`` per block of samples,
 whose row views (one ``QuenchedSystem`` per sample) share the block's
-prefix, suffix and pair-DP tables.
+prefix, suffix, pair-DP and exact contact-law tables.
 
 Per-sample log Z and cumulants read the quenched module's centred moment
 rows ``_moments``, run on a whole block of samples, one row each, and
@@ -38,7 +38,12 @@ still drawn, so a later call on the same charges (estimate_mu after
 estimate_f, the centering statistics of ``scan`` after both, C8 and C12
 after C4) reuses the rows whatever seed or index produced them, and
 every public call keeps its count.  ``concentration_scan`` and C13 need
-only log Z and kappa_1, and read them from the same order-2 rows.
+only log Z and kappa_1, and read them from the same order-2 rows.  The
+exact contact laws of a ``QuenchedBlock`` are kept the same way, keyed
+by the law, h and the shape (which holds n) and digest of the block's
+charges: the memo holds the (rows, n+1) table, not the block, and a
+block drawn again on the same charges starts with it, so C13's laws at
+C3's n are C3's, and every ``contact_law`` call still happens.
 Outside a scope every kernel computes.
 """
 
@@ -116,11 +121,35 @@ class EstimateSeries:
 def _block_systems(cfg: McConfig, h: float, n: int, count: int):
     """QuenchedSystems of samples 0..count-1, in index order: the row views
     of one QuenchedBlock per _CHUNK samples, so the rows of a block share
-    its prefix, suffix and avoidance tables."""
+    its prefix, suffix, avoidance and contact-law tables.
+
+    Inside a run memo a block's exact contact laws
+    (``QuenchedBlock.contact_laws``) are kept once a caller has computed
+    them, under a key built as _sampled builds its keys: the law, h and
+    the shape (which holds n) and digest of the block's charges.  A block
+    drawn later on the same charges starts with that table, so C13's
+    laws at C3's n are C3's.  A block's table is stored once the caller
+    has read past its last row."""
+    memo = _MEMO.get()
     for lo in range(0, count, _CHUNK):
         charges = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo,
                                         min(_CHUNK, count - lo))
-        yield from QuenchedBlock(cfg.law, h, charges, n).systems()
+        block = QuenchedBlock(cfg.law, h, charges, n)
+        key = entry = None
+        if memo is not None:
+            key = ("QuenchedBlock.contact_laws", id(cfg.law), float(h),
+                   charges.shape, _digest(charges))
+            entry = memo.get(key)
+            if entry is not None:
+                block._laws = entry[1]
+        yield from block.systems()
+        if entry is None and key is not None and block._laws is not None:
+            memo[key] = (cfg.law, block._laws)
+
+
+def _digest(charges: np.ndarray) -> bytes:
+    """The memo's digest of a block of charges."""
+    return hashlib.blake2b(charges, digest_size=20).digest()
 
 
 # block rows of the open run scope, or None outside one
@@ -130,9 +159,9 @@ _MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo",
 
 @contextlib.contextmanager
 def run_memo():
-    """Keep every per-block kernel result until the scope closes, and
-    serve a block whose key was seen again from it.  Entries hold rows,
-    not charges."""
+    """Keep every per-block kernel result, and every block's exact contact
+    laws, until the scope closes, and serve a block whose key was seen
+    again from it.  Entries hold rows, not charges."""
     token = _MEMO.set({})
     try:
         yield
@@ -175,7 +204,7 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
             continue
         # the entry holds the law, so its id is not reused while it lives
         key = (kernel.__qualname__, id(cfg.law), float(h), width, tuple(at),
-               block.shape, hashlib.blake2b(block, digest_size=20).digest())
+               block.shape, _digest(block))
         entry = memo.get(key)
         if entry is None:
             rows = np.array(kernel(block, at))  # a copy, never a view

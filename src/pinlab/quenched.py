@@ -58,27 +58,35 @@ per state entry.
 A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
 row each, and runs the row-local engines once for all rows, each the
 first time any row asks: the prefix table, the suffix table, each
-(window, start) pair DP and the excursion caps up to m.  A reader of
-log Z and the cumulants alone, such as ``pinlab compute``, takes log Z
-as kappa_0 of ``QuenchedSystem.cumulants``, whose moment rows carry Z as
-Y_0, and so runs no prefix DP; inside a ``cumulant_grid`` scope the
-cumulants of a whole (h, n) grid of one environment come from one pass.
-A ``QuenchedSystem`` is the view of one row; a standalone one is the one
+(window, start) pair DP, the excursion caps up to m and the exact
+contact laws.  A reader of log Z and the cumulants alone, such as
+``pinlab compute``, takes log Z as kappa_0 of
+``QuenchedSystem.cumulants``, whose moment rows carry Z as Y_0, and so
+runs no prefix DP; inside a ``cumulant_grid`` scope the cumulants of a
+whole (h, n) grid of one environment come from one pass.  A
+``QuenchedSystem`` is the view of one row; a standalone one is the one
 row of its own block, so there is one code path, and every row reads
-the bytes a one-row block would compute.
-Segment tables and the contact law stay per system: they are
-arithmetic-bound, and blocked they would cost memory (a (rows, n+1,
-window+1) block of segment tables is 8.5 MB at 64 x 256 x 64; the count
-DP of the contact law would take O(rows n^2)).
+the bytes a one-row block would compute.  Two engines whose state for
+a whole block would be large run in chunks of rows: the segment tables
+(8.5 MB at 64 x 256 x 64) in chunks of _SEGMENT_ROWS rows, one
+_forward pass each, the block keeping the last chunk only; and the
+count DP of the exact contact laws, whose (n+1)^2 table per row is 34
+MB for 64 rows at n = 256, in chunks whose tables fit in _LAW_BYTES (7
+rows at n = 256).
 
-The contact law's count DP, ``_count_dp``, O(n^3) in full, takes an L1
-budget.  At budget 0 it is exact.  At a budget > 0 (KS_L1_BUDGET for the
-callers that read only the law's CDF, the KS distances) it leaves out the
-old rows and the low columns whose mass a bound computed at run time
-keeps within the budget, so a step costs O(T C), not O(k^2); the law
-carries the sum of those bounds as ``l1_bound``, a certificate on its L1
-distance to the full DP (roundoff not included).  The tail readers (C3,
-C13) stay at budget 0.
+The contact law's count DP, ``_count_dp``, O(n^3) in full, steps in
+blocks of _ADVANCE steps: one stacked product per block adds the share
+of the finished rows to all of the block's steps (a BLAS-3 product),
+and a small product per step the share of the block's own rows.  It
+takes an L1 budget.  At budget 0 it is exact.  At a budget > 0
+(KS_L1_BUDGET for the callers that read only the law's CDF, the KS
+distances) it leaves out the old rows and the low columns whose mass a
+bound computed at run time keeps within the budget, so a block costs
+O(B T C), not O(B k^2), T the band and C the columns that carry mass;
+the law carries the sum of those bounds as ``l1_bound``, a certificate
+on its L1 distance to the full DP (roundoff not included).  The tail
+readers (C3, C13) stay at budget 0, and read a block's laws, computed
+once for all its rows.
 """
 
 from __future__ import annotations
@@ -95,6 +103,8 @@ from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, log_of_jet, normal_cdf
 # (row, band) pairs per _forward pass of QuenchedBlock.excursion_logZ, so
 # that caps near n cost O(64 n) memory, not O(n^2)
 _BAND_PASS = 64
+# rows per _forward pass of QuenchedBlock.segment_partitions
+_SEGMENT_ROWS = 4
 
 
 def _index(name: str, value, lo: int, hi) -> int:
@@ -682,78 +692,123 @@ def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
 # L1 budget of the count DP for the callers that read the contact law only
 # through its CDF: the KS distances of C2 and of scan's ks_quenched
 KS_L1_BUDGET = 1e-14
-# steps between attempts to move the count DP's band and column window
-_ADVANCE = 16
+# steps in a block of the count DP, whose band and column window move
+# once per block
+_ADVANCE = 32
+# bytes of the count DP tables of one chunk of QuenchedBlock.contact_laws
+_LAW_BYTES = 4 << 20
+
+
+def _toeplitz(v: np.ndarray, top: int, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) view t[i, j] = v[top + i - j] of the contiguous 1-D
+    array v, without a copy; numpy refuses a view that leaves v."""
+    return np.ndarray((rows, cols), buffer=v, offset=v.itemsize * top,
+                      strides=(v.itemsize, -v.itemsize))
 
 
 def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
-              budget: float) -> tuple[np.ndarray, float]:
-    """Row n of the count DP of QuenchedSystem.contact_law with at most
-    budget of L1 mass left out: returns (r, l1), the pmf of L_n as
-    computed and a bound l1 <= budget on its L1 distance to the pmf of the
-    full DP.
+              budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row n of the count DP of QuenchedSystem.contact_law for every row of
+    the (rows, n+1) prefix tables pre and site weights b (column 0 not
+    read), with at most budget of L1 mass left out: returns (r, l1), the
+    (rows, n+1) pmfs of L_n as computed and one bound l1[i] <= budget per
+    row on its L1 distance to the pmf of the full DP.
 
     Step k is r_k[l] = sum_j g_k(j) r_j[l-1] over the last contact j < k,
-    with g_k(j) = exp(pre[j] + log p(k-j) + b_k - pre[k]) summing to 1.
-    It leaves out the rows j < s_k, and the columns below c_k of the rows
-    it reads.  Each step is substochastic, so the L1 error of r_k is at
-    most the mass left out at step k plus the largest error of a row it
-    reads (with that row's columns left out), and the errors add up along
-    the steps to at most
-      * the band: sum_{j<s} g_k(j) <= s exp(max pre[:s] + max_{t>k-s}
-        log p(t) + b_k - pre[k]), checked at every step in log domain (so
-        nothing overflows) against a share budget / 2n per step;
-      * the columns: every _ADVANCE steps the new rows get lo[j], the
-        largest column whose prefix mass is at most budget / 2n, and that
-        prefix mass is added; c_k is the min of lo over the rows read.
-    l1 sums both.  Every _ADVANCE steps s moves to the largest start whose
-    bound, with b_k - pre[k] of the step just done, holds with a nat to
-    spare; a step whose own bound fails moves s back to the largest start
-    that holds.  At budget 0 the share is 0: the band and the window stay
-    at 0, and l1 is exactly 0.  Memory is the (n+1)^2 table of all r_k."""
-    n = pre.size - 1
-    a = (b - pre).tolist()  # a[k] = b_k - pre[k]
-    # two logs: budget / 2n underflows to 0 for a subnormal budget
-    log_share = math.log(budget) - math.log(2 * n) if budget else LOG_ZERO
-    row_share = budget / (2 * n)
-    # head[s] = log s + max pre[:s]; lpsuf[t] = max of log p over [t, n]
-    head = np.full(n + 1, LOG_ZERO)
-    head[1:] = np.log(np.arange(1, n + 1)) + np.maximum.accumulate(pre[:n])
-    lpsuf = np.maximum.accumulate(log_p[n::-1])[::-1]
-    head_l, lpsuf_l = head.tolist(), lpsuf.tolist()
-    r = np.zeros((n + 1, n + 1))
-    r[0, 0] = 1.0
-    lo = np.zeros(n + 1, dtype=np.intp)  # set for the rows below `done`
+    with g_k(j) = exp(pre[j] + log p(k-j) + b_k - pre[k]), which sum to 1
+    over j < k.  The steps run in blocks of _ADVANCE, k0 <= k < k1, over
+    the rows j >= s and the columns l >= c of the block:
+      * one exp gives the block's weights g_k(j), s <= j < k1, as a
+        (rows, k1-k0, k1-s) array, 0 where j >= k, and each step's row of
+        weights is normalised to sum to 1, so that the roundoff of pre
+        does not leak into the law's mass;
+      * one stacked product g[:, :, :k0-s] @ r[:, s:k0, c:k0] adds the
+        share of the finished rows j < k0 to every step of the block (in
+        two column panels);
+      * then step k adds the share of the block's rows k0 <= j < k, one
+        small product each.
+    A stacked product runs one BLAS call per matrix, and every other
+    operation is elementwise or along a row, so a row's bits do not
+    depend on the other rows or on how many there are
+    (tests/test_blas_contract.py checks the first).
+
+    At budget 0, s = c = 0, and l1 is exactly 0.  At a budget > 0 each
+    step is stochastic over the rows it reads, so the L1 error of r_k is
+    at most twice the weight m_k = sum_{j<s} g_k(j) it leaves out (once
+    for the rows left out, once for the weight moved onto the others by
+    the normalisation) plus the largest error of a row it reads (with
+    that row's columns left out), and the errors add up along the steps
+    to at most
+      * the band: 2 m_k with m_k <= s exp(max pre[:s] + max_{t>k-s}
+        log p(t) + b_k - pre[k]), in log domain (so nothing overflows);
+        s is the largest start at which this bound holds against a share
+        budget / 4n at every step of the block and in every row;
+      * the columns: after each block its rows get lo[j], the largest
+        column whose prefix mass is at most budget / 2n, and that prefix
+        mass is added; c is the min of lo over the finished rows read.
+    l1 sums both.  Memory is the (rows, n+1, n+1) table of all r_k."""
+    rows, n = pre.shape[0], pre.shape[1] - 1
+    step = _ADVANCE
+    a = b - pre  # a[:, k] = b_k - pre[k]
+    # lpg[step + d] = log p(d), and a 0 weight for the gaps d <= 0 of a block
+    lpg = np.full(step + n + 1, LOG_ZERO)
+    lpg[step + 1:] = log_p[1:n + 1]
+    if budget:
+        # two logs: budget / 4n underflows to 0 for a subnormal budget
+        log_share = math.log(budget) - math.log(4 * n)
+        col_share = budget / (2 * n)
+        # head[:, m] = log(m+1) + max pre[:m+1], for the start m + 1;
+        # lpsuf[t] = max of log p on [t, n]
+        head = np.log(np.arange(1, n + 1)) + np.maximum.accumulate(
+            pre[:, :n], axis=1)
+        lpsuf = np.ascontiguousarray(
+            np.maximum.accumulate(log_p[n::-1])[::-1])
+        lo = np.zeros((rows, n + 1), dtype=np.intp)
+    r = np.zeros((rows, n + 1, n + 1))
+    r[:, 0, 0] = 1.0
+    l1 = np.zeros(rows)
     s = c = 0
-    done = 1
-    l1 = 0.0
-    for k in range(1, n + 1):
-        if s:
-            bound = head_l[s] + lpsuf_l[k - s + 1] + a[k]
-            if bound > log_share:
-                # the bound grows with s: keep the starts below s that hold
-                cand = head[1:s + 1] + lpsuf[k:k - s:-1] + a[k]
-                s = int((cand <= log_share).sum())
-                bound = float(cand[s - 1]) if s else LOG_ZERO
-                # rows from `done` on start at c or later
-                c = min(c, int(lo[s:done].min()))
-            l1 += math.exp(bound)
-        g = pre[s:k] + log_p[k - s:0:-1]
-        g += a[k]
+    for k0 in range(1, n + 1, step):
+        k1 = min(k0 + step, n + 1)
+        if budget and k0 > 1:
+            # the bounds at the starts from the last block's on, or from 1
+            # when a step of this block fails at that one; they grow with
+            # the start, so the starts that hold are a prefix
+            for first in (max(s, 1), 1):
+                bound = (head[:, None, first - 1:k0 - 1]
+                         + _toeplitz(lpsuf, k0 - first + 1, k1 - k0,
+                                     k0 - first)
+                         + a[:, k0:k1, None])
+                held = int((bound <= log_share).sum(2).min())
+                if held or first == 1:
+                    break
+            s = first - 1 + held
+            if held:
+                l1 += 2.0 * np.exp(bound[:, :, held - 1]).sum(1)
+            c = int(lo[:, s:k0].min())
+        g = pre[:, None, s:k1] + _toeplitz(lpg, step + k0 - s, k1 - k0, k1 - s)
+        g += a[:, k0:k1, None]
         np.exp(g, out=g)
-        np.matmul(g, r[s:k, c:k], out=r[k, c + 1:k + 1])
-        if k % _ADVANCE or k == n:
-            continue
-        cs = np.cumsum(r[done:k + 1, c:k + 1], axis=1)
-        cut = (cs <= row_share).sum(1)
-        l1 += float(np.where(cut > 0, cs[np.arange(cut.size), cut - 1],
-                             0.0).sum())
-        lo[done:k + 1] = c + cut
-        done = k + 1
-        cand = head[s + 1:k + 1] + lpsuf[k + 1 - s:1:-1] + a[k]
-        s += int((cand <= log_share - 1.0).sum())
-        c = int(lo[s:k + 1].min())
-    return r[n], l1
+        g /= g.sum(2, keepdims=True)
+        # in two column panels: row j is 0 past column j, so the columns
+        # from m on read the rows from m on only (a quarter fewer terms at
+        # budget 0, and each product's output buffer half as large)
+        m = max(s, (c + k0) // 2)
+        np.matmul(g[:, :, :k0 - s], r[:, s:k0, c:m],
+                  out=r[:, k0:k1, c + 1:m + 1])
+        np.matmul(g[:, :, m - s:k0 - s], r[:, m:k0, m:k0],
+                  out=r[:, k0:k1, m + 1:k0 + 1])
+        for k in range(k0 + 1, k1):
+            row = r[:, k, None, c + 1:k + 1]
+            row += np.matmul(g[:, k - k0, None, k0 - s:k - s], r[:, k0:k, c:k])
+        if budget and k1 <= n:
+            # the new rows' cuts: the longest prefix of columns within the
+            # share, whose mass is the largest partial sum within it
+            cs = np.cumsum(r[:, k0:k1, c:k1], axis=2)
+            within = cs <= col_share
+            lo[:, k0:k1] = c + within.sum(2)
+            l1 += np.where(within, cs, 0.0).max(2).sum(1)
+    return r[:, n], l1
 
 
 @dataclass(frozen=True)
@@ -815,12 +870,13 @@ class QuenchedBlock:
     charges is a (rows, >= n) array, row r holding omega_1..omega_n of
     environment r (columns past n are not read), or None for one row
     without disorder.  The prefix table, the suffix table, the avoidance
-    profiles of a (window, start) and the excursion-capped log Z_n up to
-    a cap are built for every row the first time any row asks, and
-    cached.  The engines are row-local, so each row's tables are
-    bit-identical to a one-row block's.  Tables are read-only: every row
-    view shares them.  ``systems()`` yields the rows as QuenchedSystem
-    views."""
+    profiles of a (window, start), the excursion-capped log Z_n up to a
+    cap and the exact contact laws are built for every row the first
+    time any row asks, and cached; the segment tables are built a chunk
+    of rows at a time.  The engines are row-local, so each row's tables
+    are bit-identical to a one-row block's.  Tables are read-only: every
+    row view shares them.  ``systems()`` yields the rows as
+    QuenchedSystem views."""
 
     def __init__(self, law, h: float, charges, n: int):
         n = _checked(law, h, n)
@@ -850,6 +906,8 @@ class QuenchedBlock:
         self._suffix = None
         self._avoidance = {}  # (window, start) -> (rows, window + 1)
         self._excursion = np.empty((self.rows, 0))
+        self._laws = None
+        self._segment_chunk = None  # (first row, end row, tables)
 
     def systems(self):
         """The rows as QuenchedSystem views, in row order."""
@@ -895,6 +953,55 @@ class QuenchedBlock:
             self._excursion = _frozen(grown)
         return self._excursion
 
+    def segment_partitions(self, row: int, window: int) -> np.ndarray:
+        """seg[a, l] = log Z_{[a, a+l]} of row `row` for a = 0..n and
+        l = 0..W, W >= window.
+
+        The tables come from one _forward pass over the rows of the
+        row's chunk, rows _SEGMENT_ROWS c .. _SEGMENT_ROWS (c+1) - 1, in
+        which row a of a table runs on b[a+1..a+window] (-inf past n, so
+        entries past n are -inf).  The block keeps the last chunk only,
+        so a caller that reads the rows in order runs each chunk once.
+        _forward is row-local: a row's table has the bytes of a one-row
+        pass."""
+        chunk = self._segment_chunk
+        if not (chunk and chunk[0] <= row < chunk[1]
+                and chunk[2].shape[2] > window):
+            lo = row - row % _SEGMENT_ROWS
+            b = self.site_weight[lo:lo + _SEGMENT_ROWS, 1:]
+            m = b.shape[0]
+            padded = np.concatenate((b, np.full((m, window), LOG_ZERO)),
+                                    axis=1)
+            weights = np.lib.stride_tricks.sliding_window_view(
+                padded, window, axis=1).reshape(m * (self.n + 1), window)
+            z = _forward(self.law.log_p, weights)
+            chunk = self._segment_chunk = (lo, lo + m, _frozen(
+                z.reshape(m, self.n + 1, window + 1)))
+        return chunk[2][row - chunk[0]]
+
+    def contact_laws(self) -> np.ndarray:
+        """log_pmf[r, l] = log P[L_n = l] of row r for l = 0..n, the exact
+        laws (budget 0), n >= 1, computed on the first ask and cached
+        read-only.
+
+        The count DP runs the rows in chunks whose (n+1)^2 tables fit in
+        _LAW_BYTES, at least one row a chunk; it is row-local, so each
+        row holds the bytes of its own one-row run.  Inside a run memo of
+        disorder_mc, a block drawn again on the same charges starts with
+        the table (``disorder_mc._block_systems``)."""
+        if self._laws is None:
+            n = self.n
+            chunk = max(1, _LAW_BYTES // (8 * (n + 1) ** 2))
+            pmf = np.empty((self.rows, n + 1))
+            for lo in range(0, self.rows, chunk):
+                hi = min(lo + chunk, self.rows)
+                pmf[lo:hi] = _count_dp(self.prefix_logZ[lo:hi],
+                                       self.law.log_p,
+                                       self.site_weight[lo:hi], 0.0)[0]
+            with np.errstate(divide="ignore"):
+                self._laws = _frozen(np.log(pmf))
+        return self._laws
+
     def two_replica_avoidance_log(self, window: int, start: int = 0) -> np.ndarray:
         """log a_j of every row for j = 1..window on [start, start+window],
         one row each; column 0 is nan.  See
@@ -930,9 +1037,10 @@ class QuenchedSystem:
 
     QuenchedSystem(law, h, omega, n) is the one row of its own block;
     ``QuenchedBlock.systems()`` builds the views of a larger block, which
-    share its prefix, suffix, avoidance and excursion tables.  The segment
-    table is per system, built lazily and cached; every public method is
-    a pure read."""
+    share its prefix, suffix, avoidance, excursion and contact-law
+    tables.  The segment table is per system, read from the block's
+    chunk of segment tables and cached; every public method is a pure
+    read."""
 
     def __init__(self, law, h: float, omega, n: int):
         if isinstance(omega, _Row):  # built by QuenchedBlock.systems()
@@ -970,11 +1078,8 @@ class QuenchedSystem:
         wider table was asked for earlier."""
         window = _index("window", window, 0, self.n)
         if self._segments is None or self._segments.shape[1] - 1 < window:
-            # row i runs on b[i+1..i+window]; -inf padding past n gives -inf
-            padded = np.concatenate((self.site_weight[1:],
-                                     np.full(window, LOG_ZERO)))
-            rows = np.lib.stride_tricks.sliding_window_view(padded, window)
-            self._segments = _forward(self.law.log_p, rows)
+            self._segments = self._block.segment_partitions(self._row,
+                                                            window)
         return self._segments
 
     # -- contact observables ----------------------------------------------
@@ -994,24 +1099,29 @@ class QuenchedSystem:
         budget of the exact one.
 
         It runs on per-level renewal probabilities (each level's
-        first-excursion weights sum to 1), so everything stays in [0, 1]
-        with nonnegative terms only; O(n^2) memory.  At budget 0 the law
-        is exact (l1_bound 0) and a step costs O(k^2).  A budget > 0 lets
-        the band and column window move, so that a step costs O(T C), T
-        the band and C the columns that carry mass, and the law carries
-        the certificate l1_bound <= budget on the terms left out.  That
-        suits a caller that reads only the CDF to absolute accuracy
-        (KS_L1_BUDGET, for the KS distances); a caller of the tails
-        (relative accuracy far below the bulk) needs budget 0."""
+        first-excursion weights, normalised to sum to 1), so everything
+        stays in [0, 1] with nonnegative terms only; O(n^2) memory.  At
+        budget 0 the law is exact (l1_bound 0): the system's row of the
+        block's ``contact_laws``, which the first row to ask computes for
+        every row, a step costing O(k^2).  A budget > 0 runs the system's
+        row alone and lets the band and column window move, so that a
+        step costs O(T C), T the band and C the columns that carry mass,
+        and the law carries the certificate l1_bound <= budget on the
+        terms left out.  That suits a caller that reads only the CDF to
+        absolute accuracy (KS_L1_BUDGET, for the KS distances); a caller
+        of the tails (relative accuracy far below the bulk) needs budget
+        0."""
         if not 0.0 <= budget < 1.0:
             raise ValueError(f"budget = {budget} is outside [0, 1)")
         if self.n == 0:
             return ContactLaw(0, np.zeros(1))
-        row, l1 = _count_dp(self.prefix_logZ, self.law.log_p,
-                            self.site_weight, budget)
+        if not budget:
+            return ContactLaw(self.n, self._block.contact_laws()[self._row])
+        row, l1 = _count_dp(self.prefix_logZ[None], self.law.log_p,
+                            self.site_weight[None], budget)
         with np.errstate(divide="ignore"):
-            log_pmf = np.log(row)
-        return ContactLaw(self.n, log_pmf, l1)
+            log_pmf = np.log(row[0])
+        return ContactLaw(self.n, log_pmf, float(l1[0]))
 
     # -- cumulants ----------------------------------------------------------
 

@@ -155,8 +155,8 @@ def test_contact_law_against_mpmath():
     # (h, n) = (1.5, 128), (3, 128) against the 40-digit count DP: bound
     # 1e-12 on the largest |d log P[L_n = l]| over l >= 1, all finite
     # in both (the smallest is about 1e-150; l = 0 is -inf), and on
-    # |1 - sum_l P[L_n = l]|.  Measured: 3.4e-13 and 4.9e-14 at (1.5, 128),
-    # 6.3e-13 and 2.3e-14 at (3, 128)
+    # |1 - sum_l P[L_n = l]|.  Measured: 3.4e-13 and 8.9e-16 at (1.5, 128),
+    # 6.3e-13 and 4.4e-16 at (3, 128)
     for h, n, seed in ((1.5, 128, 25), (3.0, 128, 26)):
         law, sys_ = _gaussian_system(h, n, seed)
         got = sys_.contact_law()
@@ -168,6 +168,18 @@ def test_contact_law_against_mpmath():
         assert abs(1.0 - got.pmf().sum()) <= 1e-12
 
 
+def test_exact_contact_law_conserves_mass():
+    # each step of the count DP is normalised to sum to 1, so the roundoff
+    # of the prefix table does not leak into the law's mass: bound 1e-14
+    # on |1 - sum_l P[L_n = l]| at (h, n) = (3, 1024), (1.5, 1024).
+    # Measured: 6.8e-15 and 2.1e-15 (6.8e-12 and 2.2e-11 with unnormalised
+    # steps)
+    for h, n, seed in ((3.0, 1024, 15), (1.5, 1024, 14)):
+        _, sys_ = _gaussian_system(h, n, seed)
+        mass = sys_.contact_law().pmf().sum()
+        assert abs(1.0 - mass) <= 1e-14, (h, 1.0 - mass)
+
+
 def test_banded_contact_law_against_dense_loop():
     # The KS consumers' law at budget KS_L1_BUDGET at (h, n) = (1.5, 512),
     # (3, 1024) against the exact law, the same count DP at budget 0 (its
@@ -175,9 +187,9 @@ def test_banded_contact_law_against_dense_loop():
     # l1_bound + 1e-12 in L1, the 1e-12 for the roundoff of the full sum
     # (a dense loop that summed each step in another order was 6.4e-13
     # apart on another n = 1024 sample), and the KS distance within
-    # _ks_error_bound at that L1 distance.  Measured: l1_bound 2.8e-15
-    # and 2.5e-15, L1 1.7e-16 and 3.2e-16, |dKS| 0 and 8.1e-15 against
-    # bounds of 1.1e-9 and 8.2e-9
+    # _ks_error_bound at that L1 distance.  Measured: l1_bound 2.7e-15
+    # and 2.5e-15, L1 1.6e-15 and 4.5e-15, |dKS| 3.6e-14 and 3.2e-13
+    # against bounds of 1.1e-9 and 8.2e-9
     for h, n, seed in ((1.5, 512, 14), (3.0, 1024, 15)):
         law, sys_ = _gaussian_system(h, n, seed)
         exact, banded = sys_.contact_law(), sys_.contact_law(KS_L1_BUDGET)

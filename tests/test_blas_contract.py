@@ -16,16 +16,22 @@ any end-to-end output drifts:
   ``_SMALL_GEMM`` gives each row the same bits whatever the other rows
   hold, where it sits, how many rows there are, and how many leading
   zeros its window has (the fused moment pass).
+
+``quenched._count_dp`` rests on a third: a stacked ``np.matmul`` runs one
+BLAS call per matrix, so each matrix of the stack gets the bits of its
+product run alone (the count DP's chunks of rows).
 """
 
 import numpy as np
 import pytest
 
-from pinlab.quenched import _LANE, _SMALL_GEMM, _TILE
+from pinlab.quenched import _ADVANCE, _LANE, _SMALL_GEMM, _TILE
 
 LANES = f"BLAS assumption broken: _LANE = {_LANE} accumulator lanes"
 TILE = (f"BLAS assumption broken: a {_TILE}-row dgemm tile within "
         f"{_SMALL_GEMM} multiply-adds")
+STACK = ("BLAS assumption broken: a stacked matmul gives each matrix the "
+         "bits of its product alone")
 
 # window lengths of the passes, multiples of _LANE (scan's reach 544 =
 # 512 + _LANE), and the extra leading columns of a window that starts at
@@ -108,3 +114,24 @@ def test_fused_rows_keep_their_bits_in_any_tile(width):
             front = rng.random((lead, width, width))
             got = _fused(led, np.concatenate((front, table)))
             assert got.tobytes() == want.tobytes(), (TILE, length, lead)
+
+
+@pytest.mark.parametrize("steps", [1, 2, _ADVANCE])
+def test_stacked_products_match_each_matrix_alone(steps):
+    # the count DP's products, read from the (rows, n+1, n+1) table
+    # through windows: the finished rows' share (rows, steps, T) @ (rows,
+    # T, C) of a block and a step's (rows, 1, i) @ (rows, i, C), for
+    # chunks of up to 8 rows; each matrix must get the bits of the same
+    # product on its own one-row table
+    rng = np.random.default_rng(steps)
+    n = 300
+    for inner, cols in ((1, 1), (7, 33), (64, 64), (200, 257)):
+        table = _scaled(rng, (8, n + 1, n + 1))
+        g = rng.random((8, steps, inner))
+        for rows in range(1, 9):
+            got = np.matmul(g[:rows], table[:rows, 40:40 + inner, 5:5 + cols])
+            for i in range(rows):
+                alone = np.matmul(g[i:i + 1],
+                                  table[i:i + 1, 40:40 + inner, 5:5 + cols])
+                assert got[i].tobytes() == alone[0].tobytes(), \
+                    (STACK, steps, inner, cols, rows, i)

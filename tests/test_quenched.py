@@ -633,6 +633,56 @@ def test_contact_law_matches_oracle(monkeypatch):
                                                    abs=1e-10 + cl.l1_bound)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=2, max_value=8),
+       st.booleans())
+@example(3, 64, 7, True)
+def test_exact_laws_keep_their_bytes_in_any_chunk(seed, n, chunk, extreme):
+    # the count DP is row-local: a row's exact pmf has the same bytes run
+    # alone (a one-row block), in chunks of 2..8 rows and in the one
+    # chunk of a 64-row block, under charges up to +-800 too; its steps
+    # run in blocks of _ADVANCE, so n <= 64 reaches the in-block steps,
+    # the stacked product of the finished rows and a last partial block
+    rng = np.random.default_rng(seed)
+    law = build_law(float(rng.uniform(1.0, 2.5)), None, 64)
+    h = float(rng.uniform(-40.0, 60.0) if extreme else rng.uniform(0.0, 4.0))
+    charges = (rng.uniform(-800.0, 800.0, (64, n)) if extreme
+               else rng.normal(0.0, 1.0, (64, n)))
+    block = QuenchedBlock(law, h, charges, n)
+    laws = block.contact_laws()
+    pre, b = block.prefix_logZ, block.site_weight
+    for lo in range(0, 64, chunk):
+        pmf, l1 = quenched._count_dp(pre[lo:lo + chunk], law.log_p,
+                                     b[lo:lo + chunk], 0.0)
+        assert not l1.any()
+        with np.errstate(divide="ignore"):
+            assert np.log(pmf).tobytes() == laws[lo:lo + chunk].tobytes()
+    for r in rng.choice(64, 4, replace=False):
+        alone = QuenchedSystem(law, h, charges[r], n).contact_law()
+        assert alone.log_pmf.tobytes() == laws[r].tobytes(), r
+
+
+def test_exact_laws_of_a_block_fit_the_chunk_cap():
+    # the 64 exact laws of a block at n = 256 run in chunks of 7 rows,
+    # whose (n+1)^2 tables stay within _LAW_BYTES (4 MiB): the tracemalloc
+    # peak stays within the cap plus 1 MB (measured 4.8 MB, 3.7 MB of it
+    # the chunk's table), not the 34 MB that one 64-row table would take
+    n = 256
+    law = build_law(1.0, None, n)
+    charges = np.random.default_rng(8).normal(0.0, 1.0, (64, n))
+    block = QuenchedBlock(law, 3.0, charges, n)
+    block.prefix_logZ
+    tracemalloc.start()
+    try:
+        block.contact_laws()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= quenched._LAW_BYTES + 1e6, peak
+
+
 def test_contact_law_rejects_a_bad_budget():
     sys_ = QuenchedSystem(GEOM, 1.0, np.zeros(8), 8)
     for budget in (-1e-14, 1.0, math.nan):
@@ -660,10 +710,12 @@ def test_band_moves_back_where_old_contacts_return(budget):
 def test_budgeted_contact_law_under_extreme_charges(h):
     # charges of +-800 at n = 400: the band's bound is checked in log
     # domain, so no exp overflows (a RuntimeWarning fails the test) and the
-    # certificate is finite.  The two loops sum in different orders, and at
-    # these charges the count DP's roundoff is far above the certificate:
-    # the exact law's mass is 1 to within 4e-11 and 3e-10, and the two
-    # laws are 1.0e-11 and 1.9e-11 apart in L1, hence the 1e-10
+    # certificate is finite.  The two routes sum in different orders, and
+    # at these charges the count DP's roundoff could exceed the
+    # certificate: with unnormalised steps the exact law's mass was 1 to
+    # within 5.2e-11 and 3.4e-10, hence the 1e-10.  Measured with the
+    # normalised steps: mass within 2.2e-16, the two laws 2.1e-17 and
+    # 7.0e-18 apart in L1
     n = 400
     omega = np.random.default_rng(47).uniform(-800.0, 800.0, n)
     sys_ = QuenchedSystem(build_law(1.0, None, n), h, omega, n)

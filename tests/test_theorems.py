@@ -10,9 +10,10 @@ import math
 
 import pytest
 
-from pinlab import disorder_mc, theorems
+from pinlab import disorder_mc, quenched, theorems
 from pinlab.disorder_mc import McConfig
 from pinlab.model import build_law, gaussian_disorder, zero_disorder
+from pinlab.quenched import QuenchedSystem
 from pinlab.theorems import (
     CHECK_DESCRIPTIONS,
     CHECK_IDS,
@@ -149,3 +150,38 @@ def test_c2_bounds_its_ks_values_and_c13_lists_dropped_sizes():
     rep = run_check("C13", CheckContext(mc=cfg, h=3.0))
     assert rep.parameters["n_values"] == [32, 64, 128]
     assert rep.parameters["n_values_dropped"] == [768, 1024]
+
+
+def test_c13_reads_c3s_exact_laws_from_the_run_memo(monkeypatch):
+    # inside a run memo C13's laws at C3's n (128 here) are C3's, byte for
+    # byte, and the count DP runs once per chunk of a block: with chunks
+    # of 5 rows at n = 128 and 20 at n = 64, C3's 24 rows take 5 runs,
+    # C13's take 1 at n = 32, 2 at n = 64 and none at n = 128.  Every
+    # contact_law call still happens, and the reports are those of the
+    # same checks run outside a memo, where C13 recomputes its laws
+    monkeypatch.setattr(quenched, "_LAW_BYTES", 700_000)
+    runs, laws = [], []
+    count_dp, contact_law = quenched._count_dp, QuenchedSystem.contact_law
+
+    def counted(pre, *args):
+        runs.append(pre.shape[0])
+        return count_dp(pre, *args)
+
+    def recorded(self, budget=0.0):
+        law = contact_law(self, budget)
+        laws.append((self.n, law.log_pmf.tobytes()))
+        return law
+
+    monkeypatch.setattr(quenched, "_count_dp", counted)
+    monkeypatch.setattr(QuenchedSystem, "contact_law", recorded)
+    ctx = _small_ctx()
+    with disorder_mc.run_memo():
+        memo = [r.to_dict() for r in full_report(ctx, ("C3", "C13"))]
+    assert runs == [5, 5, 5, 5, 4, 24, 20, 4]
+    c3, c13 = laws[:24], laws[24:]
+    assert [n for n, _ in c3 + c13] == [128] * 24 + [32] * 24 + [64] * 24 \
+        + [128] * 24
+    assert c13[48:] == c3
+    runs.clear()
+    assert [r.to_dict() for r in full_report(ctx, ("C3", "C13"))] == memo
+    assert runs == [5, 5, 5, 5, 4, 24, 20, 4, 5, 5, 5, 5, 4]
