@@ -18,8 +18,8 @@ from . import disorder_mc as mc
 from . import outputs
 from .config import ConfigError, RunConfig, load_config, save_config
 from .model import sample_disorder_block
-from .quenched import (KS_L1_BUDGET, QuenchedSystem, cumulant_grid,
-                       ks_to_standard_normal)
+from .quenched import (KS_L1_BUDGET, QuenchedSystem, _seed_cumulants,
+                       ks_to_standard_normal, run_memo)
 from .theorems import CHECK_IDS, full_report
 
 
@@ -85,17 +85,18 @@ def _cmd_compute(cfg: RunConfig, out: str) -> int:
     h_values = [float(h) for h in cfg.grids.h_values]
     n_values = [int(n) for n in cfg.grids.n_values]
     cells = {}
-    # one moment pass at the largest n serves every cell: asked first, it
-    # runs with one row per h, and the smaller n read its columns
-    with cumulant_grid(h_values, n_values):
-        for h in h_values:
-            for n in sorted(n_values, reverse=True):
-                omega = sample_disorder_block(disorder, n,
-                                              cfg.run.master_seed, 0, 1)[0]
-                sys_ = QuenchedSystem(law, h, omega, n)
-                # log Z is kappa_0 of the moment pass: no prefix DP runs
-                cells[h, n] = (sys_.cumulants(r_top).kappa,
-                               float(sys_.site_weight[n]))
+    for h in h_values:
+        for n in sorted(n_values, reverse=True):
+            omega = sample_disorder_block(disorder, n, cfg.run.master_seed,
+                                          0, 1)[0]
+            if not cells:
+                # one moment pass at the largest n, one row per h, keeps
+                # the columns of every cell it serves in the run memo
+                _seed_cumulants(law, omega, h_values, n_values, r_top)
+            sys_ = QuenchedSystem(law, h, omega, n)
+            # log Z is kappa_0 of the moment pass: no prefix DP runs
+            cells[h, n] = (sys_.cumulants(r_top).kappa,
+                           float(sys_.site_weight[n]))
     series = []
     for h in h_values:
         for n in n_values:
@@ -218,8 +219,8 @@ def main(argv=None) -> int:
         out = _out_dir(cfg)
         if args.command == "report":
             return _cmd_report(out)
-        # per-block kernel results live for this command only
-        with mc.run_memo():
+        # memoised tables live for this command only
+        with run_memo():
             if args.command == "compute":
                 return _cmd_compute(cfg, out)
             if args.command == "scan":

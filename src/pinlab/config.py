@@ -54,6 +54,13 @@ def _need_int(value, anchor: str, lo: int, hi: float, message: str):
     _need(lo <= value <= hi, anchor, message)
 
 
+def _need_real(value, anchor: str):
+    """A finite real field (a bool, a string, NaN or +-Infinity is not)."""
+    _need(isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value), anchor,
+          f"must be a finite real (got {value!r})")
+
+
 @dataclass(frozen=True)
 class ModelBlock:
     """Inter-arrival law: power ell(t)/t^(1+alpha), the geometric control,
@@ -73,6 +80,8 @@ class ModelBlock:
               f"must be one of power, geometric, table (got {self.kind!r})")
         _need_int(self.n_max, "model.n_max", 2, math.inf,
                   "must be an integer >= 2")
+        for name in ("alpha", "ell_c", "ell_beta"):
+            _need_real(getattr(self, name), f"model.{name}")
         if self.kind == "power":
             _need(self.alpha >= 1.0, "model.alpha",
                   "alpha < 1 is not supported")
@@ -86,8 +95,8 @@ class ModelBlock:
             _need(len(self.table) >= 2, "model.table",
                   "needs at least p(1), p(2)")
             for v in self.table:
-                _need(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      and v > 0, "model.table",
+                _need_real(v, "model.table")
+                _need(v > 0, "model.table",
                       f"must hold positive reals only (got {v!r})")
 
     def build(self) -> InterArrivalLaw:
@@ -107,6 +116,7 @@ class DisorderBlock:
     def validate(self):
         _need(self.family in DISORDER_FAMILIES, "disorder.family",
               f"must be one of {sorted(DISORDER_FAMILIES)} (got {self.family!r})")
+        _need_real(self.param, "disorder.param")
         if self.family != "zero":
             _need(self.param > 0.0, "disorder.param", "must be positive")
 
@@ -135,8 +145,7 @@ class GridsBlock:
 
     def validate(self):
         for v in self.h_values:
-            _need(isinstance(v, (int, float)) and math.isfinite(v),
-                  "grids.h_values", f"entries must be finite reals (got {v!r})")
+            _need_real(v, "grids.h_values")
         _need(len(self.h_values) > 0, "grids.h_values", "must be nonempty")
         _need(list(self.h_values) == sorted(self.h_values), "grids.h_values",
               "must be sorted ascending")
@@ -145,8 +154,9 @@ class GridsBlock:
         _sorted_positive(self.n_values, "grids.n_values")
         _need(len(self.u_grid) > 0, "grids.u_grid", "must be nonempty")
         for v in self.u_grid:
-            _need(isinstance(v, (int, float)) and v >= 0.0, "grids.u_grid",
-                  f"entries must be nonnegative reals (got {v!r})")
+            _need_real(v, "grids.u_grid")
+            _need(v >= 0.0, "grids.u_grid",
+                  f"entries must be nonnegative (got {v!r})")
         _need_int(self.window, "grids.window", 16, math.inf, "must be >= 16")
         _need_int(self.r_max, "grids.r_max", 2, 12, "must be in 2..12")
 
@@ -176,8 +186,7 @@ class ChecksBlock:
             _need(cid in CHECK_IDS, "checks.ids",
                   f"unknown check id {cid!r}; known ids are C1..C13")
         if self.h is not None:
-            _need(isinstance(self.h, (int, float)) and math.isfinite(self.h),
-                  "checks.h", "must be a finite real")
+            _need_real(self.h, "checks.h")
 
 
 _BLOCKS = {

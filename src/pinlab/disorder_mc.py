@@ -24,44 +24,40 @@ their bits in any such block, whatever its size and its other samples
 sample, the last block of a count of 64 k + 1, runs alone, and its
 values differ from the fused ones at roundoff.
 
-Inside ``run_memo()`` (the CLI opens one around each command) the result
-of every block is kept, keyed by what the kernel consumes: the kernel,
-the law, h, the output width (so moments of one order never serve
-another), the columns kept and a digest of the block's charges.  A
-moment kernel called at an n of ``cfg.n_values`` draws its block at the
-grid's largest n and runs one pass that keeps every grid column, so the
-one entry of a (h, block) serves every n of the grid: a shorter draw is
-a prefix of a longer one, and a column does not depend on how far the
-pass runs past it.  A pass at the top that needs the law tilt, a call
-off the grid and a call outside a memo run at their own n.  Blocks are
-still drawn, so a later call on the same charges (estimate_mu after
-estimate_f, the centering statistics of ``scan`` after both, C8 and C12
-after C4) reuses the rows whatever seed or index produced them, and
-every public call keeps its count.  ``concentration_scan`` and C13 need
-only log Z and kappa_1, and read them from the same order-2 rows.  The
-exact contact laws of a ``QuenchedBlock`` are kept the same way, keyed
-by the law, h and the shape (which holds n) and digest of the block's
-charges: the memo holds the (rows, n+1) table, not the block, and a
-block drawn again on the same charges starts with it, so C13's laws at
-C3's n are C3's, and every ``contact_law`` call still happens.
+Inside ``quenched.run_memo()`` (the CLI opens one around each command)
+the rows of every block are kept (``quenched._memoised``), keyed by what
+the kernel consumes: the kernel, the law, h, the output width (so
+moments of one order never serve another), the columns kept and a digest
+of the block's charges.  A moment kernel called at an n of
+``cfg.n_values`` draws its block at the grid's largest n and runs one
+pass that keeps every grid column, so the one entry of a (h, block)
+serves every n of the grid: a shorter draw is a prefix of a longer one,
+and a column does not depend on how far the pass runs past it.  A pass
+at the top that needs the law tilt, a call off the grid and a call
+outside a memo run at their own n.  Blocks are still drawn, so a later
+call on the same charges (estimate_mu after estimate_f, the centering
+statistics of ``scan`` after both, C8 and C12 after C4) reuses the rows
+whatever seed or index produced them, and every public call keeps its
+count.  ``concentration_scan`` and C13 need only log Z and kappa_1, and
+read them from the same order-2 rows.  The blocks of ``_block_systems``
+keep their exact contact laws in the same memo themselves
+(``QuenchedBlock.contact_laws``), so C13's laws at C3's n are C3's.
 Outside a scope every kernel computes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series, log_mean_exp, normal_cdf
-from .quenched import (QuenchedBlock, QuenchedSystem, _checked,
-                       _moment_certificate, _moments)
+from .quenched import (_MEMO, QuenchedBlock, QuenchedSystem, _checked,
+                       _memoised, _moments, _pass_columns)
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -121,52 +117,11 @@ class EstimateSeries:
 def _block_systems(cfg: McConfig, h: float, n: int, count: int):
     """QuenchedSystems of samples 0..count-1, in index order: the row views
     of one QuenchedBlock per _CHUNK samples, so the rows of a block share
-    its prefix, suffix, avoidance and contact-law tables.
-
-    Inside a run memo a block's exact contact laws
-    (``QuenchedBlock.contact_laws``) are kept once a caller has computed
-    them, under a key built as _sampled builds its keys: the law, h and
-    the shape (which holds n) and digest of the block's charges.  A block
-    drawn later on the same charges starts with that table, so C13's
-    laws at C3's n are C3's.  A block's table is stored once the caller
-    has read past its last row."""
-    memo = _MEMO.get()
+    its prefix, suffix, avoidance and contact-law tables."""
     for lo in range(0, count, _CHUNK):
         charges = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo,
                                         min(_CHUNK, count - lo))
-        block = QuenchedBlock(cfg.law, h, charges, n)
-        key = entry = None
-        if memo is not None:
-            key = ("QuenchedBlock.contact_laws", id(cfg.law), float(h),
-                   charges.shape, _digest(charges))
-            entry = memo.get(key)
-            if entry is not None:
-                block._laws = entry[1]
-        yield from block.systems()
-        if entry is None and key is not None and block._laws is not None:
-            memo[key] = (cfg.law, block._laws)
-
-
-def _digest(charges: np.ndarray) -> bytes:
-    """The memo's digest of a block of charges."""
-    return hashlib.blake2b(charges, digest_size=20).digest()
-
-
-# block rows of the open run scope, or None outside one
-_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo",
-                                                       default=None)
-
-
-@contextlib.contextmanager
-def run_memo():
-    """Keep every per-block kernel result, and every block's exact contact
-    laws, until the scope closes, and serve a block whose key was seen
-    again from it.  Entries hold rows, not charges."""
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+        yield from QuenchedBlock(cfg.law, h, charges, n).systems()
 
 
 def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
@@ -177,40 +132,28 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
     are checked as a QuenchedBlock checks them.
 
     A kernel of order R >= 1 is one _moments pass at that order.  Inside
-    a run memo, a call at an n of cfg.n_values draws its block at the
-    grid's top n and passes at = the grid, so the entry keeps every grid
-    column and later calls at any grid n read theirs.  A column holds the
-    bits of a pass at its own n: the pass is row-local, it does not
-    depend on how far it runs past a column, and a shorter draw is a
-    prefix of a longer one.  When the pass at the top needs the law tilt
-    (_moment_certificate), a smaller n would take another route, so then
-    every call runs at its own n, as calls off the grid and outside a
-    memo do."""
+    a run memo, a call at an n of cfg.n_values that the pass at the
+    grid's top n serves (``quenched._pass_columns``: every grid n when
+    that pass is untilted) draws its block at the top and passes at =
+    those columns, so the entry keeps them and later calls at any of
+    them read theirs.  A column holds the bits of a pass at its own n:
+    the pass is row-local, it does not depend on how far it runs past a
+    column, and a shorter draw is a prefix of a longer one.  Every other
+    call, and every call outside a memo, runs at its own n."""
     n = _checked(cfg.law, h, n)
-    memo = _MEMO.get()
     at = [n]
-    if memo is not None and order and n in cfg.n_values:
-        grid = sorted(set(cfg.n_values))
-        if _moment_certificate(cfg.law.log_p, grid[-1], order)[0]:
-            at = grid
+    if order and n in cfg.n_values and _MEMO.get() is not None:
+        at = _pass_columns(cfg.law.log_p, cfg.n_values, order)
+        at = at if n in at else [n]
     top, j = at[-1], at.index(n)
     out = np.empty((cfg.samples, width))
     for lo in range(0, cfg.samples, _CHUNK):
         hi = min(lo + _CHUNK, cfg.samples)
         block = sample_disorder_block(cfg.disorder, top, cfg.master_seed, lo,
                                       hi - lo)
-        if memo is None:
-            out[lo:hi] = kernel(block, at)[:, j]
-            continue
-        # the entry holds the law, so its id is not reused while it lives
-        key = (kernel.__qualname__, id(cfg.law), float(h), width, tuple(at),
-               block.shape, _digest(block))
-        entry = memo.get(key)
-        if entry is None:
-            rows = np.array(kernel(block, at))  # a copy, never a view
-            rows.flags.writeable = False
-            entry = memo[key] = (cfg.law, rows)
-        out[lo:hi] = entry[1][:, j]
+        rows = _memoised(cfg.law, (kernel.__qualname__, float(h), width,
+                                   tuple(at), block), partial(kernel, block, at))
+        out[lo:hi] = rows[:, j]
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 from .disorder_mc import DecayResult, EstimateSeries
 from .theorems import CheckReport
@@ -23,7 +22,10 @@ SEED_SCHEME = "philox: key = (master_seed, sample_index), counter from 0"
 def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # created with the umask's default mode, where mkstemp's would be 0600
+    tmp = os.path.join(directory, f"{os.path.basename(path)}."
+                                  f"{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

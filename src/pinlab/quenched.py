@@ -44,7 +44,7 @@ batched, and serves ``QuenchedSystem.cumulants`` (one row), the
 per-sample log Z, cumulant and kappa_1 kernels of disorder Monte Carlo
 (a block of samples at one h, one pass for the whole n grid inside a
 run memo), and the grid of ``pinlab compute`` (one row per h, see
-``cumulant_grid``); ``at`` keeps only the columns k a caller reads.  The
+``_seed_cumulants``); ``at`` keeps only the columns k a caller reads.  The
 tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
 moments unchanged.  ``_linear_rows`` states the routes, the locality
 contract they keep and the flush certificate.
@@ -62,8 +62,7 @@ first time any row asks: the prefix table, the suffix table, each
 contact laws.  A reader of log Z and the cumulants alone, such as
 ``pinlab compute``, takes log Z as kappa_0 of
 ``QuenchedSystem.cumulants``, whose moment rows carry Z as Y_0, and so
-runs no prefix DP; inside a ``cumulant_grid`` scope the cumulants of a
-whole (h, n) grid of one environment come from one pass.  A
+runs no prefix DP.  A
 ``QuenchedSystem`` is the view of one row; a standalone one is the one
 row of its own block, so there is one code path, and every row reads
 the bytes a one-row block would compute.  Two engines whose state for
@@ -87,12 +86,24 @@ the law carries the sum of those bounds as ``l1_bound``, a certificate
 on its L1 distance to the full DP (roundoff not included).  The tail
 readers (C3, C13) stay at budget 0, and read a block's laws, computed
 once for all its rows.
+
+Inside ``run_memo()`` (the CLI opens one around each command) three
+tables are kept for the rest of the command, each under the law and
+everything else its computation reads, charges by shape and digest
+(``_memoised``): a block's exact contact laws (h, charges), a system's
+moment column at n (h, order, charges), and the per-block rows of the
+disorder Monte Carlo kernels (see ``disorder_mc._sampled``).  A block or
+a system built again on the same charges reads its table from the memo,
+whatever built it, and ``_seed_cumulants`` keeps the columns of a whole
+(h, n) grid of one environment from one pass.  Outside a memo every
+table is computed where it is asked.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -131,6 +142,43 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """a made read-only: block tables are shared by every row view."""
     a.flags.writeable = False
     return a
+
+
+# the entries of the open run memo, or None outside one
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo",
+                                                       default=None)
+
+
+@contextlib.contextmanager
+def run_memo():
+    """Keep every table that ``_memoised`` computes until the scope closes,
+    and serve a later ask under the same key from it.  Entries hold
+    tables, not charges."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoised(law, key, compute) -> np.ndarray:
+    """The array compute() returns, kept inside a run memo.
+
+    Outside a memo every call computes.  Inside one, the first call keeps
+    a read-only copy under (id(law), *key), an array in key standing for
+    its shape and a blake2b digest of its bytes, and later calls with
+    that key return it.  The entry holds the law, so its id is not reused
+    while the entry lives.  key must hold everything compute reads
+    besides the law."""
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    key = (id(law), *((k.shape, hashlib.blake2b(k, digest_size=20).digest())
+                      if isinstance(k, np.ndarray) else k for k in key))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (law, _frozen(np.array(compute())))
+    return entry[1]
 
 
 # The linear step of _forward stores row r as y[r, j] = Z_{0,j} e^{-C_r}.
@@ -564,6 +612,16 @@ def _moment_certificate(log_p: np.ndarray, n: int,
     return bool(_certified(log_p, np.array([n]), n, margin)[0]), margin
 
 
+def _pass_columns(log_p: np.ndarray, n_values, order: int) -> list:
+    """The columns of the sorted n_values that one _moments pass at their
+    largest n serves with the bits of a pass at each column's own n: all
+    of them when the pass at the top is untilted (the certificate then
+    holds at every smaller n too, see _moment_certificate), the top alone
+    when it is tilted, since a smaller n would take another route."""
+    grid = sorted(set(n_values))
+    return grid if _moment_certificate(log_p, grid[-1], order)[0] else grid[-1:]
+
+
 def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
              at=None) -> tuple[np.ndarray, np.ndarray]:
     """Centred moments of the contact number of every row of the (rows, n)
@@ -986,20 +1044,25 @@ class QuenchedBlock:
 
         The count DP runs the rows in chunks whose (n+1)^2 tables fit in
         _LAW_BYTES, at least one row a chunk; it is row-local, so each
-        row holds the bytes of its own one-row run.  Inside a run memo of
-        disorder_mc, a block drawn again on the same charges starts with
-        the table (``disorder_mc._block_systems``)."""
+        row holds the bytes of its own one-row run.  Inside a run memo the
+        table is kept under the law, h and the shape (which holds n) and
+        digest of the block's charges, so a block built later on the same
+        charges reads it and runs no count DP."""
         if self._laws is None:
-            n = self.n
-            chunk = max(1, _LAW_BYTES // (8 * (n + 1) ** 2))
-            pmf = np.empty((self.rows, n + 1))
-            for lo in range(0, self.rows, chunk):
-                hi = min(lo + chunk, self.rows)
-                pmf[lo:hi] = _count_dp(self.prefix_logZ[lo:hi],
-                                       self.law.log_p,
-                                       self.site_weight[lo:hi], 0.0)[0]
-            with np.errstate(divide="ignore"):
-                self._laws = _frozen(np.log(pmf))
+            def laws():
+                n = self.n
+                chunk = max(1, _LAW_BYTES // (8 * (n + 1) ** 2))
+                pmf = np.empty((self.rows, n + 1))
+                for lo in range(0, self.rows, chunk):
+                    hi = min(lo + chunk, self.rows)
+                    pmf[lo:hi] = _count_dp(self.prefix_logZ[lo:hi],
+                                           self.law.log_p,
+                                           self.site_weight[lo:hi], 0.0)[0]
+                with np.errstate(divide="ignore"):
+                    return _frozen(np.log(pmf))
+            self._laws = _memoised(self.law,
+                                   ("contact_laws", self.h, self.charges),
+                                   laws)
         return self._laws
 
     def two_replica_avoidance_log(self, window: int, start: int = 0) -> np.ndarray:
@@ -1139,20 +1202,25 @@ class QuenchedSystem:
         tests/test_accuracy.py states the error of kappa_1..kappa_6 against
         a 40-digit moment DP.  kappa_0 is log Z of the Y_0 row: ``log_z``
         to roundoff (its step sums in another order), without the prefix
-        DP.  Inside a ``cumulant_grid`` scope the call may read its
-        column of the scope's one pass, which holds the bits of its own."""
+        DP.  Inside a run memo the column of moments at n is kept under
+        h, the order and the digest of the system's charges, so a later
+        call on the same chain, or one whose column ``_seed_cumulants``
+        kept, reads it."""
         r_max = _index("r_max", r_max, 0, DEFAULT_JET_ORDER)
         if self.n == 0:
             return CumulantVector(np.zeros(r_max + 1))
         c = self.law.contact_density(self.h)
         order = max(r_max, 1)
-        grid = _GRID.get()
-        column = None if grid is None else grid.column(self, order)
-        if column is None:
+
+        def own_pass():
             sc, coef = _moments(self.law.log_p, self.site_weight[None, 1:],
                                 order, c, [self.n])
-            column = sc[0, 0], coef[0, 0]
-        g = log_of_jet(*column)
+            return np.concatenate((sc[0], coef[0, 0]))
+        # the key _seed_cumulants keeps a column under
+        column = _memoised(self.law, ("cumulants", self.h, order,
+                                      self._block.charges[self._row, 1:]),
+                           own_pass)
+        g = log_of_jet(column[0], column[1:])
         kappa = np.empty(r_max + 1)
         kappa[0] = g[0]
         for k in range(1, r_max + 1):
@@ -1195,74 +1263,24 @@ class QuenchedSystem:
         return min(1.0, math.exp(logz - self.log_z))
 
 
-class _Grid:
-    """The state of a cumulant_grid scope: the grid's h (row i of the
-    pass) and n (column j), and once run, the pass's law, order, site
-    weights b (one row per h, on [1, max n]) and columns (sc, coef)."""
-
-    def __init__(self, h_values, n_values):
-        hs = dict.fromkeys(float(h) for h in h_values)
-        ns = sorted({int(n) for n in n_values})
-        self.rows = {h: i for i, h in enumerate(hs)}
-        self.cols = {n: j for j, n in enumerate(ns)}
-        self.top = max(self.cols)
-        self.law = None
-
-    def column(self, system: QuenchedSystem, order: int):
-        """(log Z_n, coefficients at n) of system from the pass, which the
-        first call at the top n runs; None when system is not served."""
-        i, j = self.rows.get(system.h), self.cols.get(system.n)
-        if i is None or j is None:
-            return None
-        n = system.n
-        if self.law is None:
-            if n != self.top:
-                return None
-            self._run(system, order)
-        elif not (system.law is self.law and order == self.order
-                  and (n == self.top or self.untilted)):
-            return None
-        if system.site_weight[1:].tobytes() != self.b[i, :n].tobytes():
-            return None
-        return self.sc[i, j], self.coef[i, j]
-
-    def _run(self, system: QuenchedSystem, order: int):
-        law = system.law
-        charges = system._block.charges[system._row, 1:]
-        self.b = np.array(list(self.rows))[:, None] + charges
-        centres = np.array([law.contact_density(h) for h in self.rows])
-        self.sc, self.coef = _moments(law.log_p, self.b, order, centres,
-                                      list(self.cols))
-        # the smaller n share the pass's route only when it is untilted
-        self.untilted = _moment_certificate(law.log_p, self.top, order)[0]
-        self.law, self.order = law, order
-
-
-# the state of the open cumulant_grid scope, or None outside one
-_GRID: contextvars.ContextVar = contextvars.ContextVar("cumulant_grid",
-                                                       default=None)
-
-
-@contextlib.contextmanager
-def cumulant_grid(h_values, n_values):
-    """Serve ``QuenchedSystem.cumulants`` on the grid h_values x n_values
-    of one environment from one moment pass, until the scope closes.
-
-    The first cumulants(r) at n = max(n_values) and an h of h_values runs
-    _moments once at that n, one row per h of the grid (its site weights
-    h + omega, centred at its own contact density), and keeps the columns
-    of the grid's n.  A later call reads its column when it has the
-    pass's law and order, an h and an n of the grid, and on [1, n] the
-    site weights the pass gave that h: its chain is then the first n
-    sites of the pass's row.  A call at a smaller n is served only when
-    the pass ran the untilted law, which then passes the certificate at
-    n too (see _moment_certificate), so both take one route.  Every other
-    call runs its own pass.  A served column holds the bits of the call's
-    own pass: rows are row-local, and a column does not depend on how far
-    the pass runs past it.  ``pinlab compute`` opens one scope around its
-    cells and asks the largest n first."""
-    token = _GRID.set(_Grid(h_values, n_values))
-    try:
-        yield
-    finally:
-        _GRID.reset(token)
+def _seed_cumulants(law, omega, h_values, n_values, order: int):
+    """Keep in the open run memo, for every h of h_values and every n of
+    _pass_columns(n_values), the column that
+    QuenchedSystem(law, h, omega[:n], n).cumulants(r), max(r, 1) = order,
+    reads, from one _moments pass at the largest n with one row per h
+    (its site weights h + omega, centred at its own contact density).  A
+    column holds the bits of the cell's own pass: rows are row-local, and
+    a column does not depend on how far the pass runs past it.  Cells it
+    does not keep run their own pass.  Outside a run memo it does
+    nothing."""
+    if _MEMO.get() is None:
+        return
+    at = _pass_columns(law.log_p, n_values, order)
+    hs = [float(h) for h in h_values]
+    sc, coef = _moments(law.log_p, np.array(hs)[:, None] + omega[:at[-1]],
+                        order, np.array([law.contact_density(h) for h in hs]),
+                        at)
+    for i, h in enumerate(hs):
+        for j, n in enumerate(at):
+            _memoised(law, ("cumulants", h, order, omega[:n]),
+                      lambda: np.concatenate(([sc[i, j]], coef[i, j])))

@@ -16,13 +16,13 @@ import math
 import mpmath as mp
 import numpy as np
 
-from pinlab.disorder_mc import (McConfig, run_memo, sample_cumulants,
-                                sample_log_z)
+from pinlab.disorder_mc import McConfig, sample_cumulants, sample_log_z
 from pinlab.model import (build_law, gaussian_disorder, geometric_test_law,
                           sample_disorder_block)
 from pinlab.numerics import normal_cdf
 from pinlab.quenched import (_FLUSH, _RESCALE, KS_L1_BUDGET, QuenchedSystem,
-                             _forward, _moment_flush, ks_to_standard_normal)
+                             _forward, _moment_flush, ks_to_standard_normal,
+                             run_memo)
 from pinlab.theorems import _ks_error_bound
 from support import (mp_contact_pmf, mp_cumulants, mp_log_prefix, mp_prefix,
                      mp_suffix)

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import pinlab
-import pinlab.disorder_mc as mc
 import pinlab.outputs as outputs
 import pinlab.quenched as quenched
 import pinlab.theorems as theorems
@@ -112,13 +111,13 @@ def test_run_memo_lives_for_one_command(tmp_path, monkeypatch):
     write = outputs.write_series_csv
 
     def spy(path, series):
-        sizes.append(len(mc._MEMO.get()))
+        sizes.append(len(quenched._MEMO.get()))
         return write(path, series)
     monkeypatch.setattr(outputs, "write_series_csv", spy)
     cfg = _write(tmp_path, "scan.json", SMALL_SCAN)
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert sizes and sizes[0] > 0
-    assert mc._MEMO.get() is None
+    assert quenched._MEMO.get() is None
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -258,9 +257,9 @@ def test_table_law_past_the_tilt_exits_with_its_span(tmp_path, capsys):
     assert err.startswith("error: log p spans 689.7 nats on [1, 3]")
     assert "past the 384.6 nats that the linear step certifies" in err
     # the refusal comes before any row is written: no output directory,
-    # and the cumulant grid's scope is closed
+    # and the run memo is closed
     assert not os.path.exists(tmp_path / "o")
-    assert quenched._GRID.get() is None
+    assert quenched._MEMO.get() is None
 
 
 def test_steep_power_law_computes(tmp_path, capsys):
@@ -292,16 +291,26 @@ def test_power_law_past_float_range_exits_with_its_first_zero_p(tmp_path,
     assert not os.path.exists(out)
 
 
-def test_compute_grid_prints_the_bytes_of_each_cell(tmp_path):
-    # one moment pass serves the whole (h, n) grid; each printed value is
-    # the one its own system gives outside the command
+def test_compute_grid_prints_the_bytes_of_each_cell(tmp_path, monkeypatch):
+    # one moment pass, one row per h at the largest n, serves the whole
+    # (h, n) grid; each printed value is the one its own system gives
+    # outside the command
     cfg = _write(tmp_path, "grid.json", {
         "model": {"n_max": 256},
         "disorder": {"family": "gaussian", "param": 1.0},
         "grids": {"h_values": [1.0, 2.5], "n_values": [32, 100, 256]},
         "run": {"master_seed": 3}})
     out = str(tmp_path / "o")
+    passes = []
+    moments = quenched._moments
+
+    def counted(log_p, b, *args):
+        passes.append(b.shape)
+        return moments(log_p, b, *args)
+    monkeypatch.setattr(quenched, "_moments", counted)
     assert main(["compute", "--config", cfg, "--out", out]) == 0
+    assert passes == [(2, 256)]
+    monkeypatch.undo()
     law = load_config(cfg).law()
     printed = [(r[0], float(r[1]), int(r[2]), r[3]) for r in _rows(out)]
     want = []

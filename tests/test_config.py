@@ -130,6 +130,24 @@ def test_integer_fields_reject_non_integers(tmp_path, block, field, value):
     assert str(err.value).startswith(f"{p}:3: {block}.{field}: must ")
 
 
+@pytest.mark.parametrize("block,field", [
+    ("model", "alpha"), ("model", "ell_c"), ("model", "ell_beta"),
+    ("disorder", "param"), ("grids", "h_values"), ("grids", "u_grid"),
+    ("checks", "h")])
+@pytest.mark.parametrize("value", [True, "2", math.nan, math.inf, -math.inf])
+def test_real_fields_reject_non_reals(tmp_path, block, field, value):
+    # a bool, a numeric string, NaN or +-Infinity is refused at the field's
+    # own line, before any comparison or law build can trip on it
+    raw = {block: {field: [value] if field.endswith(("values", "grid"))
+                   else value}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw, indent=2))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(p))
+    assert str(err.value).startswith(
+        f"{p}:3: {block}.{field}: must be a finite real (got {value!r})")
+
+
 def test_load_errors_carry_path_and_line(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError) as err:

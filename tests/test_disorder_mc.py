@@ -19,7 +19,6 @@ from pinlab.disorder_mc import (
     estimate_mu,
     ks_to_normal,
     linear_fit,
-    run_memo,
     sample_cumulants,
     sample_kappa1_path,
     sample_log_z,
@@ -35,7 +34,8 @@ from pinlab.model import (
 )
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import contact_covariance, hc_bracket
-from pinlab.quenched import QuenchedSystem, _moment_certificate
+from pinlab.quenched import (QuenchedBlock, QuenchedSystem,
+                             _moment_certificate, run_memo)
 
 LAW = build_law(1.0, None, 128)
 GEOM = geometric_test_law(128)
@@ -165,7 +165,7 @@ def test_run_memo_serves_the_bytes_of_fresh_calls(monkeypatch):
                     want = fresh[(s, i)]
                     for g, w in zip(np.atleast_2d(got), np.atleast_2d(want)):
                         assert g.tobytes() == w.tobytes()
-    assert mc._MEMO.get() is None
+    assert quenched._MEMO.get() is None
     # evaluated rows per entry: 70, then 200 - 64, then 1000 - 192.  log Z
     # and the cumulants of order 1 and 2 read one order-2 entry, so the
     # five kernels run three: order 2, order 6 and the kappa_1 paths
@@ -186,7 +186,7 @@ def test_run_memo_keys_on_everything_the_kernel_reads():
     fresh = [fn(*args) for fn, *args in variants]
     with run_memo():
         got = [fn(*args) for fn, *args in variants]
-        assert len(mc._MEMO.get()) == len(variants) - 2
+        assert len(quenched._MEMO.get()) == len(variants) - 2
     for g, w in zip(got, fresh):
         assert g.tobytes() == w.tobytes()
 
@@ -253,6 +253,7 @@ def test_grid_columns_are_the_bytes_of_fresh_per_n_calls(law, grid, off,
 
 def test_run_memo_hits_cannot_be_corrupted_by_callers():
     cfg = _cfg(samples=70)
+    charges = sample_disorder_block(cfg.disorder, 24, 1, 0, 8)
     with run_memo():
         first = sample_cumulants(cfg, 2.0, 24, 2)
         keep = first.copy()
@@ -262,6 +263,42 @@ def test_run_memo_hits_cannot_be_corrupted_by_callers():
         path[:] = 0.0
         assert sample_cumulants(cfg, 2.0, 24, 2).tobytes() == keep.tobytes()
         assert sample_kappa1_path(cfg, 2.0, 24).tobytes() == path_keep.tobytes()
+        kappa = QuenchedSystem(LAW, 2.0, charges[0], 24).cumulants(4).kappa
+        kappa_keep = kappa.copy()
+        kappa[:] = np.nan
+        assert (QuenchedSystem(LAW, 2.0, charges[0], 24).cumulants(4)
+                .kappa.tobytes() == kappa_keep.tobytes())
+        laws = QuenchedBlock(LAW, 2.0, charges, 24).contact_laws()
+        with pytest.raises(ValueError, match="read-only"):
+            laws[:] = 0.0
+        # every entry, rows, moment columns and laws alike, is read-only
+        memo = quenched._MEMO.get()
+        assert {"contact_laws", "cumulants"} <= {key[1] for key in memo}
+        assert not any(table.flags.writeable for _, table in memo.values())
+
+
+def test_blocks_on_the_same_charges_share_their_exact_laws(monkeypatch):
+    # inside a run memo a QuenchedBlock built directly, on a copy of
+    # another block's charges, reads that block's exact laws: the count DP
+    # runs once.  Other charges, another h or another law run their own
+    charges = sample_disorder_block(gaussian_disorder(1.0), 32, 4, 0, 5)
+    runs = []
+    count_dp = quenched._count_dp
+
+    def counted(pre, *args):
+        runs.append(pre.shape[0])
+        return count_dp(pre, *args)
+    monkeypatch.setattr(quenched, "_count_dp", counted)
+    with run_memo():
+        laws = QuenchedBlock(LAW, 2.0, charges, 32).contact_laws()
+        again = QuenchedBlock(LAW, 2.0, charges.copy(), 32).contact_laws()
+        assert again is laws and runs == [5]
+        for law, h, om in [(LAW, 2.0, charges[:4]), (LAW, 2.5, charges),
+                           (build_law(1.0, None, 128), 2.0, charges)]:
+            QuenchedBlock(law, h, om, 32).contact_laws()
+    assert runs == [5, 4, 5, 5]
+    assert QuenchedBlock(LAW, 2.0, charges, 32).contact_laws().tobytes() \
+        == laws.tobytes()
 
 
 def test_reruns_are_bitwise_identical():

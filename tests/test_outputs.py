@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -40,6 +41,20 @@ def test_atomic_write_creates_dirs_and_leaves_no_debris(tmp_path):
     leftovers = [p for p in (tmp_path / "a" / "b").iterdir()
                  if p.name != "out.txt"]
     assert leftovers == []
+
+
+def test_atomic_write_gives_the_umask_default_mode(tmp_path):
+    # an artifact is as readable as any file the user creates: mode
+    # 0o666 under the umask, not a temp file's 0o600
+    old = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o077, 0o002):
+            os.umask(mask)
+            target = tmp_path / f"out{mask:o}.txt"
+            atomic_write_text(str(target), "payload")
+            assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+    finally:
+        os.umask(old)
 
 
 def test_series_csv_round_trips_exact_doubles(tmp_path):

@@ -778,7 +778,7 @@ def test_cumulant_order_guard():
     assert kap.size == DEFAULT_JET_ORDER + 1 and np.all(np.isfinite(kap))
 
 
-# -- the cumulant grid of pinlab compute -------------------------------------
+# -- the cumulant cells of pinlab compute in a run memo ----------------------
 
 def _counted_passes(monkeypatch):
     """The shapes of the weights of every _moments call from now on."""
@@ -793,11 +793,12 @@ def _counted_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["power", "geometric"])
-def test_cumulant_grid_serves_the_bytes_of_fresh_calls(kind, monkeypatch):
-    # every cell of the grid, largest n first as pinlab compute asks them,
-    # gives the bytes of its own pass.  The power law is untilted at every
-    # n, so one pass with a row per h serves all; the geometric law is
-    # tilted at 700, so its smaller n run their own passes
+def test_seeded_cells_read_the_bytes_of_fresh_passes(kind, monkeypatch):
+    # inside a run memo, every cell of the grid, largest n first as pinlab
+    # compute asks them, gives the bytes of its own one-row pass.  The
+    # power law is untilted at every n, so one pass with a row per h
+    # serves all; the geometric law is tilted at 700, so the pass serves
+    # the top only and the smaller n run their own passes
     if kind == "power":
         law, ns = build_law(1.0, None, 512), (64, 200, 512)
     else:
@@ -807,7 +808,8 @@ def test_cumulant_grid_serves_the_bytes_of_fresh_calls(kind, monkeypatch):
     fresh = {(h, n): QuenchedSystem(law, h, omega[:n], n).cumulants(4)
              .kappa.tobytes() for h in hs for n in ns}
     passes = _counted_passes(monkeypatch)
-    with quenched.cumulant_grid(hs, ns):
+    with quenched.run_memo():
+        quenched._seed_cumulants(law, omega, hs, ns, 4)
         for h in hs:
             for n in sorted(ns, reverse=True):
                 kappa = QuenchedSystem(law, h, omega[:n], n).cumulants(4).kappa
@@ -842,34 +844,39 @@ def test_moment_pass_keeps_only_live_columns(monkeypatch):
     assert whole[1].tobytes() == coef.tobytes()
 
 
-def test_cumulant_grid_falls_back_to_fresh_passes(monkeypatch):
-    # a call the pass cannot serve runs its own pass, with the bytes of a
-    # call outside the scope: a smaller n asked before the pass has run,
-    # other charges, another order, an h or an n off the grid
+def test_cells_the_seeded_pass_does_not_hold_run_their_own(monkeypatch):
+    # inside a run memo, a cell the seeded pass does not hold runs its own
+    # pass, with the bytes of a call outside the memo: other charges,
+    # another order, an h or an n off the grid.  A cell that ran its own
+    # pass is kept too, so asking it again runs nothing
     law = build_law(1.0, None, 256)
     rng = np.random.default_rng(5)
     omega, other = rng.normal(0.0, 1.0, (2, 128))
-    calls = [(1.0, omega, 64, 4), (1.0, omega, 128, 4), (2.0, other, 64, 4),
-             (2.0, omega, 64, 2), (1.5, omega, 128, 4), (2.0, omega, 100, 4),
-             (2.0, omega, 64, 4)]
+    calls = [(2.0, other, 64, 4), (2.0, omega, 64, 2), (1.5, omega, 128, 4),
+             (2.0, omega, 100, 4), (2.0, omega, 64, 4), (1.0, omega, 128, 4),
+             (2.0, other, 64, 4)]
     fresh = [QuenchedSystem(law, h, om[:n], n).cumulants(r).kappa.tobytes()
              for h, om, n, r in calls]
     passes = _counted_passes(monkeypatch)
-    with quenched.cumulant_grid((1.0, 2.0), (64, 128)):
+    with quenched.run_memo():
+        quenched._seed_cumulants(law, omega, (1.0, 2.0), (64, 128), 4)
         for (h, om, n, r), want in zip(calls, fresh):
             kappa = QuenchedSystem(law, h, om[:n], n).cumulants(r).kappa
             assert kappa.tobytes() == want, (h, n, r)
-    # the last call is the only one the pass (the second call) serves
-    assert passes == [(1, 64), (2, 128), (1, 64), (1, 64), (1, 128), (1, 100)]
-    assert quenched._GRID.get() is None
+    # the seeded pass, then the four cells it does not hold
+    assert passes == [(2, 128), (1, 64), (1, 64), (1, 128), (1, 100)]
+    # outside a memo nothing is kept, so seeding runs no pass
+    passes.clear()
+    quenched._seed_cumulants(law, omega, (1.0, 2.0), (64, 128), 4)
+    assert passes == []
 
 
-def test_cumulant_grid_scope_closes_when_a_cell_raises():
+def test_run_memo_closes_after_a_refused_law():
     law = law_from_table([0.5, 1e-300, 0.25])
     with pytest.raises(ValueError, match="log p spans"):
-        with quenched.cumulant_grid((1.0,), (3,)):
-            QuenchedSystem(law, 1.0, None, 3).cumulants(4)
-    assert quenched._GRID.get() is None
+        with quenched.run_memo():
+            quenched._seed_cumulants(law, np.zeros(3), (1.0,), (3,), 4)
+    assert quenched._MEMO.get() is None
 
 
 # -- maximal excursion --------------------------------------------------------

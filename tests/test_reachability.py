@@ -10,8 +10,8 @@ same-named one.  A function that only tests call belongs in
 
 The same profiles count, run by run, the calls of ``_tilted``, the law
 tilt of the rows the linear step cannot certify untilted: no power-law
-row reaches it, and the geometric ``compute`` at n = 700 takes it once,
-for its cumulants, whose kappa_0 is the log Z it prints.
+row reaches it, and each geometric ``compute`` with n = 700 takes it
+once, for its cumulants at 700, whose kappa_0 is the log Z it prints.
 """
 
 import ast
@@ -69,6 +69,12 @@ RUNS = [
         "model": {"n_max": 16},
         "disorder": {"family": "shifted_exponential", "param": 0.5},
         "grids": {"h_values": [2.0], "n_values": [16]}}),
+    # tilted at its top n only: the one pass at n = 700 keeps the top's
+    # cells, and n = 300 runs its own, untilted cumulants pass
+    ("compute", {
+        "model": {"kind": "geometric", "n_max": 700},
+        "disorder": {"family": "gaussian", "param": 1.0},
+        "grids": {"h_values": [1.0], "n_values": [300, 700]}}),
     # log p spans 699 log 2 nats on [1, 700]: past the linear step's
     # certificate, so the cumulants run the tilted law
     ("compute", {
@@ -162,11 +168,11 @@ def test_cli_reaches_every_disorder_mc_function(cli_profile):
 
 
 def test_only_the_uncertified_law_takes_the_tilt(cli_profile):
-    # no power-law (or short table) row is tilted; the geometric compute
-    # tilts once, for its cumulants (order 4), which give its log Z too,
-    # so it builds no prefix table
+    # no power-law (or short table) row is tilted; each geometric compute
+    # at n = 700 tilts once, for its cumulants (order 4), which give its
+    # log Z too, so it builds no prefix table
     want = [0] * len(RUNS)
-    want[GEOMETRIC_RUN] = 1
+    want[GEOMETRIC_RUN - 1] = want[GEOMETRIC_RUN] = 1
     assert [_calls(run, quenched._tilted) for run in cli_profile.runs] \
         == want
 

@@ -175,7 +175,7 @@ def test_c13_reads_c3s_exact_laws_from_the_run_memo(monkeypatch):
     monkeypatch.setattr(quenched, "_count_dp", counted)
     monkeypatch.setattr(QuenchedSystem, "contact_law", recorded)
     ctx = _small_ctx()
-    with disorder_mc.run_memo():
+    with quenched.run_memo():
         memo = [r.to_dict() for r in full_report(ctx, ("C3", "C13"))]
     assert runs == [5, 5, 5, 5, 4, 24, 20, 4]
     c3, c13 = laws[:24], laws[24:]
