@@ -17,12 +17,11 @@ centred at the law's ``contact_density(h)``: log Z is kappa_0 of the rows
 cumulants follow by the row-wise log-series recursion of ``numerics``.
 log Z and the cumulants of order r <= 2 read one order-2 pass; higher
 orders run their own.  kappa_1 paths run the same engine at order 1 with
-every column kept.  A block of two or more samples runs fused, one 2-D
-product per step padded to the BLAS row tile, and a sample's values keep
-their bits in any such block, whatever its size and its other samples
-(the locality contract of ``quenched._linear_rows``).  A block of one
-sample, the last block of a count of 64 k + 1, runs alone, and its
-values differ from the fused ones at roundoff.
+every column kept.  Every pass has one centre for its block, so every
+block runs fused, one 2-D product per step padded to the BLAS row tile,
+and a sample's values depend only on its charges, h and the law, not on
+its block's size (one sample included) or its other samples (the
+locality contract of ``quenched._linear_rows``).
 
 Inside ``quenched.run_memo()`` (the CLI opens one around each command)
 the rows of every block are kept (``quenched._memoised``), keyed by what

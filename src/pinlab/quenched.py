@@ -31,12 +31,12 @@ the sums over paths pinned at k of (L_k - c k)^m times their weight for
 m <= R, under Y_0's scale, with the R+1 entries of a column side by
 side.  The centre c is the homogeneous chain's contact density at h
 (``InterArrivalLaw.contact_density``), a function of the law and h
-only, so a row's cumulants depend on nothing but its weights.  Each row
-may have its own centre.  Two or more rows that share one (a block of
-disorder samples at one h) run fused: one 2-D product per step for the
-whole block, with the rows padded to the BLAS kernel's row tile, so
-that a row's bits do not depend on its block-mates.  One row alone, and
-rows with distinct centres, run one product per row.
+only, so a row's cumulants depend on nothing but its weights.  One
+float centre for the whole pass (a block of disorder samples at one h,
+of any size) runs it fused: one 2-D product per step, the rows padded to
+the BLAS kernel's row tile, so that a row's bits depend neither on its
+block-mates nor on their number.  One centre per row (a system, the
+grid of pinlab compute) runs one product per row.
 Moment rows flush entries below a level theta certified from the law
 (about e^-85 on scan's law), far above 1e-290, so the windows start
 late and the stored state keeps only the columns they read.  It is
@@ -252,21 +252,21 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     keeps every column, which its rebuilds read.
 
     Route of a step, over the window of columns k-L..k-1 (L a multiple of
-    _LANE, from lo or the widest band on):
-      * fused: a moment pass of two rows or more that share one centre
-        (every pass of disorder_mc).  The antidiagonal map of _moments is
-        folded into one (depth, R+1, R+1) table wf[j, i, m] = w[j, m-i],
-        so that one 2-D product y[:, window].reshape(rows, (R+1) L) @
-        wf[window].reshape((R+1) L, R+1) gives every row's new column.
-        The rows are padded with copies of the last row to a multiple of
-        _TILE, and the product runs in groups of a multiple of _TILE rows
-        of at most _SMALL_GEMM multiply-adds each (one group for scan's
-        64 x 512 passes).
-      * per row: a moment pass of one row, or of rows with distinct
-        centres (QuenchedSystem.cumulants, the grid of pinlab compute):
-        one stacked product per row, (R+1, L) @ (L, R+1) against the
-        row's table q d^e / e!, whose antidiagonal sums are a second,
-        fixed product per row; and at order 0 (_forward) one dot per row.
+    _LANE, from lo or the widest band on), picked by centre alone:
+      * fused: one float centre (every pass of disorder_mc).  The
+        antidiagonal map of _moments is folded into one (depth, R+1, R+1)
+        table wf[j, i, m] = w[j, m-i], so that one 2-D product
+        y[:, window].reshape(rows, (R+1) L) @ wf[window].reshape((R+1) L,
+        R+1) gives every row's new column.  The rows, one or more, are
+        padded with copies of the last row to a multiple of _TILE, and
+        the product runs in groups of a multiple of _TILE rows of at most
+        _SMALL_GEMM multiply-adds each (one group for scan's 64 x 512).
+      * per row: a sequence of one centre per row (QuenchedSystem.cumulants
+        passes [c], pinlab compute's grid one per h): one stacked product
+        per row, (R+1, L) @ (L, R+1) against the row's own table q d^e /
+        e!, grown as the windows widen, whose antidiagonal sums are a
+        second, fixed product per row; and at order 0 (_forward) one dot
+        per row.
 
     Locality contract.  A row's bits depend on its weights, law, band and
     centre, and on its route, and on nothing else: not on the other rows'
@@ -281,11 +281,11 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     output along the window in order, four rows at a time; rows of a
     1-3 row tail, and products past that size (the blocked kernel splits
     the window), do not keep their bits.  So a row of a fused pass keeps
-    its bits in any block of two rows or more, and sits within roundoff
-    of the same row run alone (per row).  The groups keep that while
-    _TILE (R+1)^2 L <= _SMALL_GEMM: windows up to 27,000 columns at order
-    2, 3,000 at order 8.  tests/test_blas_contract.py checks both BLAS
-    assumptions at the pass's shapes.
+    its bits in any block, one row included, and sits within roundoff of
+    the same row run per row.  The groups keep that while _TILE (R+1)^2 L
+    <= _SMALL_GEMM: windows up to 27,000 columns at order 2, 3,000 at
+    order 8.  tests/test_blas_contract.py checks both BLAS assumptions at
+    the pass's shapes.
 
     Flush.  An entry below _FLUSH of its row's scale is stored as an
     exact 0 (its Y_m too), except in moment rows, which flush at theta =
@@ -320,20 +320,12 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
         # t moves L - c k by d(t).  With y[:, j, i] = Y_i / i!, the step's
         # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient
         # of m is the sum of its antidiagonal i + e = m
-        centre = np.asarray(centre, dtype=float)
         gaps = np.zeros(pad + widest)
         gaps[pad:] = np.arange(widest, 0, -1)
-        shared = not (centre.ndim and (centre != centre[0]).any())
-        fused = shared and rows > 1
-        if not shared:
-            # one table per row, grown as the windows widen: the windows
-            # rarely span all of [1, n], and a row's entries are the
-            # shared table's (_gap_weights, entry by entry)
-            w, depth = np.empty((rows, 0, width)), 0
-        else:
-            w = _gap_weights(qrev, 1.0 - float(centre.flat[0]) * gaps, width)
+        fused = np.ndim(centre) == 0
         if fused:
             # as a (depth (R+1), R+1) matrix, whose window is a slice
+            w = _gap_weights(qrev, 1.0 - float(centre) * gaps, width)
             wf = np.zeros((depth, width, width))
             for i in range(width):
                 wf[:, i, i:] = w[:, :width - i]
@@ -344,6 +336,10 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
             s = np.empty((rows, width))
             s0 = s[:, 0]
         else:
+            # one table per row, grown as the windows widen: the windows
+            # rarely span all of [1, n]
+            centre = np.asarray(centre, dtype=float)
+            w, depth = np.empty((rows, 0, width)), 0
             e = np.arange(width)
             antidiag = (e[:, None, None] + e[None, :, None]
                         == e[None, None, :]).astype(float).reshape(-1, width)
@@ -646,15 +642,14 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
     Y_0 is _forward's recursion.  _linear_rows stores Y_m / m! under
     Y_0's one log scale per row, column by column, and a step's new
     column is a product of the window against q d^e / e! and the
-    antidiagonal sums i + e = m.  Two or more rows that share one centre
-    run fused, one 2-D product per step over a table with the sums
-    folded in, padded to whole row tiles; one row, or rows with distinct
-    centres (each with its own table, built entry by entry as the shared
-    one would be), run one product per row.  Either way a row's bits do
-    not depend on its block-mates, but a row run fused differs at
-    roundoff from the same row run alone (see _linear_rows for the
-    contract and the BLAS facts it rests on).  Every m of a column is
-    flushed together when its Y_0 falls below theta (_moment_flush).
+    antidiagonal sums i + e = m.  A float centre runs the rows fused, one
+    2-D product per step over a table with the sums folded in, padded to
+    whole row tiles; a centre per row runs one product per row against
+    its own table.  Either way a row's bits do not depend on its
+    block-mates, but a fused row differs at roundoff from the same row
+    run per row (see _linear_rows for the contract and the BLAS facts it
+    rests on).  Every m of a column is flushed together when its Y_0
+    falls below theta (_moment_flush).
 
     Certificate: for 0 <= c <= 1, |L_j - c j| <= j <= n and |d| <= n, so
     |Y_i[j]| <= Y_0[j] n^i, and a term of S[i, e], i, e <= R, is at most
@@ -1101,9 +1096,8 @@ class QuenchedSystem:
     QuenchedSystem(law, h, omega, n) is the one row of its own block;
     ``QuenchedBlock.systems()`` builds the views of a larger block, which
     share its prefix, suffix, avoidance, excursion and contact-law
-    tables.  The segment table is per system, read from the block's
-    chunk of segment tables and cached; every public method is a pure
-    read."""
+    tables, and its chunk of segment tables.  Every public method is a
+    pure read."""
 
     def __init__(self, law, h: float, omega, n: int):
         if isinstance(omega, _Row):  # built by QuenchedBlock.systems()
@@ -1114,7 +1108,6 @@ class QuenchedSystem:
         self._block, self._row = block, row
         self.law, self.h, self.n = block.law, block.h, block.n
         self.site_weight = block.site_weight[row]
-        self._segments = None
 
     @property
     def prefix_logZ(self) -> np.ndarray:
@@ -1133,17 +1126,15 @@ class QuenchedSystem:
         return self._block.suffix_logZ()[self._row]
 
     def segment_partitions(self, window: int) -> np.ndarray:
-        """seg[i, l] = log Z_{[i, i+l]} for l = 0..width, cached.
+        """seg[i, l] = log Z_{[i, i+l]} for l = 0..width, from the block's
+        last chunk of segment tables.
 
         The segment system on [i, j] uses charges omega_{i+1}..omega_j, so
         row 0 coincides with the prefix table.  Entries past n are -inf.
-        The cached width is shape[1] - 1: at least window, more when a
-        wider table was asked for earlier."""
+        The width is shape[1] - 1: at least window, more when the chunk
+        was built for a wider one."""
         window = _index("window", window, 0, self.n)
-        if self._segments is None or self._segments.shape[1] - 1 < window:
-            self._segments = self._block.segment_partitions(self._row,
-                                                            window)
-        return self._segments
+        return self._block.segment_partitions(self._row, window)
 
     # -- contact observables ----------------------------------------------
 
@@ -1214,7 +1205,7 @@ class QuenchedSystem:
 
         def own_pass():
             sc, coef = _moments(self.law.log_p, self.site_weight[None, 1:],
-                                order, c, [self.n])
+                                order, [c], [self.n])
             return np.concatenate((sc[0], coef[0, 0]))
         # the key _seed_cumulants keeps a column under
         column = _memoised(self.law, ("cumulants", self.h, order,

@@ -380,9 +380,10 @@ def _check_c5(ctx: CheckContext) -> CheckReport:
 # C6: maximal excursion scale M_n ~ (log n)/mu
 
 def _excursion_band(n: int, mu_hat: float, eps: float) -> tuple[int, int]:
-    """Integers m with m/log n inside (1 - eps, 1 + eps)/mu_hat."""
-    lo = (1.0 - eps) / mu_hat * math.log(n)
-    hi = (1.0 + eps) / mu_hat * math.log(n)
+    """Integers m with m/log n inside (1 - eps, 1 + eps)/mu_hat, m_lo < m
+    <= m_hi: none for n < 2, where log n <= 0."""
+    lo = (1.0 - eps) / mu_hat * math.log(max(n, 1))
+    hi = (1.0 + eps) / mu_hat * math.log(max(n, 1))
     m_lo = max(int(math.floor(lo)), 0)          # P[M <= m_lo] excludes (lo, ..
     m_hi = min(int(math.ceil(hi)) - 1, n)       # strictly below hi
     return m_lo, m_hi
@@ -418,8 +419,12 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
     mu_hat = mu.slope
     mass, errs, detail = [], [], {}
     localized = math.isfinite(mu_hat) and mu_hat > 0.0
+    bands = {n: _excursion_band(n, mu_hat, _BAND_EPS) for n in ns
+             if localized}
+    # a size whose band holds no integer has no band mass to grow
+    empty = [n for n, (lo, hi) in bands.items() if hi <= lo]
     for n in ns:
-        if localized:
+        if localized and not empty:
             m, e, d = _excursion_band_mass(ctx, ctx.h, n, mu_hat)
         else:
             m, e, d = math.nan, math.nan, {"band": None}
@@ -438,13 +443,17 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
         metrics["mu_note"] = (f"mu_hat = {mu_hat:.4g} is not a positive "
                               "rate: no excursion band (delocalized?)")
     passed = increasing and mass[-1] > 0.9
+    skip = (f"no integer m has m / log n within {_BAND_EPS:.0%} of 1 / "
+            f"mu_hat = {1 / mu_hat:.4g} at n = {', '.join(map(str, empty))}"
+            if empty else None)
     return CheckReport("C6", CHECK_DESCRIPTIONS["C6"],
                        {"h": ctx.h, "n_values": ns,
                         "band_eps": _BAND_EPS,
                         "samples": 1 if ctx.is_pure else _EXACT_SAMPLES},
                        metrics, {"mu_hat": mu_hat,
                                  "mu_hat_stderr": mu.slope_stderr},
-                       {"mass_threshold": 0.9, "trend_sigma": 2.0}, passed,
+                       {"mass_threshold": 0.9, "trend_sigma": 2.0},
+                       None if empty else passed, skip_reason=skip,
                        extras={"band_mass": mass, "band_mass_stderr": errs,
                                "cdf": detail})
 

@@ -61,6 +61,41 @@ def mp_prefix(log_p, b, band=None):
     return z
 
 
+def mp_pair_log_a(log_p, bw, digits=40):
+    """log a_j, j = 1..W, of the two-replica avoidance on a window whose
+    site x carries log weight bw[x] (bw[0] is not read), from the pair
+    recursion of ``quenched._pair_forward`` in linear domain, carried to
+    `digits` digits: a_j = A_j / Z_j^2, A_j the weight of the pairs of
+    paths on [0, j] with disjoint interior contact sets and Z_j the
+    window's partition function cut at j.
+
+    State (u, v), u < v: the replicas' latest contacts.  A new point t
+    extends the trailing replica (gap t-u, to (v, t)) or the leading one
+    (gap t-v, to (u, t)), or closes both at t; from (0, 0) either replica
+    of the empty pair jumps to t."""
+    w = len(bw) - 1
+    out = np.empty(w)
+    with mp.workdps(digits):
+        p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x))) for x in log_p[1:w + 1]]
+        e = [mp.exp(mp.mpf(float(x))) for x in bw]
+        z = mp_prefix(log_p, bw[1:])
+        # cols[v][u] and rows[u][v - u - 1] both hold the state (u, v)
+        cols, rows = [None], [[] for _ in range(w)]
+        for t in range(1, w + 1):
+            q = [p[t - x] for x in range(t)]
+            trail = [mp.fdot(cols[v], q[:v]) for v in range(1, t)]
+            close = p[t] ** 2 + mp.fdot(trail, q[1:])
+            out[t - 1] = float(mp.log(close * e[t] ** 2 / z[t] ** 2))
+            col = [mp.fdot(rows[u], q[u + 1:]) for u in range(t)]
+            col[0] += 2 * p[t]
+            for v in range(1, t):
+                col[v] += trail[v - 1]
+            cols.append([c * e[t] for c in col])
+            for u in range(t):
+                rows[u].append(cols[t][u])
+    return out
+
+
 def mp_log_prefix(log_p, b, band=None, digits=40):
     """log Z_{0,k}, k = 0..n, of mp_prefix carried to `digits` digits."""
     with mp.workdps(digits):
@@ -124,6 +159,63 @@ def mp_cumulants(log_p, b, r_max, digits=40, keep=115.0):
             kappa.append(raw[m] - mp.fsum(math.comb(m - 1, i - 1) * kappa[i]
                                           * raw[m - i] for i in range(1, m)))
         return np.array([float(x) for x in kappa])
+
+
+def ld_cumulants(log_p, b, r_max, centre, cut=200.0):
+    """[log Z_{0,n}, kappa_1, .., kappa_r_max] of the contact number L_n
+    for the site log weights b, from the centred moment DP of
+    ``quenched._moments`` run in np.longdouble (the x87 80-bit format,
+    eps 1.08e-19), centred at c = centre:
+
+        Y_m[k] / m! = p(1) e^{b_k} sum_{i+e=m} sum_j (Y_i[j] / i!)
+                      q(k-j) d(k-j)^e / e!,  q = p / p(1), d(t) = 1 - c t.
+
+    Column j is stored as Y_m[j] / m! times e^{-C_j}, under a log scale of
+    its own, the integer C_j nearest to log Z_{0,j}: log Z reaches 2.5e4
+    at n = 8192, past the long-double range (e^11356), and an integer
+    scale makes every factor e^{C_j - C_k} exact to long-double roundoff.
+    Step k leaves out the columns j whose scale sits more than cut nats
+    below the largest scale so far; as |Y_i[j]| <= n^i Y_0[j] and |d| <=
+    n, they would move a step's sums by at most n^(2 r_max + 1) e^-cut of
+    its first term (1e-52 at n = 8192, order 4), provided the scale never
+    falls 50 nats below its running max, which is asserted."""
+    ld = np.longdouble
+    n = len(b)
+    width = r_max + 1
+    e = np.arange(width)
+    fact = np.array([math.factorial(m) for m in e], dtype=ld)
+    gap = np.arange(n, 0, -1, dtype=ld)
+    # w[n - t, e] = q(t) d(t)^e / e!, so that the gaps k - j of the columns
+    # j = lo..k-1 are the rows n - k + lo..n - 1
+    lq = log_p[n:0:-1].astype(ld) - ld(log_p[1])
+    w = np.exp(lq)[:, None] * (1 - ld(centre) * gap)[:, None] ** e / fact
+    lb = ld(log_p[1]) + b.astype(ld)
+    y = np.zeros((n + 1, width), dtype=ld)
+    y[0, 0] = 1
+    scale = np.zeros(n + 1, dtype=np.int64)
+    top, lo = 0, 0
+    for k in range(1, n + 1):
+        while scale[lo] < top - cut:
+            lo += 1
+        rel = np.exp((scale[lo:k] - scale[k - 1]).astype(ld))
+        s = (y[lo:k] * rel[:, None]).T @ w[n - k + lo:]
+        col = np.array([np.trace(s[:, ::-1], offset=r_max - m)
+                        for m in e])
+        log_step = float(np.log(col[0]) + lb[k - 1])
+        scale[k] = scale[k - 1] + round(log_step)
+        y[k] = col * np.exp(lb[k - 1] + (scale[k - 1] - scale[k]))
+        top = max(top, int(scale[k]))
+        assert scale[k] > top - 50
+    # the cumulants of L_n - c n by the log-series recursion
+    coef = y[n] / y[n, 0]
+    g = np.zeros(width, dtype=ld)
+    for m in range(1, width):
+        g[m] = coef[m] - sum(i * g[i] * coef[m - i] for i in range(1, m)) / m
+    kappa = g * fact
+    kappa[0] = scale[n] + np.log(y[n, 0])
+    if r_max:
+        kappa[1] += ld(centre) * n
+    return kappa
 
 
 def mp_contact_pmf(log_p, b, digits=40):

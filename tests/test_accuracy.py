@@ -6,9 +6,10 @@ carried to 40 digits from the same float inputs, and asserts the bound
 stated there.  The exact contact law is against the 40-digit count DP at
 n = 128 (at n = 256 that reference takes 7.6 s); the budgeted law of the
 KS distances is against the exact law in double precision at the sizes
-it runs at, as 40 digits at n = 1024 would take minutes.  The sizes are
-those the checks use, kept few so that the references take a few
-seconds.
+it runs at, as 40 digits at n = 1024 would take minutes; and the cells
+of pinlab compute, up to n = 8192, are against the centred moment DP in
+long double (eps 1.08e-19).  The sizes are those the checks use, kept
+few so that the references take a few seconds.
 """
 
 import math
@@ -24,8 +25,8 @@ from pinlab.quenched import (_FLUSH, _RESCALE, KS_L1_BUDGET, QuenchedSystem,
                              _forward, _moment_flush, ks_to_standard_normal,
                              run_memo)
 from pinlab.theorems import _ks_error_bound
-from support import (mp_contact_pmf, mp_cumulants, mp_log_prefix, mp_prefix,
-                     mp_suffix)
+from support import (ld_cumulants, mp_contact_pmf, mp_cumulants,
+                     mp_log_prefix, mp_pair_log_a, mp_prefix, mp_suffix)
 
 DIGITS = 40
 
@@ -128,6 +129,24 @@ def test_segment_table_against_mpmath():
                                       / np.maximum(1.0, np.abs(ref))).max()))
             assert np.all(seg[i, ref.size:] == -math.inf)
     assert worst <= 1e-14
+
+
+def test_pair_dp_log_a_against_mpmath():
+    # log a_j of the two-replica avoidance (_pair_forward, C7's pair DP)
+    # on windows of width 64 at offsets 0 and 96 of a chain at (h, n) =
+    # (3, 256), against the 40-digit pair recursion: bound 1e-14 relative
+    # (to max(1, |log a_j|)) over j = 1..64; 1.4e-15, where log a_64 is
+    # about -164
+    window = 64
+    law, sys_ = _gaussian_system(3.0, 256, 27)
+    worst = 0.0
+    for start in (0, 96):
+        got = sys_.two_replica_avoidance_log(window, start)[1:]
+        want = mp_pair_log_a(
+            law.log_p, sys_.site_weight[start:start + window + 1], DIGITS)
+        worst = max(worst, float((np.abs(got - want)
+                                  / np.maximum(1.0, np.abs(want))).max()))
+    assert worst <= 1e-14, worst
 
 
 def test_banded_fallback_rows_against_mpmath():
@@ -239,6 +258,32 @@ def test_compute_log_z_against_mpmath():
         got = sys_.cumulants(4).kappa[0]
         worst = max(worst, abs(got - want) / abs(want))
     assert worst <= 1e-14, worst
+
+
+def test_compute_cells_against_long_double():
+    # log Z and kappa_1..kappa_4 of QuenchedSystem.cumulants(4), the bytes
+    # pinlab compute prints, at its workload's cells (h in {1.5, 2.5, 3.5},
+    # n in {2048, 4096, 8192}, master seed 7, sample 0) against the same
+    # centred moment DP in long double, relative to |kappa_r|.  Bounds and
+    # the worst cell, (1.5, 8192) for every r: log Z 1e-15 (2.2e-16),
+    # kappa_1 2e-15 (3.8e-16), kappa_2 5e-12 (1.0e-12), kappa_3 3e-9
+    # (6.4e-10), kappa_4 2e-6 (4.2e-7).  There the centre c n sits about
+    # 340 contacts above the mean of L_n, so kappa_4 comes from centred
+    # moments about 1e7 times its size; the reference's own roundoff is
+    # about 1e-19 times that amplification
+    bounds = np.array([1e-15, 2e-15, 5e-12, 3e-9, 2e-6])
+    law = build_law(1.0, None, 8192)
+    worst = np.zeros(bounds.size)
+    for h in (1.5, 2.5, 3.5):
+        for n in (2048, 4096, 8192):
+            omega = sample_disorder_block(gaussian_disorder(1.0), n, 7, 0,
+                                          1)[0]
+            sys_ = QuenchedSystem(law, h, omega, n)
+            want = ld_cumulants(law.log_p, sys_.site_weight[1:], 4,
+                                law.contact_density(h))
+            got = sys_.cumulants(4).kappa
+            worst = np.maximum(worst, np.abs((got - want) / want))
+    assert np.all(worst <= bounds), worst
 
 
 def test_disorder_mc_log_z_against_mpmath():

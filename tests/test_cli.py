@@ -188,6 +188,27 @@ def test_verify_c13_skips_when_sizes_exceed_the_horizon(tmp_path, capsys):
     assert c13["parameters"]["n_values"] == [32, 64]
 
 
+@pytest.mark.parametrize("n_max, empty", [(3, "0, 1, 3"), (6, "1, 3")])
+def test_verify_c6_skips_a_size_whose_band_holds_no_integer(tmp_path, capsys,
+                                                             n_max, empty):
+    # the excursion grid is (n_max // 4, n_max // 2, n_max): at n <= 1 log n
+    # is not positive, and at n = 3 the band (1 +- 0.25) log n / mu_hat
+    # (mu_hat about 1.4) lies inside (0, 1)
+    tiny = dict(SMALL_SCAN, model={"n_max": n_max},
+                grids=dict(SMALL_SCAN["grids"], n_values=[1, 2, 3]))
+    cfg = _write(tmp_path, "tiny.json", tiny)
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--out", out,
+                 "--checks", "C6"]) == 0
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    assert "within 25% of 1 / mu_hat = " in captured.out
+    (c6,) = json.loads(open(os.path.join(out, "report.json")).read())["checks"]
+    assert c6["passed"] is None
+    assert c6["skip_reason"].endswith(f"at n = {empty}")
+    assert c6["metrics"]["band_mass_increasing"] is False
+
+
 def test_verify_failure_exits_2_but_writes_report(tmp_path, monkeypatch, capsys):
     def failing(ctx):
         return CheckReport("C9", "forced", {}, {"violations": 1}, {}, {}, False)

@@ -78,7 +78,8 @@ def test_batched_cumulants_match_per_sample_jets():
     # at the single-system jet order both run one engine, by two routes: a
     # block's rows run fused, and keep their bits in any block (a partial
     # block of 6 rows, padded to 8, gives the first 6 rows of a block of
-    # 8), while a system's one row runs alone, within roundoff of them
+    # 8), while a system's one row runs per row (its centre passed as
+    # [c]), within roundoff of them
     kap = sample_cumulants(cfg, 1.5, 20, DEFAULT_JET_ORDER)
     six = sample_cumulants(_cfg(samples=6), 1.5, 20, DEFAULT_JET_ORDER)
     assert six.tobytes() == kap[:6].tobytes()
@@ -299,6 +300,23 @@ def test_blocks_on_the_same_charges_share_their_exact_laws(monkeypatch):
     assert runs == [5, 4, 5, 5]
     assert QuenchedBlock(LAW, 2.0, charges, 32).contact_laws().tobytes() \
         == laws.tobytes()
+
+
+def test_a_samples_rows_do_not_depend_on_the_sample_count():
+    # sample 64 is alone in its 64-block of a 65-sample run, and paired with
+    # sample 65 in a 66-sample run: every moment pass of a block has one
+    # centre, so both run fused and its rows keep their bytes (n = 128 at
+    # h = 2, seed 11; the count of 65 ran the one row alone and moved
+    # kappa_1..kappa_4 by up to 7.9e-14 relative)
+    rows = {}
+    for samples in (65, 66):
+        cfg = _cfg(samples=samples)
+        rows[samples] = [np.array([v[64] for v in sample_log_z(cfg, 2.0, 128)]),
+                         sample_cumulants(cfg, 2.0, 128, 2)[64],
+                         sample_cumulants(cfg, 2.0, 128, 6)[64],
+                         sample_kappa1_path(cfg, 2.0, 128)[64]]
+    for got, want in zip(rows[65], rows[66]):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reruns_are_bitwise_identical():

@@ -169,15 +169,16 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     # a row's table is bit-identical whatever batch it is computed in, and
     # with bands (one per row) whatever the other rows' bands are; with an
     # order R the engine is _moments (log Z and the centred moment rows,
-    # at a random centre, shared or one per row: rows with distinct
-    # centres get a weight table each), and the columns it keeps with
-    # `at` are those of the full table.  A long chain (n and bands past
-    # 600) puts the geometric law past its certificate: bands above 606,
-    # and every moment row, run the tilted law, beside the untilted rows
-    # of the same call
+    # at a random centre): a float centre runs the rows fused, a centre
+    # per row (here distinct or all equal) one product per row, and the
+    # columns it keeps with `at` are those of the full table.  A long
+    # chain (n and bands past 600) puts the geometric law past its
+    # certificate: bands above 606, and every moment row, run the tilted
+    # law, beside the untilted rows of the same call
     rng = np.random.default_rng(seed)
     centres = rng.uniform(0.0, 1.0, rows)
-    if rng.random() < 0.5:
+    fused = order is not None and rng.random() < 0.5
+    if fused or rng.random() < 0.5:
         centres[:] = centres[0]
     law = GEOM
     if long:
@@ -203,34 +204,37 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
             return (_forward(law.log_p, weights, band),)
         return _moments(law.log_p, weights, order, centre)
 
-    batched = run(b, bands, centres)
+    def centre_of(r):
+        """Row r's centre as the batch passes it: a float, or [c_r]."""
+        return float(centres[r]) if fused else centres[r:r + 1]
+
+    batch_centre = float(centres[0]) if fused else centres
+    batched = run(b, bands, batch_centre)
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
-    # moment rows that share a centre, two or more, run fused: a row keeps
-    # its bits in any such batch (here paired with itself, and in the
-    # batch reversed), and sits within roundoff of its one-row run, which
-    # runs per row
-    fused = order is not None and rows > 1 and (centres == centres[0]).all()
+    # a row keeps its bits run alone on its route (fused, one row padded
+    # to a row tile), and fused in the batch reversed too; a fused row
+    # sits within roundoff of the same row run per row
     for r in range(rows):
         one = np.ascontiguousarray(b[r:r + 1])
         alone = run(one, None if bands is None else bands[r:r + 1],
-                    float(centres[r]))
-        if fused:
-            _assert_moment_rows_close(batched[0][r:r + 1],
-                                      batched[1][r:r + 1], alone, order)
-            alone = run(np.concatenate((one, one)), None, centres[:2])
+                    centre_of(r))
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
+        if fused:
+            _assert_moment_rows_close(batched[0][r:r + 1],
+                                      batched[1][r:r + 1],
+                                      run(one, None, centres[r:r + 1]), order)
     if fused:
-        for table, back in zip(batched, run(b[::-1], None, centres)):
+        for table, back in zip(batched, run(b[::-1], None, batch_centre)):
             back = np.ascontiguousarray(back[::-1])
             assert table.tobytes() == back.tobytes()
     if order is not None:
         at = sorted(rng.choice(n + 1, int(rng.integers(1, n + 2)),
                                replace=False).tolist(), reverse=True)
         for table, kept in zip(batched, _moments(law.log_p, b, order,
-                                                 centres, at)):
+                                                 batch_centre, at)):
             assert kept.tobytes() == np.ascontiguousarray(table[:, at]).tobytes()
 
 
@@ -241,14 +245,15 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
 @example(7, 8, 512)
 def test_fused_moment_rows_are_row_local(seed, order, n):
     # the locality contract of _linear_rows' fused route, as disorder_mc
-    # runs it (rows of one law, h and centre): a row's log Z and
-    # coefficients keep their bits in a pass of 4, 6 (padded to 8), 8 or
-    # 64 rows, at any position, with its block-mates permuted, and with
-    # block-mates that rescale and flush at other columns (h +- 2 and
-    # charges of 4 sigma); the same row alone (the per-row route) agrees
-    # with it within the README bounds of log Z, kappa_1 and kappa_2.  At
-    # order 8, 64 rows and windows past 192 columns a step's product runs
-    # in row groups, to stay within _SMALL_GEMM
+    # runs it (rows of one law, h and centre, a float): a row's log Z and
+    # coefficients keep their bits in a pass of 1 (padded to 4), 4, 6
+    # (padded to 8), 8 or 64 rows, at any position, with its block-mates
+    # permuted, and with block-mates that rescale and flush at other
+    # columns (h +- 2 and charges of 4 sigma); the same row on the per-row
+    # route (centre [c]) agrees with it within the README bounds of log Z,
+    # kappa_1 and kappa_2.  At order 8, 64 rows and windows past 192
+    # columns a step's product runs in row groups, to stay within
+    # _SMALL_GEMM
     rng = np.random.default_rng(seed)
     law = build_law(1.0, None, 512)
     h = float(rng.uniform(1.0, 3.5))
@@ -276,12 +281,12 @@ def test_fused_moment_rows_are_row_local(seed, order, n):
         return sc[i], coef[i]
 
     want_sc, want_coef = passed(4, False)
-    for size in (4, 6, 8, 64):
+    for size in (1, 4, 6, 8, 64):
         for wild in (False, True):
             sc, coef = passed(size, wild)
             assert sc.tobytes() == want_sc.tobytes(), (size, wild)
             assert coef.tobytes() == want_coef.tobytes(), (size, wild)
-    sc, coef = _moments(law.log_p, row[None], order, c, at)
+    sc, coef = _moments(law.log_p, row[None], order, [c], at)
     assert np.all(np.abs(sc[0] - want_sc)
                   <= 1e-14 * np.maximum(1.0, np.abs(sc[0])))
     fact = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
