@@ -8,7 +8,9 @@ worker pool measured no faster).  Callers that need a whole system per
 sample (its contact law, excursion CDF or two-replica avoidance) take
 them from ``_block_systems``: one ``QuenchedBlock`` per block of samples,
 whose row views (one ``QuenchedSystem`` per sample) share the block's
-prefix, suffix, pair-DP and exact contact-law tables.
+prefix, suffix, pair-DP and exact contact-law tables.  No block keeps
+segment tables: ``correlation_decay_scan`` runs them _SEGMENT_ROWS rows
+at a time and reduces each chunk to its rows' mixing ratios.
 
 Per-sample log Z and cumulants read the quenched module's centred moment
 rows ``_moments``, run on a whole block of samples, one row each, and
@@ -55,8 +57,8 @@ import numpy as np
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series, log_mean_exp, normal_cdf
-from .quenched import (_MEMO, QuenchedBlock, QuenchedSystem, _checked,
-                       _memoised, _moments, _pass_columns)
+from .quenched import (_MEMO, QuenchedBlock, _checked, _memoised, _moments,
+                       _pass_columns, _segment_tables)
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
               "ks_quenched", "decay_gamma", "decay_G", "conc_kappa",
@@ -65,8 +67,13 @@ QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
 _CHUNK = 64  # fixed block size: a block's rows are its memo entry
 
 _DECAY_OFFSETS = 8  # window offsets pooled by correlation_decay_scan
+# rows per segment-table pass of correlation_decay_scan: 0.5 MB of tables
+# at C7's (n, window) = (256, 64), where a block's would be 8.5 MB
+_SEGMENT_ROWS = 4
 
 _NUMERIC_FLOOR = 1e-300
+
+_MU_SIZES = 3  # least number of n values estimate_mu fits a slope to
 
 
 @dataclass(frozen=True)
@@ -113,14 +120,20 @@ class EstimateSeries:
             raise ValueError("stderr must be >= 0")
 
 
-def _block_systems(cfg: McConfig, h: float, n: int, count: int):
-    """QuenchedSystems of samples 0..count-1, in index order: the row views
-    of one QuenchedBlock per _CHUNK samples, so the rows of a block share
-    its prefix, suffix, avoidance and contact-law tables."""
+def _blocks(cfg: McConfig, h: float, n: int, count: int):
+    """One QuenchedBlock per _CHUNK samples of 0..count-1, in index order."""
     for lo in range(0, count, _CHUNK):
         charges = sample_disorder_block(cfg.disorder, n, cfg.master_seed, lo,
                                         min(_CHUNK, count - lo))
-        yield from QuenchedBlock(cfg.law, h, charges, n).systems()
+        yield QuenchedBlock(cfg.law, h, charges, n)
+
+
+def _block_systems(cfg: McConfig, h: float, n: int, count: int):
+    """QuenchedSystems of samples 0..count-1, in index order: the row views
+    of the _blocks, so the rows of a block share its prefix, suffix,
+    avoidance and contact-law tables."""
+    for block in _blocks(cfg, h, n, count):
+        yield from block.systems()
 
 
 def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
@@ -309,8 +322,8 @@ def estimate_mu(cfg: McConfig, h: float) -> MuResult:
 
     The per-n value -(1/n) log mean(1/Z^-) is Jensen-dominated by the
     sample mean of (1/n) log Z^- exactly, per run."""
-    if len(cfg.n_values) < 3:
-        raise ValueError("mu estimation needs at least 3 n values")
+    if len(cfg.n_values) < _MU_SIZES:
+        raise ValueError(f"mu estimation needs at least {_MU_SIZES} n values")
     ns = np.array(cfg.n_values, dtype=float)
     y = np.empty(ns.size)
     mu_n = np.empty(ns.size)
@@ -445,14 +458,13 @@ class DecayResult:
 _MIX_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
-def _mixing_ratio(system: QuenchedSystem, window: int,
+def _mixing_ratio(pre: np.ndarray, suf: np.ndarray, seg: np.ndarray,
                   gaps: np.ndarray) -> np.ndarray:
     """Mean over sites a = 1..n-g-1 of |cov[X_a, X_{a+g}]| /
-    min(E[X_a], E[X_{a+g}]), for each gap g <= window; nan where no site
+    min(E[X_a], E[X_{a+g}]), for each gap g, of the chain whose prefix,
+    suffix and segment tables are pre, suf and seg; nan where no site
     fits.  One masked (gaps x sites) array, pairs past n-1 zeroed out."""
-    n = system.n
-    pre, suf = system.prefix_logZ, system.suffix_logZ()
-    seg = system.segment_partitions(window)
+    n = pre.size - 1
     probs = np.exp(np.minimum(pre + suf - pre[n], 0.0))
     a = np.arange(1, n)
     b = a + gaps[:, None]
@@ -486,11 +498,19 @@ def correlation_decay_scan(cfg: McConfig, h: float,
     log_prof = np.empty((cfg.samples, len(offsets), window + 1))
     mix_vals = np.empty((cfg.samples, gaps.size))
     log_z_abs = np.empty(cfg.samples)
-    for i, sys in enumerate(_block_systems(cfg, h, n, cfg.samples)):
-        for oi, o in enumerate(offsets):
-            log_prof[i, oi] = sys.two_replica_avoidance_log(window, o)
-        mix_vals[i] = _mixing_ratio(sys, window, gaps)
-        log_z_abs[i] = abs(sys.log_z)
+    i = 0
+    for block in _blocks(cfg, h, n, cfg.samples):
+        for r, sys in enumerate(block.systems()):
+            if r % _SEGMENT_ROWS == 0:
+                seg = _segment_tables(
+                    cfg.law.log_p,
+                    block.site_weight[r:r + _SEGMENT_ROWS, 1:], window)
+            for oi, o in enumerate(offsets):
+                log_prof[i, oi] = sys.two_replica_avoidance_log(window, o)
+            mix_vals[i] = _mixing_ratio(sys.prefix_logZ, sys.suffix_logZ(),
+                                        seg[r % _SEGMENT_ROWS], gaps)
+            log_z_abs[i] = abs(sys.log_z)
+            i += 1
 
     # pooled mean over samples x offsets, entirely in the log domain
     pooled = log_prof.reshape(-1, window + 1)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .disorder_mc import McConfig, estimate_f
 from .numerics import LOG_ZERO, log_mean_exp
-from .quenched import _forward
+from .quenched import _forward, _segment_tables
 
 ORACLE_MAX_N = 16
 
@@ -296,10 +296,14 @@ def two_replica_profiles(system, window: int, starts) -> np.ndarray:
     subtraction loses relative precision once a_j nears machine epsilon,
     which the pair DP (``two_replica_avoidance_log``) does not;
     tests compare the two where both are accurate."""
-    t = system.segment_partitions(window)
     starts = np.asarray(starts, dtype=np.intp)
     if starts.size and (starts.min() < 0 or starts.max() + window > system.n):
         raise ValueError("window falls outside the system")
+    # t[s, i, l] = log Z_{[o_s+i, o_s+i+l]}: the segment tables of the
+    # windows' own weights, -inf past the window's end
+    bw = [system.site_weight[o + 1:o + window + 1] for o in starts]
+    t = _segment_tables(system.law.log_p,
+                        np.reshape(bw, (starts.size, window)), window)
     prof = np.zeros((starts.size, window + 1))
     prof[:, 0] = np.nan
     if window >= 1:
@@ -307,9 +311,7 @@ def two_replica_profiles(system, window: int, starts) -> np.ndarray:
     undershoot = 0.0
     for j in range(2, window + 1):
         i = np.arange(1, j)
-        expo = 2.0 * (t[starts[:, None], i[None, :]]
-                      + t[starts[:, None] + i[None, :], (j - i)[None, :]]
-                      - t[starts, j][:, None])
+        expo = 2.0 * (t[:, 0, i] + t[:, i, j - i] - t[:, 0, j][:, None])
         vals = 1.0 - np.sum(prof[:, 1:j] * np.exp(expo), axis=1)
         low = float(vals.min(initial=0.0))
         undershoot = min(undershoot, low)
@@ -338,9 +340,9 @@ def two_replica_avoidance_lse(system, window: int, start: int = 0) -> np.ndarray
 
     if not 1 <= window <= system.n or start < 0 or start + window > system.n:
         raise ValueError("window falls outside the system")
-    seg = system.segment_partitions(window)
     logp = system.law.log_p
     bw = system.site_weight[start:start + window + 1]  # bw[x]: site start+x
+    seg = _forward(logp, bw[None, 1:])[0]  # log Z_{[start, start+j]}
     state = np.full((window, window), -np.inf)          # state[u, v], u < v
     out = np.empty(window + 1)
     out[0] = np.nan
@@ -352,7 +354,7 @@ def two_replica_avoidance_lse(system, window: int, start: int = 0) -> np.ndarray
         if t >= 2:
             pairs = logsumexp(grid + lpt[:, None] + lpt[None, :])
             close = np.logaddexp(close, pairs + 2.0 * bw[t])
-        out[t] = close - 2.0 * seg[start, t]
+        out[t] = close - 2.0 * seg[t]
         if t == window:
             break
         # open states (x, t): the trailing replica (index v) or the leading

@@ -8,7 +8,7 @@ Every partition table comes from one O(n^2) forward recursion,
 
 run by ``_forward`` over a batch of weight rows under one law p, each
 row with an optional band: the prefix table is one row, the suffix
-table is the recursion on the reversed weights, the segment table runs
+table is the recursion on the reversed weights, the segment tables run
 one row per start site, and the restricted-excursion partition with cap
 b is a row with band b.  ``_forward`` steps in linear domain: each row is
 stored as Z_{0,j} e^{-C_r} under one log scale C_r, and a step is one dot
@@ -65,13 +65,12 @@ contact laws.  A reader of log Z and the cumulants alone, such as
 runs no prefix DP.  A
 ``QuenchedSystem`` is the view of one row; a standalone one is the one
 row of its own block, so there is one code path, and every row reads
-the bytes a one-row block would compute.  Two engines whose state for
-a whole block would be large run in chunks of rows: the segment tables
-(8.5 MB at 64 x 256 x 64) in chunks of _SEGMENT_ROWS rows, one
-_forward pass each, the block keeping the last chunk only; and the
-count DP of the exact contact laws, whose (n+1)^2 table per row is 34
-MB for 64 rows at n = 256, in chunks whose tables fit in _LAW_BYTES (7
-rows at n = 256).
+the bytes a one-row block would compute.  The count DP of the exact
+contact laws, whose (n+1)^2 table per row is 34 MB for 64 rows at n =
+256, runs in chunks of rows whose tables fit in _LAW_BYTES (7 rows at n
+= 256).  The block keeps no segment tables (8.5 MB at 64 x 256 x 64):
+their one production reader, C7's mixing ratio, runs ``_segment_tables``
+on a few rows at a time and reduces each chunk where it reads it.
 
 The contact law's count DP, ``_count_dp``, O(n^3) in full, steps in
 blocks of _ADVANCE steps: one stacked product per block adds the share
@@ -114,8 +113,6 @@ from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, log_of_jet, normal_cdf
 # (row, band) pairs per _forward pass of QuenchedBlock.excursion_logZ, so
 # that caps near n cost O(64 n) memory, not O(n^2)
 _BAND_PASS = 64
-# rows per _forward pass of QuenchedBlock.segment_partitions
-_SEGMENT_ROWS = 4
 
 
 def _index(name: str, value, lo: int, hi) -> int:
@@ -575,6 +572,20 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
     return z
 
 
+def _segment_tables(log_p: np.ndarray, b: np.ndarray,
+                    window: int) -> np.ndarray:
+    """seg[r, a, l] = log Z_{[a, a+l]} of row r of the (rows, n) weights b,
+    for a = 0..n and l = 0..window: one _forward pass in which the row
+    of (r, a) runs on b[r, a..a+window-1], -inf past n, so entries past n
+    are -inf.  _forward is row-local: each table has the bytes of a
+    one-row pass, and row 0 of a table is its prefix table."""
+    rows, n = b.shape
+    padded = np.concatenate((b, np.full((rows, window), LOG_ZERO)), axis=1)
+    weights = np.lib.stride_tricks.sliding_window_view(
+        padded, window, axis=1).reshape(rows * (n + 1), window)
+    return _forward(log_p, weights).reshape(rows, n + 1, window + 1)
+
+
 def _tilted(log_p: np.ndarray, cut: int, n: int,
             margin: float = 0.0) -> tuple[np.ndarray, float]:
     """The law of the rows cut at cut, tilted for the linear step:
@@ -925,11 +936,10 @@ class QuenchedBlock:
     without disorder.  The prefix table, the suffix table, the avoidance
     profiles of a (window, start), the excursion-capped log Z_n up to a
     cap and the exact contact laws are built for every row the first
-    time any row asks, and cached; the segment tables are built a chunk
-    of rows at a time.  The engines are row-local, so each row's tables
-    are bit-identical to a one-row block's.  Tables are read-only: every
-    row view shares them.  ``systems()`` yields the rows as
-    QuenchedSystem views."""
+    time any row asks, and cached.  The engines are row-local, so each
+    row's tables are bit-identical to a one-row block's.  Tables are
+    read-only: every row view shares them.  ``systems()`` yields the rows
+    as QuenchedSystem views."""
 
     def __init__(self, law, h: float, charges, n: int):
         n = _checked(law, h, n)
@@ -960,7 +970,6 @@ class QuenchedBlock:
         self._avoidance = {}  # (window, start) -> (rows, window + 1)
         self._excursion = np.empty((self.rows, 0))
         self._laws = None
-        self._segment_chunk = None  # (first row, end row, tables)
 
     def systems(self):
         """The rows as QuenchedSystem views, in row order."""
@@ -1006,32 +1015,6 @@ class QuenchedBlock:
             self._excursion = _frozen(grown)
         return self._excursion
 
-    def segment_partitions(self, row: int, window: int) -> np.ndarray:
-        """seg[a, l] = log Z_{[a, a+l]} of row `row` for a = 0..n and
-        l = 0..W, W >= window.
-
-        The tables come from one _forward pass over the rows of the
-        row's chunk, rows _SEGMENT_ROWS c .. _SEGMENT_ROWS (c+1) - 1, in
-        which row a of a table runs on b[a+1..a+window] (-inf past n, so
-        entries past n are -inf).  The block keeps the last chunk only,
-        so a caller that reads the rows in order runs each chunk once.
-        _forward is row-local: a row's table has the bytes of a one-row
-        pass."""
-        chunk = self._segment_chunk
-        if not (chunk and chunk[0] <= row < chunk[1]
-                and chunk[2].shape[2] > window):
-            lo = row - row % _SEGMENT_ROWS
-            b = self.site_weight[lo:lo + _SEGMENT_ROWS, 1:]
-            m = b.shape[0]
-            padded = np.concatenate((b, np.full((m, window), LOG_ZERO)),
-                                    axis=1)
-            weights = np.lib.stride_tricks.sliding_window_view(
-                padded, window, axis=1).reshape(m * (self.n + 1), window)
-            z = _forward(self.law.log_p, weights)
-            chunk = self._segment_chunk = (lo, lo + m, _frozen(
-                z.reshape(m, self.n + 1, window + 1)))
-        return chunk[2][row - chunk[0]]
-
     def contact_laws(self) -> np.ndarray:
         """log_pmf[r, l] = log P[L_n = l] of row r for l = 0..n, the exact
         laws (budget 0), n >= 1, computed on the first ask and cached
@@ -1070,7 +1053,7 @@ class QuenchedBlock:
         if prof is None:
             bw = self.site_weight[:, start:start + window + 1]  # site start+x
             # log Z of the window cut at j: _forward on the window's weights,
-            # bit for bit row `start` of the segment table
+            # bit for bit row `start` of the row's segment table
             zseg = _forward(self.law.log_p, bw[:, 1:])
             prof = _frozen(_pair_forward(self.law.log_p, bw, zseg))
             self._avoidance[window, start] = prof
@@ -1096,8 +1079,7 @@ class QuenchedSystem:
     QuenchedSystem(law, h, omega, n) is the one row of its own block;
     ``QuenchedBlock.systems()`` builds the views of a larger block, which
     share its prefix, suffix, avoidance, excursion and contact-law
-    tables, and its chunk of segment tables.  Every public method is a
-    pure read."""
+    tables.  Every public method is a pure read."""
 
     def __init__(self, law, h: float, omega, n: int):
         if isinstance(omega, _Row):  # built by QuenchedBlock.systems()
@@ -1119,22 +1101,9 @@ class QuenchedSystem:
     def log_z(self) -> float:
         return float(self.prefix_logZ[self.n])
 
-    # -- suffix and segment tables ----------------------------------------
-
     def suffix_logZ(self) -> np.ndarray:
         """suffix[a] = log Z_{[a, n]} for a = 0..n (suffix[0] = log Z)."""
         return self._block.suffix_logZ()[self._row]
-
-    def segment_partitions(self, window: int) -> np.ndarray:
-        """seg[i, l] = log Z_{[i, i+l]} for l = 0..width, from the block's
-        last chunk of segment tables.
-
-        The segment system on [i, j] uses charges omega_{i+1}..omega_j, so
-        row 0 coincides with the prefix table.  Entries past n are -inf.
-        The width is shape[1] - 1: at least window, more when the chunk
-        was built for a wider one."""
-        window = _index("window", window, 0, self.n)
-        return self._block.segment_partitions(self._row, window)
 
     # -- contact observables ----------------------------------------------
 

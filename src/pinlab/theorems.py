@@ -145,6 +145,12 @@ def _two_sigma(err: float) -> float:
     return 2.0 * err if math.isfinite(err) else math.inf
 
 
+def _skipped(check_id: str, parameters: dict, reason: str) -> CheckReport:
+    """The report of a check its context gives nothing to test."""
+    return CheckReport(check_id, CHECK_DESCRIPTIONS[check_id], parameters,
+                       {}, {}, {}, None, skip_reason=reason)
+
+
 # ---------------------------------------------------------------------------
 # C1: smoothness of the free energy (cumulant convergence + growth constant)
 
@@ -335,6 +341,10 @@ def _check_c4(ctx: CheckContext) -> CheckReport:
 
 def _check_c5(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
+    if len(cfg.n_values) < mc._MU_SIZES:
+        return _skipped("C5", {"n_values": cfg.n_values},
+                        f"mu needs {mc._MU_SIZES} sizes, the n grid is "
+                        f"{list(cfg.n_values)}")
     n_top = int(max(cfg.n_values))
     rows = []
     jensen_worst = -math.inf
@@ -415,6 +425,10 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
     if max(ns) > cfg.law.n_max:
         raise ValueError("excursion grid exceeds the law horizon")
+    if len(cfg.n_values) < mc._MU_SIZES:
+        return _skipped("C6", {"n_values": ns},
+                        f"mu needs {mc._MU_SIZES} sizes, the n grid is "
+                        f"{list(cfg.n_values)}")
     mu = mc.estimate_mu(cfg, ctx.h)
     mu_hat = mu.slope
     mass, errs, detail = [], [], {}
@@ -462,6 +476,10 @@ def _check_c6(ctx: CheckContext) -> CheckReport:
 # C7: exponential decay of the two-replica and mixing series
 
 def _check_c7(ctx: CheckContext) -> CheckReport:
+    window, n = ctx.mc.window, int(max(ctx.mc.n_values))
+    if window > n:
+        return _skipped("C7", {"window": window},
+                        f"window {window} exceeds the largest n = {n}")
     scan = mc.correlation_decay_scan(ctx.mc, ctx.h)
     metrics = {
         "gamma_hat": scan.gamma_hat, "gamma_stderr": scan.gamma_stderr,
@@ -511,13 +529,17 @@ def _check_c8(ctx: CheckContext) -> CheckReport:
 
 def _check_c9(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
-    rng = np.random.default_rng(cfg.master_seed)
     xi = cfg.law.xi
+    if cfg.law.n_max < 4:
+        return _skipped("C9", {"instances": _C9_INSTANCES},
+                        f"sizes 4..32 start past the law's horizon "
+                        f"{cfg.law.n_max}")
+    rng = np.random.default_rng(cfg.master_seed)
     worst = math.inf
     violations = 0
     sites = 0
     for k in range(_C9_INSTANCES):
-        n = int(rng.integers(4, 33))
+        n = int(rng.integers(4, min(33, cfg.law.n_max + 1)))
         h = float(rng.uniform(-1.0, 3.5))
         block = sample_disorder_block(cfg.disorder, n, cfg.master_seed,
                                       1000 + k, 1)
@@ -543,10 +565,14 @@ def _check_c9(ctx: CheckContext) -> CheckReport:
 
 def _check_c10(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
+    n_max = min(8, cfg.law.n_max)
+    if n_max < 4:
+        return _skipped("C10", {"instances": _C10_INSTANCES},
+                        f"sizes 4..8 start past the law's horizon {n_max}")
     rng = np.random.default_rng(cfg.master_seed + 1)
     worst = 0.0
     for k in range(_C10_INSTANCES):
-        n = int(rng.integers(4, 9))
+        n = int(rng.integers(4, n_max + 1))
         h = float(rng.uniform(-1.0, 2.0))
         omega = rng.normal(0.0, 1.0, n)
         ps = build_path_set(cfg.law, h, omega, n)
@@ -582,7 +608,7 @@ def _check_c10(ctx: CheckContext) -> CheckReport:
             worst = max(worst, abs(lhs - rhs) / pa ** 2)
     passed = worst <= 1e-12
     return CheckReport("C10", CHECK_DESCRIPTIONS["C10"],
-                       {"instances": _C10_INSTANCES, "n_max": 8},
+                       {"instances": _C10_INSTANCES, "n_max": n_max},
                        {"max_residual": worst}, {},
                        {"residual": 1e-12}, passed)
 
@@ -595,14 +621,18 @@ def _check_c11(ctx: CheckContext) -> CheckReport:
     n = ctx.hl_n_max
     if n > cfg.law.n_max:
         raise ValueError("hl_n_max exceeds the law horizon")
-    path = mc.sample_kappa1_path(replace(cfg, samples=_HL_SEEDS), ctx.h, n)
-    rho_hat = float(np.mean(path[:, n] / n))
     horizons = []
     m = n
     while m >= 64:
         horizons.append(m)
         m //= 2
     horizons = sorted(horizons)
+    if len(horizons) < 2:
+        return _skipped("C11", {"n_max": n, "horizons": horizons},
+                        f"fewer than 2 dyadic horizons >= 64 up to "
+                        f"hl_n_max = {n}: {horizons}")
+    path = mc.sample_kappa1_path(replace(cfg, samples=_HL_SEEDS), ctx.h, n)
+    rho_hat = float(np.mean(path[:, n] / n))
     t = np.arange(2, n + 1)
     scale = np.sqrt(t * np.log(t))
     dev = np.abs(path[:, 2:] - rho_hat * t[None, :]) / scale[None, :]
@@ -633,9 +663,7 @@ def _check_c11(ctx: CheckContext) -> CheckReport:
 
 def _check_c12(ctx: CheckContext) -> CheckReport:
     if ctx.is_pure:
-        return CheckReport("C12", CHECK_DESCRIPTIONS["C12"],
-                           {"h": ctx.h}, {}, {}, {}, None,
-                           skip_reason="pure model")
+        return _skipped("C12", {"h": ctx.h}, "pure model")
     cfg = replace(ctx.mc, samples=max(ctx.mc.samples, _CENTERING_SAMPLES))
     rows = {n: mc.centering_statistics(cfg, ctx.h, n) for n in cfg.n_values}
     metrics = {}
@@ -676,11 +704,10 @@ def _check_c13(ctx: CheckContext) -> CheckReport:
         ns = sorted(set(ns) | {m for m in (64, 128, 256)
                                if m <= cfg.law.n_max})
     if len(ns) < 3:
-        return CheckReport("C13", CHECK_DESCRIPTIONS["C13"],
-                           {"h": ctx.h, "n_values": ns,
-                            "n_values_dropped": dropped}, {}, {}, {}, None,
-                           skip_reason=f"fewer than 3 sizes up to the law's "
-                                       f"horizon {cfg.law.n_max}")
+        return _skipped("C13", {"h": ctx.h, "n_values": ns,
+                                "n_values_dropped": dropped},
+                        f"fewer than 3 sizes up to the law's horizon "
+                        f"{cfg.law.n_max}")
     rho_probe = mc.sample_cumulants(cfg, ctx.h, max(ns), 2)
     rho_hat = float(np.mean(rho_probe[:, 1] / max(ns)))
     delta = _DELTA_FRAC * rho_hat

@@ -22,8 +22,8 @@ from pinlab.model import (build_law, gaussian_disorder, geometric_test_law,
                           sample_disorder_block)
 from pinlab.numerics import normal_cdf
 from pinlab.quenched import (_FLUSH, _RESCALE, KS_L1_BUDGET, QuenchedSystem,
-                             _forward, _moment_flush, ks_to_standard_normal,
-                             run_memo)
+                             _forward, _moment_flush, _segment_tables,
+                             ks_to_standard_normal, run_memo)
 from pinlab.theorems import _ks_error_bound
 from support import (ld_cumulants, mp_contact_pmf, mp_cumulants,
                      mp_log_prefix, mp_pair_log_a, mp_prefix, mp_suffix)
@@ -113,7 +113,7 @@ def test_segment_table_against_mpmath():
     window = 64
     law, sys_ = _gaussian_system(3.0, 512, 10)
     n, w = sys_.n, sys_.site_weight
-    seg = sys_.segment_partitions(window)
+    seg = _segment_tables(law.log_p, w[None, 1:], window)[0]
     with mp.workdps(DIGITS):
         p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x)))
                            for x in law.log_p[1:window + 1]]

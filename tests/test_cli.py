@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -207,6 +209,39 @@ def test_verify_c6_skips_a_size_whose_band_holds_no_integer(tmp_path, capsys,
     assert c6["passed"] is None
     assert c6["skip_reason"].endswith(f"at n = {empty}")
     assert c6["metrics"]["band_mass_increasing"] is False
+
+
+@pytest.mark.parametrize("config, skipped", [
+    # C7: window above the largest n; C11: no dyadic horizon >= 64
+    ({"model": {"n_max": 6}, "grids": {"n_values": [1, 2, 3], "window": 16}},
+     {"C6", "C7", "C11"}),
+    # C5 and C6: estimate_mu needs 3 sizes
+    ({"model": {"n_max": 256},
+      "grids": {"h_values": [3.0], "n_values": [64, 128]}}, {"C5", "C6"}),
+    # C11: one horizon (64) under n_max 100, too few for a fit
+    ({"model": {"n_max": 100}, "grids": {"n_values": [16, 32, 64]},
+      "checks": {"ids": ["C11"]}}, {"C11"}),
+    # C9 and C10: their sizes start at 4
+    ({"model": {"n_max": 3}, "grids": {"n_values": [1, 2, 3]},
+      "checks": {"ids": ["C9", "C10"]}}, {"C9", "C10"}),
+])
+def test_verify_small_configs_pass_fail_or_skip(tmp_path, capsys, config,
+                                                skipped):
+    # every check of a valid config passes, fails or skips with a reason
+    # that names sizes; none raises or warns
+    out = str(tmp_path / "v")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", "--config", _write(tmp_path, "c.json", config),
+                     "--out", out])
+    assert code in (0, 2)
+    assert "error" not in capsys.readouterr().err
+    checks = json.loads(open(os.path.join(out, "report.json")).read())["checks"]
+    assert {c["check_id"] for c in checks if c["passed"] is None} == skipped
+    for c in checks:
+        assert c["passed"] in (True, False, None)
+        if c["passed"] is None:
+            assert re.search(r"\d", c["skip_reason"]), c
 
 
 def test_verify_failure_exits_2_but_writes_report(tmp_path, monkeypatch, capsys):

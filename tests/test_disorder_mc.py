@@ -35,7 +35,7 @@ from pinlab.model import (
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import contact_covariance, hc_bracket
 from pinlab.quenched import (QuenchedBlock, QuenchedSystem,
-                             _moment_certificate, run_memo)
+                             _moment_certificate, _segment_tables, run_memo)
 
 LAW = build_law(1.0, None, 128)
 GEOM = geometric_test_law(128)
@@ -457,9 +457,12 @@ def test_correlation_decay_scan_pure_power_law():
 
 def test_mixing_ratio_matches_per_gap_loop():
     # the scan's masked (gaps x sites) mixing ratio against a plain loop
-    # over gaps; at window = n the widest gaps have no site pair (nan)
+    # over gaps; at window = n the widest gaps have no site pair (nan);
+    # 70 samples make two blocks, the second ending in a partial chunk of
+    # segment tables
     for cfg in (_cfg(samples=5, window=16), _cfg(samples=3, window=32,
-                                                 n_values=(16, 32))):
+                                                 n_values=(16, 32)),
+                _cfg(samples=70, window=16)):
         n, window = max(cfg.n_values), cfg.window
         res = correlation_decay_scan(cfg, 2.0, fit_range=(4, 12))
         block = sample_disorder_block(cfg.disorder, n, cfg.master_seed, 0,
@@ -468,7 +471,8 @@ def test_mixing_ratio_matches_per_gap_loop():
         for omega in block:
             sys_ = QuenchedSystem(cfg.law, 2.0, omega, n)
             pre, suf = sys_.prefix_logZ, sys_.suffix_logZ()
-            seg = sys_.segment_partitions(window)
+            seg = _segment_tables(cfg.law.log_p, sys_.site_weight[None, 1:],
+                                  window)[0]
             probs = np.exp(np.minimum(pre + suf - pre[n], 0.0))
             for g in range(1, window + 1):
                 a = np.arange(1, n - g)

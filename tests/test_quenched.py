@@ -48,6 +48,7 @@ from pinlab.quenched import (
     _moment_flush,
     _moments,
     _pair_forward,
+    _segment_tables,
     ks_to_standard_normal,
 )
 from support import mp_log_prefix, random_instance
@@ -98,7 +99,7 @@ def test_segment_table_matches_shifted_chains():
     for law, h, omega, n, sys_ in chain(_systems(13, 8, n_lo=3, n_hi=10),
                                         _systems(113, 8, n_lo=3, n_hi=10,
                                                  extreme=True)):
-        seg = sys_.segment_partitions(window=n)
+        seg = _segment_tables(law.log_p, sys_.site_weight[None, 1:], n)[0]
         for i in range(n):
             for j in range(i + 1, n + 1):
                 sub = QuenchedSystem(law, h, omega[i:j], j - i)
@@ -1083,7 +1084,7 @@ def test_block_rows_match_standalone_systems(rows, n, h, spread, seed):
     # start) and P[M_n <= m] at random caps m, whichever row asks first
     # and in whatever order the starts and caps come; the standalone
     # profile is the pair DP on the window's weights against row `start`
-    # of the system's own segment table
+    # of the system's own segment table (``_segment_tables``)
     law = build_law(1.0, None, 64)
     rng = np.random.default_rng(seed)
     charges = rng.uniform(-spread, spread, (rows, n))
@@ -1097,7 +1098,7 @@ def test_block_rows_match_standalone_systems(rows, n, h, spread, seed):
         b = alone.site_weight
         pair = {}
         for window, start in asks:
-            zseg = alone.segment_partitions(window)[start, :window + 1]
+            zseg = _segment_tables(law.log_p, b[None, 1:], window)[0, start]
             pair[window, start] = _pair_forward(
                 law.log_p, b[None, start:start + window + 1], zseg[None])[0]
         cdf = {m: alone.max_excursion_cdf(m) for m in caps}
@@ -1175,15 +1176,10 @@ def test_integer_arguments_are_checked_where_they_enter():
         for bad in non_integers + out_of_range:
             with pytest.raises(ValueError, match=f"^{name} = "):
                 call(bad)
-    for bad in non_integers + (-1, 9):
-        with pytest.raises(ValueError, match="^window = "):
-            sys_.segment_partitions(bad)
     for good in (np.int64(3), np.int32(3), np.uint8(3)):
         assert (sys_.two_replica_avoidance_log(good, good).tobytes()
                 == sys_.two_replica_avoidance_log(3, 3).tobytes())
         assert sys_.contact_probability(good) == sys_.contact_probability(3)
-        assert (sys_.segment_partitions(good).tobytes()
-                == sys_.segment_partitions(3).tobytes())
         assert QuenchedSystem(GEOM, 0.5, np.zeros(8), good).n == 3
 
 
