@@ -80,6 +80,8 @@ class ModelBlock:
               f"must be one of power, geometric, table (got {self.kind!r})")
         _need_int(self.n_max, "model.n_max", 2, math.inf,
                   "must be an integer >= 2")
+        _need(isinstance(self.normalize, bool), "model.normalize",
+              f"must be true or false (got {self.normalize!r})")
         for name in ("alpha", "ell_c", "ell_beta"):
             _need_real(getattr(self, name), f"model.{name}")
         if self.kind == "power":
@@ -173,6 +175,8 @@ class RunBlock:
         _need_int(self.master_seed, "run.master_seed", 0, 2 ** 64 - 1,
                   "must fit in 64 bits")
         _need_int(self.threads, "run.threads", 1, math.inf, "must be >= 1")
+        _need(self.out_dir is None or isinstance(self.out_dir, str),
+              "run.out_dir", f"must be a string or null (got {self.out_dir!r})")
 
 
 @dataclass(frozen=True)

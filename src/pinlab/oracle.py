@@ -64,14 +64,16 @@ class PathSet:
 
     ``log_weights[mask]`` is the log weight of the configuration whose
     interior contacts are the set bits of ``mask`` (bit i <-> site i+1);
-    ``counts[mask]`` is its contact number L_n and ``max_gaps[mask]`` its
-    maximal excursion length.
+    ``counts[mask]`` is its contact number L_n, ``max_gaps[mask]`` its
+    maximal excursion length and ``contacts[mask]`` its read-only 0/1
+    contact row over sites 0..n.
     """
 
     n: int
     log_weights: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
     max_gaps: np.ndarray = field(repr=False)
+    contacts: np.ndarray = field(repr=False)
 
     def log_partition(self) -> float:
         return log_sum_exp(self.log_weights)
@@ -83,50 +85,34 @@ class PathSet:
 
     def contact_matrix(self) -> np.ndarray:
         """0/1 matrix, row mask x column a = 0..n; columns 0 and n are 1."""
-        masks = np.arange(self.log_weights.size, dtype=np.uint32)
-        cols = [np.ones_like(masks, dtype=float)]
-        for a in range(1, self.n):
-            cols.append(((masks >> (a - 1)) & 1).astype(float))
-        cols.append(np.ones_like(masks, dtype=float))
-        return np.stack(cols, axis=1)
+        return self.contacts
 
 
 def build_path_set(law, h: float, omega, n: int) -> PathSet:
+    """Every configuration at once, site by site: at each contact site a
+    the mask's log weight gains log p(a - prev) + h + omega_a, in the
+    order of its contacts, and its last contact and longest gap move."""
     if n < 1 or n > ORACLE_MAX_N:
         raise ValueError(f"oracle handles 1 <= n <= {ORACLE_MAX_N}, got {n}")
     om = _omega_array(omega, n)
     logp = law.log_p
     if n > law.n_max:
         raise ValueError("n exceeds the law's tabulation horizon")
-    size = 1 << (n - 1)
-    lw = np.empty(size)
-    counts = np.empty(size, dtype=np.int64)
-    gaps = np.empty(size, dtype=np.int64)
-    for mask in range(size):
-        prev = 0
-        total = 0.0
-        cnt = 0
-        gmax = 0
-        m = mask
-        site = 1
-        while m:
-            if m & 1:
-                gap = site - prev
-                total += logp[gap] + h + om[site - 1]
-                if gap > gmax:
-                    gmax = gap
-                prev = site
-                cnt += 1
-            m >>= 1
-            site += 1
-        gap = n - prev
-        total += logp[gap] + h + om[n - 1]
-        if gap > gmax:
-            gmax = gap
-        lw[mask] = total
-        counts[mask] = cnt + 1
-        gaps[mask] = gmax
-    return PathSet(n, lw, counts, gaps)
+    masks = np.arange(1 << (n - 1))
+    x = np.ones((masks.size, n + 1))
+    x[:, 1:n] = (masks[:, None] >> np.arange(n - 1)) & 1
+    lw = np.zeros(masks.size)
+    prev = np.zeros_like(masks)
+    gaps = np.zeros_like(masks)
+    for a in range(1, n + 1):
+        on = x[:, a] == 1.0
+        gap = a - prev
+        lw = np.where(on, lw + (logp[gap] + h + om[a - 1]), lw)
+        # a non-contact's gap is below the next contact's (n is one)
+        gaps = np.maximum(gaps, gap)
+        prev = np.where(on, a, prev)
+    x.flags.writeable = False
+    return PathSet(n, lw, x[:, 1:].sum(axis=1).astype(np.int64), gaps, x)
 
 
 def enumerate_partition(law, h: float, omega, n: int) -> float:
@@ -138,15 +124,9 @@ def enumerate_expectation(law, h: float, omega, n: int, functional) -> float:
     """Weight-averaged value of functional(x) where x is the 0/1 contact
     indicator sequence (x[0] = x[n] = 1)."""
     ps = build_path_set(law, h, omega, n)
-    w = ps.normalized_weights()
-    x = np.empty(n + 1)
     total = 0.0
-    for mask in range(w.size):
-        x[0] = 1.0
-        for a in range(1, n):
-            x[a] = (mask >> (a - 1)) & 1
-        x[n] = 1.0
-        total += w[mask] * float(functional(x))
+    for w, x in zip(ps.normalized_weights(), ps.contact_matrix()):
+        total += w * float(functional(x))
     return total
 
 
@@ -171,15 +151,19 @@ def enumerate_excursion_cdf(law, h: float, omega, n: int) -> np.ndarray:
     return np.cumsum(mass)
 
 
-def enumerate_moment(law, h: float, omega, n: int, sites) -> float:
-    """E[prod_a X_a] over the given sites."""
-    ps = build_path_set(law, h, omega, n)
-    w = ps.normalized_weights()
-    x = ps.contact_matrix()
+def _moment(w: np.ndarray, x: np.ndarray, sites) -> float:
+    """E[prod_a X_a] over the given sites from a path set's normalized
+    weights and contact matrix."""
     prod = np.ones_like(w)
     for a in sites:
         prod = prod * x[:, a]
     return float(prod @ w)
+
+
+def enumerate_moment(law, h: float, omega, n: int, sites) -> float:
+    """E[prod_a X_a] over the given sites."""
+    ps = build_path_set(law, h, omega, n)
+    return _moment(ps.normalized_weights(), ps.contact_matrix(), sites)
 
 
 def _partitions(items: tuple):
@@ -194,20 +178,27 @@ def _partitions(items: tuple):
         yield part + [[first]]
 
 
-def enumerate_joint_cumulant(law, h: float, omega, n: int, sites) -> float:
+def _joint_cumulant(sites: tuple, moment) -> float:
     """Joint cumulant of (X_a)_{a in sites} by the set-partition formula:
-    sum over partitions of (-1)^(l-1) (l-1)! prod over blocks of the block
-    moment."""
-    sites = tuple(sites)
+    sum over partitions of (-1)^(l-1) (l-1)! prod over blocks of
+    moment(block)."""
     total = 0.0
     for part in _partitions(sites):
         l = len(part)
         coef = (-1.0) ** (l - 1) * math.factorial(l - 1)
         prod = 1.0
         for block in part:
-            prod *= enumerate_moment(law, h, omega, n, block)
+            prod *= moment(block)
         total += coef * prod
     return total
+
+
+def enumerate_joint_cumulant(law, h: float, omega, n: int, sites) -> float:
+    """Joint cumulant of (X_a)_{a in sites}, every block moment taken from
+    one path set."""
+    ps = build_path_set(law, h, omega, n)
+    w, x = ps.normalized_weights(), ps.contact_matrix()
+    return _joint_cumulant(tuple(sites), lambda block: _moment(w, x, block))
 
 
 def contact_moment(system, sites) -> float:
@@ -247,15 +238,8 @@ def ursell(system, sites) -> float:
         raise ValueError("sites must lie in 1..n")
     if list(sites) != sorted(sites):
         raise ValueError("sites must be ordered")
-    total = 0.0
-    for part in _partitions(sites):
-        l = len(part)
-        coef = (-1.0) ** (l - 1) * math.factorial(l - 1)
-        prod = 1.0
-        for block in part:
-            prod *= contact_moment(system, block)
-        total += coef * prod
-    return total
+    return _joint_cumulant(sites,
+                           lambda block: contact_moment(system, block))
 
 
 def enumerate_avoidance(law, h: float, omega, j: int) -> float:

@@ -156,6 +156,10 @@ def _skipped(check_id: str, parameters: dict, reason: str) -> CheckReport:
 
 def _check_c1(ctx: CheckContext) -> CheckReport:
     cfg = ctx.mc
+    if len(cfg.n_values) < 2:
+        return _skipped("C1", {"n_values": cfg.n_values},
+                        f"a step across n needs 2 sizes, the n grid is "
+                        f"{list(cfg.n_values)}")
     r_max = max(ctx.r_max, 4)
     means = {}
     errs = {}
@@ -267,11 +271,17 @@ def _check_c3(ctx: CheckContext) -> CheckReport:
         tails = law.tail_two_sided(ctx.u_values)
         k53[i] = mc._tail_kappa(ctx.u_values, tails, n, 5.0 / 3.0)
         k1[i] = mc._tail_kappa(ctx.u_values, tails, n, 1.0)
+    # a sample with no positive tail at any u > 0 bounds no kappa (inf);
+    # both forms are finite on the same samples
+    finite = np.isfinite(k53)
+    if not finite.any():
+        return _skipped("C3", {"h": ctx.h, "n": n, "samples": count},
+                        f"no sample has a positive tail at u > 0 at n = {n}")
     fitted = {
         "kappa_hat": float(np.min(k53)),
-        "kappa_hat_stderr": mc._mean_stderr(k53)[1],
+        "kappa_hat_stderr": mc._mean_stderr(k53[finite])[1],
         "kappa_hat_linear_form": float(np.min(k1)),
-        "kappa_hat_linear_form_stderr": mc._mean_stderr(k1)[1],
+        "kappa_hat_linear_form_stderr": mc._mean_stderr(k1[finite])[1],
     }
     passed = fitted["kappa_hat"] > 0.0
     return CheckReport("C3", CHECK_DESCRIPTIONS["C3"],
@@ -299,6 +309,10 @@ def _check_c4(ctx: CheckContext) -> CheckReport:
                            skip_reason="pure model (centering is "
                                        "deterministic)" if degenerate
                                        else None)
+    if len(cfg.n_values) < 2:
+        return _skipped("C4", {"h": ctx.h, "n_values": cfg.n_values},
+                        f"the mean's linear fit needs 2 sizes, the n grid "
+                        f"is {list(cfg.n_values)}")
     results = {n: mc.centering_statistics(cfg, ctx.h, n) for n in cfg.n_values}
     ns = np.array(cfg.n_values, dtype=float)
     mean_n = np.array([results[n].mean for n in cfg.n_values])
@@ -546,8 +560,11 @@ def _check_c9(ctx: CheckContext) -> CheckReport:
         sys = QuenchedSystem(cfg.law, h, block[0], n)
         for a in range(1, n):
             p = sys.contact_probability(a)
-            bound = 1.0 / (1.0 + xi * math.exp(-h - block[0][a - 1])
-                           * min(a, n - a) ** xi)
+            try:
+                bound = 1.0 / (1.0 + xi * math.exp(-h - block[0][a - 1])
+                               * min(a, n - a) ** xi)
+            except OverflowError:
+                bound = 0.0  # a factor past the float range: vacuous
             gap = p - bound
             worst = min(worst, gap)
             sites += 1

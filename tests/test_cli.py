@@ -5,9 +5,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinlab
 import pinlab.outputs as outputs
@@ -15,7 +18,11 @@ import pinlab.quenched as quenched
 import pinlab.theorems as theorems
 from pinlab.cli import main
 from pinlab.config import load_config
-from pinlab.model import gaussian_disorder, sample_disorder_block
+from pinlab.model import (
+    DISORDER_FAMILIES,
+    gaussian_disorder,
+    sample_disorder_block,
+)
 from pinlab.quenched import QuenchedSystem
 from pinlab.theorems import CheckReport
 
@@ -211,6 +218,22 @@ def test_verify_c6_skips_a_size_whose_band_holds_no_integer(tmp_path, capsys,
     assert c6["metrics"]["band_mass_increasing"] is False
 
 
+def _verify_checks(config_path, out):
+    """The checks of an in-process verify run with RuntimeWarning as an
+    error: it exits 0 or 2, and every check passes, fails or skips with a
+    reason."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", "--config", config_path, "--out", out])
+    assert code in (0, 2)
+    checks = json.loads(open(os.path.join(out, "report.json")).read())["checks"]
+    for c in checks:
+        assert c["passed"] in (True, False, None)
+        if c["passed"] is None:
+            assert c["skip_reason"], c
+    return checks
+
+
 @pytest.mark.parametrize("config, skipped", [
     # C7: window above the largest n; C11: no dyadic horizon >= 64
     ({"model": {"n_max": 6}, "grids": {"n_values": [1, 2, 3], "window": 16}},
@@ -224,24 +247,68 @@ def test_verify_c6_skips_a_size_whose_band_holds_no_integer(tmp_path, capsys,
     # C9 and C10: their sizes start at 4
     ({"model": {"n_max": 3}, "grids": {"n_values": [1, 2, 3]},
       "checks": {"ids": ["C9", "C10"]}}, {"C9", "C10"}),
+    # C1 and C4: a step across n and the mean's linear fit need 2 sizes
+    ({"model": {"n_max": 47},
+      "grids": {"h_values": [3.0], "n_values": [26], "window": 28},
+      "run": {"samples": 4}},
+     {"C1", "C4", "C5", "C6", "C7", "C11", "C13"}),
+    # C3: at n = 2 no u > 0 has a positive tail, so no kappa is finite
+    ({"model": {"n_max": 4}, "disorder": {"family": "zero"},
+      "grids": {"h_values": [2.45], "n_values": [1, 2], "window": 18},
+      "run": {"samples": 2}},
+     {"C3", "C4", "C5", "C6", "C7", "C11", "C12", "C13"}),
+    # C9: xi = 3000 overflows the bound's factors, which makes it vacuous
+    ({"model": {"kind": "table",
+                "table": [0.01, 0.3, 0.01, 0.3, 0.01, 0.3, 0.01, 0.3]},
+      "grids": {"h_values": [2.0], "n_values": [4, 8]}},
+     {"C5", "C6", "C7", "C11", "C13"}),
 ])
 def test_verify_small_configs_pass_fail_or_skip(tmp_path, capsys, config,
                                                 skipped):
     # every check of a valid config passes, fails or skips with a reason
-    # that names sizes; none raises or warns
-    out = str(tmp_path / "v")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["verify", "--config", _write(tmp_path, "c.json", config),
-                     "--out", out])
-    assert code in (0, 2)
+    # that names sizes (a pure model's skips name none); none raises or warns
+    checks = _verify_checks(_write(tmp_path, "c.json", config),
+                            str(tmp_path / "v"))
     assert "error" not in capsys.readouterr().err
-    checks = json.loads(open(os.path.join(out, "report.json")).read())["checks"]
     assert {c["check_id"] for c in checks if c["passed"] is None} == skipped
     for c in checks:
-        assert c["passed"] in (True, False, None)
-        if c["passed"] is None:
+        if c["passed"] is None and not c["skip_reason"].startswith(
+                "pure model"):
             assert re.search(r"\d", c["skip_reason"]), c
+
+
+@st.composite
+def _small_configs(draw):
+    kind = draw(st.sampled_from(["power", "geometric", "table"]))
+    n_max = draw(st.integers(2, 64))
+    model = {"kind": kind, "n_max": n_max}
+    if kind == "table":
+        model["table"] = draw(st.lists(st.floats(0.01, 1.0), min_size=n_max,
+                                       max_size=n_max))
+    sizes = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=4,
+                          unique=True))
+    hs = draw(st.lists(st.floats(-3.0, 5.0), min_size=1, max_size=2,
+                       unique=True))
+    return {
+        "model": model,
+        "disorder": {"family": draw(st.sampled_from(sorted(DISORDER_FAMILIES))),
+                     "param": draw(st.floats(0.1, 2.0))},
+        "grids": {"h_values": sorted(hs), "n_values": sorted(sizes),
+                  "window": draw(st.integers(16, 70)),
+                  "r_max": draw(st.integers(2, 8))},
+        "run": {"samples": draw(st.integers(2, 12)),
+                "master_seed": draw(st.integers(0, 2 ** 32))},
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_configs())
+def test_verify_random_small_configs_pass_fail_or_skip(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        _verify_checks(path, os.path.join(tmp, "v"))
 
 
 def test_verify_failure_exits_2_but_writes_report(tmp_path, monkeypatch, capsys):

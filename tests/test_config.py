@@ -92,6 +92,13 @@ def test_unknown_block_and_field_anchors():
     ({"model": {"kind": "table", "table": [0.5, 0.25]}}, "grids.n_values"),
     # a repeated h would run (and write) each of its cells twice
     ({"grids": {"h_values": [2.0, 2.0]}}, "grids.h_values"),
+    # a JSON bool only: "no" would normalize, 0 and null would not
+    ({"model": {"normalize": "no"}}, "model.normalize"),
+    ({"model": {"normalize": 0}}, "model.normalize"),
+    ({"model": {"normalize": None}}, "model.normalize"),
+    # a string or null, checked before any command runs
+    ({"run": {"out_dir": 5}}, "run.out_dir"),
+    ({"run": {"out_dir": ["out"]}}, "run.out_dir"),
 ])
 def test_validation_anchors(patch, anchor):
     with pytest.raises(ConfigError) as err:

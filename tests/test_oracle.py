@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from pinlab.model import geometric_test_law, zero_disorder
+from pinlab.model import build_law, geometric_test_law, law_from_table
 from pinlab.oracle import (
+    ORACLE_MAX_N,
     build_path_set,
     enumerate_avoidance,
     enumerate_contact_pmf,
@@ -71,6 +72,70 @@ def test_single_site_chain_is_deterministic():
     assert ps.counts[0] == 1 and ps.max_gaps[0] == 1
     assert enumerate_partition(GEOM, 0.7, np.array([0.3]), 1) == pytest.approx(
         math.log(0.5) + 1.0)
+
+
+def _path_set_by_mask(law, h, omega, n):
+    """(log_weights, counts, max_gaps, contact matrix) by one loop per
+    mask over its set bits: the reference build_path_set must equal byte
+    for byte."""
+    logp = law.log_p
+    size = 1 << (n - 1)
+    lw = np.empty(size)
+    counts = np.empty(size, dtype=np.int64)
+    gaps = np.empty(size, dtype=np.int64)
+    x = np.ones((size, n + 1))
+    for mask in range(size):
+        prev = 0
+        total = 0.0
+        cnt = 0
+        gmax = 0
+        m = mask
+        site = 1
+        while m:
+            if m & 1:
+                gap = site - prev
+                total += logp[gap] + h + omega[site - 1]
+                if gap > gmax:
+                    gmax = gap
+                prev = site
+                cnt += 1
+            else:
+                x[mask, site] = 0.0
+            m >>= 1
+            site += 1
+        x[mask, site:n] = 0.0
+        gap = n - prev
+        total += logp[gap] + h + omega[n - 1]
+        if gap > gmax:
+            gmax = gap
+        lw[mask] = total
+        counts[mask] = cnt + 1
+        gaps[mask] = gmax
+    return lw, counts, gaps, x
+
+
+def test_path_set_matches_per_mask_loop():
+    # each size the oracle takes with each law kind, charges from 0.01 to 100
+    rng = np.random.default_rng(31)
+    for k in range(3 * ORACLE_MAX_N):
+        n = k % ORACLE_MAX_N + 1
+        top = int(rng.integers(max(n, 2), 40))
+        kind = k % 3
+        if kind == 0:
+            law = build_law(float(rng.uniform(1.0, 3.0)), None, top)
+        elif kind == 1:
+            law = geometric_test_law(top)
+        else:
+            table = rng.uniform(0.01, 1.0, top)
+            law = law_from_table(table * rng.uniform(0.2, 0.999) / table.sum())
+        h = float(rng.uniform(-3.0, 5.0))
+        omega = 10.0 ** rng.uniform(-2.0, 2.0) * rng.normal(size=n)
+        ps = build_path_set(law, h, omega, n)
+        got = (ps.log_weights, ps.counts, ps.max_gaps, ps.contact_matrix())
+        for a, b in zip(got, _path_set_by_mask(law, h, omega, n)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    assert not ps.contact_matrix().flags.writeable
 
 
 def test_oracle_bounds():
