@@ -198,49 +198,32 @@ def svg_line_plot(path: str, title: str, x_label: str, y_label: str,
     atomic_write_text(path, "\n".join(e) + "\n")
 
 
+# quantity, file, title, x field, curve field (None: one curve), curve label
+_SERIES_PLOTS = (
+    ("f", "f_vs_h.svg", "quenched free energy", "h", "n", "n={}"),
+    ("mu", "mu_vs_h.svg", "alternative free energy", "h", None, "mu"),
+    ("w", "w_vs_n.svg", "centering variance density", "n", "h", "h={:g}"),
+    ("v", "v_vs_n.svg", "thermal variance density", "n", "h", "h={:g}"),
+)
+
+
 def plot_series(out_dir: str, series: list[EstimateSeries]) -> list[str]:
     """Standard diagnostic plots from whatever quantities are present."""
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     written = []
-    by_q = {}
-    for s in series:
-        by_q.setdefault(s.quantity, []).append(s)
-
-    f_rows = by_q.get("f", [])
-    if f_rows:
-        by_n = {}
-        for s in f_rows:
-            by_n.setdefault(s.n, []).append(s)
+    for q, fname, title, x, by, label in _SERIES_PLOTS:
+        groups = {}
+        for s in series:
+            if s.quantity == q:
+                groups.setdefault(getattr(s, by) if by else None, []).append(s)
         curves = []
-        for n in sorted(by_n):
-            rows = sorted(by_n[n], key=lambda s: s.h)
-            curves.append((f"n={n}", [s.h for s in rows],
+        for key in sorted(groups):
+            rows = sorted(groups[key], key=lambda s: getattr(s, x))
+            curves.append((label.format(key), [getattr(s, x) for s in rows],
                            [s.mean for s in rows]))
         if any(len(xs) > 1 for _, xs, _ in curves):
-            p = os.path.join(out_dir, "plots", "f_vs_h.svg")
-            svg_line_plot(p, "quenched free energy", "h", "f", curves)
-            written.append(p)
-
-    mu_rows = sorted(by_q.get("mu", []), key=lambda s: s.h)
-    if len(mu_rows) > 1:
-        p = os.path.join(out_dir, "plots", "mu_vs_h.svg")
-        svg_line_plot(p, "alternative free energy", "h", "mu",
-                      [("mu", [s.h for s in mu_rows],
-                        [s.mean for s in mu_rows])])
-        written.append(p)
-
-    for q, fname, title in (("w", "w_vs_n.svg", "centering variance density"),
-                            ("v", "v_vs_n.svg", "thermal variance density")):
-        rows = by_q.get(q, [])
-        by_h = {}
-        for s in rows:
-            by_h.setdefault(s.h, []).append(s)
-        curves = [(f"h={h:g}", [s.n for s in sorted(g, key=lambda s: s.n)],
-                   [s.mean for s in sorted(g, key=lambda s: s.n)])
-                  for h, g in sorted(by_h.items())]
-        if any(len(xs) > 1 for _, xs, _ in curves):
             p = os.path.join(out_dir, "plots", fname)
-            svg_line_plot(p, title, "n", q, curves)
+            svg_line_plot(p, title, x, q, curves)
             written.append(p)
     return written
 

@@ -238,30 +238,44 @@ def _verify_checks(config_path, out):
     # C7: window above the largest n; C11: no dyadic horizon >= 64
     ({"model": {"n_max": 6}, "grids": {"n_values": [1, 2, 3], "window": 16}},
      {"C6", "C7", "C11"}),
-    # C5 and C6: estimate_mu needs 3 sizes
+    # C1, C5 and C6: a trend of C1's step and estimate_mu need 3 sizes
     ({"model": {"n_max": 256},
-      "grids": {"h_values": [3.0], "n_values": [64, 128]}}, {"C5", "C6"}),
+      "grids": {"h_values": [3.0], "n_values": [64, 128]}},
+     {"C1", "C5", "C6"}),
     # C11: one horizon (64) under n_max 100, too few for a fit
     ({"model": {"n_max": 100}, "grids": {"n_values": [16, 32, 64]},
       "checks": {"ids": ["C11"]}}, {"C11"}),
     # C9 and C10: their sizes start at 4
     ({"model": {"n_max": 3}, "grids": {"n_values": [1, 2, 3]},
       "checks": {"ids": ["C9", "C10"]}}, {"C9", "C10"}),
-    # C1 and C4: a step across n and the mean's linear fit need 2 sizes
+    # C1, C4 and C12: a step, the mean's linear fit and a spread across n
+    # need 2 sizes
     ({"model": {"n_max": 47},
       "grids": {"h_values": [3.0], "n_values": [26], "window": 28},
       "run": {"samples": 4}},
-     {"C1", "C4", "C5", "C6", "C7", "C11", "C13"}),
+     {"C1", "C4", "C5", "C6", "C7", "C11", "C12", "C13"}),
     # C3: at n = 2 no u > 0 has a positive tail, so no kappa is finite
     ({"model": {"n_max": 4}, "disorder": {"family": "zero"},
       "grids": {"h_values": [2.45], "n_values": [1, 2], "window": 18},
       "run": {"samples": 2}},
-     {"C3", "C4", "C5", "C6", "C7", "C11", "C12", "C13"}),
+     {"C1", "C3", "C4", "C5", "C6", "C7", "C11", "C12", "C13"}),
     # C9: xi = 3000 overflows the bound's factors, which makes it vacuous
     ({"model": {"kind": "table",
                 "table": [0.01, 0.3, 0.01, 0.3, 0.01, 0.3, 0.01, 0.3]},
       "grids": {"h_values": [2.0], "n_values": [4, 8]}},
-     {"C5", "C6", "C7", "C11", "C13"}),
+     {"C1", "C5", "C6", "C7", "C11", "C13"}),
+    # C1: with two sizes its one trend clause (the step shrinks) is empty
+    ({"model": {"n_max": 100},
+      "grids": {"h_values": [3.0], "n_values": [40, 80], "window": 16,
+                "r_max": 4},
+      "run": {"samples": 8, "master_seed": 3}},
+     {"C1", "C5", "C6", "C11"}),
+    # C12: on one size both spreads are 0
+    ({"model": {"n_max": 100},
+      "grids": {"h_values": [3.0], "n_values": [80], "window": 16,
+                "r_max": 4},
+      "run": {"samples": 8, "master_seed": 3}},
+     {"C1", "C4", "C5", "C6", "C11", "C12", "C13"}),
 ])
 def test_verify_small_configs_pass_fail_or_skip(tmp_path, capsys, config,
                                                 skipped):

@@ -81,6 +81,23 @@ def test_exact_structural_checks_pass():
         assert rep.passed is True, (cid, rep.metrics)
 
 
+def test_c10_fails_when_the_two_sides_interact(monkeypatch):
+    # a weight factor exp(0.1 X_1 X_{n-1}) couples the sides of every
+    # interior contact a = 2..n-2, which breaks the renewal factorization
+    build = theorems.build_path_set
+
+    def coupled(law, h, omega, n):
+        ps = build(law, h, omega, n)
+        x = ps.contact_matrix()
+        return dataclasses.replace(
+            ps, log_weights=ps.log_weights + 0.1 * x[:, 1] * x[:, n - 1])
+
+    monkeypatch.setattr(theorems, "build_path_set", coupled)
+    rep = run_check("C10", _small_ctx())
+    assert rep.passed is False
+    assert rep.metrics["max_residual"] > 1e-4
+
+
 def test_pure_centering_checks_skip():
     ctx = _small_ctx(disorder=zero_disorder())
     c4 = run_check("C4", ctx)
