@@ -126,13 +126,18 @@ class DisorderBlock:
         return DISORDER_FAMILIES[self.family](self.param)
 
 
-def _sorted_positive(values, anchor: str):
-    """A nonempty, strictly ascending list of integers >= 1 (a bool or a
-    float is not one, as in _need_int)."""
+def _need_count(value, anchor: str):
+    """An integer >= 1 (a bool or a float is not one, as in _need_int)."""
+    _need(isinstance(value, int) and not isinstance(value, bool)
+          and value >= 1, anchor,
+          f"must hold integers >= 1 only (got {value!r})")
+
+
+def _ascending(values, anchor: str, need_entry):
+    """A nonempty, strictly ascending grid whose entries pass need_entry."""
     _need(len(values) > 0, anchor, "must be nonempty")
     for v in values:
-        _need(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-              anchor, f"must hold integers >= 1 only (got {v!r})")
+        need_entry(v, anchor)
     _need(list(values) == sorted(values), anchor, "must be sorted ascending")
     _need(len(set(values)) == len(values), anchor, "must not repeat entries")
 
@@ -146,14 +151,8 @@ class GridsBlock:
     r_max: int = 6
 
     def validate(self):
-        for v in self.h_values:
-            _need_real(v, "grids.h_values")
-        _need(len(self.h_values) > 0, "grids.h_values", "must be nonempty")
-        _need(list(self.h_values) == sorted(self.h_values), "grids.h_values",
-              "must be sorted ascending")
-        _need(len(set(self.h_values)) == len(self.h_values), "grids.h_values",
-              "must not repeat entries")
-        _sorted_positive(self.n_values, "grids.n_values")
+        _ascending(self.h_values, "grids.h_values", _need_real)
+        _ascending(self.n_values, "grids.n_values", _need_count)
         _need(len(self.u_grid) > 0, "grids.u_grid", "must be nonempty")
         for v in self.u_grid:
             _need_real(v, "grids.u_grid")

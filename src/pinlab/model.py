@@ -2,9 +2,9 @@
 
 An inter-arrival law tabulates p(t) = ell(t) / t^(alpha+1) on 1..n_max,
 optionally normalized to a sub-probability (tabulated mass plus an analytic
-tail estimate <= 1).  Every law carries the constant xi of the splitting
-inequality  p(t+tau) <= xi * min(t, tau)^xi * p(t) * p(tau),  computed on
-the tabulated range.
+tail estimate <= 1).  A law is its log p table: n_max and the constant xi
+of the splitting inequality  p(t+tau) <= xi * min(t, tau)^xi * p(t) * p(tau)
+are derived from it, xi on its first read.
 
 Disorder charges are i.i.d. mean-zero with a finite exponential moment.
 """
@@ -75,16 +75,6 @@ def _analytic_tail(ell: EllSpec, alpha: float, n_max: int) -> float:
     return math.exp(log_tail)
 
 
-def _require_finite(log_p: np.ndarray, n_max: int):
-    """A ValueError naming the first t in [1, n_max] whose log p(t) is not
-    finite."""
-    bad = np.flatnonzero(~np.isfinite(log_p[1:n_max + 1]))
-    if bad.size:
-        t = int(bad[0]) + 1
-        raise ValueError(f"log p({t}) = {log_p[t]} is not finite: "
-                         f"p(t) must be positive on [1, {n_max}]")
-
-
 @dataclass(frozen=True)
 class InterArrivalLaw:
     """Tabulated inter-arrival law.
@@ -92,17 +82,33 @@ class InterArrivalLaw:
     ``log_p`` has length n_max + 1; entry t is log p(t) for t = 1..n_max
     and entry 0 is -inf (there is no zero-length excursion).  A log p(t)
     not finite on [1, n_max] is refused with a ValueError naming t.
+    n_max and xi are derived from the table.
     """
 
-    n_max: int
     log_p: np.ndarray = field(repr=False)
-    xi: float
     tail_mass: float = 0.0
-    _density: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
-        _require_finite(self.log_p, self.n_max)
+        bad = np.flatnonzero(~np.isfinite(self.log_p[1:]))
+        if bad.size:
+            t = int(bad[0]) + 1
+            raise ValueError(f"log p({t}) = {self.log_p[t]} is not finite: "
+                             f"p(t) must be positive on [1, {self.n_max}]")
+
+    @property
+    def n_max(self) -> int:
+        return self.log_p.size - 1
+
+    @property
+    def xi(self) -> float:
+        """compute_xi of the table, run on the first read and memoised; a
+        table with no float xi raises its ValueError at every read."""
+        xi = self._memo.get("xi")
+        if xi is None:
+            xi = self._memo["xi"] = compute_xi(self.log_p)
+        return xi
 
     def contact_density(self, h: float) -> float:
         """The contact density of the homogeneous chain at h under the
@@ -114,7 +120,7 @@ class InterArrivalLaw:
         phi >= 0 at F = h + log p(1), where the term t = 1 alone is 1, so
         Newton's steps from there rise monotonically to the root."""
         h = float(h)
-        c = self._density.get(h)
+        c = self._memo.get(h)
         if c is None:
             lp = self.log_p[1:]
             t = np.arange(1, lp.size + 1, dtype=float)
@@ -128,14 +134,15 @@ class InterArrivalLaw:
                 f += step
                 if not step > 1e-15 * max(1.0, abs(f)):
                     break
-            c = self._density[h] = mass / moment
+            c = self._memo[h] = mass / moment
         return c
 
 
-def _xi_worst(log_p: np.ndarray, n_max: int) -> np.ndarray:
+def _xi_worst(log_p: np.ndarray) -> np.ndarray:
     """worst[t] = max over tau = t..n_max-t of log p(t+tau) - log p(t) -
-    log p(tau), for t = 1..n_max // 2 (entry 0 is -inf): the worst ratio
-    for each value of min(t, tau)."""
+    log p(tau), for t = 1..n_max // 2 (entry 0 is -inf) and n_max the
+    table's horizon: the worst ratio for each value of min(t, tau)."""
+    n_max = log_p.size - 1
     half = n_max // 2
     worst = np.full(half + 1, -np.inf)
     for t in range(1, half + 1):
@@ -144,15 +151,15 @@ def _xi_worst(log_p: np.ndarray, n_max: int) -> np.ndarray:
     return worst
 
 
-def compute_xi(log_p: np.ndarray, n_max: int) -> float:
+def compute_xi(log_p: np.ndarray) -> float:
     """Smallest xi on a 1e-3 bisection grid with
     log p(t+tau) <= log xi + xi*log min(t,tau) + log p(t) + log p(tau)
-    for all t, tau >= 1 with t + tau <= n_max.
+    for all t, tau >= 1 with t + tau <= n_max = log_p.size - 1.
     """
-    half = n_max // 2
+    half = (log_p.size - 1) // 2
     if half < 1:
         raise ValueError("need n_max >= 2 to constrain xi")
-    worst = _xi_worst(log_p, n_max)
+    worst = _xi_worst(log_p)
     m = np.arange(1, half + 1)
     log_m = np.log(m)
     w = worst[1:]
@@ -199,7 +206,7 @@ def build_law(alpha: float, ell: EllSpec | None, n_max: int,
         raise ValueError("n_max >= 2 required")
     t = np.arange(1, n_max + 1, dtype=float)
     # a huge alpha overflows (alpha + 1) log t: log p(t) = -inf there,
-    # which is refused below, before compute_xi reads it
+    # which the law refuses
     with np.errstate(over="ignore"):
         raw = ell.log_ell(t) - (alpha + 1.0) * np.log(t)
     tail = _analytic_tail(ell, alpha, n_max)
@@ -209,10 +216,7 @@ def build_law(alpha: float, ell: EllSpec | None, n_max: int,
         shift = math.log(total)
         raw = raw - shift
         tail = tail / total
-    log_p = np.concatenate(([LOG_ZERO], raw))
-    _require_finite(log_p, n_max)
-    xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(n_max, log_p, xi, tail)
+    return InterArrivalLaw(np.concatenate(([LOG_ZERO], raw)), tail)
 
 
 def law_from_table(p_values, normalized: bool = False) -> InterArrivalLaw:
@@ -234,12 +238,7 @@ def law_from_log_table(log_p_values) -> InterArrivalLaw:
     lp = np.asarray(log_p_values, dtype=float)
     if lp.ndim != 1 or lp.size < 2:
         raise ValueError("need at least p(1), p(2)")
-    if not np.all(np.isfinite(lp)):
-        raise ValueError("log table entries must be finite (p > 0)")
-    n_max = lp.size
-    log_p = np.concatenate(([LOG_ZERO], lp))
-    xi = compute_xi(log_p, n_max)
-    return InterArrivalLaw(n_max, log_p, xi, 0.0)
+    return InterArrivalLaw(np.concatenate(([LOG_ZERO], lp)))
 
 
 def geometric_test_law(n_max: int = 64) -> InterArrivalLaw:
@@ -255,6 +254,15 @@ class DisorderLaw:
 
     family: str
     param: float
+
+    def __post_init__(self):
+        if self.family not in DISORDER_FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if not math.isfinite(self.param):
+            raise ValueError(f"param = {self.param} is not finite")
+        if self.family != "zero" and not self.param > 0.0:
+            raise ValueError(f"param > 0 required for the {self.family} "
+                             f"family (got {self.param})")
 
     @property
     def variance(self) -> float:
@@ -279,9 +287,7 @@ class DisorderLaw:
             return rng.uniform(-self.param, self.param, n)
         if self.family == "rademacher":
             return self.param * (2.0 * rng.integers(0, 2, n) - 1.0)
-        if self.family == "shifted_exponential":
-            return self.param * (rng.standard_exponential(n) - 1.0)
-        raise ValueError(f"unknown family {self.family!r}")
+        return self.param * (rng.standard_exponential(n) - 1.0)
 
 
 def zero_disorder() -> DisorderLaw:
@@ -289,27 +295,19 @@ def zero_disorder() -> DisorderLaw:
 
 
 def gaussian_disorder(sigma: float) -> DisorderLaw:
-    if not sigma > 0.0:
-        raise ValueError("sigma > 0 required")
     return DisorderLaw("gaussian", sigma)
 
 
 def uniform_disorder(half_width: float) -> DisorderLaw:
-    if not half_width > 0.0:
-        raise ValueError("half_width > 0 required")
     return DisorderLaw("uniform_centered", half_width)
 
 
 def rademacher_disorder(scale: float) -> DisorderLaw:
-    if not scale > 0.0:
-        raise ValueError("scale > 0 required")
     return DisorderLaw("rademacher", scale)
 
 
 def shifted_exponential_disorder(lam: float) -> DisorderLaw:
     """omega = lam*(Exp(1) - 1): one-sided heavy tail."""
-    if not lam > 0.0:
-        raise ValueError("lam > 0 required")
     return DisorderLaw("shifted_exponential", lam)
 
 

@@ -882,9 +882,12 @@ class ContactLaw:
     distance of pmf() to the exact pmf from the terms the count DP left
     out (0 for the exact route); it does not cover roundoff."""
 
-    n: int
     log_pmf: np.ndarray = field(repr=False)
     l1_bound: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return self.log_pmf.size - 1
 
     def pmf(self) -> np.ndarray:
         return np.exp(self.log_pmf)
@@ -1137,14 +1140,14 @@ class QuenchedSystem:
         if not 0.0 <= budget < 1.0:
             raise ValueError(f"budget = {budget} is outside [0, 1)")
         if self.n == 0:
-            return ContactLaw(0, np.zeros(1))
+            return ContactLaw(np.zeros(1))
         if not budget:
-            return ContactLaw(self.n, self._block.contact_laws()[self._row])
+            return ContactLaw(self._block.contact_laws()[self._row])
         row, l1 = _count_dp(self.prefix_logZ[None], self.law.log_p,
                             self.site_weight[None], budget)
         with np.errstate(divide="ignore"):
             log_pmf = np.log(row[0])
-        return ContactLaw(self.n, log_pmf, float(l1[0]))
+        return ContactLaw(log_pmf, float(l1[0]))
 
     # -- cumulants ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinlab
+import pinlab.model as model
 import pinlab.outputs as outputs
 import pinlab.quenched as quenched
 import pinlab.theorems as theorems
@@ -369,17 +370,33 @@ def test_config_errors_are_anchored(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_table_law_without_float_xi_exits_with_its_ratio(tmp_path, capsys):
-    # p(2)/p(1)^2 = e^1381.6 passes config validation, but no float xi
-    # bounds it: the command exits 1, names the ratio and leaves no output
-    # directory behind
+def test_table_law_without_float_xi_runs_and_skips_c9(tmp_path, capsys):
+    # p(3)/(p(1) p(2)) = e^709.196: no float xi bounds the law, but only
+    # C9 reads xi, so compute runs the law and verify skips C9 naming the
+    # ratio
     cfg = _write(tmp_path, "table.json", {
-        "model": {"kind": "table", "table": [1e-300, 1.0, 1e-300, 1e-300]},
-        "grids": {"h_values": [1.0], "n_values": [4]}})
-    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "worst ratio p(t+tau)/(p(t) p(tau)) is e^1381.55" in \
-        capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "o")
+        "model": {"kind": "table",
+                  "table": [1e-154, 1e-154, 1.0, 0.5, 0.25, 0.125, 0.0625,
+                            0.03125]},
+        "grids": {"n_values": [4, 6, 8]}})
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    checks = _verify_checks(cfg, str(tmp_path / "v"))
+    (c9,) = [c for c in checks if c["check_id"] == "C9"]
+    assert c9["passed"] is None
+    assert c9["skip_reason"].endswith(
+        "worst ratio p(t+tau)/(p(t) p(tau)) is e^709.196")
+
+
+def test_compute_never_computes_xi(tmp_path, monkeypatch, capsys):
+    # xi is C9's alone: the benchmark's compute workload never computes it
+    calls = []
+    real = model.compute_xi
+    monkeypatch.setattr(model, "compute_xi",
+                        lambda log_p: calls.append(1) or real(log_p))
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "workloads", "compute.json")
+    assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == []
 
 
 def test_table_law_past_the_tilt_exits_with_its_span(tmp_path, capsys):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinlab.model as model
 from pinlab.config import RunConfig
 from pinlab.model import (
     DISORDER_FAMILIES,
+    DisorderLaw,
     EllSpec,
     InterArrivalLaw,
     _analytic_tail,
@@ -111,7 +113,7 @@ def test_xi_scan_matches_gathered_loop():
             law_from_log_table(rng.normal(-8.0, 3.0, 1025))]
     for law in laws:
         for n_max in (2, 3, law.n_max - 1, law.n_max):
-            got = _xi_worst(law.log_p, n_max)
+            got = _xi_worst(law.log_p[:n_max + 1])
             assert got.tobytes() == _xi_worst_loop(law.log_p, n_max).tobytes()
 
 
@@ -160,7 +162,7 @@ def test_law_with_a_non_finite_log_p_is_refused(bad):
     lp = np.concatenate(([LOG_ZERO], -np.arange(1, 9, dtype=float)))
     lp[5] = bad
     with pytest.raises(ValueError, match=r"log p\(5\) = .* not finite"):
-        InterArrivalLaw(8, lp, 1.0)
+        InterArrivalLaw(lp)
 
 
 def test_power_law_past_float_range_names_its_first_zero_p():
@@ -194,13 +196,37 @@ def test_every_law_factory_makes_a_finite_law():
         assert np.isfinite(law.log_p[1:]).all()
 
 
+def test_law_is_its_table():
+    lp = np.concatenate(([LOG_ZERO], -np.arange(1, 10, dtype=float)))
+    assert InterArrivalLaw(lp).n_max == lp.size - 1 == 9
+
+
+def test_xi_is_computed_on_its_first_read_only(monkeypatch):
+    # only C9 reads xi: building a law does not compute it, and the first
+    # read computes it once for the law
+    calls, real = [], model.compute_xi
+
+    def counting(log_p):
+        calls.append(log_p.size)
+        return real(log_p)
+
+    monkeypatch.setattr(model, "compute_xi", counting)
+    laws = (build_law(1.0, None, 64),
+            law_from_log_table(-np.arange(1, 65) * 0.7))
+    assert calls == []
+    for law in laws:
+        assert law.xi == law.xi
+    assert calls == [65, 65]
+
+
 def test_xi_beyond_float_range_is_rejected():
     # a +900 jump at p(2) makes p(2)/p(1)^2 about e^900: no float xi
     # bounds it, and the search must say so rather than double forever
     lp = -np.arange(1, 65, dtype=float) * math.log(2.0)
     lp[1] += 900.0
+    law = law_from_log_table(lp)
     with pytest.raises(ValueError, match=r"worst ratio .* is e\^900\b"):
-        law_from_log_table(lp)
+        law.xi
 
 
 def test_xi_past_the_float_grid_ends():
@@ -275,6 +301,17 @@ def test_constructor_validation():
                  shifted_exponential_disorder):
         with pytest.raises(ValueError):
             ctor(0.0)
+
+
+@pytest.mark.parametrize("family, param", [
+    ("foo", 1.0), ("gaussian", math.nan), ("zero", math.inf),
+    ("uniform_centered", -math.inf), ("rademacher", -0.5),
+    ("shifted_exponential", 0.0)])
+def test_disorder_law_is_refused_where_it_is_made(family, param):
+    # an unknown family, a non-finite param or a param <= 0 (but for the
+    # zero family) is refused by the law itself, before any draw
+    with pytest.raises(ValueError):
+        DisorderLaw(family, param)
 
 
 def test_family_registry():

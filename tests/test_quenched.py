@@ -113,6 +113,7 @@ def test_degenerate_empty_chain():
     sys_ = QuenchedSystem(GEOM, 0.3, np.zeros(0), 0)
     assert sys_.log_z == 0.0
     np.testing.assert_allclose(sys_.contact_law().pmf(), [1.0])
+    assert sys_.contact_law().n == 0
     assert sys_.max_excursion_cdf(1) == 1.0
     assert np.all(sys_.cumulants(3).kappa[1:] == 0.0)
 
@@ -631,7 +632,7 @@ def test_contact_law_matches_oracle(monkeypatch):
                                             _systems(130, 20, extreme=True)):
             want = enumerate_contact_pmf(law, h, omega, n)
             cl = sys_.contact_law(budget)
-            assert 0.0 <= cl.l1_bound <= budget
+            assert cl.n == n and 0.0 <= cl.l1_bound <= budget
             np.testing.assert_allclose(cl.pmf(), want,
                                        atol=1e-11 + cl.l1_bound)
             assert np.abs(cl.pmf() - want).sum() <= cl.l1_bound + 1e-11
