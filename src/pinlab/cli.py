@@ -134,6 +134,8 @@ def _cmd_scan(cfg: RunConfig, out: str) -> int:
         series.append(mc.EstimateSeries("rho", h, n_top, cent.mean / n_top,
                                         cent.mean_stderr / n_top,
                                         run_cfg.samples))
+        # one block: its first contact_law runs the banded count DP for
+        # every row (QuenchedBlock.contact_laws)
         ks_count = min(run_cfg.samples, 16)
         ks_vals = [ks_to_standard_normal(sys_.contact_law(KS_L1_BUDGET))[0]
                    for sys_ in mc._block_systems(run_cfg, h, n_top, ks_count)]

@@ -8,7 +8,7 @@ worker pool measured no faster).  Callers that need a whole system per
 sample (its contact law, excursion CDF or two-replica avoidance) take
 them from ``_block_systems``: one ``QuenchedBlock`` per block of samples,
 whose row views (one ``QuenchedSystem`` per sample) share the block's
-prefix, suffix, pair-DP and exact contact-law tables.  No block keeps
+prefix, suffix, pair-DP and contact-law tables.  No block keeps
 segment tables: ``correlation_decay_scan`` runs them _SEGMENT_ROWS rows
 at a time and reduces each chunk to its rows' mixing ratios.
 
@@ -28,21 +28,25 @@ locality contract of ``quenched._linear_rows``).
 Inside ``quenched.run_memo()`` (the CLI opens one around each command)
 the rows of every block are kept (``quenched._memoised``), keyed by what
 the kernel consumes: the kernel, the law, h, the output width (so
-moments of one order never serve another), the columns kept and a digest
-of the block's charges.  A moment kernel called at an n of
-``cfg.n_values`` draws its block at the grid's largest n and runs one
-pass that keeps every grid column, so the one entry of a (h, block)
-serves every n of the grid: a shorter draw is a prefix of a longer one,
-and a column does not depend on how far the pass runs past it.  A pass
-at the top that needs the law tilt, a call off the grid and a call
-outside a memo run at their own n.  Blocks are still drawn, so a later
-call on the same charges (estimate_mu after estimate_f, the centering
-statistics of ``scan`` after both, C8 and C12 after C4) reuses the rows
-whatever seed or index produced them, and every public call keeps its
-count.  ``concentration_scan`` and C13 need only log Z and kappa_1, and
-read them from the same order-2 rows.  The blocks of ``_block_systems``
-keep their exact contact laws in the same memo themselves
-(``QuenchedBlock.contact_laws``), so C13's laws at C3's n are C3's.
+moments of one order never serve another), the columns kept and the
+stream the block is drawn from, (disorder law, master seed, first
+index, count, n of the draw).  ``model.sample_disorder_block`` draws a
+block from these alone, so the key names its charges without hashing
+them.  A moment kernel called at an n of ``cfg.n_values`` draws its
+block at the grid's largest n and runs one pass that keeps every grid
+column, so the one entry of a (h, block) serves every n of the grid: a
+shorter draw is a prefix of a longer one, and a column does not depend
+on how far the pass runs past it.  A pass at the top that needs the law
+tilt, a call off the grid and a call outside a memo run at their own n.
+Blocks are still drawn on every call, so every public call keeps its
+count of draws, and a later call on the same stream (estimate_mu after
+estimate_f, the centering statistics of ``scan`` after both, C8 and C12
+after C4) reads the rows.  ``concentration_scan`` and C13 need only log
+Z and kappa_1, and read them from the same order-2 rows.  The blocks of
+``_block_systems`` keep their exact contact laws in the same memo
+themselves, under a digest of their charges
+(``QuenchedBlock.contact_laws``), so C13's laws at C3's n are C3's;
+their laws at a budget, the KS distances', stay on the block.
 Outside a scope every kernel computes.
 """
 
@@ -151,7 +155,9 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
     them read theirs.  A column holds the bits of a pass at its own n:
     the pass is row-local, it does not depend on how far it runs past a
     column, and a shorter draw is a prefix of a longer one.  Every other
-    call, and every call outside a memo, runs at its own n."""
+    call, and every call outside a memo, runs at its own n.  The entry is
+    keyed by the block's stream, not its charges: the block is drawn on
+    every call, but not hashed."""
     n = _checked(cfg.law, h, n)
     at = [n]
     if order and n in cfg.n_values and _MEMO.get() is not None:
@@ -163,8 +169,11 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
         hi = min(lo + _CHUNK, cfg.samples)
         block = sample_disorder_block(cfg.disorder, top, cfg.master_seed, lo,
                                       hi - lo)
+        # the block's stream: everything its charges are drawn from
+        stream = (cfg.disorder, cfg.master_seed, lo, hi - lo, top)
         rows = _memoised(cfg.law, (kernel.__qualname__, float(h), width,
-                                   tuple(at), block), partial(kernel, block, at))
+                                   tuple(at), stream),
+                         partial(kernel, block, at))
         out[lo:hi] = rows[:, j]
     return out
 

@@ -58,8 +58,8 @@ per state entry.
 A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
 row each, and runs the row-local engines once for all rows, each the
 first time any row asks: the prefix table, the suffix table, each
-(window, start) pair DP, the excursion caps up to m and the exact
-contact laws.  A reader of log Z and the cumulants alone, such as
+(window, start) pair DP, the excursion caps up to m and the contact
+laws at a budget.  A reader of log Z and the cumulants alone, such as
 ``pinlab compute``, takes log Z as kappa_0 of
 ``QuenchedSystem.cumulants``, whose moment rows carry Z as Y_0, and so
 runs no prefix DP.  A
@@ -68,7 +68,8 @@ row of its own block, so there is one code path, and every row reads
 the bytes a one-row block would compute.  The count DP of the exact
 contact laws, whose (n+1)^2 table per row is 34 MB for 64 rows at n =
 256, runs in chunks of rows whose tables fit in _LAW_BYTES (7 rows at n
-= 256).  The block keeps no segment tables (8.5 MB at 64 x 256 x 64):
+= 256); the budgeted laws run _BAND_ROWS rows per banded count DP.
+The block keeps no segment tables (8.5 MB at 64 x 256 x 64):
 their one production reader, C7's mixing ratio, runs ``_segment_tables``
 on a few rows at a time and reduces each chunk where it reads it.
 
@@ -80,20 +81,23 @@ takes an L1 budget.  At budget 0 it is exact.  At a budget > 0
 (KS_L1_BUDGET for the callers that read only the law's CDF, the KS
 distances) it leaves out the old rows and the low columns whose mass a
 bound computed at run time keeps within the budget, so a block costs
-O(B T C), not O(B k^2), T the band and C the columns that carry mass;
+O(B T C), not O(B k^2), T the band and C the columns that carry mass,
+and it holds only that band of the table, O(T C) memory a row;
 the law carries the sum of those bounds as ``l1_bound``, a certificate
-on its L1 distance to the full DP (roundoff not included).  The tail
-readers (C3, C13) stay at budget 0, and read a block's laws, computed
+on its L1 distance to the full DP (roundoff not included).  The KS
+readers (C2, scan) run a block's rows _BAND_ROWS at a time, the tail
+readers (C3, C13) stay at budget 0; both read a block's laws, computed
 once for all its rows.
 
 Inside ``run_memo()`` (the CLI opens one around each command) three
 tables are kept for the rest of the command, each under the law and
-everything else its computation reads, charges by shape and digest
-(``_memoised``): a block's exact contact laws (h, charges), a system's
-moment column at n (h, order, charges), and the per-block rows of the
-disorder Monte Carlo kernels (see ``disorder_mc._sampled``).  A block or
-a system built again on the same charges reads its table from the memo,
-whatever built it, and ``_seed_cumulants`` keeps the columns of a whole
+everything else its computation reads (``_memoised``): a block's exact
+contact laws (h, charges), a system's moment column at n (h, order,
+charges), both with the charges by shape and digest, and the per-block
+rows of the disorder Monte Carlo kernels, under the stream the block
+is drawn from (see ``disorder_mc._sampled``).  A block or a system built
+again on the same charges reads its table from the memo, whatever built
+it, and ``_seed_cumulants`` keeps the columns of a whole
 (h, n) grid of one environment from one pass.  Outside a memo every
 table is computed where it is asked.
 """
@@ -164,9 +168,11 @@ def _memoised(law, key, compute) -> np.ndarray:
     Outside a memo every call computes.  Inside one, the first call keeps
     a read-only copy under (id(law), *key), an array in key standing for
     its shape and a blake2b digest of its bytes, and later calls with
-    that key return it.  The entry holds the law, so its id is not reused
-    while the entry lives.  key must hold everything compute reads
-    besides the law."""
+    that key return it.  A caller that can name its inputs without their
+    bytes (``disorder_mc._sampled``: the stream a block is drawn from)
+    passes no array, and no digest is taken.  The entry holds the law, so
+    its id is not reused while the entry lives.  key must hold everything
+    compute reads besides the law."""
     memo = _MEMO.get()
     if memo is None:
         return compute()
@@ -761,6 +767,10 @@ KS_L1_BUDGET = 1e-14
 _ADVANCE = 32
 # bytes of the count DP tables of one chunk of QuenchedBlock.contact_laws
 _LAW_BYTES = 4 << 20
+# rows of one banded count DP of QuenchedBlock.contact_laws at a budget >
+# 0: at scan's (h, n) = (1.5, 512) 4 rows peak at 1.9 MB under tracemalloc,
+# less than one row's (n+1)^2 table (2.1 MB), and 16 rows at 7.6 MB
+_BAND_ROWS = 4
 
 
 def _toeplitz(v: np.ndarray, top: int, rows: int, cols: int) -> np.ndarray:
@@ -768,6 +778,12 @@ def _toeplitz(v: np.ndarray, top: int, rows: int, cols: int) -> np.ndarray:
     array v, without a copy; numpy refuses a view that leaves v."""
     return np.ndarray((rows, cols), buffer=v, offset=v.itemsize * top,
                       strides=(v.itemsize, -v.itemsize))
+
+
+def _log_pmf(pmf: np.ndarray) -> np.ndarray:
+    """log pmf, read-only, with log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return _frozen(np.log(pmf))
 
 
 def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
@@ -794,7 +810,9 @@ def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
     A stacked product runs one BLAS call per matrix, and every other
     operation is elementwise or along a row, so a row's bits do not
     depend on the other rows or on how many there are
-    (tests/test_blas_contract.py checks the first).
+    (tests/test_blas_contract.py checks the first).  The rows share s and
+    c, though, so at a budget > 0 a row's law depends on the other rows
+    through the terms that they keep.
 
     At budget 0, s = c = 0, and l1 is exactly 0.  At a budget > 0 each
     step is stochastic over the rows it reads, so the L1 error of r_k is
@@ -810,13 +828,30 @@ def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
       * the columns: after each block its rows get lo[j], the largest
         column whose prefix mass is at most budget / 2n, and that prefix
         mass is added; c is the min of lo over the finished rows read.
-    l1 sums both.  Memory is the (rows, n+1, n+1) table of all r_k."""
+    l1 sums both.
+
+    Memory: the bound reads pre and b only, so every block's s is known
+    before the first step, and so is the least s of the blocks still to
+    run; no later block reads a row below it, nor a column below the
+    least lo of the rows from it on (a new row's lo is at least its
+    block's c).  The table of all r_k is therefore held as a band: a
+    (rows, R, C) buffer of the rows from rb and the columns from cb.
+    When a block finds no room, the rows and columns that no later block
+    reads are dropped, and the rest moves to a new buffer with room for
+    _ADVANCE more steps.  At budget 0 nothing is dropped: the buffer is
+    the (rows, n+1, n+1) table, and its base never moves."""
     rows, n = pre.shape[0], pre.shape[1] - 1
+    if not n:
+        return np.ones((rows, 1)), np.zeros(rows)
     step = _ADVANCE
     a = b - pre  # a[:, k] = b_k - pre[k]
     # lpg[step + d] = log p(d), and a 0 weight for the gaps d <= 0 of a block
     lpg = np.full(step + n + 1, LOG_ZERO)
     lpg[step + 1:] = log_p[1:n + 1]
+    k0s = range(1, n + 1, step)
+    # each block's s, and the band's share of l1 at it
+    starts = np.zeros(len(k0s), dtype=np.intp)
+    band = np.zeros((len(k0s), rows))
     if budget:
         # two logs: budget / 4n underflows to 0 for a subnormal budget
         log_share = math.log(budget) - math.log(4 * n)
@@ -828,13 +863,9 @@ def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
         lpsuf = np.ascontiguousarray(
             np.maximum.accumulate(log_p[n::-1])[::-1])
         lo = np.zeros((rows, n + 1), dtype=np.intp)
-    r = np.zeros((rows, n + 1, n + 1))
-    r[:, 0, 0] = 1.0
-    l1 = np.zeros(rows)
-    s = c = 0
-    for k0 in range(1, n + 1, step):
-        k1 = min(k0 + step, n + 1)
-        if budget and k0 > 1:
+        s = 0
+        for i, k0 in enumerate(k0s[1:], 1):
+            k1 = min(k0 + step, n + 1)
             # the bounds at the starts from the last block's on, or from 1
             # when a step of this block fails at that one; they grow with
             # the start, so the starts that hold are a prefix
@@ -846,33 +877,61 @@ def _count_dp(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
                 held = int((bound <= log_share).sum(2).min())
                 if held or first == 1:
                     break
-            s = first - 1 + held
+            s = starts[i] = first - 1 + held
             if held:
-                l1 += 2.0 * np.exp(bound[:, :, held - 1]).sum(1)
+                band[i] = 2.0 * np.exp(bound[:, :, held - 1]).sum(1)
+    # keep[i]: the least s of block i and the blocks after it
+    keep = np.minimum.accumulate(starts[::-1])[::-1]
+    # r[:, j - rb, l - cb] is entry l of r_j
+    rb = cb = 0
+    size = n + 1 if not budget else min(n + 1, 2 * step + 1)
+    r = np.zeros((rows, size, size))
+    r[:, 0, 0] = 1.0
+    l1 = np.zeros(rows)
+    c = 0
+    for i, k0 in enumerate(k0s):
+        k1, s = min(k0 + step, n + 1), int(starts[i])
+        if budget and k0 > 1:
+            l1 += band[i]
             c = int(lo[:, s:k0].min())
+        if k1 - rb > r.shape[1] or k1 - cb > r.shape[2]:
+            # no room for the block: keep the rows and columns still read
+            top, left = int(keep[i]), int(lo[:, keep[i]:k0].min())
+            moved = np.zeros((rows, min(n + 1 - top, k1 - top + step),
+                              min(n + 1 - left, k1 - left + step)))
+            moved[:, :k0 - top, :k0 - left] = r[:, top - rb:k0 - rb,
+                                                left - cb:k0 - cb]
+            r, rb, cb = moved, top, left
         g = pre[:, None, s:k1] + _toeplitz(lpg, step + k0 - s, k1 - k0, k1 - s)
         g += a[:, k0:k1, None]
         np.exp(g, out=g)
         g /= g.sum(2, keepdims=True)
+        new = r[:, k0 - rb:k1 - rb]  # the block's rows
         # in two column panels: row j is 0 past column j, so the columns
         # from m on read the rows from m on only (a quarter fewer terms at
         # budget 0, and each product's output buffer half as large)
         m = max(s, (c + k0) // 2)
-        np.matmul(g[:, :, :k0 - s], r[:, s:k0, c:m],
-                  out=r[:, k0:k1, c + 1:m + 1])
-        np.matmul(g[:, :, m - s:k0 - s], r[:, m:k0, m:k0],
-                  out=r[:, k0:k1, m + 1:k0 + 1])
+        np.matmul(g[:, :, :k0 - s], r[:, s - rb:k0 - rb, c - cb:m - cb],
+                  out=new[:, :, c + 1 - cb:m + 1 - cb])
+        np.matmul(g[:, :, m - s:k0 - s],
+                  r[:, m - rb:k0 - rb, m - cb:k0 - cb],
+                  out=new[:, :, m + 1 - cb:k0 + 1 - cb])
         for k in range(k0 + 1, k1):
-            row = r[:, k, None, c + 1:k + 1]
-            row += np.matmul(g[:, k - k0, None, k0 - s:k - s], r[:, k0:k, c:k])
+            row = new[:, k - k0, None, c + 1 - cb:k + 1 - cb]
+            row += np.matmul(g[:, k - k0, None, k0 - s:k - s],
+                             new[:, :k - k0, c - cb:k - cb])
         if budget and k1 <= n:
             # the new rows' cuts: the longest prefix of columns within the
             # share, whose mass is the largest partial sum within it
-            cs = np.cumsum(r[:, k0:k1, c:k1], axis=2)
+            cs = np.cumsum(new[:, :, c - cb:k1 - cb], axis=2)
             within = cs <= col_share
             lo[:, k0:k1] = c + within.sum(2)
-            l1 += np.where(within, cs, 0.0).max(2).sum(1)
-    return r[:, n], l1
+            cs *= within
+            l1 += cs.max(2).sum(1)
+            del cs, within  # before the next block's buffer is made
+    out = np.zeros((rows, n + 1))
+    out[:, cb:cb + r.shape[2]] = r[:, n - rb]
+    return out, l1
 
 
 @dataclass(frozen=True)
@@ -938,9 +997,10 @@ class QuenchedBlock:
     environment r (columns past n are not read), or None for one row
     without disorder.  The prefix table, the suffix table, the avoidance
     profiles of a (window, start), the excursion-capped log Z_n up to a
-    cap and the exact contact laws are built for every row the first
-    time any row asks, and cached.  The engines are row-local, so each
-    row's tables are bit-identical to a one-row block's.  Tables are
+    cap and the contact laws at a budget are built for every row the
+    first time any row asks, and cached.  The engines are row-local, so
+    each row's tables are bit-identical to a one-row block's; only the
+    laws at a budget > 0 share a band among _BAND_ROWS rows.  Tables are
     read-only: every row view shares them.  ``systems()`` yields the rows
     as QuenchedSystem views."""
 
@@ -972,7 +1032,7 @@ class QuenchedBlock:
         self._suffix = None
         self._avoidance = {}  # (window, start) -> (rows, window + 1)
         self._excursion = np.empty((self.rows, 0))
-        self._laws = None
+        self._laws = {}  # budget -> (log_pmf, l1)
 
     def systems(self):
         """The rows as QuenchedSystem views, in row order."""
@@ -1018,33 +1078,47 @@ class QuenchedBlock:
             self._excursion = _frozen(grown)
         return self._excursion
 
-    def contact_laws(self) -> np.ndarray:
-        """log_pmf[r, l] = log P[L_n = l] of row r for l = 0..n, the exact
-        laws (budget 0), n >= 1, computed on the first ask and cached
-        read-only.
+    def contact_laws(self, budget: float = 0.0) -> tuple:
+        """(log_pmf, l1): log_pmf[r, l] = log P[L_n = l] of row r for l =
+        0..n, within L1 budget of the exact law, and l1[r] <= budget, the
+        certificate of ``_count_dp`` on the terms row r left out; computed
+        on the first ask at each budget and cached read-only.
 
-        The count DP runs the rows in chunks whose (n+1)^2 tables fit in
-        _LAW_BYTES, at least one row a chunk; it is row-local, so each
-        row holds the bytes of its own one-row run.  Inside a run memo the
-        table is kept under the law, h and the shape (which holds n) and
-        digest of the block's charges, so a block built later on the same
-        charges reads it and runs no count DP."""
-        if self._laws is None:
-            def laws():
-                n = self.n
-                chunk = max(1, _LAW_BYTES // (8 * (n + 1) ** 2))
-                pmf = np.empty((self.rows, n + 1))
-                for lo in range(0, self.rows, chunk):
-                    hi = min(lo + chunk, self.rows)
-                    pmf[lo:hi] = _count_dp(self.prefix_logZ[lo:hi],
-                                           self.law.log_p,
-                                           self.site_weight[lo:hi], 0.0)[0]
-                with np.errstate(divide="ignore"):
-                    return _frozen(np.log(pmf))
-            self._laws = _memoised(self.law,
-                                   ("contact_laws", self.h, self.charges),
-                                   laws)
-        return self._laws
+        At budget 0 the laws are exact (l1 0).  The count DP runs the rows
+        in chunks whose (n+1)^2 tables fit in _LAW_BYTES, at least one row
+        a chunk; it is row-local, so each row holds the bytes of its own
+        one-row run.  Inside a run memo the table is kept under the law, h
+        and the shape (which holds n) and digest of the block's charges, so
+        a block built later on the same charges reads it and runs no count
+        DP.  A budget > 0 runs the banded count DP on _BAND_ROWS rows at a
+        time, which share the widest band and column window that any of
+        them needs: a row's law may differ from its one-row run by terms
+        that either run left out, within the two certificates.  These laws
+        stay on the block, not in the memo."""
+        if not 0.0 <= budget < 1.0:
+            raise ValueError(f"budget = {budget} is outside [0, 1)")
+        if budget not in self._laws:
+            if budget:
+                pmf, l1 = self._count_rows(budget, _BAND_ROWS)
+                log_pmf = _log_pmf(pmf)
+            else:
+                chunk = max(1, _LAW_BYTES // (8 * (self.n + 1) ** 2))
+                log_pmf = _memoised(
+                    self.law, ("contact_laws", self.h, self.charges),
+                    lambda: _log_pmf(self._count_rows(0.0, chunk)[0]))
+                l1 = np.zeros(self.rows)
+            self._laws[budget] = (log_pmf, _frozen(l1))
+        return self._laws[budget]
+
+    def _count_rows(self, budget: float, chunk: int):
+        """(pmf, l1) of every row by ``_count_dp``, chunk rows a run."""
+        pmf, l1 = np.empty((self.rows, self.n + 1)), np.empty(self.rows)
+        for lo in range(0, self.rows, chunk):
+            hi = lo + chunk
+            pmf[lo:hi], l1[lo:hi] = _count_dp(self.prefix_logZ[lo:hi],
+                                              self.law.log_p,
+                                              self.site_weight[lo:hi], budget)
+        return pmf, l1
 
     def two_replica_avoidance_log(self, window: int, start: int = 0) -> np.ndarray:
         """log a_j of every row for j = 1..window on [start, start+window],
@@ -1122,32 +1196,26 @@ class QuenchedSystem:
 
     def contact_law(self, budget: float = 0.0) -> ContactLaw:
         """Pmf of L_n by the count-indexed DP ``_count_dp``, within L1
-        budget of the exact one.
+        budget of the exact one: the system's row of the block's
+        ``contact_laws(budget)``, which the first row to ask computes for
+        every row.
 
         It runs on per-level renewal probabilities (each level's
         first-excursion weights, normalised to sum to 1), so everything
-        stays in [0, 1] with nonnegative terms only; O(n^2) memory.  At
-        budget 0 the law is exact (l1_bound 0): the system's row of the
-        block's ``contact_laws``, which the first row to ask computes for
-        every row, a step costing O(k^2).  A budget > 0 runs the system's
-        row alone and lets the band and column window move, so that a
-        step costs O(T C), T the band and C the columns that carry mass,
-        and the law carries the certificate l1_bound <= budget on the
-        terms left out.  That suits a caller that reads only the CDF to
-        absolute accuracy (KS_L1_BUDGET, for the KS distances); a caller
-        of the tails (relative accuracy far below the bulk) needs budget
-        0."""
-        if not 0.0 <= budget < 1.0:
-            raise ValueError(f"budget = {budget} is outside [0, 1)")
-        if self.n == 0:
-            return ContactLaw(np.zeros(1))
-        if not budget:
-            return ContactLaw(self._block.contact_laws()[self._row])
-        row, l1 = _count_dp(self.prefix_logZ[None], self.law.log_p,
-                            self.site_weight[None], budget)
-        with np.errstate(divide="ignore"):
-            log_pmf = np.log(row[0])
-        return ContactLaw(log_pmf, float(l1[0]))
+        stays in [0, 1] with nonnegative terms only.  At budget 0 the law
+        is exact (l1_bound 0), a step costing O(k^2) and the table O(n^2)
+        memory per row.  A budget > 0 lets the band and column window
+        move and holds only the band of the table, so that a step costs
+        O(T C) and the rows O(T C) memory, T the band and C the columns
+        that carry mass, and the law carries the certificate l1_bound <=
+        budget on the terms left out.  The block runs _BAND_ROWS rows per
+        count DP, which share their band and window, so a row may keep
+        more terms than it would alone.  That suits a caller that reads
+        only the CDF to absolute accuracy (KS_L1_BUDGET, for the KS
+        distances); a caller of the tails (relative accuracy far below
+        the bulk) needs budget 0."""
+        log_pmf, l1 = self._block.contact_laws(budget)
+        return ContactLaw(log_pmf[self._row], float(l1[self._row]))
 
     # -- cumulants ----------------------------------------------------------
 

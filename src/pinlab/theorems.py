@@ -225,8 +225,10 @@ def _ks_error_bound(l1: float, n: int, var: float) -> float:
 
 
 def _check_c2(ctx: CheckContext) -> CheckReport:
-    """The laws run the count DP at KS_L1_BUDGET; ks_error_bound is the
-    largest bound on what the terms it left out move a KS value by."""
+    """The laws run the count DP at KS_L1_BUDGET, the first row of a block
+    to ask running it for the block's rows (QuenchedBlock.contact_laws);
+    ks_error_bound is the largest bound on what the terms it left out
+    move a KS value by."""
     cfg = ctx.mc
     ns = ctx.clt_n_values
     ks = np.empty((_CLT_SEEDS, len(ns)))

@@ -173,6 +173,54 @@ def test_run_memo_serves_the_bytes_of_fresh_calls(monkeypatch):
     assert sum(p[0] for p in passes) == 3 * (70 + 136 + 808)
 
 
+def test_sampled_rows_are_keyed_by_their_stream(monkeypatch):
+    # a block's rows are kept under the stream it is drawn from: (disorder
+    # law, master seed, first index, count, n of the draw).  A second call
+    # on a stream runs no kernel and hashes no charges, yet every call
+    # still draws each of its blocks once; a change of any one of the five
+    # is a new entry, whose rows are those of a fresh call
+    draws, runs, digests = [], [], []
+    draw, digest = mc.sample_disorder_block, quenched.hashlib.blake2b
+
+    def drawn(law, n, seed, first, count):
+        draws.append((first, count))
+        return draw(law, n, seed, first, count)
+
+    def hashed(*args, **kw):
+        digests.append(args)
+        return digest(*args, **kw)
+
+    def kernel(block, at):
+        runs.append(block.shape)
+        return block.sum(1)[:, None, None]
+
+    cfg = _cfg(samples=70)
+    calls = [(cfg, 24, [(64, 24), (6, 24)]),
+             (cfg, 24, []),
+             (replace(cfg, master_seed=12), 24, [(64, 24), (6, 24)]),
+             # (64, 64) differs from the (0, 64) entry in its first index
+             (replace(cfg, samples=128), 24, [(64, 24)]),
+             # (64, 8) differs from the (64, 6) entry in its count
+             (replace(cfg, samples=72), 24, [(8, 24)]),
+             (replace(cfg, disorder=gaussian_disorder(2.0)), 24,
+              [(64, 24), (6, 24)]),
+             (cfg, 20, [(64, 20), (6, 20)])]
+    fresh = [mc._sampled(c, 2.0, n, kernel, 1) for c, n, _ in calls]
+    monkeypatch.setattr(mc, "sample_disorder_block", drawn)
+    monkeypatch.setattr(quenched.hashlib, "blake2b", hashed)
+    with run_memo():
+        for (c, n, ran), want in zip(calls, fresh):
+            runs.clear()
+            draws.clear()
+            assert mc._sampled(c, 2.0, n, kernel, 1).tobytes() \
+                == want.tobytes()
+            assert runs == ran
+            assert draws == [(lo, min(64, c.samples - lo))
+                             for lo in range(0, c.samples, 64)]
+        assert len(quenched._MEMO.get()) == sum(len(r) for *_, r in calls)
+    assert not digests
+
+
 def test_run_memo_keys_on_everything_the_kernel_reads():
     cfg = _cfg(samples=64)
     variants = [(sample_cumulants, cfg, 2.0, 24, 2),
@@ -269,7 +317,7 @@ def test_run_memo_hits_cannot_be_corrupted_by_callers():
         kappa[:] = np.nan
         assert (QuenchedSystem(LAW, 2.0, charges[0], 24).cumulants(4)
                 .kappa.tobytes() == kappa_keep.tobytes())
-        laws = QuenchedBlock(LAW, 2.0, charges, 24).contact_laws()
+        laws = QuenchedBlock(LAW, 2.0, charges, 24).contact_laws()[0]
         with pytest.raises(ValueError, match="read-only"):
             laws[:] = 0.0
         # every entry, rows, moment columns and laws alike, is read-only
@@ -291,14 +339,14 @@ def test_blocks_on_the_same_charges_share_their_exact_laws(monkeypatch):
         return count_dp(pre, *args)
     monkeypatch.setattr(quenched, "_count_dp", counted)
     with run_memo():
-        laws = QuenchedBlock(LAW, 2.0, charges, 32).contact_laws()
-        again = QuenchedBlock(LAW, 2.0, charges.copy(), 32).contact_laws()
+        laws = QuenchedBlock(LAW, 2.0, charges, 32).contact_laws()[0]
+        again = QuenchedBlock(LAW, 2.0, charges.copy(), 32).contact_laws()[0]
         assert again is laws and runs == [5]
         for law, h, om in [(LAW, 2.0, charges[:4]), (LAW, 2.5, charges),
                            (build_law(1.0, None, 128), 2.0, charges)]:
             QuenchedBlock(law, h, om, 32).contact_laws()
     assert runs == [5, 4, 5, 5]
-    assert QuenchedBlock(LAW, 2.0, charges, 32).contact_laws().tobytes() \
+    assert QuenchedBlock(LAW, 2.0, charges, 32).contact_laws()[0].tobytes() \
         == laws.tobytes()
 
 

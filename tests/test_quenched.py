@@ -658,7 +658,8 @@ def test_exact_laws_keep_their_bytes_in_any_chunk(seed, n, chunk, extreme):
     charges = (rng.uniform(-800.0, 800.0, (64, n)) if extreme
                else rng.normal(0.0, 1.0, (64, n)))
     block = QuenchedBlock(law, h, charges, n)
-    laws = block.contact_laws()
+    laws, l1 = block.contact_laws()
+    assert not l1.any()
     pre, b = block.prefix_logZ, block.site_weight
     for lo in range(0, 64, chunk):
         pmf, l1 = quenched._count_dp(pre[lo:lo + chunk], law.log_p,
@@ -730,6 +731,108 @@ def test_budgeted_contact_law_under_extreme_charges(h):
     assert exact.l1_bound == 0.0
     assert math.isfinite(cl.l1_bound) and cl.l1_bound <= KS_L1_BUDGET
     assert np.abs(cl.pmf() - exact.pmf()).sum() <= cl.l1_bound + 1e-10
+
+
+@pytest.mark.parametrize("extreme", [False, True])
+def test_budgeted_laws_of_a_block_keep_their_certificates(extreme):
+    # a block's laws at a budget run _BAND_ROWS rows per banded count DP,
+    # which share the widest band and column window any of them needs, so
+    # a row's law is not its one-row run's; each row stays within its own
+    # l1_bound of its exact law, and each bound within the budget.  The
+    # extreme rows take h in [-40, 60] and charges up to +-800.  Row 5
+    # carries -800 past site 32, so that at budget 1e-3 the band of its
+    # chunk moves back (from 15 to 14 at h = 1 and from 27 to 26 at h = 3
+    # on these charges), to a row that band storage must have kept
+    rng = np.random.default_rng(61 + extreme)
+    n, rows = 200, 10
+    law = build_law(1.5, None, n)
+    for h in (rng.uniform(-40.0, 60.0, 2) if extreme else (1.0, 3.0)):
+        charges = (rng.uniform(-800.0, 800.0, (rows, n)) if extreme
+                   else rng.normal(0.0, 1.0, (rows, n)))
+        charges[5, 32:] = -800.0
+        block = QuenchedBlock(law, float(h), charges, n)
+        exact = np.exp(block.contact_laws()[0])
+        for budget in (KS_L1_BUDGET, 1e-3):
+            log_pmf, l1 = block.contact_laws(budget)
+            assert np.all((0.0 <= l1) & (l1 <= budget)), (h, budget)
+            dist = np.abs(np.exp(log_pmf) - exact).sum(1)
+            assert np.all(dist <= l1 + 1e-11), (h, budget, dist - l1)
+            # a chunk's rows are those of the count DP on the chunk alone,
+            # and every row view reads its row of the block's laws
+            for lo in range(0, rows, quenched._BAND_ROWS):
+                hi = lo + quenched._BAND_ROWS
+                pmf, bound = quenched._count_dp(block.prefix_logZ[lo:hi],
+                                                law.log_p,
+                                                block.site_weight[lo:hi],
+                                                budget)
+                with np.errstate(divide="ignore"):
+                    assert np.log(pmf).tobytes() == log_pmf[lo:hi].tobytes()
+                assert bound.tobytes() == l1[lo:hi].tobytes()
+            for r, sys_ in enumerate(block.systems()):
+                cl = sys_.contact_law(budget)
+                assert cl.log_pmf.tobytes() == log_pmf[r].tobytes()
+                assert cl.l1_bound == l1[r]
+
+
+def test_budgeted_laws_run_once_per_block_outside_the_memo(monkeypatch):
+    # every row's contact_law at a budget reads the block's laws, which the
+    # first row to ask computes in chunks of _BAND_ROWS rows; they are kept
+    # on the block, not in the run memo, and a new block recomputes them
+    runs = []
+    count_dp = quenched._count_dp
+
+    def counted(pre, *args):
+        runs.append(pre.shape[0])
+        return count_dp(pre, *args)
+    monkeypatch.setattr(quenched, "_count_dp", counted)
+    charges = np.random.default_rng(62).normal(0.0, 1.0, (10, 96))
+    with quenched.run_memo():
+        block = QuenchedBlock(GEOM, 1.0, charges, 64)
+        laws = [s.contact_law(KS_L1_BUDGET) for s in block.systems()]
+        assert runs == [4, 4, 2] and not quenched._MEMO.get()
+        assert block.contact_laws(KS_L1_BUDGET) is block.contact_laws(
+            KS_L1_BUDGET)
+        again = QuenchedBlock(GEOM, 1.0, charges, 64).systems()
+        for law, sys_ in zip(laws, again):
+            assert sys_.contact_law(KS_L1_BUDGET).log_pmf.tobytes() \
+                == law.log_pmf.tobytes()
+    assert runs == [4, 4, 2] * 2
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0, 3.0])
+def test_band_storage_keeps_the_rows_a_later_band_reads(h):
+    # sites 65..300 carry -800, so the band start of a later block falls
+    # below that of an earlier one, after band storage has made room for
+    # new rows: the rows it kept must reach back to the least start of the
+    # blocks still to run (keeping only the current band's fails here)
+    n = 300
+    omega = np.zeros(n)
+    omega[64:] = -800.0
+    sys_ = QuenchedSystem(build_law(1.0, None, n), h, omega, n)
+    exact = sys_.contact_law().pmf()
+    for budget in (KS_L1_BUDGET, 1e-3):
+        cl = sys_.contact_law(budget)
+        assert 0.0 < cl.l1_bound <= budget
+        assert np.abs(cl.pmf() - exact).sum() <= cl.l1_bound + 1e-11
+
+
+def test_a_budgeted_law_holds_only_its_band():
+    # band storage: one law at KS_L1_BUDGET at C2's (h, n) = (3, 1024)
+    # holds the rows and columns its later steps read, not the (n+1)^2
+    # table of the count DP (8.4 MB): measured 0.34 MB under tracemalloc
+    n = 1024
+    omega = np.random.default_rng(63).normal(0.0, 1.0, n)
+    sys_ = QuenchedSystem(build_law(1.0, None, n), 3.0, omega, n)
+    sys_.prefix_logZ
+    tracemalloc.start()
+    try:
+        cl = sys_.contact_law(KS_L1_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert 0.0 < cl.l1_bound <= KS_L1_BUDGET
+    assert cl.pmf().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_contact_law_summaries():
