@@ -6,24 +6,26 @@ Every partition table comes from one O(n^2) forward recursion,
 
     Z_{0,k} = sum_{t=1..k} Z_{0,k-t} p(t) e^{h+omega_k},
 
-run by ``_forward`` over a batch of weight rows under one law p, each
-row with an optional band: the prefix table is one row, the suffix
-table is the recursion on the reversed weights, the segment tables run
-one row per start site, and the restricted-excursion partition with cap
-b is a row with band b.  ``_forward`` steps in linear domain: each row is
-stored as Z_{0,j} e^{-C_r} under one log scale C_r, and a step is one dot
-product of the row with p(k-j)/p(1), 0 past the row's band, then one log
-and one exp per row, so no term pays an exp.  A new entry above e^300 of
-the scale becomes the scale; a banded row whose window keeps no entry
-within e^-200 of it is recomputed from the log table; entries below
+run by ``_forward`` over a batch of weight rows under one law p: the
+prefix table is one row, the suffix table is the recursion on the
+reversed weights, and the segment tables run one row per start site.
+``_forward`` steps in linear domain: each row is stored as Z_{0,j}
+e^{-C_r} under one log scale C_r, and a step is one dot product of the
+row with p(k-j)/p(1), then one log and one exp per row, so no term pays
+an exp.  A new entry above e^300 of the scale becomes the scale, so the
+window of a row always keeps an entry of at least 1; entries below
 1e-290 of the scale are exact zeros, and the dot skips the columns that
 are zero in every row.  A flush certificate computed from the law
-decides, per band, whether that is exact to double precision.  A band
-on which log p spans too many nats runs the same step under the tilted
-law p(t) e^{lam t}: the gaps of a path pinned at k sum to k, so the tilt
+decides whether that is exact to double precision.  A law that spans
+too many nats on [1, n] runs the same step under the tilted law p(t)
+e^{lam t}: the gaps of a path pinned at k sum to k, so the tilt
 multiplies Z_{0,k} by e^{lam k}, and lam k is subtracted from its log.
 The tilt flattens the geometric law exactly; a law it cannot bring under
 the certificate, one far from log-linear, is refused with a ValueError.
+
+The maximal-excursion CDF P[M_n <= m] comes from the prefix table by a
+normalised capped recursion (``_capped_cdf``), whose terms are
+probabilities and need no scale.
 
 Derivatives of log Z in h (cumulants of the contact number L) come from
 ``_moments``: the same linear step carries, besides Z, the rows Y_m[k],
@@ -58,8 +60,9 @@ per state entry.
 A ``QuenchedBlock`` holds the environments of one (law, h, n), one charge
 row each, and runs the row-local engines once for all rows, each the
 first time any row asks: the prefix table, the suffix table, each
-(window, start) pair DP, the excursion caps up to m and the contact
-laws at a budget.  A reader of log Z and the cumulants alone, such as
+(window, start) pair DP, the excursion CDF up to a cap m and the
+contact laws at a budget.  A reader of log Z and the cumulants alone,
+such as
 ``pinlab compute``, takes log Z as kappa_0 of
 ``QuenchedSystem.cumulants``, whose moment rows carry Z as Y_0, and so
 runs no prefix DP.  A
@@ -114,9 +117,9 @@ import numpy as np
 
 from .numerics import DEFAULT_JET_ORDER, LOG_ZERO, log_of_jet, normal_cdf
 
-# (row, band) pairs per _forward pass of QuenchedBlock.excursion_logZ, so
+# (row, cap) pairs per _capped_cdf pass of QuenchedBlock.excursion_cdf, so
 # that caps near n cost O(64 n) memory, not O(n^2)
-_BAND_PASS = 64
+_CAP_PASS = 64
 
 
 def _index(name: str, value, lo: int, hi) -> int:
@@ -186,9 +189,9 @@ def _memoised(law, key, compute) -> np.ndarray:
 
 # The linear step of _forward stores row r as y[r, j] = Z_{0,j} e^{-C_r}.
 # An entry below _FLUSH is stored as an exact 0; a new entry above
-# e^_RESCALE becomes the row's scale (y = 1); a truncated row whose window
-# keeps no entry of at least e^-_KEEP is rebuilt from the log table.
-# Untruncated moment rows flush at a higher, certified level (_moment_flush)
+# e^_RESCALE becomes the row's scale (y = 1).  Moment rows flush at a
+# higher, certified level (_moment_flush).  The flush certificate holds
+# _KEEP nats in reserve, which set where a law turns tilted (see _forward)
 _FLUSH = 1e-290
 _LOG_FLUSH = math.log(_FLUSH)
 _RESCALE = 300.0
@@ -202,7 +205,7 @@ _LANE = 32
 # depend on the other rows (see _linear_rows; tests/test_blas_contract.py)
 _TILE = 4
 _SMALL_GEMM = 100 ** 3
-# the columns an untruncated pass stores at first; see _linear_rows
+# the columns a pass stores at first; see _linear_rows
 _COLUMNS = 512
 # the certificate's margins, in nats: partial sums stay below e^_OVERFLOW,
 # and the flushed share of a step's sum below e^_DROPPED (2^-60)
@@ -221,8 +224,8 @@ def _gap_weights(q: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
 
 
 def _moment_flush(log_p: np.ndarray, order: int) -> float:
-    """theta, the level below which untruncated moment rows of order R >= 1
-    store an entry as an exact 0 (see _linear_rows):
+    """theta, the level below which moment rows of order R >= 1 store an
+    entry as an exact 0 (see _linear_rows):
 
         theta = max(_FLUSH, e^{-60 log 2 - (2R+1) log N - span}),
 
@@ -236,26 +239,24 @@ def _moment_flush(log_p: np.ndarray, order: int) -> float:
                                 - (_max(lp) - _min(lp))))
 
 
-def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
-                 order: int = 0, centre=0.0, at=None):
-    """The linear step of _forward and _moments, for rows whose bands it
-    certifies: row r runs under log_p cut at band[r] <= n.  Returns the
-    (rows, n+1) table of log Z_{0,k}; with order R >= 1 (untruncated rows
-    only) the (rows, len(at)) table of log Z_{0,k} and the (rows,
-    len(at), R+1) table of coefficients E[(L_k - c k)^m] / m! at the
-    columns k of at (every k = 0..n when None), c = centre, one float for
-    all rows or one per row (see _moments).
+def _linear_rows(log_p: np.ndarray, b: np.ndarray, order: int = 0,
+                 centre=0.0, at=None):
+    """The linear step of _forward and _moments, for a law it certifies
+    at n.  Returns the (rows, n+1) table of log Z_{0,k}; with order R >=
+    1 the (rows, len(at)) table of log Z_{0,k} and the (rows, len(at),
+    R+1) table of coefficients E[(L_k - c k)^m] / m! at the columns k of
+    at (every k = 0..n when None), c = centre, one float for all rows or
+    one per row (see _moments).
 
     State: y[r, j, m] = Y_m[j] / m! under row r's scale (m = 0 alone at
-    order 0), so column j's R+1 entries are adjacent.  An untruncated
-    pass stores the columns from lo on only, lo the first column nonzero
-    in some row (every row is 0 below it): it starts with _COLUMNS, and
-    when column k finds no room, it drops the columns below lo if they
-    are at least half the buffer, and else doubles it.  A banded pass
-    keeps every column, which its rebuilds read.
+    order 0), so column j's R+1 entries are adjacent.  A pass stores the
+    columns from lo on only, lo the first column nonzero in some row
+    (every row is 0 below it): it starts with _COLUMNS, and when column
+    k finds no room, it drops the columns below lo if they are at least
+    half the buffer, and else doubles it.
 
     Route of a step, over the window of columns k-L..k-1 (L a multiple of
-    _LANE, from lo or the widest band on), picked by centre alone:
+    _LANE, from lo on), picked by centre alone:
       * fused: one float centre (every pass of disorder_mc).  The
         antidiagonal map of _moments is folded into one (depth, R+1, R+1)
         table wf[j, i, m] = w[j, m-i], so that one 2-D product
@@ -271,7 +272,7 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
         second, fixed product per row; and at order 0 (_forward) one dot
         per row.
 
-    Locality contract.  A row's bits depend on its weights, law, band and
+    Locality contract.  A row's bits depend on its weights, law and
     centre, and on its route, and on nothing else: not on the other rows'
     values or positions, the number of rows, the leading zeros of its
     window (lo, the min over rows, sets them), or how far the pass runs
@@ -293,38 +294,36 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     Flush.  An entry below _FLUSH of its row's scale is stored as an
     exact 0 (its Y_m too), except in moment rows, which flush at theta =
     _moment_flush, about e^-85 for scan's law against e^-667.  theta is
-    certified for untruncated rows: the scale entry (y = 1) never leaves
-    their window, so every step's sum S[0, 0] is at least min q; a
+    certified: the scale entry (y = 1) never leaves a row's window, so
+    every step's sum S[0, 0] is at least min q; a
     flushed column is below theta, |Y_i| <= n^i Y_0 and |d| <= n, so the
     flushed columns, at most n, add at most theta n^(2R+1) max q to any
     S[i, e], i + e <= 2R: at most 2^-60 of S[0, 0], the share the
     certificate of _moments allows.  The flush at a rescale is what moves
     lo, and with it the window's start."""
     rows, n = b.shape
-    widest = int(band.max())
-    banded = int(band.min()) < n
     lp1 = log_p[1]
     pad = _LANE
     width = order + 1
-    # qrev[pad + widest - t] = p(t) / p(1) for t = 1..widest, so the weights
-    # of an L-column window ending at k are qrev[pad+widest-L:pad+widest].
+    # qrev[pad + n - t] = p(t) / p(1) for t = 1..n, so the weights of an
+    # L-column window ending at k are qrev[pad+n-L:pad+n].
     # np.exp and np.log only ever see contiguous arrays: on other layouts
     # numpy may take a loop whose last bit differs, and a row's bits would
     # then depend on its batch's shape
-    qrev = np.full(pad + widest, LOG_ZERO)
-    np.subtract(log_p[widest:0:-1], lp1, out=qrev[pad:])
+    qrev = np.full(pad + n, LOG_ZERO)
+    np.subtract(log_p[n:0:-1], lp1, out=qrev[pad:])
     np.exp(qrev, out=qrev)
     # the step's weights are the last `depth` entries of w, those of the
     # gaps depth - pad .. 1 (a zero weight where that is below 1)
-    depth = pad + widest
+    depth = pad + n
     flush, fused, real = _FLUSH, False, rows
     if order:
         # w[..., depth - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the gap
         # t moves L - c k by d(t).  With y[:, j, i] = Y_i / i!, the step's
         # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient
         # of m is the sum of its antidiagonal i + e = m
-        gaps = np.zeros(pad + widest)
-        gaps[pad:] = np.arange(widest, 0, -1)
+        gaps = np.zeros(pad + n)
+        gaps[pad:] = np.arange(n, 0, -1)
         fused = np.ndim(centre) == 0
         if fused:
             # as a (depth (R+1), R+1) matrix, whose window is a slice
@@ -350,19 +349,14 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
         bb = np.ascontiguousarray((b + lp1).T)
         flush = _moment_flush(log_p, order)
         ratio = np.empty(rows)
-    elif int(band.min()) < widest:
-        # one weight row per row, 0 past its band: the masked entries add
-        # exact zeros in the BLAS lanes the unmasked ones would use
-        w = np.where(np.arange(pad + widest) >= pad + widest - band[:, None],
-                     qrev, 0.0)[:, :, None]
     else:
         w = qrev[:, None]
     log_flush = math.log(flush)
-    # a new entry is at least min q e^{log p(1) + b} of the scale in an
-    # untruncated row (its window keeps the scale entry): unless that can
-    # fall below the flush level, no new column is ever flushed
-    flushable = banded or (_min(log_p[1:widest + 1]) + _min(b, axis=None)
-                           < log_flush + 1.0)
+    # a new entry is at least min q e^{log p(1) + b} of the scale (a row's
+    # window keeps its scale entry): unless that can fall below the flush
+    # level, no new column is ever flushed
+    flushable = (_min(log_p[1:n + 1]) + _min(b, axis=None)
+                 < log_flush + 1.0)
     # slot[k]: the column of z and coef that keeps k, or -1
     slot = range(n + 1)
     if at is not None:
@@ -377,7 +371,7 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
         if slot[0] >= 0:
             coef[:, slot[0], 0] = 1.0
     # y[:, pad + j - base] holds column j; the pad columns stay 0
-    cap = n + 1 if banded else min(n + 1, _COLUMNS)
+    cap = min(n + 1, _COLUMNS)
     base = 0
     y = np.zeros((rows, pad + cap, width))
     y[:, pad, 0] = 1.0
@@ -388,9 +382,6 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
     # row r is 0 below first[r] in its window; lo is the min over rows
     first = np.zeros(rows, dtype=np.intp)
     lo = 0
-    # the step after which a truncated row's latest entry of at least
-    # e^-_KEEP leaves its window [k+1-band, k]
-    expire = band.copy()
     for k in range(1, n + 1):
         if k - base == cap:
             # no room for column k: keep the columns lo..k-1
@@ -405,7 +396,7 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
                 y[:, pad:pad + k - lo] = live
             base = lo
         j = pad + k - base
-        cols = -(-(k - max(lo, k - widest)) // _LANE) * _LANE
+        cols = -(-(k - lo) // _LANE) * _LANE
         if fused:
             # in row groups of a multiple of _TILE, each within _SMALL_GEMM
             group = max(_TILE, _SMALL_GEMM // (width * width * cols)
@@ -420,10 +411,9 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
         else:
             if cols > depth:
                 # at least double the per-row tables, new gaps in front
-                grow = min(pad + widest, max(cols, 2 * depth)) - depth
+                grow = min(pad + n, max(cols, 2 * depth)) - depth
                 part = np.empty((rows, grow, width))
-                at_gaps = slice(pad + widest - depth - grow,
-                                pad + widest - depth)
+                at_gaps = slice(pad + n - depth - grow, pad + n - depth)
                 for r in range(rows):
                     part[r] = _gap_weights(qrev[at_gaps],
                                            1.0 - centre[r] * gaps[at_gaps],
@@ -448,8 +438,6 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
             np.add(scale, t, out=z[:, slot[k]])
             if order:
                 np.divide(s, s0[:, None], out=coef[:, slot[k]])
-        if banded:
-            np.copyto(expire, band + k, where=t >= -_KEEP)
         if _max(t) > _RESCALE:
             # the new entry is the rows' scale: their stored entries are
             # multiplied by one factor each, and those whose Y_0 falls
@@ -474,49 +462,27 @@ def _linear_rows(log_p: np.ndarray, band: np.ndarray, b: np.ndarray,
             np.multiply(s, ratio[:, None], out=y[:, j])
         else:
             y[:, j, 0] = col
-        if banded and _min(expire) <= k:
-            # rebuild each expired row's window from its log table, under
-            # the window max as the new scale, and zero the columns before
-            r = np.flatnonzero(expire <= k)
-            start = np.maximum(k + 1 - band[r], 0)
-            j0 = int(start.min())
-            seg = np.where(np.arange(j0, k + 1) >= start[:, None],
-                           z[r, j0:k + 1], LOG_ZERO)
-            top = seg.max(1)
-            seg -= top[:, None]
-            last = k - (seg[:, ::-1] >= -_KEEP).argmax(1)
-            np.exp(seg, out=seg)
-            seg[seg < _FLUSH] = 0.0
-            y[r, pad + j0:pad + k + 1, 0] = seg
-            scale[r] = top
-            expire[r] = last + band[r]
-            first[r] = j0 + (seg != 0.0).argmax(1)
-            lo = int(first.min())
     return (z[:real], coef[:real]) if order else z
 
 
-def _certified(log_p: np.ndarray, cut: np.ndarray, n: int,
-               margin: float = 0.0) -> np.ndarray:
-    """ok[r]: whether rows cut at the bands cut, 1 <= cut <= n, pass the
-    linear step's certificate with margin nats added to both of its bounds
-    (see _forward)."""
+def _certified(log_p: np.ndarray, n: int, margin: float = 0.0) -> bool:
+    """Whether the law log_p passes the linear step's certificate at n,
+    with margin nats added to both of its bounds (see _forward)."""
     lp = log_p[1:n + 1]
-    # the extremes of log q = log p - log p(1) on [1, cut]
-    top = np.maximum.accumulate(lp)[cut - 1] - lp[0]
-    low = np.minimum.accumulate(lp)[cut - 1] - lp[0]
+    # the extremes of log q = log p - log p(1) on [1, n]
+    top = _max(lp) - lp[0]
+    low = _min(lp) - lp[0]
     log_n = math.log(n) + margin
-    return ((log_n + _RESCALE + top <= _OVERFLOW)
-            & (log_n + _LOG_FLUSH + _KEEP + top - low <= _DROPPED))
+    return bool(log_n + _RESCALE + top <= _OVERFLOW
+                and log_n + _LOG_FLUSH + _KEEP + top - low <= _DROPPED)
 
 
-def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
+def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
 
     Row r is the chain whose site k carries log weight b[r, k-1], and
-    whose excursions follow the one law log_p (log p(t) at index t), cut
-    at band[r] >= 1 when band, one int per row, is given: the row's
-    excursions are capped at its band B, and its steps cost O(B), not
-    O(k).  log p is finite on [1, n] (see InterArrivalLaw).
+    whose excursions follow the one law log_p (log p(t) at index t),
+    finite on [1, n] (see InterArrivalLaw).
 
     The step runs in linear domain.  Row r holds y[r, j] = Z_{0,j}
     e^{-C_r} under one log scale C_r, and step k is one dot product of
@@ -524,58 +490,42 @@ def _forward(log_p: np.ndarray, b: np.ndarray, band=None) -> np.ndarray:
 
         log Z_{0,k} = C_r + log(sum_j y[r, j] q(k-j)) + log p(1) + b[r, k-1].
 
-    p is divided by p(1), so step 1 gives exactly log p(1) + b[r, 0].
-    q is built once; when the bands differ, it is masked into one weight
-    row per row, 0 past that row's band.
+    p is divided by p(1), so step 1 gives exactly log p(1) + b[r, 0], and
+    q is built once for all rows.
     Rescale rule: the scale starts at C = 0 (y[r, 0] = 1), and a new entry
     above e^_RESCALE becomes the scale, y = 1: the row's entries are
-    multiplied by one factor.  An untruncated row's window (every j < k)
-    thus always holds an entry of at least 1.  A truncated row's window
-    [k-B, k-1] loses old entries; when it keeps none of at least e^-_KEEP,
-    it is recomputed from the log table under the window max.  Entries
-    below _FLUSH are stored as exact zeros, and the dot starts at the
-    first column that is nonzero in some row (or at k - B for the largest
-    band B), ends at k and spans a multiple of _LANE columns, so that a
-    row's bits do not depend on its block-mates.
+    multiplied by one factor.  A row's window (every j < k) thus always
+    holds an entry of at least 1.  Entries below _FLUSH are stored as
+    exact zeros, and the dot starts at the first column that is nonzero
+    in some row, ends at k and spans a multiple of _LANE columns, so that
+    a row's bits do not depend on its block-mates.
 
-    Flush certificate: a step's sum is at least e^-_KEEP min q, and the
-    flushed entries add at most n _FLUSH max q, so with q ranging over
-    [1, B], the flushed share is below 2^-60 when
-    log n + log _FLUSH + _KEEP + log(max q / min q) <= -60 log 2; max q
-    is taken over all of [1, B], so a law whose p(t) is not monotone is
-    covered.  No partial sum overflows when
-    log n + _RESCALE + log max q <= _OVERFLOW.  Both are decided per band
-    from the prefix max and min of log p on [1, n].
+    Flush certificate: a step's sum is at least min q, and the flushed
+    entries add at most n _FLUSH max q, so the flushed share is below
+    2^-60 when log n + log _FLUSH + log(max q / min q) <= -60 log 2; max
+    q and min q are taken over all of [1, n], so a law whose p(t) is not
+    monotone is covered.  The bound holds _KEEP = 200 nats in reserve
+    beyond that, which sets where a law turns tilted (the geometric law
+    at n = 607).  No partial sum overflows when log n + _RESCALE + log max
+    q <= _OVERFLOW.  Both are decided from the max and min of log p on
+    [1, n].
 
-    Tilt: a row whose band fails either bound (log p spans more than
-    about 420 nats on it: the geometric law past B of about 600) runs the
-    same step under the tilted law p(t) e^{lam t}, one call per distinct
-    band (see _tilted).  The gaps of a path pinned at k sum to k, so the
-    tilt multiplies Z_{0,k} by e^{lam k}, which is subtracted again from
-    its log.  A row whose tilted law fails too raises a ValueError.  So
-    every row's table depends only on its weights, its law, its band and
-    n.
+    Tilt: a law that fails either bound (log p spans more than about 420
+    nats on [1, n]: the geometric law past n of about 600) runs the same
+    step under the tilted law p(t) e^{lam t} (see _tilted).  The gaps of
+    a path pinned at k sum to k, so the tilt multiplies Z_{0,k} by
+    e^{lam k}, which is subtracted again from its log.  A law whose
+    tilted form fails too raises a ValueError.  So every row's table
+    depends only on its weights, its law and n.
 
-    Under an untruncated law, -inf weights give -inf entries, never NaN.
-    A truncated row needs finite weights: z[:, 0] leaves its window after
-    B steps, so B consecutive -inf weights leave a window without a
-    finite entry, and NaN."""
+    -inf weights give -inf entries, never NaN."""
     rows, n = b.shape
     if not (n and rows):
         return np.zeros((rows, n + 1))
-    cut = np.full(rows, n) if band is None else np.minimum(band, n)
-    ok = _certified(log_p, cut, n)
-    if ok.all():
-        return _linear_rows(log_p, cut, b)
-    z = np.empty((rows, n + 1))
-    lin = np.flatnonzero(ok)
-    if lin.size:
-        z[lin] = _linear_rows(log_p, cut[lin], b[lin])
-    for c in np.unique(cut[~ok]):
-        r = np.flatnonzero(~ok & (cut == c))
-        tilted, lam = _tilted(log_p, int(c), n)
-        z[r] = _linear_rows(tilted, cut[r], b[r]) - lam * np.arange(n + 1)
-    return z
+    if _certified(log_p, n):
+        return _linear_rows(log_p, b)
+    tilted, lam = _tilted(log_p, n)
+    return _linear_rows(tilted, b) - lam * np.arange(n + 1)
 
 
 def _segment_tables(log_p: np.ndarray, b: np.ndarray,
@@ -592,24 +542,24 @@ def _segment_tables(log_p: np.ndarray, b: np.ndarray,
     return _forward(log_p, weights).reshape(rows, n + 1, window + 1)
 
 
-def _tilted(log_p: np.ndarray, cut: int, n: int,
+def _tilted(log_p: np.ndarray, n: int,
             margin: float = 0.0) -> tuple[np.ndarray, float]:
-    """The law of the rows cut at cut, tilted for the linear step:
-    (log p(t) + lam t for t = 0..cut, lam), lam the chord slope
-    (log p(1) - log p(cut)) / (cut - 1) of log p on [1, cut].  That tilt
-    gives p(1) and p(cut) the same weight, so it flattens the geometric
-    law exactly, and for a log-convex law (a power law) it is the tilt of
-    least span.  A ValueError names the span when the tilted law still
-    fails the certificate with margin at n (see _forward)."""
-    lam = (log_p[1] - log_p[cut]) / (cut - 1) if cut > 1 else 0.0
-    tilted = log_p[:cut + 1] + lam * np.arange(cut + 1)
-    if not _certified(tilted, np.array([cut]), n, margin)[0]:
+    """The law log_p on [0, n], tilted for the linear step: (log p(t) +
+    lam t for t = 0..n, lam), lam the chord slope (log p(1) - log p(n)) /
+    (n - 1) of log p on [1, n].  That tilt gives p(1) and p(n) the same
+    weight, so it flattens the geometric law exactly, and for a
+    log-convex law (a power law) it is the tilt of least span.  A
+    ValueError names the span when the tilted law still fails the
+    certificate with margin at n (see _forward)."""
+    lam = (log_p[1] - log_p[n]) / (n - 1) if n > 1 else 0.0
+    tilted = log_p[:n + 1] + lam * np.arange(n + 1)
+    if not _certified(tilted, n, margin):
         # both bounds hold when the span is at most the overflow bound's
         # room, the smaller of the two
         span = tilted[1:].max() - tilted[1:].min()
         room = _OVERFLOW - _RESCALE - math.log(n) - margin
         raise ValueError(
-            f"log p spans {span:.1f} nats on [1, {cut}] after the tilt by "
+            f"log p spans {span:.1f} nats on [1, {n}] after the tilt by "
             f"{lam:.6g} per step, past the {room:.1f} nats that the linear "
             f"step certifies at n = {n}")
     return tilted, lam
@@ -622,7 +572,7 @@ def _moment_certificate(log_p: np.ndarray, n: int,
     margin, log n and the span of log p on [1, n] all grow with n, so a
     law that passes at n passes at every smaller n."""
     margin = 2 * order * math.log(2.0 * n)
-    return bool(_certified(log_p, np.array([n]), n, margin)[0]), margin
+    return _certified(log_p, n, margin), margin
 
 
 def _pass_columns(log_p: np.ndarray, n_values, order: int) -> list:
@@ -683,12 +633,53 @@ def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
     ok, margin = _moment_certificate(log_p, n, order)
     lam = 0.0
     if not ok:
-        log_p, lam = _tilted(log_p, n, n, margin)
-    sc, coef = _linear_rows(log_p, np.full(b.shape[0], n), b, order, centre,
-                            at)
+        log_p, lam = _tilted(log_p, n, margin)
+    sc, coef = _linear_rows(log_p, b, order, centre, at)
     if lam:
         sc -= lam * (np.arange(n + 1) if at is None else np.asarray(at))
     return sc, coef
+
+
+def _capped_cdf(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
+                row: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """P[M_n <= cap[i]] of row row[i] of the (rows, n+1) prefix tables pre
+    and site weights b (column 0 not read), for every pair i, 1 <= cap[i]
+    <= n: Q_n of the normalised capped recursion
+
+        Q_k = sum_{d <= min(cap, k)} g_k(k-d) Q_{k-d},  Q_0 = 1,
+        g_k(j) = exp((pre[j] - pre[k]) + (log p(k-j) + b_k)),
+
+    g_k(j) the probability that the last contact before k is at j, so Q_k
+    is P[M_k <= cap] of the chain pinned at k.  Every term is a
+    probability in [0, 1], so the pass needs no scale.  pre[j] and pre[k]
+    are close, so their difference, taken first, is exact, and the
+    roundoff of pre enters only through that of pre[n]: along a path the
+    factors e^{pre[j] - pre[k]} telescope.
+
+    A pair's terms are summed for d = 1..top in order (np.add.accumulate
+    along d; the weight of a gap d past its cap or k is an exact 0 that
+    adds nothing), and np.exp sees a contiguous array, so each value's
+    bytes depend on its row and cap alone, not on the other pairs of the
+    pass.  Memory is two (n+1, pairs) tables."""
+    n, top = pre.shape[1] - 1, int(cap.max())
+    # log p(d) for d = 1..top, -inf past each pair's cap
+    d = np.arange(1, top + 1)[:, None]
+    lp = np.where(d <= cap, log_p[1:top + 1, None], LOG_ZERO)
+    pt = np.ascontiguousarray(pre[row].T)
+    q = np.empty((n + 1, row.size))
+    q[0] = 1.0
+    g, w = np.empty((top, row.size)), np.empty((top, row.size))
+    for k in range(1, n + 1):
+        m = min(top, k)
+        s = g[:m]
+        # row d-1 of s is the term of the gap d, j = k - d
+        np.subtract(pt[k - m:k][::-1], pt[k], out=s)
+        s += np.add(lp[:m], b[row, k], out=w[:m])
+        np.exp(s, out=s)
+        s *= q[k - m:k][::-1]
+        np.add.accumulate(s, axis=0, out=s)
+        q[k] = s[-1]
+    return q[n]
 
 
 def _pair_forward(log_p: np.ndarray, bw: np.ndarray,
@@ -996,7 +987,7 @@ class QuenchedBlock:
     charges is a (rows, >= n) array, row r holding omega_1..omega_n of
     environment r (columns past n are not read), or None for one row
     without disorder.  The prefix table, the suffix table, the avoidance
-    profiles of a (window, start), the excursion-capped log Z_n up to a
+    profiles of a (window, start), the excursion CDF P[M_n <= b] up to a
     cap and the contact laws at a budget are built for every row the
     first time any row asks, and cached.  The engines are row-local, so
     each row's tables are bit-identical to a one-row block's; only the
@@ -1057,24 +1048,24 @@ class QuenchedBlock:
             self._suffix = _frozen(rev[:, ::-1] - b + b[:, n:])
         return self._suffix
 
-    def excursion_logZ(self, m: int) -> np.ndarray:
-        """ex[r, b-1] = log Z_n of row r with every excursion capped at b,
-        for b = 1..M with M >= m, 1 <= m < n.
+    def excursion_cdf(self, m: int) -> np.ndarray:
+        """ex[r, b-1] = P[M_n <= b] of row r, the probability that no
+        excursion is longer than b, for b = 1..M with M >= m, 1 <= m < n.
 
-        The caps past the cached M run as rows of _forward, one per
-        missing (row, band) pair, band by band and at most _BAND_PASS per
-        pass: the row's weights with the cap as its band."""
+        The caps past the cached M run ``_capped_cdf`` on the block's
+        prefix table, one pair per missing (row, cap), at most _CAP_PASS
+        pairs per pass."""
         m = _index("m", m, 1, self.n - 1)
-        n, rows, have = self.n, self.rows, self._excursion.shape[1]
+        rows, have = self.rows, self._excursion.shape[1]
         if m > have:
             grown = np.empty((rows, m))
             grown[:, :have] = self._excursion
-            # the missing (row, band) pairs, at column band - 1 of the table
+            # the missing (row, cap) pairs, at column cap - 1 of the table
             col, row = np.divmod(np.arange(have * rows, m * rows), rows)
-            for lo in range(0, col.size, _BAND_PASS):
-                c, r = col[lo:lo + _BAND_PASS], row[lo:lo + _BAND_PASS]
-                grown[r, c] = _forward(self.law.log_p, self.site_weight[r, 1:],
-                                       c + 1)[:, n]
+            for lo in range(0, col.size, _CAP_PASS):
+                c, r = col[lo:lo + _CAP_PASS], row[lo:lo + _CAP_PASS]
+                grown[r, c] = _capped_cdf(self.prefix_logZ, self.law.log_p,
+                                          self.site_weight, r, c + 1)
             self._excursion = _frozen(grown)
         return self._excursion
 
@@ -1279,19 +1270,19 @@ class QuenchedSystem:
     # -- maximal excursion ----------------------------------------------------
 
     def max_excursion_cdf(self, m: int) -> float:
-        """P[M_n <= m]: partition ratio with excursions restricted to <= m.
+        """P[M_n <= m], the probability that no excursion is longer than m,
+        clamped to at most 1, which roundoff can pass.
 
-        Reads log Z_n^{(b)} from the block's excursion table: the first
-        row of a block to ask for a cap past the table's runs the missing
-        bands of every row (``QuenchedBlock.excursion_logZ``), so a caller
-        that wants several caps should ask for the largest first: they
-        then all come from the fewest passes.  Each entry is bit-identical
+        Reads the block's excursion table (``_capped_cdf``): the first row
+        of a block to ask for a cap past the table's runs the missing caps
+        of every row (``QuenchedBlock.excursion_cdf``), so a caller that
+        wants several caps should ask for the largest first: they then
+        all come from the fewest passes.  Each entry is bit-identical
         whatever pass computed it."""
         m = _index("m", m, 1, math.inf)
         if self.n == 0 or m >= self.n:
             return 1.0
-        logz = self._block.excursion_logZ(m)[self._row, m - 1]
-        return min(1.0, math.exp(logz - self.log_z))
+        return min(1.0, float(self._block.excursion_cdf(m)[self._row, m - 1]))
 
 
 def _seed_cumulants(law, omega, h_values, n_values, order: int):

@@ -48,14 +48,14 @@ def random_instance(rng, n_lo=1, n_hi=14):
     return law, h, omega, n
 
 
-def mp_prefix(log_p, b, band=None):
+def mp_prefix(log_p, b, cap=None):
     """Z_{0,k}, k = 0..n, in mpmath at the working precision for the site
-    log weights b, with every excursion capped at band when one is given."""
+    log weights b, with every excursion capped at cap when one is given."""
     n = len(b)
     p = [mp.mpf(0)] + [mp.exp(mp.mpf(float(x))) for x in log_p[1:n + 1]]
     z = [mp.mpf(1)]
     for k in range(1, n + 1):
-        lo = 0 if band is None else max(0, k - band)
+        lo = 0 if cap is None else max(0, k - cap)
         z.append(mp.fdot(z[lo:k], p[k - lo:0:-1])
                  * mp.exp(mp.mpf(float(b[k - 1]))))
     return z
@@ -96,11 +96,35 @@ def mp_pair_log_a(log_p, bw, digits=40):
     return out
 
 
-def mp_log_prefix(log_p, b, band=None, digits=40):
+def mp_log_prefix(log_p, b, digits=40):
     """log Z_{0,k}, k = 0..n, of mp_prefix carried to `digits` digits."""
     with mp.workdps(digits):
-        return np.array([float(mp.log(z))
-                         for z in mp_prefix(log_p, b, band)])
+        return np.array([float(mp.log(z)) for z in mp_prefix(log_p, b)])
+
+
+def ld_log_z(log_p, b, cap=None):
+    """log Z_{0,n} as a long double for the site log weights b, with every
+    excursion capped at cap when one is given, from the linear DP run in
+    np.longdouble (the x87 80-bit format, eps 1.08e-19).  Column j is
+    stored as Z_{0,j} e^{-C_j}, C_j the integer nearest to log Z_{0,j}, as
+    in ld_cumulants, so every factor e^{C_j - C_k} is exact to long-double
+    roundoff; a step sums its whole window, so nothing is left out."""
+    ld = np.longdouble
+    n = len(b)
+    cap = n if cap is None else cap
+    p = np.exp(log_p[1:n + 1].astype(ld))
+    lb = b.astype(ld)
+    y = np.zeros(n + 1, dtype=ld)
+    y[0] = 1
+    scale = np.zeros(n + 1, dtype=np.int64)
+    for k in range(1, n + 1):
+        lo = max(0, k - cap)
+        rel = np.exp((scale[lo:k] - scale[k - 1]).astype(ld))
+        # p(k - j) for j = lo..k-1
+        s = (y[lo:k] * rel) @ p[k - lo - 1::-1]
+        scale[k] = scale[k - 1] + round(float(np.log(s) + lb[k - 1]))
+        y[k] = s * np.exp(lb[k - 1] + (scale[k - 1] - scale[k]))
+    return scale[n] + np.log(y[n])
 
 
 def mp_suffix(log_p, w):

@@ -7,9 +7,9 @@ stated there.  The exact contact law is against the 40-digit count DP at
 n = 128 (at n = 256 that reference takes 7.6 s); the budgeted law of the
 KS distances is against the exact law in double precision at the sizes
 it runs at, as 40 digits at n = 1024 would take minutes; and the cells
-of pinlab compute, up to n = 8192, are against the centred moment DP in
-long double (eps 1.08e-19).  The sizes are those the checks use, kept
-few so that the references take a few seconds.
+of pinlab compute, up to n = 8192, and the excursion CDF at n = 4096 are
+against DPs in long double (eps 1.08e-19).  The sizes are those the
+checks use, kept few so that the references take a few seconds.
 """
 
 import math
@@ -22,10 +22,10 @@ from pinlab.model import (build_law, gaussian_disorder, geometric_test_law,
                           sample_disorder_block)
 from pinlab.numerics import normal_cdf
 from pinlab.quenched import (_FLUSH, _RESCALE, KS_L1_BUDGET, QuenchedSystem,
-                             _forward, _moment_flush, _segment_tables,
-                             ks_to_standard_normal, run_memo)
+                             _certified, _forward, _moment_flush,
+                             _segment_tables, ks_to_standard_normal, run_memo)
 from pinlab.theorems import _ks_error_bound
-from support import (ld_cumulants, mp_contact_pmf, mp_cumulants,
+from support import (ld_cumulants, ld_log_z, mp_contact_pmf, mp_cumulants,
                      mp_log_prefix, mp_pair_log_a, mp_prefix, mp_suffix)
 
 DIGITS = 40
@@ -61,9 +61,9 @@ def test_geometric_log_z_matches_closed_form():
 
 
 def test_max_excursion_cdf_against_mpmath():
-    # P[M_n <= m] for m = 1..7, bound 5e-12 relative; 7.0e-13, at
-    # (h = 3, n = 512, m = 5), where log Z is about 1300 and its roundoff
-    # sets the error of the ratio
+    # P[M_n <= m] for m = 1..7, bound 5e-12 relative; 1.5e-12, at
+    # (h = 1, n = 512, m = 6): the roundoff of the prefix table's log Z_n,
+    # which every value of the capped recursion shares, sets it
     worst = 0.0
     for h, n, seed in ((1.0, 64, 6), (1.0, 512, 7), (3.0, 512, 8)):
         law, sys_ = _gaussian_system(h, n, seed)
@@ -75,6 +75,24 @@ def test_max_excursion_cdf_against_mpmath():
                 got = sys_.max_excursion_cdf(m)
                 worst = max(worst, float(abs(got - want) / want))
     assert worst <= 5e-12
+
+
+def test_max_excursion_cdf_against_long_double():
+    # P[M_n <= m] for m = 1..8 at C6's largest size, (h, n) = (3, 4096),
+    # against Z_n^(m) / Z_n of the long-double DP.  Every value of the
+    # capped recursion carries the error of the prefix table's log Z_n,
+    # whose factors e^{pre[j] - pre[k]} telescope along each path: here
+    # 6.2e-12, for a worst error of 6.4e-12 relative.  Bound 1e-12 on
+    # what it adds to that; 2.1e-13
+    law, sys_ = _gaussian_system(3.0, 4096, 22)
+    b = sys_.site_weight[1:]
+    full = ld_log_z(law.log_p, b)
+    shared = abs(float(np.longdouble(sys_.log_z) - full))
+    worst = 0.0
+    for m in range(1, 9):
+        want = float(np.exp(ld_log_z(law.log_p, b, m) - full))
+        worst = max(worst, abs(sys_.max_excursion_cdf(m) - want) / want)
+    assert worst <= shared + 1e-12, (worst, shared)
 
 
 def test_suffix_log_z_against_mpmath():
@@ -149,24 +167,27 @@ def test_pair_dp_log_a_against_mpmath():
     assert worst <= 1e-14, worst
 
 
-def test_banded_fallback_rows_against_mpmath():
-    # bound 1e-14 relative (to max(1, |log Z|)) over k = 0..700; 2.8e-15,
-    # and 1.9e-15 on the tilted rows.  The geometric law spans (B-1) log 2 nats on [1, B]: at n = 700 the
-    # linear step certifies bands up to 606, and the wider ones run the
-    # tilted law, one call per band, beside the untilted rows of the same
-    # call.  Each row also has the bytes of its one-row run
-    n, bands = 700, np.array([5, 600, 606, 607, 650, 700])
-    log_p = geometric_test_law(n).log_p
-    b = 1.0 + np.random.default_rng(46).normal(0.0, 1.0, (bands.size, n))
-    z = _forward(log_p, b, bands)
-    worst = 0.0
-    for r, band in enumerate(bands):
-        one = _forward(log_p, b[r:r + 1], bands[r:r + 1])[0]
-        assert z[r].tobytes() == one.tobytes()
-        want = mp_log_prefix(log_p, b[r], int(band))
-        worst = max(worst, float((np.abs(z[r] - want)
-                                  / np.maximum(1.0, np.abs(want))).max()))
-    assert worst <= 1e-14, worst
+def test_tilted_rows_against_mpmath():
+    # bound 1e-14 relative (to max(1, |log Z|)) over every k; 2.9e-15 at
+    # n = 600, 1.2e-15 at n = 700.  The geometric law spans (n-1) log 2
+    # nats on [1, n]: the linear step certifies it up to n = 606, so
+    # n = 600 runs untilted and n = 700 tilted by log 2.  Each row also
+    # has the bytes of its one-row run
+    log_p = geometric_test_law(700).log_p
+    assert _certified(log_p, 606) and not _certified(log_p, 607)
+    rng = np.random.default_rng(46)
+    worst = {}
+    for n in (600, 700):
+        b = 1.0 + rng.normal(0.0, 1.0, (3, n))
+        z = _forward(log_p, b)
+        worst[n] = 0.0
+        for r in range(3):
+            one = _forward(log_p, b[r:r + 1])[0]
+            assert z[r].tobytes() == one.tobytes()
+            want = mp_log_prefix(log_p, b[r])
+            rel = np.abs(z[r] - want) / np.maximum(1.0, np.abs(want))
+            worst[n] = max(worst[n], float(rel.max()))
+    assert max(worst.values()) <= 1e-14, worst
 
 
 def test_contact_law_against_mpmath():

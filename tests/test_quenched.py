@@ -51,7 +51,7 @@ from pinlab.quenched import (
     _segment_tables,
     ks_to_standard_normal,
 )
-from support import mp_log_prefix, random_instance
+from support import mp_log_prefix, mp_prefix, random_instance
 
 GEOM = geometric_test_law(64)
 
@@ -160,23 +160,19 @@ def _assert_moment_rows_close(sc, coef, want, order):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=48),
-       st.one_of(st.none(), st.lists(st.integers(min_value=1, max_value=48),
-                                     min_size=6, max_size=6)),
        st.sampled_from(["C", "F", "window"]),
        st.integers(min_value=0, max_value=2 ** 32),
        st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
        st.booleans())
-def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
-                                            order, long):
-    # a row's table is bit-identical whatever batch it is computed in, and
-    # with bands (one per row) whatever the other rows' bands are; with an
-    # order R the engine is _moments (log Z and the centred moment rows,
-    # at a random centre): a float centre runs the rows fused, a centre
-    # per row (here distinct or all equal) one product per row, and the
-    # columns it keeps with `at` are those of the full table.  A long
-    # chain (n and bands past 600) puts the geometric law past its
-    # certificate: bands above 606, and every moment row, run the tilted
-    # law, beside the untilted rows of the same call
+def test_forward_rows_match_single_row_runs(rows, n, layout, seed, order,
+                                            long):
+    # a row's table is bit-identical whatever batch it is computed in;
+    # with an order R the engine is _moments (log Z and the centred moment
+    # rows, at a random centre): a float centre runs the rows fused, a
+    # centre per row (here distinct or all equal) one product per row,
+    # and the columns it keeps with `at` are those of the full table.  A
+    # long chain (n past 600) puts the geometric law past its certificate
+    # from n = 607 on: the rows run the tilted law
     rng = np.random.default_rng(seed)
     centres = rng.uniform(0.0, 1.0, rows)
     fused = order is not None and rng.random() < 0.5
@@ -186,24 +182,19 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     if long:
         law = geometric_test_law(700)
         n += 600
-        bands = None if bands is None else [600 + band for band in bands]
     if order is not None:
-        bands = None
         n = max(n, 1)
-    if bands is not None:
-        bands = np.array(bands[:rows])
     if layout == "window":
         # overlapping rows as in the segment table, -inf past the end
         flat = rng.normal(0.0, 3.0, rows + n - 1)
-        if bands is None:
-            flat[n:] = -math.inf
+        flat[n:] = -math.inf
         b = np.lib.stride_tricks.sliding_window_view(flat, n)
     else:
         b = np.asarray(rng.normal(0.0, 3.0, (rows, n)), order=layout)
 
-    def run(weights, band, centre):
+    def run(weights, centre):
         if order is None:
-            return (_forward(law.log_p, weights, band),)
+            return (_forward(law.log_p, weights),)
         return _moments(law.log_p, weights, order, centre)
 
     def centre_of(r):
@@ -211,7 +202,7 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
         return float(centres[r]) if fused else centres[r:r + 1]
 
     batch_centre = float(centres[0]) if fused else centres
-    batched = run(b, bands, batch_centre)
+    batched = run(b, batch_centre)
     assert batched[0].shape == (rows, n + 1)
     for table in batched:
         assert not np.isnan(table).any()
@@ -220,16 +211,15 @@ def test_forward_rows_match_single_row_runs(rows, n, bands, layout, seed,
     # sits within roundoff of the same row run per row
     for r in range(rows):
         one = np.ascontiguousarray(b[r:r + 1])
-        alone = run(one, None if bands is None else bands[r:r + 1],
-                    centre_of(r))
+        alone = run(one, centre_of(r))
         for table, single in zip(batched, alone):
             assert table[r].tobytes() == single[0].tobytes()
         if fused:
             _assert_moment_rows_close(batched[0][r:r + 1],
                                       batched[1][r:r + 1],
-                                      run(one, None, centres[r:r + 1]), order)
+                                      run(one, centres[r:r + 1]), order)
     if fused:
-        for table, back in zip(batched, run(b[::-1], None, batch_centre)):
+        for table, back in zip(batched, run(b[::-1], batch_centre)):
             back = np.ascontiguousarray(back[::-1])
             assert table.tobytes() == back.tobytes()
     if order is not None:
@@ -317,47 +307,6 @@ def test_moment_columns_do_not_depend_on_how_far_the_pass_runs():
             assert short[1][:, 0].tobytes() == coef[:, j].tobytes()
 
 
-def test_banded_rows_match_mpmath():
-    # some bands of a batch, one row each, against the 40-digit banded
-    # DP: within 1e-14 relative to max(1, |log Z|)
-    law = build_law(1.0, None, 512)
-    rng = np.random.default_rng(41)
-    worst = 0.0
-    for trial in range(8):
-        n = int(rng.integers(1, 400))
-        w = float(rng.uniform(-2.0, 4.0)) + rng.normal(0.0, 1.0, n)
-        top = int(rng.integers(1, 40))
-        bands = np.arange(1, top + 1)
-        batched = _forward(law.log_p, np.broadcast_to(w, (top, n)), bands)
-        for band in {1, min(2, top), top // 2 + 1, top}:
-            want = mp_log_prefix(law.log_p, w, band)
-            d = np.abs(batched[band - 1] - want) / np.maximum(1.0, np.abs(want))
-            worst = max(worst, float(d.max()))
-    assert worst <= 1e-14
-
-
-def test_banded_rows_keep_their_entries_under_extreme_charges():
-    # charges up to |omega| = 800: a truncated row's window falls hundreds
-    # of nats below the entry that set its scale, and must be rebuilt, not
-    # flushed.  Every entry stays finite, as in the 40-digit DP, within
-    # 1e-14 of the row's largest |log Z| (an entry can be a small sum of
-    # +-800 charges, so its own relative error is not bounded)
-    law = build_law(1.0, None, 512)
-    rng = np.random.default_rng(42)
-    for trial in range(6):
-        n = int(rng.integers(100, 400))
-        w = float(rng.uniform(-40.0, 60.0)) + rng.uniform(-800.0, 800.0, n)
-        top = int(rng.integers(8, 40))
-        bands = np.arange(1, top + 1)
-        batched = _forward(law.log_p, np.broadcast_to(w, (top, n)), bands)
-        for band in (1, 2, top // 2, top):
-            want = mp_log_prefix(law.log_p, w, band)
-            got = batched[band - 1]
-            assert np.isfinite(want).all() and np.isfinite(got).all()
-            scale = max(1.0, float(np.abs(want).max()))
-            assert np.abs(got - want).max() <= 1e-14 * scale
-
-
 def test_steep_law_with_a_falling_partition_function():
     # p(t) = 2^-t at h = -5 without disorder: Z_k = 2^-k e^h (1 + e^h)^(k-1)
     # falls as fast as p, so the term of j = 0 stays as large as the latest
@@ -374,15 +323,13 @@ def test_steep_law_with_a_falling_partition_function():
 
 
 def test_first_step_is_exact():
-    # step 1 is log p(1) + b[:, 0] bit for bit, without bands and with one
-    # per row; so the pair DP's log a_1 = 2 (log p(1) + b_1) - 2 log Z_1
-    # is exactly 0
+    # step 1 is log p(1) + b[:, 0] bit for bit; so the pair DP's log a_1 =
+    # 2 (log p(1) + b_1) - 2 log Z_1 is exactly 0
     rng = np.random.default_rng(44)
     power = build_law(1.0, None, 64).log_p
     b = rng.normal(0.0, 3.0, (6, 40))
-    for log_p, band in ((GEOM.log_p, None), (power, None),
-                        (power, np.array([1, 2, 5, 9, 40, 64]))):
-        got = _forward(log_p, b, band)[:, 1]
+    for log_p in (GEOM.log_p, power):
+        got = _forward(log_p, b)[:, 1]
         assert got.tobytes() == (log_p[1] + b[:, 0]).tobytes()
     for h in (-1.0, 1.0, 3.0):
         sys_ = QuenchedSystem(build_law(1.0, None, 64), h,
@@ -523,7 +470,7 @@ def test_moment_flush_keeps_the_floor():
     power = build_law(1.0, None, 512)
     assert abs(math.log(_moment_flush(power.log_p, 2)) + 85.0) < 1.0
     law = geometric_test_law(700)
-    tilted, _ = quenched._tilted(law.log_p, 700, 700)
+    tilted, _ = quenched._tilted(law.log_p, 700)
     below = []
     for order in (2, 10, 11, 12):
         top = quenched._DROPPED - (2 * order + 1) * math.log(700.0)
@@ -1019,7 +966,7 @@ def test_max_excursion_cdf_rejects_non_integer_m():
 
 
 def test_max_excursion_cdf_is_independent_of_query_order():
-    # the cached band vector grows by one pass per larger m asked; every
+    # the cached cap table grows by one pass per larger m asked; every
     # entry must come out with the same bytes whatever the order of asks
     rng = np.random.default_rng(7)
     wide = build_law(1.0, None, 300)
@@ -1041,10 +988,11 @@ def test_max_excursion_cdf_is_independent_of_query_order():
 
 
 def test_max_excursion_cdf_memory_is_one_band_pass():
-    # caps near n extend the excursion table at most 64 bands at a time:
-    # every entry has the bytes of its one-row run with the cap as its
-    # band, and the peak allocation stays O((n+1) * 64) floats, not the
-    # (n+1) x m of a single pass
+    # caps near n extend the excursion table at most 64 (row, cap) pairs a
+    # pass, so the peak allocation stays O((n+1) * 64) floats, not the
+    # (n+1) x m of a single pass; entries across the pass boundaries agree
+    # with the 40-digit capped DP within 1e-12 relative (3.4e-13: the
+    # roundoff of log Z_n, which every entry shares)
     n, m_top = 512, 400
     law = build_law(1.0, None, n)
     w = 0.2 + np.random.default_rng(8).normal(0.0, 1.0, n)
@@ -1056,13 +1004,39 @@ def test_max_excursion_cdf_memory_is_one_band_pass():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (n + 1) * 64 * 8
-    table = sys_._block.excursion_logZ(m_top)
+    table = sys_._block.excursion_cdf(m_top)
     assert table.shape == (1, m_top)
-    for m in (1, 63, 64, 65, 128, 129, 257, 399, 400):
-        one = _forward(law.log_p, sys_.site_weight[None, 1:], [m])[0, n]
-        want = min(1.0, math.exp(one - sys_.log_z))
-        assert sys_.max_excursion_cdf(m) == want
-        assert table[0, m - 1].tobytes() == one.tobytes()
+    with mp.workdps(40):
+        z_n = mp_prefix(law.log_p, sys_.site_weight[1:])[n]
+        for m in (1, 63, 64, 65, 128, 129, 257, 399, 400):
+            want = mp_prefix(law.log_p, sys_.site_weight[1:], m)[n] / z_n
+            assert sys_.max_excursion_cdf(m) == min(1.0, table[0, m - 1])
+            assert abs(table[0, m - 1] - want) <= 1e-12 * want
+
+
+def test_max_excursion_cdf_under_extreme_charges():
+    # charges up to |omega| = 800: the weights g_k(j) of the capped
+    # recursion span hundreds of nats, and every value stays a probability
+    # in [0, 1] within 1e-12 of the 40-digit capped DP, plus the stated
+    # bound of log Z_n (1e-14 |log Z_n|), whose roundoff every value
+    # shares: log Z_n reaches 6.7e4 here, and an error of 2.9e-11 in it
+    # (two ulps) moves P[M_n <= m] = 1 by 3.0e-11, the worst case
+    law = build_law(1.0, None, 512)
+    rng = np.random.default_rng(42)
+    for trial in range(6):
+        n = int(rng.integers(100, 400))
+        h = float(rng.uniform(-40.0, 60.0))
+        sys_ = QuenchedSystem(law, h, rng.uniform(-800.0, 800.0, n), n)
+        b = sys_.site_weight[1:]
+        top = int(rng.integers(8, 40))
+        got = [sys_.max_excursion_cdf(m) for m in range(top, 0, -1)][::-1]
+        assert all(0.0 <= v <= 1.0 for v in got)
+        with mp.workdps(40):
+            z_n = mp_prefix(law.log_p, b)[n]
+            bound = 1e-12 + 1e-14 * abs(float(mp.log(z_n)))
+            for m in (1, 2, top // 2, top):
+                want = mp_prefix(law.log_p, b, m)[n] / z_n
+                assert abs(got[m - 1] - want) <= bound
 
 
 # -- two-replica avoidance ----------------------------------------------------
