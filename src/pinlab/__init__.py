@@ -47,7 +47,6 @@ from .theorems import (
     CHECK_IDS,
     CheckContext,
     CheckReport,
-    default_context,
     full_report,
     run_check,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "classify_hc",
     "concentration_scan",
     "correlation_decay_scan",
-    "default_context",
     "estimate_f",
     "estimate_mu",
     "full_report",

@@ -13,17 +13,18 @@ segment tables: ``correlation_decay_scan`` runs them _SEGMENT_ROWS rows
 at a time and reduces each chunk to its rows' mixing ratios.
 
 Per-sample log Z and cumulants read the quenched module's centred moment
-rows ``_moments``, run on a whole block of samples, one row each, and
-centred at the law's ``contact_density(h)``: log Z is kappa_0 of the rows
-(their Y_0), log Z^- sheds the last contact's weight from it, and the
-cumulants follow by the row-wise log-series recursion of ``numerics``.
+rows (``_forward`` at an order R >= 1), run on a whole block of samples,
+one row each, and centred at the law's ``contact_density(h)``: log Z is
+kappa_0 of the rows (their Y_0), log Z^- sheds the last contact's weight
+from it, and the cumulants follow by the row-wise log-series recursion
+of ``numerics``.
 log Z and the cumulants of order r <= 2 read one order-2 pass; higher
 orders run their own.  kappa_1 paths run the same engine at order 1 with
 every column kept.  Every pass has one centre for its block, so every
 block runs fused, one 2-D product per step padded to the BLAS row tile,
 and a sample's values depend only on its charges, h and the law, not on
 its block's size (one sample included) or its other samples (the
-locality contract of ``quenched._linear_rows``).
+locality contract of ``quenched._forward``).
 
 Inside ``quenched.run_memo()`` (the CLI opens one around each command)
 the rows of every block are kept (``quenched._memoised``), keyed by what
@@ -61,7 +62,7 @@ import numpy as np
 
 from .model import DisorderLaw, InterArrivalLaw, sample_disorder_block
 from .numerics import _log_series, log_mean_exp, normal_cdf
-from .quenched import (_MEMO, QuenchedBlock, _checked, _memoised, _moments,
+from .quenched import (_MEMO, QuenchedBlock, _checked, _forward, _memoised,
                        _pass_columns, _segment_tables)
 
 QUANTITIES = ("f", "mu", "rho", "v", "w", "centering_mean", "ks_centering",
@@ -147,7 +148,7 @@ def _sampled(cfg: McConfig, h: float, n: int, kernel, width: int,
     gives the rows of the block's chains at the lengths in at.  h and n
     are checked as a QuenchedBlock checks them.
 
-    A kernel of order R >= 1 is one _moments pass at that order.  Inside
+    A kernel of order R >= 1 is one _forward pass at that order.  Inside
     a run memo, a call at an n of cfg.n_values that the pass at the
     grid's top n serves (``quenched._pass_columns``: every grid n when
     that pass is untilted) draws its block at the top and passes at =
@@ -185,7 +186,7 @@ def _moment_rows(cfg: McConfig, h: float, n: int, order: int) -> np.ndarray:
     strips the last contact's weight h + omega_n from it."""
     def kernel(block, at):
         b = h + block
-        sc, coef = _moments(cfg.law.log_p, b, order,
+        sc, coef = _forward(cfg.law.log_p, b, order,
                             cfg.law.contact_density(h), at)
         last = sc - b[:, np.asarray(at) - 1]
         return np.concatenate((sc[:, :, None], last[:, :, None], coef), axis=2)
@@ -218,7 +219,7 @@ def sample_kappa1_path(cfg: McConfig, h: float, n: int) -> np.ndarray:
     def kernel(block, at):
         # the first centred moment of each prefix, plus the centre c k
         c = cfg.law.contact_density(h)
-        _, coef = _moments(cfg.law.log_p, h + block, 1, c)
+        _, coef = _forward(cfg.law.log_p, h + block, 1, c)
         return (coef[:, :, 1] + c * np.arange(n + 1))[:, None]
 
     return _sampled(cfg, h, n, kernel, n + 1)

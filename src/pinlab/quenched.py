@@ -28,28 +28,28 @@ normalised capped recursion (``_capped_cdf``), whose terms are
 probabilities and need no scale.
 
 Derivatives of log Z in h (cumulants of the contact number L) come from
-``_moments``: the same linear step carries, besides Z, the rows Y_m[k],
-the sums over paths pinned at k of (L_k - c k)^m times their weight for
-m <= R, under Y_0's scale, with the R+1 entries of a column side by
-side.  The centre c is the homogeneous chain's contact density at h
-(``InterArrivalLaw.contact_density``), a function of the law and h
-only, so a row's cumulants depend on nothing but its weights.  One
-float centre for the whole pass (a block of disorder samples at one h,
-of any size) runs it fused: one 2-D product per step, the rows padded to
-the BLAS kernel's row tile, so that a row's bits depend neither on its
-block-mates nor on their number.  One centre per row (a system, the
+the same call at an order R >= 1: the linear step carries, besides Z,
+the rows Y_m[k], the sums over paths pinned at k of (L_k - c k)^m times
+their weight for m <= R, under Y_0's scale, with the R+1 entries of a
+column side by side.  The centre c is the homogeneous chain's contact
+density at h (``InterArrivalLaw.contact_density``), a function of the
+law and h only, so a row's cumulants depend on nothing but its weights.
+One float centre for the whole pass (a block of disorder samples at one
+h, of any size) runs it fused: one 2-D product per step, the rows padded
+to the BLAS kernel's row tile, so that a row's bits depend neither on
+its block-mates nor on their number.  One centre per row (a system, the
 grid of pinlab compute) runs one product per row.
 Moment rows flush entries below a level theta certified from the law
 (about e^-85 on scan's law), far above 1e-290, so the windows start
-late and the stored state keeps only the columns they read.  It is
-batched, and serves ``QuenchedSystem.cumulants`` (one row), the
-per-sample log Z, cumulant and kappa_1 kernels of disorder Monte Carlo
-(a block of samples at one h, one pass for the whole n grid inside a
-run memo), and the grid of ``pinlab compute`` (one row per h, see
-``_seed_cumulants``); ``at`` keeps only the columns k a caller reads.  The
-tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
-moments unchanged.  ``_linear_rows`` states the routes, the locality
-contract they keep and the flush certificate.
+late and the stored state keeps only the columns they read.  A moment
+pass serves ``QuenchedSystem.cumulants`` (one row), the per-sample log
+Z, cumulant and kappa_1 kernels of disorder Monte Carlo (a block of
+samples at one h, one pass for the whole n grid inside a run memo), and
+the grid of ``pinlab compute`` (one row per h, see
+``_seed_cumulants``); ``at`` keeps only the columns k a caller reads.
+The tilt multiplies every Y_m[k] by the same e^{lam k}, so it leaves the
+moments unchanged.  ``_forward`` states the routes, the locality
+contract they keep, the flush certificate and the tilt.
 
 The two-replica avoidance runs ``_pair_forward``, a recursion over the
 pair of the two replicas' latest contacts, batched over windows and kept
@@ -190,22 +190,20 @@ def _memoised(law, key, compute) -> np.ndarray:
 # The linear step of _forward stores row r as y[r, j] = Z_{0,j} e^{-C_r}.
 # An entry below _FLUSH is stored as an exact 0; a new entry above
 # e^_RESCALE becomes the row's scale (y = 1).  Moment rows flush at a
-# higher, certified level (_moment_flush).  The flush certificate holds
-# _KEEP nats in reserve, which set where a law turns tilted (see _forward)
+# higher, certified level (_moment_flush)
 _FLUSH = 1e-290
 _LOG_FLUSH = math.log(_FLUSH)
 _RESCALE = 300.0
-_KEEP = 200.0
 # a step's dot runs over the columns k-L..k-1, L a multiple of _LANE: the
 # BLAS dot then puts column j in the same accumulator lane, whatever L is
 _LANE = 32
 # a fused moment pass runs its rows as one 2-D product per step, padded to
 # a multiple of _TILE rows and of at most _SMALL_GEMM multiply-adds: the
 # size of OpenBLAS's small-matrix dgemm, in which a row's bits do not
-# depend on the other rows (see _linear_rows; tests/test_blas_contract.py)
+# depend on the other rows (see _forward; tests/test_blas_contract.py)
 _TILE = 4
 _SMALL_GEMM = 100 ** 3
-# the columns a pass stores at first; see _linear_rows
+# the columns a pass stores at first; see _forward
 _COLUMNS = 512
 # the certificate's margins, in nats: partial sums stay below e^_OVERFLOW,
 # and the flushed share of a step's sum below e^_DROPPED (2^-60)
@@ -217,7 +215,7 @@ _max, _min = np.maximum.reduce, np.minimum.reduce
 
 def _gap_weights(q: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
     """q(t) d(t)^e / e! for e < width, one row per gap t: the weights of
-    _moments' step for the gaps whose q and d entries are given."""
+    _forward's moment step for the gaps whose q and d entries are given."""
     e = np.arange(width)
     inv_fact = 1.0 / np.array([math.factorial(i) for i in e], dtype=float)
     return q[:, None] * (d[:, None] ** e) * inv_fact
@@ -225,7 +223,7 @@ def _gap_weights(q: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
 
 def _moment_flush(log_p: np.ndarray, order: int) -> float:
     """theta, the level below which moment rows of order R >= 1 store an
-    entry as an exact 0 (see _linear_rows):
+    entry as an exact 0 (see _forward):
 
         theta = max(_FLUSH, e^{-60 log 2 - (2R+1) log N - span}),
 
@@ -239,38 +237,66 @@ def _moment_flush(log_p: np.ndarray, order: int) -> float:
                                 - (_max(lp) - _min(lp))))
 
 
-def _linear_rows(log_p: np.ndarray, b: np.ndarray, order: int = 0,
-                 centre=0.0, at=None):
-    """The linear step of _forward and _moments, for a law it certifies
-    at n.  Returns the (rows, n+1) table of log Z_{0,k}; with order R >=
-    1 the (rows, len(at)) table of log Z_{0,k} and the (rows, len(at),
-    R+1) table of coefficients E[(L_k - c k)^m] / m! at the columns k of
-    at (every k = 0..n when None), c = centre, one float for all rows or
-    one per row (see _moments).
+def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
+             centre=0.0, at=None):
+    """The linear engine: log Z_{0,k} of every row of the (rows, n)
+    weights b, and at an order R >= 1 the centred moments of its contact
+    number too.
 
-    State: y[r, j, m] = Y_m[j] / m! under row r's scale (m = 0 alone at
-    order 0), so column j's R+1 entries are adjacent.  A pass stores the
-    columns from lo on only, lo the first column nonzero in some row
-    (every row is 0 below it): it starts with _COLUMNS, and when column
-    k finds no room, it drops the columns below lo if they are at least
-    half the buffer, and else doubles it.
+    Row r is the chain whose site k carries log weight b[r, k-1], and
+    whose excursions follow the one law log_p (log p(t) at index t),
+    finite on [1, n] (see InterArrivalLaw).  At order 0 it returns the
+    (rows, n+1) table of log Z_{0,k}, k = 0..n (zeros when n or rows is
+    0).  At order R >= 1, n >= 1, it returns (sc, coef) with sc[r, k] =
+    log Z_{0,k} and coef[r, k, m] = E[(L_k - c_r k)^m] / m! for m = 0..R:
+    the Taylor coefficients in s of E[e^{s (L_k - c_r k)}], L_k the
+    contacts of the chain pinned at k.  centre is c_r, 0 <= c_r <= 1: one
+    float for every row, or one per row.  So kappa_1 of row r at k is
+    coef[r, k, 1] + c_r k, and the higher cumulants come from coef[r, k]
+    by the log-series recursion.  With at, a list of columns, sc and coef
+    keep only the columns k of at, in its order: the pass is the same,
+    and those columns keep their bits.
+
+    Step.  With Y_m[k] the sum over paths pinned at k of (L_k - c k)^m
+    times their weight (Y_0[k] = Z_{0,k}), a contact at k after a gap t
+    moves L - c k by d(t) = 1 - c t, so
+
+        Y_m[k] = p(1) e^{b[r, k-1]} sum_{i <= m} C(m, i) S[i, m-i],
+        S[i, e] = sum_j Y_i[j] q(k-j) d(k-j)^e,  q = p / p(1).
+
+    Row r is stored as y[r, j, m] = Y_m[j] / m! e^{-C_r} under one log
+    scale C_r (m = 0 alone at order 0), so column j's R+1 entries are
+    adjacent, and step k is one product of the window against q d^e / e!
+    and the antidiagonal sums i + e = m, then one log and one exp per row:
+
+        log Z_{0,k} = C_r + log S[0, 0] + log p(1) + b[r, k-1].
+
+    p is divided by p(1), so step 1 gives exactly log p(1) + b[r, 0], and
+    q is built once for all rows.  Rescale rule: the scale starts at C =
+    0 (y[r, 0, 0] = 1), and a new entry above e^_RESCALE becomes the
+    scale, y = 1: the row's entries are multiplied by one factor.  A
+    row's window (every j < k) thus always holds an entry of at least 1.
+    A pass stores the columns from lo on only, lo the first column
+    nonzero in some row (every row is 0 below it): it starts with
+    _COLUMNS, and when column k finds no room, it drops the columns below
+    lo if they are at least half the buffer, and else doubles it.
 
     Route of a step, over the window of columns k-L..k-1 (L a multiple of
-    _LANE, from lo on), picked by centre alone:
-      * fused: one float centre (every pass of disorder_mc).  The
-        antidiagonal map of _moments is folded into one (depth, R+1, R+1)
-        table wf[j, i, m] = w[j, m-i], so that one 2-D product
+    _LANE, from lo on), picked by order and centre alone:
+      * fused: order R >= 1 and one float centre (every pass of
+        disorder_mc).  The antidiagonal map is folded into one (depth,
+        R+1, R+1) table wf[j, i, m] = w[j, m-i], so that one 2-D product
         y[:, window].reshape(rows, (R+1) L) @ wf[window].reshape((R+1) L,
         R+1) gives every row's new column.  The rows, one or more, are
         padded with copies of the last row to a multiple of _TILE, and
         the product runs in groups of a multiple of _TILE rows of at most
         _SMALL_GEMM multiply-adds each (one group for scan's 64 x 512).
-      * per row: a sequence of one centre per row (QuenchedSystem.cumulants
-        passes [c], pinlab compute's grid one per h): one stacked product
-        per row, (R+1, L) @ (L, R+1) against the row's own table q d^e /
-        e!, grown as the windows widen, whose antidiagonal sums are a
-        second, fixed product per row; and at order 0 (_forward) one dot
-        per row.
+      * per row: order 0, or a sequence of one centre per row
+        (QuenchedSystem.cumulants passes [c], pinlab compute's grid one
+        per h): one stacked product per row, (R+1, L) @ (L, R+1) against
+        the row's own table q d^e / e!, grown as the windows widen, whose
+        antidiagonal sums are a second, fixed product per row; at order 0
+        one dot per row.
 
     Locality contract.  A row's bits depend on its weights, law and
     centre, and on its route, and on nothing else: not on the other rows'
@@ -291,17 +317,50 @@ def _linear_rows(log_p: np.ndarray, b: np.ndarray, order: int = 0,
     order 8.  tests/test_blas_contract.py checks both BLAS assumptions at
     the pass's shapes.
 
-    Flush.  An entry below _FLUSH of its row's scale is stored as an
-    exact 0 (its Y_m too), except in moment rows, which flush at theta =
-    _moment_flush, about e^-85 for scan's law against e^-667.  theta is
-    certified: the scale entry (y = 1) never leaves a row's window, so
-    every step's sum S[0, 0] is at least min q; a
-    flushed column is below theta, |Y_i| <= n^i Y_0 and |d| <= n, so the
-    flushed columns, at most n, add at most theta n^(2R+1) max q to any
-    S[i, e], i + e <= 2R: at most 2^-60 of S[0, 0], the share the
-    certificate of _moments allows.  The flush at a rescale is what moves
-    lo, and with it the window's start."""
+    Flush.  A column whose Y_0 falls below the flush level of its row's
+    scale is stored as exact 0s, every m together: _FLUSH at order 0,
+    theta = _moment_flush at order R >= 1 (about e^-85 for scan's law
+    against e^-667).  The scale entry never leaves a row's window, so
+    every step's S[0, 0] is at least min q.  For 0 <= c <= 1, |L_j - c j|
+    <= j <= n and |d| <= n, so |Y_i[j]| <= n^i Y_0[j], and the flushed
+    columns, at most n, add at most level n^(2R+1) max q to any S[i, e],
+    i + e <= 2R: at most 2^-60 S[0, 0] when
+
+        log level + (2R+1) log n + span <= -60 log 2,
+
+    span = log(max q / min q) on [1, n].  theta meets this by its
+    definition.  _FLUSH meets it wherever the certificate holds, since
+    2R log(2n) >= 2R log n.  So each coefficient m of a new column moves
+    by at most 2^-60 2^m / m!.  The flush at a rescale is what moves lo,
+    and with it the window's start.
+
+    Certificate (_certified).  The margin 2 R log(2n) nats covers the
+    factor n^(2R) by which a term of S[i, e] can exceed its Y_0 term.  A
+    law passes at n when both of these hold:
+      * flush: log n + margin + log _FLUSH + span <= -60 log 2 (the
+        bound above at _FLUSH);
+      * overflow: log n + margin + _RESCALE + log max q <= _OVERFLOW, so
+        that no partial sum overflows.
+    Both read the max and min of log p on [1, n] only, so a law whose
+    p(t) is not monotone is covered.  The margin, log n and the span all
+    grow with n, so a law that passes at n passes at every smaller n.
+
+    Tilt.  A law that fails runs the same step under the tilted law p(t)
+    e^{lam t} (see _tilted).  At order 0 a decreasing law fails when its
+    log p spans more than 626 - log n nats on [1, n]: the geometric law
+    from n = 895 on.  The gaps of a path pinned at k sum to k, so the tilt
+    multiplies every Y_m[k] by the same e^{lam k}: the coefficients keep
+    their values, and lam k is subtracted from log Z_{0,k}.  A law whose
+    tilted form fails too raises a ValueError.  So every row's table
+    depends only on its weights, its law, its centre and n.
+
+    -inf weights give -inf entries, never NaN."""
     rows, n = b.shape
+    if not order and not (n and rows):
+        return np.zeros((rows, n + 1))
+    lam = 0.0
+    if not _certified(log_p, n, order):
+        log_p, lam = _tilted(log_p, n, order)
     lp1 = log_p[1]
     pad = _LANE
     width = order + 1
@@ -462,70 +521,27 @@ def _linear_rows(log_p: np.ndarray, b: np.ndarray, order: int = 0,
             np.multiply(s, ratio[:, None], out=y[:, j])
         else:
             y[:, j, 0] = col
+    if lam:
+        z -= lam * (np.arange(n + 1) if at is None else np.asarray(at))
     return (z[:real], coef[:real]) if order else z
 
 
-def _certified(log_p: np.ndarray, n: int, margin: float = 0.0) -> bool:
-    """Whether the law log_p passes the linear step's certificate at n,
-    with margin nats added to both of its bounds (see _forward)."""
+def _margin(n: int, order: int) -> float:
+    """The certificate's margin at n and order R, 2 R log(2n) nats (see
+    _forward); 0 at order 0."""
+    return 2 * order * math.log(2.0 * n)
+
+
+def _certified(log_p: np.ndarray, n: int, order: int = 0) -> bool:
+    """Whether the law log_p passes the linear step's certificate at n and
+    order (see _forward)."""
     lp = log_p[1:n + 1]
     # the extremes of log q = log p - log p(1) on [1, n]
     top = _max(lp) - lp[0]
     low = _min(lp) - lp[0]
-    log_n = math.log(n) + margin
+    log_n = math.log(n) + _margin(n, order)
     return bool(log_n + _RESCALE + top <= _OVERFLOW
-                and log_n + _LOG_FLUSH + _KEEP + top - low <= _DROPPED)
-
-
-def _forward(log_p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log Z_{0,k} for k = 0..n of every row of the (rows, n) weights b.
-
-    Row r is the chain whose site k carries log weight b[r, k-1], and
-    whose excursions follow the one law log_p (log p(t) at index t),
-    finite on [1, n] (see InterArrivalLaw).
-
-    The step runs in linear domain.  Row r holds y[r, j] = Z_{0,j}
-    e^{-C_r} under one log scale C_r, and step k is one dot product of
-    the row with q(k-j) = p(k-j)/p(1), then one log and one exp per row:
-
-        log Z_{0,k} = C_r + log(sum_j y[r, j] q(k-j)) + log p(1) + b[r, k-1].
-
-    p is divided by p(1), so step 1 gives exactly log p(1) + b[r, 0], and
-    q is built once for all rows.
-    Rescale rule: the scale starts at C = 0 (y[r, 0] = 1), and a new entry
-    above e^_RESCALE becomes the scale, y = 1: the row's entries are
-    multiplied by one factor.  A row's window (every j < k) thus always
-    holds an entry of at least 1.  Entries below _FLUSH are stored as
-    exact zeros, and the dot starts at the first column that is nonzero
-    in some row, ends at k and spans a multiple of _LANE columns, so that
-    a row's bits do not depend on its block-mates.
-
-    Flush certificate: a step's sum is at least min q, and the flushed
-    entries add at most n _FLUSH max q, so the flushed share is below
-    2^-60 when log n + log _FLUSH + log(max q / min q) <= -60 log 2; max
-    q and min q are taken over all of [1, n], so a law whose p(t) is not
-    monotone is covered.  The bound holds _KEEP = 200 nats in reserve
-    beyond that, which sets where a law turns tilted (the geometric law
-    at n = 607).  No partial sum overflows when log n + _RESCALE + log max
-    q <= _OVERFLOW.  Both are decided from the max and min of log p on
-    [1, n].
-
-    Tilt: a law that fails either bound (log p spans more than about 420
-    nats on [1, n]: the geometric law past n of about 600) runs the same
-    step under the tilted law p(t) e^{lam t} (see _tilted).  The gaps of
-    a path pinned at k sum to k, so the tilt multiplies Z_{0,k} by
-    e^{lam k}, which is subtracted again from its log.  A law whose
-    tilted form fails too raises a ValueError.  So every row's table
-    depends only on its weights, its law and n.
-
-    -inf weights give -inf entries, never NaN."""
-    rows, n = b.shape
-    if not (n and rows):
-        return np.zeros((rows, n + 1))
-    if _certified(log_p, n):
-        return _linear_rows(log_p, b)
-    tilted, lam = _tilted(log_p, n)
-    return _linear_rows(tilted, b) - lam * np.arange(n + 1)
+                and log_n + _LOG_FLUSH + top - low <= _DROPPED)
 
 
 def _segment_tables(log_p: np.ndarray, b: np.ndarray,
@@ -543,21 +559,21 @@ def _segment_tables(log_p: np.ndarray, b: np.ndarray,
 
 
 def _tilted(log_p: np.ndarray, n: int,
-            margin: float = 0.0) -> tuple[np.ndarray, float]:
+            order: int = 0) -> tuple[np.ndarray, float]:
     """The law log_p on [0, n], tilted for the linear step: (log p(t) +
     lam t for t = 0..n, lam), lam the chord slope (log p(1) - log p(n)) /
     (n - 1) of log p on [1, n].  That tilt gives p(1) and p(n) the same
     weight, so it flattens the geometric law exactly, and for a
     log-convex law (a power law) it is the tilt of least span.  A
     ValueError names the span when the tilted law still fails the
-    certificate with margin at n (see _forward)."""
+    certificate at n and order (see _forward)."""
     lam = (log_p[1] - log_p[n]) / (n - 1) if n > 1 else 0.0
     tilted = log_p[:n + 1] + lam * np.arange(n + 1)
-    if not _certified(tilted, n, margin):
+    if not _certified(tilted, n, order):
         # both bounds hold when the span is at most the overflow bound's
         # room, the smaller of the two
         span = tilted[1:].max() - tilted[1:].min()
-        room = _OVERFLOW - _RESCALE - math.log(n) - margin
+        room = _OVERFLOW - _RESCALE - math.log(n) - _margin(n, order)
         raise ValueError(
             f"log p spans {span:.1f} nats on [1, {n}] after the tilt by "
             f"{lam:.6g} per step, past the {room:.1f} nats that the linear "
@@ -565,79 +581,14 @@ def _tilted(log_p: np.ndarray, n: int,
     return tilted, lam
 
 
-def _moment_certificate(log_p: np.ndarray, n: int,
-                        order: int) -> tuple[bool, float]:
-    """(ok, margin) of the linear step's certificate for _moments at n and
-    order R: _certified over [1, n] with margin = 2 R log(2n) nats.  The
-    margin, log n and the span of log p on [1, n] all grow with n, so a
-    law that passes at n passes at every smaller n."""
-    margin = 2 * order * math.log(2.0 * n)
-    return _certified(log_p, n, margin), margin
-
-
 def _pass_columns(log_p: np.ndarray, n_values, order: int) -> list:
-    """The columns of the sorted n_values that one _moments pass at their
-    largest n serves with the bits of a pass at each column's own n: all
-    of them when the pass at the top is untilted (the certificate then
-    holds at every smaller n too, see _moment_certificate), the top alone
-    when it is tilted, since a smaller n would take another route."""
+    """The columns of the sorted n_values that one _forward pass at their
+    largest n and at order serves with the bits of a pass at each
+    column's own n: all of them when the pass at the top is untilted (the
+    certificate then holds at every smaller n too, see _forward), the top
+    alone when it is tilted, since a smaller n would take another route."""
     grid = sorted(set(n_values))
-    return grid if _moment_certificate(log_p, grid[-1], order)[0] else grid[-1:]
-
-
-def _moments(log_p: np.ndarray, b: np.ndarray, order: int, centre,
-             at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Centred moments of the contact number of every row of the (rows, n)
-    weights b, n >= 1, under the one law log_p: returns (sc, coef) with
-    sc[r, k] = log Z_{0,k} and coef[r, k, m] = E[(L_k - c_r k)^m] / m! for
-    m = 0..order, order >= 1: the Taylor coefficients in s of
-    E[e^{s (L_k - c_r k)}] (L_k the contacts of the chain pinned at k).
-    centre is c_r, 0 <= c_r <= 1: one float for every row, or one per
-    row.  So kappa_1 of row r at k is coef[r, k, 1] + c_r k, and the
-    higher cumulants come from coef[r, k] by the log-series recursion.
-    With at, a list of columns, sc and coef keep only the columns k of
-    at, in its order: the pass is the same, and those columns keep their
-    bits.
-
-    With Y_m[k] the sum over paths pinned at k of (L_k - c k)^m times
-    their weight, a contact at k after a gap t moves L - c k by
-    d(t) = 1 - c t, so
-
-        Y_m[k] = p(1) e^{b[r, k-1]} sum_{i <= m} C(m, i) S[i, m-i],
-        S[i, e] = sum_j Y_i[j] q(k-j) d(k-j)^e,  q = p / p(1).
-
-    Y_0 is _forward's recursion.  _linear_rows stores Y_m / m! under
-    Y_0's one log scale per row, column by column, and a step's new
-    column is a product of the window against q d^e / e! and the
-    antidiagonal sums i + e = m.  A float centre runs the rows fused, one
-    2-D product per step over a table with the sums folded in, padded to
-    whole row tiles; a centre per row runs one product per row against
-    its own table.  Either way a row's bits do not depend on its
-    block-mates, but a fused row differs at roundoff from the same row
-    run per row (see _linear_rows for the contract and the BLAS facts it
-    rests on).  Every m of a column is flushed together when its Y_0
-    falls below theta (_moment_flush).
-
-    Certificate: for 0 <= c <= 1, |L_j - c j| <= j <= n and |d| <= n, so
-    |Y_i[j]| <= Y_0[j] n^i, and a term of S[i, e], i, e <= R, is at most
-    n^(2R) times its Y_0 term.  The linear step's two bounds (see
-    _forward) are therefore required with 2 R log(2n) nats added
-    (_moment_certificate), so that no partial sum overflows.  theta is
-    set so that the flushed entries move each S[i, e] by at most 2^-60
-    S[0, 0], so each coefficient m of a new column by at most 2^-60 2^m
-    / m!.  A law that fails the certificate is tilted as in _forward,
-    lam the chord slope over [1, n]: the tilt multiplies every Y_m[k] by
-    the same e^{lam k}, so the coefficients keep their values and lam k
-    leaves log Z_{0,k} only."""
-    n = b.shape[1]
-    ok, margin = _moment_certificate(log_p, n, order)
-    lam = 0.0
-    if not ok:
-        log_p, lam = _tilted(log_p, n, margin)
-    sc, coef = _linear_rows(log_p, b, order, centre, at)
-    if lam:
-        sc -= lam * (np.arange(n + 1) if at is None else np.asarray(at))
-    return sc, coef
+    return grid if _certified(log_p, grid[-1], order) else grid[-1:]
 
 
 def _capped_cdf(pre: np.ndarray, log_p: np.ndarray, b: np.ndarray,
@@ -1214,7 +1165,7 @@ class QuenchedSystem:
         """kappa_k = d^k/dh^k log Z for k = 1..r_max, r_max <=
         DEFAULT_JET_ORDER, and kappa_0 = log Z.
 
-        The centred moment rows of _moments run at order r_max, centred at
+        The centred moment rows of _forward run at order r_max, centred at
         the homogeneous chain's contact density c at h
         (``InterArrivalLaw.contact_density``), which depends on the law
         and h only.  The cumulants of L_n - c n come from its moments by
@@ -1235,7 +1186,7 @@ class QuenchedSystem:
         order = max(r_max, 1)
 
         def own_pass():
-            sc, coef = _moments(self.law.log_p, self.site_weight[None, 1:],
+            sc, coef = _forward(self.law.log_p, self.site_weight[None, 1:],
                                 order, [c], [self.n])
             return np.concatenate((sc[0], coef[0, 0]))
         # the key _seed_cumulants keeps a column under
@@ -1289,7 +1240,7 @@ def _seed_cumulants(law, omega, h_values, n_values, order: int):
     """Keep in the open run memo, for every h of h_values and every n of
     _pass_columns(n_values), the column that
     QuenchedSystem(law, h, omega[:n], n).cumulants(r), max(r, 1) = order,
-    reads, from one _moments pass at the largest n with one row per h
+    reads, from one _forward pass at the largest n with one row per h
     (its site weights h + omega, centred at its own contact density).  A
     column holds the bits of the cell's own pass: rows are row-local, and
     a column does not depend on how far the pass runs past it.  Cells it
@@ -1299,7 +1250,7 @@ def _seed_cumulants(law, omega, h_values, n_values, order: int):
         return
     at = _pass_columns(law.log_p, n_values, order)
     hs = [float(h) for h in h_values]
-    sc, coef = _moments(law.log_p, np.array(hs)[:, None] + omega[:at[-1]],
+    sc, coef = _forward(law.log_p, np.array(hs)[:, None] + omega[:at[-1]],
                         order, np.array([law.contact_density(h) for h in hs]),
                         at)
     for i, h in enumerate(hs):

@@ -132,14 +132,6 @@ class CheckContext:
         return self.mc.disorder.is_pure
 
 
-def default_context(master_seed: int = 20260815) -> CheckContext:
-    from .model import build_law, gaussian_disorder
-    law = build_law(1.0, None, 4096)
-    cfg = mc.McConfig(law, gaussian_disorder(1.0), (3.0,), (64, 128, 256),
-                      samples=200, master_seed=master_seed, window=64)
-    return CheckContext(mc=cfg, h=3.0)
-
-
 def _two_sigma(err: float) -> float:
     """Tolerance band: 2 err, inf-safe."""
     return 2.0 * err if math.isfinite(err) else math.inf

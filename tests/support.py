@@ -188,8 +188,8 @@ def mp_cumulants(log_p, b, r_max, digits=40, keep=115.0):
 def ld_cumulants(log_p, b, r_max, centre, cut=200.0):
     """[log Z_{0,n}, kappa_1, .., kappa_r_max] of the contact number L_n
     for the site log weights b, from the centred moment DP of
-    ``quenched._moments`` run in np.longdouble (the x87 80-bit format,
-    eps 1.08e-19), centred at c = centre:
+    ``quenched._forward`` at an order run in np.longdouble (the x87
+    80-bit format, eps 1.08e-19), centred at c = centre:
 
         Y_m[k] / m! = p(1) e^{b_k} sum_{i+e=m} sum_j (Y_i[j] / i!)
                       q(k-j) d(k-j)^e / e!,  q = p / p(1), d(t) = 1 - c t.

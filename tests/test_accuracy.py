@@ -169,15 +169,15 @@ def test_pair_dp_log_a_against_mpmath():
 
 def test_tilted_rows_against_mpmath():
     # bound 1e-14 relative (to max(1, |log Z|)) over every k; 2.9e-15 at
-    # n = 600, 1.2e-15 at n = 700.  The geometric law spans (n-1) log 2
-    # nats on [1, n]: the linear step certifies it up to n = 606, so
-    # n = 600 runs untilted and n = 700 tilted by log 2.  Each row also
+    # n = 600, 1.4e-15 at n = 900.  The geometric law spans (n-1) log 2
+    # nats on [1, n]: the linear step certifies it up to n = 894, so
+    # n = 600 runs untilted and n = 900 tilted by log 2.  Each row also
     # has the bytes of its one-row run
-    log_p = geometric_test_law(700).log_p
-    assert _certified(log_p, 606) and not _certified(log_p, 607)
+    log_p = geometric_test_law(900).log_p
+    assert _certified(log_p, 894) and not _certified(log_p, 895)
     rng = np.random.default_rng(46)
     worst = {}
-    for n in (600, 700):
+    for n in (600, 900):
         b = 1.0 + rng.normal(0.0, 1.0, (3, n))
         z = _forward(log_p, b)
         worst[n] = 0.0

@@ -1,7 +1,7 @@
 """The two BLAS assumptions of the linear step, checked on random data at
 the shapes of its passes.
 
-``quenched._linear_rows`` promises that a row's bits depend on its own
+``quenched._forward`` promises that a row's bits depend on its own
 inputs and route only.  Two properties of numpy's BLAS carry that
 promise, and an upgrade of numpy or OpenBLAS could break either one;
 these tests then fail with a message that names the assumption, before

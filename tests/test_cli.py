@@ -456,12 +456,13 @@ def test_compute_grid_prints_the_bytes_of_each_cell(tmp_path, monkeypatch):
         "run": {"master_seed": 3}})
     out = str(tmp_path / "o")
     passes = []
-    moments = quenched._moments
+    forward = quenched._forward
 
-    def counted(log_p, b, *args):
-        passes.append(b.shape)
-        return moments(log_p, b, *args)
-    monkeypatch.setattr(quenched, "_moments", counted)
+    def counted(log_p, b, order=0, *args):
+        if order:
+            passes.append(b.shape)
+        return forward(log_p, b, order, *args)
+    monkeypatch.setattr(quenched, "_forward", counted)
     assert main(["compute", "--config", cfg, "--out", out]) == 0
     assert passes == [(2, 256)]
     monkeypatch.undo()

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import pinlab.disorder_mc as mc
 import pinlab.quenched as quenched
@@ -35,7 +36,7 @@ from pinlab.model import (
 from pinlab.numerics import DEFAULT_JET_ORDER
 from pinlab.oracle import contact_covariance, hc_bracket
 from pinlab.quenched import (QuenchedBlock, QuenchedSystem,
-                             _moment_certificate, _segment_tables, run_memo)
+                             _certified, _segment_tables, run_memo)
 
 LAW = build_law(1.0, None, 128)
 GEOM = geometric_test_law(128)
@@ -139,15 +140,15 @@ def _kernel_calls():
 
 
 def _count_moment_passes(monkeypatch):
-    # (rows, n, order, at) of every _moments pass the kernels run
+    # (rows, n, order, at) of every _forward pass the kernels run
     passes = []
-    engine = mc._moments
+    engine = mc._forward
 
-    def counted(log_p, b, order, centre, at=None):
+    def counted(log_p, b, order=0, centre=0.0, at=None):
         passes.append((b.shape[0], b.shape[1], order,
                        None if at is None else tuple(at)))
         return engine(log_p, b, order, centre, at)
-    monkeypatch.setattr(mc, "_moments", counted)
+    monkeypatch.setattr(mc, "_forward", counted)
     return passes
 
 
@@ -244,7 +245,7 @@ def test_scan_runs_one_moment_pass_per_h_and_block(tmp_path, monkeypatch):
     # estimate_f at each n, estimate_mu, the centering statistics and the
     # concentration scan of a scan read one order-2 pass per (h, 64-row
     # block), run at the grid's top n with the grid's columns; no
-    # disorder kernel runs the forward engine
+    # disorder kernel runs an order-0 pass of the forward engine
     path = tmp_path / "scan.json"
     path.write_text(json.dumps({
         "model": {"kind": "power", "alpha": 1.0, "n_max": 64},
@@ -263,21 +264,21 @@ def test_scan_runs_one_moment_pass_per_h_and_block(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 0
     assert passes == [(min(64, 500 - lo), 64, 2, (16, 32, 64))
                       for h in (2.0, 3.0) for lo in range(0, 500, 64)]
-    assert not hasattr(mc, "_forward")
+    assert all(order == 2 for _, _, order, _ in passes)
     assert callers and "pinlab.disorder_mc" not in callers
 
 
 @pytest.mark.parametrize("law, grid, off, tilted", [
     (LAW, (16, 32, 64), 24, False),
-    # log p spans 699 log 2 nats at n = 700: the pass there is tilted
-    (geometric_test_law(700), (100, 200, 700), 150, True)])
+    # log p spans 899 log 2 nats at n = 900: the pass there is tilted
+    (geometric_test_law(900), (100, 200, 900), 150, True)])
 def test_grid_columns_are_the_bytes_of_fresh_per_n_calls(law, grid, off,
                                                           tilted, monkeypatch):
     # 70 samples end on a partial block of 6.  Outside a memo every call
     # runs at its own n; inside one a call at a grid n reads a column of
     # the pass at the top, unless that pass is tilted, and a call off the
     # grid runs at its n.  Every value keeps the bytes of its fresh call
-    assert _moment_certificate(law.log_p, grid[-1], 2)[0] is not tilted
+    assert _certified(law.log_p, grid[-1], 2) is not tilted
     cfg = _cfg(law=law, n_values=grid, samples=70)
     calls = [lambda n: np.stack(sample_log_z(cfg, 2.0, n), 1),
              lambda n: sample_cumulants(cfg, 2.0, n, 2),
@@ -582,6 +583,14 @@ def test_hc_bracket_pure_geometric():
     assert lo < hi and hi - lo <= 0.05 + 1e-12
     # finite-size transition sits slightly above the limit h_c = 0
     assert -0.05 <= lo <= 1.0
+    # without disorder both samples give log Z_n = -n log 2 + h + (n-1)
+    # log(1 + e^h) at n = 64, with stderr 0, so the test flips where that
+    # is 0: at h* of about 2 log 2 / (n+1) = 0.021
+    n = 64
+    h_star = brentq(lambda h: -n * math.log(2.0) + h
+                    + (n - 1) * math.log1p(math.exp(h)), -1.0, 1.0)
+    assert abs(h_star - 2.0 * math.log(2.0) / (n + 1)) < 1e-3
+    assert lo <= h_star <= hi
     with pytest.raises(ValueError):
         hc_bracket(McConfig(GEOM, zero_disorder(), (2.0, 3.0),
                             (16, 32, 64), 2, 1))

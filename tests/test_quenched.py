@@ -46,7 +46,6 @@ from pinlab.quenched import (
     QuenchedSystem,
     _forward,
     _moment_flush,
-    _moments,
     _pair_forward,
     _segment_tables,
     ks_to_standard_normal,
@@ -138,11 +137,12 @@ def test_non_finite_input_is_rejected():
 # -- the forward engine -------------------------------------------------------
 
 def _assert_moment_rows_close(sc, coef, want, order):
-    """(sc, coef) of _moments within roundoff of want, the same rows by
-    another route: the same -inf entries of log Z, each finite log Z_k
-    within 1e-13 of max(1, max_{j <= k} |log Z_j|), and each coefficient m
-    of column k within 1e-13 (2k)^m / m!, the scale of E[(L_k - c k)^m] /
-    m! (the bounds of test_moment_rows_under_extreme_charges)."""
+    """(sc, coef) of _forward at an order R within roundoff of want, the
+    same rows by another route: the same -inf entries of log Z, each
+    finite log Z_k within 1e-13 of max(1, max_{j <= k} |log Z_j|), and
+    each coefficient m of column k within 1e-13 (2k)^m / m!, the scale of
+    E[(L_k - c k)^m] / m! (the bounds of
+    test_moment_rows_under_extreme_charges)."""
     want_sc, want_coef = want
     fin = np.isfinite(want_sc)
     assert np.array_equal(np.isfinite(sc), fin)
@@ -167,12 +167,13 @@ def _assert_moment_rows_close(sc, coef, want, order):
 def test_forward_rows_match_single_row_runs(rows, n, layout, seed, order,
                                             long):
     # a row's table is bit-identical whatever batch it is computed in;
-    # with an order R the engine is _moments (log Z and the centred moment
-    # rows, at a random centre): a float centre runs the rows fused, a
+    # with an order R the engine returns log Z and the centred moment
+    # rows, at a random centre: a float centre runs the rows fused, a
     # centre per row (here distinct or all equal) one product per row,
     # and the columns it keeps with `at` are those of the full table.  A
-    # long chain (n past 600) puts the geometric law past its certificate
-    # from n = 607 on: the rows run the tilted law
+    # long chain (n past 900) puts the geometric law past its certificate,
+    # which holds up to n = 894 at order 0 and less far at higher orders:
+    # the rows run the tilted law
     rng = np.random.default_rng(seed)
     centres = rng.uniform(0.0, 1.0, rows)
     fused = order is not None and rng.random() < 0.5
@@ -180,8 +181,8 @@ def test_forward_rows_match_single_row_runs(rows, n, layout, seed, order,
         centres[:] = centres[0]
     law = GEOM
     if long:
-        law = geometric_test_law(700)
-        n += 600
+        law = geometric_test_law(1000)
+        n += 900
     if order is not None:
         n = max(n, 1)
     if layout == "window":
@@ -195,7 +196,7 @@ def test_forward_rows_match_single_row_runs(rows, n, layout, seed, order,
     def run(weights, centre):
         if order is None:
             return (_forward(law.log_p, weights),)
-        return _moments(law.log_p, weights, order, centre)
+        return _forward(law.log_p, weights, order, centre)
 
     def centre_of(r):
         """Row r's centre as the batch passes it: a float, or [c_r]."""
@@ -225,7 +226,7 @@ def test_forward_rows_match_single_row_runs(rows, n, layout, seed, order,
     if order is not None:
         at = sorted(rng.choice(n + 1, int(rng.integers(1, n + 2)),
                                replace=False).tolist(), reverse=True)
-        for table, kept in zip(batched, _moments(law.log_p, b, order,
+        for table, kept in zip(batched, _forward(law.log_p, b, order,
                                                  batch_centre, at)):
             assert kept.tobytes() == np.ascontiguousarray(table[:, at]).tobytes()
 
@@ -236,7 +237,7 @@ def test_forward_rows_match_single_row_runs(rows, n, layout, seed, order,
        st.integers(min_value=16, max_value=512))
 @example(7, 8, 512)
 def test_fused_moment_rows_are_row_local(seed, order, n):
-    # the locality contract of _linear_rows' fused route, as disorder_mc
+    # the locality contract of _forward's fused route, as disorder_mc
     # runs it (rows of one law, h and centre, a float): a row's log Z and
     # coefficients keep their bits in a pass of 1 (padded to 4), 4, 6
     # (padded to 8), 8 or 64 rows, at any position, with its block-mates
@@ -264,9 +265,9 @@ def test_fused_moment_rows_are_row_local(seed, order, n):
         b = mates(size, wild)
         i = int(rng.integers(size))
         b[i] = row
-        sc, coef = _moments(law.log_p, b, order, c, at)
+        sc, coef = _forward(law.log_p, b, order, c, at)
         perm = rng.permutation(size)
-        back = _moments(law.log_p, b[perm], order, c, at)
+        back = _forward(law.log_p, b[perm], order, c, at)
         j = int(np.flatnonzero(perm == i)[0])
         assert back[0][j].tobytes() == sc[i].tobytes()
         assert back[1][j].tobytes() == coef[i].tobytes()
@@ -278,7 +279,7 @@ def test_fused_moment_rows_are_row_local(seed, order, n):
             sc, coef = passed(size, wild)
             assert sc.tobytes() == want_sc.tobytes(), (size, wild)
             assert coef.tobytes() == want_coef.tobytes(), (size, wild)
-    sc, coef = _moments(law.log_p, row[None], order, [c], at)
+    sc, coef = _forward(law.log_p, row[None], order, [c], at)
     assert np.all(np.abs(sc[0] - want_sc)
                   <= 1e-14 * np.maximum(1.0, np.abs(sc[0])))
     fact = np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
@@ -299,10 +300,10 @@ def test_moment_columns_do_not_depend_on_how_far_the_pass_runs():
     rng = np.random.default_rng(31)
     b = 3.5 + rng.normal(0.0, 1.0, (6, 512))
     for centre in (law.contact_density(3.5), rng.uniform(0.8, 1.0, 6)):
-        sc, coef = _moments(law.log_p, b, 2, centre, [128, 256, 512])
+        sc, coef = _forward(law.log_p, b, 2, centre, [128, 256, 512])
         assert sc[:, 0].min() > quenched._RESCALE
         for j, n in enumerate((128, 256)):
-            short = _moments(law.log_p, b[:, :n], 2, centre, [n])
+            short = _forward(law.log_p, b[:, :n], 2, centre, [n])
             assert short[0][:, 0].tobytes() == sc[:, j].tobytes()
             assert short[1][:, 0].tobytes() == coef[:, j].tobytes()
 
@@ -411,7 +412,7 @@ def _centred_jets(coef, centre):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=8),
-       st.integers(min_value=200, max_value=700),
+       st.integers(min_value=200, max_value=1000),
        st.sampled_from(["geometric", "power", "bumpy"]),
        st.integers(min_value=1, max_value=8),
        st.floats(min_value=0.0, max_value=1.0),
@@ -420,6 +421,7 @@ def _centred_jets(coef, centre):
 # where it is 8e-13 off the jets: a bound relative to that entry alone
 # fails at the roundoff the entry carries from the larger ones before it
 @example(5, 563, "geometric", 1, 0.0, 563)
+@example(3, 900, "geometric", 2, 0.5, 900)
 def test_moment_rows_under_extreme_charges(rows, n, law_kind, order, centre,
                                            seed):
     # long chains with extreme charges: the moment rows stay finite (a
@@ -428,10 +430,11 @@ def test_moment_rows_under_extreme_charges(rows, n, law_kind, order, centre,
     # log Z_k within 1e-13 of max(1, max_{j <= k} |log Z_j|) (a late
     # entry carries the roundoff of the largest one before it), and each
     # coefficient m of column k within 1e-13 (2k)^m / m!, the scale of
-    # E[(L_k - c k)^m] / m!.  The flush bound of _moments, 2^-60 2^m / m!
-    # per step, is far below that.  The geometric law past its
-    # certificate (n of about 500 at order 1) runs the tilted law; the
-    # bumpy law, far from log-linear, is refused
+    # E[(L_k - c k)^m] / m!.  The flush bound of the moment rows, 2^-60
+    # 2^m / m! per step, is far below that.  The geometric law past its
+    # certificate (n of 874 on at order 1, 727 on at order 8; the second
+    # example) runs the tilted law; the bumpy law, far from log-linear, is
+    # refused
     rng = np.random.default_rng(seed)
     if law_kind == "geometric":
         log_p = geometric_test_law(n).log_p
@@ -442,14 +445,14 @@ def test_moment_rows_under_extreme_charges(rows, n, law_kind, order, centre,
     b = _long_chain_weights(rng, rows, n)
     if law_kind == "bumpy":
         with pytest.raises(ValueError, match=rf"spans .* nats on \[1, {n}\]"):
-            _moments(log_p, b, order, centre)
+            _forward(log_p, b, order, centre)
         return
-    sc, coef = _moments(log_p, b, order, centre)
+    sc, coef = _forward(log_p, b, order, centre)
     assert np.isfinite(coef).all()
     z = _forward(log_p, b)
     assert np.array_equal(np.isfinite(sc), np.isfinite(z))
     finite = np.where(np.isinf(b), -40.0, b)  # the jets take finite weights
-    sc, coef = _moments(log_p, finite, order, centre)
+    sc, coef = _forward(log_p, finite, order, centre)
     want_sc, want_coef = _full_window_jet_forward(log_p, finite, order)
     scale = np.maximum(1.0, np.maximum.accumulate(np.abs(want_sc), axis=1))
     assert (np.abs(sc - want_sc) / scale).max() <= 1e-13
@@ -464,9 +467,10 @@ def test_moment_flush_keeps_the_floor():
     # theta = max(_FLUSH, e^{-60 log 2 - (2R+1) log n - span}), span the
     # nats log p spans on [1, n].  Scan's law (power, alpha 1) at n = 512
     # and order 2 gets about e^-85.  The geometric law at n = 700 spans 699
-    # log 2 nats, so _moments runs it tilted; its own theta falls below
-    # _FLUSH from order 11 on, and keeps _FLUSH there, while the tilted law
-    # it runs, flat, gets e^{-60 log 2 - (2R+1) log 700}
+    # log 2 nats; its own theta falls below _FLUSH from order 11 on, and
+    # keeps _FLUSH there, while the law tilted at 700 (the law a pass
+    # there runs from order 10 on, past the certificate), flat, gets
+    # e^{-60 log 2 - (2R+1) log 700}
     power = build_law(1.0, None, 512)
     assert abs(math.log(_moment_flush(power.log_p, 2)) + 85.0) < 1.0
     law = geometric_test_law(700)
@@ -838,14 +842,16 @@ def test_cumulant_order_guard():
 # -- the cumulant cells of pinlab compute in a run memo ----------------------
 
 def _counted_passes(monkeypatch):
-    """The shapes of the weights of every _moments call from now on."""
+    """The shapes of the weights of every _forward call at an order R >= 1
+    (a moment pass) from now on."""
     shapes = []
-    moments = quenched._moments
+    forward = quenched._forward
 
-    def counted(log_p, b, *args, **kwargs):
-        shapes.append(b.shape)
-        return moments(log_p, b, *args, **kwargs)
-    monkeypatch.setattr(quenched, "_moments", counted)
+    def counted(log_p, b, order=0, *args, **kwargs):
+        if order:
+            shapes.append(b.shape)
+        return forward(log_p, b, order, *args, **kwargs)
+    monkeypatch.setattr(quenched, "_forward", counted)
     return shapes
 
 
@@ -854,12 +860,12 @@ def test_seeded_cells_read_the_bytes_of_fresh_passes(kind, monkeypatch):
     # inside a run memo, every cell of the grid, largest n first as pinlab
     # compute asks them, gives the bytes of its own one-row pass.  The
     # power law is untilted at every n, so one pass with a row per h
-    # serves all; the geometric law is tilted at 700, so the pass serves
+    # serves all; the geometric law is tilted at 900, so the pass serves
     # the top only and the smaller n run their own passes
     if kind == "power":
         law, ns = build_law(1.0, None, 512), (64, 200, 512)
     else:
-        law, ns = geometric_test_law(700), (300, 650, 700)
+        law, ns = geometric_test_law(900), (300, 850, 900)
     hs = (0.5, 1.5, 3.0)
     omega = np.random.default_rng(3).normal(0.0, 1.0, max(ns))
     fresh = {(h, n): QuenchedSystem(law, h, omega[:n], n).cumulants(4)
@@ -890,13 +896,13 @@ def test_moment_pass_keeps_only_live_columns(monkeypatch):
     centres = [law.contact_density(h) for h in hs]
     tracemalloc.start()
     try:
-        sc, coef = _moments(law.log_p, b, 4, centres, [2048, 4096, n])
+        sc, coef = _forward(law.log_p, b, 4, centres, [2048, 4096, n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.8e6, peak
     monkeypatch.setattr(quenched, "_COLUMNS", n + 1)
-    whole = _moments(law.log_p, b, 4, centres, [2048, 4096, n])
+    whole = _forward(law.log_p, b, 4, centres, [2048, 4096, n])
     assert whole[0].tobytes() == sc.tobytes()
     assert whole[1].tobytes() == coef.tobytes()
 

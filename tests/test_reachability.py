@@ -3,15 +3,16 @@
 Runs ``verify``, ``scan`` and ``compute`` in process under cProfile on
 tiny configs and requires that each function and method defined in the
 four modules every run goes through, ``quenched.py``, ``numerics.py``,
-``model.py`` and ``disorder_mc.py``, ran at least once.  Functions are
+``model.py`` and ``disorder_mc.py``, and in the checks of ``verify``,
+``theorems.py``, ran at least once.  Functions are
 matched by the line they start on, so a method cannot hide behind a
 same-named one.  A function that only tests call belongs in
 ``oracle.py`` or ``tests/``.
 
 The same profiles count, run by run, the calls of ``_tilted``, the law
 tilt of the rows the linear step cannot certify untilted: no power-law
-row reaches it, and each geometric ``compute`` with n = 700 takes it
-once, for its cumulants at 700, whose kappa_0 is the log Z it prints.
+row reaches it, and each geometric ``compute`` with n = 1000 takes it
+once, for its cumulants at 1000, whose kappa_0 is the log Z it prints.
 """
 
 import ast
@@ -30,6 +31,7 @@ import pinlab.disorder_mc as disorder_mc
 import pinlab.model as model
 import pinlab.numerics as numerics
 import pinlab.quenched as quenched
+import pinlab.theorems as theorems
 from pinlab.cli import main
 from pinlab.config import load_config
 from pinlab.model import sample_disorder_block
@@ -46,6 +48,13 @@ RUNS = [
         # C3: contact-law tails, C6: excursion CDF, C7: pair DP and
         # segment table, C9: contact probabilities, C11: kappa_1 paths
         "checks": {"h": 3.0, "ids": ["C3", "C6", "C7", "C9", "C11"]}}),
+    # every check, at n_max 64: C11 finds one dyadic horizon and skips
+    ("verify", {
+        "model": {"kind": "power", "alpha": 1.0, "n_max": 64},
+        "grids": {"h_values": [3.0], "n_values": [16, 32, 64],
+                  "window": 16, "r_max": 2},
+        "run": {"samples": 4, "master_seed": 11},
+        "checks": {"h": 3.0}}),
     ("scan", {
         "model": {"n_max": 64},
         "grids": {"h_values": [2.0], "n_values": [16, 32, 64],
@@ -69,18 +78,19 @@ RUNS = [
         "model": {"n_max": 16},
         "disorder": {"family": "shifted_exponential", "param": 0.5},
         "grids": {"h_values": [2.0], "n_values": [16]}}),
-    # tilted at its top n only: the one pass at n = 700 keeps the top's
+    # tilted at its top n only: the one pass at n = 1000 keeps the top's
     # cells, and n = 300 runs its own, untilted cumulants pass
     ("compute", {
-        "model": {"kind": "geometric", "n_max": 700},
+        "model": {"kind": "geometric", "n_max": 1000},
         "disorder": {"family": "gaussian", "param": 1.0},
-        "grids": {"h_values": [1.0], "n_values": [300, 700]}}),
-    # log p spans 699 log 2 nats on [1, 700]: past the linear step's
-    # certificate, so the cumulants run the tilted law
+        "grids": {"h_values": [1.0], "n_values": [300, 1000]}}),
+    # log p spans 999 log 2 nats on [1, 1000]: past the linear step's
+    # certificate (which holds up to n = 894 at order 0, 809 at the
+    # cumulants' order 4), so the cumulants run the tilted law
     ("compute", {
-        "model": {"kind": "geometric", "n_max": 700},
+        "model": {"kind": "geometric", "n_max": 1000},
         "disorder": {"family": "gaussian", "param": 1.0},
-        "grids": {"h_values": [1.0], "n_values": [700]}}),
+        "grids": {"h_values": [1.0], "n_values": [1000]}}),
 ]
 GEOMETRIC_RUN = len(RUNS) - 1
 
@@ -167,9 +177,14 @@ def test_cli_reaches_every_disorder_mc_function(cli_profile):
     assert not missing, missing
 
 
+def test_cli_reaches_every_theorems_function(cli_profile):
+    missing = _missing(cli_profile.stats, theorems)
+    assert not missing, missing
+
+
 def test_only_the_uncertified_law_takes_the_tilt(cli_profile):
     # no power-law (or short table) row is tilted; each geometric compute
-    # at n = 700 tilts once, for its cumulants (order 4), which give its
+    # at n = 1000 tilts once, for its cumulants (order 4), which give its
     # log Z too, so it builds no prefix table
     want = [0] * len(RUNS)
     want[GEOMETRIC_RUN - 1] = want[GEOMETRIC_RUN] = 1
@@ -180,8 +195,8 @@ def test_only_the_uncertified_law_takes_the_tilt(cli_profile):
 def test_tilted_cumulants_match_finite_differences(cli_profile):
     # the printed kappa_1..kappa_4 of the geometric compute, from the
     # moment rows of the tilted law, against 7-point central differences
-    # of log Z (the prefix table) at step 0.04.  Measured: 3.3e-12,
-    # 1.3e-12, 2.1e-7 and 6.0e-8 relative; the stencil's error sets them
+    # of log Z (the prefix table) at step 0.04.  Measured: 3.0e-12,
+    # 3.2e-12, 2.0e-7 and 1.1e-7 relative; the stencil's error sets them
     # (each gap moves with the step)
     cfg = load_config(str(cli_profile.paths[GEOMETRIC_RUN]))
     law, h, n = cfg.law(), cfg.grids.h_values[0], cfg.grids.n_values[0]

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from pinlab import disorder_mc, quenched, theorems
+from pinlab.config import RunConfig
 from pinlab.disorder_mc import McConfig
 from pinlab.model import build_law, gaussian_disorder, zero_disorder
 from pinlab.quenched import QuenchedSystem
@@ -18,7 +19,6 @@ from pinlab.theorems import (
     CHECK_DESCRIPTIONS,
     CHECK_IDS,
     CheckContext,
-    default_context,
     full_report,
     run_check,
 )
@@ -57,8 +57,16 @@ def test_unknown_check_rejected():
         run_check("C99", _small_ctx())
 
 
-def test_default_context_shape():
-    ctx = default_context()
+def test_verify_context_shape():
+    # the context pinlab verify builds from a config with the values of
+    # the benchmark's verify workload
+    ctx = RunConfig.from_dict({
+        "model": {"kind": "power", "alpha": 1.0, "n_max": 4096},
+        "disorder": {"family": "gaussian", "param": 1.0},
+        "grids": {"h_values": [1.5, 2.0, 2.5, 3.0, 3.5],
+                  "n_values": [64, 128, 256], "window": 64, "r_max": 6},
+        "run": {"samples": 200, "master_seed": 20260815},
+        "checks": {"h": 3.0}}).check_context()
     assert not ctx.is_pure
     assert ctx.h == 3.0
     assert max(ctx.excursion_n_values) <= ctx.mc.law.n_max
