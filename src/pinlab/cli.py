@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
+
+import numpy as np
 
 from . import disorder_mc as mc
 from . import outputs
@@ -137,12 +138,9 @@ def _cmd_scan(cfg: RunConfig, out: str) -> int:
         # one block: its first contact_law runs the banded count DP for
         # every row (QuenchedBlock.contact_laws)
         ks_count = min(run_cfg.samples, 16)
-        ks_vals = [ks_to_standard_normal(sys_.contact_law(KS_L1_BUDGET))[0]
-                   for sys_ in mc._block_systems(run_cfg, h, n_top, ks_count)]
-        ks_mean = sum(ks_vals) / ks_count
-        ks_err = (sum((v - ks_mean) ** 2 for v in ks_vals)
-                  / (ks_count - 1)) ** 0.5 / math.sqrt(ks_count) \
-            if ks_count > 1 else 0.0
+        ks_mean, ks_err = mc._mean_stderr(np.array(
+            [ks_to_standard_normal(sys_.contact_law(KS_L1_BUDGET))[0]
+             for sys_ in mc._block_systems(run_cfg, h, n_top, ks_count)]))
         series.append(mc.EstimateSeries("ks_quenched", h, n_top, ks_mean,
                                         ks_err, ks_count))
         if n_top >= run_cfg.window:

@@ -16,8 +16,10 @@ that name.  ``DEFAULT_JET_ORDER`` is the largest order a
 ``QuenchedSystem`` gives cumulants at.
 
 ``normal_cdf`` is the standard normal CDF of the KS distances, by
-``math.erfc``, so that no run imports scipy for it; ``log_mean_exp`` is
-the estimators' log of a mean of log-domain samples.
+``math.erfc``, so that no run imports scipy for it; ``log_sum_exp`` is
+the log of a sum of log-domain scalars (the enumeration oracle's
+partition sums, C13's head masses), ``log_mean_exp`` the estimators' log
+of a mean of log-domain samples.
 """
 
 from __future__ import annotations
@@ -62,6 +64,22 @@ def log_of_jet(scale: float, coeffs) -> np.ndarray:
     g = _log_series(c[None, :])[0]
     g[0] = scale
     return g
+
+
+def log_sum_exp(values) -> float:
+    """Return log(sum(exp(v) for v in values)) without over/underflow.
+
+    The empty sum is the zero state ``-inf``.  NaN entries are rejected.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return LOG_ZERO
+    if np.isnan(arr).any():
+        raise ValueError("log_sum_exp: NaN is not a valid log-magnitude")
+    m = float(np.max(arr))
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
 def log_mean_exp(x) -> float:

@@ -12,12 +12,10 @@ routes for the scaled pair DP of QuenchedSystem at window sizes past
 enumeration.  Helpers that only tests use live here too: the joint
 contact moments and covariances of a QuenchedSystem by the renewal
 factorization (``contact_moment``, ``contact_covariance``), ``ursell``,
-its joint contact cumulants from those moments, ``log_sum_exp``, the
-sum of log-domain scalars the enumerations use (``log_mean_exp`` is
-numerics'), the closed forms of a disorder law (``exp_abs_moment``) and
-of the critical point's classification (``classify_hc``), and
-``hc_bracket``, the Monte Carlo bisection bracket of the localization
-transition.
+its joint contact cumulants from those moments, the closed forms of a
+disorder law (``exp_abs_moment``) and of the critical point's
+classification (``classify_hc``), and ``hc_bracket``, the Monte Carlo
+bisection bracket of the localization transition.
 """
 
 from __future__ import annotations
@@ -29,26 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder_mc import McConfig, estimate_f
-from .numerics import LOG_ZERO, log_mean_exp
+from .numerics import LOG_ZERO, log_sum_exp
 from .quenched import _forward, _segment_tables
 
 ORACLE_MAX_N = 16
-
-
-def log_sum_exp(values) -> float:
-    """Return log(sum(exp(v) for v in values)) without over/underflow.
-
-    The empty sum is the zero state ``-inf``.  NaN entries are rejected.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return LOG_ZERO
-    if np.isnan(arr).any():
-        raise ValueError("log_sum_exp: NaN is not a valid log-magnitude")
-    m = float(np.max(arr))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
 def _omega_array(omega, n: int) -> np.ndarray:

@@ -10,12 +10,12 @@ run by ``_forward`` over a batch of weight rows under one law p: the
 prefix table is one row, the suffix table is the recursion on the
 reversed weights, and the segment tables run one row per start site.
 ``_forward`` steps in linear domain: each row is stored as Z_{0,j}
-e^{-C_r} under one log scale C_r, and a step is one dot product of the
-row with p(k-j)/p(1), then one log and one exp per row, so no term pays
+e^{-C_r} under one log scale C_r, and a step is one 2-D product of the
+rows with p(k-j)/p(1), then one log and one exp per row, so no term pays
 an exp.  A new entry above e^300 of the scale becomes the scale, so the
 window of a row always keeps an entry of at least 1; entries below
-1e-290 of the scale are exact zeros, and the dot skips the columns that
-are zero in every row.  A flush certificate computed from the law
+1e-290 of the scale are exact zeros, and the product skips the columns
+that are zero in every row.  A flush certificate computed from the law
 decides whether that is exact to double precision.  A law that spans
 too many nats on [1, n] runs the same step under the tilted law p(t)
 e^{lam t}: the gaps of a path pinned at k sum to k, so the tilt
@@ -34,11 +34,13 @@ their weight for m <= R, under Y_0's scale, with the R+1 entries of a
 column side by side.  The centre c is the homogeneous chain's contact
 density at h (``InterArrivalLaw.contact_density``), a function of the
 law and h only, so a row's cumulants depend on nothing but its weights.
-One float centre for the whole pass (a block of disorder samples at one
-h, of any size) runs it fused: one 2-D product per step, the rows padded
-to the BLAS kernel's row tile, so that a row's bits depend neither on
-its block-mates nor on their number.  One centre per row (a system, the
-grid of pinlab compute) runs one product per row.
+The route of a pass is picked by its centre alone.  One float centre
+for the whole pass (a block of disorder samples at one h, of any size,
+and every log Z table, at the default 0.0) runs it fused: one 2-D
+product per step, the rows padded to the BLAS kernel's row tile, so that
+a row's bits depend neither on its block-mates nor on their number.  One
+centre per row (a system, the grid of pinlab compute) runs one product
+per row.
 Moment rows flush entries below a level theta certified from the law
 (about e^-85 on scan's law), far above 1e-290, so the windows start
 late and the stored state keeps only the columns they read.  A moment
@@ -282,21 +284,25 @@ def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
     lo if they are at least half the buffer, and else doubles it.
 
     Route of a step, over the window of columns k-L..k-1 (L a multiple of
-    _LANE, from lo on), picked by order and centre alone:
-      * fused: order R >= 1 and one float centre (every pass of
-        disorder_mc).  The antidiagonal map is folded into one (depth,
-        R+1, R+1) table wf[j, i, m] = w[j, m-i], so that one 2-D product
-        y[:, window].reshape(rows, (R+1) L) @ wf[window].reshape((R+1) L,
-        R+1) gives every row's new column.  The rows, one or more, are
-        padded with copies of the last row to a multiple of _TILE, and
-        the product runs in groups of a multiple of _TILE rows of at most
-        _SMALL_GEMM multiply-adds each (one group for scan's 64 x 512).
-      * per row: order 0, or a sequence of one centre per row
-        (QuenchedSystem.cumulants passes [c], pinlab compute's grid one
-        per h): one stacked product per row, (R+1, L) @ (L, R+1) against
-        the row's own table q d^e / e!, grown as the windows widen, whose
-        antidiagonal sums are a second, fixed product per row; at order 0
-        one dot per row.
+    _LANE, from lo on), picked by centre alone:
+      * fused: one float centre, the default 0.0 included, so every
+        order-0 pass (the prefix, suffix, segment and oracle tables) and
+        every pass of disorder_mc.  The antidiagonal map is folded into
+        one (depth, R+1, R+1) table wf[j, i, m] = w[j, m-i], so that one
+        2-D product y[:, window].reshape(rows, (R+1) L) @
+        wf[window].reshape((R+1) L, R+1) gives every row's new column.
+        At order 0 the table is q beside a zero column: numpy runs a
+        one-column product as a dgemv, which splits a window of over
+        2048 columns at points set by its start, that is by lo.  The
+        rows, one or more, are padded with copies of the last row to a
+        multiple of _TILE, and the product runs in groups of a multiple
+        of _TILE rows of at most _SMALL_GEMM multiply-adds each (one
+        group for scan's 64 x 512).
+      * per row: a sequence of one centre per row (QuenchedSystem.cumulants
+        passes [c], pinlab compute's grid one per h): one stacked product
+        per row, (R+1, L) @ (L, R+1) against the row's own table q d^e /
+        e!, grown as the windows widen, whose antidiagonal sums are a
+        second, fixed product per row.
 
     Locality contract.  A row's bits depend on its weights, law and
     centre, and on its route, and on nothing else: not on the other rows'
@@ -311,11 +317,12 @@ def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
     output along the window in order, four rows at a time; rows of a
     1-3 row tail, and products past that size (the blocked kernel splits
     the window), do not keep their bits.  So a row of a fused pass keeps
-    its bits in any block, one row included, and sits within roundoff of
-    the same row run per row.  The groups keep that while _TILE (R+1)^2 L
-    <= _SMALL_GEMM: windows up to 27,000 columns at order 2, 3,000 at
-    order 8.  tests/test_blas_contract.py checks both BLAS assumptions at
-    the pass's shapes.
+    its bits in any block, one row included, and a moment row sits
+    within roundoff of the same row run per row.  The groups keep that
+    while _TILE (R+1) max(R+1, 2) L <= _SMALL_GEMM: windows up to
+    125,000 columns at order 0, 27,000 at order 2, 3,000 at order 8.
+    tests/test_blas_contract.py checks both BLAS assumptions at the
+    pass's shapes.
 
     Flush.  A column whose Y_0 falls below the flush level of its row's
     scale is stored as exact 0s, every m together: _FLUSH at order 0,
@@ -375,41 +382,39 @@ def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
     # the step's weights are the last `depth` entries of w, those of the
     # gaps depth - pad .. 1 (a zero weight where that is below 1)
     depth = pad + n
-    flush, fused, real = _FLUSH, False, rows
-    if order:
-        # w[..., depth - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the gap
-        # t moves L - c k by d(t).  With y[:, j, i] = Y_i / i!, the step's
-        # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient
-        # of m is the sum of its antidiagonal i + e = m
-        gaps = np.zeros(pad + n)
-        gaps[pad:] = np.arange(n, 0, -1)
-        fused = np.ndim(centre) == 0
-        if fused:
-            # as a (depth (R+1), R+1) matrix, whose window is a slice
-            w = _gap_weights(qrev, 1.0 - float(centre) * gaps, width)
-            wf = np.zeros((depth, width, width))
-            for i in range(width):
-                wf[:, i, i:] = w[:, :width - i]
-            wf = wf.reshape(depth * width, width)
-            tiled = -(-rows // _TILE) * _TILE
-            b = np.concatenate((b, np.repeat(b[-1:], tiled - rows, axis=0)))
-            rows = tiled
-            s = np.empty((rows, width))
-            s0 = s[:, 0]
-        else:
-            # one table per row, grown as the windows widen: the windows
-            # rarely span all of [1, n]
-            centre = np.asarray(centre, dtype=float)
-            w, depth = np.empty((rows, 0, width)), 0
-            e = np.arange(width)
-            antidiag = (e[:, None, None] + e[None, :, None]
-                        == e[None, None, :]).astype(float).reshape(-1, width)
-        # log p(1) + b, one row per step
-        bb = np.ascontiguousarray((b + lp1).T)
-        flush = _moment_flush(log_p, order)
-        ratio = np.empty(rows)
+    # w[..., depth - t, e] = q(t) d(t)^e / e!, d(t) = 1 - c t: the gap t
+    # moves L - c k by d(t).  With y[:, j, i] = Y_i / i!, the step's
+    # products are s[:, i, e] = S[i, e] / (i! e!), and the coefficient of
+    # m is the sum of its antidiagonal i + e = m.  At order 0, w is q
+    gaps = np.zeros(pad + n)
+    gaps[pad:] = np.arange(n, 0, -1)
+    real = rows
+    fused = np.ndim(centre) == 0
+    if fused:
+        # as a (depth (R+1), R+1) matrix, whose window is a slice; at
+        # order 0, q beside a zero column (see Route in the docstring)
+        w = _gap_weights(qrev, 1.0 - float(centre) * gaps, width)
+        wf = np.zeros((depth, width, max(width, 2)))
+        for i in range(width):
+            wf[:, i, i:width] = w[:, :width - i]
+        wf = wf.reshape(depth * width, -1)
+        rows = -(-rows // _TILE) * _TILE
+        s = np.empty((rows, wf.shape[1]))
+        s0 = s[:, 0]
     else:
-        w = qrev[:, None]
+        # one table per row, grown as the windows widen: the windows
+        # rarely span all of [1, n]
+        centre = np.asarray(centre, dtype=float)
+        w, depth = np.empty((rows, 0, width)), 0
+        e = np.arange(width)
+        antidiag = (e[:, None, None] + e[None, :, None]
+                    == e[None, None, :]).astype(float).reshape(-1, width)
+    # log p(1) + b, one row per step, the padding rows copies of the last
+    bb = np.empty((n, rows))
+    np.add(b.T, lp1, out=bb[:, :real])
+    bb[:, real:] = bb[:, real - 1:real]
+    flush = _moment_flush(log_p, order) if order else _FLUSH
+    ratio = np.empty(rows)
     log_flush = math.log(flush)
     # a new entry is at least min q e^{log p(1) + b} of the scale (a row's
     # window keeps its scale entry): unless that can fall below the flush
@@ -458,7 +463,8 @@ def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
         cols = -(-(k - lo) // _LANE) * _LANE
         if fused:
             # in row groups of a multiple of _TILE, each within _SMALL_GEMM
-            group = max(_TILE, _SMALL_GEMM // (width * width * cols)
+            # (wf.size // depth multiply-adds a row and window column)
+            group = max(_TILE, _SMALL_GEMM // (wf.size // depth * cols)
                         // _TILE * _TILE)
             win = flat[:, (j - cols) * width:j * width]
             wwin = wf[(depth - cols) * width:]
@@ -481,18 +487,11 @@ def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
                 depth += grow
             s = np.matmul(y[:, j - cols:j].transpose(0, 2, 1),
                           w[..., depth - cols:, :])
-            if order:
-                # one product per row over the fixed antidiagonal map
-                s = np.matmul(s.reshape(rows, 1, width * width), antidiag)
-            s = s[:, 0]
+            # one product per row over the fixed antidiagonal map
+            s = np.matmul(s.reshape(rows, 1, width * width), antidiag)[:, 0]
             s0 = s[:, 0]
         np.log(s0, out=t)
-        if order:
-            t += bb[k - 1]
-        else:
-            # two adds, as _forward's tables have always been rounded
-            t += lp1
-            t += b[:, k - 1]
+        t += bb[k - 1]
         if slot[k] >= 0:
             np.add(scale, t, out=z[:, slot[k]])
             if order:
@@ -523,7 +522,7 @@ def _forward(log_p: np.ndarray, b: np.ndarray, order: int = 0,
             y[:, j, 0] = col
     if lam:
         z -= lam * (np.arange(n + 1) if at is None else np.asarray(at))
-    return (z[:real], coef[:real]) if order else z
+    return (z[:real], coef[:real]) if order else z[:real]
 
 
 def _margin(n: int, order: int) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import disorder_mc as mc
 from .model import sample_disorder_block
-from .numerics import log_mean_exp
-from .oracle import build_path_set, log_sum_exp
+from .numerics import log_mean_exp, log_sum_exp
+from .oracle import build_path_set
 from .quenched import KS_L1_BUDGET, QuenchedSystem, ks_to_standard_normal
 
 CHECK_IDS = tuple(f"C{i}" for i in range(1, 14))
@@ -583,11 +583,13 @@ def _check_c10(ctx: CheckContext) -> CheckReport:
         return _skipped("C10", {"instances": _C10_INSTANCES},
                         f"sizes 4..8 start past the law's horizon {n_max}")
     rng = np.random.default_rng(cfg.master_seed + 1)
+    # the run's disorder law, one stream per instance past C9's
+    charges = sample_disorder_block(cfg.disorder, n_max, cfg.master_seed,
+                                    2000, _C10_INSTANCES)
     worst = 0.0
-    for _ in range(_C10_INSTANCES):
+    for omega in charges:
         n = int(rng.integers(4, n_max + 1))
         h = float(rng.uniform(-1.0, 2.0))
-        omega = rng.normal(0.0, 1.0, n)
         w = build_path_set(cfg.law, h, omega, n).normalized_weights()
         for a in range(1, n):
             # mask bit a - 1 is site a: (right side, X_a, left side)

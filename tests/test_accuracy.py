@@ -38,7 +38,7 @@ def _gaussian_system(h, n, seed):
 
 
 def test_prefix_log_z_against_mpmath():
-    # bound 1e-14 relative (to max(1, |log Z|)) over k = 0..512; 4.7e-16
+    # bound 1e-14 relative (to max(1, |log Z|)) over k = 0..512; 4.6e-16
     law, sys_ = _gaussian_system(3.0, 512, 5)
     with mp.workdps(DIGITS):
         ref = np.array([float(mp.log(z))
@@ -61,8 +61,8 @@ def test_geometric_log_z_matches_closed_form():
 
 
 def test_max_excursion_cdf_against_mpmath():
-    # P[M_n <= m] for m = 1..7, bound 5e-12 relative; 1.5e-12, at
-    # (h = 1, n = 512, m = 6): the roundoff of the prefix table's log Z_n,
+    # P[M_n <= m] for m = 1..7, bound 5e-12 relative; 3.9e-13, at
+    # (h = 1, n = 512, m = 1): the roundoff of the prefix table's log Z_n,
     # which every value of the capped recursion shares, sets it
     worst = 0.0
     for h, n, seed in ((1.0, 64, 6), (1.0, 512, 7), (3.0, 512, 8)):
@@ -82,7 +82,7 @@ def test_max_excursion_cdf_against_long_double():
     # against Z_n^(m) / Z_n of the long-double DP.  Every value of the
     # capped recursion carries the error of the prefix table's log Z_n,
     # whose factors e^{pre[j] - pre[k]} telescope along each path: here
-    # 6.2e-12, for a worst error of 6.4e-12 relative.  Bound 1e-12 on
+    # 7.4e-13, for a worst error of 9.5e-13 relative.  Bound 1e-12 on
     # what it adds to that; 2.1e-13
     law, sys_ = _gaussian_system(3.0, 4096, 22)
     b = sys_.site_weight[1:]
@@ -108,7 +108,7 @@ def test_suffix_log_z_against_mpmath():
 
 def test_contact_probability_against_mpmath():
     # E[X_a] = Z_{0,a} Z_{[a,n]} / Z_{0,n} at every interior site, bound
-    # 5e-12 relative; 5.1e-13 at (h = 3, n = 512).  The float route is
+    # 5e-12 relative; 6.7e-13 at (h = 3, n = 512).  The float route is
     # exp(log Z_{0,a} + log Z_{[a,n]} - log Z), so the roundoff of log Z
     # (about 1300 there) sets the error
     worst = 0.0
@@ -153,7 +153,7 @@ def test_pair_dp_log_a_against_mpmath():
     # log a_j of the two-replica avoidance (_pair_forward, C7's pair DP)
     # on windows of width 64 at offsets 0 and 96 of a chain at (h, n) =
     # (3, 256), against the 40-digit pair recursion: bound 1e-14 relative
-    # (to max(1, |log a_j|)) over j = 1..64; 1.4e-15, where log a_64 is
+    # (to max(1, |log a_j|)) over j = 1..64; 1.7e-15, where log a_64 is
     # about -164
     window = 64
     law, sys_ = _gaussian_system(3.0, 256, 27)
@@ -168,7 +168,7 @@ def test_pair_dp_log_a_against_mpmath():
 
 
 def test_tilted_rows_against_mpmath():
-    # bound 1e-14 relative (to max(1, |log Z|)) over every k; 2.9e-15 at
+    # bound 1e-14 relative (to max(1, |log Z|)) over every k; 8.8e-16 at
     # n = 600, 1.4e-15 at n = 900.  The geometric law spans (n-1) log 2
     # nats on [1, n]: the linear step certifies it up to n = 894, so
     # n = 600 runs untilted and n = 900 tilted by log 2.  Each row also
@@ -195,8 +195,8 @@ def test_contact_law_against_mpmath():
     # (h, n) = (1.5, 128), (3, 128) against the 40-digit count DP: bound
     # 1e-12 on the largest |d log P[L_n = l]| over l >= 1, all finite
     # in both (the smallest is about 1e-150; l = 0 is -inf), and on
-    # |1 - sum_l P[L_n = l]|.  Measured: 3.4e-13 and 8.9e-16 at (1.5, 128),
-    # 6.3e-13 and 4.4e-16 at (3, 128)
+    # |1 - sum_l P[L_n = l]|.  Measured: 5.0e-14 and 8.9e-16 at (1.5, 128),
+    # 2.3e-13 and 2.2e-16 at (3, 128)
     for h, n, seed in ((1.5, 128, 25), (3.0, 128, 26)):
         law, sys_ = _gaussian_system(h, n, seed)
         got = sys_.contact_law()
@@ -212,7 +212,7 @@ def test_exact_contact_law_conserves_mass():
     # each step of the count DP is normalised to sum to 1, so the roundoff
     # of the prefix table does not leak into the law's mass: bound 1e-14
     # on |1 - sum_l P[L_n = l]| at (h, n) = (3, 1024), (1.5, 1024).
-    # Measured: 6.8e-15 and 2.1e-15 (6.8e-12 and 2.2e-11 with unnormalised
+    # Measured: 1.1e-15 and 2.9e-15 (6.8e-12 and 2.2e-11 with unnormalised
     # steps)
     for h, n, seed in ((3.0, 1024, 15), (1.5, 1024, 14)):
         _, sys_ = _gaussian_system(h, n, seed)
@@ -228,7 +228,7 @@ def test_banded_contact_law_against_dense_loop():
     # (a dense loop that summed each step in another order was 6.4e-13
     # apart on another n = 1024 sample), and the KS distance within
     # _ks_error_bound at that L1 distance.  Measured: l1_bound 2.7e-15
-    # and 2.5e-15, L1 1.6e-15 and 4.5e-15, |dKS| 3.6e-14 and 3.2e-13
+    # and 2.5e-15, L1 3.2e-15 and 9.0e-16, |dKS| 7.6e-14 and 4.0e-14
     # against bounds of 1.1e-9 and 8.2e-9
     for h, n, seed in ((1.5, 512, 14), (3.0, 1024, 15)):
         law, sys_ = _gaussian_system(h, n, seed)

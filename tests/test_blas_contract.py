@@ -7,15 +7,17 @@ promise, and an upgrade of numpy or OpenBLAS could break either one;
 these tests then fail with a message that names the assumption, before
 any end-to-end output drifts:
 
-* the lanes: a product over a window that ends at column k and spans a
-  multiple of ``_LANE`` columns gives the same bits whatever the window's
-  leading zeros (the dot of ``_forward``'s step, and the stacked
-  per-row product of a moment pass);
+* the lanes: a stacked per-row product (rows, R+1, L) @ (L, R+1) over a
+  window that ends at column k and spans a multiple of ``_LANE`` columns
+  gives the same bits whatever the window's leading zeros (the per-row
+  route, a sequence of centres);
 * the row tile: a 2-D product (rows, (R+1) L) @ ((R+1) L, R+1) whose row
   count is a multiple of ``_TILE`` and whose multiply-adds are at most
   ``_SMALL_GEMM`` gives each row the same bits whatever the other rows
   hold, where it sits, how many rows there are, and how many leading
-  zeros its window has (the fused moment pass).
+  zeros its window has (the fused route: every log Z table at R = 0,
+  where the product is (rows, L) @ (L, 2) against q and a zero column,
+  and every moment pass with one float centre).
 
 ``quenched._count_dp`` rests on a third: a stacked ``np.matmul`` runs one
 BLAS call per matrix, so each matrix of the stack gets the bits of its
@@ -34,32 +36,15 @@ STACK = ("BLAS assumption broken: a stacked matmul gives each matrix the "
          "bits of its product alone")
 
 # window lengths of the passes, multiples of _LANE (scan's reach 544 =
-# 512 + _LANE), and the extra leading columns of a window that starts at
-# another row's lo
-LENGTHS = tuple(_LANE * m for m in (1, 3, 7, 17))
+# 512 + _LANE, and the log Z tables of C6 at n = 4096), and the extra
+# leading columns of a window that starts at another row's lo
+LENGTHS = tuple(_LANE * m for m in (1, 3, 7, 17, 128))
 LEADS = tuple(_LANE * m for m in (1, 3, 8))
 
 
 def _scaled(rng, shape):
     """Positive entries spread over many binades, as the state's are."""
     return rng.random(shape) * np.exp(rng.normal(0.0, 20.0, shape[:-1] + (1,)))
-
-
-@pytest.mark.parametrize("length", LENGTHS)
-def test_dot_lanes_ignore_leading_zeros(length):
-    # _forward's step: (rows, 1, L) @ (L, 1), one dot per row; the leading
-    # columns hold zeros in the state and random weights (of gaps the row
-    # never reaches) in the table
-    rng = np.random.default_rng(length)
-    a = _scaled(rng, (3, 1, length))
-    w = rng.random((length, 1))
-    want = np.matmul(a, w)
-    for lead in LEADS:
-        la = np.concatenate((np.zeros((3, 1, lead)), a), axis=2)
-        lw = np.concatenate((rng.random((lead, 1)), w))
-        assert np.matmul(la, lw).tobytes() == want.tobytes(), (LANES, lead)
-        assert np.matmul(la[1:2], lw)[0].tobytes() == want[1].tobytes(), \
-            (LANES, "one row", lead)
 
 
 @pytest.mark.parametrize("width", [2, 3, 5, 9])
@@ -83,21 +68,31 @@ def test_per_row_products_ignore_leading_zeros(width, length):
 def _fused(state, table):
     """The fused step: one 2-D product over the rows of a state window."""
     rows, cols, width = state.shape
-    return state.reshape(rows, cols * width) @ table.reshape(cols * width,
-                                                             width)
+    return state.reshape(rows, cols * width) @ table.reshape(cols * width, -1)
 
 
-@pytest.mark.parametrize("width", [2, 3, 5, 9])
+def _table(rng, length, width):
+    """Random step weights of the fused product, (length, R+1, out): out =
+    R+1, or at R = 0 two columns, q's and a zero one, as _forward pads it
+    so that numpy runs a dgemm (a dgemv splits windows past 2048
+    columns at points set by the window's start)."""
+    table = np.zeros((length, width, max(width, 2)))
+    table[..., :width] = rng.random((length, width, width))
+    return table
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
 def test_fused_rows_keep_their_bits_in_any_tile(width):
     rng = np.random.default_rng(width)
     for length in LENGTHS:
         # the largest multiple of _TILE rows that stays within the bound
-        top = min(64, _SMALL_GEMM // (width * width * (length + max(LEADS))))
+        top = min(64, _SMALL_GEMM // (width * max(width, 2)
+                                      * (length + max(LEADS))))
         top -= top % _TILE
         if top < _TILE:
             continue
         state = _scaled(rng, (top, length, width))
-        table = rng.random((length, width, width))
+        table = _table(rng, length, width)
         want = _fused(state, table)
         for rows in range(_TILE, top + 1, _TILE):
             # other rows, another position, another row count
@@ -111,7 +106,7 @@ def test_fused_rows_keep_their_bits_in_any_tile(width):
             (TILE, length, "permuted")
         for lead in LEADS:
             led = np.concatenate((np.zeros((top, lead, width)), state), axis=1)
-            front = rng.random((lead, width, width))
+            front = _table(rng, lead, width)
             got = _fused(led, np.concatenate((front, table)))
             assert got.tobytes() == want.tobytes(), (TILE, length, lead)
 

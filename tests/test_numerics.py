@@ -12,8 +12,8 @@ from pinlab.numerics import (
     _log_series,
     log_mean_exp,
     log_of_jet,
+    log_sum_exp,
 )
-from pinlab.oracle import log_sum_exp
 from pinlab.quenched import QuenchedSystem
 
 finite_logs = st.floats(min_value=-600.0, max_value=600.0,

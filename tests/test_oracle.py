@@ -1,10 +1,10 @@
 """Internal consistency of the brute-force enumeration layer.
 
 These tests use hand-derivable toy values and cross-checks between the
-enumeration routines themselves, plus the test-only helpers that live in
-the oracle module (``ursell`` against the enumerated joint cumulant, and
-``log_mean_exp``); agreement of the dynamic programs with the enumeration
-lives in test_quenched.py.
+enumeration routines themselves, plus the test-only helper ``ursell``
+of the oracle module against the enumerated joint cumulant, and the
+numerics' ``log_mean_exp``; agreement of the dynamic programs with the
+enumeration lives in test_quenched.py.
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pinlab.model import build_law, geometric_test_law, law_from_table
+from pinlab.numerics import log_mean_exp
 from pinlab.oracle import (
     ORACLE_MAX_N,
     build_path_set,
@@ -24,7 +25,6 @@ from pinlab.oracle import (
     enumerate_joint_cumulant,
     enumerate_moment,
     enumerate_partition,
-    log_mean_exp,
     pure_model_free_energy,
     ursell,
 )

@@ -8,12 +8,18 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pinlab import disorder_mc, quenched, theorems
 from pinlab.config import RunConfig
 from pinlab.disorder_mc import McConfig
-from pinlab.model import build_law, gaussian_disorder, zero_disorder
+from pinlab.model import (
+    build_law,
+    gaussian_disorder,
+    rademacher_disorder,
+    zero_disorder,
+)
 from pinlab.quenched import QuenchedSystem
 from pinlab.theorems import (
     CHECK_DESCRIPTIONS,
@@ -104,6 +110,24 @@ def test_c10_fails_when_the_two_sides_interact(monkeypatch):
     rep = run_check("C10", _small_ctx())
     assert rep.passed is False
     assert rep.metrics["max_residual"] > 1e-4
+
+
+def test_c10_draws_the_runs_disorder_law(monkeypatch):
+    # under Rademacher disorder every charge C10 enumerates is +-param
+    build = theorems.build_path_set
+    seen = []
+
+    def recording(law, h, omega, n):
+        seen.append(np.array(omega[:n]))
+        return build(law, h, omega, n)
+
+    monkeypatch.setattr(theorems, "build_path_set", recording)
+    rep = run_check("C10", _small_ctx(disorder=rademacher_disorder(0.7)))
+    assert rep.passed is True
+    assert len(seen) == SMALL_COUNTS["_C10_INSTANCES"]
+    charges = np.concatenate(seen)
+    assert np.all(np.abs(charges) == 0.7)
+    assert (charges > 0).any() and (charges < 0).any()
 
 
 def test_pure_centering_checks_skip():
